@@ -265,7 +265,8 @@ def run(argv: list[str] | None = None) -> int:
         _error({"error": "CoprimalityFailure", "message": str(exc),
                 "extensions": exc.extensions})
         return EXIT_DOMAIN
-    except (SpecError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (SpecError, ValueError, KeyError, ZeroDivisionError, OSError,
+            json.JSONDecodeError) as exc:
         _error({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_DOMAIN
     _emit(payload, args.pretty)

@@ -7,14 +7,20 @@ SubfieldEmbedding; there is no implicit coercion, so restriction maps are
 ordinary values that can be composed and tested.
 
 Fields lazily build lookup caches sized to their order: full pair tables
-for tiny fields, log/antilog tables for mid-sized ones, and plain
-polynomial arithmetic beyond that, so towers like F_{3^32} stay usable.
+for tiny fields and log/antilog tables for mid-sized ones.  Past the
+log-table limit, multiplication and inversion work on polynomials modulo
+the field's modulus, so towers like F_{3^32} stay usable.  Frobenius
+powers x -> x^(p^k) are cached per k: up to the limit as a table over all
+elements, and beyond it as an n-by-n matrix over F_p (the map is
+F_p-linear), so each application is one matrix-vector product rather
+than a square-and-multiply power.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from . import modpoly
 from .zarith import factorize, is_prime
@@ -28,7 +34,7 @@ class FqField:
 
     __slots__ = (
         "p", "n", "modulus", "_mul_pairs", "_add_pairs", "_log", "_antilog",
-        "_frob_maps", "_hash",
+        "_frob_maps", "_frob_cols", "_slot_shifts", "_slot_mask", "_hash",
     )
 
     def __init__(self, p: int, n: int, modulus: list[int]):
@@ -49,6 +55,12 @@ class FqField:
         self._log: dict | None = None
         self._antilog: list | None = None
         self._frob_maps: dict[int, dict] = {}
+        self._frob_cols: dict[int, tuple] = {}
+        # a matrix column packs its n coordinates into one int, a slot per
+        # coordinate wide enough to hold a sum of n products (p-1)^2
+        width = (n * (p - 1) ** 2).bit_length()
+        self._slot_shifts = tuple(width * j for j in range(n))
+        self._slot_mask = (1 << width) - 1
         self._hash = hash((p, n, self.modulus))
 
     # -- identity ---------------------------------------------------------
@@ -204,25 +216,40 @@ class FqField:
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
     def _frobenius_map(self, k: int) -> dict | None:
-        """Cached tuple->tuple map for x -> x^(p^k), small fields only."""
+        """Cached tuple->tuple map for x -> x^(p^k); None past the
+        log-table limit, where _frobenius_linear applies the map."""
         k %= self.n
-        if k in self._frob_maps:
-            return self._frob_maps[k]
-        if self.order > _LOG_TABLE_MAX:
-            return None
-        table = {}
-        e = self.p**k
-        if self._ensure_log_tables():
+        table = self._frob_maps.get(k)
+        if table is None and self._ensure_log_tables():
+            e = self.p**k
             q1 = self.order - 1
             zero = self.zero().coeffs
-            table[zero] = zero
+            table = {zero: zero}
             for t, lg in self._log.items():
                 table[t] = self._antilog[(lg * e) % q1]
-        else:
-            for el in self.elements():
-                table[el.coeffs] = self._raw_pow(el.coeffs, e)
-        self._frob_maps[k] = table
+            self._frob_maps[k] = table
         return table
+
+    def _frobenius_linear(self, k: int, a: tuple) -> tuple:
+        """x -> x^(p^k) on a coefficient vector, as a matrix-vector product
+        over F_p with the matrix cached per k."""
+        cols = self._frob_cols.get(k)
+        if cols is None:
+            cols = self._frob_cols[k] = self._frobenius_columns(k)
+        acc = sum(map(mul, a, cols))
+        p, mask = self.p, self._slot_mask
+        return tuple([(acc >> s & mask) % p for s in self._slot_shifts])
+
+    def _frobenius_columns(self, k: int) -> tuple:
+        """The matrix of x -> x^(p^k): column i is the image of x^i, that is
+        y^i for y = x^(p^k), packed into one int (see _slot_shifts)."""
+        y = self._raw_pow(self.gen().coeffs, self.p**k)
+        col = self.one().coeffs
+        cols = []
+        for _ in range(self.n):
+            cols.append(sum(c << s for c, s in zip(col, self._slot_shifts)))
+            col = self._raw_mul(col, y)
+        return tuple(cols)
 
 
 class FqElem:
@@ -318,7 +345,12 @@ class FqElem:
 
 
 class FieldAut:
-    """A field automorphism x -> x^(p^k), i.e. the k-th Frobenius power."""
+    """A field automorphism x -> x^(p^k), i.e. the k-th Frobenius power.
+
+    Applying it reads the field's cached Frobenius table up to the
+    log-table limit; past it, the field's cached F_p-linear matrix for
+    frob^k maps the coefficient vector.
+    """
 
     __slots__ = ("field", "k")
 
@@ -348,10 +380,11 @@ class FieldAut:
             raise ValueError("element belongs to a different field")
         if self.k == 0:
             return x
-        table = self.field._frobenius_map(self.k)
+        F = self.field
+        table = F._frobenius_map(self.k)
         if table is not None:
-            return FqElem(self.field, table[x.coeffs])
-        return x ** (self.field.p**self.k)
+            return FqElem(F, table[x.coeffs])
+        return FqElem(F, F._frobenius_linear(self.k, x.coeffs))
 
     def compose(self, other: "FieldAut") -> "FieldAut":
         """self after other; exponents add mod n."""

@@ -263,14 +263,15 @@ def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
     zero = ring.base.zero()
     r = list(f.coeffs)
     d = g.degree
-    gd = g.leading()
+    gd_inv = g.leading().inverse()
     q = [zero] * max(0, len(r) - d)
     while len(r) - 1 >= d and r:
         k = len(r) - 1 - d
-        # leading term of q_k T^k * g is q_k * tau^k(g_d) T^{k+d}
-        c = r[-1] * ring.twist_power(k)(gd).inverse()
-        q[k] = c
+        # leading term of q_k T^k * g is q_k * tau^k(g_d) T^{k+d}, and
+        # tau^k(g_d)^{-1} = tau^k(g_d^{-1}) as tau^k is a field automorphism
         aut = ring.twist_power(k)
+        c = r[-1] * aut(gd_inv)
+        q[k] = c
         for i, b in enumerate(g.coeffs):
             r[k + i] = r[k + i] - c * aut(b)
         while r and r[-1].is_zero():

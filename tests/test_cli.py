@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,17 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.run(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(argv):
+    """Run `python -m skewgalois` in a fresh interpreter."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "skewgalois", *argv],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
 
 
 C3_JSON = json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
@@ -76,6 +88,29 @@ def test_ore_ops():
     assert "common_multiple" in json.loads(out)
     code, out, _ = run_cli(["ore", "--op", "gcd", "--f", f, "--g", f])
     assert json.loads(out)["gcd"]["coeffs"] == json.loads(f)["coeffs"]
+
+
+def test_ore_past_the_table_limit():
+    # F_2^20 is past the log-table limit; (f*g) right-divided by g gives f
+    f = json.dumps({"base": "2^20", "frob": 19, "coeffs": [[1, 0, 1], [0, 1], [1] * 20]})
+    g = json.dumps({"base": "2^20", "frob": 19, "coeffs": [[0, 0, 0, 1], [1, 1]]})
+    code, out, _ = run_cli(["ore", "--op", "mul", "--f", f, "--g", g])
+    assert code == 0
+    product = json.dumps(json.loads(out)["product"])
+    code, out, _ = run_cli(["ore", "--op", "divmod", "--f", product, "--g", g])
+    assert code == 0
+    data = json.loads(out)
+    assert data["remainder"]["coeffs"] == []
+    assert data["quotient"]["coeffs"] == [c + [0] * (20 - len(c)) for c in json.loads(f)["coeffs"]]
+
+
+def test_division_by_zero_polynomial_is_structured_error():
+    f = json.dumps({"base": "2^4", "frob": 1, "coeffs": [[1]]})
+    g = json.dumps({"base": "2^4", "frob": 1, "coeffs": []})
+    proc = run_module(["ore", "--op", "divmod", "--f", f, "--g", g])
+    assert proc.returncode == cli.EXIT_DOMAIN
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "ZeroDivisionError"
 
 
 def test_tower_verb():
@@ -147,14 +182,6 @@ def test_pretty_flag():
 
 
 def test_module_entrypoint_subprocess():
-    import os
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewgalois", "level", "--place", "3"],
-        capture_output=True, text=True, env=env, cwd=root,
-    )
+    proc = run_module(["level", "--place", "3"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["level"] == 2

@@ -4,6 +4,7 @@ import pytest
 
 from skewgalois import modpoly
 from skewgalois.ffield import (
+    _LOG_TABLE_MAX,
     embed_subfield,
     field_from_descriptor,
     frobenius,
@@ -98,6 +99,51 @@ def test_composition_adds_exponents():
     for _ in range(30):
         i, j = rng.randrange(6), rng.randrange(6)
         assert frobenius(F, i).compose(frobenius(F, j)) == frobenius(F, i + j)
+
+
+# fields past the log-table limit, where Frobenius is a cached linear map
+LARGE_FIELDS = [(2, 16), (2, 20), (3, 12)]
+
+
+def _random_elems(F, rng, count):
+    return [F.element([rng.randrange(F.p) for _ in range(F.n)]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,n", LARGE_FIELDS)
+def test_large_field_frobenius_matches_square_and_multiply(p, n):
+    F = make_field(p, n)
+    assert F.order > _LOG_TABLE_MAX
+    rng = random.Random(p * 100 + n)
+    xs = [F.zero(), F.one(), F.gen()] + _random_elems(F, rng, 6)
+    for k in range(n):
+        fr = frobenius(F, k)
+        for x in xs:
+            # raw square-and-multiply is the independent oracle
+            assert fr(x).coeffs == F._raw_pow(x.coeffs, p**k)
+
+
+@pytest.mark.parametrize("p,n", LARGE_FIELDS)
+def test_large_field_frobenius_is_ring_hom(p, n):
+    F = make_field(p, n)
+    rng = random.Random(p * 200 + n)
+    for k in (1, n // 2, n - 1):
+        fr = frobenius(F, k)
+        xs = _random_elems(F, rng, 6)
+        for a, b in zip(xs, xs[1:] + xs[:1]):
+            assert fr(a * b) == fr(a) * fr(b)
+            assert fr(a + b) == fr(a) + fr(b)
+
+
+@pytest.mark.parametrize("p,n", LARGE_FIELDS)
+def test_large_field_frobenius_powers_compose(p, n):
+    F = make_field(p, n)
+    rng = random.Random(p * 300 + n)
+    for x in _random_elems(F, rng, 4):
+        for _ in range(4):
+            a, b = rng.randrange(n), rng.randrange(n)
+            assert frobenius(F, a)(frobenius(F, b)(x)) == frobenius(F, a + b)(x)
+        # frob^(n-1) undoes frob
+        assert frobenius(F, n - 1)(frobenius(F, 1)(x)) == x
 
 
 def test_galois_group_examples():

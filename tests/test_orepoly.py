@@ -8,6 +8,7 @@ from skewgalois.orepoly import (
     anti_involution,
     fixed_polys,
     induced_ring_aut,
+    ore_left_divmod,
     ore_left_lcm,
     ore_mul,
     ore_poly_from_json,
@@ -154,8 +155,6 @@ def test_right_divmod_roundtrip_and_uniqueness():
 
 
 def test_left_divmod_roundtrip():
-    from skewgalois.orepoly import ore_left_divmod
-
     F4, R = ring_f4()
     rng = random.Random(3)
     for _ in range(200):
@@ -165,6 +164,29 @@ def test_left_divmod_roundtrip():
         q, r = ore_left_divmod(f, g)
         assert r.degree < g.degree
         assert ore_mul(g, q) + r == f
+
+
+@pytest.mark.parametrize("k", [1, 19])
+def test_division_and_witness_past_the_table_limit(k):
+    # F_2^20 has no element tables: the twist is the cached linear Frobenius
+    F = make_field(2, 20)
+    R = OreRing(F, frobenius(F, k))
+    rng = random.Random(20 + k)
+    a = F.element([rng.randrange(2) for _ in range(20)])
+    # defining relation, with the twist recomputed by square-and-multiply
+    assert ore_mul(R.T(), R.scalar(a)) == R.poly([0, F._raw_pow(a.coeffs, 2**k)])
+    for _ in range(4):
+        f, g = rand_poly(R, rng, 7), rand_poly(R, rng, 3)
+        if g.is_zero():
+            continue
+        q, r = ore_right_divmod(f, g)
+        assert r.degree < g.degree and ore_mul(q, g) + r == f
+        q, r = ore_left_divmod(f, g)
+        assert r.degree < g.degree and ore_mul(g, q) + r == f
+        if not f.is_zero():
+            u, v = ore_witness(f, g)
+            prod = ore_mul(f, u)
+            assert prod == ore_mul(g, v) and not prod.is_zero()
 
 
 def test_gcd_examples():
