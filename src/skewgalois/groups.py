@@ -250,9 +250,6 @@ class Subgroup:
         ]
         return FiniteGroup(table, name=name, _trusted=True), order_map
 
-    def conjugate_by(self, g: int) -> "Subgroup":
-        return Subgroup(self.parent, tuple(sorted(self.parent.conj(g, x) for x in self.elements)))
-
 
 class GroupHom:
     """A homomorphism given by its full image list; verified exhaustively."""

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .zarith import is_prime, sqrt_mod_prime
 
 REAL_PLACE = "REAL"
-GLOBAL = "GLOBAL"
 INFINITY = "INFINITY"
 
 # -1 is not a sum of three squares in Q_2: squares of 2-adic integers are
@@ -430,8 +429,3 @@ def hilbert_minus_one_places(K) -> list:
     if K.two_splits():
         places.extend(["2_split_1", "2_split_2"])
     return places
-
-
-def global_level_of_gaussian_field() -> LevelResult:
-    """Level 1 of Q(sqrt -1): the generator itself squares to -1."""
-    return LevelResult(GLOBAL, 1, {"witness": "sqrt(-1)^2 = -1"})

@@ -41,6 +41,7 @@ from .zarith import (
     nearest_rep,
     next_prime,
     prime_power_base,
+    primes_up_to,
     valuation,
 )
 from .zpoly import (
@@ -492,53 +493,56 @@ def certified_padic_roots(
     width cap is exhausted.
     """
     Qd = zderivative(Q)
-    roots0 = [r for r in modpoly.roots_mod_p(reduce_mod(Q, p), p)]
+    nodes = modpoly.roots_mod_p(reduce_mod(Q, p), p)
     if avoid_residue is not None:
-        roots0 = [r for r in roots0 if r != avoid_residue]
-    nodes = [(r, 1) for r in roots0]
+        nodes = [r for r in nodes if r != avoid_residue]
+    k = 1  # every live node is a residue mod p^k
     width_cap = p * (len(Q) - 1) + 8
     best_evidence: list[dict] = []
     while nodes:
         if len(nodes) > width_cap:
             return False, [], "root tree exceeded its width cap"
         # harvest: certified nodes at the current depth, pairwise separated
-        accepted: list[tuple[int, int, int]] = []
-        for r, k in sorted(nodes):
+        accepted: list[tuple[int, int]] = []
+        for r in sorted(nodes):
             vq = _vp(zeval(Q, r), p)
             vd = _vp(zeval(Qd, r), p)
             if vq <= 2 * vd:
                 continue
             radius = _VINF if vq >= _VINF else vq - vd
             distinct = True
-            for rr, _, rad in accepted:
+            for rr, rad in accepted:
                 if _vp(r - rr, p) >= min(radius, rad):
                     distinct = False  # balls may overlap: same root twice
                     break
             if distinct:
-                accepted.append((r, k, radius))
+                accepted.append((r, radius))
         evidence = [
             {
                 "root": r,
                 "known_mod": f"{p}^{k}",
                 "lift_radius_valuation": rad if rad < _VINF else "exact",
             }
-            for r, k, rad in accepted
+            for r, rad in accepted
         ]
         if len(accepted) >= want:
             return True, evidence[:want], None
         if len(evidence) > len(best_evidence):
             best_evidence = evidence
-        # deepen every live branch; roots sharing a residue split eventually
-        nxt = []
-        for r, k in nodes:
-            if k >= precision:
-                continue
-            step = p**k
-            for c in range(p):
-                child = r + c * step
-                if _vp(zeval(Q, child), p) >= k + 1:
-                    nxt.append((child, k + 1))
-        nodes = nxt
+        if k >= precision:
+            break
+        # deepen every live branch; roots sharing a residue split eventually.
+        # A child survives iff Q(child) = 0 mod p^(k+1), so Q is reduced
+        # mod p^(k+1) once and evaluated there instead of exactly.
+        step, mod = p**k, p ** (k + 1)
+        Qk = reduce_mod(Q, mod)
+        nodes = [
+            child
+            for r in nodes
+            for child in range(r, r + p * step, step)
+            if modpoly.eval_poly(Qk, child, mod) == 0
+        ]
+        k += 1
     return False, best_evidence, f"only {len(best_evidence)} of {want} roots certified"
 
 
@@ -602,6 +606,24 @@ def _bezout_mod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[i
     return modpoly.scalar_mul(inv, s0, p), modpoly.scalar_mul(inv, t0, p)
 
 
+_SEPARABILITY_PRIMES = tuple(primes_up_to(47))
+
+
+def _is_separable(Q: list[int]) -> bool:
+    """disc(Q) != 0 for a monic Q of degree >= 1.
+
+    A squarefree reduction of the monic Q modulo any prime ell proves
+    disc(Q) != 0 mod ell, so the exact discriminant is computed only when
+    Q is squarefree modulo none of the primes up to 47.
+    """
+    if any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in _SEPARABILITY_PRIMES):
+        return True
+    try:
+        return discriminant(Q) != 0
+    except ValueError:
+        return False
+
+
 def certify_local_behavior(
     Q: list[int], spec: LocalSpec, precision: int = PRECISION_CAP
 ) -> LocalCheck:
@@ -640,11 +662,7 @@ def certify_local_behavior(
             roots = modpoly.roots_mod_p(qbar, p)
             if len(roots) == n:
                 return LocalCheck(spec, True, {"simple_roots_mod_p": roots})
-        try:
-            d = discriminant(Q)
-        except ValueError:
-            d = 0
-        if d == 0:
+        if not _is_separable(Q):
             return LocalCheck(spec, False, {}, "polynomial is not separable")
         ok, ev, reason = certified_padic_roots(Q, p, n, precision)
         return LocalCheck(spec, ok, {"padic_roots": ev}, reason)
@@ -933,7 +951,22 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
     return VerifyResult(ok=not failures, failures=tuple(failures))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def report_from_json(data: dict) -> ConstructionReport:
+    """Rebuild a report from its JSON; a malformed shape raises SpecError."""
+    if not isinstance(data, dict):
+        raise SpecError("a report must be a JSON object")
+    Q = data.get("Q")
+    if not isinstance(Q, list) or not all(_is_int(c) for c in Q):
+        raise SpecError("report field 'Q' must be a list of integers")
+    for key in ("n", "n_min", "p_kernel", "precision"):
+        if not _is_int(data.get(key)):
+            raise SpecError(f"report field {key!r} must be an integer")
+    if not isinstance(data.get("aux"), list) or len(data["aux"]) != 4:
+        raise SpecError("report field 'aux' must list exactly four specs")
     certs = data["certificates"]
     sn = certs["sn"]
     sn_cert = SnCertificate(

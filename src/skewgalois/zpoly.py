@@ -1,7 +1,10 @@
 """Exact arithmetic for integer polynomials: resultants, discriminants,
 and Sturm-sequence real root counting.
 
-Coefficient lists are ascending with Python ints (no overflow); the Sturm
+Coefficient lists are ascending with Python ints (no overflow).  The
+resultant runs the subresultant polynomial remainder sequence (Collins
+1967; Brown and Traub 1971), whose exact divisions keep every coefficient
+the size of a Sylvester minor; the discriminant is built on it.  The Sturm
 chain strips positive content at every step to keep the integers small
 while preserving all signs.
 """
@@ -90,47 +93,43 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def _bareiss_det(M: list[list[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of two integer polynomials: the Sylvester determinant."""
-    f, g = znormalize(f), znormalize(g)
-    if not f or not g:
+    """Resultant of two integer polynomials by the subresultant PRS.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Algorithm
+    3.3.7 (Collins 1967; Brown and Traub 1971): after stripping contents,
+    each pseudo-remainder is divided exactly by g * h^delta, so every
+    intermediate coefficient stays a subresultant (a minor of the Sylvester
+    matrix) instead of growing exponentially.  The sign s tracks the
+    (-1)^(deg A * deg B) swaps, and t = a^deg B * b^deg A restores the
+    stripped contents a and b.
+    """
+    A, B = znormalize(f), znormalize(g)
+    if not A or not B:
         return 0
-    m, n = zdegree(f), zdegree(g)
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    fd, gd = f[::-1], g[::-1]
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fd + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gd + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
+    a, b = zcontent(A), zcontent(B)
+    t = a ** zdegree(B) * b ** zdegree(A)
+    A = [c // a for c in A]
+    B = [c // b for c in B]
+    s = 1
+    if zdegree(A) < zdegree(B):
+        A, B = B, A
+        if zdegree(A) % 2 and zdegree(B) % 2:
+            s = -1
+    gg = hh = 1
+    while zdegree(B) > 0:
+        delta = zdegree(A) - zdegree(B)
+        if zdegree(A) % 2 and zdegree(B) % 2:
+            s = -s
+        R = _pseudo_rem(A, B)
+        if not R:
+            return 0  # a common factor of positive degree
+        div = gg * hh**delta
+        A, B = B, [c // div for c in R]
+        gg = A[-1]
+        hh = gg**delta // hh ** (delta - 1) if delta else hh
+    d = zdegree(A)
+    return s * t * (B[0] ** d // hh ** (d - 1) if d else 1)
 
 
 def discriminant(f: list[int]) -> int:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from skewgalois import cli
 
 
@@ -139,6 +141,33 @@ def test_construct_and_verify_roundtrip(tmp_path):
     report["Q"][1] += 1
     code, _, _ = run_cli(["verify-report", "--report", json.dumps(report)])
     assert code == 3
+
+
+def _malformed_q(report):
+    report["Q"][1] = 1.5
+
+
+def _malformed_n(report):
+    report["n"] = str(report["n"])
+
+
+def _malformed_aux(report):
+    report["aux"] = []
+
+
+@pytest.mark.parametrize("tamper", [_malformed_q, _malformed_n, _malformed_aux])
+def test_verify_report_malformed_shape_is_structured_error(tamper):
+    code, out, _ = run_cli([
+        "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+        "--p-kernel", "5", "--n-min", "3",
+    ])
+    assert code == 0
+    report = json.loads(out)
+    tamper(report)
+    proc = run_module(["verify-report", "--report", json.dumps(report)])
+    assert proc.returncode == cli.EXIT_DOMAIN
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "SpecError"
 
 
 def test_level_and_feasible_verbs():

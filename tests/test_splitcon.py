@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from skewgalois import modpoly
+from skewgalois import modpoly, splitcon
 from skewgalois.splitcon import (
     REAL,
     LocalSpec,
@@ -17,6 +17,7 @@ from skewgalois.splitcon import (
     parse_spec,
     plan_aux_primes,
     plan_local_specs,
+    real_root_scale,
     report_from_json,
     required_patterns,
     spec_from_json,
@@ -24,7 +25,7 @@ from skewgalois.splitcon import (
     weak_approximation,
 )
 from skewgalois.zarith import is_prime, valuation
-from skewgalois.zpoly import count_real_roots, discriminant, reduce_mod, zmul
+from skewgalois.zpoly import count_real_roots, discriminant, reduce_mod, zderivative, zeval, zmul
 
 
 def test_odd_prime_for_case_c_examples():
@@ -319,3 +320,134 @@ def test_sn_certificate_soundness_degree_3():
     cert = certify_sn(Q, aux)
     if cert.conclusion:
         assert galois_group_cubic(Q) == "S3"
+
+
+def _constructor_q(spec_strings, n, precision):
+    """The constructor's candidate Q for these specs at one precision."""
+    specs = [parse_spec(t) for t in spec_strings]
+    L_ram = {s.prime for s in specs if s.prime != REAL and s.ram_in_L}
+    aux = plan_aux_primes([s.prime for s in specs], L_ram, n)
+    locals_ = [build_local_poly(s, n, precision) for s in specs if s.prime != REAL]
+    locals_ += [build_local_poly(s, n, precision) for s in aux]
+    real = [s for s in specs if s.prime == REAL]
+    target = list(build_local_poly(real[0], n, 0).coeffs) if real else None
+    scale = real_root_scale(n) if real else None
+    return weak_approximation(locals_, target, root_scale=scale), aux
+
+
+def test_separability_falls_back_to_the_discriminant(monkeypatch):
+    # 614889782588491410 is the product of the primes <= 47, so
+    # X^2 - 614889782588491410 reduces to X^2 modulo every one of them
+    primorial = 614889782588491410
+    Q = [-primorial, 0, 1]
+    for ell in splitcon._SEPARABILITY_PRIMES:
+        assert not modpoly.is_squarefree(reduce_mod(Q, ell), ell)
+    calls = []
+
+    def counting_discriminant(f):
+        calls.append(list(f))
+        return discriminant(f)
+
+    monkeypatch.setattr(splitcon, "discriminant", counting_discriminant)
+    assert splitcon._is_separable(Q)
+    assert calls == [Q]
+    check = certify_local_behavior(Q, LocalSpec(5, "ts"))
+    assert len(calls) == 2
+    assert not check.passed and check.reason != "polynomial is not separable"
+
+
+def test_separability_short_cut_skips_the_discriminant(monkeypatch):
+    monkeypatch.setattr(splitcon, "discriminant", None)  # must not be called
+    Q = [1]
+    for r in range(8):
+        Q = zmul(Q, [-r, 1])  # roots 0..7 collide mod 7 but not mod 11
+    check = certify_local_behavior(Q, LocalSpec(7, "ts"))
+    assert check.passed and len(check.evidence["padic_roots"]) == 8
+
+
+def test_repeated_root_is_not_separable():
+    # (X - 1)^2 (X - 2)(X - 3): no reduction is squarefree, disc = 0
+    Q = zmul(zmul([-1, 1], [-1, 1]), zmul([-2, 1], [-3, 1]))
+    check = certify_local_behavior(Q, LocalSpec(5, "ts"))
+    assert not check.passed
+    assert check.reason == "polynomial is not separable"
+
+
+def _reference_padic_roots(Q, p, want, precision, avoid_residue=None):
+    """certified_padic_roots as it was with exact evaluation at every child."""
+
+    def vp(x):
+        return 10**9 if x == 0 else valuation(x, p)
+
+    Qd = zderivative(Q)
+    roots0 = [r for r in modpoly.roots_mod_p(reduce_mod(Q, p), p)]
+    if avoid_residue is not None:
+        roots0 = [r for r in roots0 if r != avoid_residue]
+    nodes = [(r, 1) for r in roots0]
+    width_cap = p * (len(Q) - 1) + 8
+    best_evidence = []
+    while nodes:
+        if len(nodes) > width_cap:
+            return False, [], "root tree exceeded its width cap"
+        accepted = []
+        for r, k in sorted(nodes):
+            vq = vp(zeval(Q, r))
+            vd = vp(zeval(Qd, r))
+            if vq <= 2 * vd:
+                continue
+            radius = 10**9 if vq >= 10**9 else vq - vd
+            distinct = True
+            for rr, _, rad in accepted:
+                if vp(r - rr) >= min(radius, rad):
+                    distinct = False
+                    break
+            if distinct:
+                accepted.append((r, k, radius))
+        evidence = [
+            {
+                "root": r,
+                "known_mod": f"{p}^{k}",
+                "lift_radius_valuation": rad if rad < 10**9 else "exact",
+            }
+            for r, k, rad in accepted
+        ]
+        if len(accepted) >= want:
+            return True, evidence[:want], None
+        if len(evidence) > len(best_evidence):
+            best_evidence = evidence
+        nxt = []
+        for r, k in nodes:
+            if k >= precision:
+                continue
+            step = p**k
+            for c in range(p):
+                child = r + c * step
+                if vp(zeval(Q, child)) >= k + 1:
+                    nxt.append((child, k + 1))
+        nodes = nxt
+    return False, best_evidence, f"only {len(best_evidence)} of {want} roots certified"
+
+
+def test_root_tree_matches_exact_evaluation_reference():
+    reasons = set()
+    for n in (8, 12):
+        for precision in (8, 64):
+            Q, aux = _constructor_q(["3:rq", "7:ts:ramL"], n, precision)
+            for args in ((7, n, precision), (3, n - 2, precision, 0),
+                         (aux[0].prime, n - 2, precision, 0), (7, n, 2), (2, n - 2, 3, 0)):
+                got = certified_padic_roots(Q, *args)
+                assert got == _reference_padic_roots(Q, *args), (n, precision, args)
+                reasons.add(got[2])
+    # X^4 at 2: every residue 0 mod 2^(k/4) survives, none is certified
+    got = certified_padic_roots([0, 0, 0, 0, 1], 2, 4, 64)
+    assert got == _reference_padic_roots([0, 0, 0, 0, 1], 2, 4, 64)
+    assert got[2] == "root tree exceeded its width cap"
+    # roots 1 and 1 + 3^4 split only at depth 5: a deep, narrow tree
+    Q = zmul(zmul([-1, 1], [-1 - 3**4, 1]), zmul([-2, 1], [1, 0, 1]))
+    for precision, ok in ((64, True), (4, False)):
+        got = certified_padic_roots(Q, 3, 3, precision)
+        assert got == _reference_padic_roots(Q, 3, 3, precision)
+        assert got[0] is ok
+    assert got[2] == "only 2 of 3 roots certified"
+    assert {None, "root tree exceeded its width cap"} <= reasons
+    assert any(r and r.startswith("only ") for r in reasons)
