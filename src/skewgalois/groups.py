@@ -2,21 +2,43 @@
 solvability tests, Fitting subgroups, semidirect products, and the
 nilpotent-kernel reduction tower for solvable groups.
 
-Element are indices 0..order-1 with 0 the identity.  Tables supplied
-directly are fully validated (Latin square + associativity, O(order^3)),
-which is fine at the desk scale this module targets; groups synthesized
+Elements are indices 0..order-1 with 0 the identity.  Tables supplied
+directly are fully validated: Latin square, then associativity by Light's
+test, which checks (x a) y = x (a y) only for a in a generating set, in
+O(order^2 * gens) with gens <= log2(order) for a group.  Groups synthesized
 from permutation generators or element/multiplication pairs skip the
-associativity scan since it holds by construction.
+associativity check since it holds by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .zarith import factorize
+from .zarith import factorize, is_int
 
 TABLE_SYNTHESIS_CAP = 5040  # largest order synthesized from generators
+
+
+def _bfs_closure(table, gens) -> set[int]:
+    """Elements reached from index 0 by left and right products with gens:
+    the subgroup they generate when table is a group table."""
+    seen = {0}
+    frontier = [0]
+    gens = [g for g in gens if g]
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            frontier.append(g)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                for b in (table[a][g], table[g][a]):
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+        frontier = nxt
+    return seen
 
 
 class FiniteGroup:
@@ -37,20 +59,28 @@ class FiniteGroup:
                 raise ValueError("table rows must be permutations (Latin square)")
             if sorted(table[j][i] for j in range(n)) != list(range(n)):
                 raise ValueError("table columns must be permutations (Latin square)")
+        rows = tuple(tuple(row) for row in table)
         if not _trusted:
-            for a in range(n):
-                ta = table[a]
-                for b in range(n):
-                    tab = ta[b]
-                    tb = table[b]
-                    for c in range(n):
-                        if table[tab][c] != ta[tb[c]]:
-                            raise ValueError("table is not associative")
+            # Light's test: the a with (x a) y = x (a y) for all x, y are
+            # closed under products, so it suffices to check generators
+            gens: list[int] = []
+            reached = {0}
+            for g in range(1, n):
+                if len(reached) == n:
+                    break
+                if g not in reached:
+                    gens.append(g)
+                    reached = _bfs_closure(rows, gens)
+            for a in gens:
+                ra = rows[a]
+                for rx in rows:
+                    if rows[rx[a]] != tuple([rx[v] for v in ra]):
+                        raise ValueError("table is not associative")
         inv = [0] * n
         for a in range(n):
-            inv[a] = table[a].index(0)
+            inv[a] = rows[a].index(0)
         self.order = n
-        self.table = tuple(tuple(row) for row in table)
+        self.table = rows
         self.inv = tuple(inv)
         self.perm_gens = perm_gens
         self.name = name
@@ -106,24 +136,7 @@ class FiniteGroup:
 
     def closure(self, gens) -> tuple[int, ...]:
         """Sorted element tuple of the subgroup generated by gens."""
-        seen = {0}
-        frontier = [0]
-        gens = [g for g in gens if g]
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-        table = self.table
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    for b in (table[a][g], table[g][a]):
-                        if b not in seen:
-                            seen.add(b)
-                            nxt.append(b)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(sorted(_bfs_closure(self.table, gens)))
 
     def subgroup(self, gens) -> "Subgroup":
         return Subgroup(self, self.closure(gens))
@@ -171,35 +184,38 @@ class FiniteGroup:
         return out
 
     def all_subgroups(self, max_gens: int = 3) -> list["Subgroup"]:
-        """Subgroups generated by up to max_gens elements (all of them, at
-        desk scale: a subgroup of a group of order <= 24 needs <= 3
-        generators unless it is elementary abelian of rank 4)."""
+        """Every subgroup generated by at most max_gens elements, sorted by
+        (order, elements).  This is all of them at desk scale: a subgroup
+        of a group of order <= 24 needs <= 3 generators unless it is
+        elementary abelian of rank 4.
+
+        Cyclic-extension scan: layer i holds the subgroups that first need
+        i generators, and layer i+1 is {<B, k> : B in layer i, k not in B}.
+        Since <B, k> = <B, b k b'> for b, b' in B, each double coset BkB
+        costs one closure.
+        """
         key = ("subgroups", max_gens)
         cached = self._subgroup_cache.get(key)
         if cached is not None:
             return cached
+        table = self.table
         found: set[tuple[int, ...]] = {(0,)}
-        singles = []
-        for g in range(1, self.order):
-            c = self.closure([g])
-            singles.append(c)
-            found.add(c)
-        pair_closure: dict[tuple[int, int], tuple[int, ...]] = {}
-        if max_gens >= 2:
-            for g, h in combinations(range(1, self.order), 2):
-                if h in set(singles[g - 1]):
-                    pair_closure[(g, h)] = singles[g - 1]
-                    continue
-                c = self.closure([g, h])
-                pair_closure[(g, h)] = c
-                found.add(c)
-        if max_gens >= 3:
-            for (g, h), base_t in pair_closure.items():
-                base = set(base_t)
-                for k in range(h + 1, self.order):
-                    if k in base:
+        layer: list[tuple[tuple[int, ...], list[int]]] = [((0,), [])]  # (B, generators of B)
+        for _ in range(max_gens):
+            nxt = []
+            for base, gens in layer:
+                covered = set(base)
+                for k in range(1, self.order):
+                    if k in covered:
                         continue
-                    found.add(self.closure(base | {k}))
+                    c = self.closure(gens + [k])
+                    for b in base:
+                        row = table[table[b][k]]
+                        covered.update([row[b2] for b2 in base])
+                    if c not in found:
+                        found.add(c)
+                        nxt.append((c, gens + [k]))
+            layer = nxt
         out = sorted((Subgroup(self, t) for t in found), key=lambda s: (len(s.elements), s.elements))
         self._subgroup_cache[key] = out
         return out
@@ -734,8 +750,28 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
 
 
 def group_from_json(data: dict) -> FiniteGroup:
+    """Build a group from {"table": rows} or {"perm_gens": generators as
+    0-based cycle lists}, with an optional "order" that must match; a
+    malformed shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("group JSON must be an object")
     if "table" in data:
-        return FiniteGroup([list(r) for r in data["table"]], name=data.get("name", "G"))
-    if "perm_gens" in data:
-        return from_permutations(data["perm_gens"], name=data.get("name", "G"))
-    raise ValueError("group JSON needs 'table' or 'perm_gens'")
+        table = data["table"]
+        # set(map(type, r)) <= {int} is is_int on every entry, but cheaper
+        if not isinstance(table, list) or not all(
+                isinstance(r, list) and set(map(type, r)) <= {int} for r in table):
+            raise ValueError("'table' must be a list of integer rows")
+        G = FiniteGroup([list(r) for r in table], name=data.get("name", "G"))
+    elif "perm_gens" in data:
+        gens = data["perm_gens"]
+        if not isinstance(gens, list) or not all(
+                isinstance(g, list) and all(
+                    isinstance(c, list) and all(is_int(v) and v >= 0 for v in c) for c in g)
+                for g in gens):
+            raise ValueError("'perm_gens' must list generators as cycles of non-negative integers")
+        G = from_permutations(gens, name=data.get("name", "G"))
+    else:
+        raise ValueError("group JSON needs 'table' or 'perm_gens'")
+    if "order" in data and not (is_int(data["order"]) and data["order"] == G.order):
+        raise ValueError("'order' must equal the order of the group")
+    return G

@@ -37,6 +37,7 @@ from .zarith import (
     centered_rep,
     crt,
     factorize,
+    is_int,
     is_prime,
     nearest_rep,
     next_prime,
@@ -165,6 +166,12 @@ def parse_spec(text: str) -> LocalSpec:
 
 
 def spec_from_json(data: dict) -> LocalSpec:
+    """Rebuild a spec from its JSON; a malformed shape raises SpecError."""
+    if not isinstance(data, dict):
+        raise SpecError("a spec must be a JSON object")
+    for key in ("degree", "q"):
+        if data.get(key) is not None and not is_int(data[key]):
+            raise SpecError(f"spec field {key!r} must be an integer")
     return LocalSpec(
         prime=data["prime"],
         kind=data["kind"],
@@ -951,24 +958,30 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
     return VerifyResult(ok=not failures, failures=tuple(failures))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def report_from_json(data: dict) -> ConstructionReport:
     """Rebuild a report from its JSON; a malformed shape raises SpecError."""
     if not isinstance(data, dict):
         raise SpecError("a report must be a JSON object")
     Q = data.get("Q")
-    if not isinstance(Q, list) or not all(_is_int(c) for c in Q):
+    if not isinstance(Q, list) or not all(is_int(c) for c in Q):
         raise SpecError("report field 'Q' must be a list of integers")
     for key in ("n", "n_min", "p_kernel", "precision"):
-        if not _is_int(data.get(key)):
+        if not is_int(data.get(key)):
             raise SpecError(f"report field {key!r} must be an integer")
+    if not isinstance(data.get("specs"), list):
+        raise SpecError("report field 'specs' must be a list")
     if not isinstance(data.get("aux"), list) or len(data["aux"]) != 4:
         raise SpecError("report field 'aux' must list exactly four specs")
-    certs = data["certificates"]
-    sn = certs["sn"]
+    certs = data.get("certificates")
+    if not isinstance(certs, dict) or not isinstance(certs.get("disjoint"), dict):
+        raise SpecError("report field 'certificates' must be an object with an object 'disjoint'")
+    sn = certs.get("sn")
+    if not (isinstance(sn, dict) and isinstance(sn.get("patterns"), dict)
+            and all(isinstance(v, list) for v in sn["patterns"].values())
+            and isinstance(sn.get("reasons", []), list)):
+        raise SpecError("certificate 'sn' must be an object with 'patterns' of lists and a list 'reasons'")
+    if not isinstance(certs.get("locals"), list) or not all(isinstance(c, dict) for c in certs["locals"]):
+        raise SpecError("certificate 'locals' must be a list of objects")
     sn_cert = SnCertificate(
         n=sn["n"],
         patterns={int(k): tuple(v) for k, v in sn["patterns"].items()},

@@ -14,6 +14,11 @@ from functools import lru_cache
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool, as JSON input must give it."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

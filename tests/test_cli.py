@@ -123,6 +123,40 @@ def test_tower_verb():
     assert steps[0]["group_order"] == 6 and len(steps[0]["N"]) == 3
 
 
+TOWER_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "tower_golden.json")
+
+
+def test_tower_output_matches_golden():
+    # stdout of `tower` recorded before the subgroup scan and the table
+    # validation were rewritten: every catalog group given as a table, and
+    # permutation groups up to S3xS3xC2 and S4xC3 (order 72)
+    from skewgalois.catalog import catalog
+
+    with open(TOWER_GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert {name for name, _ in catalog()} <= {c["name"] for c in cases}
+    for case in cases:
+        code, out, err = run_cli(["tower", "--group", json.dumps(case["group"])])
+        assert code == 0, err
+        assert out == case["stdout"], case["name"]
+
+
+@pytest.mark.parametrize("group", [
+    {"table": [[0, 1], [1, "a"]]},
+    {"perm_gens": "ab"},
+    {"perm_gens": [[[0, "x"]]]},
+    {"perm_gens": [[[1.5, 0]]]},
+    {"perm_gens": [[[0, -1]]]},
+    {"perm_gens": [[[0, True]]]},
+    {"order": 3, "table": [[0, 1], [1, 0]]},
+])
+def test_malformed_group_json_is_structured_error(group):
+    proc = run_module(["tower", "--group", json.dumps(group)])
+    assert proc.returncode == cli.EXIT_DOMAIN
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "ValueError"
+
+
 def test_construct_and_verify_roundtrip(tmp_path):
     code, out, _ = run_cli([
         "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
@@ -155,7 +189,25 @@ def _malformed_aux(report):
     report["aux"] = []
 
 
-@pytest.mark.parametrize("tamper", [_malformed_q, _malformed_n, _malformed_aux])
+def _aux_not_objects(report):
+    report["aux"] = [1, 2, 3, 4]
+
+
+def _sn_as_list(report):
+    report["certificates"]["sn"] = [report["certificates"]["sn"]]
+
+
+def _locals_as_string(report):
+    report["certificates"]["locals"] = "locals"
+
+
+def _degree_as_string(report):
+    aux = next(s for s in report["aux"] if "degree" in s)
+    aux["degree"] = str(aux["degree"])
+
+
+@pytest.mark.parametrize("tamper", [_malformed_q, _malformed_n, _malformed_aux, _aux_not_objects,
+                                    _sn_as_list, _locals_as_string, _degree_as_string])
 def test_verify_report_malformed_shape_is_structured_error(tamper):
     code, out, _ = run_cli([
         "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from skewgalois.catalog import catalog, catalog_upto
@@ -230,3 +232,112 @@ def test_catalog_shape():
         for i in range(len(same)):
             for j in range(i + 1, len(same)):
                 assert find_isomorphism(same[i], same[j]) is None
+
+
+def _reference_subgroups(G, max_gens):
+    """The pair and triple loops that all_subgroups ran before the
+    cyclic-extension scan, kept as the oracle for it."""
+    found = {(0,)}
+    singles = []
+    for g in range(1, G.order):
+        c = G.closure([g])
+        singles.append(c)
+        found.add(c)
+    pair_closure = {}
+    if max_gens >= 2:
+        for g, h in combinations(range(1, G.order), 2):
+            if h in set(singles[g - 1]):
+                pair_closure[(g, h)] = singles[g - 1]
+                continue
+            c = G.closure([g, h])
+            pair_closure[(g, h)] = c
+            found.add(c)
+    if max_gens >= 3:
+        for (g, h), base_t in pair_closure.items():
+            base = set(base_t)
+            for k in range(h + 1, G.order):
+                if k not in base:
+                    found.add(G.closure(base | {k}))
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def _scan_groups():
+    named = dict(catalog())
+    yield "S4xC2", direct_product(symmetric_group(4), cyclic_group(2))
+    yield "S3xS3", direct_product(symmetric_group(3), symmetric_group(3))
+    for name in ("C2xC2xC2xC2", "C4xC4", "C2xD4", "Q16", "S4", "SL(2,3)", "C2xA4",
+                 "D(C3xC3)", "SD16"):
+        yield name, named[name]
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _scan_groups()])
+def test_all_subgroups_matches_pair_and_triple_loops(G):
+    for m in (1, 2, 3):
+        assert [H.elements for H in G.all_subgroups(m)] == _reference_subgroups(G, m), m
+
+
+def test_all_subgroups_stops_at_max_gens():
+    # C2^4 needs four generators, so only max_gens >= 4 reaches the whole group
+    G = dict(catalog())["C2xC2xC2xC2"]
+    full = tuple(range(16))
+    assert full not in {H.elements for H in G.all_subgroups(3)}
+    assert full in {H.elements for H in G.all_subgroups(4)}
+    assert len(G.all_subgroups(4)) == len(G.all_subgroups(3)) + 1
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square over 0..n-1 whose first row and first
+    column are 0, 1, ..., n-1."""
+    sq = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    row_used = [{i} for i in range(n)]
+    col_used = [{j} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in sq]
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in row_used[i] and v not in col_used[j]:
+                sq[i][j] = v
+                row_used[i].add(v)
+                col_used[j].add(v)
+                yield from fill(k + 1)
+                row_used[i].discard(v)
+                col_used[j].discard(v)
+
+    yield from fill(0)
+
+
+def _brute_associative(T):
+    n = len(T)
+    return all(T[T[a][b]][c] == T[a][T[b][c]] for a in range(n) for b in range(n) for c in range(n))
+
+
+def test_light_test_agrees_with_brute_force_on_all_small_latin_squares():
+    reduced_counts = {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}  # OEIS A000315
+    for n, expected in reduced_counts.items():
+        count = accepted = 0
+        for sq in _reduced_latin_squares(n):
+            count += 1
+            try:
+                FiniteGroup(sq)
+                ok = True
+            except ValueError as exc:
+                assert str(exc) == "table is not associative"
+                ok = False
+            assert ok == _brute_associative(sq), sq
+            accepted += ok
+        assert count == expected, n
+        assert accepted >= 1
+
+
+def test_s4_x_s3_tower_completes_with_surjective_steps():
+    G = from_permutations([[[0, 1]], [[0, 1, 2, 3]], [[4, 5]], [[4, 5, 6]]])
+    assert G.order == 144
+    steps = solvable_tower(G)
+    assert steps[-1].Gp.order == 1
+    for step in steps:
+        assert step.phi.is_surjective()
+        assert step.phi.codomain.order == step.group.order
