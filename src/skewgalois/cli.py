@@ -4,7 +4,8 @@ behind one verb each, JSON in and JSON out.
 Output on stdout is deterministic for a fixed --seed (keys sorted, no
 timestamps); errors go to stderr as structured JSON.  Exit codes: 0 for
 success or a passing certificate, 1 for domain errors, 2 for usage errors,
-3 for a failing certificate or verification.
+3 for a failing certificate or verification, 4 for an internal error (any
+other exception, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_CERT = 3
+EXIT_INTERNAL = 4
 
 
 def _load(arg: str):
@@ -269,6 +271,9 @@ def run(argv: list[str] | None = None) -> int:
             json.JSONDecodeError) as exc:
         _error({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_DOMAIN
+    except Exception as exc:
+        _error({"error": "InternalError", "type": type(exc).__name__, "message": str(exc)})
+        return EXIT_INTERNAL
     _emit(payload, args.pretty)
     return code
 

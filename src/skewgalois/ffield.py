@@ -6,14 +6,14 @@ modulus.  Cross-field movement always goes through an explicit
 SubfieldEmbedding; there is no implicit coercion, so restriction maps are
 ordinary values that can be composed and tested.
 
-Fields lazily build lookup caches sized to their order: full pair tables
-for tiny fields and log/antilog tables for mid-sized ones.  Past the
-log-table limit, multiplication and inversion work on polynomials modulo
-the field's modulus, so towers like F_{3^32} stay usable.  Frobenius
-powers x -> x^(p^k) are cached per k: up to the limit as a table over all
-elements, and beyond it as an n-by-n matrix over F_p (the map is
-F_p-linear), so each application is one matrix-vector product rather
-than a square-and-multiply power.
+Arithmetic has two tiers.  A field of order up to the log-table limit
+lazily builds, for a generator g, log and antilog tables and Zech's
+logarithms zech[d] = log(1 + g^d), so products, inverses, powers and sums
+of nonzero elements are integer operations on logs, and the Frobenius
+power x -> x^(p^k) multiplies a log by p^k mod (q - 1).  Past the limit,
+multiplication and inversion work on polynomials modulo the field's
+modulus, so towers like F_{3^32} stay usable, and frob^k is an F_p-linear
+map applied as a cached n-by-n matrix over F_p.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ from operator import mul
 from . import modpoly
 from .zarith import factorize, is_prime
 
-_PAIR_TABLE_MAX = 32      # |F| up to which full add/mul pair tables are built
-_LOG_TABLE_MAX = 1 << 15  # |F| up to which discrete-log tables are built
+_LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
 
 
 class FqField:
     """The field F_{p^n} presented as F_p[x]/(modulus)."""
 
     __slots__ = (
-        "p", "n", "modulus", "_mul_pairs", "_add_pairs", "_log", "_antilog",
-        "_frob_maps", "_frob_cols", "_slot_shifts", "_slot_mask", "_hash",
+        "p", "n", "modulus", "order", "_log", "_antilog", "_zech",
+        "_frob_cols", "_slot_shifts", "_slot_mask", "_hash",
     )
 
     def __init__(self, p: int, n: int, modulus: list[int]):
@@ -50,11 +49,10 @@ class FqField:
         self.p = p
         self.n = n
         self.modulus = tuple(modulus)
-        self._mul_pairs: dict | None = None
-        self._add_pairs: dict | None = None
+        self.order = p**n
         self._log: dict | None = None
         self._antilog: list | None = None
-        self._frob_maps: dict[int, dict] = {}
+        self._zech: list | None = None
         self._frob_cols: dict[int, tuple] = {}
         # a matrix column packs its n coordinates into one int, a slot per
         # coordinate wide enough to hold a sum of n products (p-1)^2
@@ -64,10 +62,6 @@ class FqField:
         self._hash = hash((p, n, self.modulus))
 
     # -- identity ---------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return self.p**self.n
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -169,39 +163,31 @@ class FqField:
 
     # -- caches ------------------------------------------------------------
 
-    def _ensure_pair_tables(self) -> bool:
-        if self._mul_pairs is not None:
-            return True
-        if self.order > _PAIR_TABLE_MAX:
-            return False
-        mul_pairs: dict = {}
-        add_pairs: dict = {}
-        elems = [e.coeffs for e in self.elements()]
-        p = self.p
-        for a in elems:
-            for b in elems:
-                add_pairs[(a, b)] = tuple((x + y) % p for x, y in zip(a, b))
-                mul_pairs[(a, b)] = self._raw_mul(a, b)
-        self._mul_pairs = mul_pairs
-        self._add_pairs = add_pairs
-        return True
-
     def _ensure_log_tables(self) -> bool:
+        """Build the log tier's tables on first use; False past the limit.
+
+        For the generator g: _antilog[k] = g^k for 0 <= k < q - 1, followed
+        by zero, so that _antilog[-1] is zero; _log inverts it, with -1 as
+        the log of zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0.
+        """
         if self._log is not None:
             return True
         if self.order > _LOG_TABLE_MAX:
             return False
-        g = self._find_generator()
         q1 = self.order - 1
-        antilog = [None] * q1
-        log: dict = {}
-        cur = self.one().coeffs
-        for k in range(q1):
-            antilog[k] = cur
-            log[cur] = k
-            cur = self._raw_mul(cur, g)
-        self._log = log
+        # x -> x*g is F_p-linear: column i of its matrix is x^i * g
+        cols = self._packed_columns(self._find_generator(), self.gen().coeffs)
+        antilog = [self.one().coeffs]
+        for _ in range(q1 - 1):
+            antilog.append(self._apply_columns(cols, antilog[-1]))
+        zero = self.zero().coeffs
+        antilog.append(zero)
+        log = {t: k for k, t in enumerate(antilog)}
+        log[zero] = -1
+        p = self.p
+        self._zech = [log[((t[0] + 1) % p,) + t[1:]] for t in antilog[:q1]]
         self._antilog = antilog
+        self._log = log
         return True
 
     def _find_generator(self) -> tuple:
@@ -215,41 +201,30 @@ class FqField:
                 return cand
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
-    def _frobenius_map(self, k: int) -> dict | None:
-        """Cached tuple->tuple map for x -> x^(p^k); None past the
-        log-table limit, where _frobenius_linear applies the map."""
-        k %= self.n
-        table = self._frob_maps.get(k)
-        if table is None and self._ensure_log_tables():
-            e = self.p**k
-            q1 = self.order - 1
-            zero = self.zero().coeffs
-            table = {zero: zero}
-            for t, lg in self._log.items():
-                table[t] = self._antilog[(lg * e) % q1]
-            self._frob_maps[k] = table
-        return table
-
     def _frobenius_linear(self, k: int, a: tuple) -> tuple:
         """x -> x^(p^k) on a coefficient vector, as a matrix-vector product
         over F_p with the matrix cached per k."""
         cols = self._frob_cols.get(k)
         if cols is None:
-            cols = self._frob_cols[k] = self._frobenius_columns(k)
+            # column i is the image of x^i, that is y^i for y = x^(p^k)
+            y = self._raw_pow(self.gen().coeffs, self.p**k)
+            cols = self._frob_cols[k] = self._packed_columns(self.one().coeffs, y)
+        return self._apply_columns(cols, a)
+
+    def _packed_columns(self, first: tuple, ratio: tuple) -> tuple:
+        """The matrix whose column i is first * ratio^i, each column packed
+        into one int (see _slot_shifts)."""
+        cols, col = [], first
+        for _ in range(self.n):
+            cols.append(sum(c << s for c, s in zip(col, self._slot_shifts)))
+            col = self._raw_mul(col, ratio)
+        return tuple(cols)
+
+    def _apply_columns(self, cols: tuple, a: tuple) -> tuple:
+        """The product of a packed-column matrix with a coefficient vector."""
         acc = sum(map(mul, a, cols))
         p, mask = self.p, self._slot_mask
         return tuple([(acc >> s & mask) % p for s in self._slot_shifts])
-
-    def _frobenius_columns(self, k: int) -> tuple:
-        """The matrix of x -> x^(p^k): column i is the image of x^i, that is
-        y^i for y = x^(p^k), packed into one int (see _slot_shifts)."""
-        y = self._raw_pow(self.gen().coeffs, self.p**k)
-        col = self.one().coeffs
-        cols = []
-        for _ in range(self.n):
-            cols.append(sum(c << s for c, s in zip(col, self._slot_shifts)))
-            col = self._raw_mul(col, y)
-        return tuple(cols)
 
 
 class FqElem:
@@ -292,14 +267,20 @@ class FqElem:
     def __add__(self, other: "FqElem") -> "FqElem":
         self._check(other)
         F = self.field
-        if F._add_pairs is not None or F._ensure_pair_tables():
-            return FqElem(F, F._add_pairs[(self.coeffs, other.coeffs)])
+        if F._log is not None or F._ensure_log_tables():
+            a, b = F._log[self.coeffs], F._log[other.coeffs]
+            if a < 0 or b < 0:
+                return other if a < 0 else self
+            z = F._zech[(b - a) % (F.order - 1)]
+            return FqElem(F, F._antilog[(a + z) % (F.order - 1) if z >= 0 else -1])
         p = F.p
-        return FqElem(F, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FqElem(F, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "FqElem":
         p = self.field.p
-        return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
+        if p == 2:
+            return self
+        return FqElem(self.field, tuple([(-a) % p for a in self.coeffs]))
 
     def __sub__(self, other: "FqElem") -> "FqElem":
         return self + (-other)
@@ -307,23 +288,19 @@ class FqElem:
     def __mul__(self, other: "FqElem") -> "FqElem":
         self._check(other)
         F = self.field
-        if F._mul_pairs is not None or F._ensure_pair_tables():
-            return FqElem(F, F._mul_pairs[(self.coeffs, other.coeffs)])
         if F._log is not None or F._ensure_log_tables():
-            if self.is_zero() or other.is_zero():
+            a, b = F._log[self.coeffs], F._log[other.coeffs]
+            if a < 0 or b < 0:
                 return F.zero()
-            q1 = F.order - 1
-            k = (F._log[self.coeffs] + F._log[other.coeffs]) % q1
-            return FqElem(F, F._antilog[k])
+            return FqElem(F, F._antilog[(a + b) % (F.order - 1)])
         return FqElem(F, F._raw_mul(self.coeffs, other.coeffs))
 
     def inverse(self) -> "FqElem":
         F = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if F._log is not None or (F.order <= _LOG_TABLE_MAX and F._ensure_log_tables()):
-            q1 = F.order - 1
-            return FqElem(F, F._antilog[(-F._log[self.coeffs]) % q1])
+        if F._log is not None or F._ensure_log_tables():
+            return FqElem(F, F._antilog[-F._log[self.coeffs] % (F.order - 1)])
         return FqElem(F, F._raw_inv(self.coeffs))
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
@@ -335,9 +312,8 @@ class FqElem:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return F.one() if e == 0 else F.zero()
-        if F._log is not None or (F.order <= _LOG_TABLE_MAX and F._ensure_log_tables()):
-            q1 = F.order - 1
-            return FqElem(F, F._antilog[(F._log[self.coeffs] * e) % q1])
+        if F._log is not None or F._ensure_log_tables():
+            return FqElem(F, F._antilog[F._log[self.coeffs] * e % (F.order - 1)])
         return FqElem(F, F._raw_pow(self.coeffs, e))
 
     def to_json(self) -> list[int]:
@@ -347,9 +323,9 @@ class FqElem:
 class FieldAut:
     """A field automorphism x -> x^(p^k), i.e. the k-th Frobenius power.
 
-    Applying it reads the field's cached Frobenius table up to the
-    log-table limit; past it, the field's cached F_p-linear matrix for
-    frob^k maps the coefficient vector.
+    In the log tier it multiplies the log of x by p^k modulo q - 1; past
+    the log-table limit, the field's cached F_p-linear matrix for frob^k
+    maps the coefficient vector.
     """
 
     __slots__ = ("field", "k")
@@ -381,9 +357,9 @@ class FieldAut:
         if self.k == 0:
             return x
         F = self.field
-        table = F._frobenius_map(self.k)
-        if table is not None:
-            return FqElem(F, table[x.coeffs])
+        if F._log is not None or F._ensure_log_tables():
+            lg = F._log[x.coeffs]
+            return x if lg < 0 else FqElem(F, F._antilog[lg * F.p**self.k % (F.order - 1)])
         return FqElem(F, F._frobenius_linear(self.k, x.coeffs))
 
     def compose(self, other: "FieldAut") -> "FieldAut":

@@ -50,14 +50,15 @@ class FiniteGroup:
         if n == 0:
             raise ValueError("a group has at least the identity")
         for row in table:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise ValueError("table is not square over element indices")
         if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
             raise ValueError("index 0 must be a two-sided identity")
-        for i in range(n):
-            if sorted(table[i]) != list(range(n)):
+        full = set(range(n))
+        for row, col in zip(table, zip(*table)):
+            if set(row) != full:
                 raise ValueError("table rows must be permutations (Latin square)")
-            if sorted(table[j][i] for j in range(n)) != list(range(n)):
+            if set(col) != full:
                 raise ValueError("table columns must be permutations (Latin square)")
         rows = tuple(tuple(row) for row in table)
         if not _trusted:
@@ -352,13 +353,19 @@ def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple:
     return tuple(img)
 
 
-def from_permutations(gen_cycles: list[list[list[int]]], *, degree: int | None = None,
-                      name: str = "G") -> FiniteGroup:
-    """Group generated by permutations, given as 0-based cycle lists."""
-    points = [v for g in gen_cycles for cyc in g for v in cyc]
-    deg = degree if degree is not None else (max(points) + 1 if points else 1)
-    gens = [perm_from_cycles(g, deg) for g in gen_cycles]
-    identity = tuple(range(deg))
+def from_permutations(gen_cycles: list[list[list[int]]], *, name: str = "G") -> FiniteGroup:
+    """Group generated by permutations, given as 0-based cycle lists.
+
+    The points that occur are relabeled 0..m-1 in increasing order first,
+    so the cost does not grow with the size of the labels.  An increasing
+    relabeling keeps the lexicographic order of the elements, and with it
+    their indices in the table.
+    """
+    points = sorted({v for g in gen_cycles for cyc in g for v in cyc})
+    label = {v: i for i, v in enumerate(points)}
+    gens = [perm_from_cycles([[label[v] for v in cyc] for cyc in g], len(points))
+            for g in gen_cycles]
+    identity = tuple(range(len(points)))
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -388,7 +395,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise ValueError("n >= 1")
     if n == 1:
         return cyclic_group(1)
-    return from_permutations([[[0, 1]], [list(range(n))]], degree=n, name=f"S{n}")
+    return from_permutations([[[0, 1]], [list(range(n))]], name=f"S{n}")
 
 
 def alternating_group(n: int) -> FiniteGroup:
@@ -398,7 +405,7 @@ def alternating_group(n: int) -> FiniteGroup:
     if n > 3:
         # an n-cycle is even iff n is odd; otherwise use the (n-1)-cycle
         gens.append([list(range(n))] if n % 2 else [list(range(1, n))])
-    return from_permutations(gens, degree=n, name=f"A{n}")
+    return from_permutations(gens, name=f"A{n}")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -411,7 +418,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         raise ValueError("dihedral_group needs n >= 3")
     rot = [list(range(n))]
     refl = [[i, n - i] for i in range(1, (n + 1) // 2) if i != n - i]
-    return from_permutations([rot, refl], degree=n, name=f"D{n}")
+    return from_permutations([rot, refl], name=f"D{n}")
 
 
 def dicyclic_group(n: int) -> FiniteGroup:

@@ -13,6 +13,12 @@ twisted by tau^{-1}.
 
 Coefficients are stored ascending; the zero polynomial has an empty
 coefficient tuple, so equality is bit-exact.
+
+Over a field in ffield's log tier, multiplication and right division
+convert the coefficients to discrete logs once, run their O(deg^2) loops
+on integers (a product adds logs, a sum is one Zech-table lookup), and
+convert back at the end.  Past the log-table limit they work on field
+elements directly.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .ffield import FieldAut, FqElem, FqField, SubfieldEmbedding
 class OreRing:
     """A handle for L[T, tau]: the base field plus the twist automorphism."""
 
-    __slots__ = ("base", "twist", "_twist_powers", "_twist_tables", "_tw_cycle")
+    __slots__ = ("base", "twist", "_twist_powers")
 
     def __init__(self, base: FqField, twist: FieldAut):
         if twist.field != base:
@@ -31,8 +37,6 @@ class OreRing:
         self.base = base
         self.twist = twist
         self._twist_powers: dict[int, FieldAut] = {}
-        self._twist_tables: dict[int, dict | None] = {}
-        self._tw_cycle: list | None = None
 
     def twist_power(self, l: int) -> FieldAut:
         l %= self.base.n if self.base.n else 1
@@ -41,19 +45,6 @@ class OreRing:
             aut = FieldAut(self.base, self.twist.k * l)
             self._twist_powers[l] = aut
         return aut
-
-    def _twist_table(self, l: int) -> dict | None:
-        """Raw tuple->tuple map for tau^l, cached; None for large fields."""
-        l %= self.base.n
-        if l not in self._twist_tables:
-            self._twist_tables[l] = self.base._frobenius_map((self.twist.k * l) % self.base.n)
-        return self._twist_tables[l]
-
-    def _twist_cycle(self) -> list:
-        """All n twist-power tables; tau^l equals tau^(l mod n) as a map."""
-        if self._tw_cycle is None:
-            self._tw_cycle = [self._twist_table(l) for l in range(self.base.n)]
-        return self._tw_cycle
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -156,16 +147,7 @@ class OrePoly:
 
     def __add__(self, other: "OrePoly") -> "OrePoly":
         self._check(other)
-        base = self.ring.base
-        if base._add_pairs is not None or base._ensure_pair_tables():
-            add_t = base._add_pairs
-            zero_t = base.zero().coeffs
-            n = max(len(self.coeffs), len(other.coeffs))
-            a = [c.coeffs for c in self.coeffs] + [zero_t] * (n - len(self.coeffs))
-            for i, c in enumerate(other.coeffs):
-                a[i] = add_t[(a[i], c.coeffs)]
-            return OrePoly(self.ring, tuple(FqElem(base, t) for t in a))
-        zero = base.zero()
+        zero = self.ring.base.zero()
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
@@ -223,25 +205,8 @@ def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     if f.is_zero() or g.is_zero():
         return ring.zero()
     base = ring.base
-    fast = base._ensure_pair_tables()
-    if fast:
-        # raw tuple arithmetic through the cached pair and twist tables
-        mul_t, add_t = base._mul_pairs, base._add_pairs
-        zero_t = base.zero().coeffs
-        n_base = base.n
-        twc = ring._tw_cycle if ring._tw_cycle is not None else ring._twist_cycle()
-        fc = [c.coeffs for c in f.coeffs]
-        gc = [c.coeffs for c in g.coeffs]
-        out_t = [zero_t] * (len(fc) + len(gc) - 1)
-        for l, a in enumerate(fc):
-            if a == zero_t:
-                continue
-            tw = twc[l % n_base]
-            for j, b in enumerate(gc):
-                t = mul_t[(a, tw[b])]
-                if t != zero_t:
-                    out_t[l + j] = add_t[(out_t[l + j], t)]
-        return OrePoly(ring, tuple(FqElem(base, t) for t in out_t))
+    if base._ensure_log_tables():
+        return _from_logs(ring, _log_mul(base, ring.twist.k, _logs(f), _logs(g)))
     zero = base.zero()
     out = [zero] * (len(f.coeffs) + len(g.coeffs) - 1)
     for l, a in enumerate(f.coeffs):
@@ -260,6 +225,9 @@ def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
     if g.is_zero():
         raise ZeroDivisionError("right division by the zero polynomial")
     ring = f.ring
+    if ring.base._ensure_log_tables():
+        q, r = _log_right_divmod(ring.base, ring.twist.k, _logs(f), _logs(g))
+        return OreDivResult(_from_logs(ring, q), _from_logs(ring, r))
     zero = ring.base.zero()
     r = list(f.coeffs)
     d = g.degree
@@ -280,26 +248,81 @@ def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
 
 
 def ore_left_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
-    """Left division: f = g*q + r with deg r < deg g (tau invertible)."""
+    """Left division: f = g*q + r with deg r < deg g (tau invertible).
+
+    The anti-isomorphism phi onto L[T, tau^{-1}] turns it into the right
+    division phi(f) = phi(q)*phi(g) + phi(r) there.
+    """
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("left division by the zero polynomial")
-    ring = f.ring
-    zero = ring.base.zero()
-    r = list(f.coeffs)
-    d = g.degree
-    gd_inv = g.leading().inverse()
-    q = [zero] * max(0, len(r) - d)
-    while len(r) - 1 >= d and r:
-        k = len(r) - 1 - d
-        # leading term of g * q_k T^k is g_d * tau^d(q_k) T^{k+d}
-        c = ring.twist_power(-d)(gd_inv * r[-1])
-        q[k] = c
-        for i, b in enumerate(g.coeffs):
-            r[k + i] = r[k + i] - b * ring.twist_power(i)(c)
-        while r and r[-1].is_zero():
+    q, r = ore_right_divmod(anti_involution(f), anti_involution(g))
+    return OreDivResult(anti_involution(q), anti_involution(r))
+
+
+# -- log-tier kernels ----------------------------------------------------------
+#
+# A coefficient list holds discrete logs to the base field's generator, with
+# -1 for zero.  With twist frob^k, tau^l multiplies a log by p^(k l mod n)
+# modulo q - 1.
+
+
+def _logs(f: OrePoly) -> list[int]:
+    log = f.ring.base._log
+    return [log[c.coeffs] for c in f.coeffs]
+
+
+def _from_logs(ring: OreRing, logs: list[int]) -> OrePoly:
+    base = ring.base
+    antilog = base._antilog  # antilog[-1] is zero
+    return OrePoly(ring, tuple([FqElem(base, antilog[x]) for x in logs]))
+
+
+def _frob_logs(F: FqField, j: int, g: list[int]) -> list[int]:
+    """frob^j applied to every coefficient of g."""
+    e, q1 = F.p ** (j % F.n), F.order - 1
+    return [b * e % q1 if b >= 0 else -1 for b in g]
+
+
+def _log_addmul(acc: list[int], start: int, c: int, terms: list[int], F: FqField) -> None:
+    """acc[start + j] += g^(c + terms[j]) for each nonzero terms[j]; adding
+    g^t to g^x gives g^(x + zech[t - x]), or zero where that entry is -1."""
+    q1, zech = F.order - 1, F._zech
+    for j, b in enumerate(terms, start):
+        if b >= 0:
+            x = acc[j]
+            if x < 0:
+                acc[j] = (c + b) % q1
+            else:
+                z = zech[(c + b - x) % q1]
+                acc[j] = (x + z) % q1 if z >= 0 else -1
+
+
+def _log_mul(F: FqField, k: int, f: list[int], g: list[int]) -> list[int]:
+    twisted = [_frob_logs(F, k * l, g) for l in range(min(F.n, len(f)))]
+    out = [-1] * (len(f) + len(g) - 1)
+    for l, a in enumerate(f):
+        if a >= 0:
+            _log_addmul(out, l, a, twisted[l % F.n], F)
+    return out
+
+
+def _log_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
+    """Quotient and remainder on logs, the remainder without trailing zeros."""
+    q1, d = F.order - 1, len(g) - 1
+    neg = q1 // 2 if F.p != 2 else 0  # the log of -1
+    twisted = [_frob_logs(F, k * m, g) for m in range(min(F.n, len(f) - d))]
+    r, q = list(f), [-1] * max(0, len(f) - d)
+    while len(r) > d:
+        m = len(r) - 1 - d
+        tg = twisted[m % F.n]
+        # q_m = r_top / tau^m(g_d); subtracting q_m T^m g cancels r_top
+        q[m] = c = (r[-1] - tg[-1]) % q1
+        _log_addmul(r, m, c + neg, tg, F)
+        r.pop()
+        while r and r[-1] < 0:
             r.pop()
-    return OreDivResult(OrePoly(ring, tuple(q)), OrePoly(ring, tuple(r)))
+    return q, r
 
 
 def ore_right_gcd(f: OrePoly, g: OrePoly) -> OrePoly:

@@ -245,6 +245,20 @@ def test_exit_codes():
     assert code == 1  # even kernel prime is a domain error
 
 
+@pytest.mark.parametrize("exc", [AssertionError("invariant broken"), TypeError("bad operand")])
+def test_unexpected_exception_is_internal_error(monkeypatch, exc):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setitem(cli._VERBS, "level", boom)
+    code, out, err = run_cli(["level", "--place", "5"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "InternalError", "type": type(exc).__name__,
+                               "message": str(exc)}
+
+
 def test_determinism_byte_identical():
     argv = ["decide", "--group", C3_JSON, "--alpha", json.dumps({"map": [0, 1, 2]}),
             "--K", "2^2", "--L", "2^6", "--sigma", "1"]

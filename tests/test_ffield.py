@@ -146,6 +146,56 @@ def test_large_field_frobenius_powers_compose(p, n):
         assert frobenius(F, n - 1)(frobenius(F, 1)(x)) == x
 
 
+# every field of the log tier the Ore ring runs on, up to the boundary
+# field F_2^15 of order exactly _LOG_TABLE_MAX
+LOG_TIER_FIELDS = [(2, 4), (3, 3), (2, 8), (5, 4), (7, 2), (2, 14), (2, 15)]
+
+
+@pytest.mark.parametrize("p,n", LOG_TIER_FIELDS)
+def test_log_tier_frobenius_matches_square_and_multiply(p, n):
+    F = make_field(p, n)
+    assert F.order <= _LOG_TABLE_MAX
+    rng = random.Random(p * 400 + n)
+    xs = [F.zero(), F.one(), -F.one(), F.gen()] + _random_elems(F, rng, 6)
+    for k in range(n):
+        fr = frobenius(F, k)
+        for x in xs:
+            assert fr(x).coeffs == F._raw_pow(x.coeffs, p**k)
+    assert F._log is not None  # the log tier answered
+
+
+@pytest.mark.parametrize("p,n", LOG_TIER_FIELDS)
+def test_log_tier_element_arithmetic_matches_raw(p, n):
+    F = make_field(p, n)
+    rng = random.Random(p * 500 + n)
+    xs = [F.zero(), F.one(), -F.one(), F.gen()] + _random_elems(F, rng, 8)
+    for a in xs:
+        assert (-a).coeffs == tuple(-c % p for c in a.coeffs)
+        if not a.is_zero():
+            assert a.inverse().coeffs == F._raw_inv(a.coeffs)
+            for e in (-3, 0, 1, 5, F.order):
+                assert (a**e).coeffs == F._raw_pow(a.coeffs, e)
+        for b in xs + [-a]:  # -a: a sum that cancels to zero
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a * b).coeffs == F._raw_mul(a.coeffs, b.coeffs)
+
+
+def test_log_and_zech_tables_at_the_boundary_field():
+    F = make_field(2, 15)
+    assert F.order == _LOG_TABLE_MAX and F._ensure_log_tables()
+    g = F._find_generator()
+    assert F._antilog[1] == g  # the logs are to the same generator as before
+    one = F.one().coeffs
+    rng = random.Random(15)
+    for d in [0, 1, F.order - 2] + [rng.randrange(F.order - 1) for _ in range(40)]:
+        x = F._raw_pow(g, d)
+        assert F._antilog[d] == x and F._log[x] == d
+        one_plus = tuple((a + b) % 2 for a, b in zip(one, x))
+        assert F._antilog[F._zech[d]] == one_plus  # -1 indexes zero
+    assert F._zech[0] == -1  # 1 + 1 = 0 in characteristic 2
+    assert F._log[F.zero().coeffs] == -1 and not any(F._antilog[-1])
+
+
 def test_galois_group_examples():
     F4, F8, F16, F64 = (make_field(2, k) for k in (2, 3, 4, 6))
     emb = embed_subfield(F4, F16)

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -27,8 +28,12 @@ from skewgalois.groups import (
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows must be permutations"):
         FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
+    with pytest.raises(ValueError, match="columns must be permutations"):
+        FiniteGroup([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 1, 0], [3, 0, 2, 1]])
+    with pytest.raises(ValueError, match="not square"):
+        FiniteGroup([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         FiniteGroup([[1, 0], [0, 1]])  # identity not at index 0
     # a non-associative Latin square with two-sided identity
@@ -194,6 +199,22 @@ def test_from_permutations_and_json():
     assert S3b.table == S3.table
     S3c = group_from_json({"perm_gens": [[[0, 1]], [[0, 1, 2]]]})
     assert find_isomorphism(S3, S3c) is not None
+
+
+def test_from_permutations_cost_does_not_grow_with_point_labels():
+    t0 = time.perf_counter()
+    G = group_from_json({"perm_gens": [[[0, 10**9]]]})
+    assert G.order == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert G.perm_gens == [[[0, 10**9]]]  # kept as given
+
+
+def test_from_permutations_sparse_labels_give_the_same_table():
+    # relabeling the points by an increasing map keeps the element order
+    sparse = from_permutations([[[0, 50]], [[50, 90, 20]], [[7, 1000]]])
+    dense = from_permutations([[[0, 3]], [[3, 4, 2]], [[1, 5]]])
+    assert sparse.order == dense.order == 48  # S4 x C2
+    assert sparse.table == dense.table
 
 
 def test_group_hom_validation():

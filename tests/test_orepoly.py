@@ -330,3 +330,156 @@ def test_mismatched_rings_rejected():
     R0 = OreRing(F4, frobenius(F4, 0))
     with pytest.raises(ValueError):
         ore_mul(R.T(), R0.T())
+
+
+# -- the log tier against a reference on raw coefficient tuples ----------------
+
+# the log-tier fields, up to the boundary F_2^15 of order exactly _LOG_TABLE_MAX
+LOG_TIER_FIELDS = [(2, 4), (3, 3), (2, 8), (5, 4), (7, 2), (2, 14), (2, 15)]
+
+
+class RawRing:
+    """Schoolbook L[T, frob^k] on coefficient tuples (lists, ascending, no
+    trailing zeros), using only the field's _raw_mul, _raw_inv and
+    _raw_pow(x, p^j), so it shares no code with the log kernels."""
+
+    def __init__(self, F, k):
+        self.F, self.k = F, k
+        self.zero = (0,) * F.n
+        self._frob: dict = {}
+
+    def add(self, a, b):
+        return tuple((x + y) % self.F.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.F.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self.F._raw_mul(a, b)
+
+    def tau(self, l, a):
+        """tau^l(a) = a^(p^(k l mod n)), memoized."""
+        e = self.F.p ** (self.k * l % self.F.n)
+        if (e, a) not in self._frob:
+            self._frob[e, a] = self.F._raw_pow(a, e)
+        return self._frob[e, a]
+
+    def trim(self, f):
+        f = list(f)
+        while f and f[-1] == self.zero:
+            f.pop()
+        return f
+
+    def ore_mul(self, f, g):
+        if not f or not g:
+            return []
+        out = [self.zero] * (len(f) + len(g) - 1)
+        for l, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[l + j] = self.add(out[l + j], self.mul(a, self.tau(l, b)))
+        return self.trim(out)
+
+    def right_divmod(self, f, g):
+        d = len(g) - 1
+        r, q = list(f), [self.zero] * max(0, len(f) - d)
+        while len(r) > d:
+            m = len(r) - 1 - d
+            c = self.mul(r[-1], self.F._raw_inv(self.tau(m, g[-1])))
+            q[m] = c
+            for i, b in enumerate(g):
+                r[m + i] = self.sub(r[m + i], self.mul(c, self.tau(m, b)))
+            r = self.trim(r)
+        return self.trim(q), r
+
+    def left_divmod(self, f, g):
+        d = len(g) - 1
+        r, q = list(f), [self.zero] * max(0, len(f) - d)
+        while len(r) > d:
+            m = len(r) - 1 - d
+            c = self.tau(-d, self.mul(self.F._raw_inv(g[-1]), r[-1]))
+            q[m] = c
+            for i, b in enumerate(g):
+                r[m + i] = self.sub(r[m + i], self.mul(b, self.tau(i, c)))
+            r = self.trim(r)
+        return self.trim(q), r
+
+
+def _nonzero(F, rng):
+    x = (0,) * F.n
+    while not any(x):
+        x = tuple(rng.randrange(F.p) for _ in range(F.n))
+    return x
+
+
+def _sparse(F, rng, deg):
+    """Coefficient tuples of degree deg, about half of the lower ones zero."""
+    zero = (0,) * F.n
+    return [zero if rng.random() < 0.5 else _nonzero(F, rng) for _ in range(deg)] + [_nonzero(F, rng)]
+
+
+def _tuples(f):
+    return [c.coeffs for c in f.coeffs]
+
+
+def _check_against_reference(ring, ref, f, g):
+    P = ring.poly
+    assert _tuples(ore_mul(P(f), P(g))) == ref.ore_mul(f, g)
+    q, r = ore_right_divmod(P(f), P(g))
+    assert (_tuples(q), _tuples(r)) == ref.right_divmod(f, g)
+    q, r = ore_left_divmod(P(f), P(g))
+    assert (_tuples(q), _tuples(r)) == ref.left_divmod(f, g)
+
+
+@pytest.mark.parametrize("p,n", LOG_TIER_FIELDS)
+def test_log_tier_kernels_match_raw_reference(p, n):
+    F = make_field(p, n)
+    assert F._ensure_log_tables()
+    rng = random.Random(p * 1000 + n)
+    for k in range(n):
+        ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
+        for _ in range(2):
+            f = _sparse(F, rng, rng.randrange(2, 2 * n + 3))
+            g = _sparse(F, rng, rng.randrange(0, 5))
+            _check_against_reference(ring, ref, f, g)
+            # divisor of higher degree than the dividend: q = 0, r = f
+            _check_against_reference(ring, ref, g, f)
+            # exact multiples: every step cancels, and the remainder is zero
+            q, r = ore_right_divmod(ring.poly(ref.ore_mul(f, g)), ring.poly(g))
+            assert (_tuples(q), r.is_zero()) == (f, True)
+            q, r = ore_left_divmod(ring.poly(ref.ore_mul(g, f)), ring.poly(g))
+            assert (_tuples(q), r.is_zero()) == (f, True)
+
+
+@pytest.mark.parametrize("p,n", LOG_TIER_FIELDS)
+def test_log_tier_cancellations(p, n):
+    # sums of x and -x, that is 1 + g^d = 0 on logs, inside every kernel
+    F = make_field(p, n)
+    rng = random.Random(p * 2000 + n)
+    k = 1 % n
+    ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
+    a, b, c = (_nonzero(F, rng) for _ in range(3))
+    # (a + bT)(c + eT) with a e + b tau(c) = 0: the middle coefficient vanishes
+    e = ref.sub(ref.zero, ref.mul(ref.mul(b, ref.tau(1, c)), F._raw_inv(a)))
+    prod = ore_mul(ring.poly([a, b]), ring.poly([c, e]))
+    assert _tuples(prod) == [ref.mul(a, c), ref.zero, ref.mul(b, ref.tau(1, e))]
+    # leading-term cancellation in a sum
+    f = ring.poly(_sparse(F, rng, 6))
+    low = ring.poly(_sparse(F, rng, 2))
+    assert f + (low - f) == low and (f - f).is_zero()
+    # f = q g + r whose first division step also cancels the next terms
+    g = _sparse(F, rng, 3)
+    q = [ref.zero, ref.zero, _nonzero(F, rng)]
+    r = [_nonzero(F, rng)]
+    f = ref.trim([ref.add(x, y) for x, y in zip(ref.ore_mul(q, g), r + [ref.zero] * 5)])
+    assert ref.right_divmod(f, g) == (q, r)
+    _check_against_reference(ring, ref, f, g)
+
+
+def test_past_the_log_table_limit_takes_the_raw_path():
+    F = make_field(2, 16)
+    assert not F._ensure_log_tables()
+    rng = random.Random(16)
+    for k in (0, 1, 15):
+        ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
+        _check_against_reference(ring, ref, _sparse(F, rng, 5), _sparse(F, rng, 2))
+    assert F._log is None and F._zech is None
