@@ -1,39 +1,49 @@
 """Finite fields F_{p^n} with explicit moduli, their subfield lattice, and
 their automorphism groups as explicit cyclic groups of Frobenius powers.
 
-Elements are length-n coefficient vectors over Z/p relative to the field's
-modulus.  Cross-field movement always goes through an explicit
-SubfieldEmbedding; there is no implicit coercion, so restriction maps are
-ordinary values that can be composed and tested.
+An element is one int; its coefficient vector over Z/p, relative to the
+field's modulus, is only the input and output form.  Cross-field movement
+always goes through an explicit SubfieldEmbedding; there is no implicit
+coercion, so restriction maps are ordinary values that can be composed and
+tested.
 
-Arithmetic has two tiers.  A field of order up to the log-table limit
-lazily builds, for a generator g, log and antilog tables and Zech's
-logarithms zech[d] = log(1 + g^d), so products, inverses, powers and sums
-of nonzero elements are integer operations on logs, and the Frobenius
-power x -> x^(p^k) multiplies a log by p^k mod (q - 1).  Past the limit,
-multiplication and inversion work on polynomials modulo the field's
-modulus, so towers like F_{3^32} stay usable, and frob^k is an F_p-linear
-map applied as a cached n-by-n matrix over F_p.
+Up to the log-table limit the int is the discrete log to a generator g (-1
+for zero): products, inverses and powers are integer operations on logs, a
+sum is one lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k
+multiplies a log by p^k mod (q - 1).  Past the limit the int packs the
+coefficients into slots of _w bits (Kronecker substitution): one int
+product holds the 2n - 1 coefficients of the polynomial product, unreduced,
+and a reduction folds the high ones back modulo the modulus and takes each
+slot mod p.  Frobenius powers are F_p-linear maps applied as cached packed
+columns; sums and negation work slotwise on the int.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
+from itertools import compress
+from operator import lshift, mul
 
 from . import modpoly
 from .zarith import factorize, is_prime
 
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bytes 0 and 1
+
+# Products a packed slot has room for on top of a canonical value (see the
+# slot width in FqField), so that sums of them are reduced once
+_ACC_TERMS = 64
+
 
 class FqField:
     """The field F_{p^n} presented as F_p[x]/(modulus)."""
 
     __slots__ = (
-        "p", "n", "modulus", "order", "_log", "_antilog", "_zech",
-        "_frob_cols", "_slot_shifts", "_slot_mask", "_hash",
+        "p", "n", "modulus", "order", "_log", "_antilog", "_zech", "_q1",
+        "_zero_v", "_frob_cols", "_w", "_shifts", "_units", "_powers", "_mask",
+        "_low", "_fold", "_ones", "_top", "_hash",
     )
 
     def __init__(self, p: int, n: int, modulus: list[int]):
@@ -50,15 +60,28 @@ class FqField:
         self.n = n
         self.modulus = tuple(modulus)
         self.order = p**n
-        self._log: dict | None = None
-        self._antilog: list | None = None
-        self._zech: list | None = None
+        self._q1 = self.order - 1
+        self._log = self._antilog = self._zech = None  # built on first use
+        self._zero_v = -1 if self.order <= _LOG_TABLE_MAX else 0
         self._frob_cols: dict[int, tuple] = {}
-        # a matrix column packs its n coordinates into one int, a slot per
-        # coordinate wide enough to hold a sum of n products (p-1)^2
-        width = (n * (p - 1) ** 2).bit_length()
-        self._slot_shifts = tuple(width * j for j in range(n))
-        self._slot_mask = (1 << width) - 1
+        # With canonical slots in [0, p - 1], a product of two packed values
+        # puts at most n (p - 1)^2 in a slot, and one with (p - 1) times a
+        # packed value at most n (p - 1)^3.  A slot holds a canonical value,
+        # _ACC_TERMS such products and the n - 1 folded high slots of a
+        # reduction without carrying into the next; and 2^(w-1) >= p, which
+        # slotwise addition needs.
+        bound = (p - 1) + _ACC_TERMS * n * (p - 1) ** 3 + (n - 1) * (p - 1) ** 2
+        w = self._w = max(bound, 2 * p).bit_length()
+        self._shifts = tuple(w * i for i in range(n))
+        self._units = tuple(1 << s for s in self._shifts)
+        self._powers = tuple(p**i for i in range(n))
+        self._mask = (1 << w) - 1
+        self._low = (1 << w * n) - 1
+        self._ones = sum(self._units)
+        self._top = self._ones << w - 1
+        # _fold[i] is x^(n+i) mod the modulus, packed
+        self._fold = tuple(self._pack(modpoly.divmod_poly([0] * i + [1], modulus, p)[1])
+                           for i in range(n, 2 * n - 1))
         self._hash = hash((p, n, self.modulus))
 
     # -- identity ---------------------------------------------------------
@@ -89,174 +112,187 @@ class FqField:
             if coeffs.field != self:
                 raise ValueError("element belongs to a different field")
             return coeffs
+        p = self.p
         if isinstance(coeffs, int):
-            vec = [coeffs % self.p] + [0] * (self.n - 1)
-            return FqElem(self, tuple(vec))
-        vec = [c % self.p for c in coeffs]
+            return self.from_index(coeffs % p)
+        vec = [c % p for c in coeffs]
         if len(vec) > self.n:
-            vec = modpoly.divmod_poly(vec, list(self.modulus), self.p)[1]
-        vec = vec + [0] * (self.n - len(vec))
-        return FqElem(self, tuple(vec))
+            vec = modpoly.divmod_poly(vec, list(self.modulus), p)[1]
+        return self.from_index(sum(map(mul, vec, self._powers)))
 
     def zero(self) -> "FqElem":
-        return self.element(0)
+        return self.from_index(0)
 
     def one(self) -> "FqElem":
-        return self.element(1)
+        return self.from_index(1)
 
     def gen(self) -> "FqElem":
         """The class of x (for n = 1 this is 1, the only generator needed)."""
-        if self.n == 1:
-            return self.one()
-        return self.element([0, 1])
+        return self.from_index(self.p if self.n > 1 else 1)
 
     def elements(self):
         """All field elements in index order (base-p digits ascending)."""
         for idx in range(self.order):
-            vec = []
-            k = idx
-            for _ in range(self.n):
-                vec.append(k % self.p)
-                k //= self.p
-            yield FqElem(self, tuple(vec))
+            yield self.from_index(idx)
 
     def from_index(self, idx: int) -> "FqElem":
-        vec = []
+        """The element whose coefficients are the base-p digits of idx."""
+        idx %= self.order
+        if self._ensure_log_tables():
+            return FqElem(self, self._log[idx])
+        # a constant is its own packed form
+        return FqElem(self, idx if idx < self.p else self._pack(self._digits(idx)))
+
+    # -- the int of an element ---------------------------------------------
+
+    def _digits(self, idx: int) -> list[int]:
+        """The n base-p digits of idx, least significant first."""
+        p, out = self.p, []
         for _ in range(self.n):
-            vec.append(idx % self.p)
-            idx //= self.p
-        return FqElem(self, tuple(vec))
+            idx, c = divmod(idx, p)
+            out.append(c)
+        return out
 
-    # -- raw coefficient arithmetic -----------------------------------------
+    def _coeffs(self, v: int) -> tuple:
+        if self._log is not None:
+            return tuple(self._digits(self._antilog[v]))
+        mask = self._mask
+        return tuple([v >> s & mask for s in self._shifts])
 
-    def _raw_mul(self, a: tuple, b: tuple) -> tuple:
-        prod = modpoly.mul(list(a), list(b), self.p)
-        rem = modpoly.divmod_poly(prod, list(self.modulus), self.p)[1]
-        return tuple(rem + [0] * (self.n - len(rem)))
+    def _index(self, v: int) -> int:
+        return self._antilog[v] if self._log is not None else self._combine(v, self._powers)
 
-    def _raw_pow(self, a: tuple, e: int) -> tuple:
+    # -- packed arithmetic (every field; the elements' own past the limit) --
+
+    def _pack(self, digits) -> int:
+        w = self._w
+        return sum(map(lshift, digits, range(0, w * len(digits), w)))
+
+    def _combine(self, v: int, cols: tuple) -> int:
+        """The sum of cols[i] times slot i of v taken mod p, unreduced."""
+        if self.p == 2:  # slot i mod 2 is bit w*i of v
+            return sum(compress(cols, bin(v)[:1:-1][::self._w].encode().translate(_BITS)))
+        p, mask = self.p, self._mask
+        return sum(map(mul, [(v >> s & mask) % p for s in self._shifts], cols))
+
+    def _canon(self, acc: int) -> int:
+        """Each of the n slots of acc taken mod p."""
+        return acc & self._ones if self.p == 2 else self._combine(acc, self._units)
+
+    def _reduce(self, v: int) -> int:
+        """The canonical packed form of a sum of packed products: its slots
+        n to 2n - 2, taken mod p, fold back as multiples of x^(n+i)."""
+        return self._canon((v & self._low) + self._combine(v >> self._w * self.n, self._fold))
+
+    def _pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self._raw_pow(self._raw_inv(a), -e)
-        result = self.one().coeffs
-        base = a
+            a, e = self._inv(a), -e
+        r = 1
         while e:
             if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
+                r = self._reduce(r * a)
             e >>= 1
-        return result
+            if e:
+                a = self._reduce(a * a)
+        return r
 
-    def _raw_inv(self, a: tuple) -> tuple:
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in F_p[x] against the modulus
-        p = self.p
-        r0, r1 = list(self.modulus), modpoly.normalize(list(a), p)
-        s0, s1 = [], [1]
-        while r1:
-            q, r = modpoly.divmod_poly(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, modpoly.sub(s0, modpoly.mul(q, s1, p), p)
-        inv_c = pow(r0[0], -1, p)
-        s0 = modpoly.scalar_mul(inv_c, s0, p)
-        return tuple(s0 + [0] * (self.n - len(s0)))
+    def _inv(self, a: int) -> int:
+        if a == 1:  # as for the leading coefficient of a monic divisor
+            return 1
+        # t * a = 1 mod the modulus, from s * modulus + t * a = 1
+        t = modpoly.xgcd(list(self.modulus), list(self._coeffs(a)), self.p)[2]
+        return self._pack(t)
 
-    # -- caches ------------------------------------------------------------
+    def _frob(self, k: int, a: int) -> int:
+        """x -> x^(p^k) on a packed value, as a matrix-vector product over
+        F_p with the matrix's packed columns cached per k."""
+        cols = self._frob_cols.get(k)
+        if cols is None:
+            # column i is the image of x^i, that is y^i for y = x^(p^k)
+            y, cols = self._pow(1 << self._w, self.p**k), [1]
+            for _ in range(self.n - 1):
+                cols.append(self._reduce(cols[-1] * y))
+            cols = self._frob_cols[k] = tuple(cols)
+        return self._canon(self._combine(a, cols))
+
+    # -- log tables ----------------------------------------------------------
 
     def _ensure_log_tables(self) -> bool:
         """Build the log tier's tables on first use; False past the limit.
 
-        For the generator g: _antilog[k] = g^k for 0 <= k < q - 1, followed
-        by zero, so that _antilog[-1] is zero; _log inverts it, with -1 as
-        the log of zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0.
+        For the generator g: _antilog[k] is the index of g^k for
+        0 <= k < q - 1, followed by 0 (the index of zero), so that
+        _antilog[-1] is zero; _log[_antilog[k]] = k, with -1 as the log of
+        zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0.
         """
         if self._log is not None:
             return True
         if self.order > _LOG_TABLE_MAX:
             return False
-        q1 = self.order - 1
         # x -> x*g is F_p-linear: column i of its matrix is x^i * g
-        cols = self._packed_columns(self._find_generator(), self.gen().coeffs)
-        antilog = [self.one().coeffs]
-        for _ in range(q1 - 1):
-            antilog.append(self._apply_columns(cols, antilog[-1]))
-        zero = self.zero().coeffs
-        antilog.append(zero)
-        log = {t: k for k, t in enumerate(antilog)}
-        log[zero] = -1
+        q1, x, cols = self._q1, 1, [self._find_generator()]
+        for _ in range(self.n - 1):
+            cols.append(self._reduce(cols[-1] << self._w))
+        antilog = []
+        for _ in range(q1):  # x stays unreduced: _combine reads its slots mod p
+            antilog.append(self._combine(x, self._powers))
+            x = self._combine(x, cols)
+        antilog.append(0)
+        log = [-1] * self.order
+        for k in range(q1):
+            log[antilog[k]] = k
+        # adding 1 raises the constant coefficient, the lowest base-p digit
         p = self.p
-        self._zech = [log[((t[0] + 1) % p,) + t[1:]] for t in antilog[:q1]]
+        self._zech = [log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
         self._antilog = antilog
         self._log = log
         return True
 
-    def _find_generator(self) -> tuple:
-        q1 = self.order - 1
+    def _find_generator(self) -> int:
+        """The packed form of the least-index element of order q - 1."""
+        q1 = self._q1
         prime_parts = [q1 // f for f, _ in factorize(q1)] if q1 > 1 else []
         for idx in range(1, self.order):
-            cand = self.from_index(idx).coeffs
-            if not any(cand):
-                continue
-            if all(self._raw_pow(cand, e) != self.one().coeffs for e in prime_parts):
+            cand = self._pack(self._digits(idx))
+            if all(self._pow(cand, e) != 1 for e in prime_parts):
                 return cand
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
-    def _frobenius_linear(self, k: int, a: tuple) -> tuple:
-        """x -> x^(p^k) on a coefficient vector, as a matrix-vector product
-        over F_p with the matrix cached per k."""
-        cols = self._frob_cols.get(k)
-        if cols is None:
-            # column i is the image of x^i, that is y^i for y = x^(p^k)
-            y = self._raw_pow(self.gen().coeffs, self.p**k)
-            cols = self._frob_cols[k] = self._packed_columns(self.one().coeffs, y)
-        return self._apply_columns(cols, a)
-
-    def _packed_columns(self, first: tuple, ratio: tuple) -> tuple:
-        """The matrix whose column i is first * ratio^i, each column packed
-        into one int (see _slot_shifts)."""
-        cols, col = [], first
-        for _ in range(self.n):
-            cols.append(sum(c << s for c, s in zip(col, self._slot_shifts)))
-            col = self._raw_mul(col, ratio)
-        return tuple(cols)
-
-    def _apply_columns(self, cols: tuple, a: tuple) -> tuple:
-        """The product of a packed-column matrix with a coefficient vector."""
-        acc = sum(map(mul, a, cols))
-        p, mask = self.p, self._slot_mask
-        return tuple([(acc >> s & mask) % p for s in self._slot_shifts])
-
 
 class FqElem:
-    """An element of an FqField: a reduced length-n coefficient vector."""
+    """An element of an FqField, held as one int: its discrete log (-1 for
+    zero) up to the log-table limit, its packed coefficient vector past it.
+    The coefficient tuple `coeffs` is derived from the int on request."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "v")
 
-    def __init__(self, field: FqField, coeffs: tuple):
+    def __init__(self, field: FqField, v: int):
         self.field = field
-        self.coeffs = coeffs
+        self.v = v
+
+    @property
+    def coeffs(self) -> tuple:
+        """The reduced length-n coefficient vector, ascending."""
+        return self.field._coeffs(self.v)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FqElem)
-            and self.coeffs == other.coeffs
+            and self.v == other.v
             and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field._hash, self.coeffs))
+        return hash((self.field._hash, self.v))
 
     def __repr__(self) -> str:
         return f"FqElem({self.field.descriptor()}, {list(self.coeffs)})"
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.v == self.field._zero_v
 
     def index(self) -> int:
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * self.field.p + c
-        return idx
+        return self.field._index(self.v)
 
     def _check(self, other: "FqElem"):
         if not isinstance(other, FqElem) or (
@@ -266,42 +302,44 @@ class FqElem:
 
     def __add__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        F = self.field
-        if F._log is not None or F._ensure_log_tables():
-            a, b = F._log[self.coeffs], F._log[other.coeffs]
+        F, a, b = self.field, self.v, other.v
+        if F._log is not None:
             if a < 0 or b < 0:
                 return other if a < 0 else self
-            z = F._zech[(b - a) % (F.order - 1)]
-            return FqElem(F, F._antilog[(a + z) % (F.order - 1) if z >= 0 else -1])
-        p = F.p
-        return FqElem(F, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
+            z = F._zech[(b - a) % F._q1]
+            return FqElem(F, (a + z) % F._q1 if z >= 0 else -1)
+        # slotwise: slot i of t + 2^(w-1) - p has its top bit set iff t_i >= p
+        p, t = F.p, a + b
+        return FqElem(F, t - p * ((t + F._top - p * F._ones & F._top) >> F._w - 1))
 
     def __neg__(self) -> "FqElem":
-        p = self.field.p
-        if p == 2:
+        F = self.field
+        if F.p == 2 or self.is_zero():
             return self
-        return FqElem(self.field, tuple([(-a) % p for a in self.coeffs]))
+        if F._log is not None:  # -1 = g^((q - 1) / 2)
+            return FqElem(F, (self.v + F._q1 // 2) % F._q1)
+        # p in each nonzero slot, minus v: slot i of v + 2^(w-1) - 1 has its
+        # top bit set iff v_i != 0
+        nonzero = (self.v + F._top - F._ones & F._top) >> F._w - 1
+        return FqElem(F, F.p * nonzero - self.v)
 
     def __sub__(self, other: "FqElem") -> "FqElem":
         return self + (-other)
 
     def __mul__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        F = self.field
-        if F._log is not None or F._ensure_log_tables():
-            a, b = F._log[self.coeffs], F._log[other.coeffs]
-            if a < 0 or b < 0:
-                return F.zero()
-            return FqElem(F, F._antilog[(a + b) % (F.order - 1)])
-        return FqElem(F, F._raw_mul(self.coeffs, other.coeffs))
+        F, a, b = self.field, self.v, other.v
+        if F._log is not None:
+            return FqElem(F, -1 if a < 0 or b < 0 else (a + b) % F._q1)
+        return FqElem(F, F._reduce(a * b))
 
     def inverse(self) -> "FqElem":
         F = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if F._log is not None or F._ensure_log_tables():
-            return FqElem(F, F._antilog[-F._log[self.coeffs] % (F.order - 1)])
-        return FqElem(F, F._raw_inv(self.coeffs))
+        if F._log is not None:
+            return FqElem(F, -self.v % F._q1)
+        return FqElem(F, F._inv(self.v))
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         return self * other.inverse()
@@ -312,9 +350,9 @@ class FqElem:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return F.one() if e == 0 else F.zero()
-        if F._log is not None or F._ensure_log_tables():
-            return FqElem(F, F._antilog[F._log[self.coeffs] * e % (F.order - 1)])
-        return FqElem(F, F._raw_pow(self.coeffs, e))
+        if F._log is not None:
+            return FqElem(F, self.v * e % F._q1)
+        return FqElem(F, F._pow(self.v, e))
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
@@ -323,9 +361,10 @@ class FqElem:
 class FieldAut:
     """A field automorphism x -> x^(p^k), i.e. the k-th Frobenius power.
 
-    In the log tier it multiplies the log of x by p^k modulo q - 1; past
-    the log-table limit, the field's cached F_p-linear matrix for frob^k
-    maps the coefficient vector.
+    On a log-tier element it multiplies the log by p^k modulo q - 1; past
+    the log-table limit it applies the field's cached F_p-linear matrix for
+    frob^k to the packed int, as one sum of packed columns reduced
+    slotwise mod p.
     """
 
     __slots__ = ("field", "k")
@@ -357,10 +396,9 @@ class FieldAut:
         if self.k == 0:
             return x
         F = self.field
-        if F._log is not None or F._ensure_log_tables():
-            lg = F._log[x.coeffs]
-            return x if lg < 0 else FqElem(F, F._antilog[lg * F.p**self.k % (F.order - 1)])
-        return FqElem(F, F._frobenius_linear(self.k, x.coeffs))
+        if F._log is not None:
+            return x if x.v < 0 else FqElem(F, x.v * F.p**self.k % F._q1)
+        return FqElem(F, F._frob(self.k, x.v))
 
     def compose(self, other: "FieldAut") -> "FieldAut":
         """self after other; exponents add mod n."""
@@ -421,12 +459,12 @@ class SubfieldEmbedding:
     def map(self, x: FqElem) -> FqElem:
         if x.field != self.small:
             raise ValueError("element not in the small field")
-        cached = self._map_cache.get(x.coeffs)
+        cached = self._map_cache.get(x.v)
         if cached is not None:
             return cached
         y = _eval_in_big(list(x.coeffs), self.image_of_gen)
         if len(self._map_cache) < _LOG_TABLE_MAX:
-            self._map_cache[x.coeffs] = y
+            self._map_cache[x.v] = y
         return y
 
     def image_set(self) -> set:
@@ -522,145 +560,13 @@ def roots_in_field(f_mod_p: list[int], L: FqField) -> list["FqElem"]:
     """All roots in L of a polynomial with prime-field coefficients.
 
     Used to construct subfield embeddings; small fields scan, large ones
-    run deterministic equal-degree splitting.
+    run deterministic equal-degree splitting in L[y], the twisted ring with
+    the identity twist.
     """
-    coeffs = _fp_normalize([L.element(c) for c in f_mod_p])
-    if not coeffs:
+    from .orepoly import OreRing, untwisted_roots  # orepoly builds on this module
+
+    if not any(c % L.p for c in f_mod_p):
         raise ValueError("zero polynomial")
     if L.order <= 4096:
-        return [x for x in L.elements() if _poly_eval_elem(coeffs, x).is_zero()]
-    # make monic, strip to the part that splits into linears over L
-    lead_inv = coeffs[-1].inverse()
-    coeffs = [c * lead_inv for c in coeffs]
-    lin = _fp_linear_part(coeffs, L)
-    return _fp_split_linear(lin, L)
-
-
-def _poly_eval_elem(coeffs: list[FqElem], x: FqElem) -> FqElem:
-    acc = x.field.zero()
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-# polynomial helpers over an FqField (ascending FqElem lists, [] = zero)
-
-
-def _fp_normalize(f: list[FqElem]) -> list[FqElem]:
-    f = list(f)
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _fp_sub(f: list[FqElem], g: list[FqElem], L: FqField) -> list[FqElem]:
-    n = max(len(f), len(g))
-    out = [L.zero()] * n
-    for i, c in enumerate(f):
-        out[i] = out[i] + c
-    for i, c in enumerate(g):
-        out[i] = out[i] - c
-    return _fp_normalize(out)
-
-
-def _fp_mul(f: list[FqElem], g: list[FqElem], L: FqField) -> list[FqElem]:
-    if not f or not g:
-        return []
-    out = [L.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a.is_zero():
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return _fp_normalize(out)
-
-
-def _fp_divmod(f: list[FqElem], g: list[FqElem], L: FqField) -> tuple[list[FqElem], list[FqElem]]:
-    if not g:
-        raise ZeroDivisionError
-    f = list(f)
-    q = [L.zero()] * max(0, len(f) - len(g) + 1)
-    ginv = g[-1].inverse()
-    while len(f) >= len(g) and f:
-        c = f[-1] * ginv
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = f[k + i] - c * b
-        f = _fp_normalize(f)
-    return _fp_normalize(q), f
-
-
-def _fp_gcd(f: list[FqElem], g: list[FqElem], L: FqField) -> list[FqElem]:
-    a, b = _fp_normalize(f), _fp_normalize(g)
-    while b:
-        a, b = b, _fp_divmod(a, b, L)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _fp_pow_mod(f: list[FqElem], e: int, m: list[FqElem], L: FqField) -> list[FqElem]:
-    result = [L.one()]
-    base = _fp_divmod(f, m, L)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, L), m, L)[1]
-        base = _fp_divmod(_fp_mul(base, base, L), m, L)[1]
-        e >>= 1
-    return result
-
-
-def _fp_linear_part(f: list[FqElem], L: FqField) -> list[FqElem]:
-    """gcd(f, y^|L| - y): the product of the distinct linear factors over L."""
-    q = L.order
-    yq = _fp_pow_mod([L.zero(), L.one()], q, f, L)
-    diff = _fp_sub(yq, [L.zero(), L.one()], L)
-    return _fp_gcd(diff, f, L)
-
-
-def _fp_split_linear(f: list[FqElem], L: FqField) -> list[FqElem]:
-    """Roots of a monic product of distinct linear factors, by deterministic
-    equal-degree splitting (quadratic-residue gcds in odd characteristic,
-    trace maps in characteristic 2)."""
-    f = _fp_normalize(f)
-    n = len(f) - 1
-    if n <= 0:
-        return []
-    if n == 1:
-        return [-f[0]]
-    q = L.order
-    if L.p == 2:
-        # The trace functional c -> Tr(c*(r_i - r_j)) is F_2-linear and
-        # nonzero for every root pair, so some basis monomial x^j with
-        # j < [L : F_2] separates that pair.  Scan c = 1, x, x^2, ...
-        c = L.one()
-        for j in range(2 * L.n + 4):
-            term = _fp_divmod([L.zero(), c], f, L)[1]
-            acc = term
-            for _ in range(L.n - 1):
-                term = _fp_divmod(_fp_mul(term, term, L), f, L)[1]
-                acc = _fp_sub(acc, term, L)  # char 2: subtraction is addition
-            g = _fp_gcd(acc, f, L)
-            if 0 < len(g) - 1 < n:
-                return _merge_split(f, g, L)
-            c = c * L.gen()
-        raise AssertionError("trace splitting must succeed within the basis scan")
-    idx = 1
-    while True:
-        c = L.from_index(idx % L.order)
-        idx += 1
-        h = _fp_pow_mod([c, L.one()], (q - 1) // 2, f, L)
-        g = _fp_gcd(_fp_sub(h, [L.one()], L), f, L)
-        if 0 < len(g) - 1 < n:
-            return _merge_split(f, g, L)
-        if idx > 4 * L.order + 64:
-            raise AssertionError("equal-degree splitting failed to separate roots")
-
-
-def _merge_split(f: list[FqElem], g: list[FqElem], L: FqField) -> list[FqElem]:
-    rest = _fp_divmod(f, g, L)[0]
-    return sorted(
-        _fp_split_linear(g, L) + _fp_split_linear(rest, L),
-        key=lambda r: r.coeffs[::-1],
-    )
+        return [x for x in L.elements() if _eval_in_big(f_mod_p, x).is_zero()]
+    return untwisted_roots(OreRing(L, FieldAut(L, 0)).poly(f_mod_p))

@@ -346,6 +346,14 @@ def _perm_compose(a: tuple, b: tuple) -> tuple:
 
 
 def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple:
+    """The permutation of range(degree) with the given disjoint cycles."""
+    seen: set[int] = set()
+    for cyc in cycles:
+        if len(set(cyc)) != len(cyc):
+            raise ValueError("a cycle of a permutation generator repeats a point")
+        if not seen.isdisjoint(cyc):
+            raise ValueError("two cycles of one permutation generator share a point")
+        seen.update(cyc)
     img = list(range(degree))
     for cyc in cycles:
         for i, v in enumerate(cyc):

@@ -14,22 +14,22 @@ twisted by tau^{-1}.
 Coefficients are stored ascending; the zero polynomial has an empty
 coefficient tuple, so equality is bit-exact.
 
-Over a field in ffield's log tier, multiplication and right division
-convert the coefficients to discrete logs once, run their O(deg^2) loops
-on integers (a product adds logs, a sum is one Zech-table lookup), and
-convert back at the end.  Past the log-table limit they work on field
-elements directly.
+Multiplication and right division run their O(deg^2) loops on the ints of
+the coefficients (see ffield): logs and Zech lookups in the log tier; past
+it, sums of unreduced packed products, each reduced once when it is final.
 """
 
 from __future__ import annotations
 
-from .ffield import FieldAut, FqElem, FqField, SubfieldEmbedding
+from operator import add
+
+from .ffield import _ACC_TERMS, FieldAut, FqElem, FqField, SubfieldEmbedding
 
 
 class OreRing:
     """A handle for L[T, tau]: the base field plus the twist automorphism."""
 
-    __slots__ = ("base", "twist", "_twist_powers")
+    __slots__ = ("base", "twist", "_twist_powers", "_mirror")
 
     def __init__(self, base: FqField, twist: FieldAut):
         if twist.field != base:
@@ -37,6 +37,7 @@ class OreRing:
         self.base = base
         self.twist = twist
         self._twist_powers: dict[int, FieldAut] = {}
+        self._mirror: OreRing | None = None
 
     def twist_power(self, l: int) -> FieldAut:
         l %= self.base.n if self.base.n else 1
@@ -87,8 +88,11 @@ class OreRing:
         return OrePoly(self, tuple(coeffs))
 
     def mirror(self) -> "OreRing":
-        """The ring twisted by tau^{-1} (target of the anti-isomorphism)."""
-        return OreRing(self.base, self.twist.inverse_aut())
+        """The ring twisted by tau^{-1}, built once; its mirror is this ring."""
+        if self._mirror is None:
+            self._mirror = OreRing(self.base, self.twist.inverse_aut())
+            self._mirror._mirror = self
+        return self._mirror
 
 
 class OrePoly:
@@ -97,11 +101,11 @@ class OrePoly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: OreRing, coeffs: tuple):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+            coeffs = coeffs[:-1]
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @property
     def degree(self) -> int:
@@ -204,19 +208,10 @@ def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     ring = f.ring
     if f.is_zero() or g.is_zero():
         return ring.zero()
-    base = ring.base
-    if base._ensure_log_tables():
-        return _from_logs(ring, _log_mul(base, ring.twist.k, _logs(f), _logs(g)))
-    zero = base.zero()
-    out = [zero] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for l, a in enumerate(f.coeffs):
-        if a.is_zero():
-            continue
-        aut = ring.twist_power(l)
-        for j, b in enumerate(g.coeffs):
-            if not b.is_zero():
-                out[l + j] = out[l + j] + a * aut(b)
-    return OrePoly(ring, tuple(out))
+    F = ring.base
+    kernel = _log_mul if F._log is not None else _packed_mul
+    out = kernel(F, ring.twist.k, [c.v for c in f.coeffs], [c.v for c in g.coeffs])
+    return OrePoly(ring, tuple([FqElem(F, x) for x in out]))
 
 
 def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
@@ -225,26 +220,10 @@ def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
     if g.is_zero():
         raise ZeroDivisionError("right division by the zero polynomial")
     ring = f.ring
-    if ring.base._ensure_log_tables():
-        q, r = _log_right_divmod(ring.base, ring.twist.k, _logs(f), _logs(g))
-        return OreDivResult(_from_logs(ring, q), _from_logs(ring, r))
-    zero = ring.base.zero()
-    r = list(f.coeffs)
-    d = g.degree
-    gd_inv = g.leading().inverse()
-    q = [zero] * max(0, len(r) - d)
-    while len(r) - 1 >= d and r:
-        k = len(r) - 1 - d
-        # leading term of q_k T^k * g is q_k * tau^k(g_d) T^{k+d}, and
-        # tau^k(g_d)^{-1} = tau^k(g_d^{-1}) as tau^k is a field automorphism
-        aut = ring.twist_power(k)
-        c = r[-1] * aut(gd_inv)
-        q[k] = c
-        for i, b in enumerate(g.coeffs):
-            r[k + i] = r[k + i] - c * aut(b)
-        while r and r[-1].is_zero():
-            r.pop()
-    return OreDivResult(OrePoly(ring, tuple(q)), OrePoly(ring, tuple(r)))
+    F = ring.base
+    kernel = _log_right_divmod if F._log is not None else _packed_right_divmod
+    qr = kernel(F, ring.twist.k, [c.v for c in f.coeffs], [c.v for c in g.coeffs])
+    return OreDivResult(*[OrePoly(ring, tuple([FqElem(F, x) for x in c])) for c in qr])
 
 
 def ore_left_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
@@ -260,34 +239,26 @@ def ore_left_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
     return OreDivResult(anti_involution(q), anti_involution(r))
 
 
-# -- log-tier kernels ----------------------------------------------------------
+# -- kernels on the ints of the coefficients -----------------------------------
 #
-# A coefficient list holds discrete logs to the base field's generator, with
-# -1 for zero.  With twist frob^k, tau^l multiplies a log by p^(k l mod n)
-# modulo q - 1.
+# With twist frob^k, tau^l is frob^(k l mod n).
 
 
-def _logs(f: OrePoly) -> list[int]:
-    log = f.ring.base._log
-    return [log[c.coeffs] for c in f.coeffs]
-
-
-def _from_logs(ring: OreRing, logs: list[int]) -> OrePoly:
-    base = ring.base
-    antilog = base._antilog  # antilog[-1] is zero
-    return OrePoly(ring, tuple([FqElem(base, antilog[x]) for x in logs]))
-
-
-def _frob_logs(F: FqField, j: int, g: list[int]) -> list[int]:
+def _twist(F: FqField, j: int, g: list[int]) -> list[int]:
     """frob^j applied to every coefficient of g."""
-    e, q1 = F.p ** (j % F.n), F.order - 1
-    return [b * e % q1 if b >= 0 else -1 for b in g]
+    j %= F.n
+    if j == 0:
+        return g
+    if F._log is not None:  # frob^j multiplies a log by p^j mod q - 1
+        e, q1 = F.p**j, F._q1
+        return [b * e % q1 if b >= 0 else -1 for b in g]
+    return [F._frob(j, b) if b else 0 for b in g]
 
 
 def _log_addmul(acc: list[int], start: int, c: int, terms: list[int], F: FqField) -> None:
     """acc[start + j] += g^(c + terms[j]) for each nonzero terms[j]; adding
     g^t to g^x gives g^(x + zech[t - x]), or zero where that entry is -1."""
-    q1, zech = F.order - 1, F._zech
+    q1, zech = F._q1, F._zech
     for j, b in enumerate(terms, start):
         if b >= 0:
             x = acc[j]
@@ -299,7 +270,7 @@ def _log_addmul(acc: list[int], start: int, c: int, terms: list[int], F: FqField
 
 
 def _log_mul(F: FqField, k: int, f: list[int], g: list[int]) -> list[int]:
-    twisted = [_frob_logs(F, k * l, g) for l in range(min(F.n, len(f)))]
+    twisted = [_twist(F, k * l, g) for l in range(min(F.n, len(f)))]
     out = [-1] * (len(f) + len(g) - 1)
     for l, a in enumerate(f):
         if a >= 0:
@@ -309,9 +280,9 @@ def _log_mul(F: FqField, k: int, f: list[int], g: list[int]) -> list[int]:
 
 def _log_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
     """Quotient and remainder on logs, the remainder without trailing zeros."""
-    q1, d = F.order - 1, len(g) - 1
+    q1, d = F._q1, len(g) - 1
     neg = q1 // 2 if F.p != 2 else 0  # the log of -1
-    twisted = [_frob_logs(F, k * m, g) for m in range(min(F.n, len(f) - d))]
+    twisted = [_twist(F, k * m, g) for m in range(min(F.n, len(f) - d))]
     r, q = list(f), [-1] * max(0, len(f) - d)
     while len(r) > d:
         m = len(r) - 1 - d
@@ -323,6 +294,54 @@ def _log_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
         while r and r[-1] < 0:
             r.pop()
     return q, r
+
+
+# Past the log-table limit a packed slot has room for _ACC_TERMS products of
+# up to n (p - 1)^3 each on top of a canonical value (see ffield), so a sum
+# of products must be reduced before it takes more than _ACC_TERMS of them.
+
+
+def _packed_mul(F: FqField, k: int, f: list[int], g: list[int]) -> list[int]:
+    """Each output coefficient is a sum of unreduced int products, reduced
+    once at the end (and once per _ACC_TERMS rows of f before that)."""
+    twisted = [_twist(F, k * l, g) for l in range(min(F.n, len(f)))]
+    out = [0] * (len(f) + len(g) - 1)
+    width, rows = len(g), 0
+    for l, a in enumerate(f):
+        if a:
+            if rows == _ACC_TERMS:
+                out, rows = [F._reduce(x) for x in out], 0
+            out[l:l + width] = map(add, out[l:l + width], map(a.__mul__, twisted[l % F.n]))
+            rows += 1
+    return [F._reduce(x) for x in out]
+
+
+def _packed_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
+    """Right division on packed ints, reducing only the leading remainder
+    coefficient at each step; the remainder is reduced at the end."""
+    d, n, reduce = len(g) - 1, F.n, F._reduce
+    # tau^m of g_0 .. g_(d-1) and of g_d^{-1}, which is tau^m(g_d)^{-1}
+    inv_lead = [F._inv(g[-1])]
+    twisted = [_twist(F, k * m, g[:-1] + inv_lead) for m in range(min(n, len(f) - d))]
+    r, q = list(f), [0] * max(0, len(f) - d)
+    added = 0
+    while len(r) > d:
+        top = reduce(r[-1])
+        if not top:
+            r.pop()
+            continue
+        m = len(r) - 1 - d
+        tg = twisted[m % n]
+        q[m] = c = reduce(top * tg[-1])
+        if added == _ACC_TERMS:
+            r, added = [reduce(x) for x in r], 0
+        # r -= c T^m g; the top term cancels (the slice of r is d long, so
+        # the inverse at the end of tg is left out), and -c is (p - 1) c
+        neg_c = (F.p - 1) * c
+        r[m:m + d] = map(add, r[m:m + d], map(neg_c.__mul__, tg))
+        r.pop()
+        added += 1
+    return q, [reduce(x) for x in r]
 
 
 def ore_right_gcd(f: OrePoly, g: OrePoly) -> OrePoly:
@@ -383,6 +402,62 @@ def ore_witness(x: OrePoly, y: OrePoly) -> tuple[OrePoly, OrePoly]:
     if left != right or left.is_zero():
         raise AssertionError("Ore witness failed its re-verification")
     return r, s
+
+
+def untwisted_roots(f: OrePoly) -> list[FqElem]:
+    """The roots in L of f in L[y] = L[T, id], sorted by their reversed
+    coefficient vectors: deterministic equal-degree splitting of the
+    product gcd(f, y^|L| - y) of the distinct linear factors of f."""
+    if not f.ring.is_commutative():
+        raise ValueError("roots are taken in the untwisted ring")
+    y, f = f.ring.T(), f.monic()
+    return _split_linear(ore_right_gcd(_pow_mod(y, f.ring.base.order, f) - y, f))
+
+
+def _pow_mod(b: OrePoly, e: int, m: OrePoly) -> OrePoly:
+    result = m.ring.one()
+    while e:
+        if e & 1:
+            result = ore_right_divmod(ore_mul(result, b), m).remainder
+        b = ore_right_divmod(ore_mul(b, b), m).remainder
+        e >>= 1
+    return result
+
+
+def _split_linear(f: OrePoly) -> list[FqElem]:
+    """Roots of a monic product of distinct linear factors."""
+    n, R = f.degree, f.ring
+    L, q = R.base, R.base.order
+    if n <= 1:
+        return [-f.coeffs[0]] if n == 1 else []
+    if L.p == 2:
+        # The trace functional c -> Tr(c*(r_i - r_j)) is F_2-linear and
+        # nonzero for every root pair, so some basis monomial x^j with
+        # j < [L : F_2] separates that pair.  Scan c = 1, x, x^2, ...
+        splitters = (_trace(R.monomial(L.gen() ** j, 1), f) for j in range(2 * L.n + 4))
+    else:
+        # (y + c)^((q-1)/2) - 1 vanishes at the roots r with r + c a square
+        splitters = (_pow_mod(R.poly([L.from_index(i), 1]), (q - 1) // 2, f) - R.one()
+                     for i in range(1, 4 * q + 65))
+    for h in splitters:
+        g = ore_right_gcd(h, f)
+        if 0 < g.degree < n:
+            return _merge_split(f, g)
+    raise AssertionError("equal-degree splitting failed to separate roots")
+
+
+def _trace(h: OrePoly, f: OrePoly) -> OrePoly:
+    """h + h^2 + h^4 + ... + h^(2^(n-1)) mod f, for L = F_(2^n)."""
+    term = acc = ore_right_divmod(h, f).remainder
+    for _ in range(f.ring.base.n - 1):
+        term = _pow_mod(term, 2, f)
+        acc = acc + term
+    return acc
+
+
+def _merge_split(f: OrePoly, g: OrePoly) -> list[FqElem]:
+    rest = ore_right_divmod(f, g).quotient
+    return sorted(_split_linear(g) + _split_linear(rest), key=lambda r: r.coeffs[::-1])
 
 
 def anti_involution(f: OrePoly) -> OrePoly:

@@ -560,10 +560,10 @@ def _hensel_factor_split(
     keeping both factors monic.  Verified by multiplication at the end."""
     A0 = modpoly.normalize(A0, p)
     B0 = modpoly.normalize(B0, p)
-    if modpoly.degree(modpoly.gcd(A0, B0, p)) != 0:
-        raise SpecError("factor lifting requires coprime factors mod p")
     # Bezout: u*A0 + v*B0 = 1 mod p
-    u, v = _bezout_mod_p(A0, B0, p)
+    d, u, v = modpoly.xgcd(A0, B0, p)
+    if d != [1]:
+        raise SpecError("factor lifting requires coprime factors mod p")
     da, db = len(A0) - 1, len(B0) - 1
     A = list(A0)
     B = list(B0)
@@ -596,21 +596,6 @@ def _hensel_factor_split(
     if any((a - b) % pm for a, b in zip(pp, qq)):
         raise AssertionError("factor lift failed its re-verification")
     return A, B
-
-
-def _bezout_mod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    r0, r1 = modpoly.normalize(f, p), modpoly.normalize(g, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = modpoly.divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, modpoly.sub(s0, modpoly.mul(q, s1, p), p)
-        t0, t1 = t1, modpoly.sub(t0, modpoly.mul(q, t1, p), p)
-    if modpoly.degree(r0) != 0:
-        raise SpecError("polynomials are not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return modpoly.scalar_mul(inv, s0, p), modpoly.scalar_mul(inv, t0, p)
 
 
 _SEPARABILITY_PRIMES = tuple(primes_up_to(47))

@@ -157,6 +157,16 @@ def test_malformed_group_json_is_structured_error(group):
     assert json.loads(proc.stderr)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("gens,message", [
+    ([[[0, 1, 0]]], "a cycle of a permutation generator repeats a point"),
+    ([[[0, 1], [1, 2]]], "two cycles of one permutation generator share a point"),
+])
+def test_bad_cycles_are_rejected_at_parse_time(gens, message):
+    code, out, err = run_cli(["tower", "--group", json.dumps({"perm_gens": gens})])
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_construct_and_verify_roundtrip(tmp_path):
     code, out, _ = run_cli([
         "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",

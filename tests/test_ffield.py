@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from tuple_field import TupleField
 
 from skewgalois import modpoly
 from skewgalois.ffield import (
@@ -114,12 +115,13 @@ def test_large_field_frobenius_matches_square_and_multiply(p, n):
     F = make_field(p, n)
     assert F.order > _LOG_TABLE_MAX
     rng = random.Random(p * 100 + n)
+    ref = TupleField(F)
     xs = [F.zero(), F.one(), F.gen()] + _random_elems(F, rng, 6)
     for k in range(n):
         fr = frobenius(F, k)
         for x in xs:
-            # raw square-and-multiply is the independent oracle
-            assert fr(x).coeffs == F._raw_pow(x.coeffs, p**k)
+            # square-and-multiply on tuples is the independent oracle
+            assert fr(x).coeffs == ref.pow(x.coeffs, p**k)
 
 
 @pytest.mark.parametrize("p,n", LARGE_FIELDS)
@@ -156,11 +158,12 @@ def test_log_tier_frobenius_matches_square_and_multiply(p, n):
     F = make_field(p, n)
     assert F.order <= _LOG_TABLE_MAX
     rng = random.Random(p * 400 + n)
+    ref = TupleField(F)
     xs = [F.zero(), F.one(), -F.one(), F.gen()] + _random_elems(F, rng, 6)
     for k in range(n):
         fr = frobenius(F, k)
         for x in xs:
-            assert fr(x).coeffs == F._raw_pow(x.coeffs, p**k)
+            assert fr(x).coeffs == ref.pow(x.coeffs, p**k)
     assert F._log is not None  # the log tier answered
 
 
@@ -168,32 +171,91 @@ def test_log_tier_frobenius_matches_square_and_multiply(p, n):
 def test_log_tier_element_arithmetic_matches_raw(p, n):
     F = make_field(p, n)
     rng = random.Random(p * 500 + n)
+    ref = TupleField(F)
     xs = [F.zero(), F.one(), -F.one(), F.gen()] + _random_elems(F, rng, 8)
     for a in xs:
         assert (-a).coeffs == tuple(-c % p for c in a.coeffs)
         if not a.is_zero():
-            assert a.inverse().coeffs == F._raw_inv(a.coeffs)
+            assert a.inverse().coeffs == ref.inv(a.coeffs)
             for e in (-3, 0, 1, 5, F.order):
-                assert (a**e).coeffs == F._raw_pow(a.coeffs, e)
+                assert (a**e).coeffs == ref.pow(a.coeffs, e)
         for b in xs + [-a]:  # -a: a sum that cancels to zero
             assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
-            assert (a * b).coeffs == F._raw_mul(a.coeffs, b.coeffs)
+            assert (a * b).coeffs == ref.mul(a.coeffs, b.coeffs)
 
 
 def test_log_and_zech_tables_at_the_boundary_field():
     F = make_field(2, 15)
     assert F.order == _LOG_TABLE_MAX and F._ensure_log_tables()
-    g = F._find_generator()
-    assert F._antilog[1] == g  # the logs are to the same generator as before
-    one = F.one().coeffs
+    ref = TupleField(F)
+    g = ref.least_generator()
+    # the logs are to the least-index primitive element, as before
+    assert F._antilog[1] == ref.index(g)
+    assert F.from_index(ref.index(g)).v == 1
     rng = random.Random(15)
     for d in [0, 1, F.order - 2] + [rng.randrange(F.order - 1) for _ in range(40)]:
-        x = F._raw_pow(g, d)
-        assert F._antilog[d] == x and F._log[x] == d
-        one_plus = tuple((a + b) % 2 for a, b in zip(one, x))
-        assert F._antilog[F._zech[d]] == one_plus  # -1 indexes zero
+        x = ref.pow(g, d)
+        assert F._antilog[d] == ref.index(x) and F._log[ref.index(x)] == d
+        one_plus = ref.add(ref.one, x)
+        assert F._antilog[F._zech[d]] == ref.index(one_plus)  # -1 indexes zero
     assert F._zech[0] == -1  # 1 + 1 = 0 in characteristic 2
-    assert F._log[F.zero().coeffs] == -1 and not any(F._antilog[-1])
+    assert F._log[0] == -1 and F._antilog[-1] == 0 and F.zero().v == -1
+
+
+# fields past the log-table limit, each against the tuple reference
+PACKED_FIELDS = [(2, 16), (2, 20), (3, 12), (5, 7), (2, 32)]
+
+
+@pytest.mark.parametrize("p,n", PACKED_FIELDS)
+def test_packed_element_arithmetic_matches_tuple_reference(p, n):
+    F = make_field(p, n)
+    assert F.order > _LOG_TABLE_MAX
+    ref = TupleField(F)
+    rng = random.Random(p * 600 + n)
+    special = [F.zero(), F.one(), -F.one(), F.gen()]
+    xs = special + _random_elems(F, rng, 300)
+    ys = special[::-1] + _random_elems(F, rng, 300)
+    for a, b in zip(xs, ys):
+        ta, tb = a.coeffs, b.coeffs
+        assert (a * b).coeffs == ref.mul(ta, tb)
+        assert (a + b).coeffs == ref.add(ta, tb)
+        assert (a - b).coeffs == ref.sub(ta, tb)
+        assert (-a).coeffs == ref.neg(ta)
+        assert (a + -a).is_zero()
+    assert F.gen() ** (F.order - 1) == F.one()
+    for a in xs:
+        image = a.coeffs
+        for k in range(n):
+            assert frobenius(F, k)(a).coeffs == image
+            image = ref.frob(image, 1)
+        assert image == a.coeffs  # frob^n is the identity
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            continue
+        inv = a.inverse().coeffs
+        assert inv == ref.inv(a.coeffs) and ref.mul(inv, a.coeffs) == ref.one
+        for e in (-2, 0, 1, 3, 1000):
+            assert (a**e).coeffs == ref.pow(a.coeffs, e)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2), (2, 15), (2, 16), (3, 12), (5, 7)])
+def test_element_io_round_trip_in_both_tiers(p, n):
+    F = make_field(p, n)
+    ref = TupleField(F)
+    rng = random.Random(p * 700 + n)
+    for idx in [0, 1, p, F.order - 1] + [rng.randrange(F.order) for _ in range(50)]:
+        t = ref.from_index(idx)
+        x = F.from_index(idx)
+        assert x.coeffs == t and x.to_json() == list(t) and x.index() == idx
+        assert F.element(list(t)) == x and F.element(x.to_json()) == x
+        assert repr(x) == f"FqElem({p}^{n}, {list(t)})"
+    # an int is a constant; a longer vector is reduced modulo the modulus
+    assert F.element(p + 1).coeffs == ref.one
+    long = [rng.randrange(p) for _ in range(2 * n + 1)]
+    rem = modpoly.divmod_poly(long, list(F.modulus), p)[1]
+    assert F.element(long).coeffs == tuple(rem + [0] * (n - len(rem)))
+    assert F.from_index(F.order + 5) == F.from_index(5)
 
 
 def test_galois_group_examples():

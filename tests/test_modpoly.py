@@ -46,6 +46,23 @@ def test_gcd_divides_both():
                     assert not mp.divmod_poly(h, d, p)[1]
 
 
+def test_xgcd_bezout_identity():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        # zero polynomials, and coprime pairs (two distinct irreducibles)
+        irr = mp.least_irreducible(p, 3)
+        cases = [([], []), ([], [2, 1]), ([0, 3, 1], []), (irr, [1, 1]), ([1], irr)]
+        cases += [(rand_poly(rng, p, 7), rand_poly(rng, p, 5)) for _ in range(100)]
+        for f, g in cases:
+            f, g = mp.normalize(f, p), mp.normalize(g, p)
+            d, s, t = mp.xgcd(f, g, p)
+            assert mp.add(mp.mul(s, f, p), mp.mul(t, g, p), p) == d
+            assert d == mp.gcd(f, g, p) if (f or g) else d == []
+            if mp.degree(g) < mp.degree(f):
+                assert mp.degree(t) < mp.degree(f) - mp.degree(d)
+        assert mp.xgcd(irr, [1, 1], p)[0] == [1]
+
+
 def test_irreducible_matches_bruteforce():
     # brute force: monic f of degree n irreducible iff no monic divisor of degree 1..n-1
     for p in (2, 3):

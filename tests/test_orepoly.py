@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from tuple_field import TupleField
 
-from skewgalois.ffield import embed_subfield, frobenius, make_field
+from skewgalois.ffield import _ACC_TERMS, embed_subfield, frobenius, make_field
 from skewgalois.orepoly import (
     OreRing,
     anti_involution,
@@ -174,7 +175,7 @@ def test_division_and_witness_past_the_table_limit(k):
     rng = random.Random(20 + k)
     a = F.element([rng.randrange(2) for _ in range(20)])
     # defining relation, with the twist recomputed by square-and-multiply
-    assert ore_mul(R.T(), R.scalar(a)) == R.poly([0, F._raw_pow(a.coeffs, 2**k)])
+    assert ore_mul(R.T(), R.scalar(a)) == R.poly([0, TupleField(F).pow(a.coeffs, 2**k)])
     for _ in range(4):
         f, g = rand_poly(R, rng, 7), rand_poly(R, rng, 3)
         if g.is_zero():
@@ -340,28 +341,31 @@ LOG_TIER_FIELDS = [(2, 4), (3, 3), (2, 8), (5, 4), (7, 2), (2, 14), (2, 15)]
 
 class RawRing:
     """Schoolbook L[T, frob^k] on coefficient tuples (lists, ascending, no
-    trailing zeros), using only the field's _raw_mul, _raw_inv and
-    _raw_pow(x, p^j), so it shares no code with the log kernels."""
+    trailing zeros), on the test-local TupleField, so it shares no code with
+    the kernels on element ints."""
 
     def __init__(self, F, k):
-        self.F, self.k = F, k
-        self.zero = (0,) * F.n
+        self.F, self.k = TupleField(F), k
+        self.zero = self.F.zero
         self._frob: dict = {}
 
     def add(self, a, b):
-        return tuple((x + y) % self.F.p for x, y in zip(a, b))
+        return self.F.add(a, b)
 
     def sub(self, a, b):
-        return tuple((x - y) % self.F.p for x, y in zip(a, b))
+        return self.F.sub(a, b)
 
     def mul(self, a, b):
-        return self.F._raw_mul(a, b)
+        return self.F.mul(a, b)
+
+    def inv(self, a):
+        return self.F.inv(a)
 
     def tau(self, l, a):
         """tau^l(a) = a^(p^(k l mod n)), memoized."""
         e = self.F.p ** (self.k * l % self.F.n)
         if (e, a) not in self._frob:
-            self._frob[e, a] = self.F._raw_pow(a, e)
+            self._frob[e, a] = self.F.pow(a, e)
         return self._frob[e, a]
 
     def trim(self, f):
@@ -384,7 +388,7 @@ class RawRing:
         r, q = list(f), [self.zero] * max(0, len(f) - d)
         while len(r) > d:
             m = len(r) - 1 - d
-            c = self.mul(r[-1], self.F._raw_inv(self.tau(m, g[-1])))
+            c = self.mul(r[-1], self.inv(self.tau(m, g[-1])))
             q[m] = c
             for i, b in enumerate(g):
                 r[m + i] = self.sub(r[m + i], self.mul(c, self.tau(m, b)))
@@ -396,7 +400,7 @@ class RawRing:
         r, q = list(f), [self.zero] * max(0, len(f) - d)
         while len(r) > d:
             m = len(r) - 1 - d
-            c = self.tau(-d, self.mul(self.F._raw_inv(g[-1]), r[-1]))
+            c = self.tau(-d, self.mul(self.inv(g[-1]), r[-1]))
             q[m] = c
             for i, b in enumerate(g):
                 r[m + i] = self.sub(r[m + i], self.mul(b, self.tau(i, c)))
@@ -459,7 +463,7 @@ def test_log_tier_cancellations(p, n):
     ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
     a, b, c = (_nonzero(F, rng) for _ in range(3))
     # (a + bT)(c + eT) with a e + b tau(c) = 0: the middle coefficient vanishes
-    e = ref.sub(ref.zero, ref.mul(ref.mul(b, ref.tau(1, c)), F._raw_inv(a)))
+    e = ref.sub(ref.zero, ref.mul(ref.mul(b, ref.tau(1, c)), ref.inv(a)))
     prod = ore_mul(ring.poly([a, b]), ring.poly([c, e]))
     assert _tuples(prod) == [ref.mul(a, c), ref.zero, ref.mul(b, ref.tau(1, e))]
     # leading-term cancellation in a sum
@@ -483,3 +487,50 @@ def test_past_the_log_table_limit_takes_the_raw_path():
         ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
         _check_against_reference(ring, ref, _sparse(F, rng, 5), _sparse(F, rng, 2))
     assert F._log is None and F._zech is None
+
+
+@pytest.mark.parametrize("p,n", [(3, 12), (5, 7)])
+def test_packed_kernels_past_the_accumulation_bound(p, n):
+    # more than _ACC_TERMS rows of f in a product, and more than _ACC_TERMS
+    # division steps, so the kernels reduce their sums before the end
+    F = make_field(p, n)
+    assert not F._ensure_log_tables()
+    rng = random.Random(p * 3000 + n)
+    deg = _ACC_TERMS + 6
+    dense = [(p - 1,) * n] * (deg + 1)  # every slot product at its largest
+    for k in (0, 1, n - 1):
+        ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
+        f, g = _sparse(F, rng, deg), _sparse(F, rng, 4)
+        _check_against_reference(ring, ref, f, g)
+        _check_against_reference(ring, ref, dense, dense[:3])
+        assert _tuples(ore_mul(ring.poly(g), ring.poly(dense))) == ref.ore_mul(g, dense)
+        # an exact multiple: every one of the deg + 1 steps cancels
+        q, r = ore_right_divmod(ring.poly(ref.ore_mul(f, g)), ring.poly(g))
+        assert (_tuples(q), r.is_zero()) == (f, True)
+
+
+def test_mirror_ring_is_built_once():
+    F = make_field(2, 4)
+    R = OreRing(F, frobenius(F, 1))
+    assert R.mirror() is R.mirror()
+    assert R.mirror().mirror() is R
+    assert R.mirror().twist == frobenius(F, 3)
+    f = R.poly([1, F.gen(), 1])
+    assert anti_involution(f).ring is R.mirror()
+    assert anti_involution(anti_involution(f)).ring is R
+
+
+def test_packed_kernels_at_the_slot_bound():
+    # All-ones coefficients and the identity twist put the most into every
+    # slot (n per product over F_2^n); a sum of more than 2^w / n products
+    # would carry into the next slot without the kernels' reductions on the
+    # way, in the product and in the division steps alike.
+    F = make_field(2, 16)
+    ring, ref = OreRing(F, frobenius(F, 0)), RawRing(F, 0)
+    deg = (1 << F._w) // F.n + 1
+    assert deg > _ACC_TERMS
+    ones = [(1,) * F.n] * (deg + 1)
+    prod = ref.ore_mul(ones, ones)
+    assert _tuples(ore_mul(ring.poly(ones), ring.poly(ones))) == prod
+    q, r = ore_right_divmod(ring.poly(prod), ring.poly(ones))
+    assert (_tuples(q), r.is_zero()) == (ones, True)
