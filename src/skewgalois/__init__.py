@@ -76,10 +76,6 @@ from .quat import (
     Quaternion,
     is_division_ring,
     level_local,
-    quat_conj,
-    quat_inv,
-    quat_mul,
-    quat_norm,
     theorem13_feasible,
 )
 

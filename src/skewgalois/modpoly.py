@@ -8,6 +8,8 @@ certificates (squarefreeness, distinct-degree patterns, root finding).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .zarith import is_prime
 
 
@@ -179,16 +181,21 @@ def least_irreducible(p: int, n: int) -> list[int]:
     """Lexicographically least monic irreducible of degree n over F_p.
 
     Candidates are ordered by the integer whose base-p digits are the
-    non-leading coefficients (constant term least significant).
+    non-leading coefficients (constant term least significant).  The
+    search runs once per (p, n); each call returns a fresh list.
     """
+    return _monic_from_index(_least_irreducible_index(p, n), n, p)
+
+
+@lru_cache(maxsize=None)
+def _least_irreducible_index(p: int, n: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("degree must be >= 1")
     for idx in range(p**n):
-        f = _monic_from_index(idx, n, p)
-        if is_irreducible(f, p):
-            return f
+        if is_irreducible(_monic_from_index(idx, n, p), p):
+            return idx
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 

@@ -29,6 +29,10 @@ INFINITY = "INFINITY"
 # this mod 16 instead of citing it.
 TWO_ADIC_SCAN_MODULUS = 16
 
+# Squarefreeness of m in Q(sqrt m) is checked by trial division up to
+# sqrt|m|: about 0.25 s at this cap, with time growing as sqrt|m| past it.
+QUADRATIC_M_MAX = 10**12
+
 
 @dataclass(frozen=True)
 class Quaternion:
@@ -102,22 +106,6 @@ class Quaternion:
             "a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d),
             "base": self.base,
         }
-
-
-def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    return x * y
-
-
-def quat_conj(x: Quaternion) -> Quaternion:
-    return x.conj()
-
-
-def quat_norm(x: Quaternion) -> Fraction:
-    return x.norm()
-
-
-def quat_inv(x: Quaternion) -> Quaternion:
-    return x.inverse()
 
 
 QUAT_ONE = Quaternion.of(1)
@@ -258,6 +246,8 @@ class QuadraticField:
         if self.m in (0, 1):
             raise ValueError("m must be a squarefree integer other than 0 and 1")
         mm = abs(self.m)
+        if mm > QUADRATIC_M_MAX:
+            raise ValueError(f"|m| must be at most {QUADRATIC_M_MAX} (squarefree check by trial division)")
         f = 2
         while f * f <= mm:
             if mm % (f * f) == 0:

@@ -43,7 +43,7 @@ from .splitcon import (
     parse_spec,
     verify_report,
 )
-from .zarith import is_prime, primes_up_to, prime_power_base
+from .zarith import is_prime, is_square, primes_up_to, prime_power_base
 from .zpoly import count_real_roots, discriminant, integer_roots_monic
 
 ORE_FIELDS = ((2, 2), (2, 4), (3, 3), (5, 2))
@@ -377,7 +377,7 @@ def galois_group_quartic(Q: list[int]) -> str:
     ]
     res_roots = integer_roots_monic(res)
     disc = discriminant(Q)
-    square = _is_square_int(disc)
+    square = is_square(disc)
     if not res_roots:
         return "A4" if square else "S4"
     if len(res_roots) == 3 or square:
@@ -390,14 +390,7 @@ def galois_group_cubic(Q: list[int]) -> str:
         raise ValueError("monic cubic expected")
     if integer_roots_monic(Q):
         return "reducible"
-    return "A3" if _is_square_int(discriminant(Q)) else "S3"
-
-
-def _is_square_int(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+    return "A3" if is_square(discriminant(Q)) else "S3"
 
 
 def criterion_7() -> dict:

@@ -49,6 +49,7 @@ from .zpoly import (
     count_real_roots,
     discriminant,
     reduce_mod,
+    zadd,
     zderivative,
     zeval,
     zmul,
@@ -64,6 +65,10 @@ KIND_RAMIFIED_ODD_3P = "r3p"
 
 PRECISION_START = 2
 PRECISION_CAP = 64
+
+# An r3p spec's q is factored by trial division up to sqrt(q): about
+# 0.25 s at this cap, with time growing as sqrt(q) past it.
+R3P_Q_MAX = 10**12
 
 
 class SpecError(ValueError):
@@ -105,6 +110,8 @@ class LocalSpec:
             if self.degree is None or self.degree < 1:
                 raise SpecError("unramified kind needs a degree >= 1")
         elif self.kind == KIND_RAMIFIED_ODD_3P:
+            if self.q is not None and self.q > R3P_Q_MAX:
+                raise SpecError(f"r3p residue cardinality q must be at most {R3P_Q_MAX}")
             if self.q is None or prime_power_base(self.q) is None:
                 raise SpecError("r3p kind needs a prime-power residue cardinality")
         elif self.kind not in (KIND_TOTALLY_SPLIT, KIND_RAMIFIED_QUADRATIC):
@@ -569,11 +576,7 @@ def _hensel_factor_split(
     B = list(B0)
     pk = p
     for _ in range(precision - 1):
-        prod = zmul(A, B)
-        width = max(len(Q), len(prod))
-        qq = list(Q) + [0] * (width - len(Q))
-        pp = prod + [0] * (width - len(prod))
-        E = [a - b for a, b in zip(qq, pp)]
+        E = zadd(Q, [-c for c in zmul(A, B)])
         if any(c % pk for c in E):
             raise AssertionError("lift invariant broken")
         Ebar = modpoly.normalize([(c // pk) % p for c in E], p)
@@ -589,11 +592,7 @@ def _hensel_factor_split(
     pm = p**precision
     A = [a % pm for a in A]
     B = [b % pm for b in B]
-    prod = zmul(A, B)
-    width = max(len(Q), len(prod))
-    qq = list(Q) + [0] * (width - len(Q))
-    pp = prod + [0] * (width - len(prod))
-    if any((a - b) % pm for a, b in zip(pp, qq)):
+    if any(c % pm for c in zadd(Q, [-c for c in zmul(A, B)])):
         raise AssertionError("factor lift failed its re-verification")
     return A, B
 

@@ -5,8 +5,11 @@ Coefficient lists are ascending with Python ints (no overflow).  The
 resultant runs the subresultant polynomial remainder sequence (Collins
 1967; Brown and Traub 1971), whose exact divisions keep every coefficient
 the size of a Sylvester minor; the discriminant is built on it.  The Sturm
-chain strips positive content at every step to keep the integers small
-while preserving all signs.
+chain is the signed remainder sequence of f and f' itself, with no
+deflation of repeated roots: Sturm's theorem counts distinct real roots
+without a squarefree hypothesis, so real and integer root counts both run
+on this one chain.  It strips positive content at every step to keep the
+integers small while preserving all signs.
 """
 
 from __future__ import annotations
@@ -149,7 +152,13 @@ def discriminant(f: list[int]) -> int:
 
 
 def sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm sequence of a squarefree integer polynomial, content-stripped."""
+    """Signed remainder sequence of f and f', content-stripped.
+
+    f need not be squarefree: the chain ends at a multiple of gcd(f, f'),
+    and every member is a multiple of it, so at any point that is not a
+    root of f the sign variations equal those of the deflated chain
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+    """
     f = zprimitive(znormalize(f))
     chain = [f, zprimitive(zderivative(f))]
     while zdegree(chain[-1]) > 0:
@@ -176,37 +185,10 @@ def count_real_roots(f: list[int]) -> int:
     f = znormalize(f)
     if zdegree(f) < 1:
         return 0
-    # deflate repeated roots so the chain is a genuine Sturm sequence
-    g = _int_gcd_poly(f, zderivative(f))
-    if zdegree(g) > 0:
-        f = _exact_div(f, g)
     chain = sturm_chain(f)
-    at_minus = []
-    at_plus = []
-    for s in chain:
-        lc = s[-1]
-        deg = zdegree(s)
-        at_plus.append(lc)
-        at_minus.append(lc if deg % 2 == 0 else -lc)
+    at_plus = [s[-1] for s in chain]
+    at_minus = [-s[-1] if zdegree(s) % 2 else s[-1] for s in chain]
     return _sign_changes(at_minus) - _sign_changes(at_plus)
-
-
-def _chain_signs_at(chain: list[list[int]], x: int) -> list[int]:
-    return [zeval(s, x) for s in chain]
-
-
-def count_real_roots_between(f: list[int], a: int, b: int) -> int:
-    """Distinct real roots of f in the half-open interval (a, b]."""
-    f = znormalize(f)
-    if zdegree(f) < 1 or a >= b:
-        return 0
-    g = _int_gcd_poly(f, zderivative(f))
-    if zdegree(g) > 0:
-        f = _exact_div(f, g)
-    chain = sturm_chain(f)
-    va = _sign_changes(_chain_signs_at(chain, a))
-    vb = _sign_changes(_chain_signs_at(chain, b))
-    return va - vb
 
 
 def integer_roots_monic(f: list[int]) -> list[int]:
@@ -214,85 +196,35 @@ def integer_roots_monic(f: list[int]) -> list[int]:
 
     Rational roots of a monic integer polynomial are integers; they are
     found by Sturm bisection down to unit-width intervals, so huge
-    coefficients are fine (no divisor enumeration).
+    coefficients are fine (no divisor enumeration).  The interval ends are
+    half-integers t + 1/2, which are never roots: they are read as the odd
+    points 2t + 1 on the chain of F(y) = 2^n f(y/2).
     """
     f = znormalize(f)
     if not f or f[-1] != 1:
         raise ValueError("expects a monic polynomial")
-    if zdegree(f) < 1:
+    n = zdegree(f)
+    if n < 1:
         return []
-    work = f
-    g = _int_gcd_poly(work, zderivative(work))
-    if zdegree(g) > 0:
-        work = _exact_div(work, g)
-    chain = sturm_chain(work)
+    chain = sturm_chain([c << (n - i) for i, c in enumerate(f)])
+
+    def variations(t: int) -> int:
+        return _sign_changes([zeval(s, 2 * t + 1) for s in chain])
+
+    # every root lies in (-bound, bound), so in (-bound - 1/2, bound + 1/2]
     bound = 1 + max(abs(c) for c in f)
     roots: list[int] = []
-
-    def count(lo: int, hi: int) -> int:
-        return _sign_changes(_chain_signs_at(chain, lo)) - _sign_changes(
-            _chain_signs_at(chain, hi)
-        )
-
-    def search(lo: int, hi: int):
-        # integer roots of f in (lo, hi]
-        if count(lo, hi) == 0:
-            return
+    # integer roots of f in (lo + 1/2, hi + 1/2]
+    stack = [(-bound - 1, variations(-bound - 1), bound, variations(bound))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
         if hi - lo == 1:
             if zeval(f, hi) == 0:
                 roots.append(hi)
-            return
+            continue
         mid = (lo + hi) // 2
-        search(lo, mid)
-        search(mid, hi)
-
-    if zeval(f, -bound) == 0:
-        roots.append(-bound)
-    search(-bound, bound)
+        v_mid = variations(mid)
+        stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
     return sorted(roots)
-
-
-def _int_gcd_poly(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd of integer polynomials (via pseudo-remainders)."""
-    a, b = zprimitive(znormalize(f)), zprimitive(znormalize(g))
-    if not a:
-        return b
-    if not b:
-        return a
-    if zdegree(a) < zdegree(b):
-        a, b = b, a
-    while b:
-        r = zprimitive(_pseudo_rem(a, b))
-        a, b = b, r
-        if not b:
-            break
-        if zdegree(b) < 0:
-            break
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
-def _exact_div(f: list[int], g: list[int]) -> list[int]:
-    """Exact division of integer polynomials (raises if not exact)."""
-    from fractions import Fraction
-
-    f = [Fraction(c) for c in znormalize(f)]
-    g = znormalize(g)
-    q: list = [Fraction(0)] * (len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(f):
-        c = f[-1] / g[-1]
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] -= c * b
-        while f and f[-1] == 0:
-            f.pop()
-    if any(f):
-        raise AssertionError("division not exact")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise AssertionError("division not exact over Z")
-        out.append(int(c))
-    return znormalize(out)

@@ -17,14 +17,14 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(argv):
+def run_module(argv, timeout=None):
     """Run `python -m skewgalois` in a fresh interpreter."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "skewgalois", *argv],
-        capture_output=True, text=True, env=env, cwd=root,
+        capture_output=True, text=True, env=env, cwd=root, timeout=timeout,
     )
 
 
@@ -244,6 +244,34 @@ def test_level_and_feasible_verbs():
     code, out, _ = run_cli(["feasible-13", "--field", "Q(sqrt:-1)", "--division-ring"])
     data = json.loads(out)
     assert data["feasible"] is False and data["division_ring"]["feasible"] is False
+
+
+# a 30-digit prime: trial division up to its square root would not finish
+_HUGE_PRIME = 10**29 + 319
+
+
+@pytest.mark.parametrize("m", [_HUGE_PRIME, -_HUGE_PRIME])
+def test_feasible_rejects_oversized_m(m):
+    proc = run_module(["feasible-13", "--field", f"Q(sqrt:{m})"], timeout=30)
+    assert proc.returncode == cli.EXIT_DOMAIN
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ValueError" and "at most" in err["message"]
+
+
+def test_verify_report_rejects_oversized_r3p_q():
+    code, out, _ = run_cli([
+        "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+        "--p-kernel", "5", "--n-min", "3",
+    ])
+    assert code == 0
+    report = json.loads(out)
+    report["specs"][0] = {"prime": 5, "kind": "r3p", "q": _HUGE_PRIME}
+    proc = run_module(["verify-report", "--report", json.dumps(report)], timeout=30)
+    assert proc.returncode == cli.EXIT_DOMAIN
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SpecError" and "at most" in err["message"]
 
 
 def test_exit_codes():

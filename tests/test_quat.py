@@ -15,10 +15,6 @@ from skewgalois.quat import (
     is_division_ring,
     level_local,
     parse_field_descriptor,
-    quat_conj,
-    quat_inv,
-    quat_mul,
-    quat_norm,
     theorem13_feasible,
     two_adic_three_square_scan,
 )
@@ -45,30 +41,30 @@ def test_hamilton_relations():
 
 
 def test_mul_conj_norm_inv_examples():
-    assert quat_mul(QUAT_I, QUAT_J) == QUAT_K
-    assert quat_mul(Quaternion.of(1, 1), Quaternion.of(1, -1)) == Quaternion.of(2)
-    assert quat_inv(QUAT_I) == -QUAT_I
-    assert quat_conj(Quaternion.of(1, 2, 3, 4)) == Quaternion.of(1, -2, -3, -4)
-    assert quat_norm(Quaternion.of(1, 2, 3, 4)) == 30
+    assert QUAT_I * QUAT_J == QUAT_K
+    assert Quaternion.of(1, 1) * Quaternion.of(1, -1) == Quaternion.of(2)
+    assert QUAT_I.inverse() == -QUAT_I
+    assert Quaternion.of(1, 2, 3, 4).conj() == Quaternion.of(1, -2, -3, -4)
+    assert Quaternion.of(1, 2, 3, 4).norm() == 30
     with pytest.raises(ZeroDivisionError):
-        quat_inv(Quaternion.of(0))
+        Quaternion.of(0).inverse()
 
 
 def test_norm_multiplicative_random():
     rng = random.Random(11)
     for i in range(10_000):
         x, y = rand_quat(rng), rand_quat(rng)
-        assert quat_norm(x * y) == quat_norm(x) * quat_norm(y)
-        if i % 10 == 0 and quat_norm(x) != 0:
-            assert x * quat_inv(x) == QUAT_ONE
+        assert (x * y).norm() == x.norm() * y.norm()
+        if i % 10 == 0 and x.norm() != 0:
+            assert x * x.inverse() == QUAT_ONE
 
 
 def test_conj_is_antiautomorphism():
     rng = random.Random(12)
     for _ in range(300):
         x, y = rand_quat(rng), rand_quat(rng)
-        assert quat_conj(x * y) == quat_conj(y) * quat_conj(x)
-        assert x * quat_conj(x) == Quaternion.of(quat_norm(x))
+        assert (x * y).conj() == y.conj() * x.conj()
+        assert x * x.conj() == Quaternion.of(x.norm())
 
 
 def test_level_local_small_primes():

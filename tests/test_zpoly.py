@@ -6,6 +6,7 @@ import pytest
 from skewgalois import zpoly as zp
 from skewgalois.splitcon import (
     build_local_poly,
+    construct_lprime,
     parse_spec,
     plan_aux_primes,
     real_root_scale,
@@ -90,6 +91,15 @@ def test_integer_roots_monic():
     assert zp.integer_roots_monic(f) == [r]
 
 
+def test_integer_roots_monic_repeated_and_extreme_roots():
+    f = zp.zmul(zp.zmul(zp.zmul([-2, 1], [-2, 1]), [-2, 1]), zp.zmul([1, 1], [1, 1]))
+    assert zp.integer_roots_monic(f) == [-1, 2]  # (x-2)^3 (x+1)^2
+    # x(x - c) and x(x + c) have Cauchy bound 1 + c: roots at +-(bound - 1)
+    for c in (1, 7, 10**20):
+        assert zp.integer_roots_monic([0, -c, 1]) == [0, c]
+        assert zp.integer_roots_monic([0, c, 1]) == [-c, 0]
+
+
 def test_integer_roots_vs_scan():
     rng = random.Random(8)
     for _ in range(100):
@@ -99,15 +109,6 @@ def test_integer_roots_vs_scan():
             f = zp.zmul(f, [-r, 1])
         f = zp.zmul(f, [rng.randrange(1, 7), 0, 1])  # irrational/complex pad
         assert zp.integer_roots_monic(f) == roots
-
-
-def test_count_between():
-    f = [1]
-    for j in (1, 5, 9):
-        f = zp.zmul(f, [-j, 1])
-    assert zp.count_real_roots_between(f, 0, 6) == 2
-    assert zp.count_real_roots_between(f, 5, 9) == 1  # half-open (5, 9]
-    assert zp.count_real_roots_between(f, 9, 20) == 0
 
 
 # -- resultant against an independent Sylvester-determinant oracle ------------
@@ -225,6 +226,33 @@ def test_resultant_randomized_against_sylvester():
             if any(a - b >= 2 for a, b in zip(degs[1:], degs[2:])):
                 seen.add("skip")
     assert seen == {"common", "content", "odd-swap", "negative-lc", "skip"}
+
+
+def test_count_real_roots_against_sympy_with_repeated_roots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(17)
+    for _ in range(150):
+        f = [rng.choice([1, -1, 3, -4])]
+        for _ in range(rng.randrange(1, 5)):
+            r = rng.randrange(-12, 13)
+            lin = [-r, 1] if rng.random() < 0.7 else [r, rng.choice([2, -3])]
+            for _ in range(rng.randrange(1, 4)):  # multiplicity 1 to 3
+                f = zp.zmul(f, lin)
+        for _ in range(rng.randrange(3)):
+            a, b = rng.randrange(-4, 5), rng.randrange(1, 5)
+            f = zp.zmul(f, [a * a + b * b, -2 * a, 1])
+        assert zp.count_real_roots(f) == sympy.Poly(f[::-1], x).count_roots(), f
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_count_real_roots_against_sympy_on_constructor_output(n):
+    sympy = pytest.importorskip("sympy")
+    specs = [parse_spec(s) for s in ("3:rq", "inf:ts", "7:ts:ramL")]
+    report = construct_lprime(specs, p_kernel=5, n_min=n)
+    assert report.n == n
+    Q = list(report.Q)
+    assert zp.count_real_roots(Q) == sympy.Poly(Q[::-1], sympy.Symbol("x")).count_roots() == n
 
 
 def test_discriminant_against_sympy_on_constructor_polynomial():
