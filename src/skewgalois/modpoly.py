@@ -4,6 +4,11 @@ Polynomials are ascending coefficient lists of ints in [0, p); the zero
 polynomial is the empty list.  This kernel backs both the finite-field
 tower (field moduli, irreducibility) and the integer-polynomial
 certificates (squarefreeness, distinct-degree patterns, root finding).
+
+add, sub and mul never divide, and divmod_poly inverts only the leading
+coefficient of the divisor, so these work mod any modulus M, prime or
+not, when the divisor is monic and the coefficients lie in [0, M); the
+quadratic Hensel lift in splitcon runs them mod powers of p.
 """
 
 from __future__ import annotations

@@ -16,11 +16,14 @@ unramified), the pipeline is:
      prescribed;
   4. certify everything directly on the glued polynomial: factorization
      degree patterns mod the auxiliary primes (cycle types forcing the
-     full symmetric group), Eisenstein quadratic factors via Hensel factor
-     lifting, p-adic root certificates via Newton/Hensel conditions, real
-     root counts via Sturm sequences, and an odd discriminant valuation at
-     the ramified-quadratic auxiliary prime (so the quadratic resolvent
-     field already ramifies where L does not);
+     full symmetric group), Eisenstein quadratic factors via quadratic
+     Hensel factor lifting, p-adic root certificates via Newton/Hensel
+     conditions read from residues mod a fixed power of p, real root
+     counts via sign alternation at points between the target roots
+     (Sturm sequences when the signs do not alternate), and an odd
+     discriminant valuation at the ramified-quadratic auxiliary prime,
+     read from the discriminant of Q mod a power of that prime (so the
+     quadratic resolvent field already ramifies where L does not);
   5. escalate the precision and retry until every certificate passes.
 
 Every claim in the emitted report is re-derivable from the polynomial
@@ -49,6 +52,7 @@ from .zpoly import (
     count_real_roots,
     discriminant,
     reduce_mod,
+    resultant,
     zadd,
     zderivative,
     zeval,
@@ -66,8 +70,10 @@ KIND_RAMIFIED_ODD_3P = "r3p"
 PRECISION_START = 2
 PRECISION_CAP = 64
 
-# An r3p spec's q is factored by trial division up to sqrt(q): about
-# 0.25 s at this cap, with time growing as sqrt(q) past it.
+# An r3p spec's q - 1 and q^2 + q + 1 are factored by trial division to
+# 2^16 and Pollard-Brent rho.  At this cap q^2 + q + 1 < 3.3 * 10^24, where
+# is_prime is deterministic, and a composite cofactor has a prime factor
+# below 10^12, which rho finds in about 10^6 steps (about 1 s) at worst.
 R3P_Q_MAX = 10**12
 
 
@@ -505,8 +511,17 @@ def certified_padic_roots(
     certified nodes whose approximations differ below both radii pin
     distinct roots.  Fails (for escalation) when the precision budget or
     width cap is exhausted.
+
+    Q and Q' are reduced once mod p^K, K = 2 precision + 2, and each live
+    node is evaluated there once per depth: a non-zero residue has the
+    exact valuation, and only a zero residue is re-evaluated exactly.  The
+    children of a node r mod p^k follow from Taylor's formula
+    Q(r + i p^k) = Q(r) + i p^k Q'(r) mod p^(k+1): one child when p does
+    not divide Q'(r), otherwise all p children or none.
     """
     Qd = zderivative(Q)
+    M = p ** (2 * precision + 2)
+    QM, QdM = reduce_mod(Q, M), reduce_mod(Qd, M)
     nodes = modpoly.roots_mod_p(reduce_mod(Q, p), p)
     if avoid_residue is not None:
         nodes = [r for r in nodes if r != avoid_residue]
@@ -516,11 +531,12 @@ def certified_padic_roots(
     while nodes:
         if len(nodes) > width_cap:
             return False, [], "root tree exceeded its width cap"
+        values = [(r, modpoly.eval_poly(QM, r, M), modpoly.eval_poly(QdM, r, M)) for r in nodes]
         # harvest: certified nodes at the current depth, pairwise separated
         accepted: list[tuple[int, int]] = []
-        for r in sorted(nodes):
-            vq = _vp(zeval(Q, r), p)
-            vd = _vp(zeval(Qd, r), p)
+        for r, q, d in sorted(values):
+            vq = _vp(q or zeval(Q, r), p)
+            vd = _vp(d or zeval(Qd, r), p)
             if vq <= 2 * vd:
                 continue
             radius = _VINF if vq >= _VINF else vq - vd
@@ -546,16 +562,16 @@ def certified_padic_roots(
         if k >= precision:
             break
         # deepen every live branch; roots sharing a residue split eventually.
-        # A child survives iff Q(child) = 0 mod p^(k+1), so Q is reduced
-        # mod p^(k+1) once and evaluated there instead of exactly.
-        step, mod = p**k, p ** (k + 1)
-        Qk = reduce_mod(Q, mod)
-        nodes = [
-            child
-            for r in nodes
-            for child in range(r, r + p * step, step)
-            if modpoly.eval_poly(Qk, child, mod) == 0
-        ]
+        # A child r + i p^k survives iff Q(r)/p^k + i Q'(r) = 0 mod p.
+        step = p**k
+        children = []
+        for r, q, d in values:
+            q = q // step % p
+            if d % p:
+                children.append(r + (-q * pow(d, -1, p)) % p * step)
+            elif q == 0:
+                children.extend(range(r, r + p * step, step))
+        nodes = children
         k += 1
     return False, best_evidence, f"only {len(best_evidence)} of {want} roots certified"
 
@@ -563,35 +579,32 @@ def certified_padic_roots(
 def _hensel_factor_split(
     Q: list[int], p: int, A0: list[int], B0: list[int], precision: int
 ) -> tuple[list[int], list[int]]:
-    """Lift a coprime factorization Q = A0*B0 mod p to mod p^precision,
-    keeping both factors monic.  Verified by multiplication at the end."""
-    A0 = modpoly.normalize(A0, p)
-    B0 = modpoly.normalize(B0, p)
-    # Bezout: u*A0 + v*B0 = 1 mod p
-    d, u, v = modpoly.xgcd(A0, B0, p)
+    """Lift a coprime factorization Q = A0*B0 mod p of a monic Q to the
+    unique monic factorization mod p^precision.
+
+    Quadratic Hensel lifting (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, Alg. 15.10): each step lifts the factors and the Bezout
+    cofactors from modulus m to m^2, capped at p^precision, so precision
+    64 takes 6 steps.  Verified by multiplication at the end.
+    """
+    A = modpoly.normalize(A0, p)
+    B = modpoly.normalize(B0, p)
+    # Bezout: s*A + t*B = 1 mod p, deg s < deg B, deg t < deg A
+    d, s, t = modpoly.xgcd(A, B, p)
     if d != [1]:
         raise SpecError("factor lifting requires coprime factors mod p")
-    da, db = len(A0) - 1, len(B0) - 1
-    A = list(A0)
-    B = list(B0)
-    pk = p
-    for _ in range(precision - 1):
-        E = zadd(Q, [-c for c in zmul(A, B)])
-        if any(c % pk for c in E):
-            raise AssertionError("lift invariant broken")
-        Ebar = modpoly.normalize([(c // pk) % p for c in E], p)
-        # dA = (v*Ebar mod A0), dB = (Ebar - dA*B0)/A0, both mod p
-        dA = modpoly.divmod_poly(modpoly.mul(v, Ebar, p), A0, p)[1]
-        num = modpoly.sub(Ebar, modpoly.mul(dA, B0, p), p)
-        dB, rem = modpoly.divmod_poly(num, A0, p)
-        if rem:
-            raise AssertionError("lift correction was not exact")
-        A = [a + pk * d for a, d in zip(A, list(dA) + [0] * (da + 1 - len(dA)))]
-        B = [b + pk * d for b, d in zip(B, list(dB) + [0] * (db + 1 - len(dB)))]
-        pk *= p
     pm = p**precision
-    A = [a % pm for a in A]
-    B = [b % pm for b in B]
+    m = p
+    while m < pm:
+        m = min(m * m, pm)
+        e = modpoly.sub(reduce_mod(Q, m), modpoly.mul(A, B, m), m)
+        q, r = modpoly.divmod_poly(modpoly.mul(s, e, m), B, m)
+        A = modpoly.add(A, modpoly.add(modpoly.mul(t, e, m), modpoly.mul(q, A, m), m), m)
+        B = modpoly.add(B, r, m)
+        b = modpoly.sub(modpoly.add(modpoly.mul(s, A, m), modpoly.mul(t, B, m), m), [1], m)
+        c, d = modpoly.divmod_poly(modpoly.mul(s, b, m), B, m)
+        s = modpoly.sub(s, d, m)
+        t = modpoly.sub(t, modpoly.add(modpoly.mul(t, b, m), modpoly.mul(c, A, m), m), m)
     if any(c % pm for c in zadd(Q, [-c for c in zmul(A, B)])):
         raise AssertionError("factor lift failed its re-verification")
     return A, B
@@ -600,19 +613,69 @@ def _hensel_factor_split(
 _SEPARABILITY_PRIMES = tuple(primes_up_to(47))
 
 
-def _is_separable(Q: list[int]) -> bool:
-    """disc(Q) != 0 for a monic Q of degree >= 1.
+def _squarefree_mod_small_prime(Q: list[int]) -> bool:
+    """A squarefree reduction of a monic Q modulo any prime ell proves
+    disc(Q) != 0 mod ell; this tries the primes up to 47."""
+    return any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in _SEPARABILITY_PRIMES)
 
-    A squarefree reduction of the monic Q modulo any prime ell proves
-    disc(Q) != 0 mod ell, so the exact discriminant is computed only when
-    Q is squarefree modulo none of the primes up to 47.
-    """
-    if any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in _SEPARABILITY_PRIMES):
+
+def _is_separable(Q: list[int]) -> bool:
+    """disc(Q) != 0 for a monic Q of degree >= 1; the exact discriminant is
+    computed only when Q is squarefree modulo none of the primes up to 47."""
+    if _squarefree_mod_small_prime(Q):
         return True
     try:
         return discriminant(Q) != 0
     except ValueError:
         return False
+
+
+def _disc_valuation(Q: list[int], p: int) -> int | None:
+    """v_p(disc Q), or None when disc Q = 0 or Q has degree < 1.
+
+    For a monic Q the discriminant is an integer polynomial in the other
+    coefficients, so disc(Q mod p^N) = disc(Q) mod p^N.  Once a squarefree
+    reduction proves disc Q != 0, N doubles from 64 until that residue is
+    non-zero, and its valuation is exact.  Any other Q (not monic, or
+    squarefree modulo no small prime) takes the exact discriminant.
+    """
+    n = len(Q) - 1
+    if n >= 1 and Q[-1] == 1 and _squarefree_mod_small_prime(Q):
+        sign = -1 if n * (n - 1) // 2 % 2 else 1
+        N = 64
+        while True:
+            M = p**N
+            QM = reduce_mod(Q, M)
+            disc = sign * resultant(QM, zderivative(QM)) % M
+            if disc:
+                return valuation(disc, p)
+            N *= 2
+    try:
+        disc = discriminant(Q)
+    except ValueError:
+        return None
+    return valuation(disc, p) if disc else None
+
+
+def _real_root_count(Q: list[int]) -> int:
+    """Number of distinct real roots of a monic Q.
+
+    The constructor aims the n roots at S, 2S, ..., nS, and S is read back
+    from their sum: S = round(-2 Q[n-1] / (n(n+1))).  If Q takes n+1
+    non-zero values of alternating sign at the points (j + 1/2) S for
+    j = 0..n, it has a root between each two, and degree n allows no more.
+    The points are read as the odd multiples (2j+1) S on 2^n Q(y/2).  Any
+    other Q is counted on its Sturm chain.
+    """
+    n = len(Q) - 1
+    if n >= 1:
+        d = n * (n + 1)
+        S = (-4 * Q[n - 1] + d) // (2 * d)
+        F = [c << (n - i) for i, c in enumerate(Q)]
+        values = [zeval(F, (2 * j + 1) * S) for j in range(n + 1)]
+        if all(a < 0 < b or b < 0 < a for a, b in zip(values, values[1:])):
+            return n
+    return count_real_roots(Q)
 
 
 def certify_local_behavior(
@@ -626,8 +689,10 @@ def certify_local_behavior(
     reduction is X^2 times a unit part, the Hensel-lifted quadratic factor
     is Eisenstein (v(b) = 1, v(a) >= 1), and the remaining n-2 roots are
     certified in Z_p.  Unramified degree m: squarefree reduction with
-    factorization pattern (m, 1, ..., 1).  Real place: Sturm count equals
-    the degree.
+    factorization pattern (m, 1, ..., 1).  Real place: the count of
+    distinct real roots equals the degree; the evidence key
+    "sturm_real_roots" holds that count, whether sign alternation or the
+    Sturm chain gave it.
     """
     Q = znormalize(Q)
     n = len(Q) - 1
@@ -637,7 +702,7 @@ def certify_local_behavior(
         raise SpecError("the odd-degree ramified case is out of construction scope")
 
     if spec.prime == REAL:
-        count = count_real_roots(Q)
+        count = _real_root_count(Q)
         return LocalCheck(
             spec, count == n, {"sturm_real_roots": count, "degree": n},
             None if count == n else f"only {count} of {n} real roots",
@@ -850,14 +915,10 @@ def _assemble_report(
     sn = certify_sn(Q, aux)
     checks = [certify_local_behavior(Q, s) for s in list(specs) + list(aux)]
     aux1 = aux[0].prime
-    try:
-        disc = discriminant(Q)
-    except ValueError:
-        disc = 0
-    if disc == 0:
+    v = _disc_valuation(Q, aux1)
+    if v is None:
         disjoint = {"prime": aux1, "odd_valuation": False, "reason": "zero discriminant"}
     else:
-        v = valuation(disc, aux1)
         disjoint = {
             "prime": aux1,
             "disc_valuation": v,
@@ -926,15 +987,11 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
         if not fresh.passed:
             failures.append(f"local certificate fails at {stored.spec.to_string()}: {fresh.reason}")
 
-    try:
-        disc = discriminant(Q)
-    except ValueError:
-        disc = 0
     aux1 = report.aux_specs[0].prime
-    if disc == 0:
+    v = _disc_valuation(Q, aux1)
+    if v is None:
         failures.append("zero discriminant")
     else:
-        v = valuation(disc, aux1)
         if v % 2 != 1:
             failures.append(f"discriminant valuation at {aux1} is even ({v})")
         if report.disjoint.get("disc_valuation") != v:

@@ -68,9 +68,17 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if mark[i]]
 
 
+_TRIAL_LIMIT = 1 << 16
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division, as ((p, exponent), ...)."""
+    """Prime factorization as ((p, exponent), ...), primes ascending.
+
+    Trial division finds every prime factor below 2^16, so it alone
+    factors every n < 2^32.  A larger cofactor is tested by is_prime and
+    split by Pollard-Brent rho.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: list[tuple[int, int]] = []
@@ -82,7 +90,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if e:
             out.append((p, e))
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < _TRIAL_LIMIT:
         for p in (f, f + 2):
             e = 0
             while n % p == 0:
@@ -92,8 +100,48 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 out.append((p, e))
         f += 6
     if n > 1:
-        out.append((n, 1))
+        primes = [n] if f * f > n else sorted(_prime_factors(n))
+        out.extend((p, primes.count(p)) for p in sorted(set(primes)))
     return tuple(out)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n > 1 with multiplicity, in no particular order."""
+    if is_prime(n):
+        return [n]
+    d = _rho_brent(n)
+    return _prime_factors(d) + _prime_factors(n // d)
+
+
+def _rho_brent(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho with Brent's
+    cycle detection, the differences multiplied in batches of 128 between
+    gcds (Brent, "An improved Monte Carlo factorization algorithm", 1980).
+    A batch that overshoots to gcd n is replayed one step at a time, and
+    a walk that still meets n is retried with the next constant c."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise AssertionError("unreachable: rho splits every odd composite")
 
 
 def prime_power_base(q: int) -> int | None:

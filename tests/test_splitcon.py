@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from skewgalois.splitcon import (
     weak_approximation,
 )
 from skewgalois.zarith import is_prime, valuation
-from skewgalois.zpoly import count_real_roots, discriminant, reduce_mod, zderivative, zeval, zmul
+from skewgalois.zpoly import count_real_roots, discriminant, reduce_mod, zadd, zderivative, zeval, zmul
 
 
 def test_odd_prime_for_case_c_examples():
@@ -42,6 +43,14 @@ def test_odd_prime_divides():
         assert is_prime(pp) and pp % 2 == 1
         assert (q**3 - 1) % pp == 0
         assert pow(q, 3, pp) == 1
+
+
+def test_odd_prime_for_case_c_large_q_is_fast():
+    # q^2 + q + 1 is prime for q = 10000079 and near 10^24 for q near 10^12
+    for q, expected in ((10000079, 11), (999999999989, 7), (10**12 + 39, 3)):
+        start = time.process_time()
+        assert odd_prime_for_case_c(q) == expected
+        assert time.process_time() - start < 1.0
 
 
 def test_spec_grammar():
@@ -373,6 +382,30 @@ def test_repeated_root_is_not_separable():
     assert check.reason == "polynomial is not separable"
 
 
+def _seeded_q(rng, p):
+    """A monic integer Q with 2-6 roots that are clustered p-adically, lie
+    in p^j Z, or are exact, times an optional quadratic, perturbed (or not)
+    by a multiple of a power of p."""
+    roots = []
+    for _ in range(rng.randrange(2, 7)):
+        shape = rng.randrange(3)
+        if shape == 0 and roots:  # clustered around an earlier root
+            roots.append(rng.choice(roots) + p ** rng.randrange(1, 6) * rng.randrange(1, 4))
+        elif shape == 1:  # in p^j Z
+            roots.append(p ** rng.randrange(1, 5) * rng.randrange(-3, 4))
+        else:
+            roots.append(rng.randrange(-20, 21))
+    Q = [1]
+    for r in roots:
+        Q = zmul(Q, [-r, 1])
+    if rng.random() < 0.5:
+        Q = zmul(Q, [rng.randrange(1, 5), rng.randrange(-2, 3), 1])
+    if rng.random() < 0.7:
+        e = rng.randrange(1, 12)
+        Q = [c + p**e * rng.randrange(-2, 3) for c in Q[:-1]] + [1]
+    return Q
+
+
 def _reference_padic_roots(Q, p, want, precision, avoid_residue=None):
     """certified_padic_roots as it was with exact evaluation at every child."""
 
@@ -451,3 +484,122 @@ def test_root_tree_matches_exact_evaluation_reference():
     assert got[2] == "only 2 of 3 roots certified"
     assert {None, "root tree exceeded its width cap"} <= reasons
     assert any(r and r.startswith("only ") for r in reasons)
+    # seeded inputs: clustered roots, roots in p^j Z, exact roots
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        Q = _seeded_q(rng, p)
+        n = len(Q) - 1
+        precision = rng.choice((2, 3, 5, 8, 13, 32, 64))
+        avoid = rng.choice((None, 0))
+        want = rng.randrange(1, n + 1)
+        got = certified_padic_roots(Q, p, want, precision, avoid)
+        assert got == _reference_padic_roots(Q, p, want, precision, avoid), (Q, p, want, precision, avoid)
+        outcomes.add(got[2] and got[2].split()[0])
+    assert outcomes == {None, "only", "root"}
+
+
+def _reference_hensel_split(Q, p, A0, B0, precision):
+    """_hensel_factor_split as it was: one linear lifting step per power of p."""
+    A0 = modpoly.normalize(A0, p)
+    B0 = modpoly.normalize(B0, p)
+    d, u, v = modpoly.xgcd(A0, B0, p)
+    assert d == [1]
+    da, db = len(A0) - 1, len(B0) - 1
+    A, B = list(A0), list(B0)
+    pk = p
+    for _ in range(precision - 1):
+        E = zadd(Q, [-c for c in zmul(A, B)])
+        assert not any(c % pk for c in E)
+        Ebar = modpoly.normalize([(c // pk) % p for c in E], p)
+        dA = modpoly.divmod_poly(modpoly.mul(v, Ebar, p), A0, p)[1]
+        num = modpoly.sub(Ebar, modpoly.mul(dA, B0, p), p)
+        dB, rem = modpoly.divmod_poly(num, A0, p)
+        assert not rem
+        A = [a + pk * c for a, c in zip(A, list(dA) + [0] * (da + 1 - len(dA)))]
+        B = [b + pk * c for b, c in zip(B, list(dB) + [0] * (db + 1 - len(dB)))]
+        pk *= p
+    pm = p**precision
+    return [a % pm for a in A], [b % pm for b in B]
+
+
+def test_hensel_split_matches_the_linear_lift():
+    rng = random.Random(9)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7))
+        precision = rng.choice((1, 2, 3, 5, 7, 16, 33, 64))
+        W = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randrange(0, 6))] + [1]
+        A = [p * rng.randrange(-3, 4), p * rng.randrange(-3, 4), 1]
+        Q = zmul(A, W)
+        Q = [c + p * rng.randrange(-9, 10) for c in Q[:-1]] + [1]
+        got = splitcon._hensel_factor_split(Q, p, [0, 0, 1], W, precision)
+        assert got == _reference_hensel_split(Q, p, [0, 0, 1], W, precision), (Q, p, precision)
+    with pytest.raises(SpecError):
+        splitcon._hensel_factor_split([0, 0, 0, 1], 3, [0, 0, 1], [0, 1], 4)
+
+
+def test_disc_valuation_matches_the_exact_discriminant():
+    rng = random.Random(10)
+    zero = 0
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        Q = _seeded_q(rng, p)
+        if rng.random() < 0.2:  # a repeated factor: zero discriminant
+            r = rng.randrange(-5, 6)
+            Q = zmul(Q, zmul([-r, 1], [-r, 1]))
+        disc = discriminant(Q)
+        zero += disc == 0
+        expected = valuation(disc, p) if disc else None
+        assert splitcon._disc_valuation(Q, p) == expected, (Q, p)
+    assert zero >= 10
+    # not monic (a tampered report): the exact discriminant decides
+    assert splitcon._disc_valuation([-3, 0, 2], 2) == valuation(discriminant([-3, 0, 2]), 2)
+    assert splitcon._disc_valuation([1], 3) is None
+    # valuations past the first modulus 2^64 need a doubling
+    Q = zmul([0, 1], [-(2**40), 1])
+    assert splitcon._disc_valuation(Q, 2) == 80
+
+
+def test_real_place_falls_back_to_the_sturm_count(monkeypatch):
+    c = certify_local_behavior([1, 0, 1], LocalSpec(REAL, "ts"))
+    assert not c.passed and c.reason == "only 0 of 2 real roots"
+    calls = []
+
+    def counting(f):
+        calls.append(list(f))
+        return count_real_roots(f)
+
+    monkeypatch.setattr(splitcon, "count_real_roots", counting)
+    # X (X - 1)(X - 10) has S = round(22 / 12) = 2, and its first point S / 2
+    # is the root 1: three real roots, found by the Sturm count
+    Q = zmul(zmul([0, 1], [-1, 1]), [-10, 1])
+    c = certify_local_behavior(Q, LocalSpec(REAL, "ts"))
+    assert c.passed and c.evidence == {"sturm_real_roots": 3, "degree": 3}
+    assert calls == [Q]
+    # X^3 + X has S = 0, so every point is its one real root 0
+    c = certify_local_behavior([0, 1, 0, 1], LocalSpec(REAL, "ts"))
+    assert not c.passed and c.reason == "only 1 of 3 real roots"
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_constructor_certifies_without_sturm_chains_or_discriminants(monkeypatch, n):
+    monkeypatch.setattr(splitcon, "count_real_roots", None)
+    monkeypatch.setattr(splitcon, "discriminant", None)
+    report = construct_lprime([parse_spec(t) for t in ("3:rq", "inf:ts", "7:ts:ramL")], 5, n)
+    assert report.n == n and report.all_passed()
+    real = next(c for c in report.local_checks if c.spec.prime == REAL)
+    assert real.evidence["sturm_real_roots"] == n
+    assert verify_report(report).ok
+
+
+@pytest.mark.parametrize("spec_strings", [("3:rq", "inf:ts", "7:ts:ramL"), ("3:rq", "7:ts:ramL")])
+@pytest.mark.parametrize("n", [4, 6])
+def test_constructor_galois_group_against_sympy(spec_strings, n):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    report = construct_lprime([parse_spec(t) for t in spec_strings], p_kernel=5, n_min=n)
+    assert report.n == n
+    group, is_alt = galois_group(sympy.Poly(list(report.Q)[::-1], sympy.Symbol("x")), by_name=True)
+    assert group.name == f"S{n}" and not is_alt

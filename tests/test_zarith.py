@@ -46,6 +46,40 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
+def test_factorize_below_2_32_is_trial_division_alone(monkeypatch):
+    from skewgalois import zarith
+
+    monkeypatch.setattr(zarith, "_prime_factors", None)  # must not be reached
+    rng = random.Random(11)
+    for n in [2**32 - 1, 2**32 - 5, 65521 * 65519, 65537] + [rng.randrange(1, 2**32) for _ in range(50)]:
+        fac = factorize.__wrapped__(n)
+        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+        assert all(is_prime(p) for p, _ in fac)
+        assert n == _product(fac)
+
+
+def _product(fac):
+    out = 1
+    for p, e in fac:
+        out *= p**e
+    return out
+
+
+def test_factorize_splits_large_cofactors_by_rho():
+    primes = [next_prime(2**16), next_prime(10**6), next_prime(10**9), next_prime(10**12)]
+    cases = [
+        ([primes[1], primes[2]], [1, 1]),
+        ([primes[0]], [3]),                  # a cube of a prime past the trial bound
+        ([2, 3, primes[0], primes[2]], [5, 2, 2, 1]),
+        ([primes[2], primes[3]], [1, 1]),
+        ([7, primes[1], primes[3]], [1, 2, 1]),
+    ]
+    for ps, es in cases:
+        n = _product(zip(ps, es))
+        assert factorize(n) == tuple(zip(ps, es))
+    assert factorize(primes[3]) == ((primes[3], 1),)
+
+
 def test_prime_power_base():
     assert prime_power_base(8) == 2
     assert prime_power_base(81) == 3
