@@ -31,7 +31,7 @@ print("sigma = Frobenius of F_4, order", sigma.order)
 
 print("\nExtending sigma to F_64 ([L:K] = 3, coprime to 2):")
 ext3 = FFGaloisExt(K, L3)
-tau, unique = lift_sigma(ext3, sigma)
+tau = lift_sigma(ext3, sigma)
 print("  unique tau = frob^%d of order %d" % (tau.k, tau.order))
 print("  both characterizations agree:", lemma1_check(ext3, sigma, tau))
 

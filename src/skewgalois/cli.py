@@ -2,10 +2,11 @@
 behind one verb each, JSON in and JSON out.
 
 Output on stdout is deterministic for a fixed --seed (keys sorted, no
-timestamps); errors go to stderr as structured JSON.  Exit codes: 0 for
-success or a passing certificate, 1 for domain errors, 2 for usage errors,
-3 for a failing certificate or verification, 4 for an internal error (any
-other exception, reported without a traceback).
+timestamps); errors, usage errors included, go to stderr as structured
+JSON.  Exit codes: 0 for success or a passing certificate, 1 for domain
+errors, 2 for usage errors, 3 for a failing certificate or verification
+(its result on stdout), 4 for an internal error (any other exception,
+reported without a traceback).
 """
 
 from __future__ import annotations
@@ -49,6 +50,19 @@ EXIT_CERT = 3
 EXIT_INTERNAL = 4
 
 
+class UsageError(Exception):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line by raising UsageError, so that it
+    reaches stderr as JSON like every other error (argparse would print
+    its usage text and exit)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _load(arg: str):
     """Accept inline JSON or a path to a JSON file."""
     text = arg
@@ -66,7 +80,7 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="skewgalois",
         description="decision procedures for twisted polynomial rings, "
         "embedding problems over finite fields, symmetric-group "
@@ -131,8 +145,10 @@ def _verb_decide(args) -> tuple[dict, int]:
     K = field_from_descriptor(args.K, args.seed)
     L = field_from_descriptor(args.L, args.seed)
     ext = FFGaloisExt(K, L)
-    images = _load(args.alpha)["map"]
-    ep = problem_from_quotient(ext, G, images)
+    alpha = _load(args.alpha)
+    if not isinstance(alpha, dict) or not isinstance(alpha.get("map"), list):
+        raise ValueError('alpha must be {"map": [...]}, an image list')
+    ep = problem_from_quotient(ext, G, alpha["map"])
     verdict = decide_sigma_solvability(ep, FieldAut(K, args.sigma))
     return verdict.to_json(), EXIT_OK
 
@@ -141,8 +157,9 @@ def _verb_lift_tau(args) -> tuple[dict, int]:
     K = field_from_descriptor(args.K, args.seed)
     L = field_from_descriptor(args.L, args.seed)
     ext = FFGaloisExt(K, L)
-    tau, unique = lift_sigma(ext, FieldAut(K, args.sigma))
-    return {"tau": tau.to_json(), "order": tau.order, "unique": unique}, EXIT_OK
+    tau = lift_sigma(ext, FieldAut(K, args.sigma))
+    # lift_sigma returns only when the same-order extension is unique
+    return {"tau": tau.to_json(), "order": tau.order, "unique": True}, EXIT_OK
 
 
 def _verb_lemma1(args) -> tuple[dict, int]:
@@ -259,7 +276,10 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except UsageError as exc:
+        _error({"error": "UsageError", "message": str(exc)})
+        return EXIT_USAGE
+    except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         payload, code = _VERBS[args.verb](args)

@@ -17,21 +17,19 @@ the tau in (b) unique when (a) holds, and no admissible tau at all when
 (c) fails.  The decision procedure reports SOLVABLE / UNSOLVABLE on the
 strength of those implications and UNKNOWN in the one gap the theory
 leaves open (non-split, (c) holds, (a) fails).
+
+Gal(L/K) is cyclic and generated by the relative Frobenius, so all three
+conditions depend only on the order of sigma, on [L:K] and on the group:
+an extension is the pair (K, L) with its degree, and no embedding of K
+into L is ever built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ffield import (
-    FieldAut,
-    FqField,
-    SubfieldEmbedding,
-    embed_subfield,
-    galois_group,
-    restrict_aut,
-)
+from .ffield import FieldAut, FqField, check_subfield, galois_group, restrict_aut
 from .groups import FiniteGroup, GroupHom, Subgroup, cyclic_group, is_nilpotent
 
 SOLVABLE = "SOLVABLE"
@@ -56,23 +54,20 @@ class CoprimalityFailure(ValueError):
 
 
 class FFGaloisExt:
-    """A Galois extension L/K of finite fields with its embedding and the
-    cyclic Galois group generated by the relative Frobenius."""
+    """A Galois extension L/K of finite fields, given by the two fields and
+    the degree [L:K], with the cyclic Galois group generated by the
+    relative Frobenius."""
 
-    __slots__ = ("K", "L", "emb", "degree")
+    __slots__ = ("K", "L", "degree")
 
-    def __init__(self, K: FqField, L: FqField, emb: SubfieldEmbedding | None = None):
-        if emb is None:
-            emb = embed_subfield(K, L)
-        if emb.small != K or emb.big != L:
-            raise ValueError("embedding endpoints do not match K and L")
+    def __init__(self, K: FqField, L: FqField):
+        check_subfield(K, L)
         self.K = K
         self.L = L
-        self.emb = emb
         self.degree = L.n // K.n
 
     def galois_group(self) -> list[FieldAut]:
-        return galois_group(self.L, self.emb)
+        return galois_group(self.L, self.K)
 
     def relative_frobenius(self) -> FieldAut:
         return FieldAut(self.L, self.K.n)
@@ -132,9 +127,6 @@ class WeakSolution:
     g: int
     order: int
 
-    def lprime_degree(self) -> int:
-        return self.order
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -146,7 +138,6 @@ class Verdict:
     ext_degree: int
     witness: WeakSolution | None = None
     tau: FieldAut | None = None
-    tau_unique: bool | None = None
     section: GroupHom | None = None
     note: str | None = None
 
@@ -214,7 +205,7 @@ def find_weak_solutions(ep: EmbeddingProblem) -> list[WeakSolution]:
     return out
 
 
-def lift_sigma(ext: FFGaloisExt, sigma: FieldAut) -> tuple[FieldAut, bool]:
+def lift_sigma(ext: FFGaloisExt, sigma: FieldAut) -> FieldAut:
     """The unique automorphism of L of the same order as sigma extending it.
 
     Exists iff the order d of sigma is coprime to [L:K]; found by
@@ -231,7 +222,7 @@ def lift_sigma(ext: FFGaloisExt, sigma: FieldAut) -> tuple[FieldAut, bool]:
     for i in range(e):
         t = (sigma.k + i * m) % N
         tau = FieldAut(ext.L, t)
-        if restrict_aut(tau, ext.emb).k != sigma.k:
+        if restrict_aut(tau, ext.K).k != sigma.k:
             raise AssertionError("enumerated extension fails to restrict to sigma")
         candidates.append((t, tau.order))
     hits = [t for t, o in candidates if o == d]
@@ -241,7 +232,7 @@ def lift_sigma(ext: FFGaloisExt, sigma: FieldAut) -> tuple[FieldAut, bool]:
         raise CoprimalityFailure(d, e, candidates)
     if len(hits) != 1:
         raise AssertionError("conclusion (3) violated: order-d extension not unique")
-    return FieldAut(ext.L, hits[0]), True
+    return FieldAut(ext.L, hits[0])
 
 
 def lemma1_check(ext: FFGaloisExt, sigma: FieldAut, tau: FieldAut) -> dict:
@@ -254,7 +245,7 @@ def lemma1_check(ext: FFGaloisExt, sigma: FieldAut, tau: FieldAut) -> dict:
     """
     if sigma.field != ext.K or tau.field != ext.L:
         raise ValueError("sigma acts on K and tau on L")
-    if restrict_aut(tau, ext.emb).k != sigma.k:
+    if restrict_aut(tau, ext.K).k != sigma.k:
         raise ValueError("tau does not extend sigma")
     d = sigma.order
     N = ext.L.n
@@ -320,11 +311,10 @@ def decide_sigma_solvability(ep: EmbeddingProblem, sigma: FieldAut) -> Verdict:
             "conclusion (2) violated: split with (c) must produce a witness"
         )
 
-    tau = tau_unique = None
-    note = None
+    tau = note = None
     if cond_a:
         status = SOLVABLE
-        tau, tau_unique = lift_sigma(ep.ext, sigma)
+        tau = lift_sigma(ep.ext, sigma)
     elif not cond_c:
         status = UNSOLVABLE
     else:
@@ -342,7 +332,6 @@ def decide_sigma_solvability(ep: EmbeddingProblem, sigma: FieldAut) -> Verdict:
         ext_degree=e,
         witness=witness,
         tau=tau,
-        tau_unique=tau_unique,
         section=section,
         note=note,
     )

@@ -276,7 +276,7 @@ class GroupHom:
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, images: list[int]):
         if len(images) != domain.order:
             raise ValueError("image list length must equal the domain order")
-        if any(not (0 <= v < codomain.order) for v in images):
+        if not all(is_int(v) and 0 <= v < codomain.order for v in images):
             raise ValueError("images out of range")
         if images[0] != 0:
             raise ValueError("identity must map to identity")

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from operator import add
 
-from .ffield import _ACC_TERMS, FieldAut, FqElem, FqField, SubfieldEmbedding
+from .ffield import _ACC_TERMS, FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
+from .zarith import is_int
 
 
 class OreRing:
@@ -503,20 +504,19 @@ class InducedRingAut:
 def induced_ring_aut(
     rho: FieldAut,
     ring: OreRing,
-    fixed_subfield: SubfieldEmbedding | None = None,
+    fixed_subfield: FqField | None = None,
 ) -> InducedRingAut:
     """Lift rho in Aut(L) to the coefficientwise ring automorphism of L[T, tau].
 
     Aut(L) is abelian so rho always commutes with the twist; when a
-    designated subfield is supplied, rho must fix it pointwise.
+    designated subfield K of L is supplied, rho must fix it pointwise.
     """
     if rho.field != ring.base:
         raise ValueError("rho must act on the ring's base field")
     if fixed_subfield is not None:
-        if fixed_subfield.big != ring.base:
-            raise ValueError("designated subfield does not embed in the base field")
+        check_subfield(fixed_subfield, ring.base)
         # rho = frob^k fixes F_{p^m} pointwise iff m divides k
-        if rho.k % fixed_subfield.small.n != 0:
+        if rho.k % fixed_subfield.n != 0:
             raise ValueError("rho does not fix the designated subfield pointwise")
     return InducedRingAut(ring, rho)
 
@@ -540,11 +540,17 @@ def fixed_polys(ring: OreRing, auts: list[InducedRingAut], max_degree: int) -> l
     return out
 
 
-def ore_poly_from_json(data: dict, field_lookup=None) -> OrePoly:
-    """Inverse of OrePoly.to_json; field_lookup maps descriptors to fields."""
-    from .ffield import field_from_descriptor
-
-    lookup = field_lookup or field_from_descriptor
-    base = lookup(data["base"])
+def ore_poly_from_json(data: dict) -> OrePoly:
+    """Inverse of OrePoly.to_json, with the base field of seed 0; a
+    malformed shape raises ValueError."""
+    if not (isinstance(data, dict) and isinstance(data.get("base"), str)
+            and is_int(data.get("frob")) and isinstance(data.get("coeffs"), list)
+            # every coefficient an int or a list of ints, bools excluded; one
+            # set of types is several times cheaper than is_int per entry
+            and {type(x) for c in data["coeffs"]
+                 for x in (c if type(c) is list else (c,))} <= {int}):
+        raise ValueError('a twisted polynomial must be {"base": "p^n", "frob": k, '
+                         '"coeffs": [...]} with integer coefficients')
+    base = field_from_descriptor(data["base"])
     ring = OreRing(base, FieldAut(base, data["frob"]))
     return ring.poly(data["coeffs"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .zarith import is_prime, sqrt_mod_prime
+from .zarith import factorize, is_prime, sqrt_mod_prime
 
 REAL_PLACE = "REAL"
 INFINITY = "INFINITY"
@@ -29,8 +29,9 @@ INFINITY = "INFINITY"
 # this mod 16 instead of citing it.
 TWO_ADIC_SCAN_MODULUS = 16
 
-# Squarefreeness of m in Q(sqrt m) is checked by trial division up to
-# sqrt|m|: about 0.25 s at this cap, with time growing as sqrt|m| past it.
+# Squarefreeness of m in Q(sqrt m) is read off zarith.factorize: trial
+# division to 2^16, then Pollard-Brent rho on a cofactor below this cap,
+# which has a prime factor below 10^6 unless it is prime (milliseconds).
 QUADRATIC_M_MAX = 10**12
 
 
@@ -127,7 +128,7 @@ class LevelResult:
         return {"place": self.place, "level": self.level, "witness": dict(self.witness)}
 
 
-def level_local(place: int | str, precision_cap: int = 64) -> LevelResult:
+def level_local(place: int | str) -> LevelResult:
     """Level of the completion of Q at a finite prime or the real place.
 
     Odd p: level 1 when -1 is a quadratic residue (p = 1 mod 4), else 2;
@@ -187,14 +188,15 @@ def _two_square_witness(p: int) -> tuple[int, int]:
     raise AssertionError("every prime field represents -1 by two squares")
 
 
-def two_adic_three_square_scan(modulus: int = TWO_ADIC_SCAN_MODULUS) -> dict:
+def two_adic_three_square_scan() -> dict:
     """Exhaustively verify that x^2+y^2+z^2 never hits the scaled images of
-    -1 modulo 2^k.
+    -1 modulo 16.
 
     Scaling a hypothetical solution by powers of 2 reduces to three cases:
     target -1 with arbitrary integers, and targets -4 and 0 where at least
     one square must be odd; all are excluded by the scan.
     """
+    modulus = TWO_ADIC_SCAN_MODULUS
     sq = [x * x % modulus for x in range(modulus)]
     odd = [x % 2 for x in range(modulus)]
     cases = {
@@ -214,9 +216,10 @@ def two_adic_three_square_scan(modulus: int = TWO_ADIC_SCAN_MODULUS) -> dict:
     return {"modulus": modulus, "cases": list(cases), "excluded": not hits, "hits": hits}
 
 
-def _two_adic_four_square_witness(modulus: int = TWO_ADIC_SCAN_MODULUS) -> dict:
-    """Least four-square representation of -1 mod 2^k with an odd
+def _two_adic_four_square_witness() -> dict:
+    """Least four-square representation of -1 mod 16 with an odd
     coordinate, which Hensel-lifts to Z_2 (fixing the other three)."""
+    modulus = TWO_ADIC_SCAN_MODULUS
     target = (-1) % modulus
     for x in range(modulus):
         for y in range(x, modulus):
@@ -247,12 +250,9 @@ class QuadraticField:
             raise ValueError("m must be a squarefree integer other than 0 and 1")
         mm = abs(self.m)
         if mm > QUADRATIC_M_MAX:
-            raise ValueError(f"|m| must be at most {QUADRATIC_M_MAX} (squarefree check by trial division)")
-        f = 2
-        while f * f <= mm:
-            if mm % (f * f) == 0:
-                raise ValueError(f"{self.m} is not squarefree")
-            f += 1
+            raise ValueError(f"|m| must be at most {QUADRATIC_M_MAX}")
+        if any(e > 1 for _, e in factorize(mm)):
+            raise ValueError(f"{self.m} is not squarefree")
 
     def real_places(self) -> int:
         return 2 if self.m > 0 else 0
@@ -278,15 +278,15 @@ def parse_field_descriptor(desc: str):
     raise ValueError(f"unsupported base field descriptor {desc!r}")
 
 
-def two_square_witness_quadratic(K: QuadraticField, modulus: int = 16) -> dict | None:
-    """Search x, y in the quadratic order with x^2 + y^2 = -1 modulo 2^k,
+def two_square_witness_quadratic(K: QuadraticField) -> dict | None:
+    """Search x, y in the quadratic order with x^2 + y^2 = -1 modulo 16,
     requiring a unit y-coordinate so the witness is 2-adically liftable.
 
     Elements are a + b*w with w = sqrt(m), or w = (1 + sqrt(m))/2 when
     m = 1 mod 4 (the full ring of integers 2-adically).  Returns None when
     the bounded scan finds nothing.
     """
-    m = K.m
+    m, modulus = K.m, TWO_ADIC_SCAN_MODULUS
     half = m % 4 == 1
     # w^2 = m (plain) or w^2 = w + (m-1)/4 (half-integer basis)
     def sq_add(pairs, mod):

@@ -147,7 +147,7 @@ def criterion_2() -> dict:
 
 
 def _field_tower(p: int, max_n: int):
-    """All (K, L, embedding) pairs with K a subfield of L = F_{p^N}, N <= max_n."""
+    """All extensions L/K with L = F_{p^N}, N <= max_n."""
     for N in range(1, max_n + 1):
         L = make_field(p, N)
         for m in range(1, N + 1):
@@ -198,8 +198,8 @@ def criterion_4() -> dict:
                     if FieldAut(ext.L, (s + i * m) % N).order == d
                 ]
                 if math.gcd(d, e) == 1:
-                    tau, unique = lift_sigma(ext, sigma)
-                    if not (unique and tau.order == d and len(order_d) == 1
+                    tau = lift_sigma(ext, sigma)
+                    if not (tau.order == d and len(order_d) == 1
                             and tau.k == order_d[0]):
                         return _fail("criterion_4", f"uniqueness failed at {ext!r}, s={s}")
                     unique_cases += 1

@@ -65,16 +65,9 @@ REAL = "inf"
 KIND_TOTALLY_SPLIT = "ts"
 KIND_RAMIFIED_QUADRATIC = "rq"
 KIND_UNRAMIFIED = "ur"
-KIND_RAMIFIED_ODD_3P = "r3p"
 
 PRECISION_START = 2
 PRECISION_CAP = 64
-
-# An r3p spec's q - 1 and q^2 + q + 1 are factored by trial division to
-# 2^16 and Pollard-Brent rho.  At this cap q^2 + q + 1 < 3.3 * 10^24, where
-# is_prime is deterministic, and a composite cofactor has a prime factor
-# below 10^12, which rho finds in about 10^6 steps (about 1 s) at worst.
-R3P_Q_MAX = 10**12
 
 
 class SpecError(ValueError):
@@ -94,15 +87,13 @@ class ConstructionError(RuntimeError):
 class LocalSpec:
     """Prescribed behavior at one place: a finite prime or the real place.
 
-    kind is one of "ts" (totally split), "rq" (ramified quadratic),
-    "ur" (unramified of the stated degree), or "r3p" (the odd-degree
-    ramified case, represented but not constructed here).
+    kind is one of "ts" (totally split), "rq" (ramified quadratic) or
+    "ur" (unramified of the stated degree).
     """
 
     prime: int | str
     kind: str
     degree: int | None = None
-    q: int | None = None
     ram_in_L: bool = False
 
     def __post_init__(self):
@@ -115,18 +106,8 @@ class LocalSpec:
         if self.kind == KIND_UNRAMIFIED:
             if self.degree is None or self.degree < 1:
                 raise SpecError("unramified kind needs a degree >= 1")
-        elif self.kind == KIND_RAMIFIED_ODD_3P:
-            if self.q is not None and self.q > R3P_Q_MAX:
-                raise SpecError(f"r3p residue cardinality q must be at most {R3P_Q_MAX}")
-            if self.q is None or prime_power_base(self.q) is None:
-                raise SpecError("r3p kind needs a prime-power residue cardinality")
         elif self.kind not in (KIND_TOTALLY_SPLIT, KIND_RAMIFIED_QUADRATIC):
             raise SpecError(f"unknown kind {self.kind!r}")
-
-    def derived_odd_prime(self) -> int:
-        if self.kind != KIND_RAMIFIED_ODD_3P:
-            raise SpecError("derived odd prime only applies to the r3p kind")
-        return odd_prime_for_case_c(self.q)
 
     def min_degree(self) -> int:
         if self.kind == KIND_RAMIFIED_QUADRATIC:
@@ -148,8 +129,6 @@ class LocalSpec:
         out = {"prime": self.prime, "kind": self.kind, "ram_in_L": self.ram_in_L}
         if self.degree is not None:
             out["degree"] = self.degree
-        if self.q is not None:
-            out["q"] = self.q
         return out
 
 
@@ -182,27 +161,24 @@ def spec_from_json(data: dict) -> LocalSpec:
     """Rebuild a spec from its JSON; a malformed shape raises SpecError."""
     if not isinstance(data, dict):
         raise SpecError("a spec must be a JSON object")
-    for key in ("degree", "q"):
-        if data.get(key) is not None and not is_int(data[key]):
-            raise SpecError(f"spec field {key!r} must be an integer")
+    if data.get("degree") is not None and not is_int(data["degree"]):
+        raise SpecError("spec field 'degree' must be an integer")
     return LocalSpec(
         prime=data["prime"],
         kind=data["kind"],
         degree=data.get("degree"),
-        q=data.get("q"),
         ram_in_L=data.get("ram_in_L", False),
     )
 
 
 @dataclass(frozen=True)
 class LocalPoly:
-    """A degree-n monic polynomial modulo prime^precision with a declared
-    factorization shape (the real place carries exact target coefficients)."""
+    """A degree-n monic polynomial modulo prime^precision (the real place
+    carries exact target coefficients)."""
 
     prime: int | str
     precision: int
     coeffs: tuple[int, ...]
-    factor_shape: dict = field(default_factory=dict, compare=False)
 
     @property
     def degree(self) -> int:
@@ -228,21 +204,6 @@ def odd_prime_for_case_c(q: int) -> int:
     candidates = [p for p, _ in factorize(q - 1) if p % 2 == 1] if q > 2 else []
     candidates.extend(p for p, _ in factorize(q * q + q + 1))
     return min(candidates)
-
-
-def plan_local_specs(places: list[tuple[int | str, bool]]) -> list[LocalSpec]:
-    """Assign kinds per the construction's two cases: finite primes where L
-    is unramified become ramified-quadratic, everything else (archimedean
-    or ramified in L) becomes totally split."""
-    out = []
-    for prime, ram_in_L in places:
-        if prime == REAL:
-            out.append(LocalSpec(REAL, KIND_TOTALLY_SPLIT))
-        elif ram_in_L:
-            out.append(LocalSpec(prime, KIND_TOTALLY_SPLIT, ram_in_L=True))
-        else:
-            out.append(LocalSpec(prime, KIND_RAMIFIED_QUADRATIC, ram_in_L=False))
-    return out
 
 
 def plan_aux_primes(
@@ -300,24 +261,18 @@ def build_local_poly(spec: LocalSpec, n: int, precision: int) -> LocalPoly:
         raise SpecError(
             f"degree {n} cannot host a local factor of degree {spec.min_degree()}"
         )
-    if spec.kind == KIND_RAMIFIED_ODD_3P:
-        raise SpecError(
-            "the odd-degree ramified local extension is only represented, "
-            "not constructed; use odd_prime_for_case_c for its arithmetic"
-        )
     if spec.prime == REAL:
         poly = [1]
         for j in range(1, n + 1):
             poly = zmul(poly, [-j, 1])
-        return LocalPoly(REAL, 0, tuple(poly), {"real_roots": list(range(1, n + 1))})
+        return LocalPoly(REAL, 0, tuple(poly))
     p = spec.prime
     pm = p**precision
     if spec.kind == KIND_TOTALLY_SPLIT:
-        roots = list(range(n))
         poly = [1]
-        for r in roots:
+        for r in range(n):
             poly = zmul(poly, [-r, 1])
-        return LocalPoly(p, precision, tuple(reduce_mod(poly, pm)), {"roots": roots})
+        return LocalPoly(p, precision, tuple(reduce_mod(poly, pm)))
     if spec.kind == KIND_RAMIFIED_QUADRATIC:
         lins = []
         c = 1
@@ -328,10 +283,7 @@ def build_local_poly(spec: LocalSpec, n: int, precision: int) -> LocalPoly:
         poly = [-p, 0, 1]
         for r in lins:
             poly = zmul(poly, [-r, 1])
-        return LocalPoly(
-            p, precision, tuple(reduce_mod(poly, pm)),
-            {"eisenstein": [-p, 0, 1], "linears": lins},
-        )
+        return LocalPoly(p, precision, tuple(reduce_mod(poly, pm)))
     # unramified of degree m: least irreducible mod p plus linear padding
     m = spec.degree
     irred = modpoly.least_irreducible(p, m)
@@ -345,17 +297,13 @@ def build_local_poly(spec: LocalSpec, n: int, precision: int) -> LocalPoly:
     poly = list(irred)
     for r in lins:
         poly = zmul(poly, [-r, 1])
-    return LocalPoly(
-        p, precision, tuple(reduce_mod(poly, pm)),
-        {"irreducible": list(irred), "degree": m, "linears": lins},
-    )
+    return LocalPoly(p, precision, tuple(reduce_mod(poly, pm)))
 
 
 def weak_approximation(
     locals_: list[LocalPoly],
     real_target: list[int] | None = None,
     root_scale: int | None = None,
-    bound: int | None = None,
 ) -> list[int]:
     """Glue the local congruences into one monic integer polynomial by CRT
     on each coefficient.
@@ -398,8 +346,6 @@ def weak_approximation(
             rep = centered_rep(r, M)
         out.append(rep)
     out.append(1)
-    if bound is not None and any(abs(c) > bound for c in out):
-        raise ConstructionError("coefficient bound exceeded")
     for lp, mod in zip(locals_, moduli):
         if any((a - b) % mod for a, b in zip(out, lp.coeffs)):
             raise AssertionError("CRT reconstruction failed to match a local target")
@@ -698,9 +644,6 @@ def certify_local_behavior(
     n = len(Q) - 1
     if not Q or Q[-1] != 1:
         raise SpecError("certification requires a monic polynomial")
-    if spec.kind == KIND_RAMIFIED_ODD_3P:
-        raise SpecError("the odd-degree ramified case is out of construction scope")
-
     if spec.prime == REAL:
         count = _real_root_count(Q)
         return LocalCheck(

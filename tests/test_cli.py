@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -141,6 +142,70 @@ def test_tower_output_matches_golden():
         assert out == case["stdout"], case["name"]
 
 
+@pytest.mark.parametrize("argv,desc", [
+    (["lift-tau", "--K", "2", "--L", "2^128", "--sigma", "0"], "2^128"),
+    (["lift-tau", "--K", "3", "--L", "3^41", "--sigma", "0"], "3^41"),
+    (["decide", "--group", C3_JSON, "--alpha", json.dumps({"map": [0, 1, 2]}),
+      "--K", "2^22", "--L", "2^66", "--sigma", "1"], "2^66"),
+    (["ore", "--op", "mul", "--f", json.dumps({"base": "2^65", "frob": 1, "coeffs": [[1]]}),
+      "--g", json.dumps({"base": "2^2", "frob": 1, "coeffs": [[1]]})], "2^65"),
+])
+def test_field_order_past_the_cap_is_refused(argv, desc):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": f"field order {desc} exceeds the cap 2^64"}
+
+
+@pytest.mark.parametrize("K,L,sigma,want", [
+    ("2^32", "2^64", 0, {"order": 1, "tau": {"frob": 0}, "unique": True}),
+    ("3^8", "3^40", 1, {"order": 8, "tau": {"frob": 25}, "unique": True}),
+])
+def test_field_order_at_the_cap_is_answered(K, L, sigma, want):
+    code, out, err = run_cli(["lift-tau", "--K", K, "--L", L, "--sigma", str(sigma)])
+    assert code == 0, err
+    assert json.loads(out) == want
+
+
+EXTENSION_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                                "extension_golden.json")
+
+
+def _extension_golden():
+    with open(EXTENSION_GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_decision_verbs_match_golden():
+    # stdout, stderr and exit code of lift-tau for every K in L and sigma of
+    # selftest's LEMMA_RANGE, lemma1 for every tau extending each such sigma,
+    # and decide on the README example and on the split cyclic-quotient
+    # problems of catalog_upto(8) over F_2 and F_4, recorded while
+    # FFGaloisExt still built an explicit embedding of K into L
+    cases = _extension_golden()
+    assert {c["argv"][0] for c in cases} == {"lift-tau", "lemma1", "decide"}
+    for case in cases:
+        code, out, err = run_cli(case["argv"])
+        assert (out, err, code) == (case["stdout"], case["stderr"], case["exit"]), case["argv"]
+
+
+def test_decision_verbs_build_no_embedding(monkeypatch):
+    from skewgalois import ffield, selftest
+
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("a field embedding was built")
+
+    monkeypatch.setattr(ffield, "embed_subfield", no_embedding)
+    monkeypatch.setattr(ffield.SubfieldEmbedding, "__init__", no_embedding)
+    cases = _extension_golden()
+    for verb in ("decide", "lift-tau", "lemma1"):
+        case = next(c for c in cases if c["argv"][0] == verb and c["exit"] == 0)
+        assert run_cli(case["argv"]) == (0, case["stdout"], case["stderr"])
+    for criterion in (selftest.criterion_3, selftest.criterion_4, selftest.criterion_5):
+        assert criterion()["passed"]
+
+
 @pytest.mark.parametrize("group", [
     {"table": [[0, 1], [1, "a"]]},
     {"perm_gens": "ab"},
@@ -259,7 +324,7 @@ def test_feasible_rejects_oversized_m(m):
     assert err["error"] == "ValueError" and "at most" in err["message"]
 
 
-def test_verify_report_rejects_oversized_r3p_q():
+def test_verify_report_rejects_r3p_spec():
     code, out, _ = run_cli([
         "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
         "--p-kernel", "5", "--n-min", "3",
@@ -271,7 +336,7 @@ def test_verify_report_rejects_oversized_r3p_q():
     assert proc.returncode == cli.EXIT_DOMAIN
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     err = json.loads(proc.stderr)
-    assert err["error"] == "SpecError" and "at most" in err["message"]
+    assert err["error"] == "SpecError" and "unknown kind" in err["message"]
 
 
 def test_exit_codes():

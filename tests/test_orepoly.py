@@ -279,7 +279,7 @@ def test_induced_ring_aut_fixed_subring():
     emb = embed_subfield(F2, F4)
     # untwisted F_4[T], rho = Frobenius: fixed polynomials are exactly F_2[T]
     R = OreRing(F4, frobenius(F4, 0))
-    act = induced_ring_aut(frobenius(F4, 1), R, emb)
+    act = induced_ring_aut(frobenius(F4, 1), R, F2)
     fixed = fixed_polys(R, [act], 3)
     assert len(fixed) == 2**4
     img = emb.image_set()
@@ -291,7 +291,7 @@ def test_induced_ring_aut_twisted_tower():
     F2, F16 = make_field(2, 1), make_field(2, 4)
     emb = embed_subfield(F2, F16)
     ring = OreRing(F16, frobenius(F16, 2))
-    acts = [induced_ring_aut(frobenius(F16, k), ring, emb) for k in range(4)]
+    acts = [induced_ring_aut(frobenius(F16, k), ring, F2) for k in range(4)]
     # the full Galois action over F_2 fixes exactly the prime-field coefficients
     fixed = fixed_polys(ring, acts, 2)
     assert len(fixed) == 2**3
@@ -308,12 +308,13 @@ def test_induced_ring_aut_twisted_tower():
 
 
 def test_induced_ring_aut_rejects_nonfixing():
-    F4, F16 = make_field(2, 2), make_field(2, 4)
-    emb = embed_subfield(F4, F16)
+    F4, F8, F16 = make_field(2, 2), make_field(2, 3), make_field(2, 4)
     ring = OreRing(F16, frobenius(F16, 0))
     with pytest.raises(ValueError):
-        induced_ring_aut(frobenius(F16, 1), ring, emb)  # does not fix F_4
-    induced_ring_aut(frobenius(F16, 2), ring, emb)  # fixes F_4: fine
+        induced_ring_aut(frobenius(F16, 1), ring, F4)  # does not fix F_4
+    induced_ring_aut(frobenius(F16, 2), ring, F4)  # fixes F_4: fine
+    with pytest.raises(ValueError, match="no embedding"):
+        induced_ring_aut(frobenius(F16, 0), ring, F8)  # F_8 is not in F_16
 
 
 def test_json_roundtrip():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,17 @@ def test_field_descriptor_validation():
         parse_field_descriptor("Z")
     with pytest.raises(ValueError):
         QuadraticField(1)
+
+
+def test_squarefree_check_near_the_cap():
+    start = time.perf_counter()
+    assert QuadraticField(999999999937).m == 999999999937  # prime
+    assert QuadraticField(-999999999937).m == -999999999937
+    with pytest.raises(ValueError, match="not squarefree"):
+        QuadraticField(999966000289)  # 999983^2
+    with pytest.raises(ValueError, match="not squarefree"):
+        QuadraticField(-4 * 249999999983)  # 4 times a prime
+    assert time.perf_counter() - start < 1.0
 
 
 def test_splitting_classification():

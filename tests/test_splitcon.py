@@ -17,11 +17,11 @@ from skewgalois.splitcon import (
     odd_prime_for_case_c,
     parse_spec,
     plan_aux_primes,
-    plan_local_specs,
     real_root_scale,
     report_from_json,
     required_patterns,
     spec_from_json,
+    validate_request,
     verify_report,
     weak_approximation,
 )
@@ -74,12 +74,14 @@ def test_spec_grammar():
     assert spec_from_json(s.to_json()) == s
 
 
-def test_plan_local_specs_cases():
-    specs = plan_local_specs([(3, False), (2, True), (REAL, False)])
-    by_prime = {s.prime: s for s in specs}
-    assert by_prime[3].kind == "rq"     # unramified in L: ramified quadratic
-    assert by_prime[2].kind == "ts"     # ramified in L: totally split
-    assert by_prime[REAL].kind == "ts"  # archimedean: totally split
+def test_validate_request_kind_rule():
+    # unramified in L: ramified quadratic; ramified in L: totally split;
+    # archimedean: totally split
+    validate_request([parse_spec("3:rq"), parse_spec("2:ts:ramL"), parse_spec("inf:ts")], 5)
+    with pytest.raises(SpecError, match="must be ramified quadratic"):
+        validate_request([parse_spec("3:ts")], 5)
+    with pytest.raises(SpecError, match="must be totally split"):
+        validate_request([parse_spec("2:rq:ramL")], 5)
 
 
 def test_plan_aux_primes_examples():
@@ -109,13 +111,14 @@ def test_build_local_poly_examples():
         build_local_poly(LocalSpec(5, "ur", degree=4), 3, 1)  # degree too small
 
 
-def test_build_local_poly_r3p_rejected():
-    spec = LocalSpec(5, "r3p", q=4)
-    assert spec.derived_odd_prime() == 3
+def test_local_spec_rejects_r3p():
+    # the odd-degree ramified kind is not constructed, so no spec has it
+    with pytest.raises(SpecError, match="unknown kind"):
+        LocalSpec(5, "r3p")
+    with pytest.raises(SpecError, match="unknown kind"):
+        spec_from_json({"prime": 5, "kind": "r3p", "q": 4})
     with pytest.raises(SpecError):
-        build_local_poly(spec, 6, 2)
-    with pytest.raises(SpecError):
-        certify_local_behavior([0, 0, 1], spec)
+        parse_spec("5:r3p")
 
 
 def test_weak_approximation_examples():
