@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .embed import (
     CoprimalityFailure,
@@ -79,7 +80,10 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    keeps its results in a fresh namespace and leaves the parser as it was."""
     ap = _Parser(
         prog="skewgalois",
         description="decision procedures for twisted polynomial rings, "
@@ -283,6 +287,8 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         payload, code = _VERBS[args.verb](args)
+        # json refuses ints past sys.get_int_max_str_digits() with ValueError
+        _emit(payload, args.pretty)
     except CoprimalityFailure as exc:
         _error({"error": "CoprimalityFailure", "message": str(exc),
                 "extensions": exc.extensions})
@@ -294,7 +300,6 @@ def run(argv: list[str] | None = None) -> int:
     except Exception as exc:
         _error({"error": "InternalError", "type": type(exc).__name__, "message": str(exc)})
         return EXIT_INTERNAL
-    _emit(payload, args.pretty)
     return code
 
 

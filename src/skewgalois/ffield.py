@@ -115,17 +115,9 @@ class FqField:
     # -- element constructors ----------------------------------------------
 
     def element(self, coeffs) -> "FqElem":
-        if isinstance(coeffs, FqElem):
-            if coeffs.field != self:
-                raise ValueError("element belongs to a different field")
-            return coeffs
-        p = self.p
-        if isinstance(coeffs, int):
-            return self.from_index(coeffs % p)
-        vec = [c % p for c in coeffs]
-        if len(vec) > self.n:
-            vec = modpoly.divmod_poly(vec, list(self.modulus), p)[1]
-        return self.from_index(sum(map(mul, vec, self._powers)))
+        """An element given as an element of this field, an int (taken mod
+        p) or a coefficient vector over Z/p (reduced mod the modulus)."""
+        return FqElem(self, self._v_of(coeffs))
 
     def zero(self) -> "FqElem":
         return self.from_index(0)
@@ -144,13 +136,32 @@ class FqField:
 
     def from_index(self, idx: int) -> "FqElem":
         """The element whose coefficients are the base-p digits of idx."""
-        idx %= self.order
-        if self._ensure_log_tables():
-            return FqElem(self, self._log[idx])
-        # a constant is its own packed form
-        return FqElem(self, idx if idx < self.p else self._pack(self._digits(idx)))
+        return FqElem(self, self._index_v(idx))
 
     # -- the int of an element ---------------------------------------------
+
+    def _v_of(self, coeffs) -> int:
+        """The int of an element in any form that element() takes."""
+        if isinstance(coeffs, FqElem):
+            if coeffs.field is not self and coeffs.field != self:
+                raise ValueError("element belongs to a different field")
+            return coeffs.v
+        p = self.p
+        if isinstance(coeffs, int):
+            return self._index_v(coeffs % p)
+        vec = [c % p for c in coeffs]
+        if len(vec) > self.n:
+            vec = modpoly.divmod_poly(vec, list(self.modulus), p)[1]
+        return self._index_v(sum(map(mul, vec, self._powers)))
+
+    def _index_v(self, idx: int) -> int:
+        """The int of the element whose coefficients are the base-p digits
+        of idx."""
+        idx %= self.order
+        if self._ensure_log_tables():
+            return self._log[idx]
+        # a constant is its own packed form
+        return idx if idx < self.p else self._pack(self._digits(idx))
 
     def _digits(self, idx: int) -> list[int]:
         """The n base-p digits of idx, least significant first."""
@@ -168,6 +179,32 @@ class FqField:
 
     def _index(self, v: int) -> int:
         return self._antilog[v] if self._log is not None else self._combine(v, self._powers)
+
+    # -- arithmetic on the ints of elements, one branch per tier -----------
+
+    def _add(self, a: int, b: int) -> int:
+        if self._log is not None:
+            if a < 0 or b < 0:
+                return b if a < 0 else a
+            z = self._zech[(b - a) % self._q1]
+            return (a + z) % self._q1 if z >= 0 else -1
+        # slotwise: slot i of t + 2^(w-1) - p has its top bit set iff t_i >= p
+        p, t = self.p, a + b
+        return t - p * ((t + self._top - p * self._ones & self._top) >> self._w - 1)
+
+    def _neg(self, a: int) -> int:
+        if self.p == 2 or a == self._zero_v:
+            return a
+        if self._log is not None:  # -1 = g^((q - 1) / 2)
+            return (a + self._q1 // 2) % self._q1
+        # p in each nonzero slot, minus a: slot i of a + 2^(w-1) - 1 has its
+        # top bit set iff a_i != 0
+        return self.p * ((a + self._top - self._ones & self._top) >> self._w - 1) - a
+
+    def _mul(self, a: int, b: int) -> int:
+        if self._log is not None:
+            return -1 if a < 0 or b < 0 else (a + b) % self._q1
+        return self._reduce(a * b)
 
     # -- packed arithmetic (every field; the elements' own past the limit) --
 
@@ -269,7 +306,9 @@ class FqField:
 class FqElem:
     """An element of an FqField, held as one int: its discrete log (-1 for
     zero) up to the log-table limit, its packed coefficient vector past it.
-    The coefficient tuple `coeffs` is derived from the int on request."""
+    The coefficient tuple `coeffs` is derived from the int on request.
+    Sums, negation and products are the field's _add, _neg and _mul on the
+    ints, the same functions OrePoly applies to its coefficient ints."""
 
     __slots__ = ("field", "v")
 
@@ -309,36 +348,17 @@ class FqElem:
 
     def __add__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        F, a, b = self.field, self.v, other.v
-        if F._log is not None:
-            if a < 0 or b < 0:
-                return other if a < 0 else self
-            z = F._zech[(b - a) % F._q1]
-            return FqElem(F, (a + z) % F._q1 if z >= 0 else -1)
-        # slotwise: slot i of t + 2^(w-1) - p has its top bit set iff t_i >= p
-        p, t = F.p, a + b
-        return FqElem(F, t - p * ((t + F._top - p * F._ones & F._top) >> F._w - 1))
+        return FqElem(self.field, self.field._add(self.v, other.v))
 
     def __neg__(self) -> "FqElem":
-        F = self.field
-        if F.p == 2 or self.is_zero():
-            return self
-        if F._log is not None:  # -1 = g^((q - 1) / 2)
-            return FqElem(F, (self.v + F._q1 // 2) % F._q1)
-        # p in each nonzero slot, minus v: slot i of v + 2^(w-1) - 1 has its
-        # top bit set iff v_i != 0
-        nonzero = (self.v + F._top - F._ones & F._top) >> F._w - 1
-        return FqElem(F, F.p * nonzero - self.v)
+        return FqElem(self.field, self.field._neg(self.v))
 
     def __sub__(self, other: "FqElem") -> "FqElem":
         return self + (-other)
 
     def __mul__(self, other: "FqElem") -> "FqElem":
         self._check(other)
-        F, a, b = self.field, self.v, other.v
-        if F._log is not None:
-            return FqElem(F, -1 if a < 0 or b < 0 else (a + b) % F._q1)
-        return FqElem(F, F._reduce(a * b))
+        return FqElem(self.field, self.field._mul(self.v, other.v))
 
     def inverse(self) -> "FqElem":
         F = self.field

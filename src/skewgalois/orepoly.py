@@ -11,12 +11,16 @@ primary primitive; the common-right-multiple witness for the Ore condition
 is derived through the coefficientwise anti-isomorphism onto the ring
 twisted by tau^{-1}.
 
-Coefficients are stored ascending; the zero polynomial has an empty
-coefficient tuple, so equality is bit-exact.
+A polynomial is stored as the tuple of its coefficients' ints (FqElem.v,
+see ffield: logs up to the log-table limit, packed slots past it),
+ascending; the zero polynomial has an empty tuple, so equality is
+bit-exact.  FqElem objects are built only when a caller asks for `coeffs`.
 
-Multiplication and right division run their O(deg^2) loops on the ints of
-the coefficients (see ffield): logs and Zech lookups in the log tier; past
-it, sums of unreduced packed products, each reduced once when it is final.
+Every operation works on the ints.  Sums and negation apply the base
+field's _add and _neg coefficientwise.  Multiplication and right division
+run their O(deg^2) loops in kernels: logs and Zech lookups in the log tier;
+past it, sums of unreduced packed products, each reduced once when it is
+final.  The anti-involution and induced automorphisms twist the ints.
 """
 
 from __future__ import annotations
@@ -30,23 +34,14 @@ from .zarith import is_int
 class OreRing:
     """A handle for L[T, tau]: the base field plus the twist automorphism."""
 
-    __slots__ = ("base", "twist", "_twist_powers", "_mirror")
+    __slots__ = ("base", "twist", "_mirror")
 
     def __init__(self, base: FqField, twist: FieldAut):
         if twist.field != base:
             raise ValueError("twist must be an automorphism of the base field")
         self.base = base
         self.twist = twist
-        self._twist_powers: dict[int, FieldAut] = {}
         self._mirror: OreRing | None = None
-
-    def twist_power(self, l: int) -> FieldAut:
-        l %= self.base.n if self.base.n else 1
-        aut = self._twist_powers.get(l)
-        if aut is None:
-            aut = FieldAut(self.base, self.twist.k * l)
-            self._twist_powers[l] = aut
-        return aut
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -69,8 +64,7 @@ class OreRing:
     # -- constructors -------------------------------------------------------
 
     def poly(self, coeffs) -> "OrePoly":
-        elems = [self.base.element(c) for c in coeffs]
-        return OrePoly(self, tuple(elems))
+        return OrePoly(self, coeffs)
 
     def zero(self) -> "OrePoly":
         return OrePoly(self, ())
@@ -85,8 +79,7 @@ class OreRing:
         return self.poly([a])
 
     def monomial(self, a, k: int) -> "OrePoly":
-        coeffs = [self.base.zero()] * k + [self.base.element(a)]
-        return OrePoly(self, tuple(coeffs))
+        return OrePoly(self, [0] * k + [a])
 
     def mirror(self) -> "OreRing":
         """The ring twisted by tau^{-1}, built once; its mirror is this ring."""
@@ -97,45 +90,55 @@ class OreRing:
 
 
 class OrePoly:
-    """An element of L[T, tau] in canonical form (no trailing zeros)."""
+    """An element of L[T, tau] in canonical form (no trailing zeros).
 
-    __slots__ = ("ring", "coeffs")
+    `v` is the tuple of the coefficients' ints, ascending; `coeffs` builds
+    the FqElem of each on request.  The constructor takes the coefficients
+    in any form the base field's element() accepts, and rejects an element
+    of another field.
+    """
 
-    def __init__(self, ring: OreRing, coeffs: tuple):
-        coeffs = tuple(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
+    __slots__ = ("ring", "v")
+
+    def __init__(self, ring: OreRing, coeffs):
+        base = ring.base
         self.ring = ring
-        self.coeffs = coeffs
+        self.v = _trim([base._v_of(c) for c in coeffs], base._zero_v)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as FqElems, ascending."""
+        F = self.ring.base
+        return tuple([FqElem(F, x) for x in self.v])
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.v) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.v
 
     def leading(self) -> FqElem:
-        if not self.coeffs:
+        if not self.v:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FqElem(self.ring.base, self.v[-1])
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.base.one()
+        return bool(self.v) and self.leading() == self.ring.base.one()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrePoly)
             and (self.ring is other.ring or self.ring == other.ring)
-            and self.coeffs == other.coeffs
+            and self.v == other.v
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.v))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.v:
             return "OrePoly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -152,15 +155,15 @@ class OrePoly:
 
     def __add__(self, other: "OrePoly") -> "OrePoly":
         self._check(other)
-        zero = self.ring.base.zero()
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return OrePoly(self.ring, tuple(a))
+        a, b = self.v, other.v
+        if len(a) < len(b):
+            a, b = b, a
+        # map stops at the shorter b; the rest of a is copied
+        out = [*map(self.ring.base._add, a, b), *a[len(b):]]
+        return _from_ints(self.ring, out)
 
     def __neg__(self) -> "OrePoly":
-        return OrePoly(self.ring, tuple(-c for c in self.coeffs))
+        return _from_ints(self.ring, list(map(self.ring.base._neg, self.v)))
 
     def __sub__(self, other: "OrePoly") -> "OrePoly":
         return self + (-other)
@@ -172,15 +175,33 @@ class OrePoly:
         """Left-normalize by the inverse of the leading coefficient."""
         if self.is_zero():
             return self
-        inv = self.leading().inverse()
-        return OrePoly(self.ring, tuple(inv * c for c in self.coeffs))
+        F, inv = self.ring.base, self.leading().inverse().v
+        return _from_ints(self.ring, [F._mul(inv, x) for x in self.v])
 
     def to_json(self) -> dict:
+        F = self.ring.base
         return {
-            "base": self.ring.base.descriptor(),
+            "base": F.descriptor(),
             "frob": self.ring.twist.k,
-            "coeffs": [list(c.coeffs) for c in self.coeffs],
+            "coeffs": [list(F._coeffs(x)) for x in self.v],
         }
+
+
+def _trim(v: list, zero: int) -> tuple:
+    """v without its trailing zeros, as a tuple; pops them off v."""
+    while v and v[-1] == zero:
+        v.pop()
+    return tuple(v)
+
+
+def _from_ints(ring: OreRing, v: list) -> OrePoly:
+    """The polynomial on the coefficient ints v of ring's base field, which
+    are trusted: only trailing zeros are dropped.  v is a list of the
+    caller's that it no longer uses."""
+    f = OrePoly.__new__(OrePoly)
+    f.ring = ring
+    f.v = _trim(v, ring.base._zero_v)
+    return f
 
 
 class OreDivResult:
@@ -211,8 +232,7 @@ def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
         return ring.zero()
     F = ring.base
     kernel = _log_mul if F._log is not None else _packed_mul
-    out = kernel(F, ring.twist.k, [c.v for c in f.coeffs], [c.v for c in g.coeffs])
-    return OrePoly(ring, tuple([FqElem(F, x) for x in out]))
+    return _from_ints(ring, kernel(F, ring.twist.k, f.v, g.v))
 
 
 def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
@@ -223,8 +243,8 @@ def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
     ring = f.ring
     F = ring.base
     kernel = _log_right_divmod if F._log is not None else _packed_right_divmod
-    qr = kernel(F, ring.twist.k, [c.v for c in f.coeffs], [c.v for c in g.coeffs])
-    return OreDivResult(*[OrePoly(ring, tuple([FqElem(F, x) for x in c])) for c in qr])
+    q, r = kernel(F, ring.twist.k, f.v, g.v)
+    return OreDivResult(_from_ints(ring, q), _from_ints(ring, r))
 
 
 def ore_left_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
@@ -245,8 +265,8 @@ def ore_left_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
 # With twist frob^k, tau^l is frob^(k l mod n).
 
 
-def _twist(F: FqField, j: int, g: list[int]) -> list[int]:
-    """frob^j applied to every coefficient of g."""
+def _twist(F: FqField, j: int, g) -> list[int]:
+    """frob^j applied to every coefficient of g (g itself when j = 0 mod n)."""
     j %= F.n
     if j == 0:
         return g
@@ -322,8 +342,8 @@ def _packed_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
     coefficient at each step; the remainder is reduced at the end."""
     d, n, reduce = len(g) - 1, F.n, F._reduce
     # tau^m of g_0 .. g_(d-1) and of g_d^{-1}, which is tau^m(g_d)^{-1}
-    inv_lead = [F._inv(g[-1])]
-    twisted = [_twist(F, k * m, g[:-1] + inv_lead) for m in range(min(n, len(f) - d))]
+    row = [*g[:-1], F._inv(g[-1])]
+    twisted = [_twist(F, k * m, row) for m in range(min(n, len(f) - d))]
     r, q = list(f), [0] * max(0, len(f) - d)
     added = 0
     while len(r) > d:
@@ -467,12 +487,12 @@ def anti_involution(f: OrePoly) -> OrePoly:
     Sends sum a_i T^i to sum tau^{-i}(a_i) T^i and reverses products:
     phi(f*g) = phi(g)*phi(f).
     """
-    ring = f.ring
-    mirror = ring.mirror()
-    out = []
-    for i, a in enumerate(f.coeffs):
-        out.append(ring.twist_power(-i)(a))
-    return OrePoly(mirror, tuple(out))
+    ring, F = f.ring, f.ring.base
+    out = list(f.v)
+    # a_i and a_(i+n) take the same twist frob^(-k i)
+    for i in range(min(F.n, len(out))):
+        out[i::F.n] = _twist(F, -ring.twist.k * i, out[i::F.n])
+    return _from_ints(ring.mirror(), out)
 
 
 class InducedRingAut:
@@ -492,7 +512,7 @@ class InducedRingAut:
     def apply(self, f: OrePoly) -> OrePoly:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return OrePoly(self.ring, tuple(self.rho(c) for c in f.coeffs))
+        return _from_ints(self.ring, _twist(self.ring.base, self.rho.k, list(f.v)))
 
     def __call__(self, f: OrePoly) -> OrePoly:
         return self.apply(f)

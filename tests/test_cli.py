@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -383,3 +384,72 @@ def test_module_entrypoint_subprocess():
     proc = run_module(["level", "--place", "3"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["level"] == 2
+
+
+TWO_SPECS = ["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts", "--p-kernel", "5", "--n-min", "3"]
+
+
+def _without_timings(result):
+    """A run's (code, stdout, stderr) with selftest's elapsed times blanked."""
+    code, out, err = result
+    return code, re.sub(r'"elapsed_s":[0-9.]+', '"elapsed_s":0', out), err
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    report = run_cli(TWO_SPECS)[1]
+    ore_f = json.dumps({"base": "2^2", "frob": 1, "coeffs": [[0, 1], [1, 0]]})
+    sequence = [
+        ["decide", "--bogus"],
+        ["--help"],
+        TWO_SPECS,
+        TWO_SPECS,
+        ["--pretty", "level", "--place", "5"],
+        ["level", "--place", "5"],
+        ["decide", "--group", C3_JSON, "--alpha", json.dumps({"map": [0, 1, 2]}),
+         "--K", "2^2", "--L", "2^6", "--sigma", "1"],
+        ["lift-tau", "--K", "2^2", "--L", "2^6", "--sigma", "1"],
+        ["lemma1", "--K", "2^2", "--L", "2^6", "--sigma", "1", "--tau", "3"],
+        ["ore", "--op", "witness", "--f", ore_f, "--g", ore_f],
+        ["tower", "--group", json.dumps({"perm_gens": [[[0, 1]], [[0, 1, 2]]]})],
+        ["feasible-13", "--field", "Q(sqrt:-1)", "--division-ring"],
+        ["verify-report", "--report", report],
+        ["selftest", "--only", "9"],
+    ]
+    assert {argv[0] for argv in sequence[6:]} | {"construct-lprime", "level"} == set(cli._VERBS)
+    assert cli._build_parser() is cli._build_parser()
+    reused = [_without_timings(run_cli(argv)) for argv in sequence]
+    assert [code for code, _, _ in reused[:4]] == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_OK]
+    assert reused[2] == reused[3] and len(json.loads(reused[3][1])["specs"]) == 2
+    assert "\n " in reused[4][1] and "\n" not in reused[5][1].rstrip("\n")
+    # every call again, each on a parser of its own
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_without_timings(run_cli(argv)) for argv in sequence]
+    for argv, got, want in zip(sequence, reused, fresh):
+        assert got == want, argv
+
+
+def test_degree_past_the_cap_is_refused():
+    from skewgalois.splitcon import DEGREE_MAX
+
+    for argv, message in [
+        (TWO_SPECS[:-1] + [str(DEGREE_MAX + 1)], f"degree {DEGREE_MAX + 2} exceeds the cap {DEGREE_MAX}"),
+        (TWO_SPECS[:-1] + [str(10**30)], f"degree {10**30} exceeds the cap {DEGREE_MAX}"),
+        (["construct-lprime", "--spec", f"3:ur{DEGREE_MAX + 1}", "--p-kernel", "5", "--n-min", "3"],
+         f"unramified degree {DEGREE_MAX + 1} exceeds the cap {DEGREE_MAX}"),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_DOMAIN and out == ""
+        assert json.loads(err) == {"error": "SpecError", "message": message}
+
+
+def test_output_past_the_int_string_limit_is_structured_error():
+    # at n = 16 with a real place, Q has coefficients of about 5000 digits;
+    # json refuses ints past sys.get_int_max_str_digits() (4300 by default)
+    code, out, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+                              "--spec", "7:ts:ramL", "--p-kernel", "5", "--n-min", "16"])
+    assert "Traceback" not in out + err
+    if code != cli.EXIT_OK:
+        assert code == cli.EXIT_DOMAIN and out == ""
+        assert json.loads(err)["error"] == "ValueError"

@@ -3,8 +3,8 @@ input: every run either answers or fails with one structured JSON object on
 stderr and a documented exit code, and none prints a traceback.
 
 Strategies are bounded (lists of at most 8 items, field descriptors within
-the order cap, permutation points below 5) so that every accepted input
-stays small.
+the order cap, permutation points below 5, constructed degrees up to 8 or
+past the degree cap) so that every accepted input stays small.
 """
 
 import io
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from skewgalois import cli  # noqa: E402
+from skewgalois.splitcon import DEGREE_MAX  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -112,6 +113,34 @@ def test_ore_fuzz(op, f, g):
 @given(group=groups)
 def test_tower_fuzz(group):
     check_outcome(["tower", "--group", dumps(group)])
+
+
+# place specs: valid ones, others from the grammar's parts, and short text
+spec_strings = st.one_of(
+    st.sampled_from(["3:rq", "5:rq", "inf:ts", "7:ts:ramL", "11:ts:ramL", "2:rq"]),
+    st.builds(
+        lambda head, kind, suffix: f"{head}:{kind}{suffix}",
+        st.sampled_from(["2", "3", "5", "7", "11", "4", "1", "0", "-3", "inf", "x", ""]),
+        st.sampled_from(["ts", "rq", "ur1", "ur2", "ur4", "ur0", "ur-1", "ur", "urx",
+                         f"ur{DEGREE_MAX + 1}", f"ur{10**30}", "r3p", "TS", ""]),
+        st.sampled_from(["", ":ramL", ":ram", ":ramL:ramL"]),
+    ),
+    st.text(max_size=6),
+)
+# degrees up to 8 build in well under a second; past the cap they are refused
+n_mins = (st.integers(min_value=-3, max_value=8).map(str)
+          | st.sampled_from([str(DEGREE_MAX + 1), str(10**6), str(10**30), "x"]))
+p_kernels = (st.sampled_from(["5", "3", "7"])
+             | st.sampled_from(["2", "1", "0", "-5", "9", str(10**30 + 57), "x"]))
+
+
+@SETTINGS
+@given(specs=st.lists(spec_strings, min_size=1, max_size=4), n_min=n_mins, p_kernel=p_kernels)
+def test_construct_lprime_fuzz(specs, n_min, p_kernel):
+    argv = ["construct-lprime", "--p-kernel", p_kernel, "--n-min", n_min]
+    for spec in specs:
+        argv += ["--spec", spec]
+    check_outcome(argv)
 
 
 def _valid_report():

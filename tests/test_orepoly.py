@@ -5,6 +5,7 @@ from tuple_field import TupleField
 
 from skewgalois.ffield import _ACC_TERMS, embed_subfield, frobenius, make_field
 from skewgalois.orepoly import (
+    OrePoly,
     OreRing,
     anti_involution,
     fixed_polys,
@@ -535,3 +536,72 @@ def test_packed_kernels_at_the_slot_bound():
     assert _tuples(ore_mul(ring.poly(ones), ring.poly(ones))) == prod
     q, r = ore_right_divmod(ring.poly(prod), ring.poly(ones))
     assert (_tuples(q), r.is_zero()) == (ones, True)
+
+
+# -- the coefficient ints of OrePoly against a reference on tuples -------------
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 4), (2, 16), (3, 12)])
+def test_int_coefficients_match_the_element_level_reference(p, n):
+    # both field tiers: logs up to F_5^4, packed slots at F_2^16 and F_3^12
+    F = make_field(p, n)
+    ring, ref = OreRing(F, frobenius(F, 1)), RawRing(F, 1)
+    rng = random.Random(p * 4000 + n)
+
+    def ref_add(f, g):
+        width = max(len(f), len(g))
+        pad = [list(h) + [ref.zero] * (width - len(h)) for h in (f, g)]
+        return ref.trim([ref.add(a, b) for a, b in zip(*pad)])
+
+    def ref_neg(f):
+        return [ref.sub(ref.zero, a) for a in f]
+
+    polys = [[]] + [_sparse(F, rng, rng.randrange(5)) for _ in range(12)]
+    for f in polys:
+        P = ring.poly(f)
+        assert P.v == tuple(c.v for c in P.coeffs)
+        assert P.coeffs == tuple(F.element(c) for c in f)
+        assert all(c.field is F for c in P.coeffs)
+        assert P.to_json() == {"base": f"{p}^{n}", "frob": 1, "coeffs": [list(c) for c in f]}
+        assert _tuples(-P) == ref_neg(f)
+        if f:
+            lead_inv = ref.inv(f[-1])
+            assert _tuples(P.monic()) == [ref.mul(lead_inv, c) for c in f]
+            assert P.monic().is_monic() and P.leading() == F.element(f[-1])
+        # trailing zeros are dropped on construction
+        padded = ring.poly(f + [ref.zero, ref.zero])
+        assert padded == P and hash(padded) == hash(P) and padded.v == P.v
+        # cancellation to the zero polynomial: an empty tuple of ints
+        assert (P + (-P)).v == () and (P - P).v == () and (P - P).coeffs == ()
+        assert (P - P).to_json()["coeffs"] == [] and P - P == ring.zero()
+        for g in polys:
+            Q = ring.poly(g)
+            assert _tuples(P + Q) == ref_add(f, g)
+            assert _tuples(P - Q) == ref_add(f, ref_neg(g))
+            assert (P == Q) == (f == g)
+            if f == g:
+                assert hash(P) == hash(Q)
+        # a leading-term cancellation
+        low = ring.poly(_sparse(F, rng, 1))
+        assert P + (low - P) == low
+    # the same ints in another ring are another polynomial
+    f = polys[-1]
+    assert ring.poly(f) != ring.mirror().poly(f)
+
+
+def test_foreign_coefficients_are_rejected():
+    F16 = make_field(2, 4)
+    R = OreRing(F16, frobenius(F16, 1))
+    foreign = make_field(3, 2).from_index(5)
+    # an element of F_9 read as an F_16 int would give a wrong product
+    for build in (lambda: OrePoly(R, (foreign,)), lambda: R.poly([1, foreign]),
+                  lambda: R.scalar(foreign), lambda: R.monomial(foreign, 2)):
+        with pytest.raises(ValueError, match="different field"):
+            build()
+    # the same order under another modulus is another field
+    other = make_field(2, 4, 1)
+    assert other != F16
+    with pytest.raises(ValueError, match="different field"):
+        OrePoly(R, (F16.one(), other.gen()))
+    # an element of an equal field object is accepted
+    assert OrePoly(R, (F16.gen(),)) == R.scalar(F16.gen())
