@@ -1,7 +1,7 @@
 """Batch command-line front end: every decision procedure and constructor
 behind one verb each, JSON in and JSON out.
 
-Output on stdout is deterministic for a fixed --seed (keys sorted, no
+Output on stdout is a function of the command line (keys sorted, no
 timestamps); errors, usage errors included, go to stderr as structured
 JSON.  Exit codes: 0 for success or a passing certificate, 1 for domain
 errors, 2 for usage errors, 3 for a failing certificate or verification
@@ -91,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "constructions, and quaternion level checks",
     )
     ap.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    ap.add_argument("--seed", type=int, default=0, help="seed for reproducible field moduli")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     d = sub.add_parser("decide", help="solvability of an embedding problem over the twisted function field")
@@ -146,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _verb_decide(args) -> tuple[dict, int]:
     G = group_from_json(_load(args.group))
-    K = field_from_descriptor(args.K, args.seed)
-    L = field_from_descriptor(args.L, args.seed)
+    K = field_from_descriptor(args.K)
+    L = field_from_descriptor(args.L)
     ext = FFGaloisExt(K, L)
     alpha = _load(args.alpha)
     if not isinstance(alpha, dict) or not isinstance(alpha.get("map"), list):
@@ -158,8 +157,8 @@ def _verb_decide(args) -> tuple[dict, int]:
 
 
 def _verb_lift_tau(args) -> tuple[dict, int]:
-    K = field_from_descriptor(args.K, args.seed)
-    L = field_from_descriptor(args.L, args.seed)
+    K = field_from_descriptor(args.K)
+    L = field_from_descriptor(args.L)
     ext = FFGaloisExt(K, L)
     tau = lift_sigma(ext, FieldAut(K, args.sigma))
     # lift_sigma returns only when the same-order extension is unique
@@ -167,8 +166,8 @@ def _verb_lift_tau(args) -> tuple[dict, int]:
 
 
 def _verb_lemma1(args) -> tuple[dict, int]:
-    K = field_from_descriptor(args.K, args.seed)
-    L = field_from_descriptor(args.L, args.seed)
+    K = field_from_descriptor(args.K)
+    L = field_from_descriptor(args.L)
     ext = FFGaloisExt(K, L)
     res = lemma1_check(ext, FieldAut(K, args.sigma), FieldAut(L, args.tau))
     return res, EXIT_OK
@@ -217,10 +216,8 @@ def _verb_construct(args) -> tuple[dict, int]:
     specs = [parse_spec(s) for s in args.spec]
     extra = {int(p) for p in args.extra_l_ram.split(",") if p.strip()}
     try:
-        report = construct_lprime(
-            specs, p_kernel=args.p_kernel, n_min=args.n_min,
-            extra_L_ram=frozenset(extra), seed=args.seed,
-        )
+        report = construct_lprime(specs, p_kernel=args.p_kernel, n_min=args.n_min,
+                                  extra_L_ram=frozenset(extra))
     except ConstructionError as exc:
         payload = {"error": "ConstructionError", "message": str(exc)}
         if exc.partial is not None:

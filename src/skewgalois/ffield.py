@@ -1,5 +1,10 @@
-"""Finite fields F_{p^n} with explicit moduli, their subfield lattice, and
-their automorphism groups as explicit cyclic groups of Frobenius powers.
+"""Finite fields F_{p^n}, their subfield lattice, and their automorphism
+groups as explicit cyclic groups of Frobenius powers.
+
+A field is determined by (p, n).  Its modulus is the least irreducible
+monic polynomial of degree n over F_p (modpoly.least_irreducible), found
+the first time element arithmetic needs it, so code that reads only the
+degrees never runs the search.
 
 An element is one int; its coefficient vector over Z/p, relative to the
 field's modulus, is only the input and output form.  There is no implicit
@@ -45,7 +50,8 @@ _ACC_TERMS = 64
 
 
 class FqField:
-    """The field F_{p^n} presented as F_p[x]/(modulus)."""
+    """The field F_{p^n} presented as F_p[x]/(modulus), for the least
+    irreducible monic modulus of degree n."""
 
     __slots__ = (
         "p", "n", "modulus", "order", "_log", "_antilog", "_zech", "_q1",
@@ -53,19 +59,13 @@ class FqField:
         "_low", "_fold", "_ones", "_top", "_hash",
     )
 
-    def __init__(self, p: int, n: int, modulus: list[int]):
+    def __init__(self, p: int, n: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
-        modulus = modpoly.normalize(modulus, p)
-        if modpoly.degree(modulus) != n or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the stated degree")
-        if not modpoly.is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
         self.p = p
         self.n = n
-        self.modulus = tuple(modulus)
         self.order = p**n
         self._q1 = self.order - 1
         self._log = self._antilog = self._zech = None  # built on first use
@@ -86,22 +86,16 @@ class FqField:
         self._low = (1 << w * n) - 1
         self._ones = sum(self._units)
         self._top = self._ones << w - 1
-        # _fold[i] is x^(n+i) mod the modulus, packed
-        self._fold = tuple(self._pack(modpoly.divmod_poly([0] * i + [1], modulus, p)[1])
-                           for i in range(n, 2 * n - 1))
-        self._hash = hash((p, n, self.modulus))
+        self._hash = hash((p, n))
+        self.__class__ = _Unsearched  # modulus and _fold stay unset until read
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """A field is determined by p and n: its modulus is a function of them."""
         if self is other:
             return True
-        return (
-            isinstance(other, FqField)
-            and self.p == other.p
-            and self.n == other.n
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FqField) and self.p == other.p and self.n == other.n
 
     def __hash__(self) -> int:
         return self._hash
@@ -303,6 +297,29 @@ class FqField:
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
 
+class _Unsearched(FqField):
+    """An FqField whose modulus has not been read yet.  Python reaches
+    __getattr__ only for the unset modulus and _fold slots; the first read
+    of either searches for the modulus, sets both and turns the field into
+    a plain FqField.  The hook lives on this subclass because CPython 3.11
+    does not specialise attribute reads on a class with __getattr__ (about
+    2.6x the time of a slot read), and arithmetic reads the field's slots
+    on every operation."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in ("modulus", "_fold"):
+            raise AttributeError(name)
+        p, n = self.p, self.n
+        self.modulus = modulus = tuple(modpoly.least_irreducible(p, n))
+        # _fold[i] is x^(n+i) mod the modulus, packed
+        self._fold = tuple(self._pack(modpoly.divmod_poly([0] * i + [1], modulus, p)[1])
+                           for i in range(n, 2 * n - 1))
+        self.__class__ = FqField
+        return getattr(self, name)
+
+
 class FqElem:
     """An element of an FqField, held as one int: its discrete log (-1 for
     zero) up to the log-table limit, its packed coefficient vector past it.
@@ -501,14 +518,10 @@ def _eval_in_big(coeffs: list[int], at: FqElem) -> FqElem:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, n: int, seed: int = 0) -> FqField:
-    """Field with a deterministically chosen irreducible modulus.
-
-    Seed 0 picks the lexicographically least irreducible monic polynomial;
-    other seeds run a reproducible pseudorandom search.
-    """
-    modulus = modpoly.seeded_irreducible(p, n, seed)
-    return FqField(p, n, modulus)
+def make_field(p: int, n: int) -> FqField:
+    """The field F_{p^n}, one object per (p, n).  Its modulus, the least
+    irreducible monic polynomial of degree n, is found on first use."""
+    return FqField(p, n)
 
 
 def parse_descriptor(desc: str) -> tuple[int, int]:
@@ -527,9 +540,8 @@ def parse_descriptor(desc: str) -> tuple[int, int]:
     return p, n
 
 
-def field_from_descriptor(desc: str, seed: int = 0) -> FqField:
-    p, n = parse_descriptor(desc)
-    return make_field(p, n, seed)
+def field_from_descriptor(desc: str) -> FqField:
+    return make_field(*parse_descriptor(desc))
 
 
 def frobenius(F: FqField, k: int) -> FieldAut:

@@ -204,22 +204,6 @@ def _least_irreducible_index(p: int, n: int) -> int:
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 
-def seeded_irreducible(p: int, n: int, seed: int) -> list[int]:
-    """Deterministic pseudorandom irreducible monic polynomial of degree n."""
-    if seed == 0:
-        return least_irreducible(p, n)
-    state = seed & 0xFFFFFFFFFFFFFFFF
-    space = p**n
-    while True:
-        # xorshift64 stream; reproducible across runs and platforms
-        state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-        state ^= state >> 7
-        state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
-        f = _monic_from_index(state % space, n, p)
-        if is_irreducible(f, p):
-            return f
-
-
 def ddf_pattern(f: list[int], p: int) -> list[int]:
     """Factorization degree pattern of a squarefree monic f via distinct-degree
     factorization: returns the sorted list of irreducible-factor degrees."""

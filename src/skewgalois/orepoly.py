@@ -561,8 +561,9 @@ def fixed_polys(ring: OreRing, auts: list[InducedRingAut], max_degree: int) -> l
 
 
 def ore_poly_from_json(data: dict) -> OrePoly:
-    """Inverse of OrePoly.to_json, with the base field of seed 0; a
-    malformed shape raises ValueError."""
+    """Inverse of OrePoly.to_json: the base field "p^n" is make_field(p, n),
+    whose modulus is the least irreducible one; a malformed shape raises
+    ValueError."""
     if not (isinstance(data, dict) and isinstance(data.get("base"), str)
             and is_int(data.get("frob")) and isinstance(data.get("coeffs"), list)
             # every coefficient an int or a list of ints, bools excluded; one

@@ -738,7 +738,6 @@ class ConstructionReport:
     sn: SnCertificate
     local_checks: tuple[LocalCheck, ...]
     disjoint: dict
-    seed: int
 
     def all_passed(self) -> bool:
         return (
@@ -762,7 +761,6 @@ class ConstructionReport:
                 "locals": [c.to_json() for c in self.local_checks],
                 "disjoint": _plain(self.disjoint),
             },
-            "seed": self.seed,
         }
 
 
@@ -772,7 +770,9 @@ def real_root_scale(n: int) -> int:
     return 2 * n * (n + 1) ** (n - 1) + 1
 
 
-def validate_request(specs: list[LocalSpec], p_kernel: int) -> None:
+def validate_request(
+    specs: list[LocalSpec], p_kernel: int, extra_L_ram: set[int] | frozenset[int] = frozenset()
+) -> None:
     if not is_prime(p_kernel) or p_kernel == 2:
         raise SpecError(
             "the kernel prime must be an odd prime (the even case needs the "
@@ -793,6 +793,12 @@ def validate_request(specs: list[LocalSpec], p_kernel: int) -> None:
             raise SpecError(
                 f"prime {s.prime} is unramified in L and must be ramified quadratic"
             )
+    unramified = {s.prime for s in specs if s.prime != REAL and not s.ram_in_L}
+    for q in sorted(extra_L_ram):
+        if not is_prime(q):
+            raise SpecError(f"extra ramified prime {q} is not a prime")
+        if q in unramified:
+            raise SpecError(f"extra ramified prime {q} is a spec place not marked :ramL")
 
 
 def construct_lprime(
@@ -800,7 +806,6 @@ def construct_lprime(
     p_kernel: int,
     n_min: int,
     extra_L_ram: set[int] | frozenset[int] = frozenset(),
-    seed: int = 0,
 ) -> ConstructionReport:
     """Run the full pipeline and return a verified construction report.
 
@@ -810,7 +815,7 @@ def construct_lprime(
     odd-discriminant disjointness evidence all pass.  The report re-verifies
     before return.
     """
-    validate_request(specs, p_kernel)
+    validate_request(specs, p_kernel, extra_L_ram)
     n = max(n_min, 2, max((s.min_degree() for s in specs), default=2))
     if n % 2:
         n += 1
@@ -830,9 +835,7 @@ def construct_lprime(
         if real_specs:
             real_target = list(build_local_poly(real_specs[0], n, 0).coeffs)
         Q = weak_approximation(locals_, real_target, root_scale=scale)
-        report = _assemble_report(
-            Q, n, n_min, p_kernel, specs, aux, m, scale, L_ram, seed
-        )
+        report = _assemble_report(Q, n, n_min, p_kernel, specs, aux, m, scale, L_ram)
         if report.all_passed():
             result = verify_report(report)
             if not result.ok:
@@ -864,7 +867,6 @@ def _assemble_report(
     m: int,
     scale: int | None,
     L_ram: set[int],
-    seed: int,
 ) -> ConstructionReport:
     sn = certify_sn(Q, aux)
     checks = [certify_local_behavior(Q, s) for s in list(specs) + list(aux)]
@@ -891,7 +893,6 @@ def _assemble_report(
         sn=sn,
         local_checks=tuple(checks),
         disjoint=disjoint,
-        seed=seed,
     )
 
 
@@ -1004,5 +1005,4 @@ def report_from_json(data: dict) -> ConstructionReport:
         sn=sn_cert,
         local_checks=checks,
         disjoint=certs["disjoint"],
-        seed=data.get("seed", 0),
     )

@@ -192,17 +192,28 @@ def test_decision_verbs_match_golden():
 
 
 def test_decision_verbs_build_no_embedding(monkeypatch):
-    from skewgalois import ffield, selftest
+    # the verdicts depend on p and the degrees alone: no embedding is built
+    # and no field modulus is searched for
+    from skewgalois import ffield, modpoly, selftest
 
     def no_embedding(*args, **kwargs):
         raise AssertionError("a field embedding was built")
 
+    def no_modulus(*args, **kwargs):
+        raise AssertionError("a field modulus was searched for")
+
+    ffield.make_field.cache_clear()
+    modpoly._least_irreducible_index.cache_clear()
     monkeypatch.setattr(ffield, "embed_subfield", no_embedding)
     monkeypatch.setattr(ffield.SubfieldEmbedding, "__init__", no_embedding)
+    monkeypatch.setattr(modpoly, "is_irreducible", no_modulus)
+    monkeypatch.setattr(modpoly, "least_irreducible", no_modulus)
     cases = _extension_golden()
     for verb in ("decide", "lift-tau", "lemma1"):
         case = next(c for c in cases if c["argv"][0] == verb and c["exit"] == 0)
         assert run_cli(case["argv"]) == (0, case["stdout"], case["stderr"])
+    code, out, err = run_cli(["lift-tau", "--K", "2^32", "--L", "2^64", "--sigma", "0"])
+    assert code == 0 and json.loads(out) == {"order": 1, "tau": {"frob": 0}, "unique": True}, err
     for criterion in (selftest.criterion_3, selftest.criterion_4, selftest.criterion_5):
         assert criterion()["passed"]
 
@@ -246,6 +257,10 @@ def test_construct_and_verify_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     path.write_text(out)
     code, out2, _ = run_cli(["verify-report", "--report", str(path)])
+    assert code == 0 and json.loads(out2)["ok"]
+    # a report written while reports still carried a "seed" key verifies
+    assert "seed" not in report
+    code, out2, _ = run_cli(["verify-report", "--report", json.dumps(dict(report, seed=0))])
     assert code == 0 and json.loads(out2)["ok"]
     # tampered report: exit 3
     report["Q"][1] += 1
@@ -343,6 +358,9 @@ def test_verify_report_rejects_r3p_spec():
 def test_exit_codes():
     code, _, _ = run_cli(["decide", "--bogus"])
     assert code == 2  # usage error
+    code, out, err = run_cli(["--seed", "1", "level", "--place", "5"])
+    assert code == cli.EXIT_USAGE == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"  # there is no --seed option
     code, _, err = run_cli(["level", "--place", "nonsense"])
     assert code == 1 and json.loads(err)["error"]
     code, _, err = run_cli(["construct-lprime", "--spec", "3:rq", "--p-kernel", "2", "--n-min", "2"])
@@ -442,6 +460,33 @@ def test_degree_past_the_cap_is_refused():
         assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_DOMAIN and out == ""
         assert json.loads(err) == {"error": "SpecError", "message": message}
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("4", "extra ramified prime 4 is not a prime"),
+    ("0", "extra ramified prime 0 is not a prime"),
+    ("-3", "extra ramified prime -3 is not a prime"),
+    ("3", "extra ramified prime 3 is a spec place not marked :ramL"),
+    ("13,4", "extra ramified prime 4 is not a prime"),
+])
+def test_extra_l_ram_is_validated(extra, message):
+    code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", extra])
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err) == {"error": "SpecError", "message": message}
+
+
+def test_extra_l_ram_prime_is_answered():
+    code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", "13"])
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["certificates"]["sn"]["conclusion"]
+    # the first auxiliary prime avoids the primes ramified in L
+    code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", "2"])
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["aux"][0]["prime"] == 5
+    # a spec place marked :ramL may be named again
+    code, _, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "7:ts:ramL",
+                            "--p-kernel", "5", "--n-min", "3", "--extra-l-ram", "7"])
+    assert code == cli.EXIT_OK, err
 
 
 def test_output_past_the_int_string_limit_is_structured_error():

@@ -6,6 +6,8 @@ from tuple_field import TupleField
 from skewgalois import modpoly
 from skewgalois.ffield import (
     _LOG_TABLE_MAX,
+    FieldAut,
+    FqField,
     embed_subfield,
     field_from_descriptor,
     frobenius,
@@ -37,11 +39,20 @@ def test_make_field_rejects_nonprime():
         make_field(2, 0)
 
 
-def test_make_field_seeded_deterministic():
-    a = make_field(5, 3, seed=42)
-    b = make_field(5, 3, seed=42)
-    assert a.modulus == b.modulus
-    assert modpoly.is_irreducible(list(a.modulus), 5)
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 20)])
+def test_modulus_is_found_on_first_use(monkeypatch, p, n):
+    # a field is its (p, n); the modulus search runs on the first element
+    # operation that needs it, once, in either tier
+    calls, least = [], modpoly.least_irreducible
+    monkeypatch.setattr(modpoly, "least_irreducible", lambda *pn: calls.append(pn) or least(*pn))
+    F = FqField(p, n)
+    assert F == make_field(p, n) and hash(F) == hash(make_field(p, n)) and F != FqField(p, n + 1)
+    assert FieldAut(F, 1).order == n and calls == []
+    x = F.element([0, 1])
+    assert x * x == F.element([0, 0, 1]) and (x**n).coeffs == tuple((-c) % p for c in least(p, n)[:n])
+    assert calls == [(p, n)] and F.modulus == tuple(least(p, n))
+    assert type(F) is FqField  # arithmetic runs on the class without the hook
+    assert getattr(F, "missing", None) is None
 
 
 def test_descriptor_roundtrip():

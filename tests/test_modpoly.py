@@ -88,13 +88,6 @@ def test_least_irreducible_known():
     assert mp.least_irreducible(5, 2) == [2, 0, 1]  # x^2+2 irreducible mod 5
 
 
-def test_seeded_irreducible_deterministic():
-    a = mp.seeded_irreducible(3, 4, 99)
-    b = mp.seeded_irreducible(3, 4, 99)
-    assert a == b and mp.is_irreducible(a, 3)
-    assert mp.seeded_irreducible(3, 4, 0) == mp.least_irreducible(3, 4)
-
-
 def test_ddf_pattern_products():
     # assemble squarefree products with known factor degrees and recover them
     rng = random.Random(4)

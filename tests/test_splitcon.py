@@ -606,3 +606,19 @@ def test_constructor_galois_group_against_sympy(spec_strings, n):
     assert report.n == n
     group, is_alt = galois_group(sympy.Poly(list(report.Q)[::-1], sympy.Symbol("x")), by_name=True)
     assert group.name == f"S{n}" and not is_alt
+
+
+@pytest.mark.parametrize("spec_strings", [("3:rq", "inf:ts", "7:ts:ramL"), ("3:rq", "7:ts:ramL")])
+@pytest.mark.parametrize("n", [4, 6])
+def test_constructor_ddf_patterns_against_sympy(spec_strings, n):
+    # the factor degrees of Q mod each unramified auxiliary prime, recorded
+    # by modpoly.ddf_pattern in the S_n certificate, from sympy's factoring
+    sympy = pytest.importorskip("sympy")
+
+    report = construct_lprime([parse_spec(t) for t in spec_strings], p_kernel=5, n_min=n)
+    ur = [s.prime for s in report.aux_specs if s.kind == "ur"]
+    assert len(ur) == 3
+    for ell in ur:
+        _, factors = sympy.Poly(list(report.Q)[::-1], sympy.Symbol("x"), modulus=ell).factor_list()
+        degrees = sorted((f.degree() for f, e in factors for _ in range(e)), reverse=True)
+        assert tuple(degrees) == report.sn.patterns[ell], ell  # stored descending
