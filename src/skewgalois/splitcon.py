@@ -10,7 +10,12 @@ unramified), the pipeline is:
      ramification of L, and three unramified primes of local degrees
      n, n-1, and 2;
   2. build one local polynomial per finite place (a product of the wanted
-     local factor and distinct linear factors) to precision p^m;
+     local factor and distinct linear factors) to the place's own
+     precision p^k, a k at which every polynomial congruent to it passes
+     the place's certificate: k = 1 at an unramified place, and at
+     a totally split or ramified-quadratic place k > 2 v_p(target'(r)) at
+     each target root r, so Newton's condition holds there (k >= 2 for the
+     Eisenstein factor);
   3. glue them by CRT on each coefficient, steering the representatives
      toward a widely-spread all-real-roots target when the real place is
      prescribed;
@@ -24,7 +29,8 @@ unramified), the pipeline is:
      discriminant valuation at the ramified-quadratic auxiliary prime,
      read from the discriminant of Q mod a power of that prime (so the
      quadratic resolvent field already ramifies where L does not);
-  5. escalate the precision and retry until every certificate passes.
+  5. should a certificate still fail, double every place's precision and
+     retry, at most PRECISION_DOUBLINGS times.
 
 Every claim in the emitted report is re-derivable from the polynomial
 alone; verify_report does exactly that and must agree.
@@ -66,13 +72,14 @@ KIND_TOTALLY_SPLIT = "ts"
 KIND_RAMIFIED_QUADRATIC = "rq"
 KIND_UNRAMIFIED = "ur"
 
-PRECISION_START = 2
 PRECISION_CAP = 64
+PRECISION_DOUBLINGS = 2
 
 # Largest degree the constructor builds, and the largest degree of an
-# unramified spec.  n = 20 succeeds in about 2 s; every spec set tried at
-# n = 22 and 24 ends in ConstructionError at the precision cap, after 1-4 s,
-# and the time grows without bound in n (21 s at n = 32).
+# unramified spec: a time bound, not a limit of the method.  On the spec
+# sets "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" (one run each, 2 CPUs)
+# a construction takes at most 1.5 s up to n = 20 (at n = 20 most of it in
+# discriminant residues), 0.3-2.4 s at n = 22 and 24, and 16-24 s at n = 32.
 DEGREE_MAX = 20
 
 
@@ -81,7 +88,7 @@ class SpecError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """Raised when the escalation loop exhausts its precision budget; the
+    """Raised when the precision doublings are used up; the
     best partial report is attached for inspection."""
 
     def __init__(self, message: str, partial: "ConstructionReport | None" = None):
@@ -254,6 +261,39 @@ def plan_aux_primes(
     return out
 
 
+def _target_roots(spec: LocalSpec, n: int) -> list[int]:
+    """The integer roots of a totally split or ramified-quadratic place's
+    local target: 0..n-1, or the first n-2 positive integers prime to p."""
+    if spec.kind == KIND_TOTALLY_SPLIT:
+        return list(range(n))
+    roots: list[int] = []
+    c = 1
+    while len(roots) < n - 2:
+        if c % spec.prime:
+            roots.append(c)
+        c += 1
+    return roots
+
+
+def _place_precision(spec: LocalSpec, n: int) -> int:
+    """A k at which every monic Q = target mod p^k passes the place's
+    certificate.
+
+    At a target root r, Q(r) = 0 and Q'(r) = target'(r) mod p^k, and
+    v_p(target'(r)) = sum over the other roots c of v_p(r - c) (the
+    Eisenstein factor X^2 - p is a unit at r); so Newton's condition
+    v_p(Q(r)) > 2 v_p(Q'(r)) holds once k exceeds twice that sum.  The
+    Eisenstein factor itself needs k >= 2, and an unramified place reads
+    Q mod p only.
+    """
+    if spec.kind == KIND_UNRAMIFIED:
+        return 1
+    p = spec.prime
+    roots = _target_roots(spec, n)
+    s = max((sum(valuation(r - c, p) for c in roots if c != r) for r in roots), default=0)
+    return max(2 * s + 1, 2 if spec.kind == KIND_RAMIFIED_QUADRATIC else 1)
+
+
 def build_local_poly(spec: LocalSpec, n: int, precision: int) -> LocalPoly:
     """The degree-n local congruence target for one place.
 
@@ -276,20 +316,9 @@ def build_local_poly(spec: LocalSpec, n: int, precision: int) -> LocalPoly:
         return LocalPoly(REAL, 0, tuple(poly))
     p = spec.prime
     pm = p**precision
-    if spec.kind == KIND_TOTALLY_SPLIT:
-        poly = [1]
-        for r in range(n):
-            poly = zmul(poly, [-r, 1])
-        return LocalPoly(p, precision, tuple(reduce_mod(poly, pm)))
-    if spec.kind == KIND_RAMIFIED_QUADRATIC:
-        lins = []
-        c = 1
-        while len(lins) < n - 2:
-            if c % p != 0:
-                lins.append(c)
-            c += 1
-        poly = [-p, 0, 1]
-        for r in lins:
+    if spec.kind in (KIND_TOTALLY_SPLIT, KIND_RAMIFIED_QUADRATIC):
+        poly = [1] if spec.kind == KIND_TOTALLY_SPLIT else [-p, 0, 1]
+        for r in _target_roots(spec, n):
             poly = zmul(poly, [-r, 1])
         return LocalPoly(p, precision, tuple(reduce_mod(poly, pm)))
     # unramified of degree m: least irreducible mod p plus linear padding
@@ -733,7 +762,8 @@ class ConstructionReport:
     p_kernel: int
     specs: tuple[LocalSpec, ...]
     aux_specs: tuple[LocalSpec, ...]
-    precision: int
+    precision: int  # the largest of place_precision
+    place_precision: dict  # finite place prime -> the k of its congruence mod p^k
     root_scale: int | None
     sn: SnCertificate
     local_checks: tuple[LocalCheck, ...]
@@ -755,6 +785,7 @@ class ConstructionReport:
             "specs": [s.to_json() for s in self.specs],
             "aux": [s.to_json() for s in self.aux_specs],
             "precision": self.precision,
+            "place_precision": _plain(self.place_precision),
             "root_scale": self.root_scale,
             "certificates": {
                 "sn": self.sn.to_json(),
@@ -810,10 +841,12 @@ def construct_lprime(
     """Run the full pipeline and return a verified construction report.
 
     The degree is the smallest even n >= max(n_min, 2) compatible with the
-    specs, and at most DEGREE_MAX; precision escalates (doubling, capped)
-    until the symmetric-group certificate, every local certificate, and the
-    odd-discriminant disjointness evidence all pass.  The report re-verifies
-    before return.
+    specs, and at most DEGREE_MAX.  Each finite place gets the precision
+    _place_precision derives from its target, which is expected to make the
+    symmetric-group certificate, every local certificate and the
+    odd-discriminant disjointness evidence all pass; if one fails, every
+    place's precision doubles, at most PRECISION_DOUBLINGS times.  The
+    report re-verifies before return.
     """
     validate_request(specs, p_kernel, extra_L_ram)
     n = max(n_min, 2, max((s.min_degree() for s in specs), default=2))
@@ -827,15 +860,14 @@ def construct_lprime(
     finite_specs = [s for s in specs if s.prime != REAL]
     scale = real_root_scale(n) if real_specs else None
 
+    places = finite_specs + aux
+    real_target = list(build_local_poly(real_specs[0], n, 0).coeffs) if real_specs else None
+    precision = {s.prime: _place_precision(s, n) for s in places}
     best: ConstructionReport | None = None
-    m = PRECISION_START
-    while m <= PRECISION_CAP:
-        locals_ = [build_local_poly(s, n, m) for s in finite_specs + aux]
-        real_target = None
-        if real_specs:
-            real_target = list(build_local_poly(real_specs[0], n, 0).coeffs)
+    for _ in range(PRECISION_DOUBLINGS + 1):
+        locals_ = [build_local_poly(s, n, precision[s.prime]) for s in places]
         Q = weak_approximation(locals_, real_target, root_scale=scale)
-        report = _assemble_report(Q, n, n_min, p_kernel, specs, aux, m, scale, L_ram)
+        report = _assemble_report(Q, n, n_min, p_kernel, specs, aux, precision, scale, L_ram)
         if report.all_passed():
             result = verify_report(report)
             if not result.ok:
@@ -845,9 +877,9 @@ def construct_lprime(
             return report
         if best is None or _score(report) > _score(best):
             best = report
-        m *= 2
+        precision = {p: 2 * k for p, k in precision.items()}
     raise ConstructionError(
-        f"certificates still failing at precision cap {PRECISION_CAP}", best
+        f"certificates still failing after {PRECISION_DOUBLINGS} precision doublings", best
     )
 
 
@@ -864,7 +896,7 @@ def _assemble_report(
     p_kernel: int,
     specs: list[LocalSpec],
     aux: list[LocalSpec],
-    m: int,
+    place_precision: dict[int, int],
     scale: int | None,
     L_ram: set[int],
 ) -> ConstructionReport:
@@ -888,7 +920,8 @@ def _assemble_report(
         p_kernel=p_kernel,
         specs=tuple(specs),
         aux_specs=tuple(aux),
-        precision=m,
+        precision=max(place_precision.values()),
+        place_precision=dict(place_precision),
         root_scale=scale,
         sn=sn,
         local_checks=tuple(checks),
@@ -1001,6 +1034,7 @@ def report_from_json(data: dict) -> ConstructionReport:
         specs=tuple(spec_from_json(s) for s in data["specs"]),
         aux_specs=tuple(spec_from_json(s) for s in data["aux"]),
         precision=data["precision"],
+        place_precision=data.get("place_precision", {}),
         root_scale=data.get("root_scale"),
         sn=sn_cert,
         local_checks=checks,

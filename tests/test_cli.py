@@ -489,12 +489,48 @@ def test_extra_l_ram_prime_is_answered():
     assert code == cli.EXIT_OK, err
 
 
+def _construct_argv(specs, n):
+    argv = ["construct-lprime"]
+    for spec in specs:
+        argv += ["--spec", spec]
+    return argv + ["--p-kernel", "5", "--n-min", str(n)]
+
+
+@pytest.mark.parametrize("specs", [("3:rq", "inf:ts", "7:ts:ramL"), ("2:rq", "inf:ts")])
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_large_degree_reports_stay_under_the_int_string_limit(specs, n):
+    code, out, err = run_cli(_construct_argv(specs, n))
+    assert code == cli.EXIT_OK, err
+    report = json.loads(out)
+    assert report["n"] == n
+    assert max(len(str(abs(c))) for c in report["Q"]) < 4300
+    assert isinstance(report["precision"], int)
+    code, out, err = run_cli(["verify-report", "--report", out])
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out) == {"ok": True, "failures": []}
+
+
+def test_degree_12_report_digits():
+    code, out, err = run_cli(_construct_argv(("3:rq", "inf:ts", "7:ts:ramL"), 12))
+    assert code == cli.EXIT_OK, err
+    assert max(len(str(abs(c))) for c in json.loads(out)["Q"]) <= 902
+
+
 def test_output_past_the_int_string_limit_is_structured_error():
-    # at n = 16 with a real place, Q has coefficients of about 5000 digits;
-    # json refuses ints past sys.get_int_max_str_digits() (4300 by default)
-    code, out, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
-                              "--spec", "7:ts:ramL", "--p-kernel", "5", "--n-min", "16"])
+    # at n = 16 with a real place, Q has coefficients of about 800 digits:
+    # the report is printed under the default limit of 4300 digits
+    argv = _construct_argv(("3:rq", "inf:ts", "7:ts:ramL"), 16)
+    code, out, err = run_cli(argv)
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["n"] == 16
+    # json refuses ints past sys.get_int_max_str_digits(): under a lower
+    # limit the same report ends in a structured ValueError
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert "Traceback" not in out + err
-    if code != cli.EXIT_OK:
-        assert code == cli.EXIT_DOMAIN and out == ""
-        assert json.loads(err)["error"] == "ValueError"
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"] == "ValueError"

@@ -80,6 +80,28 @@ def test_irreducible_matches_bruteforce():
                 assert mp.is_irreducible(f, p) == brute, (p, f)
 
 
+def _divisor_test_irreducible(f, p):
+    """The distinct-degree test: x^(p^n) = x mod f and gcd(x^(p^d) - x, f) = 1
+    at every proper divisor d of n = deg f."""
+    n = mp.degree(f)
+    for d in range(1, n):
+        if n % d == 0 and mp.degree(mp.gcd(mp.sub(mp.x_q_pow_mod(f, p, d), [0, 1], p), f, p)):
+            return False
+    return not mp.sub(mp.x_q_pow_mod(f, p, n), [0, 1], p)
+
+
+def test_ben_or_matches_the_divisor_test():
+    for p, n in ((2, 8), (2, 10), (3, 5), (5, 4)):
+        count = 0
+        for idx in range(p**n):
+            f = mp._monic_from_index(idx, n, p)
+            got = mp.is_irreducible(f, p)
+            assert got == _divisor_test_irreducible(f, p), (p, f)
+            count += got
+        # Gauss: (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles
+        assert count == {(2, 8): 30, (2, 10): 99, (3, 5): 48, (5, 4): 150}[p, n]
+
+
 def test_least_irreducible_known():
     assert mp.least_irreducible(2, 1) == [0, 1]
     assert mp.least_irreducible(2, 2) == [1, 1, 1]

@@ -622,3 +622,86 @@ def test_constructor_ddf_patterns_against_sympy(spec_strings, n):
         _, factors = sympy.Poly(list(report.Q)[::-1], sympy.Symbol("x"), modulus=ell).factor_list()
         degrees = sorted((f.degree() for f, e in factors for _ in range(e)), reverse=True)
         assert tuple(degrees) == report.sn.patterns[ell], ell  # stored descending
+
+
+HUGE_SPECS = ("3:rq", "inf:ts", "7:ts:ramL")
+SMALL_SPECS = ("3:rq", "7:ts:ramL")
+
+
+def _newton_roots(spec, n):
+    """The integer roots of a ts or rq place's local target, written out
+    independently of the constructor: 0..n-1, or the first n-2 positive
+    integers prime to p."""
+    if spec.kind == "ts":
+        return list(range(n))
+    return [c for c in range(1, 2 * n + 2) if c % spec.prime][: n - 2]
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_constructed_q_meets_newton_at_every_target_root(n):
+    report = construct_lprime([parse_spec(t) for t in HUGE_SPECS], 5, n)
+    Q = list(report.Q)
+    Qd = zderivative(Q)
+    places = [s for s in report.specs + report.aux_specs if s.kind in ("ts", "rq") and s.prime != REAL]
+    assert {s.kind for s in places} == {"ts", "rq"}
+    for spec in places:
+        p = spec.prime
+        for r in _newton_roots(spec, n):
+            q, d = zeval(Q, r), zeval(Qd, r)
+            assert d != 0 and (q == 0 or valuation(q, p) > 2 * valuation(d, p)), (spec, r)
+    assert report.precision == max(report.place_precision.values())
+
+
+def test_place_precision_examples():
+    # ts at 7, n = 8: 0 and 7 collide mod 7, so k = 2 * 1 + 1
+    assert splitcon._place_precision(LocalSpec(7, "ts"), 8) == 3
+    # roots distinct mod p: k = 1, or 2 for the Eisenstein factor
+    assert splitcon._place_precision(LocalSpec(11, "ts"), 8) == 1
+    assert splitcon._place_precision(LocalSpec(11, "rq"), 8) == 2
+    # rq at 3, n = 8: roots 1, 2, 4, 5, 7, 8; 1 - 4 and 1 - 7 have v_3 = 1
+    assert splitcon._place_precision(LocalSpec(3, "rq"), 8) == 5
+    assert splitcon._place_precision(LocalSpec(5, "ur", degree=8), 8) == 1
+
+
+def _counting_weak_approximation(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return weak_approximation(*args, **kwargs)
+
+    monkeypatch.setattr(splitcon, "weak_approximation", counting)
+    return calls
+
+
+def test_precision_fallback_doubles_every_place(monkeypatch):
+    calls = _counting_weak_approximation(monkeypatch)
+    monkeypatch.setattr(splitcon, "_place_precision", lambda spec, n: 1)
+    specs = [parse_spec("3:rq"), parse_spec("inf:ts")]
+    report = construct_lprime(specs, 5, 4)
+    # k = 1 and k = 2 fail, k = 4 passes
+    assert len(calls) == 3
+    assert [lp.precision for lp in calls[-1][0]] == [4] * 5
+    assert report.precision == 4 and set(report.place_precision.values()) == {4}
+    assert verify_report(report).ok
+    # with one doubling allowed the budget runs out
+    calls.clear()
+    monkeypatch.setattr(splitcon, "PRECISION_DOUBLINGS", 1)
+    with pytest.raises(splitcon.ConstructionError) as exc:
+        construct_lprime(specs, 5, 4)
+    assert len(calls) == 2
+    assert exc.value.partial is not None and not exc.value.partial.all_passed()
+    assert "1 precision doublings" in str(exc.value)
+
+
+@pytest.mark.parametrize("spec_strings,n", [
+    (HUGE_SPECS, 4), (HUGE_SPECS, 6), (HUGE_SPECS, 8), (HUGE_SPECS, 10),
+    (SMALL_SPECS, 4), (SMALL_SPECS, 8), (SMALL_SPECS, 10), (SMALL_SPECS, 12),
+])
+def test_derived_precision_needs_no_fallback(monkeypatch, spec_strings, n):
+    calls = _counting_weak_approximation(monkeypatch)
+    report = construct_lprime([parse_spec(t) for t in spec_strings], 5, n)
+    assert len(calls) == 1
+    assert report.place_precision == {
+        s.prime: splitcon._place_precision(s, n) for s in report.specs + report.aux_specs if s.prime != REAL
+    }

@@ -257,8 +257,9 @@ def test_count_real_roots_against_sympy_on_constructor_output(n):
 
 def test_discriminant_against_sympy_on_constructor_polynomial():
     sympy = pytest.importorskip("sympy")
-    # the constructor's degree-12 polynomial for the huge-coefficient specs
-    # at its final precision 64: 3612-digit coefficients
+    # a degree-12 polynomial glued like the constructor's for the
+    # huge-coefficient specs, but at precision 64 at every place (the
+    # constructor now derives a lower one per place): 3612-digit coefficients
     specs = [parse_spec(s) for s in ("3:rq", "inf:ts", "7:ts:ramL")]
     n, precision = 12, 64
     aux = plan_aux_primes([s.prime for s in specs], {7}, n)
