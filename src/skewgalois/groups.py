@@ -247,9 +247,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, g: int) -> bool:
-        return g in set(self.elements)
-
     def is_normal(self) -> bool:
         es = set(self.elements)
         return all(

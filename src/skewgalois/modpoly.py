@@ -5,10 +5,11 @@ polynomial is the empty list.  This kernel backs both the finite-field
 tower (field moduli, irreducibility) and the integer-polynomial
 certificates (squarefreeness, distinct-degree patterns, root finding).
 
-add, sub and mul never divide, and divmod_poly inverts only the leading
-coefficient of the divisor, so these work mod any modulus M, prime or
-not, when the divisor is monic and the coefficients lie in [0, M); the
-quadratic Hensel lift in splitcon runs them mod powers of p.
+add, sub, mul and eval_poly never divide, and divmod_poly inverts only
+the leading coefficient of the divisor, so these work mod any modulus M,
+prime or not, when the divisor is monic and the coefficients lie in
+[0, M); the p-adic root tree in splitcon runs eval_poly mod p^K,
+K = 2 precision + 2.
 """
 
 from __future__ import annotations

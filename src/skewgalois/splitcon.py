@@ -19,13 +19,14 @@ unramified), the pipeline is:
   3. glue them by CRT on each coefficient, steering the representatives
      toward a widely-spread all-real-roots target when the real place is
      prescribed;
-  4. certify everything directly on the glued polynomial: factorization
-     degree patterns mod the auxiliary primes (cycle types forcing the
-     full symmetric group), Eisenstein quadratic factors via quadratic
-     Hensel factor lifting, p-adic root certificates via Newton/Hensel
-     conditions read from residues mod a fixed power of p, real root
-     counts via sign alternation at points between the target roots
-     (Sturm sequences when the signs do not alternate), and an odd
+  4. certify everything directly on the glued polynomial, once: one local
+     check per place, whose factorization degree patterns mod the
+     unramified auxiliary primes are also the cycle types forcing the
+     full symmetric group; Eisenstein quadratic factors read from
+     v_p(Q(0)) on the Newton polygon, p-adic root certificates via
+     Newton/Hensel conditions read from residues mod a fixed power of p,
+     real root counts via sign alternation at points between the target
+     roots (Sturm sequences when the signs do not alternate), and an odd
      discriminant valuation at the ramified-quadratic auxiliary prime,
      read from the discriminant of Q mod a power of that prime (so the
      quadratic resolvent field already ramifies where L does not);
@@ -59,7 +60,6 @@ from .zpoly import (
     discriminant,
     reduce_mod,
     resultant,
-    zadd,
     zderivative,
     zeval,
     zmul,
@@ -123,6 +123,8 @@ class LocalSpec:
                 raise SpecError(f"unramified degree {self.degree} exceeds the cap {DEGREE_MAX}")
         elif self.kind not in (KIND_TOTALLY_SPLIT, KIND_RAMIFIED_QUADRATIC):
             raise SpecError(f"unknown kind {self.kind!r}")
+        if not isinstance(self.ram_in_L, bool):
+            raise SpecError("spec field 'ram_in_L' must be a boolean")
 
     def min_degree(self) -> int:
         if self.kind == KIND_RAMIFIED_QUADRATIC:
@@ -421,31 +423,29 @@ def certify_sn(Q: list[int], aux_specs: list[LocalSpec]) -> SnCertificate:
     """Check the factorization degree pattern of Q at each unramified
     auxiliary prime and conclude full symmetric group when the three
     forcing patterns are all present."""
-    Q = znormalize(Q)
-    n = len(Q) - 1
-    if not Q or Q[-1] != 1:
-        raise SpecError("certificate requires a monic polynomial")
+    n = len(_monic(Q)) - 1
+    checks = [certify_local_behavior(Q, s) for s in aux_specs if s.kind == KIND_UNRAMIFIED]
+    return _sn_from_checks(n, checks)
+
+
+def _sn_from_checks(n: int, ur_checks: list[LocalCheck]) -> SnCertificate:
+    """The symmetric-group certificate read off the local checks at the
+    unramified auxiliary primes: each squarefree reduction contributes its
+    pattern, and a reduction that is not squarefree or not of the declared
+    pattern contributes a reason."""
     patterns: dict = {}
     reasons: list[str] = []
-    for spec in aux_specs:
-        if spec.kind != KIND_UNRAMIFIED:
-            continue
-        p = spec.prime
-        qb = modpoly.normalize(reduce_mod(Q, p), p)
-        if modpoly.degree(qb) != n:
-            reasons.append(f"mod {p}: leading coefficient vanished")
-            continue
-        if not modpoly.is_squarefree(qb, p):
+    for check in ur_checks:
+        p = check.spec.prime
+        if "pattern" not in check.evidence:
             reasons.append(f"mod {p}: not squarefree")
             continue
-        pattern = tuple(sorted(modpoly.ddf_pattern(qb, p), reverse=True))
+        pattern = tuple(check.evidence["pattern"])
         patterns[p] = pattern
-        declared = tuple(sorted([spec.degree] + [1] * (n - spec.degree), reverse=True))
-        if pattern != declared:
-            reasons.append(f"mod {p}: pattern {pattern} != declared {declared}")
+        if not check.passed:
+            reasons.append(f"mod {p}: pattern {pattern} != declared {tuple(check.evidence['declared'])}")
     have = set(patterns.values())
-    needed = required_patterns(n)
-    missing = [pt for pt in needed if pt not in have]
+    missing = [pt for pt in required_patterns(n) if pt not in have]
     conclusion = not missing and not reasons
     if missing:
         reasons.append(f"missing patterns: {missing}")
@@ -559,40 +559,6 @@ def certified_padic_roots(
     return False, best_evidence, f"only {len(best_evidence)} of {want} roots certified"
 
 
-def _hensel_factor_split(
-    Q: list[int], p: int, A0: list[int], B0: list[int], precision: int
-) -> tuple[list[int], list[int]]:
-    """Lift a coprime factorization Q = A0*B0 mod p of a monic Q to the
-    unique monic factorization mod p^precision.
-
-    Quadratic Hensel lifting (von zur Gathen and Gerhard, *Modern Computer
-    Algebra*, Alg. 15.10): each step lifts the factors and the Bezout
-    cofactors from modulus m to m^2, capped at p^precision, so precision
-    64 takes 6 steps.  Verified by multiplication at the end.
-    """
-    A = modpoly.normalize(A0, p)
-    B = modpoly.normalize(B0, p)
-    # Bezout: s*A + t*B = 1 mod p, deg s < deg B, deg t < deg A
-    d, s, t = modpoly.xgcd(A, B, p)
-    if d != [1]:
-        raise SpecError("factor lifting requires coprime factors mod p")
-    pm = p**precision
-    m = p
-    while m < pm:
-        m = min(m * m, pm)
-        e = modpoly.sub(reduce_mod(Q, m), modpoly.mul(A, B, m), m)
-        q, r = modpoly.divmod_poly(modpoly.mul(s, e, m), B, m)
-        A = modpoly.add(A, modpoly.add(modpoly.mul(t, e, m), modpoly.mul(q, A, m), m), m)
-        B = modpoly.add(B, r, m)
-        b = modpoly.sub(modpoly.add(modpoly.mul(s, A, m), modpoly.mul(t, B, m), m), [1], m)
-        c, d = modpoly.divmod_poly(modpoly.mul(s, b, m), B, m)
-        s = modpoly.sub(s, d, m)
-        t = modpoly.sub(t, modpoly.add(modpoly.mul(t, b, m), modpoly.mul(c, A, m), m), m)
-    if any(c % pm for c in zadd(Q, [-c for c in zmul(A, B)])):
-        raise AssertionError("factor lift failed its re-verification")
-    return A, B
-
-
 _SEPARABILITY_PRIMES = tuple(primes_up_to(47))
 
 
@@ -661,26 +627,32 @@ def _real_root_count(Q: list[int]) -> int:
     return count_real_roots(Q)
 
 
-def certify_local_behavior(
-    Q: list[int], spec: LocalSpec, precision: int = PRECISION_CAP
-) -> LocalCheck:
+def _monic(Q: list[int]) -> list[int]:
+    """Q without trailing zero coefficients; SpecError unless it is monic."""
+    Q = znormalize(Q)
+    if not Q or Q[-1] != 1:
+        raise SpecError("certificate requires a monic polynomial")
+    return Q
+
+
+def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
     """Check, directly on Q, that the completion behavior at the spec's
     place is as prescribed; negative outcomes are values, not errors.
 
     Totally split at p: either n distinct simple roots mod p, or n
     certified pairwise-distinct p-adic roots.  Ramified quadratic: the
-    reduction is X^2 times a unit part, the Hensel-lifted quadratic factor
-    is Eisenstein (v(b) = 1, v(a) >= 1), and the remaining n-2 roots are
-    certified in Z_p.  Unramified degree m: squarefree reduction with
-    factorization pattern (m, 1, ..., 1).  Real place: the count of
-    distinct real roots equals the degree; the evidence key
-    "sturm_real_roots" holds that count, whether sign alternation or the
-    Sturm chain gave it.
+    reduction is X^2 times a unit part, so by Hensel's lemma Q = A B over
+    Z_p with A = X^2 + aX + b = X^2 mod p and B(0) a unit; then v(a) >= 1
+    and v(b) = v(Q(0)), so A is Eisenstein exactly when v(Q(0)) = 1 (the
+    Newton polygon, Neukirch, *Algebraic Number Theory*, II.6); and the
+    remaining n-2 roots are certified in Z_p.  Unramified degree m:
+    squarefree reduction with factorization pattern (m, 1, ..., 1).  Real
+    place: the count of distinct real roots equals the degree; the
+    evidence key "sturm_real_roots" holds that count, whether sign
+    alternation or the Sturm chain gave it.
     """
-    Q = znormalize(Q)
+    Q = _monic(Q)
     n = len(Q) - 1
-    if not Q or Q[-1] != 1:
-        raise SpecError("certification requires a monic polynomial")
     if spec.prime == REAL:
         count = _real_root_count(Q)
         return LocalCheck(
@@ -690,9 +662,6 @@ def certify_local_behavior(
 
     p = spec.prime
     qbar = modpoly.normalize(reduce_mod(Q, p), p)
-    if modpoly.degree(qbar) != n:
-        return LocalCheck(spec, False, {}, "leading coefficient vanished mod p")
-
     if spec.kind == KIND_TOTALLY_SPLIT:
         if modpoly.is_squarefree(qbar, p):
             roots = modpoly.roots_mod_p(qbar, p)
@@ -700,43 +669,25 @@ def certify_local_behavior(
                 return LocalCheck(spec, True, {"simple_roots_mod_p": roots})
         if not _is_separable(Q):
             return LocalCheck(spec, False, {}, "polynomial is not separable")
-        ok, ev, reason = certified_padic_roots(Q, p, n, precision)
+        ok, ev, reason = certified_padic_roots(Q, p, n, PRECISION_CAP)
         return LocalCheck(spec, ok, {"padic_roots": ev}, reason)
 
     if spec.kind == KIND_RAMIFIED_QUADRATIC:
         if n < 2:
             return LocalCheck(spec, False, {}, "degree too small for a quadratic factor")
-        c0, c1 = Q[0] % p, Q[1] % p
-        c2 = Q[2] % p if n >= 2 else 0
+        c0, c1, c2 = Q[0] % p, Q[1] % p, Q[2] % p
         if c0 != 0 or c1 != 0 or c2 == 0:
             return LocalCheck(
                 spec, False, {"reduction": [c0, c1, c2]},
                 "reduction mod p is not X^2 times a unit part",
             )
-        W = modpoly.normalize([c % p for c in Q[2:]], p)
-        A, B = _hensel_factor_split(Q, p, [0, 0, 1], W, precision)
-        b, a = A[0], A[1]
-        va = _vp(a, p)
-        vb = _vp(b, p)
-        if vb >= precision:
-            return LocalCheck(
-                spec, False, {"v_a": va, "v_b": f">={precision}"},
-                "constant term valuation undetermined at this precision",
-            )
-        eisenstein = (va >= 1) and (vb == 1)
-        if not eisenstein:
-            return LocalCheck(
-                spec, False, {"v_a": va, "v_b": vb},
-                "lifted quadratic factor is not Eisenstein",
-            )
+        vb = valuation(Q[0], p) if Q[0] else "infinite"
+        if vb != 1:
+            return LocalCheck(spec, False, {"v_b": vb}, "lifted quadratic factor is not Eisenstein")
         ok, ev, reason = (True, [], None)
         if n > 2:
-            ok, ev, reason = certified_padic_roots(Q, p, n - 2, precision, avoid_residue=0)
-        return LocalCheck(
-            spec, ok,
-            {"v_a": va, "v_b": vb, "unramified_part_roots": ev},
-            reason,
-        )
+            ok, ev, reason = certified_padic_roots(Q, p, n - 2, PRECISION_CAP, avoid_residue=0)
+        return LocalCheck(spec, ok, {"v_b": vb, "unramified_part_roots": ev}, reason)
 
     if spec.kind == KIND_UNRAMIFIED:
         if not modpoly.is_squarefree(qbar, p):
@@ -845,8 +796,10 @@ def construct_lprime(
     _place_precision derives from its target, which is expected to make the
     symmetric-group certificate, every local certificate and the
     odd-discriminant disjointness evidence all pass; if one fails, every
-    place's precision doubles, at most PRECISION_DOUBLINGS times.  The
-    report re-verifies before return.
+    place's precision doubles, at most PRECISION_DOUBLINGS times.  Each
+    candidate's certificates are derived once; the passing report's
+    structural claims are re-checked before return (re-deriving its
+    certificates would repeat the same deterministic computation).
     """
     validate_request(specs, p_kernel, extra_L_ram)
     n = max(n_min, 2, max((s.min_degree() for s in specs), default=2))
@@ -869,10 +822,10 @@ def construct_lprime(
         Q = weak_approximation(locals_, real_target, root_scale=scale)
         report = _assemble_report(Q, n, n_min, p_kernel, specs, aux, precision, scale, L_ram)
         if report.all_passed():
-            result = verify_report(report)
-            if not result.ok:
+            failures = _structural_failures(report)
+            if failures:
                 raise AssertionError(
-                    f"fresh report failed its own verification: {result.failures}"
+                    f"fresh report failed its own verification: {tuple(failures)}"
                 )
             return report
         if best is None or _score(report) > _score(best):
@@ -900,8 +853,8 @@ def _assemble_report(
     scale: int | None,
     L_ram: set[int],
 ) -> ConstructionReport:
-    sn = certify_sn(Q, aux)
     checks = [certify_local_behavior(Q, s) for s in list(specs) + list(aux)]
+    sn = _sn_from_checks(n, [c for c in checks[len(specs):] if c.spec.kind == KIND_UNRAMIFIED])
     aux1 = aux[0].prime
     v = _disc_valuation(Q, aux1)
     if v is None:
@@ -938,12 +891,12 @@ class VerifyResult:
         return {"ok": self.ok, "failures": list(self.failures)}
 
 
-def verify_report(report: ConstructionReport) -> VerifyResult:
-    """Re-derive every certificate from Q alone and compare with the stored
-    ones; also re-checks the structural claims (degree, parity, monicity,
-    auxiliary-prime admissibility)."""
+def _structural_failures(report: ConstructionReport) -> list[str]:
+    """The report's claims that need no certificate: Q monic of the stated
+    even degree, an odd kernel prime, and four fresh auxiliary primes, the
+    first ramified quadratic and the others of degrees n, n-1 and 2."""
     failures: list[str] = []
-    Q = list(report.Q)
+    Q = report.Q
     if not Q or Q[-1] != 1:
         failures.append("Q is not monic")
     if len(Q) - 1 != report.n:
@@ -961,19 +914,36 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
     degs = [s.degree for s in report.aux_specs[1:]]
     if degs != [report.n, report.n - 1, 2]:
         failures.append(f"auxiliary degrees {degs} != {[report.n, report.n-1, 2]}")
+    return failures
 
-    sn = certify_sn(Q, list(report.aux_specs))
+
+def verify_report(report: ConstructionReport) -> VerifyResult:
+    """Re-derive every certificate from Q alone and compare with the stored
+    ones; also re-checks the structural claims (degree, parity, monicity,
+    auxiliary-prime admissibility).  Each distinct spec is checked once, and
+    the symmetric-group certificate is read off the unramified auxiliary
+    checks."""
+    failures = _structural_failures(report)
+    Q = list(report.Q)
+    n = len(_monic(Q)) - 1
+    ur_aux = [s for s in report.aux_specs if s.kind == KIND_UNRAMIFIED]
+    fresh: dict[LocalSpec, LocalCheck] = {}
+    for spec in ur_aux + [c.spec for c in report.local_checks]:
+        if spec not in fresh:
+            fresh[spec] = certify_local_behavior(Q, spec)
+
+    sn = _sn_from_checks(n, [fresh[s] for s in ur_aux])
     if sn.to_json() != report.sn.to_json():
         failures.append("symmetric-group certificate mismatch on re-derivation")
     if not sn.conclusion:
         failures.append("symmetric-group certificate fails")
 
     for stored in report.local_checks:
-        fresh = certify_local_behavior(Q, stored.spec)
-        if fresh.passed != stored.passed:
+        check = fresh[stored.spec]
+        if check.passed != stored.passed:
             failures.append(f"local certificate changed at {stored.spec.to_string()}")
-        if not fresh.passed:
-            failures.append(f"local certificate fails at {stored.spec.to_string()}: {fresh.reason}")
+        if not check.passed:
+            failures.append(f"local certificate fails at {stored.spec.to_string()}: {check.reason}")
 
     aux1 = report.aux_specs[0].prime
     v = _disc_valuation(Q, aux1)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -262,6 +263,15 @@ def test_construct_and_verify_roundtrip(tmp_path):
     assert "seed" not in report
     code, out2, _ = run_cli(["verify-report", "--report", json.dumps(dict(report, seed=0))])
     assert code == 0 and json.loads(out2)["ok"]
+    # a report written while rq evidence still carried "v_a" verifies
+    rq = [c for c in report["certificates"]["locals"] if c["spec"]["kind"] == "rq"]
+    assert len(rq) == 2 and all(set(c["evidence"]) == {"v_b", "unramified_part_roots"} for c in rq)
+    with_v_a = json.loads(out)
+    for c in with_v_a["certificates"]["locals"]:
+        if c["spec"]["kind"] == "rq":
+            c["evidence"]["v_a"] = 1
+    code, out2, _ = run_cli(["verify-report", "--report", json.dumps(with_v_a)])
+    assert code == 0 and json.loads(out2)["ok"]
     # tampered report: exit 3
     report["Q"][1] += 1
     code, _, _ = run_cli(["verify-report", "--report", json.dumps(report)])
@@ -297,8 +307,21 @@ def _degree_as_string(report):
     aux["degree"] = str(aux["degree"])
 
 
+def _ram_in_L_as_list(report):
+    report["specs"][0]["ram_in_L"] = []
+
+
+def _ram_in_L_as_string(report):
+    report["specs"][0]["ram_in_L"] = "no"
+
+
+def _ram_in_L_as_int(report):
+    report["specs"][0]["ram_in_L"] = 1
+
+
 @pytest.mark.parametrize("tamper", [_malformed_q, _malformed_n, _malformed_aux, _aux_not_objects,
-                                    _sn_as_list, _locals_as_string, _degree_as_string])
+                                    _sn_as_list, _locals_as_string, _degree_as_string,
+                                    _ram_in_L_as_list, _ram_in_L_as_string, _ram_in_L_as_int])
 def test_verify_report_malformed_shape_is_structured_error(tamper):
     code, out, _ = run_cli([
         "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
@@ -311,6 +334,26 @@ def test_verify_report_malformed_shape_is_structured_error(tamper):
     assert proc.returncode == cli.EXIT_DOMAIN
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "SpecError"
+
+
+CONSTRUCT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                                "construct_golden.json")
+
+
+def test_constructor_output_matches_golden():
+    # exit code and stdout sha256 of construct-lprime, and of verify-report on
+    # its output: specs "3:rq, inf:ts, 7:ts:ramL" and "3:rq, 7:ts:ramL" at
+    # n_min 3-12, "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" at 16, 18, 20;
+    # recorded while the rq evidence still carried "v_a", with that key removed
+    with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) == 26
+    for case in cases:
+        code, out, err = run_cli(case["argv"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (case["exit"], case["stdout_sha256"]), err
+        code, out, err = run_cli(["verify-report", "--report", out])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (case["verify_exit"], case["verify_stdout_sha256"]), err
 
 
 def test_level_and_feasible_verbs():

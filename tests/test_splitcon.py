@@ -26,7 +26,13 @@ from skewgalois.splitcon import (
     weak_approximation,
 )
 from skewgalois.zarith import is_prime, valuation
-from skewgalois.zpoly import count_real_roots, discriminant, reduce_mod, zadd, zderivative, zeval, zmul
+from skewgalois.zpoly import (
+    count_real_roots, discriminant, reduce_mod, zadd, zderivative, zeval, zmul, znormalize,
+)
+
+
+HUGE_SPECS = ("3:rq", "inf:ts", "7:ts:ramL")
+SMALL_SPECS = ("3:rq", "7:ts:ramL")
 
 
 def test_odd_prime_for_case_c_examples():
@@ -72,6 +78,10 @@ def test_spec_grammar():
     # json roundtrip
     s = parse_spec("7:ur2:ramL")
     assert spec_from_json(s.to_json()) == s
+    # ram_in_L is read as given, never by truthiness
+    for value in ([], "no", 1, None):
+        with pytest.raises(SpecError, match="ram_in_L"):
+            spec_from_json({"prime": 3, "kind": "rq", "ram_in_L": value})
 
 
 def test_validate_request_kind_rule():
@@ -527,19 +537,142 @@ def _reference_hensel_split(Q, p, A0, B0, precision):
     return [a % pm for a in A], [b % pm for b in B]
 
 
-def test_hensel_split_matches_the_linear_lift():
+def test_rq_check_agrees_with_the_lifted_quadratic_factor():
+    # Q = X^2 W mod p with W(0) a unit: the factor A = X^2 + aX + b lifted to
+    # p^64 by the linear lift has v(a) >= 1 and v(b) = v(Q(0)), so the rq
+    # check reads v(b) off Q(0) and calls A Eisenstein exactly when it is 1
     rng = random.Random(9)
-    for _ in range(200):
+    verdicts = set()
+    for _ in range(300):
         p = rng.choice((2, 3, 5, 7))
-        precision = rng.choice((1, 2, 3, 5, 7, 16, 33, 64))
         W = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randrange(0, 6))] + [1]
         A = [p * rng.randrange(-3, 4), p * rng.randrange(-3, 4), 1]
         Q = zmul(A, W)
         Q = [c + p * rng.randrange(-9, 10) for c in Q[:-1]] + [1]
-        got = splitcon._hensel_factor_split(Q, p, [0, 0, 1], W, precision)
-        assert got == _reference_hensel_split(Q, p, [0, 0, 1], W, precision), (Q, p, precision)
-    with pytest.raises(SpecError):
-        splitcon._hensel_factor_split([0, 0, 0, 1], 3, [0, 0, 1], [0, 1], 4)
+        if rng.random() < 0.1:
+            Q[0] = 0
+        (b, a, _), _ = _reference_hensel_split(Q, p, [0, 0, 1], W, 64)
+        assert a % p == 0
+        vb = valuation(b, p) if b else 64
+        check = certify_local_behavior(Q, LocalSpec(p, "rq"))
+        eisenstein = check.reason != "lifted quadratic factor is not Eisenstein"
+        assert eisenstein == (vb == 1), (Q, p)
+        assert set(check.evidence) == ({"v_b", "unramified_part_roots"} if eisenstein else {"v_b"})
+        got = check.evidence["v_b"]
+        assert (got == vb) if vb < 64 else (got == "infinite" or got >= 64), (Q, p, got)
+        verdicts.add((check.passed, eisenstein, got == "infinite"))
+    assert {(True, True, False), (False, False, False), (False, False, True)} <= verdicts
+
+
+def _reference_certify_sn(Q, aux_specs):
+    """certify_sn as it was: its own reduction, squarefree test and DDF per
+    unramified auxiliary prime."""
+    Q = znormalize(Q)
+    n = len(Q) - 1
+    if not Q or Q[-1] != 1:
+        raise SpecError("certificate requires a monic polynomial")
+    patterns = {}
+    reasons = []
+    for spec in aux_specs:
+        if spec.kind != "ur":
+            continue
+        p = spec.prime
+        qb = modpoly.normalize(reduce_mod(Q, p), p)
+        if modpoly.degree(qb) != n:
+            reasons.append(f"mod {p}: leading coefficient vanished")
+            continue
+        if not modpoly.is_squarefree(qb, p):
+            reasons.append(f"mod {p}: not squarefree")
+            continue
+        pattern = tuple(sorted(modpoly.ddf_pattern(qb, p), reverse=True))
+        patterns[p] = pattern
+        declared = tuple(sorted([spec.degree] + [1] * (n - spec.degree), reverse=True))
+        if pattern != declared:
+            reasons.append(f"mod {p}: pattern {pattern} != declared {declared}")
+    have = set(patterns.values())
+    missing = [pt for pt in required_patterns(n) if pt not in have]
+    conclusion = not missing and not reasons
+    if missing:
+        reasons.append(f"missing patterns: {missing}")
+    return splitcon.SnCertificate(n=n, patterns=patterns, conclusion=conclusion, reasons=tuple(reasons))
+
+
+def test_certify_sn_matches_the_standalone_reference():
+    rng = random.Random(11)
+    cases = []
+    for n in (4, 6, 8):
+        for specs in (SMALL_SPECS, HUGE_SPECS):
+            cases.append(_constructor_q(specs, n, 4))  # certified: every pattern present
+    for _ in range(300):
+        n = rng.randrange(2, 9)
+        Q = [rng.randrange(-30, 31) for _ in range(n)] + [1]
+        if rng.random() < 0.25:  # a repeated factor: not squarefree anywhere
+            r = rng.randrange(-3, 4)
+            Q = zmul(Q[:-2] + [1], zmul([-r, 1], [-r, 1]))
+        aux = [LocalSpec(rng.choice((2, 3, 5, 7, 11, 13)), "ur", degree=rng.randrange(1, len(Q)))
+               for _ in range(rng.randrange(0, 5))]
+        aux += rng.sample([LocalSpec(3, "rq"), LocalSpec(5, "ts")], rng.randrange(0, 3))
+        rng.shuffle(aux)
+        cases.append((Q, aux))
+    reasons = set()
+    for Q, aux in cases:
+        got = certify_sn(Q, aux).to_json()
+        assert got == _reference_certify_sn(Q, aux).to_json(), (Q, aux)
+        reasons.update(r.split()[0 if r.startswith("missing") else 2] for r in got["reasons"])
+        reasons.add(got["conclusion"])
+    assert {True, False, "not", "pattern", "missing"} <= reasons
+    for Q in ([2, 3], [0, 1, 0, 2], []):
+        with pytest.raises(SpecError, match="monic"):
+            certify_sn(Q, [])
+        with pytest.raises(SpecError, match="monic"):
+            _reference_certify_sn(Q, [])
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec_strings,n", [(HUGE_SPECS, 6), (HUGE_SPECS, 8), (SMALL_SPECS, 10)])
+def test_each_certificate_is_derived_once(monkeypatch, spec_strings, n):
+    ddf = _count_calls(monkeypatch, modpoly, "ddf_pattern")
+    verify = _count_calls(monkeypatch, splitcon, "verify_report")
+    report = construct_lprime([parse_spec(t) for t in spec_strings], 5, n)
+    ur = sorted(s.prime for s in report.aux_specs if s.kind == "ur")
+    assert len(ur) == 3 and sorted(p for _, p in ddf) == ur
+    assert verify == []
+    ddf.clear()
+    assert splitcon.verify_report(report).ok
+    assert sorted(p for _, p in ddf) == ur
+
+
+def test_constructor_still_checks_the_auxiliary_order(monkeypatch):
+    # the last three auxiliary specs out of order: every certificate still
+    # passes, and the structural check refuses the report
+    reports = []
+
+    def reordered(*args):
+        aux = plan_aux_primes(*args)
+        return aux[:1] + aux[:0:-1]  # degrees 2, n-1, n
+
+    def assemble(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    original = splitcon._assemble_report
+    monkeypatch.setattr(splitcon, "plan_aux_primes", reordered)
+    monkeypatch.setattr(splitcon, "_assemble_report", assemble)
+    with pytest.raises(AssertionError, match="fresh report failed its own verification") as exc:
+        construct_lprime([parse_spec(t) for t in SMALL_SPECS], 5, 6)
+    assert len(reports) == 1 and reports[0].all_passed()
+    assert "auxiliary degrees [2, 5, 6] != [6, 5, 2]" in str(exc.value)
 
 
 def test_disc_valuation_matches_the_exact_discriminant():
@@ -624,10 +757,6 @@ def test_constructor_ddf_patterns_against_sympy(spec_strings, n):
         assert tuple(degrees) == report.sn.patterns[ell], ell  # stored descending
 
 
-HUGE_SPECS = ("3:rq", "inf:ts", "7:ts:ramL")
-SMALL_SPECS = ("3:rq", "7:ts:ramL")
-
-
 def _newton_roots(spec, n):
     """The integer roots of a ts or rq place's local target, written out
     independently of the constructor: 0..n-1, or the first n-2 positive
@@ -663,19 +792,8 @@ def test_place_precision_examples():
     assert splitcon._place_precision(LocalSpec(5, "ur", degree=8), 8) == 1
 
 
-def _counting_weak_approximation(monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return weak_approximation(*args, **kwargs)
-
-    monkeypatch.setattr(splitcon, "weak_approximation", counting)
-    return calls
-
-
 def test_precision_fallback_doubles_every_place(monkeypatch):
-    calls = _counting_weak_approximation(monkeypatch)
+    calls = _count_calls(monkeypatch, splitcon, "weak_approximation")
     monkeypatch.setattr(splitcon, "_place_precision", lambda spec, n: 1)
     specs = [parse_spec("3:rq"), parse_spec("inf:ts")]
     report = construct_lprime(specs, 5, 4)
@@ -699,7 +817,7 @@ def test_precision_fallback_doubles_every_place(monkeypatch):
     (SMALL_SPECS, 4), (SMALL_SPECS, 8), (SMALL_SPECS, 10), (SMALL_SPECS, 12),
 ])
 def test_derived_precision_needs_no_fallback(monkeypatch, spec_strings, n):
-    calls = _counting_weak_approximation(monkeypatch)
+    calls = _count_calls(monkeypatch, splitcon, "weak_approximation")
     report = construct_lprime([parse_spec(t) for t in spec_strings], 5, n)
     assert len(calls) == 1
     assert report.place_precision == {
