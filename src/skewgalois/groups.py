@@ -2,34 +2,52 @@
 solvability tests, Fitting subgroups, semidirect products, and the
 nilpotent-kernel reduction tower for solvable groups.
 
-Elements are indices 0..order-1 with 0 the identity.  Tables supplied
-directly are fully validated: Latin square, then associativity by Light's
-test, which checks (x a) y = x (a y) only for a in a generating set, in
-O(order^2 * gens) with gens <= log2(order) for a group.  Groups synthesized
-from permutation generators or element/multiplication pairs skip the
-associativity check since it holds by construction.
+Elements are indices 0..order-1 with 0 the identity.  Work runs on
+generators wherever a property is closed under products:
+
+- Tables supplied directly are fully validated: Latin square, then
+  associativity by Light's test, which checks (x a) y = x (a y) only for a
+  in a generating set, in O(order^2 * gens) with gens <= log2(order).  The
+  group keeps that generating set; groups synthesized from permutation
+  generators or element/multiplication pairs skip the associativity check,
+  since it holds by construction, and find a generating set when first
+  asked.
+- A GroupHom checks phi(a b) = phi(a) phi(b) only for a in a generating
+  set of the domain, in O(order * gens).
+- The reduction step finds its supplement G' by a depth-first search over
+  lifts g_i n_i (n_i in N) of a generating set g_1..g_k of G/N, pruned by
+  the order of the best proper supplement found so far (the lifting
+  approach of Holt, Eick and O'Brien, *Handbook of Computational Group
+  Theory*, 2005, ch. 7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import itemgetter
 
 from .zarith import factorize, is_int
 
 TABLE_SYNTHESIS_CAP = 5040  # largest order synthesized from generators
 
 
-def _bfs_closure(table, gens) -> set[int]:
+def _bfs_closure(table, gens, bound: int | None = None) -> set[int] | None:
     """Elements reached from index 0 by left and right products with gens:
-    the subgroup they generate when table is a group table."""
+    the subgroup they generate when table is a group table.  None once a
+    breadth-first layer ends with more than bound elements reached."""
     seen = {0}
     frontier = [0]
     gens = [g for g in gens if g]
+    if bound is None:
+        bound = len(table)
     for g in gens:
         if g not in seen:
             seen.add(g)
             frontier.append(g)
     while frontier:
+        if len(seen) > bound:
+            return None
         nxt = []
         for a in frontier:
             for g in gens:
@@ -41,8 +59,23 @@ def _bfs_closure(table, gens) -> set[int]:
     return seen
 
 
+def _greedy_generators(table, candidates, start=()) -> list[int]:
+    """The candidates, in order, that lie outside the subgroup generated by
+    start and the candidates taken before them.  With every element as a
+    candidate they generate the group modulo <start>, and each at least
+    doubles the subgroup, so there are at most log2 of the index."""
+    gens = list(start)
+    reached = _bfs_closure(table, gens)
+    for g in candidates:
+        if g not in reached:
+            gens.append(g)
+            reached = _bfs_closure(table, gens)
+    return gens[len(start):]
+
+
 class FiniteGroup:
-    __slots__ = ("order", "table", "inv", "perm_gens", "name", "_orders", "_subgroup_cache")
+    __slots__ = ("order", "table", "inv", "perm_gens", "name", "_gens", "_orders",
+                 "_subgroup_cache")
 
     def __init__(self, table: list[list[int]], *, name: str = "G",
                  perm_gens: list | None = None, _trusted: bool = False):
@@ -61,21 +94,15 @@ class FiniteGroup:
             if set(col) != full:
                 raise ValueError("table columns must be permutations (Latin square)")
         rows = tuple(tuple(row) for row in table)
+        self._gens: tuple[int, ...] | None = None
         if not _trusted:
             # Light's test: the a with (x a) y = x (a y) for all x, y are
             # closed under products, so it suffices to check generators
-            gens: list[int] = []
-            reached = {0}
-            for g in range(1, n):
-                if len(reached) == n:
-                    break
-                if g not in reached:
-                    gens.append(g)
-                    reached = _bfs_closure(rows, gens)
-            for a in gens:
-                ra = rows[a]
+            self._gens = tuple(_greedy_generators(rows, range(1, n)))
+            for a in self._gens:
+                row_times_a = itemgetter(*rows[a])  # rx -> (x a) b over all b
                 for rx in rows:
-                    if rows[rx[a]] != tuple([rx[v] for v in ra]):
+                    if rows[rx[a]] != row_times_a(rx):
                         raise ValueError("table is not associative")
         inv = [0] * n
         for a in range(n):
@@ -104,6 +131,14 @@ class FiniteGroup:
         """a b a^-1 b^-1."""
         t = self.table
         return t[t[t[a][b]][self.inv[a]]][self.inv[b]]
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, each element outside the subgroup the earlier
+        ones generate: the set Light's test checked, or for a trusted table
+        the same greedy choice made on first use."""
+        if self._gens is None:
+            self._gens = tuple(_greedy_generators(self.table, range(1, self.order)))
+        return self._gens
 
     def element_order(self, a: int) -> int:
         if self._orders is None:
@@ -186,9 +221,10 @@ class FiniteGroup:
 
     def all_subgroups(self, max_gens: int = 3) -> list["Subgroup"]:
         """Every subgroup generated by at most max_gens elements, sorted by
-        (order, elements).  This is all of them at desk scale: a subgroup
-        of a group of order <= 24 needs <= 3 generators unless it is
-        elementary abelian of rank 4.
+        (order, elements); with max_gens >= log2(order) that is all of them.
+        The library no longer calls it: the tests use it as the exhaustive
+        oracle for the supplement search of shafarevich_step.  It stays here
+        while perfbench/spans.py patches it by name.
 
         Cyclic-extension scan: layer i holds the subgroups that first need
         i generators, and layer i+1 is {<B, k> : B in layer i, k not in B}.
@@ -266,7 +302,12 @@ class Subgroup:
 
 
 class GroupHom:
-    """A homomorphism given by its full image list; verified exhaustively."""
+    """A homomorphism given by its full image list.
+
+    The check phi(a b) = phi(a) phi(b) runs for every b but only for a in a
+    generating set of the domain: the a that pass are closed under
+    products, so they are the whole domain.
+    """
 
     __slots__ = ("domain", "codomain", "images")
 
@@ -277,10 +318,10 @@ class GroupHom:
             raise ValueError("images out of range")
         if images[0] != 0:
             raise ValueError("identity must map to identity")
-        for a in range(domain.order):
-            for b in range(domain.order):
-                if images[domain.table[a][b]] != codomain.table[images[a]][images[b]]:
-                    raise ValueError("map is not a homomorphism")
+        for a in domain.generators():
+            # b -> phi(a b) against b -> phi(a) phi(b)
+            if itemgetter(*domain.table[a])(images) != itemgetter(*images)(codomain.table[images[a]]):
+                raise ValueError("map is not a homomorphism")
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(images)
@@ -339,7 +380,7 @@ def from_elements(elements: list, mult, *, name: str = "G") -> FiniteGroup:
 
 def _perm_compose(a: tuple, b: tuple) -> tuple:
     """(a then b applied second): (a*b)(x) = a(b(x))."""
-    return tuple(a[b[x]] for x in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple:
@@ -636,12 +677,58 @@ class ReductionStep:
         return self.phi.kernel().order
 
 
+def _min_supplement(G: FiniteGroup, N: Subgroup) -> tuple[int, ...] | None:
+    """The minimum-order proper H with N*H = G for normal N, ties broken by
+    the lexicographically least element tuple; None if there is none.
+
+    For a generating set g_1..g_k of G modulo N, every subgroup
+    <g_1 n_1, ..., g_k n_k> with n_i in N is a supplement.  Conversely a
+    supplement H holds a lift of each g_i, and those lifts generate a
+    supplement inside H; so every inclusion-minimal supplement, and with it
+    every minimum-order one, is such a lift closure.  The search picks
+    n_1, n_2, ... depth first.  A partial closure only grows as lifts are
+    added, and a supplement's order is a multiple of both |G:N| and that of
+    any subgroup in it, so a branch is dropped once lcm(|closure|, |G:N|)
+    passes the order of the best proper supplement found so far (at first
+    |G|/2, which only G exceeds).  A partial closure reached twice at the
+    same depth has the same subtree and is searched once.
+    """
+    table = G.table
+    index = G.order // N.order
+    lifts = _greedy_generators(table, range(G.order), _greedy_generators(table, N.elements))
+    cosets = [[table[g][x] for x in N.elements] for g in lifts]
+    k = len(lifts)
+    best: tuple[int, tuple[int, ...]] | None = None
+    bound = G.order // 2
+    visited: set[tuple[int, frozenset[int]]] = set()
+
+    def search(depth: int, gens: list[int]) -> None:
+        nonlocal best, bound
+        for x in cosets[depth]:
+            closure = _bfs_closure(table, gens + [x], bound)
+            if closure is None or lcm(len(closure), index) > bound:
+                continue
+            if depth + 1 == k:
+                key = (len(closure), tuple(sorted(closure)))
+                if best is None or key < best:
+                    best, bound = key, key[0]
+                continue
+            node = (depth, frozenset(closure))
+            if node not in visited:
+                visited.add(node)
+                search(depth + 1, gens + [x])
+
+    search(0, [])
+    return None if best is None else best[1]
+
+
 def shafarevich_step(G: FiniteGroup) -> ReductionStep:
     """Split a nontrivial solvable G as a quotient of Fitting x| G'.
 
     G' is the minimal-order proper subgroup with N*G' = G (ties broken by
-    the lexicographically least element set); the action is conjugation and
-    phi(n, g') = n*g'.  Surjectivity is re-verified on the result.
+    the lexicographically least element set), found by _min_supplement's
+    lift search; the action is conjugation and phi(n, g') = n*g'.
+    Surjectivity is re-verified on the result.
     """
     if G.order == 1:
         raise ValueError("the trivial group has no reduction step")
@@ -653,19 +740,10 @@ def shafarevich_step(G: FiniteGroup) -> ReductionStep:
         note = "nilpotent: N = G, G' = 1"
     else:
         N = fitting_subgroup(G)
-        n_set = set(N.elements)
-        best: Subgroup | None = None
-        for H in G.all_subgroups(max_gens=3):
-            if H.order == G.order:
-                continue
-            if best is not None and (H.order, H.elements) >= (best.order, best.elements):
-                continue
-            prods = {G.table[a][b] for a in N.elements for b in H.elements}
-            if len(prods) == G.order:
-                best = H
+        best = _min_supplement(G, N)
         if best is None:
             raise AssertionError("no proper complement-like subgroup found")
-        Gp = best
+        Gp = Subgroup(G, best)
         note = "G' = minimal-order subgroup with N*G' = G (lex tie-break)"
     Ng, n_map = N.as_group("N")
     Hg, h_map = Gp.as_group("G'")

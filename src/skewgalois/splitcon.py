@@ -579,19 +579,35 @@ def _is_separable(Q: list[int]) -> bool:
         return False
 
 
-def _disc_valuation(Q: list[int], p: int) -> int | None:
+def _disc_start(spec: LocalSpec, n: int) -> int:
+    """The exponent N at which _disc_valuation first reads v_p(disc Q) at
+    the first auxiliary place.  Q agrees with that place's ramified-quadratic
+    target (X^2 - p) prod (X - r) to high order, so start one above the
+    target's valuation: disc(AB) = disc(A) disc(B) res(A, B)^2 with
+    disc(X^2 - p) = 4p and res(X^2 - p, X - r) = r^2 - p a unit, which gives
+    v_p(4p) plus twice the sum over pairs of v_p(r - c).  Any other kind
+    (a tampered report) starts at 64."""
+    if spec.kind != KIND_RAMIFIED_QUADRATIC:
+        return 64
+    p = spec.prime
+    roots = _target_roots(spec, n)
+    pairs = sum(valuation(r - c, p) for i, r in enumerate(roots) for c in roots[:i])
+    return valuation(4 * p, p) + 2 * pairs + 1
+
+
+def _disc_valuation(Q: list[int], p: int, start: int = 64) -> int | None:
     """v_p(disc Q), or None when disc Q = 0 or Q has degree < 1.
 
     For a monic Q the discriminant is an integer polynomial in the other
     coefficients, so disc(Q mod p^N) = disc(Q) mod p^N.  Once a squarefree
-    reduction proves disc Q != 0, N doubles from 64 until that residue is
-    non-zero, and its valuation is exact.  Any other Q (not monic, or
+    reduction proves disc Q != 0, N doubles from start until that residue
+    is non-zero, and its valuation is exact.  Any other Q (not monic, or
     squarefree modulo no small prime) takes the exact discriminant.
     """
     n = len(Q) - 1
     if n >= 1 and Q[-1] == 1 and _squarefree_mod_small_prime(Q):
         sign = -1 if n * (n - 1) // 2 % 2 else 1
-        N = 64
+        N = start
         while True:
             M = p**N
             QM = reduce_mod(Q, M)
@@ -856,7 +872,7 @@ def _assemble_report(
     checks = [certify_local_behavior(Q, s) for s in list(specs) + list(aux)]
     sn = _sn_from_checks(n, [c for c in checks[len(specs):] if c.spec.kind == KIND_UNRAMIFIED])
     aux1 = aux[0].prime
-    v = _disc_valuation(Q, aux1)
+    v = _disc_valuation(Q, aux1, _disc_start(aux[0], n))
     if v is None:
         disjoint = {"prime": aux1, "odd_valuation": False, "reason": "zero discriminant"}
     else:
@@ -922,10 +938,13 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
     ones; also re-checks the structural claims (degree, parity, monicity,
     auxiliary-prime admissibility).  Each distinct spec is checked once, and
     the symmetric-group certificate is read off the unramified auxiliary
-    checks."""
+    checks.  Every certificate reads a monic Q, so a Q that is not monic
+    (trailing zeros included) gets the structural failures only."""
     failures = _structural_failures(report)
     Q = list(report.Q)
-    n = len(_monic(Q)) - 1
+    if not Q or Q[-1] != 1:
+        return VerifyResult(ok=False, failures=tuple(failures))
+    n = len(Q) - 1
     ur_aux = [s for s in report.aux_specs if s.kind == KIND_UNRAMIFIED]
     fresh: dict[LocalSpec, LocalCheck] = {}
     for spec in ur_aux + [c.spec for c in report.local_checks]:
@@ -946,7 +965,7 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
             failures.append(f"local certificate fails at {stored.spec.to_string()}: {check.reason}")
 
     aux1 = report.aux_specs[0].prime
-    v = _disc_valuation(Q, aux1)
+    v = _disc_valuation(Q, aux1, _disc_start(report.aux_specs[0], n))
     if v is None:
         failures.append("zero discriminant")
     else:

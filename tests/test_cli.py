@@ -278,6 +278,26 @@ def test_construct_and_verify_roundtrip(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("tamper,failures", [
+    (lambda Q: Q[:-1] + [2], ["Q is not monic"]),
+    (lambda Q: [], ["Q is not monic", "stated degree does not match Q"]),
+    (lambda Q: Q + [0], ["Q is not monic", "stated degree does not match Q"]),
+])
+def test_non_monic_report_is_a_certificate_failure(monkeypatch, tamper, failures):
+    code, out, _ = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+                            "--p-kernel", "5", "--n-min", "3"])
+    assert code == 0
+    report = json.loads(out)
+    report["Q"] = tamper(report["Q"])
+    # every certificate reads a monic Q, so none is re-derived
+    from skewgalois import splitcon
+
+    monkeypatch.setattr(splitcon, "certify_local_behavior", None)
+    code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
+    assert code == 3, err
+    assert json.loads(out) == {"ok": False, "failures": failures}
+
+
 def _malformed_q(report):
     report["Q"][1] = 1.5
 

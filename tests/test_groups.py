@@ -1,8 +1,12 @@
+import io
+import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
 
+from skewgalois import cli
 from skewgalois.catalog import catalog, catalog_upto
 from skewgalois.groups import (
     FiniteGroup,
@@ -362,3 +366,73 @@ def test_s4_x_s3_tower_completes_with_surjective_steps():
     for step in steps:
         assert step.phi.is_surjective()
         assert step.phi.codomain.order == step.group.order
+
+
+# -- the supplement search of shafarevich_step ---------------------------------
+
+S3_GENS = [[[0, 1]], [[0, 1, 2]]]
+
+
+def _s3_power_gens(k):
+    """Permutation generators of S3^k, one S3 on each block of three points."""
+    return [[[v + 3 * i for v in cyc] for cyc in g] for i in range(k) for g in S3_GENS]
+
+
+def _reference_supplement(G, N):
+    """The rule shafarevich_step applied before the lift search, over every
+    subgroup: the first proper H, in (order, elements) order, with N*H = G.
+    A subgroup of a group of order n needs at most log2(n) generators."""
+    for H in G.all_subgroups(max_gens=G.order.bit_length()):
+        if H.order < G.order and len({G.table[a][b] for a in N.elements for b in H.elements}) == G.order:
+            return H.elements
+    return None
+
+
+def _solvable_non_nilpotent_catalog():
+    return [(name, G) for name, G in catalog() if is_solvable(G) and not is_nilpotent(G)]
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _solvable_non_nilpotent_catalog()])
+def test_supplement_matches_the_full_subgroup_scan_on_the_catalog(G):
+    step = shafarevich_step(G)
+    assert step.Gp.elements == _reference_supplement(G, step.N)
+
+
+def test_supplement_matches_the_full_subgroup_scan_when_the_quotient_needs_three_generators():
+    # S3^3 x C2: N = C3^3 x C2 and G/N = C2^3, so |N| and |G:N| share 2
+    G = from_permutations(_s3_power_gens(3) + [[[9, 10]]])
+    assert G.order == 432
+    step = shafarevich_step(G)
+    assert step.N.order == 54 and step.Gp.order == 8
+    assert step.Gp.elements == _reference_supplement(G, step.N)
+
+
+def test_s3_fourth_power_tower_through_the_cli():
+    gens = _s3_power_gens(4)
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(["tower", "--group", json.dumps({"perm_gens": gens})])
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 0, err.getvalue()
+    out = out.getvalue()
+    steps = json.loads(out)["steps"]
+    assert [s["group_order"] for s in steps] == [1296, 16]
+    for s in steps:
+        assert sorted(set(s["phi"])) == list(range(s["group_order"]))  # phi is onto
+    # G' of the first step: the lex-least N-conjugate of a Sylow 2-subgroup
+    G = from_permutations(gens)
+    P = sylow_subgroup(G, 2)
+    conjugates = {tuple(sorted(G.conj(n, x) for x in P.elements)) for n in steps[0]["N"]}
+    assert tuple(steps[0]["Gp"]) == min(conjugates)
+
+
+def test_shafarevich_step_never_scans_all_subgroups(monkeypatch):
+    def refuse(self, max_gens=3):
+        raise AssertionError("all_subgroups called")
+
+    monkeypatch.setattr(FiniteGroup, "all_subgroups", refuse)
+    groups = [G for _, G in _solvable_non_nilpotent_catalog()]
+    groups.append(from_permutations(_s3_power_gens(2) + [[[6, 7]]]))
+    for G in groups:
+        assert solvable_tower(G)[-1].Gp.order == 1

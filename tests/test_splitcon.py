@@ -697,6 +697,31 @@ def test_disc_valuation_matches_the_exact_discriminant():
     assert splitcon._disc_valuation(Q, 2) == 80
 
 
+def test_disc_start_is_one_above_the_rq_target_discriminant():
+    # the exact discriminant of (X^2 - p) prod (X - r) over the target roots
+    for p in (2, 3, 5, 7, 11):
+        for n in range(2, 21, 2):
+            spec = LocalSpec(p, "rq")
+            target = [-p, 0, 1]
+            for r in splitcon._target_roots(spec, n):
+                target = zmul(target, [-r, 1])
+            assert splitcon._disc_start(spec, n) == valuation(discriminant(target), p) + 1, (p, n)
+    assert splitcon._disc_start(LocalSpec(3, "ts"), 8) == 64
+
+
+@pytest.mark.parametrize("spec_strings", [HUGE_SPECS, ("2:rq", "inf:ts")])
+def test_disc_valuation_takes_one_resultant_at_degree_20(monkeypatch, spec_strings):
+    # before the modulus started at the target's valuation, N = 64, 128, ...
+    # cost 5 resultants here on the three-spec set (v_2 = 545) and 3 on the
+    # two-spec set (v_11 = 181)
+    calls = _count_calls(monkeypatch, splitcon, "resultant")
+    report = construct_lprime([parse_spec(t) for t in spec_strings], 5, 20)
+    assert len(calls) == 1
+    calls.clear()
+    assert splitcon.verify_report(report).ok
+    assert len(calls) == 1
+
+
 def test_real_place_falls_back_to_the_sturm_count(monkeypatch):
     c = certify_local_behavior([1, 0, 1], LocalSpec(REAL, "ts"))
     assert not c.passed and c.reason == "only 0 of 2 real roots"
