@@ -14,6 +14,11 @@ generators wherever a property is closed under products:
   asked.
 - A GroupHom checks phi(a b) = phi(a) phi(b) only for a in a generating
   set of the domain, in O(order * gens).
+- A semidirect product checks that action[h] is an automorphism and that
+  action[h h'] = action[h] action[h'] only for h in a generating set of H.
+- Normal closures and normality conjugate only by generators of the
+  group, and the derived and lower central series form [A, B] as the
+  normal closure of the commutators of generators of A and B.
 - The reduction step finds its supplement G' by a depth-first search over
   lifts g_i n_i (n_i in N) of a generating set g_1..g_k of G/N, pruned by
   the order of the best proper supplement found so far (the lifting
@@ -184,10 +189,12 @@ class FiniteGroup:
         return Subgroup(self, tuple(range(self.order)))
 
     def normal_closure(self, seed) -> tuple[int, ...]:
+        """The least normal subgroup containing seed.  Conjugating by the
+        generators suffices: a conjugation by a product is a composite."""
         elems = set(self.closure(seed))
         while True:
             extra = set()
-            for g in range(self.order):
+            for g in self.generators():
                 for x in elems:
                     c = self.conj(g, x)
                     if c not in elems:
@@ -287,7 +294,7 @@ class Subgroup:
         es = set(self.elements)
         return all(
             self.parent.conj(g, x) in es
-            for g in range(self.parent.order)
+            for g in self.parent.generators()
             for x in self.elements
         )
 
@@ -489,24 +496,23 @@ def dicyclic_group(n: int) -> FiniteGroup:
     return from_elements(elements, mult, name=f"Dic{n}")
 
 
+def _pair_table(A: FiniteGroup, B: FiniteGroup, twist) -> list[list[int]]:
+    """The table of the pairs (a, b) under (a, b)(a', b') = (a twist[b](a'),
+    b b'), with (a, b) at index a*|B| + b: sorted, identity (0, 0) first."""
+    m = A.order * B.order
+    if m > TABLE_SYNTHESIS_CAP:
+        raise ValueError(f"order {m} exceeds the synthesis cap {TABLE_SYNTHESIS_CAP}")
+    rows = []
+    for row_a in A.table:
+        for row_b, perm in zip(B.table, twist):
+            firsts = [row_a[x] * B.order for x in perm]
+            rows.append([i + j for i in firsts for j in row_b])
+    return rows
+
+
 def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -> FiniteGroup:
-    elements = [(a, b) for a in range(A.order) for b in range(B.order)]
-
-    def mult(x, y):
-        return (A.table[x[0]][y[0]], B.table[x[1]][y[1]])
-
-    return from_elements(elements, mult, name=name or f"{A.name}x{B.name}")
-
-
-def automorphism_images(N: FiniteGroup, perm: tuple) -> bool:
-    """Is the index permutation an automorphism of N?"""
-    if perm[0] != 0 or sorted(perm) != list(range(N.order)):
-        return False
-    return all(
-        perm[N.table[a][b]] == N.table[perm[a]][perm[b]]
-        for a in range(N.order)
-        for b in range(N.order)
-    )
+    table = _pair_table(A, B, [range(A.order)] * B.order)
+    return FiniteGroup(table, name=name or f"{A.name}x{B.name}", _trusted=True)
 
 
 def semidirect_product(
@@ -514,41 +520,38 @@ def semidirect_product(
 ) -> tuple[FiniteGroup, GroupHom, GroupHom]:
     """N x| H for an action H -> Aut(N) given as one N-permutation per H element.
 
-    Multiplication: (n, h)(n', h') = (n * action[h](n'), h h').  Returns the
-    product with the projection pr onto H and the section sec: h -> (1, h),
-    so pr after sec is the identity of H.
+    Multiplication: (n, h)(n', h') = (n * action[h](n'), h h'), with (n, h)
+    at index n*|H| + h.  Returns the product with the projection pr onto H
+    and the section sec: h -> (1, h), so pr after sec is the identity of H.
+
+    Every value must be a permutation of N's indices fixing 0.  That
+    action[h] is an automorphism with action[h h'] = action[h] action[h']
+    for all h' is checked only for h in a generating set of H (and h = 1):
+    the h that pass are closed under products, so they are all of H.
     """
     if len(action) != H.order:
         raise ValueError("action must assign a permutation to every H element")
-    for perm in action:
-        if not automorphism_images(N, tuple(perm)):
-            raise ValueError("action values must be automorphisms of N")
-    if tuple(action[0]) != tuple(range(N.order)):
+    action = [tuple(perm) for perm in action]
+    identity = tuple(range(N.order))
+    if any(tuple(sorted(perm)) != identity or perm[0] != 0 for perm in action):
+        raise ValueError("action values must be automorphisms of N")
+    gens = H.generators()
+    for h in (0, *gens):
+        try:
+            GroupHom(N, N, action[h])
+        except ValueError:
+            raise ValueError("action values must be automorphisms of N") from None
+    if action[0] != identity:
         raise ValueError("identity of H must act trivially")
-    for h1 in range(H.order):
-        for h2 in range(H.order):
-            composed = tuple(action[h1][action[h2][x]] for x in range(N.order))
-            if composed != tuple(action[H.table[h1][h2]]):
+    for h in gens:
+        for perm, hh in zip(action, H.table[h]):
+            if tuple(map(action[h].__getitem__, perm)) != action[hh]:
                 raise ValueError("action is not a homomorphism into Aut(N)")
 
-    elements = [(n, h) for n in range(N.order) for h in range(H.order)]
-
-    def mult(x, y):
-        n, h = x
-        np_, hp = y
-        return (N.table[n][action[h][np_]], H.table[h][hp])
-
-    G = from_elements(elements, mult, name=f"{N.name}:{H.name}")
-    # element (n, h) lands at index n*|H| + h because from_elements keeps
-    # the identity-first sorted order of the tuples
-    pos = {e: i for i, e in enumerate([(0, 0)] + [e for e in sorted(elements) if e != (0, 0)])}
-    pr = GroupHom(G, H, [_decode_pair(i, H.order)[1] for i in range(G.order)])
-    sec = GroupHom(H, G, [pos[(0, h)] for h in range(H.order)])
+    G = FiniteGroup(_pair_table(N, H, action), name=f"{N.name}:{H.name}", _trusted=True)
+    pr = GroupHom(G, H, [i % H.order for i in range(G.order)])
+    sec = GroupHom(H, G, list(range(H.order)))
     return G, pr, sec
-
-
-def _decode_pair(idx: int, h_order: int) -> tuple[int, int]:
-    return idx // h_order, idx % h_order
 
 
 def conjugation_action(G: FiniteGroup, N: Subgroup, H: Subgroup) -> list[tuple]:
@@ -566,44 +569,30 @@ def conjugation_action(G: FiniteGroup, N: Subgroup, H: Subgroup) -> list[tuple]:
 # -- structural predicates ------------------------------------------------------
 
 
-def _commutator_closure(G: FiniteGroup, A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
-    """[A, B]: subgroup generated by commutators of the two element sets."""
-    comms = {G.commutator(a, b) for a in A for b in B}
-    return G.closure(comms)
-
-
-def derived_series(G: FiniteGroup) -> list[tuple[int, ...]]:
-    series = [tuple(range(G.order))]
+def _commutator_series_end(G: FiniteGroup, lower_central: bool) -> tuple[int, ...]:
+    """The last term of the derived series (A_{i+1} = [A_i, A_i]) or of the
+    lower central series (A_{i+1} = [G, A_i]).  For normal A and B, [A, B]
+    is the normal closure of the commutators of generators of A and B:
+    modulo that closure the generators commute, and so do A and B."""
+    current = tuple(range(G.order))
+    gens = G.generators()
     while True:
-        nxt = _commutator_closure(G, series[-1], series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-        if nxt == (0,):
-            break
-    return series
-
-
-def lower_central_series(G: FiniteGroup) -> list[tuple[int, ...]]:
-    series = [tuple(range(G.order))]
-    while True:
-        nxt = _commutator_closure(G, tuple(range(G.order)), series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-        if nxt == (0,):
-            break
-    return series
+        left = G.generators() if lower_central else gens
+        nxt = G.normal_closure({G.commutator(a, b) for a in left for b in gens})
+        if nxt == current:
+            return current
+        current = nxt
+        gens = _greedy_generators(G.table, current)
 
 
 def is_solvable(G: FiniteGroup) -> bool:
     """Derived series reaches the trivial subgroup."""
-    return derived_series(G)[-1] == (0,)
+    return _commutator_series_end(G, False) == (0,)
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
     """Lower central series reaches the trivial subgroup."""
-    return lower_central_series(G)[-1] == (0,)
+    return _commutator_series_end(G, True) == (0,)
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -749,11 +738,8 @@ def shafarevich_step(G: FiniteGroup) -> ReductionStep:
     Hg, h_map = Gp.as_group("G'")
     action = conjugation_action(G, N, Gp)
     semi, pr, sec = semidirect_product(Ng, Hg, action)
-    images = []
-    for idx in range(semi.order):
-        n_loc, h_loc = _decode_pair(idx, Hg.order)
-        images.append(G.table[n_map[n_loc]][h_map[h_loc]])
-    phi = GroupHom(semi, G, images)
+    # (n, h) sits at index n*|G'| + h of the product
+    phi = GroupHom(semi, G, [G.table[n][h] for n in n_map for h in h_map])
     if not phi.is_surjective():
         raise AssertionError("reduction surjection failed verification")
     return ReductionStep(G, N, Gp, action, semi, pr, phi, note)
@@ -770,73 +756,6 @@ def solvable_tower(G: FiniteGroup) -> list[ReductionStep]:
         steps.append(step)
         current = step.Gp.as_group("G'")[0]
     return steps
-
-
-# -- isomorphism search (test oracle grade) --------------------------------------
-
-
-def generating_sequence(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    cl = {0}
-    for g in sorted(range(G.order), key=lambda x: (-G.element_order(x), x)):
-        if g not in cl:
-            gens.append(g)
-            cl = set(G.closure(gens))
-            if len(cl) == G.order:
-                break
-    return gens
-
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
-    """Backtracking on generator images; returns the image list or None."""
-    if G.order != H.order:
-        return None
-    if sorted(G.element_order(g) for g in range(G.order)) != sorted(
-        H.element_order(h) for h in range(H.order)
-    ):
-        return None
-    gens = generating_sequence(G)
-    candidates = [
-        [h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
-        for g in gens
-    ]
-
-    def build(images: list[int]) -> list[int] | None:
-        # grow the hom from generator images by BFS closure; None if inconsistent
-        phi = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g, hg in zip(gens, images):
-                    b = G.table[a][g]
-                    hb = H.table[phi[a]][hg]
-                    if b in phi:
-                        if phi[b] != hb:
-                            return None
-                    else:
-                        phi[b] = hb
-                        nxt.append(b)
-            frontier = nxt
-        if len(phi) != G.order or len(set(phi.values())) != G.order:
-            return None
-        out = [phi[g] for g in range(G.order)]
-        for a in range(G.order):
-            for b in range(G.order):
-                if out[G.table[a][b]] != H.table[out[a]][out[b]]:
-                    return None
-        return out
-
-    def backtrack(i: int, chosen: list[int]) -> list[int] | None:
-        if i == len(gens):
-            return build(chosen)
-        for h in candidates[i]:
-            res = backtrack(i + 1, chosen + [h])
-            if res is not None:
-                return res
-        return None
-
-    return backtrack(0, [])
 
 
 def group_from_json(data: dict) -> FiniteGroup:

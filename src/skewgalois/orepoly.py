@@ -541,25 +541,6 @@ def induced_ring_aut(
     return InducedRingAut(ring, rho)
 
 
-def fixed_polys(ring: OreRing, auts: list[InducedRingAut], max_degree: int) -> list[OrePoly]:
-    """All polynomials of degree <= max_degree fixed by every listed action
-    (finite coefficient-set scan; intended for small base fields)."""
-    base = ring.base
-    if base.order ** (max_degree + 1) > 1 << 22:
-        raise ValueError("fixed-subring scan is only supported at small sizes")
-    out = []
-    for idx in range(base.order ** (max_degree + 1)):
-        coeffs = []
-        k = idx
-        for _ in range(max_degree + 1):
-            coeffs.append(base.from_index(k % base.order))
-            k //= base.order
-        f = OrePoly(ring, tuple(coeffs))
-        if all(a.fixes(f) for a in auts):
-            out.append(f)
-    return out
-
-
 def ore_poly_from_json(data: dict) -> OrePoly:
     """Inverse of OrePoly.to_json: the base field "p^n" is make_field(p, n),
     whose modulus is the least irreducible one; a malformed shape raises

@@ -5,19 +5,22 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
+from group_oracles import find_isomorphism
 
 from skewgalois import cli
 from skewgalois.catalog import catalog, catalog_upto
 from skewgalois.groups import (
+    TABLE_SYNTHESIS_CAP,
     FiniteGroup,
     GroupHom,
+    _commutator_series_end,
     alternating_group,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
     direct_product,
-    find_isomorphism,
     fitting_subgroup,
+    from_elements,
     from_permutations,
     group_from_json,
     is_nilpotent,
@@ -91,6 +94,61 @@ def test_solvable_matches_commutator_closure_oracle():
     assert not is_solvable(symmetric_group(5))
 
 
+def _brute_lower_central_end(G):
+    # independent oracle: [G, A] from the commutators of every pair
+    current = tuple(range(G.order))
+    while True:
+        nxt = G.closure({G.commutator(g, a) for g in range(G.order) for a in current})
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def _brute_normal_closure(G, seed):
+    # independent oracle: conjugate by every element until nothing is new
+    elems = set(G.closure(seed))
+    while True:
+        grown = set(G.closure(elems | {G.conj(g, x) for g in range(G.order) for x in elems}))
+        if grown == elems:
+            return tuple(sorted(elems))
+        elems = grown
+
+
+def _oracle_groups():
+    yield from catalog_upto(24)
+    yield "S4xC2", direct_product(symmetric_group(4), cyclic_group(2))
+    yield "S3xS3", direct_product(symmetric_group(3), symmetric_group(3))
+    yield "S3^3xC2", from_permutations([[[0, 1]], [[0, 1, 2]], [[3, 4]], [[3, 4, 5]],
+                                        [[6, 7]], [[6, 7, 8]], [[9, 10]]])
+    yield "S5", symmetric_group(5)
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _oracle_groups()])
+def test_commutator_series_match_all_pairs_oracles(G):
+    lower_central_end = _brute_lower_central_end(G)
+    derived_end = _brute_derived_closure(G)
+    assert _commutator_series_end(G, True) == lower_central_end
+    assert _commutator_series_end(G, False) == derived_end
+    assert is_nilpotent(G) == (lower_central_end == (0,))
+    assert is_solvable(G) == (derived_end == (0,))
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _oracle_groups()])
+def test_normal_closure_matches_conjugation_by_every_element(G):
+    # every element as a seed up to order 24, then every 37th element
+    step = 1 if G.order <= 24 else 37
+    seeds = [[g] for g in range(0, G.order, step)] + [[G.order // 2, G.order - 1]]
+    for seed in seeds:
+        assert G.normal_closure(seed) == _brute_normal_closure(G, seed), seed
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in catalog_upto(24)])
+def test_is_normal_matches_conjugation_by_every_element(G):
+    for H in G.all_subgroups():
+        es = set(H.elements)
+        assert H.is_normal() == all(G.conj(g, x) in es for g in range(G.order) for x in es)
+
+
 def test_sylow_subgroups():
     S4 = symmetric_group(4)
     assert sylow_subgroup(S4, 2).order == 8
@@ -130,6 +188,33 @@ def test_semidirect_products():
     # invalid action rejected
     with pytest.raises(ValueError):
         semidirect_product(C3, C2, [(0, 1, 2), (1, 0, 2)])  # not an automorphism
+
+
+def _pairs_through_from_elements(A, B):
+    """The direct product as built before its table came from index
+    arithmetic: pair tuples multiplied through from_elements."""
+    elements = [(a, b) for a in range(A.order) for b in range(B.order)]
+    return from_elements(elements, lambda x, y: (A.table[x[0]][y[0]], B.table[x[1]][y[1]]))
+
+
+def test_direct_product_table_matches_from_elements_on_catalog_pairs():
+    small = catalog_upto(12)
+    for (_, A), (_, B) in [(x, y) for x in small for y in small][::7]:
+        assert direct_product(A, B).table == _pairs_through_from_elements(A, B).table
+
+
+def test_products_past_the_synthesis_cap_raise():
+    C80 = cyclic_group(80)
+    message = f"order 6400 exceeds the synthesis cap {TABLE_SYNTHESIS_CAP}"
+    with pytest.raises(ValueError) as exc:
+        direct_product(C80, C80)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        semidirect_product(C80, C80, [tuple(range(80))] * 80)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:  # the action is checked first
+        semidirect_product(C80, C80, [tuple(range(80))] * 79 + [tuple(range(1, 80)) + (0,)])
+    assert str(exc.value) == "action values must be automorphisms of N"
 
 
 def test_semidirect_v4_s3_is_s4():

@@ -8,7 +8,6 @@ from skewgalois.orepoly import (
     OrePoly,
     OreRing,
     anti_involution,
-    fixed_polys,
     induced_ring_aut,
     ore_left_divmod,
     ore_left_lcm,
@@ -273,6 +272,24 @@ def test_anti_involution_reverses_products():
     # involution property back and forth
     f = rand_poly(R, rng)
     assert anti_involution(anti_involution(f)) == f
+
+
+def fixed_polys(ring, auts, max_degree):
+    """All polynomials of degree <= max_degree fixed by every listed action
+    (finite coefficient-set scan; intended for small base fields)."""
+    base = ring.base
+    assert base.order ** (max_degree + 1) <= 1 << 22
+    out = []
+    for idx in range(base.order ** (max_degree + 1)):
+        coeffs = []
+        k = idx
+        for _ in range(max_degree + 1):
+            coeffs.append(base.from_index(k % base.order))
+            k //= base.order
+        f = OrePoly(ring, tuple(coeffs))
+        if all(a.fixes(f) for a in auts):
+            out.append(f)
+    return out
 
 
 def test_induced_ring_aut_fixed_subring():
