@@ -22,7 +22,9 @@ coefficients into slots of _w bits (Kronecker substitution): one int
 product holds the 2n - 1 coefficients of the polynomial product, unreduced,
 and a reduction folds the high ones back modulo the modulus and takes each
 slot mod p.  Frobenius powers are F_p-linear maps applied as cached packed
-columns; sums and negation work slotwise on the int.
+columns; sums and negation work slotwise on the int.  An inverse is Itoh and
+Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes about 2 log2(n) Frobenius
+maps and products, and the norm a^r is a constant, inverted in F_p.
 """
 
 from __future__ import annotations
@@ -235,11 +237,25 @@ class FqField:
         return r
 
     def _inv(self, a: int) -> int:
+        """The inverse of a nonzero packed value, by Itoh and Tsujii: with
+        r = (q - 1) / (p - 1), a^(r-1) is a Frobenius image and the norm
+        N(a) = a^r lies in F_p*, so a^-1 = N(a)^-1 a^(r-1).  That costs
+        about 2 log2(n) Frobenius maps and products."""
         if a == 1:  # as for the leading coefficient of a monic divisor
             return 1
-        # t * a = 1 mod the modulus, from s * modulus + t * a = 1
-        t = modpoly.xgcd(list(self.modulus), list(self._coeffs(a)), self.p)[2]
-        return self._pack(t)
+        p = self.p
+        if self.n == 1:
+            return pow(a, p - 2, p)
+        # b = a^(1 + p + ... + p^(k-1)) along the binary digits of n - 1,
+        # by b_2k = b_k frob^k(b_k) and b_(k+1) = a frob(b_k)
+        b, k = a, 1
+        for bit in bin(self.n - 1)[3:]:
+            b, k = self._reduce(b * self._frob(k, b)), 2 * k
+            if bit == "1":
+                b, k = self._reduce(a * self._frob(1, b)), k + 1
+        c = self._frob(1, b)  # a^(p + ... + p^(n-1)) = a^(r-1)
+        norm = self._reduce(a * c)  # a constant, its own packed form
+        return self._canon(c * pow(norm, p - 2, p))
 
     def _frob(self, k: int, a: int) -> int:
         """x -> x^(p^k) on a packed value, as a matrix-vector product over
@@ -267,30 +283,74 @@ class FqField:
             return True
         if self.order > _LOG_TABLE_MAX:
             return False
-        # x -> x*g is F_p-linear: column i of its matrix is x^i * g
-        q1, x, cols = self._q1, 1, [self._find_generator()]
-        for _ in range(self.n - 1):
-            cols.append(self._reduce(cols[-1] << self._w))
-        antilog = []
-        for _ in range(q1):  # x stays unreduced: _combine reads its slots mod p
-            antilog.append(self._combine(x, self._powers))
-            x = self._combine(x, cols)
+        p, q1, g = self.p, self._q1, self._find_generator()
+        if self.n == 1:
+            antilog, x = [], 1
+            for _ in range(q1):
+                antilog.append(x)
+                x = x * g % p
+        else:
+            antilog = self._powers_of(g)
         antilog.append(0)
         log = [-1] * self.order
-        for k in range(q1):
-            log[antilog[k]] = k
+        for k, t in zip(range(q1), antilog):
+            log[t] = k
         # adding 1 raises the constant coefficient, the lowest base-p digit
-        p = self.p
         self._zech = [log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
         self._antilog = antilog
         self._log = log
         return True
 
+    def _powers_of(self, g: int) -> list[int]:
+        """The indices of g^k for 0 <= k < q - 1, for n >= 2.
+
+        x -> x*g is F_p-linear, so its value at the index l + p^h u (h = n/2,
+        l < p^h) is the sum of two tabled values, at the low digits l and at
+        the high digits u.  The tables hold narrow packed slots, s bits wide
+        with room for a sum of two canonical values, and the next l and u are
+        read off the low and the high slots of that sum through one table."""
+        p, n, w = self.p, self.n, self._w
+        h = n // 2
+        s = (2 * p - 1).bit_length()  # 2^(s-1) >= p, as slotwise addition needs
+        units = tuple(1 << s * i for i in range(n))
+        ones = sum(units)
+        top = ones << s - 1
+        cols, col = [self._combine(g, units)], g  # narrow column i: x^i * g
+        for _ in range(n - 1):
+            col = self._reduce(col << w)
+            cols.append(self._combine(col, units))
+
+        # x*g at the indices of the low h digits, and of the high n - h
+        low, high = [0], [0]
+        for i, col in enumerate(cols):
+            out = low if i < h else high
+            block = out
+            for _ in range(p - 1):  # block + col, slotwise mod p as in _add
+                block = [t - p * ((t + top - p * ones & top) >> s - 1)
+                         for t in [v + col for v in block]]
+                out += block
+        # read[t] is the number whose base-p digits are the lowest n - h
+        # slots of t mod p; it serves both halves, since h <= n - h.  Slot
+        # values past 2p - 2 never occur.
+        digit = [d % p for d in range(2 * p - 1)] + [0] * ((1 << s) - 2 * p + 1)
+        read = [0]
+        for i in range(n - h):
+            read = [v + d * p**i for d in digit for v in read]
+        ph, mask, sh = p**h, (1 << s * h) - 1, s * h
+        antilog, l, u = [], 1, 0
+        for _ in range(self._q1):
+            antilog.append(l + ph * u)
+            t = low[l] + high[u]
+            l, u = read[t & mask], read[t >> sh]
+        return antilog
+
     def _find_generator(self) -> int:
         """The packed form of the least-index element of order q - 1."""
-        q1 = self._q1
+        p, q1 = self.p, self._q1
         prime_parts = [q1 // f for f, _ in factorize(q1)] if q1 > 1 else []
-        for idx in range(1, self.order):
+        # a constant has order dividing p - 1, so for n > 1 the search
+        # starts at x, index p
+        for idx in range(p if self.n > 1 else 1, self.order):
             cand = self._pack(self._digits(idx))
             if all(self._pow(cand, e) != 1 for e in prime_parts):
                 return cand

@@ -94,23 +94,6 @@ def gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return a
 
 
-def xgcd(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Extended Euclid: (d, s, t) with d the monic gcd (0 for two zero
-    inputs) and s*f + t*g = d; deg t < deg f - deg d when deg g < deg f."""
-    r0, r1 = normalize(f, p), normalize(g, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    return scalar_mul(inv, r0, p), scalar_mul(inv, s0, p), scalar_mul(inv, t0, p)
-
-
 def pow_mod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
     """f^e mod m by square-and-multiply."""
     result = [1]

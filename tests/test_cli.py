@@ -219,6 +219,41 @@ def test_decision_verbs_build_no_embedding(monkeypatch):
         assert criterion()["passed"]
 
 
+@pytest.mark.parametrize("base", ["2^20", "3^12"])
+def test_packed_tier_inverts_without_euclid(monkeypatch, base):
+    # past the log-table limit an inverse is a Frobenius chain: once the
+    # modulus is known, no F_p[x] extended Euclid or division runs
+    from skewgalois import ffield, modpoly
+
+    def no_euclid(*args, **kwargs):
+        raise AssertionError("F_p[x] Euclid ran in the packed tier")
+
+    assert ffield.field_from_descriptor(base).modulus  # the search divides in F_p[x]
+    for name in ("xgcd", "divmod_poly", "gcd"):
+        monkeypatch.setattr(modpoly, name, no_euclid, raising=False)
+    inverses, inv = [], ffield.FqField._inv
+    monkeypatch.setattr(ffield.FqField, "_inv", lambda F, a: inverses.append(a) or inv(F, a))
+    p, n = map(int, base.split("^"))
+    f = json.dumps({"base": base, "frob": 1, "coeffs": [[1, 2 % p, 1], [0, 1], [1] * n]})
+    g = json.dumps({"base": base, "frob": 1, "coeffs": [[0, 0, 0, 1], [1, 1], [p - 1, 0, 1]]})
+    code, out, err = run_cli(["ore", "--op", "gcd", "--f", f, "--g", g])
+    assert code == 0 and json.loads(out)["gcd"]["coeffs"] == [[1] + [0] * (n - 1)], err
+    code, out, err = run_cli(["ore", "--op", "lcm", "--f", f, "--g", g])
+    assert code == 0, err
+    lcm = json.dumps(json.loads(out)["lcm"])
+    assert len(json.loads(lcm)["coeffs"]) == 5  # deg f + deg g, as the gcd is 1
+    for h in (f, g):
+        code, out, err = run_cli(["ore", "--op", "divmod", "--f", lcm, "--g", h])
+        assert code == 0 and json.loads(out)["remainder"]["coeffs"] == [], err
+    code, out, err = run_cli(["ore", "--op", "witness", "--f", f, "--g", g])
+    assert code == 0, err
+    data = json.loads(out)
+    code, out, err = run_cli(["ore", "--op", "mul", "--f", g, "--g", json.dumps(data["s"])])
+    assert code == 0 and json.loads(out)["product"] == data["common_multiple"], err
+    assert data["common_multiple"]["coeffs"]
+    assert inverses
+
+
 @pytest.mark.parametrize("group", [
     {"table": [[0, 1], [1, "a"]]},
     {"perm_gens": "ab"},

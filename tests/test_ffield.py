@@ -6,6 +6,7 @@ from tuple_field import TupleField
 from skewgalois import modpoly
 from skewgalois.ffield import (
     _LOG_TABLE_MAX,
+    FIELD_ORDER_MAX,
     FieldAut,
     FqField,
     embed_subfield,
@@ -17,6 +18,7 @@ from skewgalois.ffield import (
     restrict_aut,
     roots_in_field,
 )
+from skewgalois.zarith import is_prime
 
 
 def test_make_field_examples():
@@ -219,8 +221,46 @@ def test_log_and_zech_tables_at_the_boundary_field():
     assert F._log[0] == -1 and F._antilog[-1] == 0 and F.zero().v == -1
 
 
-# fields past the log-table limit, each against the tuple reference
-PACKED_FIELDS = [(2, 16), (2, 20), (3, 12), (5, 7), (2, 32)]
+def _reference_log_tables(F):
+    """_antilog, _log and _zech built from TupleField powers of the least
+    generator."""
+    ref = TupleField(F)
+    g = ref.least_generator()
+
+    def step(x):  # a product of length-1 tuples is a product of ints mod p
+        return (x[0] * g[0] % F.p,) if F.n == 1 else ref.mul(x, g)
+
+    powers = [ref.one]
+    for _ in range(F.order - 2):
+        powers.append(step(powers[-1]))
+    assert step(powers[-1]) == ref.one
+    antilog = [ref.index(x) for x in powers]
+    log = [-1] * F.order
+    for k, idx in enumerate(antilog):
+        log[idx] = k
+    zech = [log[ref.index(ref.add(ref.one, x))] for x in powers]
+    return antilog + [0], log, zech
+
+
+def test_log_tables_of_every_field_up_to_4096():
+    fields = [(p, n) for p in range(2, 4097) if is_prime(p) for n in range(1, 13) if p**n <= 4096]
+    assert len(fields) == 604
+    for p, n in fields:
+        F = FqField(p, n)  # a fresh field builds its own tables
+        assert F._ensure_log_tables()
+        assert (F._antilog, F._log, F._zech) == _reference_log_tables(F), (p, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 14), (3, 9), (2, 15), (181, 2), (32749, 1)])
+def test_log_tables_of_large_log_tier_fields(p, n):
+    F = FqField(p, n)
+    assert F._ensure_log_tables()
+    assert (F._antilog, F._log, F._zech) == _reference_log_tables(F)
+
+
+# fields past the log-table limit, each against the tuple reference: among
+# them a prime field and an n = 2 field, where inversion is the shortest
+PACKED_FIELDS = [(2, 16), (2, 20), (3, 12), (5, 7), (2, 32), (65537, 1), (191, 2)]
 
 
 @pytest.mark.parametrize("p,n", PACKED_FIELDS)
@@ -250,10 +290,32 @@ def test_packed_element_arithmetic_matches_tuple_reference(p, n):
             with pytest.raises(ZeroDivisionError):
                 a.inverse()
             continue
-        inv = a.inverse().coeffs
-        assert inv == ref.inv(a.coeffs) and ref.mul(inv, a.coeffs) == ref.one
+        inv = a.inverse()
+        assert inv.coeffs == ref.inv(a.coeffs) and ref.mul(inv.coeffs, a.coeffs) == ref.one
+        assert a * inv == F.one()
         for e in (-2, 0, 1, 3, 1000):
             assert (a**e).coeffs == ref.pow(a.coeffs, e)
+
+
+@pytest.mark.parametrize("p,n", [(2, 64), (3, 40)])
+def test_cap_field_inverse_matches_tuple_reference(p, n):
+    # at the field-order cap, where the Frobenius chain of an inverse is longest
+    F = FqField(p, n)
+    assert F == make_field(p, n) and F.order <= FIELD_ORDER_MAX < F.order * p
+    ref = TupleField(F)
+    rng = random.Random(p * 800 + n)
+    xs = [F.one(), -F.one(), F.gen(), F.element(p - 1), F.element([0] * (n - 1) + [1])]
+    for a in xs + _random_elems(F, rng, 60):
+        if a.is_zero():
+            continue
+        inv = a.inverse()
+        assert inv.coeffs == ref.inv(a.coeffs)
+        assert a * inv == F.one() and inv.inverse() == a
+        for e in (-1, -3):
+            assert (a**e).coeffs == ref.pow(a.coeffs, e)
+    # one column matrix per Frobenius power of the chain: at most one per
+    # binary digit of n - 1, and frob itself
+    assert len(F._frob_cols) <= (n - 1).bit_length() + 1
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2), (2, 15), (2, 16), (3, 12), (5, 7)])

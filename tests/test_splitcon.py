@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from tuple_field import xgcd
 
 from skewgalois import modpoly, splitcon
 from skewgalois.splitcon import (
@@ -517,7 +518,7 @@ def _reference_hensel_split(Q, p, A0, B0, precision):
     """_hensel_factor_split as it was: one linear lifting step per power of p."""
     A0 = modpoly.normalize(A0, p)
     B0 = modpoly.normalize(B0, p)
-    d, u, v = modpoly.xgcd(A0, B0, p)
+    d, u, v = xgcd(A0, B0, p)
     assert d == [1]
     da, db = len(A0) - 1, len(B0) - 1
     A, B = list(A0), list(B0)

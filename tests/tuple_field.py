@@ -1,12 +1,29 @@
 """A reference finite field on coefficient tuples, for the tests.
 
 It works from a field's p, n and modulus alone, with modpoly's list product
-and division, square-and-multiply and modpoly's extended Euclid, so it
+and division, square-and-multiply and the extended Euclid below, so it
 shares no code with the element ints of skewgalois.ffield (discrete logs,
-packed slots, Zech tables or Frobenius columns).
+packed slots, Zech tables, Frobenius columns or Itoh-Tsujii inversion).
 """
 
 from skewgalois import modpoly
+
+
+def xgcd(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
+    """Extended Euclid: (d, s, t) with d the monic gcd (0 for two zero
+    inputs) and s*f + t*g = d; deg t < deg f - deg d when deg g < deg f."""
+    r0, r1 = modpoly.normalize(f, p), modpoly.normalize(g, p)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = modpoly.divmod_poly(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, modpoly.sub(s0, modpoly.mul(q, s1, p), p)
+        t0, t1 = t1, modpoly.sub(t0, modpoly.mul(q, t1, p), p)
+    if not r0:
+        return [], s0, t0
+    inv = pow(r0[-1], -1, p)
+    return tuple(modpoly.scalar_mul(inv, h, p) for h in (r0, s0, t0))
 
 
 class TupleField:
@@ -36,7 +53,7 @@ class TupleField:
         return self._pad(modpoly.divmod_poly(prod, self.modulus, self.p)[1])
 
     def inv(self, a):
-        d, _, t = modpoly.xgcd(self.modulus, list(a), self.p)
+        d, _, t = xgcd(self.modulus, list(a), self.p)
         if d != [1]:
             raise ZeroDivisionError("inverse of zero")
         return self._pad(t)
