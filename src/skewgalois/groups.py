@@ -8,10 +8,10 @@ generators wherever a property is closed under products:
 - Tables supplied directly are fully validated: Latin square, then
   associativity by Light's test, which checks (x a) y = x (a y) only for a
   in a generating set, in O(order^2 * gens) with gens <= log2(order).  The
-  group keeps that generating set; groups synthesized from permutation
-  generators or element/multiplication pairs skip the associativity check,
-  since it holds by construction, and find a generating set when first
-  asked.
+  group keeps that generating set.  Tables the library builds itself
+  (products, subgroups, groups synthesized from permutation generators or
+  element/multiplication pairs) skip both checks, since they hold by
+  construction, and find a generating set when first asked.
 - A GroupHom checks phi(a b) = phi(a) phi(b) only for a in a generating
   set of the domain, in O(order * gens).
 - A semidirect product checks that action[h] is an automorphism and that
@@ -78,6 +78,23 @@ def _greedy_generators(table, candidates, start=()) -> list[int]:
     return gens[len(start):]
 
 
+def _check_latin_square(rows) -> None:
+    """A square table over the element indices, with two-sided identity 0
+    and every row and column a permutation."""
+    n = len(rows)
+    for row in rows:
+        if len(row) != n or min(row) < 0 or max(row) >= n:
+            raise ValueError("table is not square over element indices")
+    if any(rows[0][j] != j for j in range(n)) or any(rows[i][0] != i for i in range(n)):
+        raise ValueError("index 0 must be a two-sided identity")
+    full = set(range(n))
+    for row, col in zip(rows, zip(*rows)):
+        if set(row) != full:
+            raise ValueError("table rows must be permutations (Latin square)")
+        if set(col) != full:
+            raise ValueError("table columns must be permutations (Latin square)")
+
+
 class FiniteGroup:
     __slots__ = ("order", "table", "inv", "perm_gens", "name", "_gens", "_orders",
                  "_subgroup_cache")
@@ -87,20 +104,10 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise ValueError("a group has at least the identity")
-        for row in table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise ValueError("table is not square over element indices")
-        if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
-            raise ValueError("index 0 must be a two-sided identity")
-        full = set(range(n))
-        for row, col in zip(table, zip(*table)):
-            if set(row) != full:
-                raise ValueError("table rows must be permutations (Latin square)")
-            if set(col) != full:
-                raise ValueError("table columns must be permutations (Latin square)")
         rows = tuple(tuple(row) for row in table)
         self._gens: tuple[int, ...] | None = None
         if not _trusted:
+            _check_latin_square(rows)
             # Light's test: the a with (x a) y = x (a y) for all x, y are
             # closed under products, so it suffices to check generators
             self._gens = tuple(_greedy_generators(rows, range(1, n)))
@@ -367,8 +374,9 @@ class GroupHom:
 def from_elements(elements: list, mult, *, name: str = "G") -> FiniteGroup:
     """Synthesize a table group from abstract elements and a product function.
 
-    The identity is detected and moved to index 0; associativity holds by
-    construction, so only the cheap checks run.
+    The identity is detected and moved to index 0.  mult must be a group law
+    on elements: the table is trusted, so neither the Latin-square checks
+    nor Light's associativity test runs on it.
     """
     if len(elements) > TABLE_SYNTHESIS_CAP:
         raise ValueError(f"order {len(elements)} exceeds the synthesis cap {TABLE_SYNTHESIS_CAP}")

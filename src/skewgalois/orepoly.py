@@ -20,7 +20,17 @@ Every operation works on the ints.  Sums and negation apply the base
 field's _add and _neg coefficientwise.  Multiplication and right division
 run their O(deg^2) loops in kernels: logs and Zech lookups in the log tier;
 past it, sums of unreduced packed products, each reduced once when it is
-final.  The anti-involution and induced automorphisms twist the ints.
+final.  The multiplication kernels also take an optional minuend, so
+acc - q*b is one kernel call.  The anti-involution and induced
+automorphisms twist the ints.
+
+The right gcd, the left lcm and the Ore witness run the extended right
+Euclidean algorithm (Bronstein and Petkovsek, "An introduction to
+pseudo-linear algebra", TCS 1996) as one chain on the ints, which calls
+the division kernel and, for the cofactor s_(i+1) = s_(i-1) - q_i s_i, the
+accumulating multiplication kernel once per step.  Only s is kept: the lcm
+is s*f, and the witness divides that multiple by the second input on the
+right, exactly.
 """
 
 from __future__ import annotations
@@ -290,12 +300,17 @@ def _log_addmul(acc: list[int], start: int, c: int, terms: list[int], F: FqField
                 acc[j] = (x + z) % q1 if z >= 0 else -1
 
 
-def _log_mul(F: FqField, k: int, f: list[int], g: list[int]) -> list[int]:
+def _log_mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
+    """f*g on logs, or minus - f*g when minus is given."""
     twisted = [_twist(F, k * l, g) for l in range(min(F.n, len(f)))]
-    out = [-1] * (len(f) + len(g) - 1)
+    if minus is None:
+        out, neg = [-1] * (len(f) + len(g) - 1), 0
+    else:  # add the log of -1
+        out = [*minus, *[-1] * (len(f) + len(g) - 1 - len(minus))]
+        neg = F._q1 // 2 if F.p != 2 else 0
     for l, a in enumerate(f):
         if a >= 0:
-            _log_addmul(out, l, a, twisted[l % F.n], F)
+            _log_addmul(out, l, a + neg, twisted[l % F.n], F)
     return out
 
 
@@ -322,16 +337,22 @@ def _log_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
 # of products must be reduced before it takes more than _ACC_TERMS of them.
 
 
-def _packed_mul(F: FqField, k: int, f: list[int], g: list[int]) -> list[int]:
-    """Each output coefficient is a sum of unreduced int products, reduced
-    once at the end (and once per _ACC_TERMS rows of f before that)."""
+def _packed_mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
+    """f*g, or minus - f*g for canonical minus when it is given.  Each
+    output coefficient is a sum of unreduced int products, reduced once at
+    the end (and once per _ACC_TERMS rows of f before that); -a is (p - 1) a,
+    whose products stay within the slot bound."""
     twisted = [_twist(F, k * l, g) for l in range(min(F.n, len(f)))]
-    out = [0] * (len(f) + len(g) - 1)
+    if minus is None:
+        out, sign = [0] * (len(f) + len(g) - 1), 1
+    else:
+        out, sign = [*minus, *[0] * (len(f) + len(g) - 1 - len(minus))], F.p - 1
     width, rows = len(g), 0
     for l, a in enumerate(f):
         if a:
             if rows == _ACC_TERMS:
                 out, rows = [F._reduce(x) for x in out], 0
+            a *= sign
             out[l:l + width] = map(add, out[l:l + width], map(a.__mul__, twisted[l % F.n]))
             rows += 1
     return [F._reduce(x) for x in out]
@@ -365,62 +386,73 @@ def _packed_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
     return q, [reduce(x) for x in r]
 
 
+def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
+    """The right Euclidean chain r_(i+1) = r_(i-1) - q_i r_i from r_0 = f
+    and r_1 = g, on coefficient ints.  Returns the last nonzero remainder, a
+    right gcd, and with cofactor the s_i of r_i = s_i f + t_i g at the zero
+    remainder, for which s f = -t g is a least common left multiple.  Each
+    step updates s_(i+1) = s_(i-1) - q_i s_i in one kernel call; t is never
+    formed."""
+    ring = f.ring
+    F, k = ring.base, ring.twist.k
+    if F._log is not None:  # the int of 1 is its log, 0
+        divmod_, mul_, one = _log_right_divmod, _log_mul, 0
+    else:
+        divmod_, mul_, one = _packed_right_divmod, _packed_mul, 1
+    zero = F._zero_v
+    a, b = f.v, g.v
+    s0, s1 = [one], []
+    while b:
+        q, r = divmod_(F, k, a, b)
+        if cofactor:
+            # q = 0 only at a first step with deg f < deg g; past the first,
+            # deg s_i grows, so the leading term of q_i s_i never cancels
+            s0, s1 = s1, mul_(F, k, q, s1, s0) if q and s1 else s0
+        a, b = b, _trim(r, zero)
+    return a, s1
+
+
 def ore_right_gcd(f: OrePoly, g: OrePoly) -> OrePoly:
-    """Monic greatest common right divisor, by the right Euclidean chain."""
+    """Monic greatest common right divisor: the last nonzero remainder of
+    the right Euclidean chain, run on coefficient ints with no cofactor."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, ore_right_divmod(a, b).remainder
-    return a.monic()
+    f._check(g)
+    return _from_ints(f.ring, list(_euclid(f, g, False)[0])).monic()
 
 
 def ore_left_lcm(f: OrePoly, g: OrePoly) -> OrePoly:
     """Monic least common left multiple m = u*f = v*g.
 
-    Computed by the extended right Euclidean algorithm; satisfies
+    The extended right Euclidean chain on coefficient ints keeps one
+    cofactor s, the u of m up to a unit, and m is (s*f).monic(); so
     deg(lcm) = deg f + deg g - deg(right gcd).
     """
-    m, _, _ = _left_lcm_with_multipliers(f, g)
-    return m.monic()
-
-
-def _left_lcm_with_multipliers(f: OrePoly, g: OrePoly) -> tuple[OrePoly, OrePoly, OrePoly]:
-    """Return (m, u, v) with m = u*f = v*g of minimal degree."""
     if f.is_zero() or g.is_zero():
         raise ValueError("lcm witnesses need nonzero inputs")
-    ring = f.ring
-    one, zero = ring.one(), ring.zero()
-    # r_i = s_i*f + t_i*g maintained under r_{i+1} = r_{i-1} - q_i*r_i
-    r0, r1 = f, g
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = ore_right_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - ore_mul(q, s1)
-        t0, t1 = t1, t0 - ore_mul(q, t1)
-    # now r1 = 0, so s1*f = -t1*g is the least common left multiple
-    m = ore_mul(s1, f)
-    return m, s1, -t1
+    f._check(g)
+    s = _from_ints(f.ring, _euclid(f, g, True)[1])
+    return ore_mul(s, f).monic()
 
 
 def ore_witness(x: OrePoly, y: OrePoly) -> tuple[OrePoly, OrePoly]:
     """Constructive right Ore condition: r, s with x*r = y*s != 0.
 
-    The common right multiple is a left lcm computed in the mirror ring
-    L[T, tau^{-1}] and carried back along the coefficientwise
-    anti-isomorphism; the postcondition is re-verified by multiplication.
+    In the mirror ring L[T, tau^{-1}], the extended right Euclidean chain on
+    coefficient ints gives the cofactor u of the least common left multiple
+    m = u*phi(x) of phi(x) and phi(y), and v is the right quotient of m by
+    phi(y).  The coefficientwise anti-isomorphism phi carries u and v back
+    to r and s, and the postcondition is re-verified by multiplication.
     """
     x._check(y)
     if x.is_zero() or y.is_zero():
         raise ValueError("Ore witnesses need nonzero inputs")
-    _, u, v = _left_lcm_with_multipliers(anti_involution(x), anti_involution(y))
-    r = anti_involution(u)
-    s = anti_involution(v)
+    fx, fy = anti_involution(x), anti_involution(y)
+    u = _from_ints(fx.ring, _euclid(fx, fy, True)[1])
+    v, _ = ore_right_divmod(ore_mul(u, fx), fy)
+    r, s = anti_involution(u), anti_involution(v)
     left = ore_mul(x, r)
-    right = ore_mul(y, s)
-    if left != right or left.is_zero():
+    if left != ore_mul(y, s) or left.is_zero():
         raise AssertionError("Ore witness failed its re-verification")
     return r, s
 

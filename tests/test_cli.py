@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -190,6 +191,27 @@ def test_decision_verbs_match_golden():
     for case in cases:
         code, out, err = run_cli(case["argv"])
         assert (out, err, code) == (case["stdout"], case["stderr"], case["exit"]), case["argv"]
+
+
+ORE_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "ore_golden.json")
+ORE_OPS = ("mul", "divmod", "gcd", "lcm", "witness")
+
+
+def test_ore_verb_matches_golden():
+    # stdout, stderr and exit code of every `ore --op`, recorded while the
+    # gcd, lcm and witness chains still ran on OrePoly sums with both
+    # cofactors: F_2, F_7, F_2^4, F_3^3, F_5^4, F_2^14, F_2^16 and F_3^12,
+    # every twist, on random pairs, a common right factor, equal inputs,
+    # g | f, deg g > deg f, unit, constant and zero inputs
+    with open(ORE_GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    fields = {json.loads(c["f"])["base"] for c in cases}
+    assert fields == {"2^1", "7^1", "2^4", "3^3", "5^4", "2^14", "2^16", "3^12"}
+    assert len(cases) == 630
+    for case in cases:
+        for op in ORE_OPS:
+            code, out, err = run_cli(["ore", "--op", op, "--f", case["f"], "--g", case["g"]])
+            assert [out, err, code] == case[op], (case["case"], op, case["f"], case["g"])
 
 
 def test_decision_verbs_build_no_embedding(monkeypatch):
@@ -632,3 +654,41 @@ def test_output_past_the_int_string_limit_is_structured_error():
     assert "Traceback" not in out + err
     assert code == cli.EXIT_DOMAIN and out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_usage_commands():
+    """The argv of each `skewgalois ...` line in the README's command-line
+    usage block, with continuation lines joined."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command-line interface", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("skewgalois ")]
+
+
+def test_readme_usage_block_runs(tmp_path):
+    # every documented command exits 0 with JSON on stdout; the
+    # construct-lprime > report.json / verify-report pair goes through a
+    # file, and selftest is left to test_acceptance.py
+    commands = _readme_usage_commands()
+    verbs = [argv[0] for argv in commands]
+    assert verbs.count("ore") == 2 and ["ore", "--op", "witness"] in [a[:3] for a in commands]
+    assert {"decide", "tower", "construct-lprime", "verify-report", "selftest"} <= set(verbs)
+    report = str(tmp_path / "report.json")
+    for argv in commands:
+        if argv[0] == "selftest":
+            continue
+        argv = [report if a == "report.json" else a for a in argv]
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == "", (argv, err)
+        assert isinstance(json.loads(out), dict), argv
+        if target is not None:
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(out)
+    assert os.path.exists(report)

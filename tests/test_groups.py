@@ -34,25 +34,66 @@ from skewgalois.groups import (
 )
 
 
-def test_table_validation():
-    with pytest.raises(ValueError, match="rows must be permutations"):
-        FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
-    with pytest.raises(ValueError, match="columns must be permutations"):
-        FiniteGroup([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 1, 0], [3, 0, 2, 1]])
-    with pytest.raises(ValueError, match="not square"):
-        FiniteGroup([[0, 1], [1, 2]])
-    with pytest.raises(ValueError):
-        FiniteGroup([[1, 0], [0, 1]])  # identity not at index 0
+MALFORMED_TABLES = [
+    ([], "a group has at least the identity"),
+    ([[0, 1], [1]], "table is not square over element indices"),
+    ([[0, 1], [1, 2]], "table is not square over element indices"),
+    ([[0, -1], [1, 0]], "table is not square over element indices"),
+    ([[1, 0], [0, 1]], "index 0 must be a two-sided identity"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "index 0 must be a two-sided identity"),
+    ([[0, 1], [1, 1]], "table rows must be permutations (Latin square)"),
+    ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 1, 0], [3, 0, 2, 1]],
+     "table columns must be permutations (Latin square)"),
     # a non-associative Latin square with two-sided identity
-    bad = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises(ValueError):
-        FiniteGroup(bad)
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     "table is not associative"),
+]
+
+
+def test_table_validation():
+    for table, message in MALFORMED_TABLES:
+        with pytest.raises(ValueError) as exc:
+            FiniteGroup(table)
+        assert str(exc.value) == message
+
+
+def test_trusted_tables_pass_the_table_checks(monkeypatch):
+    # tables the library builds itself (_pair_table, from_elements,
+    # Subgroup.as_group) skip the Latin-square and associativity checks;
+    # each one built for the catalog, S3^3 x C2 and their towers passes them
+    from skewgalois import groups
+
+    built, checked = [], []
+    init, latin = FiniteGroup.__init__, groups._check_latin_square
+
+    def record(self, table, **kwargs):
+        if kwargs.get("_trusted"):
+            built.append([list(row) for row in table])
+        init(self, table, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", record)
+    monkeypatch.setattr(groups, "_check_latin_square", lambda rows: checked.append(rows) or latin(rows))
+    catalog()
+    G = from_permutations([[[0, 1]], [[0, 1, 2]], [[3, 4]], [[3, 4, 5]],
+                           [[6, 7]], [[6, 7, 8]], [[9, 10]]])
+    from_elements([(a, b) for a in range(3) for b in range(4)],
+                  lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 4))
+    direct_product(symmetric_group(3), cyclic_group(4))
+    semidirect_product(cyclic_group(3), cyclic_group(2), [(0, 1, 2), (0, 2, 1)])
+    count = len(built)
+    sylow_subgroup(G, 2).as_group()
+    fitting_subgroup(G).as_group()
+    assert len(built) == count + 2
+    for _, H in catalog_upto(24):
+        if is_solvable(H):
+            solvable_tower(H)
+    solvable_tower(G)
+    assert not checked
+    monkeypatch.undo()
+    assert len(built) > 100
+    for table in built:
+        H = FiniteGroup(table)
+        assert H.table == tuple(map(tuple, table))
 
 
 def test_element_orders_and_inverses():

@@ -1,5 +1,6 @@
 import random
 
+import ore_reference
 import pytest
 from tuple_field import TupleField
 
@@ -7,6 +8,9 @@ from skewgalois.ffield import _ACC_TERMS, embed_subfield, frobenius, make_field
 from skewgalois.orepoly import (
     OrePoly,
     OreRing,
+    _from_ints,
+    _log_mul,
+    _packed_mul,
     anti_involution,
     induced_ring_aut,
     ore_left_divmod,
@@ -553,6 +557,95 @@ def test_packed_kernels_at_the_slot_bound():
     assert _tuples(ore_mul(ring.poly(ones), ring.poly(ones))) == prod
     q, r = ore_right_divmod(ring.poly(prod), ring.poly(ones))
     assert (_tuples(q), r.is_zero()) == (ones, True)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 5), (3, 3, 1), (7, 1, 0)])
+def test_accumulating_mul_kernel(p, n, k):
+    # acc - f*g in one kernel call, against the tuple reference;
+    # past the log-table limit f and g have more than _ACC_TERMS rows with
+    # every slot product at its largest, which carries into the next slot
+    # unless the kernel reduces its sums on the way
+    F = make_field(p, n)
+    ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
+    kernel = _log_mul if F._ensure_log_tables() else _packed_mul
+    rng = random.Random(p * 5000 + n + k)
+    if kernel is _packed_mul:
+        deg = (1 << F._w) // (n * (p - 1) ** 3) + 1
+        assert deg > _ACC_TERMS
+        f = g = [(p - 1,) * n] * (deg + 1)
+    else:
+        f, g = _sparse(F, rng, 9), _sparse(F, rng, 7)
+    prod = ref.ore_mul(f, g)
+    for width in (3, len(prod), len(prod) + 4):  # acc shorter, as long, longer
+        acc = _sparse(F, rng, width - 1)
+        padded = [*acc, *[ref.zero] * (len(prod) - len(acc))]
+        tail = acc[len(prod):]
+        V = [ring.poly(h).v for h in (f, g, acc)]
+        want = ref.trim([*map(ref.sub, padded, prod), *tail])
+        assert _tuples(_from_ints(ring, kernel(F, k, *V))) == want, width
+
+
+# -- the Euclidean chains on ints against the OrePoly-level reference ---------
+
+CHAIN_FIELDS = [(2, 1), (7, 1), (2, 4), (3, 3), (5, 4), (2, 14), (2, 16), (3, 12)]
+
+
+def _check_chains(f, g):
+    assert ore_right_gcd(f, g) == ore_reference.right_gcd(f, g)
+    assert ore_left_lcm(f, g) == ore_reference.left_lcm(f, g)
+    r, s = ore_witness(f, g)
+    assert (r, s) == ore_reference.witness(f, g)
+
+
+@pytest.mark.parametrize("p,n", CHAIN_FIELDS)
+def test_euclid_chains_match_the_orepoly_reference(p, n):
+    # gcd, lcm and both witness polynomials equal to those of the chain on
+    # whole polynomials with both cofactors, for every twist
+    F = make_field(p, n)
+    rng = random.Random(p * 6000 + n)
+    for k in range(n):
+        ring = OreRing(F, frobenius(F, k))
+
+        def P(deg):
+            return ring.poly(_sparse(F, rng, deg))
+
+        f, g, h = P(3), P(2), P(2)
+        cases = [
+            (f, g),  # random
+            (P(4), P(0)),  # g a unit
+            (f, f),
+            (ore_mul(P(2), g), g),  # g divides f
+            (g, f),  # deg g > deg f
+            (ore_mul(P(3), h), ore_mul(P(2), h)),  # a common right factor
+            (P(6), ore_mul(P(3), P(1))),
+        ]
+        for a, b in cases:
+            _check_chains(a, b)
+        assert ore_right_gcd(cases[5][0], cases[5][1]).degree >= 2
+        assert ore_right_gcd(f, ring.zero()) == ore_reference.right_gcd(f, ring.zero())
+        assert ore_right_gcd(ring.zero(), g) == ore_reference.right_gcd(ring.zero(), g)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 1)])
+def test_euclid_chains_with_long_quotients(p, n, k):
+    # r_0 = q_1 r_1 + r_2, r_1 = q_2 r_2 + r_3, r_2 = q_3 r_3 with q_i of
+    # 2 _ACC_TERMS + 7 nonzero terms, every slot of q_1 and q_3 at p - 1 and
+    # of q_2 at 1: in the cofactor update s_4 = 1 - q_3 s_3 with s_3 = -q_2,
+    # every slot product is at its largest, and the sums carry into the next
+    # slot unless the accumulating kernel reduces them on the way
+    F = make_field(p, n)
+    ring = OreRing(F, frobenius(F, k))
+    deg = 2 * _ACC_TERMS + 6
+    dense = ring.poly([(p - 1,) * n] * (deg + 1))
+    ones = ring.poly([(1,) * n] * (deg + 1))
+    r3 = ring.poly([F.gen(), 1])
+    r2 = ore_mul(dense, r3)
+    r1 = ore_mul(ones, r2) + r3
+    r0 = ore_mul(dense, r1) + r2
+    assert ore_right_divmod(r0, r1).quotient == dense
+    _check_chains(r0, r1)
+    assert ore_right_gcd(r0, r1) == r3.monic()
+    assert ore_left_lcm(r0, r1).degree == r0.degree + r1.degree - 1
 
 
 # -- the coefficient ints of OrePoly against a reference on tuples -------------
