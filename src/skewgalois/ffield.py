@@ -18,13 +18,18 @@ Up to the log-table limit the int is the discrete log to a generator g (-1
 for zero): products, inverses and powers are integer operations on logs, a
 sum is one lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k
 multiplies a log by p^k mod (q - 1).  Past the limit the int packs the
-coefficients into slots of _w bits (Kronecker substitution): one int
-product holds the 2n - 1 coefficients of the polynomial product, unreduced,
-and a reduction folds the high ones back modulo the modulus and takes each
-slot mod p.  Frobenius powers are F_p-linear maps applied as cached packed
-columns; sums and negation work slotwise on the int.  An inverse is Itoh and
-Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes about 2 log2(n) Frobenius
-maps and products, and the norm a^r is a constant, inverted in F_p.
+coefficients into slots of _w bits, a whole number of bytes (Kronecker
+substitution): one int product holds the 2n - 1 coefficients of the
+polynomial product, unreduced, and a reduction folds the high ones back
+modulo the modulus and takes each slot mod p.  No step loops over the slots
+in Python: for odd p one multiply by a fixed-point 1/p divides every third
+slot by p at once, and for p < 256 the digits of a canonical value are
+every (_w/8)-th byte of int.to_bytes, and a coefficient vector is packed
+by int.from_bytes.  Frobenius powers are F_p-linear maps applied as cached
+packed columns; sums and negation work slotwise on the int.  An inverse is
+Itoh and Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes about
+2 log2(n) Frobenius maps and products, and the norm a^r is a constant,
+inverted in F_p.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
 # at 3^40, but 8 s at 2^128.
 FIELD_ORDER_MAX = 1 << 64
 
-_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bytes 0 and 1
-
 # Products a packed slot has room for on top of a canonical value (see the
 # slot width in FqField), so that sums of them are reduced once
 _ACC_TERMS = 64
@@ -57,8 +60,8 @@ class FqField:
 
     __slots__ = (
         "p", "n", "modulus", "order", "_log", "_antilog", "_zech", "_q1",
-        "_zero_v", "_frob_cols", "_w", "_shifts", "_units", "_powers", "_mask",
-        "_low", "_fold", "_ones", "_top", "_hash",
+        "_zero_v", "_frob_cols", "_w", "_step", "_nbytes", "_shifts", "_powers",
+        "_mask", "_low", "_fold", "_ones", "_top", "_divp", "_hash",
     )
 
     def __init__(self, p: int, n: int):
@@ -78,16 +81,26 @@ class FqField:
         # packed value at most n (p - 1)^3.  A slot holds a canonical value,
         # _ACC_TERMS such products and the n - 1 folded high slots of a
         # reduction without carrying into the next; and 2^(w-1) >= p, which
-        # slotwise addition needs.
+        # slotwise addition needs.  w is that bound rounded up to whole
+        # bytes, so a canonical slot below 256 is one byte of the int.
         bound = (p - 1) + _ACC_TERMS * n * (p - 1) ** 3 + (n - 1) * (p - 1) ** 2
-        w = self._w = max(bound, 2 * p).bit_length()
-        self._shifts = tuple(w * i for i in range(n))
-        self._units = tuple(1 << s for s in self._shifts)
+        w = self._w = -(-max(bound, 2 * p).bit_length() // 8) * 8
+        self._step = w // 8
+        self._nbytes = n * self._step
+        self._shifts = tuple(range(0, w * n, w))
         self._powers = tuple(p**i for i in range(n))
         self._mask = (1 << w) - 1
         self._low = (1 << w * n) - 1
-        self._ones = sum(self._units)
+        self._ones = sum(1 << s for s in self._shifts)
         self._top = self._ones << w - 1
+        # _canon's division by p: t // p = t M >> K for every t < 2^w, with
+        # K = w + len(p) and M = ceil(2^K / p), since t M / 2^K exceeds t / p
+        # by less than t p / (p 2^K) < 1 / p.  t M < 2^(2w+1), so the
+        # products of every third slot, 3w bits apart, do not overlap; the
+        # masks pick out slots 0, 3, 6, ..., then 1, 4, ..., then 2, 5, ...
+        k = w + p.bit_length()
+        self._divp = (-(-(1 << k) // p), k,
+                      *(sum(self._mask << s for s in self._shifts[j::3]) for j in range(3)))
         self._hash = hash((p, n))
         self.__class__ = _Unsearched  # modulus and _fold stay unset until read
 
@@ -116,10 +129,10 @@ class FqField:
         return FqElem(self, self._v_of(coeffs))
 
     def zero(self) -> "FqElem":
-        return self.from_index(0)
+        return self.element(0)
 
     def one(self) -> "FqElem":
-        return self.from_index(1)
+        return self.element(1)
 
     def gen(self) -> "FqElem":
         """The class of x (for n = 1 this is 1, the only generator needed)."""
@@ -144,11 +157,14 @@ class FqField:
             return coeffs.v
         p = self.p
         if isinstance(coeffs, int):
-            return self._index_v(coeffs % p)
-        vec = [c % p for c in coeffs]
-        if len(vec) > self.n:
-            vec = modpoly.divmod_poly(vec, list(self.modulus), p)[1]
-        return self._index_v(sum(map(mul, vec, self._powers)))
+            vec = [coeffs % p]
+        else:
+            vec = [c % p for c in coeffs]
+            if len(vec) > self.n:
+                vec = modpoly.divmod_poly(vec, list(self.modulus), p)[1]
+        if self._ensure_log_tables():
+            return self._log[sum(map(mul, vec, self._powers))]
+        return self._pack(vec)
 
     def _index_v(self, idx: int) -> int:
         """The int of the element whose coefficients are the base-p digits
@@ -170,8 +186,7 @@ class FqField:
     def _coeffs(self, v: int) -> tuple:
         if self._log is not None:
             return tuple(self._digits(self._antilog[v]))
-        mask = self._mask
-        return tuple([v >> s & mask for s in self._shifts])
+        return tuple(self._read(v))
 
     def _index(self, v: int) -> int:
         return self._antilog[v] if self._log is not None else self._combine(v, self._powers)
@@ -205,24 +220,43 @@ class FqField:
     # -- packed arithmetic (every field; the elements' own past the limit) --
 
     def _pack(self, digits) -> int:
+        """The packed value whose slot i holds digits[i], for digits below p
+        (at most n of them); _read inverted."""
+        if self.p < 256:
+            buf = bytearray(len(digits) * self._step)
+            buf[::self._step] = digits
+            return int.from_bytes(buf, "little")
         w = self._w
         return sum(map(lshift, digits, range(0, w * len(digits), w)))
 
+    def _read(self, v: int):
+        """The n slots of a canonical packed value: for p < 256 every
+        (w/8)-th byte of it, the lowest byte of each slot."""
+        if self.p < 256:
+            return v.to_bytes(self._nbytes, "little")[::self._step]
+        mask = self._mask
+        return [v >> s & mask for s in self._shifts]
+
     def _combine(self, v: int, cols: tuple) -> int:
-        """The sum of cols[i] times slot i of v taken mod p, unreduced."""
-        if self.p == 2:  # slot i mod 2 is bit w*i of v
-            return sum(compress(cols, bin(v)[:1:-1][::self._w].encode().translate(_BITS)))
-        p, mask = self.p, self._mask
-        return sum(map(mul, [(v >> s & mask) % p for s in self._shifts], cols))
+        """The sum of cols[i] times slot i of a canonical v, unreduced."""
+        digits = self._read(v)
+        return sum(compress(cols, digits)) if self.p == 2 else sum(map(mul, digits, cols))
 
     def _canon(self, acc: int) -> int:
-        """Each of the n slots of acc taken mod p."""
-        return acc & self._ones if self.p == 2 else self._combine(acc, self._units)
+        """Each of the n slots of acc taken mod p: slot t loses p (t // p),
+        with t // p found for every third slot at once by one multiply (see
+        _divp in __init__)."""
+        if self.p == 2:
+            return acc & self._ones
+        m, k, g0, g1, g2 = self._divp
+        return acc - self.p * ((acc & g0) * m >> k & g0 | (acc & g1) * m >> k & g1
+                               | (acc & g2) * m >> k & g2)
 
     def _reduce(self, v: int) -> int:
         """The canonical packed form of a sum of packed products: its slots
         n to 2n - 2, taken mod p, fold back as multiples of x^(n+i)."""
-        return self._canon((v & self._low) + self._combine(v >> self._w * self.n, self._fold))
+        high = self._canon(v >> self._w * self.n)
+        return self._canon((v & self._low) + self._combine(high, self._fold))
 
     def _pow(self, a: int, e: int) -> int:
         if e < 0:

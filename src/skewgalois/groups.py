@@ -420,29 +420,39 @@ def from_permutations(gen_cycles: list[list[list[int]]], *, name: str = "G") -> 
     The points that occur are relabeled 0..m-1 in increasing order first,
     so the cost does not grow with the size of the labels.  An increasing
     relabeling keeps the lexicographic order of the elements, and with it
-    their indices in the table.
+    their indices in the table.  The table costs one composition per
+    element and generator, not one per pair: the elements are found by
+    right multiplication, and each new element's row is composed from the
+    rows of the element and generator it was found from.
     """
     points = sorted({v for g in gen_cycles for cyc in g for v in cyc})
     label = {v: i for i, v in enumerate(points)}
     gens = [perm_from_cycles([[label[v] for v in cyc] for cyc in g], len(points))
             for g in gen_cycles]
+    # right multiplication reaches every element of a finite group; each
+    # new b = a g remembers its a and g
     identity = tuple(range(len(points)))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                for b in (_perm_compose(a, g), _perm_compose(g, a)):
-                    if b not in elements:
-                        if len(elements) >= TABLE_SYNTHESIS_CAP:
-                            raise ValueError("generated group exceeds the synthesis cap")
-                        elements.add(b)
-                        nxt.append(b)
-        frontier = nxt
-    group = from_elements(sorted(elements), _perm_compose, name=name)
-    group.perm_gens = gen_cycles
-    return group
+    found = [identity]  # grows while the loop runs
+    parent = {identity: None}
+    for a in found:
+        for j, g in enumerate(gens):
+            b = _perm_compose(a, g)
+            if b not in parent:
+                if len(found) >= TABLE_SYNTHESIS_CAP:
+                    raise ValueError("generated group exceeds the synthesis cap")
+                parent[b] = (a, j)
+                found.append(b)
+    ordered = sorted(found)  # the identity is the least
+    pos = {e: i for i, e in enumerate(ordered)}
+    # row b of the table, for b = a g, is row a read at the indices of
+    # row g: (a g) x = a (g x)
+    gen_rows = [[pos[_perm_compose(g, x)] for x in ordered] for g in gens]
+    rows = {identity: list(range(len(ordered)))}
+    for b in found[1:]:
+        a, j = parent[b]
+        rows[b] = list(map(rows[a].__getitem__, gen_rows[j]))
+    return FiniteGroup([rows[e] for e in ordered], name=name, perm_gens=gen_cycles,
+                       _trusted=True)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -242,6 +242,25 @@ def test_decision_verbs_build_no_embedding(monkeypatch):
 
 
 @pytest.mark.parametrize("base", ["2^20", "3^12"])
+def test_packed_tier_never_reads_base_p_digits(monkeypatch, base):
+    # past the log-table limit coefficient vectors are packed into slots and
+    # read back from them directly, never through an index and its digits
+    from skewgalois import ffield
+
+    def no_digits(*args, **kwargs):
+        raise AssertionError("base-p digits in the packed tier")
+
+    for name in ("_digits", "_index_v"):
+        monkeypatch.setattr(ffield.FqField, name, no_digits)
+    p, n = map(int, base.split("^"))
+    f = json.dumps({"base": base, "frob": 1, "coeffs": [[1, 2 % p, 1], [0, 1], [1] * n]})
+    g = json.dumps({"base": base, "frob": 1, "coeffs": [[0, 0, 0, 1], [1, 1], [p - 1, 0, 1]]})
+    for op in ("mul", "gcd", "witness"):
+        code, out, err = run_cli(["ore", "--op", op, "--f", f, "--g", g])
+        assert code == 0 and out, err
+
+
+@pytest.mark.parametrize("base", ["2^20", "3^12"])
 def test_packed_tier_inverts_without_euclid(monkeypatch, base):
     # past the log-table limit an inverse is a Frobenius chain: once the
     # modulus is known, no F_p[x] extended Euclid or division runs

@@ -318,7 +318,33 @@ def test_cap_field_inverse_matches_tuple_reference(p, n):
     assert len(F._frob_cols) <= (n - 1).bit_length() + 1
 
 
-@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2), (2, 15), (2, 16), (3, 12), (5, 7)])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 191, 251, 257, 65537, (1 << 61) - 1])
+def test_slot_reduction_at_its_extremes(p):
+    # _canon's one multiply per third of the slots and _combine's byte read
+    # against slot-by-slot % p, for every n up to the order cap: random
+    # slots of every size, every slot at 2^w - 1, and every slot at the
+    # largest multiple of p below 2^w and one less
+    rng = random.Random(p)
+    n = 1
+    while p**n <= FIELD_ORDER_MAX:
+        F = FqField(p, n)
+        w = F._w
+        mask = (1 << w) - 1
+        top = mask // p * p
+        cases = [[mask] * n, [top] * n, [top - 1] * n]
+        cases += [[rng.randrange(1 << rng.randrange(1, w + 1)) for _ in range(n)]
+                  for _ in range(30)]
+        for slots in cases:
+            canon = F._canon(sum(t << w * i for i, t in enumerate(slots)))
+            digits = [t % p for t in slots]
+            assert canon == sum(d << w * i for i, d in enumerate(digits)), (n, slots)
+            assert list(F._read(canon)) == digits and F._pack(digits) == canon
+            cols = [rng.randrange(1 << 64) for _ in range(n)]
+            assert F._combine(canon, cols) == sum(c * d for c, d in zip(cols, digits))
+        n += 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (7, 2), (2, 15), (2, 16), (3, 12), (5, 7), (257, 2)])
 def test_element_io_round_trip_in_both_tiers(p, n):
     F = make_field(p, n)
     ref = TupleField(F)

@@ -1,8 +1,10 @@
 import io
 import json
+import runpy
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from group_oracles import find_isomorphism
@@ -14,6 +16,7 @@ from skewgalois.groups import (
     FiniteGroup,
     GroupHom,
     _commutator_series_end,
+    _perm_compose,
     alternating_group,
     cyclic_group,
     dicyclic_group,
@@ -26,6 +29,7 @@ from skewgalois.groups import (
     is_nilpotent,
     is_solvable,
     p_core,
+    perm_from_cycles,
     semidirect_product,
     shafarevich_step,
     solvable_tower,
@@ -317,8 +321,53 @@ def test_tower_steps_verify():
 
 def test_synthesis_order_cap():
     # S8 would have order 40320, beyond the synthesis cap
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError) as exc:
         from_permutations([[[0, 1]], [list(range(8))]])
+    assert str(exc.value) == "generated group exceeds the synthesis cap"
+
+
+S3_GENS = [[[0, 1]], [[0, 1, 2]]]
+
+
+def _s3_power_gens(k):
+    """Permutation generators of S3^k, one S3 on each block of three points."""
+    return [[[v + 3 * i for v in cyc] for cyc in g] for i in range(k) for g in S3_GENS]
+
+
+def _benchmark_tower_groups():
+    """The permutation groups of the benchmark's tower jobs, by name."""
+    jobs = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"))
+    return {**jobs["TOWER_GROUPS"], "S3xC3xC3": jobs["COLD_TOWER"]}
+
+
+def _perm_table_through_from_elements(gen_cycles):
+    """The group of from_permutations built the plain way: close the
+    relabeled generators under products on both sides, then table every
+    pair of the sorted elements with from_elements."""
+    points = sorted({v for g in gen_cycles for cyc in g for v in cyc})
+    label = {v: i for i, v in enumerate(points)}
+    gens = [perm_from_cycles([[label[v] for v in cyc] for cyc in g], len(points))
+            for g in gen_cycles]
+    elements = frontier = {tuple(range(len(points)))}
+    while frontier:
+        frontier = {h for a in frontier for g in gens
+                    for h in (_perm_compose(a, g), _perm_compose(g, a))} - elements
+        elements = elements | frontier
+    return from_elements(sorted(elements), _perm_compose)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [pytest.param(g, id=name) for name, g in _benchmark_tower_groups().items()]
+    + [pytest.param([[[0, 1]], [[0, 1, 2]], [[3, 4, 5]], [[6, 7, 9]]], id="S3xC3xC3-sparse"),
+       pytest.param(_s3_power_gens(4), id="S3^4")],
+)
+def test_from_permutations_matches_from_elements(gens):
+    # rows built as compositions of generator rows along a breadth-first
+    # search give the table of every pair, in the same element order
+    G = from_permutations(gens)
+    assert G.table == _perm_table_through_from_elements(gens).table
+    assert G.perm_gens == gens
 
 
 def test_from_permutations_and_json():
@@ -495,14 +544,6 @@ def test_s4_x_s3_tower_completes_with_surjective_steps():
 
 
 # -- the supplement search of shafarevich_step ---------------------------------
-
-S3_GENS = [[[0, 1]], [[0, 1, 2]]]
-
-
-def _s3_power_gens(k):
-    """Permutation generators of S3^k, one S3 on each block of three points."""
-    return [[[v + 3 * i for v in cyc] for cyc in g] for i in range(k) for g in S3_GENS]
-
 
 def _reference_supplement(G, N):
     """The rule shafarevich_step applied before the lift search, over every

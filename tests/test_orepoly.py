@@ -543,46 +543,89 @@ def test_mirror_ring_is_built_once():
     assert anti_involution(anti_involution(f)).ring is R
 
 
+def _repeated_square(ref, c, deg):
+    """(c + c T + ... + c T^deg)^2 on tuples in O(deg) field operations:
+    its coefficient at T^m is the sum of e_i = c tau^i(c) over
+    max(0, m - deg) <= i <= min(m, deg), a difference of two prefix sums,
+    and e_i depends only on i mod n."""
+    n = ref.F.n
+    e = [ref.mul(c, ref.tau(i, c)) for i in range(min(n, deg + 1))]
+    sums = [ref.zero]
+    for i in range(deg + 1):
+        sums.append(ref.add(sums[-1], e[i % n]))
+    return ref.trim([ref.sub(sums[min(m, deg) + 1], sums[max(0, m - deg)])
+                     for m in range(2 * deg + 1)])
+
+
+# Fields where rounding the slot bound up to whole bytes leaves the least
+# room: slots of 2^16 against bounds of 4160 (F_2^64), 20638 (F_3^40) and
+# 61668 (F_5^15)
+SLOT_BOUND_FIELDS = [(2, 64), (3, 40), (5, 15)]
+
+
 def test_packed_kernels_at_the_slot_bound():
-    # All-ones coefficients and the identity twist put the most into every
-    # slot (n per product over F_2^n); a sum of more than 2^w / n products
-    # would carry into the next slot without the kernels' reductions on the
-    # way, in the product and in the division steps alike.
-    F = make_field(2, 16)
-    ring, ref = OreRing(F, frobenius(F, 0)), RawRing(F, 0)
-    deg = (1 << F._w) // F.n + 1
-    assert deg > _ACC_TERMS
-    ones = [(1,) * F.n] * (deg + 1)
-    prod = ref.ore_mul(ones, ones)
-    assert _tuples(ore_mul(ring.poly(ones), ring.poly(ones))) == prod
-    q, r = ore_right_divmod(ring.poly(prod), ring.poly(ones))
-    assert (_tuples(q), r.is_zero()) == (ones, True)
+    # Coefficients with every slot at p - 1 and the identity twist put the
+    # most into every slot: n (p - 1)^2 per product, n (p - 1)^3 per
+    # division step, whose multiplier is (p - 1) c.  A sum of more than
+    # 2^w / (n (p - 1)^2) of them carries into the next slot without the
+    # kernels' reductions on the way, in the product and in the division
+    # steps alike.
+    for p, n in SLOT_BOUND_FIELDS:
+        F = make_field(p, n)
+        ring, ref = OreRing(F, frobenius(F, 0)), RawRing(F, 0)
+        assert not F._ensure_log_tables() and F._w == 16
+        c = (p - 1,) * n
+        assert _repeated_square(ref, c, 5) == ref.ore_mul([c] * 6, [c] * 6)
+        deg = (1 << F._w) // (n * (p - 1) ** 2) + 1
+        assert deg > _ACC_TERMS
+        dense = ring.poly([c] * (deg + 1))
+        prod = _repeated_square(ref, c, deg)
+        assert _tuples(ore_mul(dense, dense)) == prod, (p, n)
+        q, r = ore_right_divmod(ring.poly(prod), dense)
+        assert (q, r.is_zero()) == (dense, True), (p, n)
+
+
+def _check_minus_product(ring, ref, f, g, prod, acc):
+    """acc - f*g by one accumulating kernel call, against prod = f*g on
+    tuples."""
+    F, k = ring.base, ring.twist.k
+    kernel = _log_mul if F._ensure_log_tables() else _packed_mul
+    padded = [*acc, *[ref.zero] * (len(prod) - len(acc))]
+    want = ref.trim([*map(ref.sub, padded, prod), *acc[len(prod):]])
+    V = [ring.poly(h).v for h in (f, g, acc)]
+    assert _tuples(_from_ints(ring, kernel(F, k, *V))) == want, len(acc)
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 5), (3, 3, 1), (7, 1, 0)])
 def test_accumulating_mul_kernel(p, n, k):
-    # acc - f*g in one kernel call, against the tuple reference;
-    # past the log-table limit f and g have more than _ACC_TERMS rows with
-    # every slot product at its largest, which carries into the next slot
-    # unless the kernel reduces its sums on the way
+    # acc - f*g in one kernel call, against the tuple reference, for acc
+    # shorter than f*g, as long and longer, in both tiers
     F = make_field(p, n)
     ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
-    kernel = _log_mul if F._ensure_log_tables() else _packed_mul
     rng = random.Random(p * 5000 + n + k)
-    if kernel is _packed_mul:
-        deg = (1 << F._w) // (n * (p - 1) ** 3) + 1
-        assert deg > _ACC_TERMS
-        f = g = [(p - 1,) * n] * (deg + 1)
-    else:
-        f, g = _sparse(F, rng, 9), _sparse(F, rng, 7)
+    f, g = _sparse(F, rng, 9), _sparse(F, rng, 7)
     prod = ref.ore_mul(f, g)
-    for width in (3, len(prod), len(prod) + 4):  # acc shorter, as long, longer
-        acc = _sparse(F, rng, width - 1)
-        padded = [*acc, *[ref.zero] * (len(prod) - len(acc))]
-        tail = acc[len(prod):]
-        V = [ring.poly(h).v for h in (f, g, acc)]
-        want = ref.trim([*map(ref.sub, padded, prod), *tail])
-        assert _tuples(_from_ints(ring, kernel(F, k, *V))) == want, width
+    for width in (3, len(prod), len(prod) + 4):
+        _check_minus_product(ring, ref, f, g, prod, _sparse(F, rng, width - 1))
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 64, 0), (3, 40, 0), (3, 40, 5), (5, 15, 0)])
+def test_accumulating_mul_kernel_at_the_slot_bound(p, n, k):
+    # acc - f*g for f = g with more than _ACC_TERMS rows and every slot at
+    # p - 1: at the identity twist every slot product, of (p - 1) a and b,
+    # is at its largest, n (p - 1)^3, and the sums carry into the next slot
+    # unless the kernel reduces them on the way
+    F = make_field(p, n)
+    ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
+    assert not F._ensure_log_tables() and F._w == 16
+    c = (p - 1,) * n
+    assert _repeated_square(ref, c, 4) == ref.ore_mul([c] * 5, [c] * 5)
+    deg = (1 << F._w) // (n * (p - 1) ** 3) + 1
+    assert deg > _ACC_TERMS
+    dense = [c] * (deg + 1)
+    prod = _repeated_square(ref, c, deg)
+    rng = random.Random(p * 5000 + n + k)
+    _check_minus_product(ring, ref, dense, dense, prod, _sparse(F, rng, len(prod) + 3))
 
 
 # -- the Euclidean chains on ints against the OrePoly-level reference ---------
