@@ -16,33 +16,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .embed import (
-    CoprimalityFailure,
-    FFGaloisExt,
-    decide_sigma_solvability,
-    lemma1_check,
-    lift_sigma,
-    problem_from_quotient,
-)
-from .ffield import FieldAut, field_from_descriptor
-from .groups import group_from_json
-from .orepoly import (
-    ore_left_lcm,
-    ore_mul,
-    ore_poly_from_json,
-    ore_right_divmod,
-    ore_right_gcd,
-    ore_witness,
-)
-from .quat import REAL_PLACE, is_division_ring, level_local, theorem13_feasible
-from .splitcon import (
-    ConstructionError,
-    SpecError,
-    construct_lprime,
-    parse_spec,
-    report_from_json,
-    verify_report,
-)
+from . import embed, ffield, groups, orepoly, quat, selftest, splitcon
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -144,61 +118,59 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _verb_decide(args) -> tuple[dict, int]:
-    G = group_from_json(_load(args.group))
-    K = field_from_descriptor(args.K)
-    L = field_from_descriptor(args.L)
-    ext = FFGaloisExt(K, L)
+    G = groups.group_from_json(_load(args.group))
+    K = ffield.field_from_descriptor(args.K)
+    L = ffield.field_from_descriptor(args.L)
+    ext = embed.FFGaloisExt(K, L)
     alpha = _load(args.alpha)
     if not isinstance(alpha, dict) or not isinstance(alpha.get("map"), list):
         raise ValueError('alpha must be {"map": [...]}, an image list')
-    ep = problem_from_quotient(ext, G, alpha["map"])
-    verdict = decide_sigma_solvability(ep, FieldAut(K, args.sigma))
+    ep = embed.problem_from_quotient(ext, G, alpha["map"])
+    verdict = embed.decide_sigma_solvability(ep, ffield.FieldAut(K, args.sigma))
     return verdict.to_json(), EXIT_OK
 
 
 def _verb_lift_tau(args) -> tuple[dict, int]:
-    K = field_from_descriptor(args.K)
-    L = field_from_descriptor(args.L)
-    ext = FFGaloisExt(K, L)
-    tau = lift_sigma(ext, FieldAut(K, args.sigma))
+    K = ffield.field_from_descriptor(args.K)
+    L = ffield.field_from_descriptor(args.L)
+    ext = embed.FFGaloisExt(K, L)
+    tau = embed.lift_sigma(ext, ffield.FieldAut(K, args.sigma))
     # lift_sigma returns only when the same-order extension is unique
     return {"tau": tau.to_json(), "order": tau.order, "unique": True}, EXIT_OK
 
 
 def _verb_lemma1(args) -> tuple[dict, int]:
-    K = field_from_descriptor(args.K)
-    L = field_from_descriptor(args.L)
-    ext = FFGaloisExt(K, L)
-    res = lemma1_check(ext, FieldAut(K, args.sigma), FieldAut(L, args.tau))
+    K = ffield.field_from_descriptor(args.K)
+    L = ffield.field_from_descriptor(args.L)
+    ext = embed.FFGaloisExt(K, L)
+    res = embed.lemma1_check(ext, ffield.FieldAut(K, args.sigma), ffield.FieldAut(L, args.tau))
     return res, EXIT_OK
 
 
 def _verb_ore(args) -> tuple[dict, int]:
-    f = ore_poly_from_json(_load(args.f))
-    g = ore_poly_from_json(_load(args.g))
+    f = orepoly.ore_poly_from_json(_load(args.f))
+    g = orepoly.ore_poly_from_json(_load(args.g))
     if args.op == "mul":
-        return {"product": ore_mul(f, g).to_json()}, EXIT_OK
+        return {"product": orepoly.ore_mul(f, g).to_json()}, EXIT_OK
     if args.op == "divmod":
-        res = ore_right_divmod(f, g)
+        res = orepoly.ore_right_divmod(f, g)
         return {"quotient": res.quotient.to_json(), "remainder": res.remainder.to_json()}, EXIT_OK
     if args.op == "gcd":
-        return {"gcd": ore_right_gcd(f, g).to_json()}, EXIT_OK
+        return {"gcd": orepoly.ore_right_gcd(f, g).to_json()}, EXIT_OK
     if args.op == "lcm":
-        return {"lcm": ore_left_lcm(f, g).to_json()}, EXIT_OK
-    r, s = ore_witness(f, g)
+        return {"lcm": orepoly.ore_left_lcm(f, g).to_json()}, EXIT_OK
+    r, s = orepoly.ore_witness(f, g)
     return {
         "r": r.to_json(),
         "s": s.to_json(),
-        "common_multiple": ore_mul(f, r).to_json(),
+        "common_multiple": orepoly.ore_mul(f, r).to_json(),
     }, EXIT_OK
 
 
 def _verb_tower(args) -> tuple[dict, int]:
-    G = group_from_json(_load(args.group))
-    from .groups import solvable_tower
-
+    G = groups.group_from_json(_load(args.group))
     steps = []
-    for step in solvable_tower(G):
+    for step in groups.solvable_tower(G):
         steps.append(
             {
                 "group_order": step.group.order,
@@ -213,12 +185,12 @@ def _verb_tower(args) -> tuple[dict, int]:
 
 
 def _verb_construct(args) -> tuple[dict, int]:
-    specs = [parse_spec(s) for s in args.spec]
+    specs = [splitcon.parse_spec(s) for s in args.spec]
     extra = {int(p) for p in args.extra_l_ram.split(",") if p.strip()}
     try:
-        report = construct_lprime(specs, p_kernel=args.p_kernel, n_min=args.n_min,
-                                  extra_L_ram=frozenset(extra))
-    except ConstructionError as exc:
+        report = splitcon.construct_lprime(specs, p_kernel=args.p_kernel, n_min=args.n_min,
+                                           extra_L_ram=frozenset(extra))
+    except splitcon.ConstructionError as exc:
         payload = {"error": "ConstructionError", "message": str(exc)}
         if exc.partial is not None:
             payload["partial"] = exc.partial.to_json()
@@ -228,31 +200,29 @@ def _verb_construct(args) -> tuple[dict, int]:
 
 def _verb_level(args) -> tuple[dict, int]:
     place = args.place
-    if place in (REAL_PLACE, "inf"):
-        result = level_local(REAL_PLACE)
+    if place in (quat.REAL_PLACE, "inf"):
+        result = quat.level_local(quat.REAL_PLACE)
     else:
-        result = level_local(int(place))
+        result = quat.level_local(int(place))
     return result.to_json(), EXIT_OK
 
 
 def _verb_feasible(args) -> tuple[dict, int]:
-    res = theorem13_feasible(args.field)
+    res = quat.theorem13_feasible(args.field)
     payload = res.to_json()
     if args.division_ring:
-        payload["division_ring"] = is_division_ring(args.field).to_json()
+        payload["division_ring"] = quat.is_division_ring(args.field).to_json()
     return payload, EXIT_OK
 
 
 def _verb_verify_report(args) -> tuple[dict, int]:
-    report = report_from_json(_load(args.report))
-    result = verify_report(report)
+    report = splitcon.report_from_json(_load(args.report))
+    result = splitcon.verify_report(report)
     return result.to_json(), EXIT_OK if result.ok else EXIT_CERT
 
 
 def _verb_selftest(args) -> tuple[dict, int]:
-    from .selftest import run_all
-
-    summary = run_all(only=args.only)
+    summary = selftest.run_all(only=args.only)
     for r in summary["criteria"]:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"{r['name']}: {status}", file=sys.stderr)
@@ -272,6 +242,9 @@ _VERBS = {
     "selftest": _verb_selftest,
 }
 
+# the verbs that run embed, the only module raising CoprimalityFailure
+_EMBED_VERBS = frozenset({"decide", "lift-tau", "lemma1", "selftest"})
+
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -286,13 +259,12 @@ def run(argv: list[str] | None = None) -> int:
         payload, code = _VERBS[args.verb](args)
         # json refuses ints past sys.get_int_max_str_digits() with ValueError
         _emit(payload, args.pretty)
-    except CoprimalityFailure as exc:
-        _error({"error": "CoprimalityFailure", "message": str(exc),
-                "extensions": exc.extensions})
-        return EXIT_DOMAIN
-    except (SpecError, ValueError, KeyError, ZeroDivisionError, OSError,
-            json.JSONDecodeError) as exc:
-        _error({"error": type(exc).__name__, "message": str(exc)})
+    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        # a handler naming embed.CoprimalityFailure would load embed on every error
+        if args.verb in _EMBED_VERBS and isinstance(exc, embed.CoprimalityFailure):
+            payload["extensions"] = exc.extensions
+        _error(payload)
         return EXIT_DOMAIN
     except Exception as exc:
         _error({"error": "InternalError", "type": type(exc).__name__, "message": str(exc)})

@@ -67,6 +67,9 @@ def test_lift_tau_success_and_failure():
     edata = json.loads(err)
     assert edata["error"] == "CoprimalityFailure"
     assert sorted(o for _, o in edata["extensions"]) == [4, 4]
+    assert err == ('{"error": "CoprimalityFailure", "extensions": [[1, 4], [3, 4]], '
+                   '"message": "gcd(order of sigma = 2, [L:K] = 2) > 1: no extension of sigma '
+                   'has order 2; extension orders are [4]"}\n')
 
 
 def test_lemma1_verb():
