@@ -242,10 +242,6 @@ _VERBS = {
     "selftest": _verb_selftest,
 }
 
-# the verbs that run embed, the only module raising CoprimalityFailure
-_EMBED_VERBS = frozenset({"decide", "lift-tau", "lemma1", "selftest"})
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -261,8 +257,9 @@ def run(argv: list[str] | None = None) -> int:
         _emit(payload, args.pretty)
     except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        # a handler naming embed.CoprimalityFailure would load embed on every error
-        if args.verb in _EMBED_VERBS and isinstance(exc, embed.CoprimalityFailure):
+        # only embed.CoprimalityFailure carries extensions; naming the class
+        # here would load embed on every error
+        if hasattr(exc, "extensions"):
             payload["extensions"] = exc.extensions
         _error(payload)
         return EXIT_DOMAIN

@@ -12,11 +12,14 @@ field is governed by three conditions:
   (b) some extension tau of sigma admits a geometric solution,
   (c) d is coprime to e = [L:K],
 
-with (a) => (b) => (c) always, all three equivalent for split problems,
-the tau in (b) unique when (a) holds, and no admissible tau at all when
-(c) fails.  The decision procedure reports SOLVABLE / UNSOLVABLE on the
-strength of those implications and UNKNOWN in the one gap the theory
-leaves open (non-split, (c) holds, (a) fails).
+with (a) => (b) => (c), the tau in (b) unique when (a) holds, and no
+admissible tau at all when (c) fails.  (c) => (a) holds as well, split
+problem or not: the weak solutions are the g over the Frobenius, and
+ord g is a multiple of e.  Choose k = 1 mod e and k = 0 mod the part of
+ord g on the primes of d (the two moduli are coprime when gcd(d, e) = 1);
+then g^k lies over the Frobenius and its order divides the part of ord g
+prime to d.  So the three conditions are equivalent, and the decision
+procedure answers SOLVABLE or UNSOLVABLE.
 
 Gal(L/K) is cyclic and generated by the relative Frobenius, so all three
 conditions depend only on the order of sigma, on [L:K] and on the group:
@@ -34,7 +37,6 @@ from .groups import FiniteGroup, GroupHom, Subgroup, cyclic_group, is_nilpotent
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
-UNKNOWN = "UNKNOWN"
 
 
 class CoprimalityFailure(ValueError):
@@ -134,12 +136,8 @@ class Verdict:
     cond_a: bool
     cond_c: bool
     split: bool
-    d: int
-    ext_degree: int
     witness: WeakSolution | None = None
     tau: FieldAut | None = None
-    section: GroupHom | None = None
-    note: str | None = None
 
     def __post_init__(self):
         # structural consistency demanded of every verdict
@@ -161,8 +159,6 @@ class Verdict:
             out["tau"] = self.tau.to_json()
         if self.witness is not None:
             out["witness"] = {"g": self.witness.g, "ord": self.witness.order}
-        if self.note:
-            out["note"] = self.note
         return out
 
 
@@ -279,21 +275,20 @@ def _cyclic_join(a: set[int], b: set[int], N: int) -> set[int]:
 
 
 def decide_sigma_solvability(ep: EmbeddingProblem, sigma: FieldAut) -> Verdict:
-    """Full three-valued decision for solvability over the twisted function
-    field of K, with witnesses.
+    """Decide solvability over the twisted function field of K, with
+    witnesses.
 
-    SOLVABLE requires a weak solution of degree coprime to the order of
-    sigma; UNSOLVABLE follows when that order shares a factor with [L:K];
-    split problems never land in between, and the remaining gap is
-    reported UNKNOWN (these instances are flagged in the note field).
+    SOLVABLE comes with the weak solution of least degree coprime to the
+    order of sigma and the same-order extension tau of sigma; UNSOLVABLE
+    means that order shares a factor with [L:K].  (a) and (c) are
+    equivalent (module docstring), and that is asserted on every call.
     """
     if sigma.field != ep.ext.K:
         raise ValueError("sigma must act on K")
     if not ep.kernel_is_nilpotent():
         raise ValueError("decision procedure requires a nilpotent kernel")
     d = sigma.order
-    e = ep.degree
-    cond_c = math.gcd(d, e) == 1
+    cond_c = math.gcd(d, ep.degree) == 1
     weak = find_weak_solutions(ep)
     witness = None
     for ws in sorted(weak, key=lambda w: (w.order, w.g)):
@@ -301,39 +296,15 @@ def decide_sigma_solvability(ep: EmbeddingProblem, sigma: FieldAut) -> Verdict:
             witness = ws
             break
     cond_a = witness is not None
-    section = find_section(ep)
-    split = section is not None
-
-    if cond_a and not cond_c:
-        raise AssertionError("conclusion (1) violated: (a) held without (c)")
-    if split and cond_c and not cond_a:
-        raise AssertionError(
-            "conclusion (2) violated: split with (c) must produce a witness"
-        )
-
-    tau = note = None
-    if cond_a:
-        status = SOLVABLE
-        tau = lift_sigma(ep.ext, sigma)
-    elif not cond_c:
-        status = UNSOLVABLE
-    else:
-        status = UNKNOWN
-        note = (
-            "non-split problem with gcd(d, [L:K]) = 1 but no coprime-degree "
-            "weak solution: outside the decided range, research-interesting"
-        )
+    if cond_a != cond_c:
+        raise AssertionError("conclusion (a) <=> (c) violated")
     return Verdict(
-        status=status,
+        status=SOLVABLE if cond_a else UNSOLVABLE,
         cond_a=cond_a,
         cond_c=cond_c,
-        split=split,
-        d=d,
-        ext_degree=e,
+        split=find_section(ep) is not None,
         witness=witness,
-        tau=tau,
-        section=section,
-        note=note,
+        tau=lift_sigma(ep.ext, sigma) if cond_a else None,
     )
 
 

@@ -96,11 +96,9 @@ def _check_latin_square(rows) -> None:
 
 
 class FiniteGroup:
-    __slots__ = ("order", "table", "inv", "perm_gens", "name", "_gens", "_orders",
-                 "_subgroup_cache")
+    __slots__ = ("order", "table", "inv", "name", "_gens", "_orders", "_subgroup_cache")
 
-    def __init__(self, table: list[list[int]], *, name: str = "G",
-                 perm_gens: list | None = None, _trusted: bool = False):
+    def __init__(self, table: list[list[int]], *, name: str = "G", _trusted: bool = False):
         n = len(table)
         if n == 0:
             raise ValueError("a group has at least the identity")
@@ -122,7 +120,6 @@ class FiniteGroup:
         self.order = n
         self.table = rows
         self.inv = tuple(inv)
-        self.perm_gens = perm_gens
         self.name = name
         self._orders: tuple | None = None
         self._subgroup_cache: dict = {}
@@ -451,8 +448,7 @@ def from_permutations(gen_cycles: list[list[list[int]]], *, name: str = "G") -> 
     for b in found[1:]:
         a, j = parent[b]
         rows[b] = list(map(rows[a].__getitem__, gen_rows[j]))
-    return FiniteGroup([rows[e] for e in ordered], name=name, perm_gens=gen_cycles,
-                       _trusted=True)
+    return FiniteGroup([rows[e] for e in ordered], name=name, _trusted=True)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -669,14 +665,12 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
 class ReductionStep:
     """One step of the solvable-group reduction: a surjection
     phi : N x| G' -> G with N the Fitting subgroup and G' a proper subgroup
-    (or N = G, G' = 1 when G is already nilpotent)."""
+    (or N = G, G' = 1 when G is already nilpotent); phi.domain is the
+    semidirect product, G' acting on N by conjugation."""
 
     group: FiniteGroup
     N: Subgroup
     Gp: Subgroup
-    action: list[tuple]
-    semidirect: FiniteGroup
-    pr: GroupHom
     phi: GroupHom
     note: str
 
@@ -754,13 +748,12 @@ def shafarevich_step(G: FiniteGroup) -> ReductionStep:
         note = "G' = minimal-order subgroup with N*G' = G (lex tie-break)"
     Ng, n_map = N.as_group("N")
     Hg, h_map = Gp.as_group("G'")
-    action = conjugation_action(G, N, Gp)
-    semi, pr, sec = semidirect_product(Ng, Hg, action)
+    semi, _, _ = semidirect_product(Ng, Hg, conjugation_action(G, N, Gp))
     # (n, h) sits at index n*|G'| + h of the product
     phi = GroupHom(semi, G, [G.table[n][h] for n in n_map for h in h_map])
     if not phi.is_surjective():
         raise AssertionError("reduction surjection failed verification")
-    return ReductionStep(G, N, Gp, action, semi, pr, phi, note)
+    return ReductionStep(G, N, Gp, phi, note)
 
 
 def solvable_tower(G: FiniteGroup) -> list[ReductionStep]:

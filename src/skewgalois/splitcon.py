@@ -29,9 +29,20 @@ unramified), the pipeline is:
      roots (Sturm sequences when the signs do not alternate), and an odd
      discriminant valuation at the ramified-quadratic auxiliary prime,
      read from the discriminant of Q mod a power of that prime (so the
-     quadratic resolvent field already ramifies where L does not);
-  5. should a certificate still fail, double every place's precision and
-     retry, at most PRECISION_DOUBLINGS times.
+     quadratic resolvent field already ramifies where L does not).
+
+Q is built once, and no certificate can fail on it:
+  - an unramified place reads Q mod p, which is its target;
+  - at a ts or rq target root r, v(Q(r)) >= k > 2 v(Q'(r)); once p^j passes
+    the largest target, the root tree holds each target as its own residue,
+    with at most p n nodes (the width cap is p n + 8);
+  - each coefficient is within M/2 of the scaled real target's, M the CRT
+    modulus, and at the points (j + 1/2) s, s = real_root_scale(n) M, the
+    target's value beats that for every n <= DEGREE_MAX (3.0 times at n = 1,
+    4.1 at n = 2, more after that), so the signs alternate: n real roots;
+  - at the first auxiliary prime p, Hensel splits Q = A B over Z_p with
+    A = X^2 - p mod p^k (the resultant is a unit); v(disc A) is 1, or 3 at
+    p = 2, and B has distinct roots in Z_p, so v(disc Q) is odd.
 
 Every claim in the emitted report is re-derivable from the polynomial
 alone; verify_report does exactly that and must agree.
@@ -73,7 +84,6 @@ KIND_RAMIFIED_QUADRATIC = "rq"
 KIND_UNRAMIFIED = "ur"
 
 PRECISION_CAP = 64
-PRECISION_DOUBLINGS = 2
 
 # Largest degree the constructor builds, and the largest degree of an
 # unramified spec: a time bound, not a limit of the method.  On the spec
@@ -88,8 +98,8 @@ class SpecError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """Raised when the precision doublings are used up; the
-    best partial report is attached for inspection."""
+    """Raised when a certificate fails on the constructed polynomial; the
+    failing report is attached for inspection."""
 
     def __init__(self, message: str, partial: "ConstructionReport | None" = None):
         super().__init__(message)
@@ -250,7 +260,6 @@ def plan_aux_primes(
         used.add(p)
         break
     for deg in (n, n - 1, 2):
-        deg = max(deg, 1)
         need = n - deg if deg >= 2 else n  # linear residues needed mod p
         p = 1
         while True:
@@ -414,9 +423,7 @@ class SnCertificate:
 def required_patterns(n: int) -> list[tuple[int, ...]]:
     if n <= 1:
         return []
-    out = {(n,), tuple(sorted([n - 1, 1], reverse=True)) if n > 1 else (1,)}
-    out.add(tuple(sorted([2] + [1] * (n - 2), reverse=True)))
-    return sorted(out, reverse=True)
+    return sorted({(n,), (n - 1, 1), (2,) + (1,) * (n - 2)}, reverse=True)
 
 
 def certify_sn(Q: list[int], aux_specs: list[LocalSpec]) -> SnCertificate:
@@ -492,8 +499,8 @@ def certified_padic_roots(
     Roots are grown as a branching tree of residues mod p^k; a certified
     node pins a unique root within radius v_p(Q(r)) - v_p(Q'(r)), and two
     certified nodes whose approximations differ below both radii pin
-    distinct roots.  Fails (for escalation) when the precision budget or
-    width cap is exhausted.
+    distinct roots.  Fails when the precision budget or width cap is
+    exhausted.
 
     Q and Q' are reduced once mod p^K, K = 2 precision + 2, and each live
     node is evaluated there once per depth: a non-zero residue has the
@@ -809,11 +816,10 @@ def construct_lprime(
 
     The degree is the smallest even n >= max(n_min, 2) compatible with the
     specs, and at most DEGREE_MAX.  Each finite place gets the precision
-    _place_precision derives from its target, which is expected to make the
-    symmetric-group certificate, every local certificate and the
-    odd-discriminant disjointness evidence all pass; if one fails, every
-    place's precision doubles, at most PRECISION_DOUBLINGS times.  Each
-    candidate's certificates are derived once; the passing report's
+    _place_precision derives from its target, at which the symmetric-group
+    certificate, every local certificate and the odd-discriminant
+    disjointness evidence all pass (module docstring); a failing one raises
+    ConstructionError.  The certificates are derived once, and the report's
     structural claims are re-checked before return (re-deriving its
     certificates would repeat the same deterministic computation).
     """
@@ -832,30 +838,15 @@ def construct_lprime(
     places = finite_specs + aux
     real_target = list(build_local_poly(real_specs[0], n, 0).coeffs) if real_specs else None
     precision = {s.prime: _place_precision(s, n) for s in places}
-    best: ConstructionReport | None = None
-    for _ in range(PRECISION_DOUBLINGS + 1):
-        locals_ = [build_local_poly(s, n, precision[s.prime]) for s in places]
-        Q = weak_approximation(locals_, real_target, root_scale=scale)
-        report = _assemble_report(Q, n, n_min, p_kernel, specs, aux, precision, scale, L_ram)
-        if report.all_passed():
-            failures = _structural_failures(report)
-            if failures:
-                raise AssertionError(
-                    f"fresh report failed its own verification: {tuple(failures)}"
-                )
-            return report
-        if best is None or _score(report) > _score(best):
-            best = report
-        precision = {p: 2 * k for p, k in precision.items()}
-    raise ConstructionError(
-        f"certificates still failing after {PRECISION_DOUBLINGS} precision doublings", best
-    )
-
-
-def _score(report: ConstructionReport) -> int:
-    return sum(c.passed for c in report.local_checks) + (
-        2 if report.sn.conclusion else 0
-    ) + (1 if report.disjoint.get("odd_valuation") else 0)
+    locals_ = [build_local_poly(s, n, precision[s.prime]) for s in places]
+    Q = weak_approximation(locals_, real_target, root_scale=scale)
+    report = _assemble_report(Q, n, n_min, p_kernel, specs, aux, precision, scale, L_ram)
+    if not report.all_passed():
+        raise ConstructionError("certificates failing at the derived place precisions", report)
+    failures = _structural_failures(report)
+    if failures:
+        raise AssertionError(f"fresh report failed its own verification: {tuple(failures)}")
+    return report
 
 
 def _assemble_report(

@@ -19,6 +19,7 @@ from skewgalois.groups import (
     cyclic_group,
     dicyclic_group,
     direct_product,
+    is_nilpotent,
     symmetric_group,
 )
 
@@ -194,11 +195,51 @@ def test_verdict_json():
 
 def test_verdict_invariants_enforced():
     with pytest.raises(AssertionError):
-        Verdict(status="SOLVABLE", cond_a=False, cond_c=True, split=True,
-                d=1, ext_degree=1)
+        Verdict(status="SOLVABLE", cond_a=False, cond_c=True, split=True)
     with pytest.raises(AssertionError):
-        Verdict(status="UNSOLVABLE", cond_a=False, cond_c=True, split=True,
-                d=1, ext_degree=1)
+        Verdict(status="UNSOLVABLE", cond_a=False, cond_c=True, split=True)
     with pytest.raises(AssertionError):
-        Verdict(status="UNKNOWN", cond_a=True, cond_c=False, split=False,
-                d=2, ext_degree=2)
+        Verdict(status="UNKNOWN", cond_a=True, cond_c=False, split=False)
+
+
+def _catalog_cyclic_problems():
+    """(name, G, e, images, N) for every catalog group and every epimorphism
+    onto a cyclic group C_e."""
+    from skewgalois.catalog import catalog
+    from skewgalois.selftest import _cyclic_quotient_epis
+
+    for name, G in catalog():
+        for e, images, N in _cyclic_quotient_epis(G):
+            yield name, G, e, images, N
+
+
+def test_coprime_d_always_has_a_coprime_weak_solution():
+    # (c) => (a) for every problem, split or not: over the generator of C_e
+    # some element has order coprime to every d coprime to e
+    cases = 0
+    for name, G, e, images, _ in _catalog_cyclic_problems():
+        gen = 1 if e > 1 else 0
+        orders = {G.element_order(g) for g in range(G.order) if images[g] == gen}
+        for d in range(1, 25):
+            if math.gcd(d, e) == 1:
+                assert any(math.gcd(o, d) == 1 for o in orders), (name, e, d)
+                cases += 1
+    assert cases == 9816
+
+
+def test_non_split_problems_are_solvable_exactly_when_coprime():
+    # sigma = Frobenius of F_2^d has order d; d e <= 64 keeps L under the cap
+    decided = 0
+    for name, G, e, images, N in _catalog_cyclic_problems():
+        if not is_nilpotent(N.as_group()[0]):
+            continue
+        if find_section(problem_from_quotient(ext(2, 1, e), G, images)) is not None:
+            continue
+        for d in range(1, min(24, 64 // e) + 1):
+            ep = problem_from_quotient(ext(2, d, d * e), G, images)
+            v = decide_sigma_solvability(ep, frobenius(ep.ext.K, 1))
+            coprime = math.gcd(d, e) == 1
+            assert v.status == ("SOLVABLE" if coprime else "UNSOLVABLE"), (name, e, d)
+            assert not v.split and v.cond_a == v.cond_c == coprime
+            decided += 1
+    assert decided == 1300

@@ -447,6 +447,35 @@ def test_large_field_embedding():
     assert acc.is_zero()
 
 
+@pytest.mark.parametrize("m,n", [(4, 16), (5, 20)])
+def test_characteristic_two_roots_split_by_traces(monkeypatch, m, n):
+    # past the scan limit, roots in F_2^n come from equal-degree splitting,
+    # whose p = 2 branch separates roots by trace maps
+    from skewgalois import orepoly
+
+    traces = []
+    trace = orepoly._trace
+
+    def counting_trace(h, f):
+        traces.append(h)
+        return trace(h, f)
+
+    monkeypatch.setattr(orepoly, "_trace", counting_trace)
+    K, L = make_field(2, m), make_field(2, n)
+    roots = roots_in_field(list(K.modulus), L)
+    assert traces
+    for r in roots:
+        acc = L.zero()
+        for c in reversed(K.modulus):
+            acc = acc * r + L.element(c)
+        assert acc.is_zero()
+    assert len(set(roots)) == len(roots) == m
+    frob = frobenius(L, 1)
+    assert {frob(r) for r in roots} == set(roots)
+    emb = embed_subfield(K, L)
+    assert emb.image_of_gen == min(roots, key=lambda r: r.coeffs[::-1])
+
+
 def test_roots_in_field_counts():
     L = make_field(2, 4)
     # x^2+x+1 splits into two roots in F_16

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from tuple_field import xgcd
 
-from skewgalois import modpoly, splitcon
+from skewgalois import cli, modpoly, splitcon
 from skewgalois.splitcon import (
+    DEGREE_MAX,
     REAL,
     LocalSpec,
     SpecError,
@@ -818,24 +822,73 @@ def test_place_precision_examples():
     assert splitcon._place_precision(LocalSpec(5, "ur", degree=8), 8) == 1
 
 
-def test_precision_fallback_doubles_every_place(monkeypatch):
+def test_a_failing_certificate_raises_with_the_one_report(monkeypatch):
+    # precision 1 everywhere breaks the rq place; Q is built once, and the
+    # error carries its report, which the CLI prints with exit code 3
     calls = _count_calls(monkeypatch, splitcon, "weak_approximation")
     monkeypatch.setattr(splitcon, "_place_precision", lambda spec, n: 1)
-    specs = [parse_spec("3:rq"), parse_spec("inf:ts")]
-    report = construct_lprime(specs, 5, 4)
-    # k = 1 and k = 2 fail, k = 4 passes
-    assert len(calls) == 3
-    assert [lp.precision for lp in calls[-1][0]] == [4] * 5
-    assert report.precision == 4 and set(report.place_precision.values()) == {4}
-    assert verify_report(report).ok
-    # with one doubling allowed the budget runs out
-    calls.clear()
-    monkeypatch.setattr(splitcon, "PRECISION_DOUBLINGS", 1)
     with pytest.raises(splitcon.ConstructionError) as exc:
-        construct_lprime(specs, 5, 4)
-    assert len(calls) == 2
-    assert exc.value.partial is not None and not exc.value.partial.all_passed()
-    assert "1 precision doublings" in str(exc.value)
+        construct_lprime([parse_spec("3:rq"), parse_spec("inf:ts")], 5, 4)
+    assert len(calls) == 1
+    assert [lp.precision for lp in calls[0][0]] == [1] * 5
+    partial = exc.value.partial
+    assert partial is not None and not partial.all_passed()
+    assert set(partial.place_precision.values()) == {1}
+    assert not verify_report(partial).ok
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+                        "--p-kernel", "5", "--n-min", "4"])
+    payload = json.loads(out.getvalue())
+    assert code == cli.EXIT_CERT and payload["error"] == "ConstructionError"
+    assert payload["partial"] == partial.to_json()
+
+
+def _random_valid_request(rng):
+    """Places at primes up to 13, each rq or ts:ramL, maybe the real place,
+    maybe extra primes ramified in L, any n_min up to DEGREE_MAX."""
+    primes = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 4))
+    specs = [f"{p}:ts:ramL" if rng.random() < 0.5 else f"{p}:rq" for p in primes]
+    if rng.random() < 0.5:
+        specs.append("inf:ts")
+    rq = {p for p, t in zip(primes, specs) if t.endswith(":rq")}
+    extra = rng.sample([q for q in (2, 3, 5, 7, 11, 13, 17, 19) if q not in rq], rng.randint(0, 2))
+    return specs, frozenset(extra), rng.randint(1, DEGREE_MAX), rng.choice([3, 5, 7])
+
+
+def test_every_valid_request_constructs_at_the_derived_precisions():
+    # the constructor has no retry: Q at the _place_precision precisions
+    # must pass every certificate, at every degree up to DEGREE_MAX
+    rng = random.Random(20)
+    cases = [_random_valid_request(rng) for _ in range(60)]
+    cases += [([f"{p}:{kind}", "inf:ts"], frozenset(), DEGREE_MAX, 5)
+              for p in (2, 3) for kind in ("rq", "ts:ramL")]
+    for specs, extra, n_min, p_kernel in cases:
+        report = construct_lprime([parse_spec(t) for t in specs], p_kernel, n_min, extra)
+        assert report.all_passed() and verify_report(report).ok, (specs, extra, n_min)
+
+
+def test_real_place_margin_beats_the_crt_rounding():
+    # Q's coefficient i is within M/2 of s^(n-i) T_i, T = prod_{j=1..n} (X - j)
+    # and s = c M with c = real_root_scale(n).  At x = (j + 1/2) s, for
+    # j = 0..n, the signs of Q alternate when s^n |T(j + 1/2)| beats
+    # (M/2) sum_{i<n} x^i.  Divided by s^n the bound has terms
+    # c^(i-n) M^(1+i-n) (j + 1/2)^i, largest at M = 1.
+    margins = []
+    for n in range(1, DEGREE_MAX + 1):
+        c = real_root_scale(n)
+        T = [1]
+        for j in range(1, n + 1):
+            T = zmul(T, [-j, 1])
+        points = [Fraction(2 * j + 1, 2) for j in range(n + 1)]
+        margins.append(min(
+            abs(sum(t * x**i for i, t in enumerate(T)))
+            / (sum(x**i * Fraction(1, c ** (n - i)) for i in range(n)) / 2)
+            for x in points
+        ))
+    assert min(margins) > 1
+    assert [round(float(m), 1) for m in margins[:2]] == [3.0, 4.1]
+    assert all(a < b for a, b in zip(margins, margins[1:]))
 
 
 @pytest.mark.parametrize("spec_strings,n", [
