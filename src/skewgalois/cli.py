@@ -186,7 +186,10 @@ def _verb_tower(args) -> tuple[dict, int]:
 
 def _verb_construct(args) -> tuple[dict, int]:
     specs = [splitcon.parse_spec(s) for s in args.spec]
-    extra = {int(p) for p in args.extra_l_ram.split(",") if p.strip()}
+    try:
+        extra = {int(p) for p in args.extra_l_ram.split(",") if p.strip()}
+    except ValueError:
+        raise splitcon.SpecError(f"bad --extra-l-ram list {args.extra_l_ram!r}") from None
     try:
         report = splitcon.construct_lprime(specs, p_kernel=args.p_kernel, n_min=args.n_min,
                                            extra_L_ram=frozenset(extra))

@@ -17,16 +17,13 @@ of K's modulus in L) is built only on request, by embed_subfield.
 Up to the log-table limit the int is the discrete log to a generator g (-1
 for zero): products, inverses and powers are integer operations on logs, a
 sum is one lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k
-multiplies a log by p^k mod (q - 1).  Past the limit the int packs the
-coefficients into slots of _w bits, a whole number of bytes (Kronecker
-substitution): one int product holds the 2n - 1 coefficients of the
-polynomial product, unreduced, and a reduction folds the high ones back
-modulo the modulus and takes each slot mod p.  No step loops over the slots
-in Python: for odd p one multiply by a fixed-point 1/p divides every third
-slot by p at once, and for p < 256 the digits of a canonical value are
-every (_w/8)-th byte of int.to_bytes, and a coefficient vector is packed
-by int.from_bytes.  Frobenius powers are F_p-linear maps applied as cached
-packed columns; sums and negation work slotwise on the int.  An inverse is
+multiplies a log by p^k mod (q - 1).  Past the limit the int is the
+element's packed coefficient vector: FqField is a modpoly.QuotientRing, the
+F_p[x]/(modulus) of modpoly's byte-wide slots, so a product is one int
+product and its _reduce (the high slots folded back through the modulus's
+_fold table, every slot taken mod p with no Python loop over the slots).
+Frobenius powers are F_p-linear maps applied as cached packed columns;
+sums and negation work slotwise on the int.  An inverse is
 Itoh and Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes about
 2 log2(n) Frobenius maps and products, and the norm a^r is a constant,
 inverted in F_p.
@@ -36,8 +33,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
-from operator import lshift, mul
+from operator import mul
 
 from . import modpoly
 from .zarith import factorize, is_prime
@@ -45,62 +41,30 @@ from .zarith import factorize, is_prime
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
 
 # Largest field order a descriptor may name.  The search for the least
-# irreducible modulus grows without bound in n: 0.2 s at 2^64 and 0.03 s
-# at 3^40, but 8 s at 2^128.
+# irreducible modulus grows without bound in n, if slowly: 4-6 ms at 2^64,
+# 1.4-2 ms at 3^40 and 50 ms at 2^128 (Python 3.11, 2 shared CPUs).
 FIELD_ORDER_MAX = 1 << 64
 
-# Products a packed slot has room for on top of a canonical value (see the
-# slot width in FqField), so that sums of them are reduced once
-_ACC_TERMS = 64
 
+class FqField(modpoly.QuotientRing):
+    """The field F_{p^n}: the modpoly.QuotientRing F_p[x]/(modulus) for the
+    least irreducible monic modulus of degree n, searched for on first use."""
 
-class FqField:
-    """The field F_{p^n} presented as F_p[x]/(modulus), for the least
-    irreducible monic modulus of degree n."""
-
-    __slots__ = (
-        "p", "n", "modulus", "order", "_log", "_antilog", "_zech", "_q1",
-        "_zero_v", "_frob_cols", "_w", "_step", "_nbytes", "_shifts", "_powers",
-        "_mask", "_low", "_fold", "_ones", "_top", "_divp", "_hash",
-    )
+    __slots__ = ("modulus", "order", "_log", "_antilog", "_zech", "_q1", "_zero_v",
+                 "_frob_cols", "_powers", "_hash")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
-        self.p = p
-        self.n = n
+        super().__init__(p, n)
         self.order = p**n
         self._q1 = self.order - 1
         self._log = self._antilog = self._zech = None  # built on first use
         self._zero_v = -1 if self.order <= _LOG_TABLE_MAX else 0
         self._frob_cols: dict[int, tuple] = {}
-        # With canonical slots in [0, p - 1], a product of two packed values
-        # puts at most n (p - 1)^2 in a slot, and one with (p - 1) times a
-        # packed value at most n (p - 1)^3.  A slot holds a canonical value,
-        # _ACC_TERMS such products and the n - 1 folded high slots of a
-        # reduction without carrying into the next; and 2^(w-1) >= p, which
-        # slotwise addition needs.  w is that bound rounded up to whole
-        # bytes, so a canonical slot below 256 is one byte of the int.
-        bound = (p - 1) + _ACC_TERMS * n * (p - 1) ** 3 + (n - 1) * (p - 1) ** 2
-        w = self._w = -(-max(bound, 2 * p).bit_length() // 8) * 8
-        self._step = w // 8
-        self._nbytes = n * self._step
-        self._shifts = tuple(range(0, w * n, w))
         self._powers = tuple(p**i for i in range(n))
-        self._mask = (1 << w) - 1
-        self._low = (1 << w * n) - 1
-        self._ones = sum(1 << s for s in self._shifts)
-        self._top = self._ones << w - 1
-        # _canon's division by p: t // p = t M >> K for every t < 2^w, with
-        # K = w + len(p) and M = ceil(2^K / p), since t M / 2^K exceeds t / p
-        # by less than t p / (p 2^K) < 1 / p.  t M < 2^(2w+1), so the
-        # products of every third slot, 3w bits apart, do not overlap; the
-        # masks pick out slots 0, 3, 6, ..., then 1, 4, ..., then 2, 5, ...
-        k = w + p.bit_length()
-        self._divp = (-(-(1 << k) // p), k,
-                      *(sum(self._mask << s for s in self._shifts[j::3]) for j in range(3)))
         self._hash = hash((p, n))
         self.__class__ = _Unsearched  # modulus and _fold stay unset until read
 
@@ -161,7 +125,7 @@ class FqField:
         else:
             vec = [c % p for c in coeffs]
             if len(vec) > self.n:
-                vec = modpoly.divmod_poly(vec, list(self.modulus), p)[1]
+                vec = self._read(self._divmod(self._pack(vec), self._pack(self.modulus))[1])
         if self._ensure_log_tables():
             return self._log[sum(map(mul, vec, self._powers))]
         return self._pack(vec)
@@ -174,14 +138,6 @@ class FqField:
             return self._log[idx]
         # a constant is its own packed form
         return idx if idx < self.p else self._pack(self._digits(idx))
-
-    def _digits(self, idx: int) -> list[int]:
-        """The n base-p digits of idx, least significant first."""
-        p, out = self.p, []
-        for _ in range(self.n):
-            idx, c = divmod(idx, p)
-            out.append(c)
-        return out
 
     def _coeffs(self, v: int) -> tuple:
         if self._log is not None:
@@ -217,58 +173,7 @@ class FqField:
             return -1 if a < 0 or b < 0 else (a + b) % self._q1
         return self._reduce(a * b)
 
-    # -- packed arithmetic (every field; the elements' own past the limit) --
-
-    def _pack(self, digits) -> int:
-        """The packed value whose slot i holds digits[i], for digits below p
-        (at most n of them); _read inverted."""
-        if self.p < 256:
-            buf = bytearray(len(digits) * self._step)
-            buf[::self._step] = digits
-            return int.from_bytes(buf, "little")
-        w = self._w
-        return sum(map(lshift, digits, range(0, w * len(digits), w)))
-
-    def _read(self, v: int):
-        """The n slots of a canonical packed value: for p < 256 every
-        (w/8)-th byte of it, the lowest byte of each slot."""
-        if self.p < 256:
-            return v.to_bytes(self._nbytes, "little")[::self._step]
-        mask = self._mask
-        return [v >> s & mask for s in self._shifts]
-
-    def _combine(self, v: int, cols: tuple) -> int:
-        """The sum of cols[i] times slot i of a canonical v, unreduced."""
-        digits = self._read(v)
-        return sum(compress(cols, digits)) if self.p == 2 else sum(map(mul, digits, cols))
-
-    def _canon(self, acc: int) -> int:
-        """Each of the n slots of acc taken mod p: slot t loses p (t // p),
-        with t // p found for every third slot at once by one multiply (see
-        _divp in __init__)."""
-        if self.p == 2:
-            return acc & self._ones
-        m, k, g0, g1, g2 = self._divp
-        return acc - self.p * ((acc & g0) * m >> k & g0 | (acc & g1) * m >> k & g1
-                               | (acc & g2) * m >> k & g2)
-
-    def _reduce(self, v: int) -> int:
-        """The canonical packed form of a sum of packed products: its slots
-        n to 2n - 2, taken mod p, fold back as multiples of x^(n+i)."""
-        high = self._canon(v >> self._w * self.n)
-        return self._canon((v & self._low) + self._combine(high, self._fold))
-
-    def _pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self._inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self._reduce(r * a)
-            e >>= 1
-            if e:
-                a = self._reduce(a * a)
-        return r
+    # -- packed arithmetic past the limit (slots: modpoly.QuotientRing) ------
 
     def _inv(self, a: int) -> int:
         """The inverse of a nonzero packed value, by Itoh and Tsujii: with
@@ -405,11 +310,8 @@ class _Unsearched(FqField):
     def __getattr__(self, name):
         if name not in ("modulus", "_fold"):
             raise AttributeError(name)
-        p, n = self.p, self.n
-        self.modulus = modulus = tuple(modpoly.least_irreducible(p, n))
-        # _fold[i] is x^(n+i) mod the modulus, packed
-        self._fold = tuple(self._pack(modpoly.divmod_poly([0] * i + [1], modulus, p)[1])
-                           for i in range(n, 2 * n - 1))
+        self.modulus = tuple(modpoly.least_irreducible(self.p, self.n))
+        self._set_fold(self._pack(self.modulus))
         self.__class__ = FqField
         return getattr(self, name)
 
@@ -490,7 +392,7 @@ class FqElem:
             return F.one() if e == 0 else F.zero()
         if F._log is not None:
             return FqElem(F, self.v * e % F._q1)
-        return FqElem(F, F._pow(self.v, e))
+        return FqElem(F, F._pow(self.v, e) if e >= 0 else F._pow(F._inv(self.v), -e))
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from operator import add
 
-from .ffield import _ACC_TERMS, FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
+from .ffield import FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
+from .modpoly import _ACC_TERMS
 from .zarith import is_int
 
 

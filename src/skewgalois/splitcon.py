@@ -87,9 +87,10 @@ PRECISION_CAP = 64
 
 # Largest degree the constructor builds, and the largest degree of an
 # unramified spec: a time bound, not a limit of the method.  On the spec
-# sets "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" (one run each, 2 CPUs)
-# a construction takes at most 1.5 s up to n = 20 (at n = 20 most of it in
-# discriminant residues), 0.3-2.4 s at n = 22 and 24, and 16-24 s at n = 32.
+# sets "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" (one CLI run each,
+# Python 3.11, 2 shared CPUs) construct-lprime and verify-report take
+# 0.2-0.4 s each at n = 20, but 2.5-6 s each at n = 32, most of it in one
+# discriminant residue at the first auxiliary prime (_disc_valuation).
 DEGREE_MAX = 20
 
 
@@ -174,20 +175,24 @@ def parse_spec(text: str) -> LocalSpec:
         if kind != "ts" or ram:
             raise SpecError("the real place is written 'inf:ts'")
         return LocalSpec(REAL, KIND_TOTALLY_SPLIT)
-    prime = int(head)
+    try:
+        prime = int(head)
+        degree = int(kind[2:]) if kind.startswith("ur") else None
+    except ValueError:
+        raise SpecError(f"bad spec string {text!r}") from None
     if kind == "ts":
         return LocalSpec(prime, KIND_TOTALLY_SPLIT, ram_in_L=ram)
     if kind == "rq":
         return LocalSpec(prime, KIND_RAMIFIED_QUADRATIC, ram_in_L=ram)
-    if kind.startswith("ur"):
-        return LocalSpec(prime, KIND_UNRAMIFIED, degree=int(kind[2:]), ram_in_L=ram)
+    if degree is not None:
+        return LocalSpec(prime, KIND_UNRAMIFIED, degree=degree, ram_in_L=ram)
     raise SpecError(f"unknown kind in {text!r}")
 
 
 def spec_from_json(data: dict) -> LocalSpec:
     """Rebuild a spec from its JSON; a malformed shape raises SpecError."""
-    if not isinstance(data, dict):
-        raise SpecError("a spec must be a JSON object")
+    if not isinstance(data, dict) or "prime" not in data or "kind" not in data:
+        raise SpecError("a spec must be a JSON object with a 'prime' and a 'kind'")
     if data.get("degree") is not None and not is_int(data["degree"]):
         raise SpecError("spec field 'degree' must be an integer")
     return LocalSpec(
@@ -985,12 +990,15 @@ def report_from_json(data: dict) -> ConstructionReport:
     if not isinstance(certs, dict) or not isinstance(certs.get("disjoint"), dict):
         raise SpecError("report field 'certificates' must be an object with an object 'disjoint'")
     sn = certs.get("sn")
-    if not (isinstance(sn, dict) and isinstance(sn.get("patterns"), dict)
-            and all(isinstance(v, list) for v in sn["patterns"].values())
+    if not (isinstance(sn, dict) and is_int(sn.get("n")) and isinstance(sn.get("conclusion"), bool)
+            and isinstance(sn.get("patterns"), dict)
+            and all(k.isdecimal() and isinstance(v, list) for k, v in sn["patterns"].items())
             and isinstance(sn.get("reasons", []), list)):
-        raise SpecError("certificate 'sn' must be an object with 'patterns' of lists and a list 'reasons'")
-    if not isinstance(certs.get("locals"), list) or not all(isinstance(c, dict) for c in certs["locals"]):
-        raise SpecError("certificate 'locals' must be a list of objects")
+        raise SpecError("certificate 'sn' must be an object with an integer 'n', a boolean 'conclusion', "
+                        "'patterns' of lists keyed by integers and a list 'reasons'")
+    if not isinstance(certs.get("locals"), list) or not all(
+            isinstance(c, dict) and "spec" in c and isinstance(c.get("passed"), bool) for c in certs["locals"]):
+        raise SpecError("certificate 'locals' must be a list of objects with a 'spec' and a boolean 'passed'")
     sn_cert = SnCertificate(
         n=sn["n"],
         patterns={int(k): tuple(v) for k, v in sn["patterns"].items()},

@@ -266,15 +266,17 @@ def test_packed_tier_never_reads_base_p_digits(monkeypatch, base):
 @pytest.mark.parametrize("base", ["2^20", "3^12"])
 def test_packed_tier_inverts_without_euclid(monkeypatch, base):
     # past the log-table limit an inverse is a Frobenius chain: once the
-    # modulus is known, no F_p[x] extended Euclid or division runs
+    # modulus is known, no F_p[x] Euclid or division runs.  The names are
+    # patched with raising=True, so a rename fails here instead of leaving
+    # the guard checking nothing.
     from skewgalois import ffield, modpoly
 
     def no_euclid(*args, **kwargs):
         raise AssertionError("F_p[x] Euclid ran in the packed tier")
 
     assert ffield.field_from_descriptor(base).modulus  # the search divides in F_p[x]
-    for name in ("xgcd", "divmod_poly", "gcd"):
-        monkeypatch.setattr(modpoly, name, no_euclid, raising=False)
+    for name in ("_divmod", "_gcd", "_monic"):
+        monkeypatch.setattr(modpoly.QuotientRing, name, no_euclid, raising=True)
     inverses, inv = [], ffield.FqField._inv
     monkeypatch.setattr(ffield.FqField, "_inv", lambda F, a: inverses.append(a) or inv(F, a))
     p, n = map(int, base.split("^"))
@@ -615,6 +617,53 @@ def test_extra_l_ram_is_validated(extra, message):
     code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", extra])
     assert code == cli.EXIT_DOMAIN and out == ""
     assert json.loads(err) == {"error": "SpecError", "message": message}
+
+
+def _report_argv(tamper):
+    """verify-report on the TWO_SPECS report after tamper(report)."""
+    def argv():
+        code, out, err = run_cli(TWO_SPECS)
+        assert code == cli.EXIT_OK, err
+        report = json.loads(out)
+        tamper(report)
+        return ["verify-report", "--report", json.dumps(report)]
+    return argv
+
+
+def _pop(*path):
+    def tamper(report):
+        *head, last = path
+        node = report
+        for key in head:
+            node = node[key]
+        del node[last]
+    return tamper
+
+
+def _pattern_key(report):
+    patterns = report["certificates"]["sn"]["patterns"]
+    patterns["x"] = patterns.pop(next(iter(patterns)))
+
+
+@pytest.mark.parametrize("argv", [
+    _report_argv(_pop("certificates", "sn", "n")),
+    _report_argv(_pop("certificates", "sn", "conclusion")),
+    _report_argv(_pop("certificates", "locals", 0, "spec")),
+    _report_argv(_pop("certificates", "locals", 0, "passed")),
+    _report_argv(_pop("aux", 0, "prime")),
+    _report_argv(_pop("aux", 0, "kind")),
+    _report_argv(_pattern_key),
+    lambda: TWO_SPECS + ["--extra-l-ram", "x"],
+    lambda: TWO_SPECS + ["--extra-l-ram", "13,1.5"],
+    lambda: ["construct-lprime", "--spec", "x:ts", "--p-kernel", "5", "--n-min", "3"],
+    lambda: ["construct-lprime", "--spec", "3:urx", "--p-kernel", "5", "--n-min", "3"],
+], ids=["sn-n", "sn-conclusion", "local-spec", "local-passed", "aux-prime", "aux-kind",
+        "pattern-key", "extra-l-ram", "extra-l-ram-float", "spec-prime", "spec-degree"])
+def test_malformed_fields_are_spec_errors(argv):
+    # a malformed report field or construct-lprime flag is a SpecError, exit 1
+    code, out, err = run_cli(argv())
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"] == "SpecError", err
 
 
 def test_extra_l_ram_prime_is_answered():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import tuple_field
 from tuple_field import TupleField
 
 from skewgalois import modpoly
@@ -27,11 +28,8 @@ def test_make_field_examples():
     F3 = make_field(3, 1)
     assert F3.modulus == (0, 1)  # degree-1 convention: modulus x
     F16 = make_field(2, 4)
-    # re-verify irreducibility with the distinct-degree oracle
-    for d in (1, 2):
-        r = modpoly.sub(modpoly.x_q_pow_mod(list(F16.modulus), 2, d), [0, 1], 2)
-        assert modpoly.degree(modpoly.gcd(r, list(F16.modulus), 2)) == 0
-    assert modpoly.x_q_pow_mod(list(F16.modulus), 2, 4) == [0, 1]
+    # re-verify irreducibility with the list oracle's distinct-degree test
+    assert tuple_field.is_irreducible(list(F16.modulus), 2)
 
 
 def test_make_field_rejects_nonprime():
@@ -320,10 +318,11 @@ def test_cap_field_inverse_matches_tuple_reference(p, n):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 191, 251, 257, 65537, (1 << 61) - 1])
 def test_slot_reduction_at_its_extremes(p):
-    # _canon's one multiply per third of the slots and _combine's byte read
-    # against slot-by-slot % p, for every n up to the order cap: random
-    # slots of every size, every slot at 2^w - 1, and every slot at the
-    # largest multiple of p below 2^w and one less
+    # _canon's one multiply per third of the slots, on all 2n slots of a
+    # product, and the byte reads of _read and _combine, against
+    # slot-by-slot % p, for every n up to the order cap: random slots of
+    # every size, every slot at 2^w - 1, and every slot at the largest
+    # multiple of p below 2^w and one less
     rng = random.Random(p)
     n = 1
     while p**n <= FIELD_ORDER_MAX:
@@ -331,16 +330,18 @@ def test_slot_reduction_at_its_extremes(p):
         w = F._w
         mask = (1 << w) - 1
         top = mask // p * p
-        cases = [[mask] * n, [top] * n, [top - 1] * n]
-        cases += [[rng.randrange(1 << rng.randrange(1, w + 1)) for _ in range(n)]
+        cases = [[mask] * 2 * n, [top] * 2 * n, [top - 1] * 2 * n]
+        cases += [[rng.randrange(1 << rng.randrange(1, w + 1)) for _ in range(2 * n)]
                   for _ in range(30)]
         for slots in cases:
             canon = F._canon(sum(t << w * i for i, t in enumerate(slots)))
             digits = [t % p for t in slots]
             assert canon == sum(d << w * i for i, d in enumerate(digits)), (n, slots)
-            assert list(F._read(canon)) == digits and F._pack(digits) == canon
+            assert F._pack(digits) == canon
+            low = canon & F._low
+            assert list(F._read(low)) == digits[:n] and F._pack(digits[:n]) == low
             cols = [rng.randrange(1 << 64) for _ in range(n)]
-            assert F._combine(canon, cols) == sum(c * d for c, d in zip(cols, digits))
+            assert F._combine(low, cols) == sum(c * d for c, d in zip(cols, digits))
         n += 1
 
 
@@ -358,7 +359,7 @@ def test_element_io_round_trip_in_both_tiers(p, n):
     # an int is a constant; a longer vector is reduced modulo the modulus
     assert F.element(p + 1).coeffs == ref.one
     long = [rng.randrange(p) for _ in range(2 * n + 1)]
-    rem = modpoly.divmod_poly(long, list(F.modulus), p)[1]
+    rem = tuple_field.divmod_poly(long, list(F.modulus), p)[1]
     assert F.element(long).coeffs == tuple(rem + [0] * (n - len(rem)))
     assert F.from_index(F.order + 5) == F.from_index(5)
 

@@ -90,11 +90,19 @@ def test_tower_runs_only_groups():
     assert got["loaded"] == ["cli", "groups", "zarith"]
 
 
-def test_constructor_runs_no_group_or_ring_module():
+def test_constructor_runs_no_group_or_ring_module(tmp_path):
+    # nor ffield: modpoly's F_p[x] kernel stands alone, so the constructor
+    # and the audit of its report do not compile the field module
     got = fresh(RUN_VERB, "construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
                 "--p-kernel", "5", "--n-min", "3")
     assert got["code"] == 0
-    assert {"groups", "embed", "quat", "orepoly"}.isdisjoint(got["loaded"])
+    assert {"groups", "embed", "quat", "orepoly", "ffield"}.isdisjoint(got["loaded"])
+    assert "splitcon" in got["loaded"]
+    report = tmp_path / "report.json"
+    report.write_text(got["stdout"], encoding="utf-8")
+    got = fresh(RUN_VERB, "verify-report", "--report", str(report))
+    assert got["code"] == 0 and json.loads(got["stdout"])["ok"] is True
+    assert {"groups", "embed", "quat", "orepoly", "ffield"}.isdisjoint(got["loaded"])
     assert "splitcon" in got["loaded"]
 
 

@@ -4,7 +4,8 @@ import ore_reference
 import pytest
 from tuple_field import TupleField
 
-from skewgalois.ffield import _ACC_TERMS, embed_subfield, frobenius, make_field
+from skewgalois.ffield import embed_subfield, frobenius, make_field
+from skewgalois.modpoly import _ACC_TERMS
 from skewgalois.orepoly import (
     OrePoly,
     OreRing,

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import tuple_field
 from tuple_field import xgcd
 
 from skewgalois import cli, modpoly, splitcon
@@ -520,8 +521,8 @@ def test_root_tree_matches_exact_evaluation_reference():
 
 def _reference_hensel_split(Q, p, A0, B0, precision):
     """_hensel_factor_split as it was: one linear lifting step per power of p."""
-    A0 = modpoly.normalize(A0, p)
-    B0 = modpoly.normalize(B0, p)
+    A0 = tuple_field.normalize(A0, p)
+    B0 = tuple_field.normalize(B0, p)
     d, u, v = xgcd(A0, B0, p)
     assert d == [1]
     da, db = len(A0) - 1, len(B0) - 1
@@ -530,10 +531,10 @@ def _reference_hensel_split(Q, p, A0, B0, precision):
     for _ in range(precision - 1):
         E = zadd(Q, [-c for c in zmul(A, B)])
         assert not any(c % pk for c in E)
-        Ebar = modpoly.normalize([(c // pk) % p for c in E], p)
-        dA = modpoly.divmod_poly(modpoly.mul(v, Ebar, p), A0, p)[1]
-        num = modpoly.sub(Ebar, modpoly.mul(dA, B0, p), p)
-        dB, rem = modpoly.divmod_poly(num, A0, p)
+        Ebar = tuple_field.normalize([(c // pk) % p for c in E], p)
+        dA = tuple_field.divmod_poly(tuple_field.mul(v, Ebar, p), A0, p)[1]
+        num = tuple_field.sub(Ebar, tuple_field.mul(dA, B0, p), p)
+        dB, rem = tuple_field.divmod_poly(num, A0, p)
         assert not rem
         A = [a + pk * c for a, c in zip(A, list(dA) + [0] * (da + 1 - len(dA)))]
         B = [b + pk * c for b, c in zip(B, list(dB) + [0] * (db + 1 - len(dB)))]

@@ -1,29 +1,126 @@
-"""A reference finite field on coefficient tuples, for the tests.
+"""A reference finite field on coefficient tuples, and list arithmetic in
+F_p[x], for the tests.
 
-It works from a field's p, n and modulus alone, with modpoly's list product
-and division, square-and-multiply and the extended Euclid below, so it
-shares no code with the element ints of skewgalois.ffield (discrete logs,
-packed slots, Zech tables, Frobenius columns or Itoh-Tsujii inversion).
+Polynomials are ascending coefficient lists over Z/p, the zero polynomial
+the empty list.  Everything here is schoolbook on lists (products,
+division, square-and-multiply, the extended Euclid, distinct-degree
+factorization), written out in this file: it imports nothing from
+skewgalois, so it shares no code with the packed ints of skewgalois.modpoly
+or the element ints of skewgalois.ffield (discrete logs, packed slots,
+Zech tables, Frobenius columns or Itoh-Tsujii inversion).
 """
 
-from skewgalois import modpoly
+
+def normalize(f, p):
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
 
-def xgcd(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
+def add(f, g, p):
+    n = max(len(f), len(g))
+    return normalize([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
+                      for i in range(n)], p)
+
+
+def sub(f, g, p):
+    return add(f, [-c for c in g], p)
+
+
+def mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return normalize(out, p)
+
+
+def scalar_mul(c, f, p):
+    return normalize([c * a for a in f], p)
+
+
+def divmod_poly(f, g, p):
+    """Quotient and remainder of f by a nonzero g."""
+    f, g = normalize(f, p), normalize(g, p)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [0] * max(0, len(f) - len(g) + 1)
+    inv_lead = pow(g[-1], -1, p)
+    while len(f) >= len(g):
+        c = f[-1] * inv_lead % p
+        k = len(f) - len(g)
+        q[k] = c
+        f = sub(f, [0] * k + scalar_mul(c, g, p), p)
+    return normalize(q, p), f
+
+
+def pow_mod(f, e, m, p):
+    """f^e mod m by square-and-multiply."""
+    result, base = divmod_poly([1], m, p)[1], divmod_poly(f, m, p)[1]
+    while e > 0:
+        if e & 1:
+            result = divmod_poly(mul(result, base, p), m, p)[1]
+        base = divmod_poly(mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+def xgcd(f, g, p):
     """Extended Euclid: (d, s, t) with d the monic gcd (0 for two zero
     inputs) and s*f + t*g = d; deg t < deg f - deg d when deg g < deg f."""
-    r0, r1 = modpoly.normalize(f, p), modpoly.normalize(g, p)
+    r0, r1 = normalize(f, p), normalize(g, p)
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = modpoly.divmod_poly(r0, r1, p)
+        q, r = divmod_poly(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, modpoly.sub(s0, modpoly.mul(q, s1, p), p)
-        t0, t1 = t1, modpoly.sub(t0, modpoly.mul(q, t1, p), p)
+        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
     if not r0:
         return [], s0, t0
     inv = pow(r0[-1], -1, p)
-    return tuple(modpoly.scalar_mul(inv, h, p) for h in (r0, s0, t0))
+    return tuple(scalar_mul(inv, h, p) for h in (r0, s0, t0))
+
+
+def gcd(f, g, p):
+    return xgcd(f, g, p)[0]
+
+
+def x_q_pow_mod(m, p, d):
+    """x^(p^d) mod m, by d repeated p-th powers."""
+    r = divmod_poly([0, 1], m, p)[1]
+    for _ in range(d):
+        r = pow_mod(r, p, m, p)
+    return r
+
+
+def is_irreducible(f, p):
+    """The distinct-degree test for a monic f of degree n >= 1:
+    x^(p^n) = x mod f, and gcd(x^(p^d) - x, f) = 1 at every proper divisor d
+    of n."""
+    n = len(f) - 1
+    for d in range(1, n):
+        if n % d == 0 and len(gcd(sub(x_q_pow_mod(f, p, d), [0, 1], p), f, p)) > 1:
+            return False
+    return not divmod_poly(sub(x_q_pow_mod(f, p, n), [0, 1], p), f, p)[1]
+
+
+def ddf_pattern(f, p):
+    """The sorted degrees of the irreducible factors of a squarefree f, by
+    distinct-degree factorization: the product of the factors of degree d
+    is gcd(x^(p^d) - x, f) once those of lower degree are divided out."""
+    f = normalize(f, p)
+    pattern, d, h = [], 0, [0, 1]  # h = x^(p^d) mod f
+    while len(f) > 1:
+        d += 1
+        h = pow_mod(h, p, f, p)
+        g = gcd(sub(h, [0, 1], p), f, p)
+        pattern += [d] * ((len(g) - 1) // d)
+        f = divmod_poly(f, g, p)[0]
+    return pattern
 
 
 class TupleField:
@@ -49,8 +146,8 @@ class TupleField:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        prod = modpoly.mul(list(a), list(b), self.p)
-        return self._pad(modpoly.divmod_poly(prod, self.modulus, self.p)[1])
+        prod = mul(list(a), list(b), self.p)
+        return self._pad(divmod_poly(prod, self.modulus, self.p)[1])
 
     def inv(self, a):
         d, _, t = xgcd(self.modulus, list(a), self.p)
