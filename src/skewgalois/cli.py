@@ -176,7 +176,7 @@ def _verb_tower(args) -> tuple[dict, int]:
                 "group_order": step.group.order,
                 "N": list(step.N.elements),
                 "Gp": list(step.Gp.elements),
-                "phi": list(step.phi.images),
+                "phi": list(step.phi),
                 "kernel_order": step.kernel_order(),
                 "note": step.note,
             }

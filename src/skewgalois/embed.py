@@ -113,8 +113,7 @@ class EmbeddingProblem:
 
     def kernel_is_nilpotent(self) -> bool:
         if self._kernel_nilpotent is None:
-            ker_group, _ = self.kernel().as_group("ker")
-            self._kernel_nilpotent = is_nilpotent(ker_group)
+            self._kernel_nilpotent = is_nilpotent(self.kernel().as_group("ker"))
         return self._kernel_nilpotent
 
     def __repr__(self) -> str:

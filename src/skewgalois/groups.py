@@ -302,14 +302,12 @@ class Subgroup:
             for x in self.elements
         )
 
-    def as_group(self, name: str = "H") -> tuple[FiniteGroup, list[int]]:
-        """Materialize as a standalone group; returns (group, index->parent map)."""
-        order_map = list(self.elements)  # identity 0 first since elements sorted
-        pos = {g: i for i, g in enumerate(order_map)}
-        table = [
-            [pos[self.parent.table[a][b]] for b in order_map] for a in order_map
-        ]
-        return FiniteGroup(table, name=name, _trusted=True), order_map
+    def as_group(self, name: str = "H") -> FiniteGroup:
+        """Materialize as a standalone group: index i is elements[i], so the
+        identity 0 stays first."""
+        pos = {g: i for i, g in enumerate(self.elements)}
+        table = [[pos[self.parent.table[a][b]] for b in self.elements] for a in self.elements]
+        return FiniteGroup(table, name=name, _trusted=True)
 
 
 class GroupHom:
@@ -571,13 +569,8 @@ def semidirect_product(
 def conjugation_action(G: FiniteGroup, N: Subgroup, H: Subgroup) -> list[tuple]:
     """The action of H on normal N by conjugation inside their common parent,
     expressed on N's local indices."""
-    n_map = list(N.elements)
-    n_pos = {g: i for i, g in enumerate(n_map)}
-    action = []
-    for h in H.elements:
-        perm = tuple(n_pos[G.conj(h, x)] for x in n_map)
-        action.append(perm)
-    return action
+    n_pos = {g: i for i, g in enumerate(N.elements)}
+    return [tuple(n_pos[G.conj(h, x)] for x in N.elements) for h in H.elements]
 
 
 # -- structural predicates ------------------------------------------------------
@@ -665,17 +658,17 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
 class ReductionStep:
     """One step of the solvable-group reduction: a surjection
     phi : N x| G' -> G with N the Fitting subgroup and G' a proper subgroup
-    (or N = G, G' = 1 when G is already nilpotent); phi.domain is the
-    semidirect product, G' acting on N by conjugation."""
+    (or N = G, G' = 1 when G is nilpotent), G' acting by conjugation; phi
+    is the image list, the pair (N.elements[i], Gp.elements[j]) at index i*|G'| + j."""
 
     group: FiniteGroup
     N: Subgroup
     Gp: Subgroup
-    phi: GroupHom
+    phi: tuple[int, ...]
     note: str
 
     def kernel_order(self) -> int:
-        return self.phi.kernel().order
+        return self.phi.count(0)  # |N meet G'|
 
 
 def _min_supplement(G: FiniteGroup, N: Subgroup) -> tuple[int, ...] | None:
@@ -728,8 +721,8 @@ def shafarevich_step(G: FiniteGroup) -> ReductionStep:
 
     G' is the minimal-order proper subgroup with N*G' = G (ties broken by
     the lexicographically least element set), found by _min_supplement's
-    lift search; the action is conjugation and phi(n, g') = n*g'.
-    Surjectivity is re-verified on the result.
+    lift search; phi(n, g') = n*g' is a homomorphism by (n h)(n' h') =
+    n (h n' h^-1) . h h', so N x| G' is never built; only N*G' = G is re-checked.
     """
     if G.order == 1:
         raise ValueError("the trivial group has no reduction step")
@@ -746,12 +739,8 @@ def shafarevich_step(G: FiniteGroup) -> ReductionStep:
             raise AssertionError("no proper complement-like subgroup found")
         Gp = Subgroup(G, best)
         note = "G' = minimal-order subgroup with N*G' = G (lex tie-break)"
-    Ng, n_map = N.as_group("N")
-    Hg, h_map = Gp.as_group("G'")
-    semi, _, _ = semidirect_product(Ng, Hg, conjugation_action(G, N, Gp))
-    # (n, h) sits at index n*|G'| + h of the product
-    phi = GroupHom(semi, G, [G.table[n][h] for n in n_map for h in h_map])
-    if not phi.is_surjective():
+    phi = tuple(G.table[n][h] for n in N.elements for h in Gp.elements)
+    if len(set(phi)) != G.order:
         raise AssertionError("reduction surjection failed verification")
     return ReductionStep(G, N, Gp, phi, note)
 
@@ -765,7 +754,7 @@ def solvable_tower(G: FiniteGroup) -> list[ReductionStep]:
     while current.order > 1:
         step = shafarevich_step(current)
         steps.append(step)
-        current = step.Gp.as_group("G'")[0]
+        current = step.Gp.as_group("G'")
     return steps
 
 

@@ -718,9 +718,10 @@ def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
         return LocalCheck(spec, ok, {"v_b": vb, "unramified_part_roots": ev}, reason)
 
     if spec.kind == KIND_UNRAMIFIED:
-        if not modpoly.is_squarefree(qbar, p):
+        try:  # ddf_pattern refuses a reduction that is not squarefree
+            pattern = tuple(sorted(modpoly.ddf_pattern(qbar, p), reverse=True))
+        except ValueError:
             return LocalCheck(spec, False, {}, "not squarefree mod p")
-        pattern = tuple(sorted(modpoly.ddf_pattern(qbar, p), reverse=True))
         declared = tuple(sorted([spec.degree] + [1] * (n - spec.degree), reverse=True))
         return LocalCheck(
             spec, pattern == declared, {"pattern": list(pattern), "declared": list(declared)},

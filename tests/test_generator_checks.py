@@ -219,7 +219,7 @@ def _conjugation_cases():
         for N in G.all_normal_subgroups():
             for H in G.all_subgroups():
                 if N.order > 1 and H.order > 1:
-                    cases.append((N.as_group("N")[0], H.as_group("H")[0],
+                    cases.append((N.as_group("N"), H.as_group("H"),
                                   conjugation_action(G, N, H), G, N))
     return cases
 

@@ -1,13 +1,16 @@
 import io
 import json
+import os
 import runpy
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from group_oracles import find_isomorphism
+from group_oracles import check_reduction_step, find_isomorphism
 
 from skewgalois import cli
 from skewgalois.catalog import catalog, catalog_upto
@@ -216,7 +219,7 @@ def test_fitting_is_nilpotent_and_normal():
     for name, G in catalog_upto(24):
         F = fitting_subgroup(G)
         assert F.is_normal()
-        Fg, _ = F.as_group()
+        Fg = F.as_group()
         assert is_nilpotent(Fg)
 
 
@@ -268,8 +271,8 @@ def test_semidirect_v4_s3_is_s4():
     S4 = symmetric_group(4)
     V4 = fitting_subgroup(S4)
     H = next(h for h in S4.all_subgroups() if h.order == 6)
-    Ng, _ = V4.as_group()
-    Hg, _ = H.as_group()
+    Ng = V4.as_group()
+    Hg = H.as_group()
     action = conjugation_action(S4, V4, H)
     G, _, _ = semidirect_product(Ng, Hg, action)
     assert find_isomorphism(G, S4) is not None
@@ -278,12 +281,12 @@ def test_semidirect_v4_s3_is_s4():
 def test_shafarevich_step_examples():
     S3 = symmetric_group(3)
     st = shafarevich_step(S3)
-    assert st.N.order == 3 and st.Gp.order == 2
-    assert st.phi.is_surjective() and st.phi.kernel().order == 1
+    assert st.N.order == 3 and st.Gp.order == 2 and st.kernel_order() == 1
+    check_reduction_step(st)
     S4 = symmetric_group(4)
     st4 = shafarevich_step(S4)
     assert st4.N.order == 4 and st4.Gp.order == 6
-    assert st4.phi.is_surjective()
+    check_reduction_step(st4)
     Q8 = dicyclic_group(2)
     stq = shafarevich_step(Q8)
     assert stq.N.order == 8 and stq.Gp.order == 1
@@ -310,9 +313,8 @@ def test_tower_steps_verify():
     for name, G in [("S4", symmetric_group(4)), ("Dic3", dicyclic_group(3)),
                     ("C2xA4", direct_product(cyclic_group(2), alternating_group(4)))]:
         for step in solvable_tower(G):
-            Ng, _ = step.N.as_group()
-            assert is_nilpotent(Ng)
-            assert step.phi.is_surjective()
+            assert is_nilpotent(step.N.as_group())
+            check_reduction_step(step)
             assert step.N.is_normal()
             # product set N * G' covers the group
             prods = {step.group.table[a][b] for a in step.N.elements for b in step.Gp.elements}
@@ -537,8 +539,7 @@ def test_s4_x_s3_tower_completes_with_surjective_steps():
     steps = solvable_tower(G)
     assert steps[-1].Gp.order == 1
     for step in steps:
-        assert step.phi.is_surjective()
-        assert step.phi.codomain.order == step.group.order
+        check_reduction_step(step)
 
 
 # -- the supplement search of shafarevich_step ---------------------------------
@@ -601,3 +602,43 @@ def test_shafarevich_step_never_scans_all_subgroups(monkeypatch):
     groups.append(from_permutations(_s3_power_gens(2) + [[[6, 7]]]))
     for G in groups:
         assert solvable_tower(G)[-1].Gp.order == 1
+
+
+def test_every_catalog_tower_step_passes_the_materialized_check():
+    for _, G in catalog():
+        if is_solvable(G):
+            for step in solvable_tower(G):
+                check_reduction_step(step)
+
+
+def test_the_tower_builds_no_semidirect_product(monkeypatch):
+    # phi is read off as an image list; N x| G' exists only in the oracles
+    from skewgalois import groups
+
+    solvable = [G for _, G in catalog() if is_solvable(G) and G.order > 1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tower built N x| G' or a homomorphism on it")
+
+    for name in ("semidirect_product", "_pair_table", "GroupHom"):
+        monkeypatch.setattr(groups, name, refuse)
+    for G in solvable:
+        assert solvable_tower(G)[-1].Gp.order == 1
+
+
+def test_s3_fourth_power_tower_peaks_under_64_mb():
+    # the first step's N x| G' has order 1296, and its table alone took the
+    # peak of this run to 96 MB.  A child's ru_maxrss starts at the peak of
+    # the process that spawned it, so the tower runs as the child of a
+    # fresh interpreter, not of the test process, which reads it back.
+    tower = ("from skewgalois.groups import from_permutations, solvable_tower\n"
+             f"solvable_tower(from_permutations({_s3_power_gens(4)!r}))\n")
+    launcher = ("import resource, subprocess, sys\n"
+                "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", launcher, tower], capture_output=True,
+                          text=True, env=env, check=True)
+    peak_bytes = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
+    assert peak_bytes < 64 * 2**20

@@ -659,6 +659,18 @@ def test_each_certificate_is_derived_once(monkeypatch, spec_strings, n):
     assert sorted(p for _, p in ddf) == ur
 
 
+def test_an_unramified_place_tests_squarefreeness_once(monkeypatch):
+    # the check inside ddf_pattern is the only one; a reduction it refuses
+    # gives the same negative certificate as a check of its own would
+    calls = _count_calls(monkeypatch, modpoly, "is_squarefree")
+    c = certify_local_behavior([1, 1, 0, 1], LocalSpec(2, "ur", degree=3))
+    assert c.passed and len(calls) == 1
+    calls.clear()
+    c = certify_local_behavior([1, 2, 1], LocalSpec(3, "ur", degree=2))  # (X + 1)^2
+    assert (c.passed, c.evidence, c.reason) == (False, {}, "not squarefree mod p")
+    assert len(calls) == 1
+
+
 def test_constructor_still_checks_the_auxiliary_order(monkeypatch):
     # the last three auxiliary specs out of order: every certificate still
     # passes, and the structural check refuses the report
