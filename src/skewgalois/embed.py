@@ -301,7 +301,7 @@ def decide_sigma_solvability(ep: EmbeddingProblem, sigma: FieldAut) -> Verdict:
         status=SOLVABLE if cond_a else UNSOLVABLE,
         cond_a=cond_a,
         cond_c=cond_c,
-        split=find_section(ep) is not None,
+        split=any(ws.order == ep.degree for ws in weak),
         witness=witness,
         tau=lift_sigma(ep.ext, sigma) if cond_a else None,
     )

@@ -632,16 +632,17 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """O_p(G): the intersection of all conjugates of a Sylow p-subgroup."""
+    """O_p(G), the intersection of the conjugates of a Sylow p-subgroup P:
+    K <- K meet gKg^-1 over the generators g, from K = P, until stable.  Each
+    K holds the normal O_p(G), and the stable K is normal, so it is O_p(G)."""
     if G.order % p != 0:
         return G.trivial_subgroup()
-    P = sylow_subgroup(G, p)
-    core = set(P.elements)
-    for g in range(G.order):
-        core &= {G.conj(g, x) for x in P.elements}
-        if core == {0}:
-            break
-    return Subgroup(G, tuple(sorted(core)))
+    core = set(sylow_subgroup(G, p).elements)
+    while True:
+        nxt = core.intersection(*({G.conj(g, x) for x in core} for g in G.generators()))
+        if nxt == core:
+            return Subgroup(G, tuple(sorted(core)))
+        core = nxt
 
 
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
@@ -650,8 +651,7 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
     elems = {0}
     for p, _ in factorize(G.order) if G.order > 1 else ():
         elems |= set(p_core(G, p).elements)
-    sub = Subgroup(G, G.closure(elems))
-    return sub
+    return Subgroup(G, G.closure(elems))
 
 
 @dataclass(frozen=True)

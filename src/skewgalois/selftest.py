@@ -30,6 +30,7 @@ from .ffield import FieldAut, frobenius
 from .groups import (
     FiniteGroup,
     GroupHom,
+    ReductionStep,
     conjugation_action,
     fitting_subgroup,
     is_nilpotent,
@@ -322,6 +323,23 @@ def _brute_fitting(G: FiniteGroup) -> tuple[int, ...]:
     return best
 
 
+def reduction_step_failure(step: ReductionStep) -> str | None:
+    """Why step.phi is not a surjective homomorphism from N x| G' (built here)
+    onto the group with kernel of order step.kernel_order() = |N meet G'|, or None."""
+    action = conjugation_action(step.group, step.N, step.Gp)
+    semi, _, _ = semidirect_product(step.N.as_group("N"), step.Gp.as_group("G'"), action)
+    try:
+        phi = GroupHom(semi, step.group, step.phi)
+    except ValueError:
+        return "phi not a homomorphism"
+    if not phi.is_surjective():
+        return "phi not surjective"
+    meet = len(set(step.N.elements) & set(step.Gp.elements))
+    if not phi.kernel().order == step.kernel_order() == meet:
+        return "kernel order is not |N meet G'|"
+    return None
+
+
 def criterion_6() -> dict:
     """Fitting subgroup and the reduction tower vs brute-force oracles on
     the whole catalog; phi is checked on N x| G', which the step never builds."""
@@ -331,20 +349,13 @@ def criterion_6() -> dict:
         if fitting_subgroup(G).elements != _brute_fitting(G):
             return _fail("criterion_6", f"Fitting mismatch on {name}")
         for step in solvable_tower(G):
-            Ng = step.N.as_group()
-            action = conjugation_action(step.group, step.N, step.Gp)
-            semi, _, _ = semidirect_product(Ng, step.Gp.as_group(), action)
-            try:
-                phi = GroupHom(semi, step.group, step.phi)
-            except ValueError:
-                return _fail("criterion_6", f"phi not a homomorphism on {name}")
-            if not phi.is_surjective():
-                return _fail("criterion_6", f"phi not surjective on {name}")
-            if not is_nilpotent(Ng):
+            reason = reduction_step_failure(step)
+            if reason:
+                return _fail("criterion_6", f"{reason} on {name}")
+            if not is_nilpotent(step.N.as_group()):
                 return _fail("criterion_6", f"N not nilpotent on {name}")
-            if step.Gp.order >= step.group.order and step.group.order > 1:
-                if not is_nilpotent(step.group):
-                    return _fail("criterion_6", f"G' not proper on {name}")
+            if step.Gp.order >= step.group.order > 1 and not is_nilpotent(step.group):
+                return _fail("criterion_6", f"G' not proper on {name}")
             steps_checked += 1
         groups_checked += 1
     return {

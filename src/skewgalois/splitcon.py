@@ -44,13 +44,14 @@ Q is built once, and no certificate can fail on it:
     A = X^2 - p mod p^k (the resultant is a unit); v(disc A) is 1, or 3 at
     p = 2, and B has distinct roots in Z_p, so v(disc Q) is odd.
 
-Every claim in the emitted report is re-derivable from the polynomial
-alone; verify_report does exactly that and must agree.
+Every claim in the emitted report is re-derivable from Q alone; verify_report
+re-derives the claimed places' certificates by the constructor's derivation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import modpoly
@@ -825,9 +826,9 @@ def construct_lprime(
     _place_precision derives from its target, at which the symmetric-group
     certificate, every local certificate and the odd-discriminant
     disjointness evidence all pass (module docstring); a failing one raises
-    ConstructionError.  The certificates are derived once, and the report's
-    structural claims are re-checked before return (re-deriving its
-    certificates would repeat the same deterministic computation).
+    ConstructionError.  The certificates are derived once, by the derivation
+    verify_report runs, and only the report's structural claims are re-checked
+    before return (re-deriving the certificates would repeat it).
     """
     validate_request(specs, p_kernel, extra_L_ram)
     n = max(n_min, 2, max((s.min_degree() for s in specs), default=2))
@@ -846,7 +847,12 @@ def construct_lprime(
     precision = {s.prime: _place_precision(s, n) for s in places}
     locals_ = [build_local_poly(s, n, precision[s.prime]) for s in places]
     Q = weak_approximation(locals_, real_target, root_scale=scale)
-    report = _assemble_report(Q, n, n_min, p_kernel, specs, aux, precision, scale, L_ram)
+    checks, sn, disjoint = _certificates(Q, specs, aux, L_ram)
+    report = ConstructionReport(
+        Q=tuple(Q), n=n, n_min=n_min, p_kernel=p_kernel, specs=tuple(specs), aux_specs=tuple(aux),
+        precision=max(precision.values()), place_precision=precision, root_scale=scale,
+        sn=sn, local_checks=checks, disjoint=disjoint,
+    )
     if not report.all_passed():
         raise ConstructionError("certificates failing at the derived place precisions", report)
     failures = _structural_failures(report)
@@ -855,18 +861,13 @@ def construct_lprime(
     return report
 
 
-def _assemble_report(
-    Q: list[int],
-    n: int,
-    n_min: int,
-    p_kernel: int,
-    specs: list[LocalSpec],
-    aux: list[LocalSpec],
-    place_precision: dict[int, int],
-    scale: int | None,
-    L_ram: set[int],
-) -> ConstructionReport:
-    checks = [certify_local_behavior(Q, s) for s in list(specs) + list(aux)]
+def _certificates(Q: list[int], specs: Sequence[LocalSpec], aux: Sequence[LocalSpec],
+                  L_ram: set) -> tuple[tuple[LocalCheck, ...], SnCertificate, dict]:
+    """The certificates of a report on the monic Q: a local check per place of
+    specs + aux, in that order, the symmetric-group certificate read off the
+    unramified aux checks, and the discriminant valuation at the first aux prime."""
+    n = len(Q) - 1
+    checks = tuple(certify_local_behavior(Q, s) for s in [*specs, *aux])
     sn = _sn_from_checks(n, [c for c in checks[len(specs):] if c.spec.kind == KIND_UNRAMIFIED])
     aux1 = aux[0].prime
     v = _disc_valuation(Q, aux1, _disc_start(aux[0], n))
@@ -879,20 +880,7 @@ def _assemble_report(
             "odd_valuation": v % 2 == 1,
             "prime_unramified_in_L": aux1 not in L_ram,
         }
-    return ConstructionReport(
-        Q=tuple(Q),
-        n=n,
-        n_min=n_min,
-        p_kernel=p_kernel,
-        specs=tuple(specs),
-        aux_specs=tuple(aux),
-        precision=max(place_precision.values()),
-        place_precision=dict(place_precision),
-        root_scale=scale,
-        sn=sn,
-        local_checks=tuple(checks),
-        disjoint=disjoint,
-    )
+    return checks, sn, disjoint
 
 
 @dataclass(frozen=True)
@@ -906,8 +894,8 @@ class VerifyResult:
 
 def _structural_failures(report: ConstructionReport) -> list[str]:
     """The report's claims that need no certificate: Q monic of the stated
-    even degree, an odd kernel prime, and four fresh auxiliary primes, the
-    first ramified quadratic and the others of degrees n, n-1 and 2."""
+    even degree, specs and kernel prime forming a valid request, and four fresh
+    auxiliary primes, the first ramified quadratic, the others of degrees n, n-1, 2."""
     failures: list[str] = []
     Q = report.Q
     if not Q or Q[-1] != 1:
@@ -916,8 +904,10 @@ def _structural_failures(report: ConstructionReport) -> list[str]:
         failures.append("stated degree does not match Q")
     if report.n % 2 or report.n < max(report.n_min, 2):
         failures.append("degree violates the even-and-large-enough rule")
-    if report.p_kernel == 2 or not is_prime(report.p_kernel):
-        failures.append("kernel prime invalid")
+    try:
+        validate_request(list(report.specs), report.p_kernel)
+    except SpecError as exc:
+        failures.append(str(exc))
     s_primes = {s.prime for s in report.specs}
     aux_primes = [s.prime for s in report.aux_specs]
     if len(set(aux_primes)) != 4 or set(aux_primes) & s_primes:
@@ -931,43 +921,41 @@ def _structural_failures(report: ConstructionReport) -> list[str]:
 
 
 def verify_report(report: ConstructionReport) -> VerifyResult:
-    """Re-derive every certificate from Q alone and compare with the stored
-    ones; also re-checks the structural claims (degree, parity, monicity,
-    auxiliary-prime admissibility).  Each distinct spec is checked once, and
-    the symmetric-group certificate is read off the unramified auxiliary
-    checks.  Every certificate reads a monic Q, so a Q that is not monic
-    (trailing zeros included) gets the structural failures only."""
+    """Re-derive from Q alone the certificates of every place the report
+    claims, specs and aux, as construct_lprime derived them, and compare:
+    a claimed place without a stored check counts as changed, and stored
+    checks at unclaimed places fail the report.  Also re-checks the
+    structural claims.  Every certificate reads a monic Q, so a Q that is
+    not monic (trailing zeros included) gets the structural failures only."""
     failures = _structural_failures(report)
     Q = list(report.Q)
     if not Q or Q[-1] != 1:
         return VerifyResult(ok=False, failures=tuple(failures))
-    n = len(Q) - 1
-    ur_aux = [s for s in report.aux_specs if s.kind == KIND_UNRAMIFIED]
-    fresh: dict[LocalSpec, LocalCheck] = {}
-    for spec in ur_aux + [c.spec for c in report.local_checks]:
-        if spec not in fresh:
-            fresh[spec] = certify_local_behavior(Q, spec)
-
-    sn = _sn_from_checks(n, [fresh[s] for s in ur_aux])
+    L_ram = {s.prime for s in report.specs if s.ram_in_L}
+    checks, sn, disjoint = _certificates(Q, report.specs, report.aux_specs, L_ram)
     if sn.to_json() != report.sn.to_json():
         failures.append("symmetric-group certificate mismatch on re-derivation")
     if not sn.conclusion:
         failures.append("symmetric-group certificate fails")
 
-    for stored in report.local_checks:
-        check = fresh[stored.spec]
-        if check.passed != stored.passed:
-            failures.append(f"local certificate changed at {stored.spec.to_string()}")
+    stored = {c.spec: c.passed for c in report.local_checks}
+    for check in checks:
+        place = check.spec.to_string()
+        if stored.get(check.spec) != check.passed:
+            failures.append(f"local certificate changed at {place}")
         if not check.passed:
-            failures.append(f"local certificate fails at {stored.spec.to_string()}: {check.reason}")
+            failures.append(f"local certificate fails at {place}: {check.reason}")
+    claimed = {c.spec for c in checks}
+    unclaimed = [c.spec.to_string() for c in report.local_checks if c.spec not in claimed]
+    if unclaimed:
+        failures.append(f"stored certificates at unclaimed places: {', '.join(unclaimed)}")
 
-    aux1 = report.aux_specs[0].prime
-    v = _disc_valuation(Q, aux1, _disc_start(report.aux_specs[0], n))
+    v = disjoint.get("disc_valuation")
     if v is None:
         failures.append("zero discriminant")
     else:
         if v % 2 != 1:
-            failures.append(f"discriminant valuation at {aux1} is even ({v})")
+            failures.append(f"discriminant valuation at {disjoint['prime']} is even ({v})")
         if report.disjoint.get("disc_valuation") != v:
             failures.append("stored discriminant valuation mismatch")
     return VerifyResult(ok=not failures, failures=tuple(failures))

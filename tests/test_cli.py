@@ -359,6 +359,42 @@ def test_construct_and_verify_roundtrip(tmp_path):
     assert code == 3
 
 
+def _drop_spec_checks(report):
+    locals_ = report["certificates"]["locals"]
+    report["certificates"]["locals"] = [c for c in locals_ if c["spec"] not in report["specs"]]
+
+
+def _false_claim(report):
+    report["specs"].append({"prime": 17, "kind": "ts", "ram_in_L": True})
+
+
+def _unramify_7(report):
+    next(s for s in report["specs"] if s["prime"] == 7)["ram_in_L"] = False
+
+
+def _place_3_twice(report):
+    report["specs"].append({"prime": 3, "kind": "ts", "ram_in_L": True})
+
+
+@pytest.mark.parametrize("tamper,failure", [
+    (_drop_spec_checks, "local certificate changed at 7:ts:ramL"),
+    (_false_claim, "local certificate fails at 17:ts:ramL: only 0 of 6 roots certified"),
+    (_unramify_7, "stored certificates at unclaimed places: 7:ts:ramL"),
+    (_place_3_twice, "duplicate place 3"),
+], ids=["spec-checks-dropped", "false-claim", "ramL-flipped", "place-twice"])
+def test_verify_checks_every_claimed_place(tamper, failure):
+    # the places come from the report's claims, not from its stored checks
+    code, out, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+                              "--spec", "7:ts:ramL", "--p-kernel", "5", "--n-min", "6"])
+    assert code == cli.EXIT_OK, err
+    report = json.loads(out)
+    tamper(report)
+    code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
+    assert code == cli.EXIT_CERT, err
+    result = json.loads(out)
+    assert result["ok"] is False and failure in result["failures"]
+
+
 @pytest.mark.parametrize("tamper,failures", [
     (lambda Q: Q[:-1] + [2], ["Q is not monic"]),
     (lambda Q: [], ["Q is not monic", "stated degree does not match Q"]),

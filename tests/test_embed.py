@@ -138,6 +138,26 @@ def test_decide_rejects_non_nilpotent_kernel():
         decide_sigma_solvability(ep, frobenius(e2.K, 1))
 
 
+def test_split_flag_matches_find_section_on_criterion_5_problems():
+    # the verdict reads split off the weak solutions; find_section scans
+    # the Frobenius fiber on its own, split and non-split problems alike
+    from skewgalois.catalog import catalog_upto
+    from skewgalois.selftest import _cyclic_quotient_epis
+
+    seen = set()
+    for _, G in catalog_upto(16):
+        for e, images, N in _cyclic_quotient_epis(G):
+            if not is_nilpotent(N.as_group()):
+                continue
+            for p, nk in ((2, 1), (2, 2), (3, 2)):
+                ep = problem_from_quotient(ext(p, nk, nk * e), G, images)
+                for s in range(nk):
+                    v = decide_sigma_solvability(ep, FieldAut(ep.ext.K, s))
+                    assert v.split == (find_section(ep) is not None)
+                    seen.add(v.split)
+    assert seen == {True, False}
+
+
 def test_decide_nonsplit_solvable_case():
     # C4 -> C2 is non-split with nilpotent kernel; order-1 sigma solves it
     e2 = ext(2, 2, 4)

@@ -39,6 +39,7 @@ from skewgalois.groups import (
     symmetric_group,
     sylow_subgroup,
 )
+from skewgalois.zarith import factorize
 
 
 MALFORMED_TABLES = [
@@ -203,6 +204,22 @@ def test_sylow_subgroups():
     assert sylow_subgroup(S4, 3).order == 3
     assert p_core(S4, 2).order == 4  # V4
     assert p_core(S4, 3).order == 1
+
+
+def _p_core_groups():
+    yield from catalog()
+    yield "S4xS4xS3", from_permutations([[[0, 1]], [[0, 1, 2, 3]], [[4, 5]], [[4, 5, 6, 7]],
+                                         [[8, 9]], [[8, 9, 10]]])
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _p_core_groups()])
+def test_p_core_matches_conjugation_by_every_element(G):
+    for p, _ in factorize(G.order) if G.order > 1 else ():
+        P = sylow_subgroup(G, p).elements
+        core = set(P)
+        for g in range(G.order):
+            core &= {G.conj(g, x) for x in P}
+        assert p_core(G, p).elements == tuple(sorted(core)), p
 
 
 def test_fitting_examples():

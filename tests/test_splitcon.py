@@ -674,22 +674,24 @@ def test_an_unramified_place_tests_squarefreeness_once(monkeypatch):
 def test_constructor_still_checks_the_auxiliary_order(monkeypatch):
     # the last three auxiliary specs out of order: every certificate still
     # passes, and the structural check refuses the report
-    reports = []
+    derived = []
 
     def reordered(*args):
         aux = plan_aux_primes(*args)
         return aux[:1] + aux[:0:-1]  # degrees 2, n-1, n
 
-    def assemble(*args):
-        reports.append(original(*args))
-        return reports[-1]
+    def certificates(*args):
+        derived.append(original(*args))
+        return derived[-1]
 
-    original = splitcon._assemble_report
+    original = splitcon._certificates
     monkeypatch.setattr(splitcon, "plan_aux_primes", reordered)
-    monkeypatch.setattr(splitcon, "_assemble_report", assemble)
+    monkeypatch.setattr(splitcon, "_certificates", certificates)
     with pytest.raises(AssertionError, match="fresh report failed its own verification") as exc:
         construct_lprime([parse_spec(t) for t in SMALL_SPECS], 5, 6)
-    assert len(reports) == 1 and reports[0].all_passed()
+    assert len(derived) == 1
+    checks, sn, disjoint = derived[0]
+    assert all(c.passed for c in checks) and sn.conclusion and disjoint["odd_valuation"]
     assert "auxiliary degrees [2, 5, 6] != [6, 5, 2]" in str(exc.value)
 
 
