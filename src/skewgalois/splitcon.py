@@ -975,6 +975,11 @@ def report_from_json(data: dict) -> ConstructionReport:
         raise SpecError("report field 'specs' must be a list")
     if not isinstance(data.get("aux"), list) or len(data["aux"]) != 4:
         raise SpecError("report field 'aux' must list exactly four specs")
+    if (degree := max(data["n"], len(Q) - 1)) > DEGREE_MAX:
+        raise SpecError(f"degree {degree} exceeds the cap {DEGREE_MAX}")
+    aux = tuple(spec_from_json(s) for s in data["aux"])
+    if any(s.prime == REAL for s in aux):
+        raise SpecError("an auxiliary spec must be at a finite prime")
     certs = data.get("certificates")
     if not isinstance(certs, dict) or not isinstance(certs.get("disjoint"), dict):
         raise SpecError("report field 'certificates' must be an object with an object 'disjoint'")
@@ -1009,7 +1014,7 @@ def report_from_json(data: dict) -> ConstructionReport:
         n_min=data["n_min"],
         p_kernel=data["p_kernel"],
         specs=tuple(spec_from_json(s) for s in data["specs"]),
-        aux_specs=tuple(spec_from_json(s) for s in data["aux"]),
+        aux_specs=aux,
         precision=data["precision"],
         place_precision=data.get("place_precision", {}),
         root_scale=data.get("root_scale"),

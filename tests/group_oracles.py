@@ -1,9 +1,10 @@
 """Group-theory oracles for the tests: an isomorphism search by
 backtracking over generator images, which shares no code path with the
-checks on generators in skewgalois.groups, and the materialized check of a
-reduction step's phi, which the step itself never builds."""
+checks on generators in skewgalois.groups, the materialized check of a
+reduction step's phi, which the step itself never builds, and the subgroup
+check that a Subgroup handle does not run."""
 
-from skewgalois.groups import FiniteGroup, ReductionStep
+from skewgalois.groups import FiniteGroup, ReductionStep, Subgroup
 from skewgalois.selftest import reduction_step_failure
 
 
@@ -12,6 +13,18 @@ def check_reduction_step(step: ReductionStep) -> None:
     the group, with kernel N meet G' of order step.kernel_order()."""
     reason = reduction_step_failure(step)
     assert reason is None, reason
+
+
+def check_subgroup(S: Subgroup) -> None:
+    """Assert that S.elements is a sorted tuple holding the identity, the
+    inverse and every product of its elements, read from S.parent's table."""
+    table = S.parent.table
+    es = set(S.elements)
+    assert S.elements == tuple(sorted(es)), "elements are not a sorted tuple"
+    assert 0 in es, "subgroup must contain the identity"
+    for a in S.elements:
+        assert table[a].index(0) in es, "subgroup not closed under inverses"
+        assert es.issuperset(table[a][b] for b in S.elements), "subgroup not closed under products"
 
 
 def generating_sequence(G: FiniteGroup) -> list[int]:

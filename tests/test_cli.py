@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -146,6 +147,21 @@ def test_tower_output_matches_golden():
         code, out, err = run_cli(["tower", "--group", json.dumps(case["group"])])
         assert code == 0, err
         assert out == case["stdout"], case["name"]
+
+
+TOWER_SHA256 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "tower_sha256.json")
+
+
+def test_tower_output_near_the_synthesis_cap_matches_recorded_sha256():
+    # stdout sha256 of `tower` on permutation groups of order 2400-3456,
+    # near the synthesis cap, where the golden file's groups do not reach
+    with open(TOWER_SHA256, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    for case in cases:
+        code, out, err = run_cli(["tower", "--group", json.dumps(case["group"])])
+        assert code == 0, err
+        assert json.loads(out)["steps"][0]["group_order"] == case["order"], case["name"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"], case["name"]
 
 
 @pytest.mark.parametrize("argv,desc", [
@@ -700,6 +716,43 @@ def test_malformed_fields_are_spec_errors(argv):
     code, out, err = run_cli(argv())
     assert code == cli.EXIT_DOMAIN and out == ""
     assert json.loads(err)["error"] == "SpecError", err
+
+
+def _aux_at_the_real_place(report, cap):
+    report["aux"][0] = {"prime": "inf", "kind": "ts"}
+
+
+def _n_past_the_cap(report, cap):
+    report["n"] = cap + 2
+
+
+def _q_past_the_cap(report, cap):
+    rng = random.Random(cap)
+    report["Q"] = [rng.randint(-5, 5) for _ in range(cap + 2)] + [1]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_aux_at_the_real_place, "an auxiliary spec must be at a finite prime"),
+    (_n_past_the_cap, "degree {over} exceeds the cap {cap}"),
+    (_q_past_the_cap, "degree {over} exceeds the cap {cap}"),
+], ids=["aux-real-place", "n-past-the-cap", "Q-past-the-cap"])
+def test_verify_report_refuses_what_no_construction_makes(tamper, message):
+    # no construction makes either report: the real place has no p-adic
+    # discriminant valuation, and past the cap that valuation's resultant
+    # takes seconds to minutes
+    from skewgalois.splitcon import DEGREE_MAX
+
+    code, out, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+                              "--spec", "7:ts:ramL", "--p-kernel", "5", "--n-min", "6"])
+    assert code == cli.EXIT_OK, err
+    report = json.loads(out)
+    tamper(report, DEGREE_MAX)
+    message = message.format(over=DEGREE_MAX + 2, cap=DEGREE_MAX)
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err) == {"error": "SpecError", "message": message}
 
 
 def test_extra_l_ram_prime_is_answered():

@@ -10,7 +10,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from group_oracles import check_reduction_step, find_isomorphism
+from group_oracles import check_reduction_step, check_subgroup, find_isomorphism
 
 from skewgalois import cli
 from skewgalois.catalog import catalog, catalog_upto
@@ -18,6 +18,8 @@ from skewgalois.groups import (
     TABLE_SYNTHESIS_CAP,
     FiniteGroup,
     GroupHom,
+    Subgroup,
+    _bfs_closure,
     _commutator_series_end,
     _perm_compose,
     alternating_group,
@@ -39,6 +41,7 @@ from skewgalois.groups import (
     symmetric_group,
     sylow_subgroup,
 )
+from skewgalois.selftest import _cyclic_quotient_epis
 from skewgalois.zarith import factorize
 
 
@@ -628,6 +631,67 @@ def test_every_catalog_tower_step_passes_the_materialized_check():
                 check_reduction_step(step)
 
 
+def test_every_subgroup_the_library_returns_passes_the_oracle():
+    # a Subgroup is a handle that checks nothing, so each construction is
+    # checked here against the parent's table
+    for _, G in catalog():
+        primes = [p for p, _ in factorize(G.order)] if G.order > 1 else []
+        check_subgroup(fitting_subgroup(G))
+        for p in primes:
+            check_subgroup(p_core(G, p))
+            check_subgroup(sylow_subgroup(G, p))
+        for N in G.all_normal_subgroups():
+            check_subgroup(N)
+        if is_solvable(G):
+            for step in solvable_tower(G):
+                check_subgroup(step.N)
+                check_subgroup(step.Gp)
+    for _, G in catalog_upto(16):  # the epimorphisms of selftest criterion 5
+        for e, images, N in _cyclic_quotient_epis(G):
+            kernel = GroupHom(G, cyclic_group(e), images).kernel()
+            check_subgroup(kernel)
+            assert kernel.elements == N.elements
+
+
+def test_subgroup_reads_nothing_of_its_parent():
+    G = symmetric_group(4)
+    G.table = G.inv = None
+    assert Subgroup(G, tuple(range(24))).order == 24
+
+
+def _two_sided_closure(G, gens):
+    elems = {0, *gens}
+    while True:
+        more = {G.table[a][b] for a in elems for b in elems} - elems
+        if not more:
+            return elems
+        elems |= more
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param(symmetric_group(4), id="S4"),
+    pytest.param(direct_product(symmetric_group(3), symmetric_group(3)), id="S3xS3"),
+])
+def test_closure_reads_one_entry_per_element_and_generator(G):
+    # right products only: each reached element's row is read once per
+    # generator, and never a generator's row at that element
+    reads = 0
+
+    class CountingRow(tuple):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, i)
+
+    table = [CountingRow(row) for row in G.table]
+    for k in (1, 2):
+        for gens in combinations(range(1, G.order), k):
+            reads = 0
+            reached = _bfs_closure(table, gens)
+            assert reached == _two_sided_closure(G, gens), gens
+            assert reads == len(reached) * len(gens), gens
+
+
 def test_the_tower_builds_no_semidirect_product(monkeypatch):
     # phi is read off as an image list; N x| G' exists only in the oracles
     from skewgalois import groups
@@ -643,13 +707,17 @@ def test_the_tower_builds_no_semidirect_product(monkeypatch):
         assert solvable_tower(G)[-1].Gp.order == 1
 
 
-def test_s3_fourth_power_tower_peaks_under_64_mb():
-    # the first step's N x| G' has order 1296, and its table alone took the
-    # peak of this run to 96 MB.  A child's ru_maxrss starts at the peak of
-    # the process that spawned it, so the tower runs as the child of a
-    # fresh interpreter, not of the test process, which reads it back.
+@pytest.mark.parametrize("gens,bound_mb", [
+    pytest.param(_s3_power_gens(4), 64, id="S3^4-64MB"),
+    pytest.param(_s3_power_gens(4) + [[[12, 13]]], 100, id="S3^4xC2-100MB"),
+])
+def test_tower_peak_rss_stays_under_its_bound(gens, bound_mb):
+    # building N x| G' took S3^4 to 96 MB, and holding each table twice
+    # took it to 43 MB and S3^4 x C2 to 125 MB.  A child's ru_maxrss starts
+    # at the peak of the process that spawned it, so the tower runs as the
+    # child of a fresh interpreter, not of the test process, which reads it.
     tower = ("from skewgalois.groups import from_permutations, solvable_tower\n"
-             f"solvable_tower(from_permutations({_s3_power_gens(4)!r}))\n")
+             f"solvable_tower(from_permutations({gens!r}))\n")
     launcher = ("import resource, subprocess, sys\n"
                 "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
@@ -658,4 +726,4 @@ def test_s3_fourth_power_tower_peaks_under_64_mb():
     proc = subprocess.run([sys.executable, "-c", launcher, tower], capture_output=True,
                           text=True, env=env, check=True)
     peak_bytes = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
-    assert peak_bytes < 64 * 2**20
+    assert peak_bytes < bound_mb * 2**20
