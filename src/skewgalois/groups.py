@@ -5,13 +5,16 @@ nilpotent-kernel reduction tower for solvable groups.
 Elements are indices 0..order-1 with 0 the identity.  Work runs on
 generators wherever a property is closed under products:
 
-- Tables supplied directly are fully validated: Latin square, then
-  associativity by Light's test, which checks (x a) y = x (a y) only for a
-  in a generating set, in O(order^2 * gens) with gens <= log2(order).  The
-  group keeps that generating set.  Tables the library builds itself
-  (products, subgroups, groups synthesized from permutation generators or
-  element/multiplication pairs) skip both checks, since they hold by
-  construction, and find a generating set when first asked.
+- A table supplied directly is accepted on the group axioms alone: it is
+  square over the element indices, 0 is a two-sided identity, Light's test
+  checks (x a) y = x (a y) only for a in a generating set, and every row
+  holds 0.  That costs O(order^2 * gens) with gens <= log2(order), and the
+  group keeps that generating set.  A group table is a Latin square, so
+  the row and column permutation scans run only for a rejected table, to
+  name its fault.  Tables the library builds itself (products, subgroups,
+  groups synthesized from permutation generators or element/multiplication
+  pairs) skip every check, since they hold by construction, and find a
+  generating set when first asked.
 - A GroupHom checks phi(a b) = phi(a) phi(b) only for a in a generating
   set of the domain, in O(order * gens).
 - A semidirect product checks that action[h] is an automorphism and that
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
+from typing import NoReturn
 
 from .zarith import factorize, is_int
 
@@ -39,10 +43,10 @@ TABLE_SYNTHESIS_CAP = 5040  # largest order synthesized from generators
 
 def _bfs_closure(table, gens, bound: int | None = None) -> set[int] | None:
     """Elements reached from index 0 by right products with gens: the
-    subgroup they generate in a group table (g^-1 = g^(ord g - 1)), and a
-    subset of the submagma of {0} and gens in any Latin square, which keeps
-    Light's test sound.  None once a breadth-first layer ends with more
-    than bound elements reached."""
+    subgroup they generate in a group table (g^-1 = g^(ord g - 1)).  In any
+    table they lie in the submagma of 0 and gens; a two-sided identity 0
+    passes Light's test, which keeps that test sound.  None once a
+    breadth-first layer ends with more than bound elements reached."""
     seen = {0}
     frontier = [0]
     gens = [g for g in gens if g]
@@ -63,35 +67,43 @@ def _bfs_closure(table, gens, bound: int | None = None) -> set[int] | None:
     return seen
 
 
-def _greedy_generators(table, candidates, start=()) -> list[int]:
+def _greedy_generators(table, candidates, start=()) -> list[int] | None:
     """The candidates, in order, that lie outside the subgroup generated by
     start and the candidates taken before them.  With every element as a
-    candidate they generate the group modulo <start>, and each at least
-    doubles the subgroup, so there are at most log2 of the index."""
+    candidate they generate the group modulo <start>.  In a group each one
+    at least doubles the subgroup, so there are at most log2 of the index;
+    None, meaning "not a group", once one fails to, so that any table costs
+    at most floor(log2 len(table)) + 2 closures."""
     gens = list(start)
     reached = _bfs_closure(table, gens)
     for g in candidates:
         if g not in reached:
             gens.append(g)
-            reached = _bfs_closure(table, gens)
+            grown = _bfs_closure(table, gens)
+            if len(grown) < 2 * len(reached):
+                return None
+            reached = grown
     return gens[len(start):]
 
 
 def _check_latin_square(rows) -> None:
-    """A square table over the element indices, with two-sided identity 0
-    and every row and column a permutation."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n or min(row) < 0 or max(row) >= n:
-            raise ValueError("table is not square over element indices")
-    if any(rows[0][j] != j for j in range(n)) or any(rows[i][0] != i for i in range(n)):
-        raise ValueError("index 0 must be a two-sided identity")
-    full = set(range(n))
+    """Every row and column of a square table is a permutation.  Only a
+    rejected table is scanned: it names the fault of one that is not a
+    Latin square."""
+    full = set(range(len(rows)))
     for row, col in zip(rows, zip(*rows)):
         if set(row) != full:
             raise ValueError("table rows must be permutations (Latin square)")
         if set(col) != full:
             raise ValueError("table columns must be permutations (Latin square)")
+
+
+def _reject(rows) -> NoReturn:
+    """Raise the fault of a square table with identity 0 that is not a
+    group: a Latin-square fault if it has one, else non-associativity
+    (a Latin square with an identity is a group once it is associative)."""
+    _check_latin_square(rows)
+    raise ValueError("table is not associative")
 
 
 class FiniteGroup:
@@ -105,18 +117,29 @@ class FiniteGroup:
         rows = tuple(tuple(row) for row in table)
         self._gens: tuple[int, ...] | None = None
         if not _trusted:
-            _check_latin_square(rows)
+            for row in rows:
+                if len(row) != n or min(row) < 0 or max(row) >= n:
+                    raise ValueError("table is not square over element indices")
+            if rows[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(rows)):
+                raise ValueError("index 0 must be a two-sided identity")
             # Light's test: the a with (x a) y = x (a y) for all x, y are
-            # closed under products, so it suffices to check generators
-            self._gens = tuple(_greedy_generators(rows, range(1, n)))
-            for a in self._gens:
+            # closed under products and hold 0, so it suffices to check
+            # generators
+            gens = _greedy_generators(rows, range(1, n))
+            if gens is None:
+                _reject(rows)
+            for a in gens:
                 row_times_a = itemgetter(*rows[a])  # rx -> (x a) b over all b
                 for rx in rows:
                     if rows[rx[a]] != row_times_a(rx):
-                        raise ValueError("table is not associative")
+                        _reject(rows)
+            self._gens = tuple(gens)
         self.order = n
         self.table = rows
-        self.inv = tuple(row.index(0) for row in rows)
+        try:  # a monoid in which every element has a right inverse is a group
+            self.inv = tuple(row.index(0) for row in rows)
+        except ValueError:
+            _reject(rows)
         self.name = name
         self._orders: tuple | None = None
         self._subgroup_cache: dict = {}

@@ -1,8 +1,9 @@
 """Group-theory oracles for the tests: an isomorphism search by
 backtracking over generator images, which shares no code path with the
 checks on generators in skewgalois.groups, the materialized check of a
-reduction step's phi, which the step itself never builds, and the subgroup
-check that a Subgroup handle does not run."""
+reduction step's phi, which the step itself never builds, the subgroup
+check that a Subgroup handle does not run, and a reference validator for
+supplied tables that checks every triple for associativity."""
 
 from skewgalois.groups import FiniteGroup, ReductionStep, Subgroup
 from skewgalois.selftest import reduction_step_failure
@@ -25,6 +26,29 @@ def check_subgroup(S: Subgroup) -> None:
     for a in S.elements:
         assert table[a].index(0) in es, "subgroup not closed under inverses"
         assert es.issuperset(table[a][b] for b in S.elements), "subgroup not closed under products"
+
+
+def reference_table_fault(table) -> str | None:
+    """The message a supplied table is rejected with, or None for a group
+    table: square over the indices, 0 a two-sided identity, row i and then
+    column i a permutation for i = 0, 1, ..., and every triple associative."""
+    n = len(table)
+    if n == 0:
+        return "a group has at least the identity"
+    if any(len(row) != n or min(row) < 0 or max(row) >= n for row in table):
+        return "table is not square over element indices"
+    if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
+        return "index 0 must be a two-sided identity"
+    full = set(range(n))
+    for i in range(n):
+        if set(table[i]) != full:
+            return "table rows must be permutations (Latin square)"
+        if {row[i] for row in table} != full:
+            return "table columns must be permutations (Latin square)"
+    if any(table[table[a][b]][c] != table[a][table[b][c]]
+           for a in range(n) for b in range(n) for c in range(n)):
+        return "table is not associative"
+    return None
 
 
 def generating_sequence(G: FiniteGroup) -> list[int]:

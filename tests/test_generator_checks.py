@@ -1,11 +1,13 @@
 """Checks that run on a generating set against their exhaustive oracles:
 GroupHom's homomorphism check (phi(a b) = phi(a) phi(b) for a in a
 generating set of the domain) against all pairs, Light's associativity
-test against all triples, and semidirect_product's action check against
-every value and every pair of H.
+test against all triples, the validation of a supplied table against a
+reference that scans every row and column and checks every triple, and
+semidirect_product's action check against every value and every pair of H.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -13,6 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from group_oracles import reference_table_fault  # noqa: E402
+
+from skewgalois import groups  # noqa: E402
 from skewgalois.catalog import catalog  # noqa: E402
 from skewgalois.groups import (  # noqa: E402
     FiniteGroup,
@@ -161,6 +166,55 @@ def test_light_test_agrees_with_brute_force_on_random_latin_squares(n, seed, fro
         assert str(exc) == "table is not associative"
         accepted = False
     assert accepted == _brute_associative(sq), sq
+
+
+@st.composite
+def tables(draw):
+    """A table of order 1-8: a random Latin square with identity 0, a
+    relabeled small group, that group with one entry changed or one row
+    copied over another, or random entries inside an identity row and
+    column."""
+    kind = draw(st.sampled_from(["latin", "group", "changed", "copied row", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "latin":
+        return _random_latin_square(draw(st.integers(1, 8)), rng)
+    if kind == "random":
+        n = draw(st.integers(1, 8))
+        return [list(range(n))] + [[i] + [rng.randrange(n) for _ in range(n - 1)]
+                                   for i in range(1, n)]
+    sq = _relabeled(draw(st.sampled_from(SMALL_GROUPS)), rng)
+    n = len(sq)
+    if kind == "changed" and n > 1:
+        a, b = rng.randrange(n), rng.randrange(n)
+        sq[a][b] = rng.choice([v for v in range(n) if v != sq[a][b]])
+    elif kind == "copied row" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        sq[j] = list(sq[i])
+    return sq
+
+
+@settings(SETTINGS, max_examples=1000)
+@given(table=tables())
+def test_table_validation_agrees_with_the_reference_validator(table):
+    # FiniteGroup accepts exactly the group tables and names the fault of
+    # the rest as the reference does, in at most floor(log2 n) + 2 closures
+    calls = 0
+    closure = groups._bfs_closure
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return closure(*args, **kwargs)
+
+    expected = reference_table_fault(table)
+    with mock.patch.object(groups, "_bfs_closure", counted):
+        try:
+            FiniteGroup(table)
+            fault = None
+        except ValueError as exc:
+            fault = str(exc)
+    assert fault == expected, table
+    assert calls <= len(table).bit_length() + 1, table
 
 
 # -- semidirect_product's action check -------------------------------------------

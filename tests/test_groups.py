@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from skewgalois.groups import (
     Subgroup,
     _bfs_closure,
     _commutator_series_end,
+    _greedy_generators,
     _perm_compose,
     alternating_group,
     cyclic_group,
@@ -105,6 +107,52 @@ def test_trusted_tables_pass_the_table_checks(monkeypatch):
     for table in built:
         H = FiniteGroup(table)
         assert H.table == tuple(map(tuple, table))
+
+
+def test_a_supplied_group_table_is_accepted_without_the_permutation_scan(monkeypatch):
+    # the group axioms make a table a Latin square, so the row and column
+    # scans run only to name a rejected table's fault
+    from skewgalois import groups
+
+    def refuse(rows):
+        raise AssertionError("the permutation scan ran on a group table")
+
+    monkeypatch.setattr(groups, "_check_latin_square", refuse)
+    rng = random.Random(25)
+    for name, G in catalog():
+        n = G.order
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        back = {v: i for i, v in enumerate(perm)}
+        rows = [[perm[G.table[back[a]][back[b]]] for b in range(n)] for a in range(n)]
+        H = FiniteGroup(rows)
+        assert H.generators() == tuple(_greedy_generators(rows, range(1, n))), name
+
+
+@pytest.mark.parametrize("row", [
+    # x y = x for x, y >= 1: every candidate lies outside the reached set,
+    # so each would be taken as a generator without the doubling stop
+    pytest.param(lambda x, n: (x,) * n, id="left-projection"),
+    # the same with x 1 = 0, so that every row holds the identity
+    pytest.param(lambda x, n: (x, 0) + (x,) * (n - 2), id="left-projection-with-inverses"),
+])
+def test_a_table_that_is_not_a_group_is_rejected_in_log_many_closures(monkeypatch, row):
+    from skewgalois import groups
+
+    calls = 0
+    closure = groups._bfs_closure
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_bfs_closure", counted)
+    n = 2048
+    table = [tuple(range(n))] + [row(x, n) for x in range(1, n)]
+    with pytest.raises(ValueError) as exc:
+        FiniteGroup(table)
+    assert str(exc.value) == "table rows must be permutations (Latin square)"
+    assert calls <= n.bit_length() + 1  # floor(log2 n) + 2
 
 
 def test_element_orders_and_inverses():
