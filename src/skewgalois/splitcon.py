@@ -26,10 +26,10 @@ unramified), the pipeline is:
      v_p(Q(0)) on the Newton polygon, p-adic root certificates via
      Newton/Hensel conditions read from residues mod a fixed power of p,
      real root counts via sign alternation at points between the target
-     roots (Sturm sequences when the signs do not alternate), and an odd
-     discriminant valuation at the ramified-quadratic auxiliary prime,
-     read from the discriminant of Q mod a power of that prime (so the
-     quadratic resolvent field already ramifies where L does not).
+     roots, and an odd discriminant valuation at the ramified-quadratic
+     auxiliary prime, read from the discriminant of Q mod a power of that
+     prime (so the quadratic resolvent field already ramifies where L does
+     not).
 
 Q is built once, and no certificate can fail on it:
   - an unramified place reads Q mod p, which is its target;
@@ -41,11 +41,16 @@ Q is built once, and no certificate can fail on it:
     target's value beats that for every n <= DEGREE_MAX (3.0 times at n = 1,
     4.1 at n = 2, more after that), so the signs alternate: n real roots;
   - at the first auxiliary prime p, Hensel splits Q = A B over Z_p with
-    A = X^2 - p mod p^k (the resultant is a unit); v(disc A) is 1, or 3 at
-    p = 2, and B has distinct roots in Z_p, so v(disc Q) is odd.
+    A = X^2 - p and B = prod (X - t) mod p^k (the resultant is a unit);
+    v(disc A) = v(4p) is 1, or 3 at p = 2.  Since k > 2 sum_c v(t - c),
+    each root of B lies nearer its own target t than to any other, so
+    v(disc Q) = v(4p) + 2 sum over pairs of v(t - c) = N - 1, odd and
+    below the modulus p^N of the one resultant that reads it (_disc_start).
 
 Every claim in the emitted report is re-derivable from Q alone; verify_report
-re-derives the claimed places' certificates by the constructor's derivation.
+re-derives the claimed places' certificates by the constructor's derivation
+and accepts no other certificate form, so a Q the constructor did not make
+can fail a certificate that a slower, general test would pass.
 """
 
 from __future__ import annotations
@@ -64,12 +69,9 @@ from .zarith import (
     nearest_rep,
     next_prime,
     prime_power_base,
-    primes_up_to,
     valuation,
 )
 from .zpoly import (
-    count_real_roots,
-    discriminant,
     reduce_mod,
     resultant,
     zderivative,
@@ -572,34 +574,15 @@ def certified_padic_roots(
     return False, best_evidence, f"only {len(best_evidence)} of {want} roots certified"
 
 
-_SEPARABILITY_PRIMES = tuple(primes_up_to(47))
-
-
-def _squarefree_mod_small_prime(Q: list[int]) -> bool:
-    """A squarefree reduction of a monic Q modulo any prime ell proves
-    disc(Q) != 0 mod ell; this tries the primes up to 47."""
-    return any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in _SEPARABILITY_PRIMES)
-
-
-def _is_separable(Q: list[int]) -> bool:
-    """disc(Q) != 0 for a monic Q of degree >= 1; the exact discriminant is
-    computed only when Q is squarefree modulo none of the primes up to 47."""
-    if _squarefree_mod_small_prime(Q):
-        return True
-    try:
-        return discriminant(Q) != 0
-    except ValueError:
-        return False
-
-
 def _disc_start(spec: LocalSpec, n: int) -> int:
-    """The exponent N at which _disc_valuation first reads v_p(disc Q) at
-    the first auxiliary place.  Q agrees with that place's ramified-quadratic
-    target (X^2 - p) prod (X - r) to high order, so start one above the
-    target's valuation: disc(AB) = disc(A) disc(B) res(A, B)^2 with
-    disc(X^2 - p) = 4p and res(X^2 - p, X - r) = r^2 - p a unit, which gives
-    v_p(4p) plus twice the sum over pairs of v_p(r - c).  Any other kind
-    (a tampered report) starts at 64."""
+    """The exponent N at which _disc_valuation reads v_p(disc Q) at the
+    first auxiliary place: one above v_p of the discriminant of that place's
+    ramified-quadratic target (X^2 - p) prod (X - r).  disc(AB) =
+    disc(A) disc(B) res(A, B)^2 with disc(X^2 - p) = 4p and
+    res(X^2 - p, X - r) = r^2 - p a unit, which gives v_p(4p) plus twice
+    the sum over pairs of v_p(r - c); a constructed Q has exactly that
+    valuation, N - 1 (module docstring).  Any other kind (a tampered
+    report) gives 64."""
     if spec.kind != KIND_RAMIFIED_QUADRATIC:
         return 64
     p = spec.prime
@@ -608,52 +591,41 @@ def _disc_start(spec: LocalSpec, n: int) -> int:
     return valuation(4 * p, p) + 2 * pairs + 1
 
 
-def _disc_valuation(Q: list[int], p: int, start: int = 64) -> int | None:
-    """v_p(disc Q), or None when disc Q = 0 or Q has degree < 1.
+def _disc_valuation(Q: list[int], p: int, N: int) -> int | None:
+    """v_p(disc Q) for a monic Q when it is below N, else None (a zero
+    discriminant or a constant Q included).
 
-    For a monic Q the discriminant is an integer polynomial in the other
-    coefficients, so disc(Q mod p^N) = disc(Q) mod p^N.  Once a squarefree
-    reduction proves disc Q != 0, N doubles from start until that residue
-    is non-zero, and its valuation is exact.  Any other Q (not monic, or
-    squarefree modulo no small prime) takes the exact discriminant.
+    The discriminant of a monic Q is an integer polynomial in its other
+    coefficients, so disc(Q mod p^N) = disc(Q) mod p^N: one resultant
+    modulo p^N, whose residue is non-zero exactly when v_p(disc Q) < N.
     """
     n = len(Q) - 1
-    if n >= 1 and Q[-1] == 1 and _squarefree_mod_small_prime(Q):
-        sign = -1 if n * (n - 1) // 2 % 2 else 1
-        N = start
-        while True:
-            M = p**N
-            QM = reduce_mod(Q, M)
-            disc = sign * resultant(QM, zderivative(QM)) % M
-            if disc:
-                return valuation(disc, p)
-            N *= 2
-    try:
-        disc = discriminant(Q)
-    except ValueError:
-        return None
+    M = p**N
+    QM = reduce_mod(Q, M)
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    disc = sign * resultant(QM, zderivative(QM)) % M
     return valuation(disc, p) if disc else None
 
 
-def _real_root_count(Q: list[int]) -> int:
-    """Number of distinct real roots of a monic Q.
+def _signs_alternate(Q: list[int]) -> bool:
+    """Whether the monic Q of degree n has the real place's certificate of
+    n distinct real roots.
 
     The constructor aims the n roots at S, 2S, ..., nS, and S is read back
     from their sum: S = round(-2 Q[n-1] / (n(n+1))).  If Q takes n+1
     non-zero values of alternating sign at the points (j + 1/2) S for
     j = 0..n, it has a root between each two, and degree n allows no more.
-    The points are read as the odd multiples (2j+1) S on 2^n Q(y/2).  Any
-    other Q is counted on its Sturm chain.
+    The points are read as the odd multiples (2j+1) S on 2^n Q(y/2).  Every
+    constructed Q passes (module docstring).
     """
     n = len(Q) - 1
-    if n >= 1:
-        d = n * (n + 1)
-        S = (-4 * Q[n - 1] + d) // (2 * d)
-        F = [c << (n - i) for i, c in enumerate(Q)]
-        values = [zeval(F, (2 * j + 1) * S) for j in range(n + 1)]
-        if all(a < 0 < b or b < 0 < a for a, b in zip(values, values[1:])):
-            return n
-    return count_real_roots(Q)
+    if n < 1:
+        return True  # a monic constant has its 0 real roots
+    d = n * (n + 1)
+    S = (-4 * Q[n - 1] + d) // (2 * d)
+    F = [c << (n - i) for i, c in enumerate(Q)]
+    values = [zeval(F, (2 * j + 1) * S) for j in range(n + 1)]
+    return all(a < 0 < b or b < 0 < a for a, b in zip(values, values[1:]))
 
 
 def _monic(Q: list[int]) -> list[int]:
@@ -669,24 +641,27 @@ def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
     place is as prescribed; negative outcomes are values, not errors.
 
     Totally split at p: either n distinct simple roots mod p, or n
-    certified pairwise-distinct p-adic roots.  Ramified quadratic: the
-    reduction is X^2 times a unit part, so by Hensel's lemma Q = A B over
-    Z_p with A = X^2 + aX + b = X^2 mod p and B(0) a unit; then v(a) >= 1
-    and v(b) = v(Q(0)), so A is Eisenstein exactly when v(Q(0)) = 1 (the
-    Newton polygon, Neukirch, *Algebraic Number Theory*, II.6); and the
-    remaining n-2 roots are certified in Z_p.  Unramified degree m:
+    certified pairwise-distinct p-adic roots, which prove Q separable.
+    Ramified quadratic: the reduction is X^2 times a unit part, so by
+    Hensel's lemma Q = A B over Z_p with A = X^2 + aX + b = X^2 mod p and
+    B(0) a unit; then v(a) >= 1 and v(b) = v(Q(0)), so A is Eisenstein
+    exactly when v(Q(0)) = 1 (the Newton polygon, Neukirch, *Algebraic
+    Number Theory*, II.6); and the remaining n-2 roots are certified in
+    Z_p.  Unramified degree m:
     squarefree reduction with factorization pattern (m, 1, ..., 1).  Real
-    place: the count of distinct real roots equals the degree; the
-    evidence key "sturm_real_roots" holds that count, whether sign
-    alternation or the Sturm chain gave it.
+    place: Q's signs alternate at the constructor's n + 1 points
+    (_signs_alternate), and the evidence key "sturm_real_roots" holds the n
+    real roots that proves; otherwise it fails and claims no count.  These
+    are the constructor's certificate forms, which a Q it did not make may
+    fail although it has the prescribed behavior.
     """
     Q = _monic(Q)
     n = len(Q) - 1
     if spec.prime == REAL:
-        count = _real_root_count(Q)
+        if _signs_alternate(Q):
+            return LocalCheck(spec, True, {"sturm_real_roots": n, "degree": n})
         return LocalCheck(
-            spec, count == n, {"sturm_real_roots": count, "degree": n},
-            None if count == n else f"only {count} of {n} real roots",
+            spec, False, {"degree": n}, "signs do not alternate at the constructor's points"
         )
 
     p = spec.prime
@@ -696,8 +671,6 @@ def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
             roots = modpoly.roots_mod_p(qbar, p)
             if len(roots) == n:
                 return LocalCheck(spec, True, {"simple_roots_mod_p": roots})
-        if not _is_separable(Q):
-            return LocalCheck(spec, False, {}, "polynomial is not separable")
         ok, ev, reason = certified_padic_roots(Q, p, n, PRECISION_CAP)
         return LocalCheck(spec, ok, {"padic_roots": ev}, reason)
 
@@ -870,9 +843,11 @@ def _certificates(Q: list[int], specs: Sequence[LocalSpec], aux: Sequence[LocalS
     checks = tuple(certify_local_behavior(Q, s) for s in [*specs, *aux])
     sn = _sn_from_checks(n, [c for c in checks[len(specs):] if c.spec.kind == KIND_UNRAMIFIED])
     aux1 = aux[0].prime
-    v = _disc_valuation(Q, aux1, _disc_start(aux[0], n))
+    N = _disc_start(aux[0], n)
+    v = _disc_valuation(Q, aux1, N)
     if v is None:
-        disjoint = {"prime": aux1, "odd_valuation": False, "reason": "zero discriminant"}
+        disjoint = {"prime": aux1, "odd_valuation": False,
+                    "reason": f"discriminant valuation at {aux1} is at least {N}"}
     else:
         disjoint = {
             "prime": aux1,
@@ -952,7 +927,7 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
 
     v = disjoint.get("disc_valuation")
     if v is None:
-        failures.append("zero discriminant")
+        failures.append(disjoint["reason"])
     else:
         if v % 2 != 1:
             failures.append(f"discriminant valuation at {disjoint['prime']} is even ({v})")

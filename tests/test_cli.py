@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -753,6 +754,57 @@ def test_verify_report_refuses_what_no_construction_makes(tamper, message):
     assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_DOMAIN and out == ""
     assert json.loads(err) == {"error": "SpecError", "message": message}
+
+
+PRIMORIAL_47 = 614889782588491410  # the product of the primes up to 47
+
+
+@pytest.fixture(scope="module")
+def report_at_the_cap():
+    # the first auxiliary prime of this request is 2
+    from skewgalois.splitcon import DEGREE_MAX
+
+    code, out, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+                              "--spec", "7:ts:ramL", "--p-kernel", "5", "--n-min", str(DEGREE_MAX)])
+    assert code == cli.EXIT_OK, err
+    return out
+
+
+def _hostile_q(shape, report):
+    """Q replaced by a shape no construction makes, of the report's degree n."""
+    n, rng = report["n"], random.Random(shape)
+    if shape.startswith("random-"):
+        digits = int(shape.split("-")[1])
+        return [rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+                for _ in range(n)] + [1]
+    if shape == "x-to-the-n-mod-primorial":
+        return [PRIMORIAL_47 * rng.randrange(10**4180) for _ in range(n)] + [1]
+    # X^(n-2) (X - 1)^2 mod 2^14000, so v_2(disc Q) >= 14000, and the
+    # genuine Q modulo the other finite places
+    assert report["aux"][0]["prime"] == 2
+    m1 = 2**14000
+    m2 = math.prod(int(p) ** k for p, k in report["place_precision"].items() if p != "2")
+    target = [0] * (n - 2) + [1, -2, 1]
+    return [a + m1 * ((b - a) * pow(m1, -1, m2) % m2) for a, b in zip(target, report["Q"])]
+
+
+@pytest.mark.parametrize("shape", ["random-1200", "random-4250", "x-to-the-n-mod-primorial",
+                                   "disc-valuation-14000"])
+def test_verify_report_rejects_a_hostile_q_in_bounded_time(report_at_the_cap, shape):
+    # each shape took 8.6 to 278 s (one CLI run each, shared 2-vCPU host)
+    # while the verifier kept the Sturm count, the exact discriminant and
+    # the doubling of the discriminant's modulus
+    report = json.loads(report_at_the_cap)
+    report["Q"] = _hostile_q(shape, report)
+    assert max(len(str(abs(c))) for c in report["Q"]) < 4300  # the int parse limit
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
+    assert time.perf_counter() - start < 5.0
+    assert code == cli.EXIT_CERT, err
+    result = json.loads(out)
+    assert result["ok"] is False
+    if shape == "disc-valuation-14000":
+        assert any(f.startswith("discriminant valuation at 2 is at least ") for f in result["failures"])
 
 
 def test_extra_l_ram_prime_is_answered():

@@ -9,7 +9,7 @@ import pytest
 import tuple_field
 from tuple_field import xgcd
 
-from skewgalois import cli, modpoly, splitcon
+from skewgalois import cli, modpoly, splitcon, zpoly
 from skewgalois.splitcon import (
     DEGREE_MAX,
     REAL,
@@ -31,7 +31,7 @@ from skewgalois.splitcon import (
     verify_report,
     weak_approximation,
 )
-from skewgalois.zarith import is_prime, valuation
+from skewgalois.zarith import is_prime, primes_up_to, valuation
 from skewgalois.zpoly import (
     count_real_roots, discriminant, reduce_mod, zadd, zderivative, zeval, zmul, znormalize,
 )
@@ -203,9 +203,9 @@ def test_certify_local_behavior_examples():
     # split into distinct linears mod 5
     c = certify_local_behavior([-1, 0, 1], LocalSpec(5, "ts"))
     assert c.passed and c.evidence["simple_roots_mod_p"] == [1, 4]
-    # X^2 + 1 has no real roots
+    # X^2 + 1 has no real roots: its signs cannot alternate, and no count is claimed
     c = certify_local_behavior([1, 0, 1], LocalSpec(REAL, "ts"))
-    assert not c.passed and c.evidence["sturm_real_roots"] == 0
+    assert not c.passed and c.evidence == {"degree": 2}
 
 
 def test_eisenstein_detector_fixture():
@@ -363,42 +363,36 @@ def _constructor_q(spec_strings, n, precision):
     return weak_approximation(locals_, target, root_scale=scale), aux
 
 
-def test_separability_falls_back_to_the_discriminant(monkeypatch):
-    # 614889782588491410 is the product of the primes <= 47, so
-    # X^2 - 614889782588491410 reduces to X^2 modulo every one of them
-    primorial = 614889782588491410
-    Q = [-primorial, 0, 1]
-    for ell in splitcon._SEPARABILITY_PRIMES:
-        assert not modpoly.is_squarefree(reduce_mod(Q, ell), ell)
-    calls = []
+def test_root_tree_alone_decides_a_ts_place(monkeypatch):
+    # n certified pairwise-distinct p-adic roots prove separability, so a ts
+    # place takes no discriminant, whether it passes or fails
+    def refuse(*args):
+        raise AssertionError("a ts place takes no discriminant")
 
-    def counting_discriminant(f):
-        calls.append(list(f))
-        return discriminant(f)
-
-    monkeypatch.setattr(splitcon, "discriminant", counting_discriminant)
-    assert splitcon._is_separable(Q)
-    assert calls == [Q]
-    check = certify_local_behavior(Q, LocalSpec(5, "ts"))
-    assert len(calls) == 2
-    assert not check.passed and check.reason != "polynomial is not separable"
-
-
-def test_separability_short_cut_skips_the_discriminant(monkeypatch):
-    monkeypatch.setattr(splitcon, "discriminant", None)  # must not be called
+    monkeypatch.setattr(zpoly, "discriminant", refuse)
     Q = [1]
     for r in range(8):
         Q = zmul(Q, [-r, 1])  # roots 0..7 collide mod 7 but not mod 11
     check = certify_local_behavior(Q, LocalSpec(7, "ts"))
     assert check.passed and len(check.evidence["padic_roots"]) == 8
+    # 614889782588491410 is the product of the primes <= 47, so
+    # X^2 - 614889782588491410 reduces to X^2 modulo every one of them;
+    # it is Eisenstein at 5, with no root in Z_5
+    primorial = 614889782588491410
+    Q = [-primorial, 0, 1]
+    assert not any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in primes_up_to(47))
+    check = certify_local_behavior(Q, LocalSpec(5, "ts"))
+    assert not check.passed and check.reason == "only 0 of 2 roots certified"
 
 
 def test_repeated_root_is_not_separable():
-    # (X - 1)^2 (X - 2)(X - 3): no reduction is squarefree, disc = 0
+    # (X - 1)^2 (X - 2)(X - 3): no reduction is squarefree, disc = 0; no
+    # node near the double root meets Newton's condition, so the root tree
+    # cannot certify four distinct roots
     Q = zmul(zmul([-1, 1], [-1, 1]), zmul([-2, 1], [-3, 1]))
+    assert discriminant(Q) == 0
     check = certify_local_behavior(Q, LocalSpec(5, "ts"))
     assert not check.passed
-    assert check.reason == "polynomial is not separable"
 
 
 def _seeded_q(rng, p):
@@ -695,9 +689,11 @@ def test_constructor_still_checks_the_auxiliary_order(monkeypatch):
     assert "auxiliary degrees [2, 5, 6] != [6, 5, 2]" in str(exc.value)
 
 
-def test_disc_valuation_matches_the_exact_discriminant():
+def test_disc_valuation_matches_the_exact_discriminant(monkeypatch):
+    # v_p(disc Q) when it is below N, None otherwise (zero discriminants
+    # included), with the exact discriminant as the oracle
     rng = random.Random(10)
-    zero = 0
+    zero = positive = 0
     for _ in range(300):
         p = rng.choice((2, 3, 5, 7))
         Q = _seeded_q(rng, p)
@@ -705,16 +701,26 @@ def test_disc_valuation_matches_the_exact_discriminant():
             r = rng.randrange(-5, 6)
             Q = zmul(Q, zmul([-r, 1], [-r, 1]))
         disc = discriminant(Q)
-        zero += disc == 0
-        expected = valuation(disc, p) if disc else None
-        assert splitcon._disc_valuation(Q, p) == expected, (Q, p)
-    assert zero >= 10
-    # not monic (a tampered report): the exact discriminant decides
-    assert splitcon._disc_valuation([-3, 0, 2], 2) == valuation(discriminant([-3, 0, 2]), 2)
-    assert splitcon._disc_valuation([1], 3) is None
-    # valuations past the first modulus 2^64 need a doubling
+        if not disc:
+            zero += 1
+            assert splitcon._disc_valuation(Q, p, rng.randrange(1, 200)) is None, (Q, p)
+            continue
+        v = valuation(disc, p)
+        positive += v >= 1
+        assert splitcon._disc_valuation(Q, p, v + 1) == v, (Q, p)
+        assert v < 1 or splitcon._disc_valuation(Q, p, v) is None, (Q, p)
+        N = rng.randrange(1, 2 * v + 3)
+        assert splitcon._disc_valuation(Q, p, N) == (v if v < N else None), (Q, p, N)
+    assert zero >= 10 and positive >= 100
+    assert splitcon._disc_valuation([1], 3, 64) is None
+    # v_2 = 80: one resultant mod 2^N reads it for N > 80 only
     Q = zmul([0, 1], [-(2**40), 1])
-    assert splitcon._disc_valuation(Q, 2) == 80
+    assert splitcon._disc_valuation(Q, 2, 80) is None
+    assert splitcon._disc_valuation(Q, 2, 81) == 80
+    # one resultant per call, however far the valuation lies past N
+    calls = _count_calls(monkeypatch, splitcon, "resultant")
+    Q = zmul([0, 1], [-(2**3000), 1])
+    assert splitcon._disc_valuation(Q, 2, 64) is None and len(calls) == 1
 
 
 def test_disc_start_is_one_above_the_rq_target_discriminant():
@@ -742,31 +748,32 @@ def test_disc_valuation_takes_one_resultant_at_degree_20(monkeypatch, spec_strin
     assert len(calls) == 1
 
 
-def test_real_place_falls_back_to_the_sturm_count(monkeypatch):
-    c = certify_local_behavior([1, 0, 1], LocalSpec(REAL, "ts"))
-    assert not c.passed and c.reason == "only 0 of 2 real roots"
-    calls = []
-
-    def counting(f):
-        calls.append(list(f))
-        return count_real_roots(f)
-
-    monkeypatch.setattr(splitcon, "count_real_roots", counting)
-    # X (X - 1)(X - 10) has S = round(22 / 12) = 2, and its first point S / 2
-    # is the root 1: three real roots, found by the Sturm count
-    Q = zmul(zmul([0, 1], [-1, 1]), [-10, 1])
-    c = certify_local_behavior(Q, LocalSpec(REAL, "ts"))
+def test_real_place_fails_without_sign_alternation():
+    fail = (False, {"degree": 3}, "signs do not alternate at the constructor's points")
+    # (X - 2)(X - 4)(X - 6) has S = 2: the signs alternate at 1, 3, 5, 7
+    c = certify_local_behavior(zmul(zmul([-2, 1], [-4, 1]), [-6, 1]), LocalSpec(REAL, "ts"))
     assert c.passed and c.evidence == {"sturm_real_roots": 3, "degree": 3}
-    assert calls == [Q]
+    # X (X - 1)(X - 10) has S = round(22 / 12) = 2, and its first point S / 2
+    # is the root 1: three real roots by the Sturm count, but no certificate
+    Q = zmul(zmul([0, 1], [-1, 1]), [-10, 1])
+    assert count_real_roots(Q) == 3
+    c = certify_local_behavior(Q, LocalSpec(REAL, "ts"))
+    assert (c.passed, c.evidence, c.reason) == fail
     # X^3 + X has S = 0, so every point is its one real root 0
     c = certify_local_behavior([0, 1, 0, 1], LocalSpec(REAL, "ts"))
-    assert not c.passed and c.reason == "only 1 of 3 real roots"
+    assert (c.passed, c.evidence, c.reason) == fail
+    # a monic constant has its 0 real roots
+    assert certify_local_behavior([1], LocalSpec(REAL, "ts")).passed
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
 def test_constructor_certifies_without_sturm_chains_or_discriminants(monkeypatch, n):
-    monkeypatch.setattr(splitcon, "count_real_roots", None)
-    monkeypatch.setattr(splitcon, "discriminant", None)
+    def refuse(*args):
+        raise AssertionError("no certificate takes a Sturm chain or a discriminant")
+
+    for name in ("sturm_chain", "count_real_roots", "discriminant"):
+        monkeypatch.setattr(zpoly, name, refuse)
+        assert not hasattr(splitcon, name)
     report = construct_lprime([parse_spec(t) for t in ("3:rq", "inf:ts", "7:ts:ramL")], 5, n)
     assert report.n == n and report.all_passed()
     real = next(c for c in report.local_checks if c.spec.prime == REAL)
@@ -878,9 +885,15 @@ def test_every_valid_request_constructs_at_the_derived_precisions():
     cases = [_random_valid_request(rng) for _ in range(60)]
     cases += [([f"{p}:{kind}", "inf:ts"], frozenset(), DEGREE_MAX, 5)
               for p in (2, 3) for kind in ("rq", "ts:ramL")]
+    # Q is squarefree modulo no prime up to 47 here
+    cases.append((["2:ts:ramL", *(f"{p}:rq" for p in primes_up_to(47)[1:]), "inf:ts"],
+                   frozenset(), DEGREE_MAX, 5))
     for specs, extra, n_min, p_kernel in cases:
         report = construct_lprime([parse_spec(t) for t in specs], p_kernel, n_min, extra)
         assert report.all_passed() and verify_report(report).ok, (specs, extra, n_min)
+        # one resultant modulo p^N reads v(disc Q) = N - 1 (splitcon docstring)
+        N = splitcon._disc_start(report.aux_specs[0], report.n)
+        assert report.disjoint["disc_valuation"] == N - 1, (specs, extra, n_min)
 
 
 def test_real_place_margin_beats_the_crt_rounding():
