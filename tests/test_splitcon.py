@@ -364,8 +364,24 @@ def _constructor_q(spec_strings, n, precision):
 
 
 def test_root_tree_alone_decides_a_ts_place(monkeypatch):
-    # n certified pairwise-distinct p-adic roots prove separability, so a ts
-    # place takes no discriminant, whether it passes or fails
+    # a ts place takes no discriminant even when Q is squarefree modulo no
+    # small prime: 614889782588491410 is the product of the primes <= 47, so
+    # X^2 - 614889782588491410 reduces to X^2 modulo every one of them; it is
+    # Eisenstein at 5, with no root in Z_5
+    def refuse(*args):
+        raise AssertionError("a ts place takes no discriminant")
+
+    monkeypatch.setattr(zpoly, "discriminant", refuse)
+    primorial = 614889782588491410
+    Q = [-primorial, 0, 1]
+    assert not any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in primes_up_to(47))
+    check = certify_local_behavior(Q, LocalSpec(5, "ts"))
+    assert not check.passed and check.reason == "only 0 of 2 roots certified"
+
+
+def test_separability_short_cut_skips_the_discriminant(monkeypatch):
+    # n certified pairwise-distinct p-adic roots prove separability, so a
+    # passing ts place takes no discriminant
     def refuse(*args):
         raise AssertionError("a ts place takes no discriminant")
 
@@ -375,14 +391,6 @@ def test_root_tree_alone_decides_a_ts_place(monkeypatch):
         Q = zmul(Q, [-r, 1])  # roots 0..7 collide mod 7 but not mod 11
     check = certify_local_behavior(Q, LocalSpec(7, "ts"))
     assert check.passed and len(check.evidence["padic_roots"]) == 8
-    # 614889782588491410 is the product of the primes <= 47, so
-    # X^2 - 614889782588491410 reduces to X^2 modulo every one of them;
-    # it is Eisenstein at 5, with no root in Z_5
-    primorial = 614889782588491410
-    Q = [-primorial, 0, 1]
-    assert not any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in primes_up_to(47))
-    check = certify_local_behavior(Q, LocalSpec(5, "ts"))
-    assert not check.passed and check.reason == "only 0 of 2 roots certified"
 
 
 def test_repeated_root_is_not_separable():
