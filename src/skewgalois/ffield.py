@@ -2,9 +2,9 @@
 groups as explicit cyclic groups of Frobenius powers.
 
 A field is determined by (p, n).  Its modulus is the least irreducible
-monic polynomial of degree n over F_p (modpoly.least_irreducible), found
-the first time element arithmetic needs it, so code that reads only the
-degrees never runs the search.
+monic polynomial of degree n over F_p (modpoly.least_irreducible).  The
+first element made finishes the field: the modulus search and its tier's
+tables run then, once, so code that reads only the degrees runs neither.
 
 An element is one int; its coefficient vector over Z/p, relative to the
 field's modulus, is only the input and output form.  There is no implicit
@@ -14,26 +14,27 @@ the degrees, and check_subfield is the one test that K is a subfield of L.
 An explicit SubfieldEmbedding (the image of K's generator, found as a root
 of K's modulus in L) is built only on request, by embed_subfield.
 
-Up to the log-table limit the int is the discrete log to a generator g (-1
-for zero): products, inverses and powers are integer operations on logs, a
-sum is one lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k
-multiplies a log by p^k mod (q - 1).  Past the limit the int is the
-element's packed coefficient vector: FqField is a modpoly.QuotientRing, the
-F_p[x]/(modulus) of modpoly's byte-wide slots, so a product is one int
-product and its _reduce (the high slots folded back through the modulus's
-_fold table, every slot taken mod p with no Python loop over the slots).
-Frobenius powers are F_p-linear maps applied as cached packed columns;
-sums and negation work slotwise on the int.  An inverse is
-Itoh and Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes about
-2 log2(n) Frobenius maps and products, and the norm a^r is a constant,
-inverted in F_p.
+The field's order fixes once what the int is, as the subclass (tier) the
+field becomes; no operation tests the tier.  Up to the log-table limit (a
+_LogField) the int is the discrete log to a generator g (-1 for zero):
+products, inverses and powers are integer operations on logs, a sum is one
+lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k multiplies
+a log by p^k mod (q - 1).  Past the limit (a _PackedField) the int is the
+packed coefficient vector in modpoly's F_p[x]/(modulus) of byte-wide
+slots, so a product is one int product and its _reduce (the high slots
+folded back through the modulus's _fold table, every slot taken mod p with
+no Python loop over the slots).  Frobenius powers are F_p-linear maps
+applied as cached packed columns; sums and negation work slotwise.  An
+inverse is Itoh and Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes
+about 2 log2(n) Frobenius maps and products, and the norm a^r is a
+constant, inverted in F_p.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from . import modpoly
 from .zarith import factorize, is_prime
@@ -48,10 +49,14 @@ FIELD_ORDER_MAX = 1 << 64
 
 class FqField(modpoly.QuotientRing):
     """The field F_{p^n}: the modpoly.QuotientRing F_p[x]/(modulus) for the
-    least irreducible monic modulus of degree n, searched for on first use."""
+    least irreducible monic modulus of degree n.  Its order fixes its tier,
+    the subclass holding the arithmetic on element ints (_add, _neg, _mul,
+    _inv, _power, _frob), their conversions and the Ore kernels' vector
+    steps (_twist, _addmul, _settle); a new field is _Unfinished."""
 
-    __slots__ = ("modulus", "order", "_log", "_antilog", "_zech", "_q1", "_zero_v",
-                 "_frob_cols", "_powers", "_hash")
+    # the slots of both tiers, so that a field can change its class
+    __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
+                 "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
@@ -60,13 +65,9 @@ class FqField(modpoly.QuotientRing):
             raise ValueError("extension degree must be >= 1")
         super().__init__(p, n)
         self.order = p**n
-        self._q1 = self.order - 1
-        self._log = self._antilog = self._zech = None  # built on first use
-        self._zero_v = -1 if self.order <= _LOG_TABLE_MAX else 0
-        self._frob_cols: dict[int, tuple] = {}
         self._powers = tuple(p**i for i in range(n))
         self._hash = hash((p, n))
-        self.__class__ = _Unsearched  # modulus and _fold stay unset until read
+        self.__class__ = _Unfinished
 
     # -- identity ---------------------------------------------------------
 
@@ -111,8 +112,6 @@ class FqField(modpoly.QuotientRing):
         """The element whose coefficients are the base-p digits of idx."""
         return FqElem(self, self._index_v(idx))
 
-    # -- the int of an element ---------------------------------------------
-
     def _v_of(self, coeffs) -> int:
         """The int of an element in any form that element() takes."""
         if isinstance(coeffs, FqElem):
@@ -126,103 +125,45 @@ class FqField(modpoly.QuotientRing):
             vec = [c % p for c in coeffs]
             if len(vec) > self.n:
                 vec = self._read(self._divmod(self._pack(vec), self._pack(self.modulus))[1])
-        if self._ensure_log_tables():
-            return self._log[sum(map(mul, vec, self._powers))]
-        return self._pack(vec)
+        return self._vec_v(vec)
 
-    def _index_v(self, idx: int) -> int:
-        """The int of the element whose coefficients are the base-p digits
-        of idx."""
-        idx %= self.order
-        if self._ensure_log_tables():
-            return self._log[idx]
-        # a constant is its own packed form
-        return idx if idx < self.p else self._pack(self._digits(idx))
 
-    def _coeffs(self, v: int) -> tuple:
-        if self._log is not None:
-            return tuple(self._digits(self._antilog[v]))
-        return tuple(self._read(v))
+class _Unfinished(FqField):
+    """A field before its first element, with no modulus and no tables.
+    Python reaches __getattr__ only for what it lacks, its tier's methods
+    and the slots that finishing sets; the first such read finishes the
+    field once and makes it an instance of its tier.  The hook lives on this
+    class alone because CPython 3.11 does not specialise attribute reads on
+    a class with __getattr__, and arithmetic reads slots on every operation."""
 
-    def _index(self, v: int) -> int:
-        return self._antilog[v] if self._log is not None else self._combine(v, self._powers)
+    __slots__ = ()
 
-    # -- arithmetic on the ints of elements, one branch per tier -----------
+    def __getattr__(self, name):
+        tier = _LogField if self.order <= _LOG_TABLE_MAX else _PackedField
+        if not hasattr(tier, name):
+            raise AttributeError(name)
+        self.__class__ = tier
+        self.modulus = tuple(modpoly.least_irreducible(self.p, self.n))
+        self._set_fold(self._pack(self.modulus))
+        self._finish()
+        return getattr(self, name)
 
-    def _add(self, a: int, b: int) -> int:
-        if self._log is not None:
-            if a < 0 or b < 0:
-                return b if a < 0 else a
-            z = self._zech[(b - a) % self._q1]
-            return (a + z) % self._q1 if z >= 0 else -1
-        # slotwise: slot i of t + 2^(w-1) - p has its top bit set iff t_i >= p
-        p, t = self.p, a + b
-        return t - p * ((t + self._top - p * self._ones & self._top) >> self._w - 1)
 
-    def _neg(self, a: int) -> int:
-        if self.p == 2 or a == self._zero_v:
-            return a
-        if self._log is not None:  # -1 = g^((q - 1) / 2)
-            return (a + self._q1 // 2) % self._q1
-        # p in each nonzero slot, minus a: slot i of a + 2^(w-1) - 1 has its
-        # top bit set iff a_i != 0
-        return self.p * ((a + self._top - self._ones & self._top) >> self._w - 1) - a
+class _LogField(FqField):
+    """A field of order up to _LOG_TABLE_MAX, whose element ints are
+    discrete logs to a generator g, -1 for zero."""
 
-    def _mul(self, a: int, b: int) -> int:
-        if self._log is not None:
-            return -1 if a < 0 or b < 0 else (a + b) % self._q1
-        return self._reduce(a * b)
+    __slots__ = ()
 
-    # -- packed arithmetic past the limit (slots: modpoly.QuotientRing) ------
-
-    def _inv(self, a: int) -> int:
-        """The inverse of a nonzero packed value, by Itoh and Tsujii: with
-        r = (q - 1) / (p - 1), a^(r-1) is a Frobenius image and the norm
-        N(a) = a^r lies in F_p*, so a^-1 = N(a)^-1 a^(r-1).  That costs
-        about 2 log2(n) Frobenius maps and products."""
-        if a == 1:  # as for the leading coefficient of a monic divisor
-            return 1
-        p = self.p
-        if self.n == 1:
-            return pow(a, p - 2, p)
-        # b = a^(1 + p + ... + p^(k-1)) along the binary digits of n - 1,
-        # by b_2k = b_k frob^k(b_k) and b_(k+1) = a frob(b_k)
-        b, k = a, 1
-        for bit in bin(self.n - 1)[3:]:
-            b, k = self._reduce(b * self._frob(k, b)), 2 * k
-            if bit == "1":
-                b, k = self._reduce(a * self._frob(1, b)), k + 1
-        c = self._frob(1, b)  # a^(p + ... + p^(n-1)) = a^(r-1)
-        norm = self._reduce(a * c)  # a constant, its own packed form
-        return self._canon(c * pow(norm, p - 2, p))
-
-    def _frob(self, k: int, a: int) -> int:
-        """x -> x^(p^k) on a packed value, as a matrix-vector product over
-        F_p with the matrix's packed columns cached per k."""
-        cols = self._frob_cols.get(k)
-        if cols is None:
-            # column i is the image of x^i, that is y^i for y = x^(p^k)
-            y, cols = self._pow(1 << self._w, self.p**k), [1]
-            for _ in range(self.n - 1):
-                cols.append(self._reduce(cols[-1] * y))
-            cols = self._frob_cols[k] = tuple(cols)
-        return self._canon(self._combine(a, cols))
-
-    # -- log tables ----------------------------------------------------------
-
-    def _ensure_log_tables(self) -> bool:
-        """Build the log tier's tables on first use; False past the limit.
-
-        For the generator g: _antilog[k] is the index of g^k for
-        0 <= k < q - 1, followed by 0 (the index of zero), so that
-        _antilog[-1] is zero; _log[_antilog[k]] = k, with -1 as the log of
-        zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0.
-        """
-        if self._log is not None:
-            return True
-        if self.order > _LOG_TABLE_MAX:
-            return False
-        p, q1, g = self.p, self._q1, self._find_generator()
+    def _finish(self) -> None:
+        """Build the tables.  For the generator g: _antilog[k] is the index
+        of g^k for 0 <= k < q - 1, followed by 0 (the index of zero), so
+        that _antilog[-1] is zero; _log[_antilog[k]] = k, with -1 as the log
+        of zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0."""
+        p, q1 = self.p, self.order - 1
+        self._zero_v, self._one_v, self._q1 = -1, 0, q1
+        self._minus_one = q1 // 2 if p != 2 else 0  # -1 = g^((q - 1) / 2)
+        g = self._find_generator()
         if self.n == 1:
             antilog, x = [], 1
             for _ in range(q1):
@@ -238,7 +179,6 @@ class FqField(modpoly.QuotientRing):
         self._zech = [log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
         self._antilog = antilog
         self._log = log
-        return True
 
     def _powers_of(self, g: int) -> list[int]:
         """The indices of g^k for 0 <= k < q - 1, for n >= 2.
@@ -295,33 +235,182 @@ class FqField(modpoly.QuotientRing):
                 return cand
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
+    def _vec_v(self, vec) -> int:
+        return self._log[sum(map(mul, vec, self._powers))]
 
-class _Unsearched(FqField):
-    """An FqField whose modulus has not been read yet.  Python reaches
-    __getattr__ only for the unset modulus and _fold slots; the first read
-    of either searches for the modulus, sets both and turns the field into
-    a plain FqField.  The hook lives on this subclass because CPython 3.11
-    does not specialise attribute reads on a class with __getattr__ (about
-    2.6x the time of a slot read), and arithmetic reads the field's slots
-    on every operation."""
+    def _index_v(self, idx: int) -> int:
+        return self._log[idx % self.order]
+
+    def _coeffs(self, v: int) -> tuple:
+        return tuple(self._digits(self._antilog[v]))
+
+    def _index(self, v: int) -> int:
+        return self._antilog[v]
+
+    def _add(self, a: int, b: int) -> int:
+        if a < 0 or b < 0:
+            return b if a < 0 else a
+        z = self._zech[(b - a) % self._q1]
+        return (a + z) % self._q1 if z >= 0 else -1
+
+    def _neg(self, a: int) -> int:
+        return a if a < 0 else (a + self._minus_one) % self._q1
+
+    def _mul(self, a: int, b: int) -> int:
+        return -1 if a < 0 or b < 0 else (a + b) % self._q1
+
+    def _inv(self, a: int) -> int:
+        return -a % self._q1
+
+    def _power(self, a: int, e: int) -> int:
+        """a^e for nonzero a and any integer e."""
+        return a * e % self._q1
+
+    def _frob(self, k: int, a: int) -> int:
+        """x -> x^(p^k) for 0 <= k < n: the log times p^k."""
+        return a * self._powers[k] % self._q1 if a >= 0 else -1
+
+    # -- the Ore kernels' vector steps -----------------------------------------
+
+    def _twist(self, j: int, g) -> list[int]:
+        """frob^j of every int in g (g itself when j = 0 mod n)."""
+        j %= self.n
+        if j == 0:
+            return g
+        e, q1 = self._powers[j], self._q1
+        return [b * e % q1 if b >= 0 else -1 for b in g]
+
+    def _addmul(self, acc: list, start: int, c: int, terms, negate: bool = False) -> None:
+        """acc[start + j] += g^c terms[j], or -= with negate, for nonzero
+        g^c: adding g^t to g^x gives g^(x + zech[t - x]), or zero where
+        that entry is -1."""
+        q1, zech = self._q1, self._zech
+        if negate:
+            c += self._minus_one
+        for j, b in enumerate(terms, start):
+            if b >= 0:
+                x = acc[j]
+                if x < 0:
+                    acc[j] = (c + b) % q1
+                else:
+                    z = zech[(c + b - x) % q1]
+                    acc[j] = (x + z) % q1 if z >= 0 else -1
+
+    def _settle(self, acc):
+        """A sum of logs is final as it is made, in a list or alone."""
+        return acc
+
+    _settle_v = _settle
+
+
+class _PackedField(FqField):
+    """A field past the log-table limit, whose element ints are packed
+    coefficient vectors (see modpoly.QuotientRing)."""
 
     __slots__ = ()
 
-    def __getattr__(self, name):
-        if name not in ("modulus", "_fold"):
-            raise AttributeError(name)
-        self.modulus = tuple(modpoly.least_irreducible(self.p, self.n))
-        self._set_fold(self._pack(self.modulus))
-        self.__class__ = FqField
-        return getattr(self, name)
+    def _finish(self) -> None:
+        self._zero_v, self._one_v = 0, 1
+        self._frob_cols: dict[int, tuple] = {}
+
+    _vec_v = modpoly.QuotientRing._pack
+
+    def _index_v(self, idx: int) -> int:
+        idx %= self.order
+        # a constant is its own packed form
+        return idx if idx < self.p else self._pack(self._digits(idx))
+
+    def _coeffs(self, v: int) -> tuple:
+        return tuple(self._read(v))
+
+    def _index(self, v: int) -> int:
+        return self._combine(v, self._powers)
+
+    def _add(self, a: int, b: int) -> int:
+        # slotwise: slot i of t + 2^(w-1) - p has its top bit set iff t_i >= p
+        p, t = self.p, a + b
+        return t - p * ((t + self._top - p * self._ones & self._top) >> self._w - 1)
+
+    def _neg(self, a: int) -> int:
+        if self.p == 2:
+            return a
+        # p in each nonzero slot, minus a: slot i of a + 2^(w-1) - 1 has its
+        # top bit set iff a_i != 0
+        return self.p * ((a + self._top - self._ones & self._top) >> self._w - 1) - a
+
+    def _mul(self, a: int, b: int) -> int:
+        return self._reduce(a * b)
+
+    def _inv(self, a: int) -> int:
+        """The inverse of a nonzero packed value, by Itoh and Tsujii: with
+        r = (q - 1) / (p - 1), a^(r-1) is a Frobenius image and the norm
+        N(a) = a^r lies in F_p*, so a^-1 = N(a)^-1 a^(r-1).  That costs
+        about 2 log2(n) Frobenius maps and products."""
+        if a == 1:  # as for the leading coefficient of a monic divisor
+            return 1
+        p = self.p
+        if self.n == 1:
+            return pow(a, p - 2, p)
+        # b = a^(1 + p + ... + p^(k-1)) along the binary digits of n - 1,
+        # by b_2k = b_k frob^k(b_k) and b_(k+1) = a frob(b_k)
+        b, k = a, 1
+        for bit in bin(self.n - 1)[3:]:
+            b, k = self._reduce(b * self._frob(k, b)), 2 * k
+            if bit == "1":
+                b, k = self._reduce(a * self._frob(1, b)), k + 1
+        c = self._frob(1, b)  # a^(p + ... + p^(n-1)) = a^(r-1)
+        norm = self._reduce(a * c)  # a constant, its own packed form
+        return self._canon(c * pow(norm, p - 2, p))
+
+    def _power(self, a: int, e: int) -> int:
+        """a^e for nonzero a and any integer e."""
+        return self._pow(a, e) if e >= 0 else self._pow(self._inv(a), -e)
+
+    def _frob(self, k: int, a: int) -> int:
+        """x -> x^(p^k) as a matrix-vector product over F_p, with the
+        matrix's packed columns cached per k."""
+        cols = self._frob_cols.get(k)
+        if cols is None:
+            # column i is the image of x^i, that is y^i for y = x^(p^k)
+            y, cols = self._pow(1 << self._w, self.p**k), [1]
+            for _ in range(self.n - 1):
+                cols.append(self._reduce(cols[-1] * y))
+            cols = self._frob_cols[k] = tuple(cols)
+        return self._canon(self._combine(a, cols))
+
+    # -- the Ore kernels' vector steps -----------------------------------------
+
+    def _twist(self, j: int, g) -> list[int]:
+        """frob^j of every int in g (g itself when j = 0 mod n)."""
+        j %= self.n
+        if j == 0:
+            return g
+        frob = self._frob
+        return [frob(j, b) if b else 0 for b in g]
+
+    def _addmul(self, acc: list, start: int, c: int, terms, negate: bool = False) -> None:
+        """acc[start + j] += c terms[j], or -= with negate, as unreduced int
+        products; -c is (p - 1) c.  A slot has room for _ACC_TERMS such
+        products on top of a canonical value (see modpoly), so a caller
+        settles acc before it takes more."""
+        if negate:
+            c *= self.p - 1
+        end = start + len(terms)
+        acc[start:end] = map(add, acc[start:end], map(c.__mul__, terms))
+
+    def _settle(self, acc: list) -> list:
+        return list(map(self._reduce, acc))
+
+    _settle_v = modpoly.QuotientRing._reduce
 
 
 class FqElem:
     """An element of an FqField, held as one int: its discrete log (-1 for
     zero) up to the log-table limit, its packed coefficient vector past it.
     The coefficient tuple `coeffs` is derived from the int on request.
-    Sums, negation and products are the field's _add, _neg and _mul on the
-    ints, the same functions OrePoly applies to its coefficient ints."""
+    Every operation is one call of the field's tier (_add, _neg, _mul,
+    _inv, _power), the same functions OrePoly applies to its coefficient
+    ints; the tier was chosen once, when the field was."""
 
     __slots__ = ("field", "v")
 
@@ -374,12 +463,9 @@ class FqElem:
         return FqElem(self.field, self.field._mul(self.v, other.v))
 
     def inverse(self) -> "FqElem":
-        F = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if F._log is not None:
-            return FqElem(F, -self.v % F._q1)
-        return FqElem(F, F._inv(self.v))
+        return FqElem(self.field, self.field._inv(self.v))
 
     def __truediv__(self, other: "FqElem") -> "FqElem":
         return self * other.inverse()
@@ -390,22 +476,17 @@ class FqElem:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return F.one() if e == 0 else F.zero()
-        if F._log is not None:
-            return FqElem(F, self.v * e % F._q1)
-        return FqElem(F, F._pow(self.v, e) if e >= 0 else F._pow(F._inv(self.v), -e))
+        return FqElem(F, F._power(self.v, e))
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
 
 class FieldAut:
-    """A field automorphism x -> x^(p^k), i.e. the k-th Frobenius power.
-
-    On a log-tier element it multiplies the log by p^k modulo q - 1; past
-    the log-table limit it applies the field's cached F_p-linear matrix for
-    frob^k to the packed int, as one sum of packed columns reduced
-    slotwise mod p.
-    """
+    """A field automorphism x -> x^(p^k), i.e. the k-th Frobenius power,
+    applied as the field's _frob on the int of an element: a log times p^k
+    modulo q - 1 in the log tier, the cached F_p-linear matrix of frob^k
+    on the packed int past it."""
 
     __slots__ = ("field", "k")
 
@@ -435,10 +516,7 @@ class FieldAut:
             raise ValueError("element belongs to a different field")
         if self.k == 0:
             return x
-        F = self.field
-        if F._log is not None:
-            return x if x.v < 0 else FqElem(F, x.v * F.p**self.k % F._q1)
-        return FqElem(F, F._frob(self.k, x.v))
+        return FqElem(self.field, self.field._frob(self.k, x.v))
 
     def compose(self, other: "FieldAut") -> "FieldAut":
         """self after other; exponents add mod n."""

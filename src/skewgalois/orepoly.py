@@ -18,11 +18,13 @@ bit-exact.  FqElem objects are built only when a caller asks for `coeffs`.
 
 Every operation works on the ints.  Sums and negation apply the base
 field's _add and _neg coefficientwise.  Multiplication and right division
-run their O(deg^2) loops in kernels: logs and Zech lookups in the log tier;
-past it, sums of unreduced packed products, each reduced once when it is
-final.  The multiplication kernels also take an optional minuend, so
-acc - q*b is one kernel call.  The anti-involution and induced
-automorphisms twist the ints.
+run their O(deg^2) loops in one pair of kernels, written once against the
+vector steps of the base field's tier (see ffield), which was chosen when
+the field was: logs and Zech lookups up to the log-table limit; past it,
+sums of unreduced packed products, each reduced once when it is final.
+The multiplication kernel also takes an optional minuend, so acc - q*b is
+one kernel call.  The anti-involution and induced automorphisms twist the
+ints.
 
 The right gcd, the left lcm and the Ore witness run the extended right
 Euclidean algorithm (Bronstein and Petkovsek, "An introduction to
@@ -34,8 +36,6 @@ right, exactly.
 """
 
 from __future__ import annotations
-
-from operator import add
 
 from .ffield import FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
 from .modpoly import _ACC_TERMS
@@ -241,9 +241,7 @@ def ore_mul(f: OrePoly, g: OrePoly) -> OrePoly:
     ring = f.ring
     if f.is_zero() or g.is_zero():
         return ring.zero()
-    F = ring.base
-    kernel = _log_mul if F._log is not None else _packed_mul
-    return _from_ints(ring, kernel(F, ring.twist.k, f.v, g.v))
+    return _from_ints(ring, _mul(ring.base, ring.twist.k, f.v, g.v))
 
 
 def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
@@ -252,9 +250,7 @@ def ore_right_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
     if g.is_zero():
         raise ZeroDivisionError("right division by the zero polynomial")
     ring = f.ring
-    F = ring.base
-    kernel = _log_right_divmod if F._log is not None else _packed_right_divmod
-    q, r = kernel(F, ring.twist.k, f.v, g.v)
+    q, r = _right_divmod(ring.base, ring.twist.k, f.v, g.v)
     return OreDivResult(_from_ints(ring, q), _from_ints(ring, r))
 
 
@@ -273,118 +269,58 @@ def ore_left_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
 
 # -- kernels on the ints of the coefficients -----------------------------------
 #
-# With twist frob^k, tau^l is frob^(k l mod n).
+# With twist frob^k, tau^l is frob^(k l mod n).  The field's tier supplies
+# the steps: _twist applies frob^j to a row, _addmul adds c times a row into
+# an accumulator (unreduced in the packed tier, where a slot has room for
+# _ACC_TERMS such rows), and _settle, or _settle_v for one int, makes the
+# accumulated ints final.
 
 
-def _twist(F: FqField, j: int, g) -> list[int]:
-    """frob^j applied to every coefficient of g (g itself when j = 0 mod n)."""
-    j %= F.n
-    if j == 0:
-        return g
-    if F._log is not None:  # frob^j multiplies a log by p^j mod q - 1
-        e, q1 = F.p**j, F._q1
-        return [b * e % q1 if b >= 0 else -1 for b in g]
-    return [F._frob(j, b) if b else 0 for b in g]
-
-
-def _log_addmul(acc: list[int], start: int, c: int, terms: list[int], F: FqField) -> None:
-    """acc[start + j] += g^(c + terms[j]) for each nonzero terms[j]; adding
-    g^t to g^x gives g^(x + zech[t - x]), or zero where that entry is -1."""
-    q1, zech = F._q1, F._zech
-    for j, b in enumerate(terms, start):
-        if b >= 0:
-            x = acc[j]
-            if x < 0:
-                acc[j] = (c + b) % q1
-            else:
-                z = zech[(c + b - x) % q1]
-                acc[j] = (x + z) % q1 if z >= 0 else -1
-
-
-def _log_mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
-    """f*g on logs, or minus - f*g when minus is given."""
-    twisted = [_twist(F, k * l, g) for l in range(min(F.n, len(f)))]
-    if minus is None:
-        out, neg = [-1] * (len(f) + len(g) - 1), 0
-    else:  # add the log of -1
-        out = [*minus, *[-1] * (len(f) + len(g) - 1 - len(minus))]
-        neg = F._q1 // 2 if F.p != 2 else 0
+def _mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
+    """f*g, or minus - f*g when a settled minus is given.  Rows are added
+    into the output unsettled, and the output is settled once at the end
+    and once per _ACC_TERMS rows of f before that."""
+    zero, n, addmul, settle = F._zero_v, F.n, F._addmul, F._settle
+    twisted = [F._twist(k * l, g) for l in range(min(n, len(f)))]
+    size = len(f) + len(g) - 1
+    out = [zero] * size if minus is None else [*minus, *[zero] * (size - len(minus))]
+    negate, rows = minus is not None, 0
     for l, a in enumerate(f):
-        if a >= 0:
-            _log_addmul(out, l, a + neg, twisted[l % F.n], F)
-    return out
-
-
-def _log_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
-    """Quotient and remainder on logs, the remainder without trailing zeros."""
-    q1, d = F._q1, len(g) - 1
-    neg = q1 // 2 if F.p != 2 else 0  # the log of -1
-    twisted = [_twist(F, k * m, g) for m in range(min(F.n, len(f) - d))]
-    r, q = list(f), [-1] * max(0, len(f) - d)
-    while len(r) > d:
-        m = len(r) - 1 - d
-        tg = twisted[m % F.n]
-        # q_m = r_top / tau^m(g_d); subtracting q_m T^m g cancels r_top
-        q[m] = c = (r[-1] - tg[-1]) % q1
-        _log_addmul(r, m, c + neg, tg, F)
-        r.pop()
-        while r and r[-1] < 0:
-            r.pop()
-    return q, r
-
-
-# Past the log-table limit a packed slot has room for _ACC_TERMS products of
-# up to n (p - 1)^3 each on top of a canonical value (see ffield), so a sum
-# of products must be reduced before it takes more than _ACC_TERMS of them.
-
-
-def _packed_mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
-    """f*g, or minus - f*g for canonical minus when it is given.  Each
-    output coefficient is a sum of unreduced int products, reduced once at
-    the end (and once per _ACC_TERMS rows of f before that); -a is (p - 1) a,
-    whose products stay within the slot bound."""
-    twisted = [_twist(F, k * l, g) for l in range(min(F.n, len(f)))]
-    if minus is None:
-        out, sign = [0] * (len(f) + len(g) - 1), 1
-    else:
-        out, sign = [*minus, *[0] * (len(f) + len(g) - 1 - len(minus))], F.p - 1
-    width, rows = len(g), 0
-    for l, a in enumerate(f):
-        if a:
+        if a != zero:
             if rows == _ACC_TERMS:
-                out, rows = [F._reduce(x) for x in out], 0
-            a *= sign
-            out[l:l + width] = map(add, out[l:l + width], map(a.__mul__, twisted[l % F.n]))
+                out, rows = settle(out), 0
+            addmul(out, l, a, twisted[l % n], negate)
             rows += 1
-    return [F._reduce(x) for x in out]
+    return settle(out)
 
 
-def _packed_right_divmod(F: FqField, k: int, f: list[int], g: list[int]):
-    """Right division on packed ints, reducing only the leading remainder
-    coefficient at each step; the remainder is reduced at the end."""
-    d, n, reduce = len(g) - 1, F.n, F._reduce
+def _right_divmod(F: FqField, k: int, f, g):
+    """Quotient and remainder of f by g on the right.  Each step settles
+    only the leading remainder coefficient; the remainder is settled at the
+    end, and once per _ACC_TERMS steps before that."""
+    d, n, zero = len(g) - 1, F.n, F._zero_v
+    addmul, settle, settle_v, mul = F._addmul, F._settle, F._settle_v, F._mul
     # tau^m of g_0 .. g_(d-1) and of g_d^{-1}, which is tau^m(g_d)^{-1}
-    row = [*g[:-1], F._inv(g[-1])]
-    twisted = [_twist(F, k * m, row) for m in range(min(n, len(f) - d))]
-    r, q = list(f), [0] * max(0, len(f) - d)
-    added = 0
+    row = [*g]
+    row[d] = F._inv(g[d])
+    twisted = [F._twist(k * m, row) for m in range(min(n, len(f) - d))]
+    r, q, added = list(f), [zero] * max(0, len(f) - d), 0
     while len(r) > d:
-        top = reduce(r[-1])
-        if not top:
+        top = settle_v(r[-1])
+        if top == zero:
             r.pop()
             continue
         m = len(r) - 1 - d
         tg = twisted[m % n]
-        q[m] = c = reduce(top * tg[-1])
+        q[m] = c = mul(top, tg[d])
         if added == _ACC_TERMS:
-            r, added = [reduce(x) for x in r], 0
-        # r -= c T^m g; the top term cancels (the slice of r is d long, so
-        # the inverse at the end of tg is left out), and -c is (p - 1) c
-        neg_c = (F.p - 1) * c
-        r[m:m + d] = map(add, r[m:m + d], map(neg_c.__mul__, tg))
+            r, added = settle(r), 0
+        # r -= c T^m g: its top term cancels r's, which is dropped, so what
+        # the inverse at the end of tg adds there is never read
+        addmul(r, m, c, tg, True)
         r.pop()
         added += 1
-    return q, [reduce(x) for x in r]
+    return q, settle(r)
 
 
 def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
@@ -394,21 +330,15 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
     remainder, for which s f = -t g is a least common left multiple.  Each
     step updates s_(i+1) = s_(i-1) - q_i s_i in one kernel call; t is never
     formed."""
-    ring = f.ring
-    F, k = ring.base, ring.twist.k
-    if F._log is not None:  # the int of 1 is its log, 0
-        divmod_, mul_, one = _log_right_divmod, _log_mul, 0
-    else:
-        divmod_, mul_, one = _packed_right_divmod, _packed_mul, 1
-    zero = F._zero_v
-    a, b = f.v, g.v
-    s0, s1 = [one], []
+    F, k = f.ring.base, f.ring.twist.k
+    a, b, zero = f.v, g.v, F._zero_v
+    s0, s1 = [F._one_v], []
     while b:
-        q, r = divmod_(F, k, a, b)
+        q, r = _right_divmod(F, k, a, b)
         if cofactor:
             # q = 0 only at a first step with deg f < deg g; past the first,
             # deg s_i grows, so the leading term of q_i s_i never cancels
-            s0, s1 = s1, mul_(F, k, q, s1, s0) if q and s1 else s0
+            s0, s1 = s1, _mul(F, k, q, s1, s0) if q and s1 else s0
         a, b = b, _trim(r, zero)
     return a, s1
 
@@ -524,7 +454,7 @@ def anti_involution(f: OrePoly) -> OrePoly:
     out = list(f.v)
     # a_i and a_(i+n) take the same twist frob^(-k i)
     for i in range(min(F.n, len(out))):
-        out[i::F.n] = _twist(F, -ring.twist.k * i, out[i::F.n])
+        out[i::F.n] = F._twist(-ring.twist.k * i, out[i::F.n])
     return _from_ints(ring.mirror(), out)
 
 
@@ -545,7 +475,7 @@ class InducedRingAut:
     def apply(self, f: OrePoly) -> OrePoly:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return _from_ints(self.ring, _twist(self.ring.base, self.rho.k, list(f.v)))
+        return _from_ints(self.ring, self.ring.base._twist(self.rho.k, list(f.v)))
 
     def __call__(self, f: OrePoly) -> OrePoly:
         return self.apply(f)

@@ -54,6 +54,8 @@ from .zarith import is_prime, is_square, primes_up_to, prime_power_base
 from .zpoly import count_real_roots, discriminant, integer_roots_monic
 
 ORE_FIELDS = ((2, 2), (2, 4), (3, 3), (5, 2))
+# division and witnesses also past the log-table limit, in the packed tier
+DIVISION_FIELDS = ORE_FIELDS + ((2, 16),)
 LEMMA_RANGE = {2: 12, 3: 8, 5: 6, 7: 4}
 CASES_PER_LAW = 10_000
 
@@ -119,7 +121,7 @@ def criterion_2() -> dict:
     """Right division reconstructs bit-exactly; Ore witnesses verified."""
     t0 = time.time()
     div_cases = witness_cases = 0
-    for p, n in ORE_FIELDS:
+    for p, n in DIVISION_FIELDS:
         F = ffield.make_field(p, n)
         ring = OreRing(F, frobenius(F, 1 % n))
         rng = random.Random(777 * p + n)
@@ -234,27 +236,15 @@ def _cyclic_quotient_epis(G: FiniteGroup):
     subgroup with cyclic quotient, one epi per generator of the quotient."""
     for N in G.all_normal_subgroups():
         e = G.order // N.order
-        coset_rep: dict[frozenset, int] = {}
-        cosets = []
+        # coset[g] indexes gN in the order of the cosets' least elements,
+        # which is the order of first appearance: N itself, holding 0, is 0
+        coset, reps = [-1] * G.order, []
         for g in range(G.order):
-            cs = frozenset(G.table[g][x] for x in N.elements)
-            if cs not in coset_rep:
-                coset_rep[cs] = len(cosets)
-                cosets.append(cs)
-        qtable = [[0] * e for _ in range(e)]
-        reps = [min(cs) for cs in cosets]
-        cs_index = {cs: i for i, cs in enumerate(cosets)}
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                prod = G.table[a][b]
-                target = next(cs for cs in cosets if prod in cs)
-                qtable[i][j] = cs_index[target]
-        ident = next(i for i, cs in enumerate(cosets) if 0 in cs)
-        # quotient as a group on coset indices with identity moved to 0
-        perm = list(range(e))
-        perm[0], perm[ident] = perm[ident], perm[0]
-        inv_perm = [perm.index(i) for i in range(e)]
-        table = [[inv_perm[qtable[perm[i]][perm[j]]] for j in range(e)] for i in range(e)]
+            if coset[g] < 0:
+                for x in N.elements:
+                    coset[G.table[g][x]] = len(reps)
+                reps.append(g)
+        table = [[coset[G.table[a][b]] for b in reps] for a in reps]
         Q = FiniteGroup(table, name="Q", _trusted=True)
         gens = [c for c in range(e) if Q.element_order(c) == e]
         if not gens:
@@ -267,11 +257,7 @@ def _cyclic_quotient_epis(G: FiniteGroup):
                 dlog[cur] = k
                 cur = Q.table[cur][c]
                 k += 1
-            images = []
-            for g in range(G.order):
-                cs = frozenset(G.table[g][x] for x in N.elements)
-                images.append(dlog[inv_perm[cs_index[cs]]])
-            yield e, images, N
+            yield e, [dlog[i] for i in coset], N
 
 
 def criterion_5() -> dict:

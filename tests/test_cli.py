@@ -270,8 +270,8 @@ def test_packed_tier_never_reads_base_p_digits(monkeypatch, base):
     def no_digits(*args, **kwargs):
         raise AssertionError("base-p digits in the packed tier")
 
-    for name in ("_digits", "_index_v"):
-        monkeypatch.setattr(ffield.FqField, name, no_digits)
+    monkeypatch.setattr(ffield.FqField, "_digits", no_digits)
+    monkeypatch.setattr(ffield._PackedField, "_index_v", no_digits)
     p, n = map(int, base.split("^"))
     f = json.dumps({"base": base, "frob": 1, "coeffs": [[1, 2 % p, 1], [0, 1], [1] * n]})
     g = json.dumps({"base": base, "frob": 1, "coeffs": [[0, 0, 0, 1], [1, 1], [p - 1, 0, 1]]})
@@ -294,8 +294,8 @@ def test_packed_tier_inverts_without_euclid(monkeypatch, base):
     assert ffield.field_from_descriptor(base).modulus  # the search divides in F_p[x]
     for name in ("_divmod", "_gcd", "_monic"):
         monkeypatch.setattr(modpoly.QuotientRing, name, no_euclid, raising=True)
-    inverses, inv = [], ffield.FqField._inv
-    monkeypatch.setattr(ffield.FqField, "_inv", lambda F, a: inverses.append(a) or inv(F, a))
+    inverses, inv = [], ffield._PackedField._inv
+    monkeypatch.setattr(ffield._PackedField, "_inv", lambda F, a: inverses.append(a) or inv(F, a))
     p, n = map(int, base.split("^"))
     f = json.dumps({"base": base, "frob": 1, "coeffs": [[1, 2 % p, 1], [0, 1], [1] * n]})
     g = json.dumps({"base": base, "frob": 1, "coeffs": [[0, 0, 0, 1], [1, 1], [p - 1, 0, 1]]})

@@ -8,8 +8,12 @@ from skewgalois import modpoly
 from skewgalois.ffield import (
     _LOG_TABLE_MAX,
     FIELD_ORDER_MAX,
+    _LogField,
+    _PackedField,
+    _Unfinished,
     FieldAut,
     FqField,
+    check_subfield,
     embed_subfield,
     field_from_descriptor,
     frobenius,
@@ -41,17 +45,25 @@ def test_make_field_rejects_nonprime():
 
 @pytest.mark.parametrize("p,n", [(3, 5), (2, 20)])
 def test_modulus_is_found_on_first_use(monkeypatch, p, n):
-    # a field is its (p, n); the modulus search runs on the first element
-    # operation that needs it, once, in either tier
+    # a field is its (p, n); its first element finishes it once, in either
+    # tier: the modulus search and, for a log-tier field, the tables
+    tier = _LogField if p**n <= _LOG_TABLE_MAX else _PackedField
     calls, least = [], modpoly.least_irreducible
     monkeypatch.setattr(modpoly, "least_irreducible", lambda *pn: calls.append(pn) or least(*pn))
+    tables, find = [], _LogField._find_generator
+    monkeypatch.setattr(_LogField, "_find_generator", lambda F: tables.append(F) or find(F))
     F = FqField(p, n)
     assert F == make_field(p, n) and hash(F) == hash(make_field(p, n)) and F != FqField(p, n + 1)
-    assert FieldAut(F, 1).order == n and calls == []
+    assert FieldAut(F, 1).order == n and F.descriptor() == f"{p}^{n}" and F.order == p**n
+    check_subfield(make_field(p, 1), F)
+    assert getattr(F, "missing", None) is None
+    assert type(F) is _Unfinished and calls == [] and tables == []
     x = F.element([0, 1])
+    assert type(F) is tier  # arithmetic runs on the class without the hook
     assert x * x == F.element([0, 0, 1]) and (x**n).coeffs == tuple((-c) % p for c in least(p, n)[:n])
     assert calls == [(p, n)] and F.modulus == tuple(least(p, n))
-    assert type(F) is FqField  # arithmetic runs on the class without the hook
+    assert tables == ([F] if tier is _LogField else [])
+    assert len(F._log) == p**n if tier is _LogField else not hasattr(F, "_log")
     assert getattr(F, "missing", None) is None
 
 
@@ -181,7 +193,7 @@ def test_log_tier_frobenius_matches_square_and_multiply(p, n):
         fr = frobenius(F, k)
         for x in xs:
             assert fr(x).coeffs == ref.pow(x.coeffs, p**k)
-    assert F._log is not None  # the log tier answered
+    assert type(F) is _LogField  # the log tier answered
 
 
 @pytest.mark.parametrize("p,n", LOG_TIER_FIELDS)
@@ -203,7 +215,8 @@ def test_log_tier_element_arithmetic_matches_raw(p, n):
 
 def test_log_and_zech_tables_at_the_boundary_field():
     F = make_field(2, 15)
-    assert F.order == _LOG_TABLE_MAX and F._ensure_log_tables()
+    F.one()  # an element finishes the field
+    assert F.order == _LOG_TABLE_MAX and type(F) is _LogField
     ref = TupleField(F)
     g = ref.least_generator()
     # the logs are to the least-index primitive element, as before
@@ -245,14 +258,16 @@ def test_log_tables_of_every_field_up_to_4096():
     assert len(fields) == 604
     for p, n in fields:
         F = FqField(p, n)  # a fresh field builds its own tables
-        assert F._ensure_log_tables()
+        F.one()
+        assert type(F) is _LogField
         assert (F._antilog, F._log, F._zech) == _reference_log_tables(F), (p, n)
 
 
 @pytest.mark.parametrize("p,n", [(2, 14), (3, 9), (2, 15), (181, 2), (32749, 1)])
 def test_log_tables_of_large_log_tier_fields(p, n):
     F = FqField(p, n)
-    assert F._ensure_log_tables()
+    F.one()
+    assert type(F) is _LogField
     assert (F._antilog, F._log, F._zech) == _reference_log_tables(F)
 
 

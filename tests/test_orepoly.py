@@ -4,14 +4,13 @@ import ore_reference
 import pytest
 from tuple_field import TupleField
 
-from skewgalois.ffield import embed_subfield, frobenius, make_field
+from skewgalois.ffield import _LogField, _PackedField, embed_subfield, frobenius, make_field
 from skewgalois.modpoly import _ACC_TERMS
 from skewgalois.orepoly import (
     OrePoly,
     OreRing,
     _from_ints,
-    _log_mul,
-    _packed_mul,
+    _mul,
     anti_involution,
     induced_ring_aut,
     ore_left_divmod,
@@ -359,6 +358,13 @@ def test_mismatched_rings_rejected():
 
 # -- the log tier against a reference on raw coefficient tuples ----------------
 
+
+def _tier(F):
+    """The class of F's tier: its first element finishes the field."""
+    F.one()
+    return type(F)
+
+
 # the log-tier fields, up to the boundary F_2^15 of order exactly _LOG_TABLE_MAX
 LOG_TIER_FIELDS = [(2, 4), (3, 3), (2, 8), (5, 4), (7, 2), (2, 14), (2, 15)]
 
@@ -461,7 +467,7 @@ def _check_against_reference(ring, ref, f, g):
 @pytest.mark.parametrize("p,n", LOG_TIER_FIELDS)
 def test_log_tier_kernels_match_raw_reference(p, n):
     F = make_field(p, n)
-    assert F._ensure_log_tables()
+    assert _tier(F) is _LogField
     rng = random.Random(p * 1000 + n)
     for k in range(n):
         ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
@@ -505,12 +511,12 @@ def test_log_tier_cancellations(p, n):
 
 def test_past_the_log_table_limit_takes_the_raw_path():
     F = make_field(2, 16)
-    assert not F._ensure_log_tables()
+    assert _tier(F) is _PackedField
     rng = random.Random(16)
     for k in (0, 1, 15):
         ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
         _check_against_reference(ring, ref, _sparse(F, rng, 5), _sparse(F, rng, 2))
-    assert F._log is None and F._zech is None
+    assert not hasattr(F, "_log") and not hasattr(F, "_zech")  # no log table was built
 
 
 @pytest.mark.parametrize("p,n", [(3, 12), (5, 7)])
@@ -518,7 +524,7 @@ def test_packed_kernels_past_the_accumulation_bound(p, n):
     # more than _ACC_TERMS rows of f in a product, and more than _ACC_TERMS
     # division steps, so the kernels reduce their sums before the end
     F = make_field(p, n)
-    assert not F._ensure_log_tables()
+    assert _tier(F) is _PackedField
     rng = random.Random(p * 3000 + n)
     deg = _ACC_TERMS + 6
     dense = [(p - 1,) * n] * (deg + 1)  # every slot product at its largest
@@ -574,7 +580,7 @@ def test_packed_kernels_at_the_slot_bound():
     for p, n in SLOT_BOUND_FIELDS:
         F = make_field(p, n)
         ring, ref = OreRing(F, frobenius(F, 0)), RawRing(F, 0)
-        assert not F._ensure_log_tables() and F._w == 16
+        assert _tier(F) is _PackedField and F._w == 16
         c = (p - 1,) * n
         assert _repeated_square(ref, c, 5) == ref.ore_mul([c] * 6, [c] * 6)
         deg = (1 << F._w) // (n * (p - 1) ** 2) + 1
@@ -590,11 +596,10 @@ def _check_minus_product(ring, ref, f, g, prod, acc):
     """acc - f*g by one accumulating kernel call, against prod = f*g on
     tuples."""
     F, k = ring.base, ring.twist.k
-    kernel = _log_mul if F._ensure_log_tables() else _packed_mul
     padded = [*acc, *[ref.zero] * (len(prod) - len(acc))]
     want = ref.trim([*map(ref.sub, padded, prod), *acc[len(prod):]])
     V = [ring.poly(h).v for h in (f, g, acc)]
-    assert _tuples(_from_ints(ring, kernel(F, k, *V))) == want, len(acc)
+    assert _tuples(_from_ints(ring, _mul(F, k, *V))) == want, len(acc)
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 5), (3, 3, 1), (7, 1, 0)])
@@ -618,7 +623,7 @@ def test_accumulating_mul_kernel_at_the_slot_bound(p, n, k):
     # unless the kernel reduces them on the way
     F = make_field(p, n)
     ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
-    assert not F._ensure_log_tables() and F._w == 16
+    assert _tier(F) is _PackedField and F._w == 16
     c = (p - 1,) * n
     assert _repeated_square(ref, c, 4) == ref.ore_mul([c] * 5, [c] * 5)
     deg = (1 << F._w) // (n * (p - 1) ** 3) + 1
