@@ -7,8 +7,7 @@ int product is a polynomial product.  QuotientRing(p, n) has the slot layout
 for up to 2n coefficients, built once per (p, n), and divides on it; with a
 monic modulus m of degree n it is F_p[x]/(m), whose reduction folds the high
 slots back through a table of x^(n+i) mod m.  ffield.FqField is that ring
-for the least irreducible m.  eval_poly never divides, so it also works mod
-p^K (the p-adic root tree of splitcon).
+for the least irreducible m.
 """
 
 from __future__ import annotations

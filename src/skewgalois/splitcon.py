@@ -24,18 +24,19 @@ unramified), the pipeline is:
      unramified auxiliary primes are also the cycle types forcing the
      full symmetric group; Eisenstein quadratic factors read from
      v_p(Q(0)) on the Newton polygon, p-adic root certificates via
-     Newton/Hensel conditions read from residues mod a fixed power of p,
-     real root counts via sign alternation at points between the target
-     roots, and an odd discriminant valuation at the ramified-quadratic
+     Newton's condition at the place's target roots, real root counts via
+     sign alternation at points between the target roots, and an odd
+     discriminant valuation at the ramified-quadratic
      auxiliary prime, read from the discriminant of Q mod a power of that
      prime (so the quadratic resolvent field already ramifies where L does
      not).
 
 Q is built once, and no certificate can fail on it:
   - an unramified place reads Q mod p, which is its target;
-  - at a ts or rq target root r, v(Q(r)) >= k > 2 v(Q'(r)); once p^j passes
-    the largest target, the root tree holds each target as its own residue,
-    with at most p n nodes (the width cap is p n + 8);
+  - at a ts or rq target root r, v(Q(r)) >= k > 2 v(Q'(r)), and
+    v(Q(r)) - v(Q'(r)) > v(r - c) for every other target c, since
+    k > 2 v(Q'(r)) >= v(Q'(r)) + v(r - c); so Newton's condition holds at
+    each target and the targets lift to distinct roots;
   - each coefficient is within M/2 of the scaled real target's, M the CRT
     modulus, and at the points (j + 1/2) s, s = real_root_scale(n) M, the
     target's value beats that for every n <= DEGREE_MAX (3.0 times at n = 1,
@@ -85,8 +86,6 @@ REAL = "inf"
 KIND_TOTALLY_SPLIT = "ts"
 KIND_RAMIFIED_QUADRATIC = "rq"
 KIND_UNRAMIFIED = "ur"
-
-PRECISION_CAP = 64
 
 # Largest degree the constructor builds, and the largest degree of an
 # unramified spec: a time bound, not a limit of the method.  On the spec
@@ -491,87 +490,37 @@ def _plain(obj):
     return obj
 
 
-_VINF = 10**9  # stand-in for infinite valuation (exact zero)
-
-
-def _vp(x: int, p: int) -> int:
-    return _VINF if x == 0 else valuation(x, p)
-
-
 def certified_padic_roots(
-    Q: list[int], p: int, want: int, precision: int, avoid_residue: int | None = None
+    Q: list[int], p: int, targets: Sequence[int]
 ) -> tuple[bool, list[dict], str | None]:
-    """Find `want` pairwise-distinct p-adic integer roots of Q, each backed
-    by a Newton/Hensel certificate v_p(Q(r)) > 2 v_p(Q'(r)).
-
-    Roots are grown as a branching tree of residues mod p^k; a certified
-    node pins a unique root within radius v_p(Q(r)) - v_p(Q'(r)), and two
-    certified nodes whose approximations differ below both radii pin
-    distinct roots.  Fails when the precision budget or width cap is
-    exhausted.
-
-    Q and Q' are reduced once mod p^K, K = 2 precision + 2, and each live
-    node is evaluated there once per depth: a non-zero residue has the
-    exact valuation, and only a zero residue is re-evaluated exactly.  The
-    children of a node r mod p^k follow from Taylor's formula
-    Q(r + i p^k) = Q(r) + i p^k Q'(r) mod p^(k+1): one child when p does
-    not divide Q'(r), otherwise all p children or none.
+    """Certify one p-adic integer root of Q near each integer target t, by
+    Newton's condition v_p(Q(t)) > 2 v_p(Q'(t)) (Neukirch, *Algebraic Number
+    Theory*, II.6): Q then has exactly one root within radius
+    v_p(Q(t)) - v_p(Q'(t)) of t, "exact" when Q(t) = 0.  Two targets with
+    v_p(t - u) below both radii pin distinct roots; any pair closer than
+    that fails the certificate.  Each root is reported known mod p^k, the
+    least k with p^k above the largest target, where the targets are
+    distinct residues.
     """
     Qd = zderivative(Q)
-    M = p ** (2 * precision + 2)
-    QM, QdM = reduce_mod(Q, M), reduce_mod(Qd, M)
-    nodes = modpoly.roots_mod_p(reduce_mod(Q, p), p)
-    if avoid_residue is not None:
-        nodes = [r for r in nodes if r != avoid_residue]
-    k = 1  # every live node is a residue mod p^k
-    width_cap = p * (len(Q) - 1) + 8
-    best_evidence: list[dict] = []
-    while nodes:
-        if len(nodes) > width_cap:
-            return False, [], "root tree exceeded its width cap"
-        values = [(r, modpoly.eval_poly(QM, r, M), modpoly.eval_poly(QdM, r, M)) for r in nodes]
-        # harvest: certified nodes at the current depth, pairwise separated
-        accepted: list[tuple[int, int]] = []
-        for r, q, d in sorted(values):
-            vq = _vp(q or zeval(Q, r), p)
-            vd = _vp(d or zeval(Qd, r), p)
-            if vq <= 2 * vd:
-                continue
-            radius = _VINF if vq >= _VINF else vq - vd
-            distinct = True
-            for rr, rad in accepted:
-                if _vp(r - rr, p) >= min(radius, rad):
-                    distinct = False  # balls may overlap: same root twice
-                    break
-            if distinct:
-                accepted.append((r, radius))
-        evidence = [
-            {
-                "root": r,
-                "known_mod": f"{p}^{k}",
-                "lift_radius_valuation": rad if rad < _VINF else "exact",
-            }
-            for r, rad in accepted
-        ]
-        if len(accepted) >= want:
-            return True, evidence[:want], None
-        if len(evidence) > len(best_evidence):
-            best_evidence = evidence
-        if k >= precision:
-            break
-        # deepen every live branch; roots sharing a residue split eventually.
-        # A child r + i p^k survives iff Q(r)/p^k + i Q'(r) = 0 mod p.
-        step = p**k
-        children = []
-        for r, q, d in values:
-            q = q // step % p
-            if d % p:
-                children.append(r + (-q * pow(d, -1, p)) % p * step)
-            elif q == 0:
-                children.extend(range(r, r + p * step, step))
-        nodes = children
+    radii = []
+    for t in targets:
+        q, d = zeval(Q, t), zeval(Qd, t)
+        vd = valuation(d, p) if d else None
+        if vd is None or q % p ** (2 * vd + 1):
+            return False, [], f"Newton's condition fails at target {t}"
+        radii.append(valuation(q, p) - vd if q else math.inf)
+    for i, (t, rad) in enumerate(zip(targets, radii)):
+        for u, other in zip(targets[:i], radii[:i]):
+            if valuation(t - u, p) >= min(rad, other):
+                return False, [], f"targets {u} and {t} may lift to one root"
+    k = 1
+    while p**k <= max(targets, default=0):
         k += 1
-    return False, best_evidence, f"only {len(best_evidence)} of {want} roots certified"
+    return True, [
+        {"root": t, "known_mod": f"{p}^{k}", "lift_radius_valuation": "exact" if rad == math.inf else rad}
+        for t, rad in zip(targets, radii)
+    ], None
 
 
 def _disc_start(spec: LocalSpec, n: int) -> int:
@@ -640,14 +589,15 @@ def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
     """Check, directly on Q, that the completion behavior at the spec's
     place is as prescribed; negative outcomes are values, not errors.
 
-    Totally split at p: either n distinct simple roots mod p, or n
-    certified pairwise-distinct p-adic roots, which prove Q separable.
+    Totally split at p: n pairwise-distinct p-adic roots, one near each
+    target root 0..n-1 (certified_padic_roots), which prove Q separable;
+    when p >= n they are n simple roots mod p, and the evidence says so.
     Ramified quadratic: the reduction is X^2 times a unit part, so by
     Hensel's lemma Q = A B over Z_p with A = X^2 + aX + b = X^2 mod p and
     B(0) a unit; then v(a) >= 1 and v(b) = v(Q(0)), so A is Eisenstein
     exactly when v(Q(0)) = 1 (the Newton polygon, Neukirch, *Algebraic
     Number Theory*, II.6); and the remaining n-2 roots are certified in
-    Z_p.  Unramified degree m:
+    Z_p near the n-2 unit target roots.  Unramified degree m:
     squarefree reduction with factorization pattern (m, 1, ..., 1).  Real
     place: Q's signs alternate at the constructor's n + 1 points
     (_signs_alternate), and the evidence key "sturm_real_roots" holds the n
@@ -665,13 +615,11 @@ def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
         )
 
     p = spec.prime
-    qbar = modpoly.normalize(reduce_mod(Q, p), p)
     if spec.kind == KIND_TOTALLY_SPLIT:
-        if modpoly.is_squarefree(qbar, p):
-            roots = modpoly.roots_mod_p(qbar, p)
-            if len(roots) == n:
-                return LocalCheck(spec, True, {"simple_roots_mod_p": roots})
-        ok, ev, reason = certified_padic_roots(Q, p, n, PRECISION_CAP)
+        targets = _target_roots(spec, n)
+        ok, ev, reason = certified_padic_roots(Q, p, targets)
+        if ok and p >= n:
+            return LocalCheck(spec, True, {"simple_roots_mod_p": targets})
         return LocalCheck(spec, ok, {"padic_roots": ev}, reason)
 
     if spec.kind == KIND_RAMIFIED_QUADRATIC:
@@ -686,12 +634,11 @@ def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
         vb = valuation(Q[0], p) if Q[0] else "infinite"
         if vb != 1:
             return LocalCheck(spec, False, {"v_b": vb}, "lifted quadratic factor is not Eisenstein")
-        ok, ev, reason = (True, [], None)
-        if n > 2:
-            ok, ev, reason = certified_padic_roots(Q, p, n - 2, PRECISION_CAP, avoid_residue=0)
+        ok, ev, reason = certified_padic_roots(Q, p, _target_roots(spec, n))
         return LocalCheck(spec, ok, {"v_b": vb, "unramified_part_roots": ev}, reason)
 
     if spec.kind == KIND_UNRAMIFIED:
+        qbar = modpoly.normalize(reduce_mod(Q, p), p)
         try:  # ddf_pattern refuses a reduction that is not squarefree
             pattern = tuple(sorted(modpoly.ddf_pattern(qbar, p), reverse=True))
         except ValueError:
@@ -928,11 +875,10 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
     v = disjoint.get("disc_valuation")
     if v is None:
         failures.append(disjoint["reason"])
-    else:
-        if v % 2 != 1:
-            failures.append(f"discriminant valuation at {disjoint['prime']} is even ({v})")
-        if report.disjoint.get("disc_valuation") != v:
-            failures.append("stored discriminant valuation mismatch")
+    elif v % 2 != 1:
+        failures.append(f"discriminant valuation at {disjoint['prime']} is even ({v})")
+    if any(report.disjoint.get(key) != value for key, value in disjoint.items()):
+        failures.append("stored disjointness certificate mismatch")
     return VerifyResult(ok=not failures, failures=tuple(failures))
 
 

@@ -395,7 +395,7 @@ def _place_3_twice(report):
 
 @pytest.mark.parametrize("tamper,failure", [
     (_drop_spec_checks, "local certificate changed at 7:ts:ramL"),
-    (_false_claim, "local certificate fails at 17:ts:ramL: only 0 of 6 roots certified"),
+    (_false_claim, "local certificate fails at 17:ts:ramL: Newton's condition fails at target 0"),
     (_unramify_7, "stored certificates at unclaimed places: 7:ts:ramL"),
     (_place_3_twice, "duplicate place 3"),
 ], ids=["spec-checks-dropped", "false-claim", "ramL-flipped", "place-twice"])
@@ -410,6 +410,25 @@ def test_verify_checks_every_claimed_place(tamper, failure):
     assert code == cli.EXIT_CERT, err
     result = json.loads(out)
     assert result["ok"] is False and failure in result["failures"]
+
+
+@pytest.mark.parametrize("key,value", [("odd_valuation", False), ("prime_unramified_in_L", False),
+                                       ("prime", 999983), ("disc_valuation", 3), ("note", "kept")])
+def test_verify_rechecks_the_stored_disjointness_certificate(key, value):
+    # every re-derived key must equal the stored one; a key the verifier
+    # does not derive is ignored, as in the local evidence
+    code, out, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
+                              "--p-kernel", "5", "--n-min", "6"])
+    assert code == cli.EXIT_OK, err
+    report = json.loads(out)
+    assert report["certificates"]["disjoint"].get(key) != value
+    report["certificates"]["disjoint"][key] = value
+    code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
+    if key == "note":
+        assert code == cli.EXIT_OK and json.loads(out) == {"ok": True, "failures": []}, err
+    else:
+        assert code == cli.EXIT_CERT, err
+        assert json.loads(out) == {"ok": False, "failures": ["stored disjointness certificate mismatch"]}
 
 
 @pytest.mark.parametrize("tamper,failures", [

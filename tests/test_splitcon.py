@@ -200,9 +200,12 @@ def test_certify_local_behavior_examples():
     # Eisenstein at 3
     c = certify_local_behavior([-3, 0, 1], LocalSpec(3, "rq"))
     assert c.passed and c.evidence["v_b"] == 1
-    # split into distinct linears mod 5
+    # split into distinct linears mod 5 at the targets 0 and 1
+    c = certify_local_behavior([0, -1, 1], LocalSpec(5, "ts"))
+    assert c.passed and c.evidence["simple_roots_mod_p"] == [0, 1]
+    # X^2 - 1 splits mod 5 too, but at 1 and 4, not at the targets
     c = certify_local_behavior([-1, 0, 1], LocalSpec(5, "ts"))
-    assert c.passed and c.evidence["simple_roots_mod_p"] == [1, 4]
+    assert (c.passed, c.reason) == (False, "Newton's condition fails at target 0")
     # X^2 + 1 has no real roots: its signs cannot alternate, and no count is claimed
     c = certify_local_behavior([1, 0, 1], LocalSpec(REAL, "ts"))
     assert not c.passed and c.evidence == {"degree": 2}
@@ -246,19 +249,43 @@ def test_certify_rq_with_linear_part():
 
 
 def test_certified_padic_roots_shared_residue():
-    # roots 1 and 3 share the residue class mod 2 and must both be found
+    # roots 1 and 3 share the residue class mod 2 and are both certified
     Q = zmul(zmul([-1, 1], [-3, 1]), [1, 0, 1])  # (X-1)(X-3)(X^2+1)
-    ok, ev, reason = certified_padic_roots(Q, 2, 2, 32)
+    ok, ev, reason = certified_padic_roots(Q, 2, [1, 3])
     assert ok, reason
-    assert len(ev) == 2
-    # integer roots are reported with exact lift radius
-    assert all(e["lift_radius_valuation"] == "exact" for e in ev)
+    # integer roots are reported with exact lift radius, known mod 2^2 > 3
+    assert ev == [{"root": t, "known_mod": "2^2", "lift_radius_valuation": "exact"} for t in (1, 3)]
+
+
+def test_certified_padic_roots_radius_and_depth():
+    # X^2 - 17 at 2, target 1: v(Q(1)) = 4, v(Q'(1)) = 1, radius 3
+    assert certified_padic_roots([-17, 0, 1], 2, [1]) == (
+        True, [{"root": 1, "known_mod": "2^1", "lift_radius_valuation": 3}], None)
+    # no targets: nothing to certify
+    assert certified_padic_roots([-3, 0, 1], 3, []) == (True, [], None)
 
 
 def test_certified_padic_roots_insufficient():
-    # X^2 + 1 has no 2-adic roots at all
-    ok, ev, reason = certified_padic_roots([1, 0, 1], 2, 1, 32)
-    assert not ok
+    # X^2 + 1 has no 2-adic roots: v(Q(1)) = v(Q'(1)) = 1
+    assert certified_padic_roots([1, 0, 1], 2, [1]) == (False, [], "Newton's condition fails at target 1")
+
+
+def test_certified_padic_roots_newton_failure_names_its_target():
+    # X^2 + X + 1 at 2, target 0: v(Q(0)) = 0 = 2 v(Q'(0)), so the condition
+    # fails at equality
+    assert certified_padic_roots([1, 1, 1], 2, [0, 1])[2] == "Newton's condition fails at target 0"
+    # a double root: Q'(1) = 0
+    Q = zmul(zmul([-1, 1], [-1, 1]), [-2, 1])
+    assert certified_padic_roots(Q, 5, [2, 1])[2] == "Newton's condition fails at target 1"
+
+
+def test_certified_padic_roots_separation_failure():
+    # X (X - 1) at 2: Newton holds at 0 (exact) and at 4 (radius 2), but
+    # v(4 - 0) = 2 reaches the radius 2, so both targets may lift to the root 0
+    assert certified_padic_roots([0, -1, 1], 2, [0, 4]) == (
+        False, [], "targets 0 and 4 may lift to one root")
+    # at 3, v(4 - 0) = 0 is below both radii
+    assert certified_padic_roots(zmul([0, -1, 1], [-4, 1]), 3, [0, 4])[0]
 
 
 def test_certify_ur_pattern():
@@ -363,7 +390,7 @@ def _constructor_q(spec_strings, n, precision):
     return weak_approximation(locals_, target, root_scale=scale), aux
 
 
-def test_root_tree_alone_decides_a_ts_place(monkeypatch):
+def test_newton_check_alone_decides_a_ts_place(monkeypatch):
     # a ts place takes no discriminant even when Q is squarefree modulo no
     # small prime: 614889782588491410 is the product of the primes <= 47, so
     # X^2 - 614889782588491410 reduces to X^2 modulo every one of them; it is
@@ -376,7 +403,7 @@ def test_root_tree_alone_decides_a_ts_place(monkeypatch):
     Q = [-primorial, 0, 1]
     assert not any(modpoly.is_squarefree(reduce_mod(Q, ell), ell) for ell in primes_up_to(47))
     check = certify_local_behavior(Q, LocalSpec(5, "ts"))
-    assert not check.passed and check.reason == "only 0 of 2 roots certified"
+    assert not check.passed and check.reason == "Newton's condition fails at target 0"
 
 
 def test_separability_short_cut_skips_the_discriminant(monkeypatch):
@@ -394,13 +421,14 @@ def test_separability_short_cut_skips_the_discriminant(monkeypatch):
 
 
 def test_repeated_root_is_not_separable():
-    # (X - 1)^2 (X - 2)(X - 3): no reduction is squarefree, disc = 0; no
-    # node near the double root meets Newton's condition, so the root tree
-    # cannot certify four distinct roots
+    # (X - 1)^2 (X - 2)(X - 3): no reduction is squarefree, disc = 0, and
+    # Newton's condition fails at the double root's target 1
     Q = zmul(zmul([-1, 1], [-1, 1]), zmul([-2, 1], [-3, 1]))
     assert discriminant(Q) == 0
     check = certify_local_behavior(Q, LocalSpec(5, "ts"))
     assert not check.passed
+    assert certify_local_behavior(zmul([0, 1], Q), LocalSpec(5, "ts")).reason == (
+        "Newton's condition fails at target 1")
 
 
 def _seeded_q(rng, p):
@@ -425,100 +453,6 @@ def _seeded_q(rng, p):
         e = rng.randrange(1, 12)
         Q = [c + p**e * rng.randrange(-2, 3) for c in Q[:-1]] + [1]
     return Q
-
-
-def _reference_padic_roots(Q, p, want, precision, avoid_residue=None):
-    """certified_padic_roots as it was with exact evaluation at every child."""
-
-    def vp(x):
-        return 10**9 if x == 0 else valuation(x, p)
-
-    Qd = zderivative(Q)
-    roots0 = [r for r in modpoly.roots_mod_p(reduce_mod(Q, p), p)]
-    if avoid_residue is not None:
-        roots0 = [r for r in roots0 if r != avoid_residue]
-    nodes = [(r, 1) for r in roots0]
-    width_cap = p * (len(Q) - 1) + 8
-    best_evidence = []
-    while nodes:
-        if len(nodes) > width_cap:
-            return False, [], "root tree exceeded its width cap"
-        accepted = []
-        for r, k in sorted(nodes):
-            vq = vp(zeval(Q, r))
-            vd = vp(zeval(Qd, r))
-            if vq <= 2 * vd:
-                continue
-            radius = 10**9 if vq >= 10**9 else vq - vd
-            distinct = True
-            for rr, _, rad in accepted:
-                if vp(r - rr) >= min(radius, rad):
-                    distinct = False
-                    break
-            if distinct:
-                accepted.append((r, k, radius))
-        evidence = [
-            {
-                "root": r,
-                "known_mod": f"{p}^{k}",
-                "lift_radius_valuation": rad if rad < 10**9 else "exact",
-            }
-            for r, k, rad in accepted
-        ]
-        if len(accepted) >= want:
-            return True, evidence[:want], None
-        if len(evidence) > len(best_evidence):
-            best_evidence = evidence
-        nxt = []
-        for r, k in nodes:
-            if k >= precision:
-                continue
-            step = p**k
-            for c in range(p):
-                child = r + c * step
-                if vp(zeval(Q, child)) >= k + 1:
-                    nxt.append((child, k + 1))
-        nodes = nxt
-    return False, best_evidence, f"only {len(best_evidence)} of {want} roots certified"
-
-
-def test_root_tree_matches_exact_evaluation_reference():
-    reasons = set()
-    for n in (8, 12):
-        for precision in (8, 64):
-            Q, aux = _constructor_q(["3:rq", "7:ts:ramL"], n, precision)
-            for args in ((7, n, precision), (3, n - 2, precision, 0),
-                         (aux[0].prime, n - 2, precision, 0), (7, n, 2), (2, n - 2, 3, 0)):
-                got = certified_padic_roots(Q, *args)
-                assert got == _reference_padic_roots(Q, *args), (n, precision, args)
-                reasons.add(got[2])
-    # X^4 at 2: every residue 0 mod 2^(k/4) survives, none is certified
-    got = certified_padic_roots([0, 0, 0, 0, 1], 2, 4, 64)
-    assert got == _reference_padic_roots([0, 0, 0, 0, 1], 2, 4, 64)
-    assert got[2] == "root tree exceeded its width cap"
-    # roots 1 and 1 + 3^4 split only at depth 5: a deep, narrow tree
-    Q = zmul(zmul([-1, 1], [-1 - 3**4, 1]), zmul([-2, 1], [1, 0, 1]))
-    for precision, ok in ((64, True), (4, False)):
-        got = certified_padic_roots(Q, 3, 3, precision)
-        assert got == _reference_padic_roots(Q, 3, 3, precision)
-        assert got[0] is ok
-    assert got[2] == "only 2 of 3 roots certified"
-    assert {None, "root tree exceeded its width cap"} <= reasons
-    assert any(r and r.startswith("only ") for r in reasons)
-    # seeded inputs: clustered roots, roots in p^j Z, exact roots
-    rng = random.Random(8)
-    outcomes = set()
-    for _ in range(300):
-        p = rng.choice((2, 3, 5, 7))
-        Q = _seeded_q(rng, p)
-        n = len(Q) - 1
-        precision = rng.choice((2, 3, 5, 8, 13, 32, 64))
-        avoid = rng.choice((None, 0))
-        want = rng.randrange(1, n + 1)
-        got = certified_padic_roots(Q, p, want, precision, avoid)
-        assert got == _reference_padic_roots(Q, p, want, precision, avoid), (Q, p, want, precision, avoid)
-        outcomes.add(got[2] and got[2].split()[0])
-    assert outcomes == {None, "only", "root"}
 
 
 def _reference_hensel_split(Q, p, A0, B0, precision):
@@ -896,12 +830,25 @@ def test_every_valid_request_constructs_at_the_derived_precisions():
     # Q is squarefree modulo no prime up to 47 here
     cases.append((["2:ts:ramL", *(f"{p}:rq" for p in primes_up_to(47)[1:]), "inf:ts"],
                    frozenset(), DEGREE_MAX, 5))
+    # places above every target: each root is known mod p^1
+    cases += [(["4099:rq", "inf:ts"], frozenset(), 12, 5), (["4111:ts:ramL"], frozenset(), DEGREE_MAX, 5),
+              (["1000003:rq", "inf:ts"], frozenset(), DEGREE_MAX, 5)]
     for specs, extra, n_min, p_kernel in cases:
         report = construct_lprime([parse_spec(t) for t in specs], p_kernel, n_min, extra)
         assert report.all_passed() and verify_report(report).ok, (specs, extra, n_min)
         # one resultant modulo p^N reads v(disc Q) = N - 1 (splitcon docstring)
         N = splitcon._disc_start(report.aux_specs[0], report.n)
         assert report.disjoint["disc_valuation"] == N - 1, (specs, extra, n_min)
+        # every ts or rq place certifies exactly its target roots
+        for check in report.local_checks:
+            if check.spec.kind == "ur" or check.spec.prime == REAL:
+                continue
+            ev = check.evidence
+            roots = ev.get("simple_roots_mod_p") or [
+                e["root"] for e in ev.get("padic_roots", ev.get("unramified_part_roots"))]
+            assert roots == splitcon._target_roots(check.spec, report.n), (specs, check.spec)
+            if check.spec.prime > 2 * DEGREE_MAX:
+                assert {e["known_mod"] for e in ev.get("unramified_part_roots", [])} <= {f"{check.spec.prime}^1"}
 
 
 def test_real_place_margin_beats_the_crt_rounding():
