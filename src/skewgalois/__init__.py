@@ -26,7 +26,7 @@ _PUBLIC = {
              "find_section find_weak_solutions lemma1_check lift_sigma problem_from_quotient "
              "split_problem",
     "zpoly": "",
-    "splitcon": "ConstructionError ConstructionReport LocalPoly LocalSpec SnCertificate "
+    "splitcon": "ConstructionReport LocalPoly LocalSpec SnCertificate "
                 "build_local_poly certify_local_behavior certify_sn construct_lprime "
                 "odd_prime_for_case_c parse_spec plan_aux_primes verify_report weak_approximation",
     "quat": "LevelResult Quaternion is_division_ring level_local theorem13_feasible",

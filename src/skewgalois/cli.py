@@ -190,14 +190,8 @@ def _verb_construct(args) -> tuple[dict, int]:
         extra = {int(p) for p in args.extra_l_ram.split(",") if p.strip()}
     except ValueError:
         raise splitcon.SpecError(f"bad --extra-l-ram list {args.extra_l_ram!r}") from None
-    try:
-        report = splitcon.construct_lprime(specs, p_kernel=args.p_kernel, n_min=args.n_min,
-                                           extra_L_ram=frozenset(extra))
-    except splitcon.ConstructionError as exc:
-        payload = {"error": "ConstructionError", "message": str(exc)}
-        if exc.partial is not None:
-            payload["partial"] = exc.partial.to_json()
-        return payload, EXIT_CERT
+    report = splitcon.construct_lprime(specs, p_kernel=args.p_kernel, n_min=args.n_min,
+                                       extra_L_ram=frozenset(extra))
     return report.to_json(), EXIT_OK
 
 

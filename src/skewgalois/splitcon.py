@@ -31,7 +31,8 @@ unramified), the pipeline is:
      prime (so the quadratic resolvent field already ramifies where L does
      not).
 
-Q is built once, and no certificate can fail on it:
+Q is built once, and no certificate can fail on it (the constructor judges it
+by verify_report's failure list, and a failure raises AssertionError):
   - an unramified place reads Q mod p, which is its target;
   - at a ts or rq target root r, v(Q(r)) >= k > 2 v(Q'(r)), and
     v(Q(r)) - v(Q'(r)) > v(r - c) for every other target c, since
@@ -98,15 +99,6 @@ DEGREE_MAX = 20
 
 class SpecError(ValueError):
     pass
-
-
-class ConstructionError(RuntimeError):
-    """Raised when a certificate fails on the constructed polynomial; the
-    failing report is attached for inspection."""
-
-    def __init__(self, message: str, partial: "ConstructionReport | None" = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -670,13 +662,6 @@ class ConstructionReport:
     local_checks: tuple[LocalCheck, ...]
     disjoint: dict
 
-    def all_passed(self) -> bool:
-        return (
-            self.sn.conclusion
-            and all(c.passed for c in self.local_checks)
-            and bool(self.disjoint.get("odd_valuation"))
-        )
-
     def to_json(self) -> dict:
         return {
             "Q": list(self.Q),
@@ -745,10 +730,9 @@ def construct_lprime(
     specs, and at most DEGREE_MAX.  Each finite place gets the precision
     _place_precision derives from its target, at which the symmetric-group
     certificate, every local certificate and the odd-discriminant
-    disjointness evidence all pass (module docstring); a failing one raises
-    ConstructionError.  The certificates are derived once, by the derivation
-    verify_report runs, and only the report's structural claims are re-checked
-    before return (re-deriving the certificates would repeat it).
+    disjointness evidence all pass (module docstring).  The certificates are
+    derived once, by verify_report's derivation, and judged by its failure
+    list (_failures): a failure is a fault and raises AssertionError.
     """
     validate_request(specs, p_kernel, extra_L_ram)
     n = max(n_min, 2, max((s.min_degree() for s in specs), default=2))
@@ -773,9 +757,7 @@ def construct_lprime(
         precision=max(precision.values()), place_precision=precision, root_scale=scale,
         sn=sn, local_checks=checks, disjoint=disjoint,
     )
-    if not report.all_passed():
-        raise ConstructionError("certificates failing at the derived place precisions", report)
-    failures = _structural_failures(report)
+    failures = _failures(report, checks, sn, disjoint)
     if failures:
         raise AssertionError(f"fresh report failed its own verification: {tuple(failures)}")
     return report
@@ -842,19 +824,13 @@ def _structural_failures(report: ConstructionReport) -> list[str]:
     return failures
 
 
-def verify_report(report: ConstructionReport) -> VerifyResult:
-    """Re-derive from Q alone the certificates of every place the report
-    claims, specs and aux, as construct_lprime derived them, and compare:
-    a claimed place without a stored check counts as changed, and stored
-    checks at unclaimed places fail the report.  Also re-checks the
-    structural claims.  Every certificate reads a monic Q, so a Q that is
-    not monic (trailing zeros included) gets the structural failures only."""
+def _failures(report: ConstructionReport, checks: tuple[LocalCheck, ...], sn: SnCertificate,
+              disjoint: dict) -> list[str]:
+    """The report's failures, given the certificates _certificates derived
+    from its Q: the structural ones, then each certificate that fails or
+    differs from the stored one (a claimed place without a stored check
+    counts as changed; a stored check at an unclaimed place fails)."""
     failures = _structural_failures(report)
-    Q = list(report.Q)
-    if not Q or Q[-1] != 1:
-        return VerifyResult(ok=False, failures=tuple(failures))
-    L_ram = {s.prime for s in report.specs if s.ram_in_L}
-    checks, sn, disjoint = _certificates(Q, report.specs, report.aux_specs, L_ram)
     if sn.to_json() != report.sn.to_json():
         failures.append("symmetric-group certificate mismatch on re-derivation")
     if not sn.conclusion:
@@ -879,6 +855,19 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
         failures.append(f"discriminant valuation at {disjoint['prime']} is even ({v})")
     if any(report.disjoint.get(key) != value for key, value in disjoint.items()):
         failures.append("stored disjointness certificate mismatch")
+    return failures
+
+
+def verify_report(report: ConstructionReport) -> VerifyResult:
+    """Judge the report by _failures on certificates re-derived from Q alone
+    at every place it claims, specs and aux.  Every certificate reads a monic
+    Q, so a Q that is not monic (trailing zeros too) fails structurally only."""
+    Q = list(report.Q)
+    if not Q or Q[-1] != 1:
+        failures = _structural_failures(report)
+    else:
+        L_ram = {s.prime for s in report.specs if s.ram_in_L}
+        failures = _failures(report, *_certificates(Q, report.specs, report.aux_specs, L_ram))
     return VerifyResult(ok=not failures, failures=tuple(failures))
 
 

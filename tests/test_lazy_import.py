@@ -32,7 +32,7 @@ PUBLIC = [
     "CoprimalityFailure", "EmbeddingProblem", "FFGaloisExt", "Verdict",
     "decide_sigma_solvability", "find_section", "find_weak_solutions", "lemma1_check",
     "lift_sigma", "problem_from_quotient", "split_problem",
-    "ConstructionError", "ConstructionReport", "LocalPoly", "LocalSpec", "SnCertificate",
+    "ConstructionReport", "LocalPoly", "LocalSpec", "SnCertificate",
     "build_local_poly", "certify_local_behavior", "certify_sn", "construct_lprime",
     "odd_prime_for_case_c", "parse_spec", "plan_aux_primes", "verify_report",
     "weak_approximation",
@@ -157,7 +157,7 @@ def test_tracer_installs_before_any_module_has_run():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 62
+    assert len(PUBLIC) == 61
     assert skewgalois.__all__ == PUBLIC
 
 

@@ -300,7 +300,6 @@ def test_construct_lprime_end_to_end():
     specs = [parse_spec("3:rq"), parse_spec("inf:ts")]
     report = construct_lprime(specs, p_kernel=5, n_min=3)
     assert report.n == 4  # smallest even degree >= 3
-    assert report.all_passed()
     result = verify_report(report)
     assert result.ok, result.failures
     assert count_real_roots(list(report.Q)) == report.n
@@ -312,7 +311,6 @@ def test_construct_lprime_end_to_end():
 def test_construct_lprime_degenerate_empty_specs():
     report = construct_lprime([], p_kernel=3, n_min=2)
     assert report.n == 2
-    assert report.all_passed()
     assert verify_report(report).ok
 
 
@@ -321,7 +319,6 @@ def test_construct_lprime_ts_at_two():
     specs = [parse_spec("2:ts:ramL")]
     report = construct_lprime(specs, p_kernel=3, n_min=4)
     assert report.n == 4
-    assert report.all_passed()
     check = next(c for c in report.local_checks if c.spec.prime == 2)
     assert check.passed and "padic_roots" in check.evidence
     assert verify_report(report).ok
@@ -717,7 +714,7 @@ def test_constructor_certifies_without_sturm_chains_or_discriminants(monkeypatch
         monkeypatch.setattr(zpoly, name, refuse)
         assert not hasattr(splitcon, name)
     report = construct_lprime([parse_spec(t) for t in ("3:rq", "inf:ts", "7:ts:ramL")], 5, n)
-    assert report.n == n and report.all_passed()
+    assert report.n == n
     real = next(c for c in report.local_checks if c.spec.prime == REAL)
     assert real.evidence["sturm_real_roots"] == n
     assert verify_report(report).ok
@@ -786,26 +783,35 @@ def test_place_precision_examples():
     assert splitcon._place_precision(LocalSpec(5, "ur", degree=8), 8) == 1
 
 
-def test_a_failing_certificate_raises_with_the_one_report(monkeypatch):
-    # precision 1 everywhere breaks the rq place; Q is built once, and the
-    # error carries its report, which the CLI prints with exit code 3
+def test_a_failing_certificate_is_an_internal_fault(monkeypatch):
+    # precision 1 everywhere breaks the place precisions' argument; Q is built
+    # once, its certificates are judged by the verifier's failure list, and a
+    # failure is a fault of the constructor: AssertionError, CLI exit 4
     calls = _count_calls(monkeypatch, splitcon, "weak_approximation")
+    judged = []
+    failures = splitcon._failures
+
+    def recording(report, *certificates):
+        judged.append(report)
+        return failures(report, *certificates)
+
     monkeypatch.setattr(splitcon, "_place_precision", lambda spec, n: 1)
-    with pytest.raises(splitcon.ConstructionError) as exc:
+    monkeypatch.setattr(splitcon, "_failures", recording)
+    with pytest.raises(AssertionError, match="fresh report failed its own verification") as exc:
         construct_lprime([parse_spec("3:rq"), parse_spec("inf:ts")], 5, 4)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(judged) == 1
     assert [lp.precision for lp in calls[0][0]] == [1] * 5
-    partial = exc.value.partial
-    assert partial is not None and not partial.all_passed()
-    assert set(partial.place_precision.values()) == {1}
-    assert not verify_report(partial).ok
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    monkeypatch.setattr(splitcon, "_failures", failures)
+    result = verify_report(judged[0])
+    assert not result.ok and str(result.failures) in str(exc.value)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
                         "--p-kernel", "5", "--n-min", "4"])
-    payload = json.loads(out.getvalue())
-    assert code == cli.EXIT_CERT and payload["error"] == "ConstructionError"
-    assert payload["partial"] == partial.to_json()
+    assert code == cli.EXIT_INTERNAL and out.getvalue() == ""
+    payload = json.loads(err.getvalue())
+    assert (payload["error"], payload["type"]) == ("InternalError", "AssertionError")
+    assert str(result.failures) in payload["message"]
 
 
 def _random_valid_request(rng):
@@ -835,7 +841,7 @@ def test_every_valid_request_constructs_at_the_derived_precisions():
               (["1000003:rq", "inf:ts"], frozenset(), DEGREE_MAX, 5)]
     for specs, extra, n_min, p_kernel in cases:
         report = construct_lprime([parse_spec(t) for t in specs], p_kernel, n_min, extra)
-        assert report.all_passed() and verify_report(report).ok, (specs, extra, n_min)
+        assert verify_report(report).ok, (specs, extra, n_min)
         # one resultant modulo p^N reads v(disc Q) = N - 1 (splitcon docstring)
         N = splitcon._disc_start(report.aux_specs[0], report.n)
         assert report.disjoint["disc_valuation"] == N - 1, (specs, extra, n_min)
