@@ -248,7 +248,7 @@ def lemma1_check(ext: FFGaloisExt, sigma: FieldAut, tau: FieldAut) -> dict:
     # explicit subgroup arithmetic in the cyclic group Aut(L) ~ Z/N
     tau_sub = {(tau.k * j) % N for j in range(tau.order)}
     gal_sub = {(ext.K.n * j) % N for j in range(ext.degree)}
-    join = _cyclic_join(tau_sub, gal_sub, N)
+    join = set(cyclic_group(N).closure(tau_sub | gal_sub))
     direct = (tau_sub & gal_sub == {0}) and len(join) == len(tau_sub) * len(gal_sub)
     cond3 = tau.order == d and direct
     if cond2 != cond3:
@@ -256,21 +256,6 @@ def lemma1_check(ext: FFGaloisExt, sigma: FieldAut, tau: FieldAut) -> dict:
             "equivalence of the order test and the direct-product test failed"
         )
     return {"cond2": cond2, "cond3": cond3}
-
-
-def _cyclic_join(a: set[int], b: set[int], N: int) -> set[int]:
-    """Subgroup of Z/N generated by two subsets, by additive closure."""
-    out = set(a) | set(b)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(out):
-            for y in list(out):
-                z = (x + y) % N
-                if z not in out:
-                    out.add(z)
-                    changed = True
-    return out
 
 
 def decide_sigma_solvability(ep: EmbeddingProblem, sigma: FieldAut) -> Verdict:

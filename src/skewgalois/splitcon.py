@@ -334,7 +334,7 @@ def build_local_poly(spec: LocalSpec, n: int, precision: int) -> LocalPoly:
     # unramified of degree m: least irreducible mod p plus linear padding
     m = spec.degree
     irred = modpoly.least_irreducible(p, m)
-    blocked = set(modpoly.roots_mod_p(irred, p)) if m == 1 else set()
+    blocked = {-irred[0] % p} if m == 1 else set()  # the root of X + irred[0]
     lins = []
     c = 0
     while len(lins) < n - m:
@@ -661,9 +661,10 @@ class ConstructionReport:
     sn: SnCertificate
     local_checks: tuple[LocalCheck, ...]
     disjoint: dict
+    extra_L_ram: tuple[int, ...] = ()  # sorted primes ramified in L beyond the :ramL specs
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "Q": list(self.Q),
             "n": self.n,
             "n_min": self.n_min,
@@ -679,6 +680,9 @@ class ConstructionReport:
                 "disjoint": _plain(self.disjoint),
             },
         }
+        if self.extra_L_ram:
+            out["extra_L_ram"] = list(self.extra_L_ram)
+        return out
 
 
 def real_root_scale(n: int) -> int:
@@ -755,7 +759,7 @@ def construct_lprime(
     report = ConstructionReport(
         Q=tuple(Q), n=n, n_min=n_min, p_kernel=p_kernel, specs=tuple(specs), aux_specs=tuple(aux),
         precision=max(precision.values()), place_precision=precision, root_scale=scale,
-        sn=sn, local_checks=checks, disjoint=disjoint,
+        sn=sn, local_checks=checks, disjoint=disjoint, extra_L_ram=tuple(sorted(extra_L_ram)),
     )
     failures = _failures(report, checks, sn, disjoint)
     if failures:
@@ -775,7 +779,7 @@ def _certificates(Q: list[int], specs: Sequence[LocalSpec], aux: Sequence[LocalS
     N = _disc_start(aux[0], n)
     v = _disc_valuation(Q, aux1, N)
     if v is None:
-        disjoint = {"prime": aux1, "odd_valuation": False,
+        disjoint = {"prime": aux1, "odd_valuation": False, "prime_unramified_in_L": aux1 not in L_ram,
                     "reason": f"discriminant valuation at {aux1} is at least {N}"}
     else:
         disjoint = {
@@ -809,7 +813,7 @@ def _structural_failures(report: ConstructionReport) -> list[str]:
     if report.n % 2 or report.n < max(report.n_min, 2):
         failures.append("degree violates the even-and-large-enough rule")
     try:
-        validate_request(list(report.specs), report.p_kernel)
+        validate_request(list(report.specs), report.p_kernel, set(report.extra_L_ram))
     except SpecError as exc:
         failures.append(str(exc))
     s_primes = {s.prime for s in report.specs}
@@ -855,6 +859,8 @@ def _failures(report: ConstructionReport, checks: tuple[LocalCheck, ...], sn: Sn
         failures.append(f"discriminant valuation at {disjoint['prime']} is even ({v})")
     if any(report.disjoint.get(key) != value for key, value in disjoint.items()):
         failures.append("stored disjointness certificate mismatch")
+    if not disjoint["prime_unramified_in_L"]:
+        failures.append(f"first auxiliary prime {disjoint['prime']} is ramified in L")
     return failures
 
 
@@ -866,7 +872,7 @@ def verify_report(report: ConstructionReport) -> VerifyResult:
     if not Q or Q[-1] != 1:
         failures = _structural_failures(report)
     else:
-        L_ram = {s.prime for s in report.specs if s.ram_in_L}
+        L_ram = {s.prime for s in report.specs if s.ram_in_L} | set(report.extra_L_ram)
         failures = _failures(report, *_certificates(Q, report.specs, report.aux_specs, L_ram))
     return VerifyResult(ok=not failures, failures=tuple(failures))
 
@@ -885,6 +891,9 @@ def report_from_json(data: dict) -> ConstructionReport:
         raise SpecError("report field 'specs' must be a list")
     if not isinstance(data.get("aux"), list) or len(data["aux"]) != 4:
         raise SpecError("report field 'aux' must list exactly four specs")
+    extra = data.get("extra_L_ram", [])
+    if not isinstance(extra, list) or not all(is_int(q) for q in extra):
+        raise SpecError("report field 'extra_L_ram' must be a list of integers")
     if (degree := max(data["n"], len(Q) - 1)) > DEGREE_MAX:
         raise SpecError(f"degree {degree} exceeds the cap {DEGREE_MAX}")
     aux = tuple(spec_from_json(s) for s in data["aux"])
@@ -931,4 +940,5 @@ def report_from_json(data: dict) -> ConstructionReport:
         sn=sn_cert,
         local_checks=checks,
         disjoint=certs["disjoint"],
+        extra_L_ram=tuple(sorted(extra)),
     )

@@ -155,13 +155,24 @@ def prime_power_base(q: int) -> int | None:
 
 
 def valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, in O(log v) divisions: the
+    lowest set bit at p = 2; otherwise divide by p, p^2, p^4, ... while they
+    divide, then by the same powers back down."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    powers = []
+    q = p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    v = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 

@@ -517,10 +517,11 @@ def test_constructor_output_matches_golden():
     # exit code and stdout sha256 of construct-lprime, and of verify-report on
     # its output: specs "3:rq, inf:ts, 7:ts:ramL" and "3:rq, 7:ts:ramL" at
     # n_min 3-12, "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" at 16, 18, 20;
-    # recorded while the rq evidence still carried "v_a", with that key removed
+    # recorded while the rq evidence still carried "v_a", with that key removed;
+    # and "3:rq" at n_min 2, the one degree with a degree-1 auxiliary
     with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
         cases = json.load(fh)
-    assert len(cases) == 26
+    assert len(cases) == 27
     for case in cases:
         code, out, err = run_cli(case["argv"])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (case["exit"], case["stdout_sha256"]), err
@@ -717,6 +718,12 @@ def _pattern_key(report):
     patterns["x"] = patterns.pop(next(iter(patterns)))
 
 
+def _extra_l_ram(value):
+    def tamper(report):
+        report["extra_L_ram"] = value
+    return tamper
+
+
 @pytest.mark.parametrize("argv", [
     _report_argv(_pop("certificates", "sn", "n")),
     _report_argv(_pop("certificates", "sn", "conclusion")),
@@ -725,12 +732,15 @@ def _pattern_key(report):
     _report_argv(_pop("aux", 0, "prime")),
     _report_argv(_pop("aux", 0, "kind")),
     _report_argv(_pattern_key),
+    _report_argv(_extra_l_ram("2")),
+    _report_argv(_extra_l_ram([True])),
     lambda: TWO_SPECS + ["--extra-l-ram", "x"],
     lambda: TWO_SPECS + ["--extra-l-ram", "13,1.5"],
     lambda: ["construct-lprime", "--spec", "x:ts", "--p-kernel", "5", "--n-min", "3"],
     lambda: ["construct-lprime", "--spec", "3:urx", "--p-kernel", "5", "--n-min", "3"],
 ], ids=["sn-n", "sn-conclusion", "local-spec", "local-passed", "aux-prime", "aux-kind",
-        "pattern-key", "extra-l-ram", "extra-l-ram-float", "spec-prime", "spec-degree"])
+        "pattern-key", "report-extra-l-ram-string", "report-extra-l-ram-bool", "extra-l-ram",
+        "extra-l-ram-float", "spec-prime", "spec-degree"])
 def test_malformed_fields_are_spec_errors(argv):
     # a malformed report field or construct-lprime flag is a SpecError, exit 1
     code, out, err = run_cli(argv())
@@ -830,14 +840,37 @@ def test_extra_l_ram_prime_is_answered():
     code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", "13"])
     assert code == cli.EXIT_OK, err
     assert json.loads(out)["certificates"]["sn"]["conclusion"]
-    # the first auxiliary prime avoids the primes ramified in L
+    # the first auxiliary prime avoids the primes ramified in L, and the
+    # report records them for the verifier
     code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", "2"])
     assert code == cli.EXIT_OK, err
-    assert json.loads(out)["aux"][0]["prime"] == 5
+    report = json.loads(out)
+    assert report["aux"][0]["prime"] == 5 and report["extra_L_ram"] == [2]
+    code, out, err = run_cli(["verify-report", "--report", out])
+    assert code == cli.EXIT_OK and json.loads(out) == {"ok": True, "failures": []}, err
     # a spec place marked :ramL may be named again
     code, _, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "7:ts:ramL",
                             "--p-kernel", "5", "--n-min", "3", "--extra-l-ram", "7"])
     assert code == cli.EXIT_OK, err
+
+
+@pytest.mark.parametrize("extra,stored_unramified,failures", [
+    ([2], True, ["stored disjointness certificate mismatch", "first auxiliary prime 2 is ramified in L"]),
+    ([2], False, ["first auxiliary prime 2 is ramified in L"]),
+    ([4], True, ["extra ramified prime 4 is not a prime"]),
+])
+def test_verify_requires_the_first_auxiliary_prime_unramified_in_L(extra, stored_unramified, failures):
+    # the report without the flag has aux1 = 2; claiming L ramified there
+    # fails it even when the stored certificate agrees
+    code, out, err = run_cli(TWO_SPECS)
+    assert code == cli.EXIT_OK, err
+    report = json.loads(out)
+    assert "extra_L_ram" not in report and report["aux"][0]["prime"] == 2
+    report["extra_L_ram"] = extra
+    report["certificates"]["disjoint"]["prime_unramified_in_L"] = stored_unramified
+    code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
+    assert code == cli.EXIT_CERT, err
+    assert json.loads(out) == {"ok": False, "failures": failures}
 
 
 def _construct_argv(specs, n):

@@ -176,6 +176,8 @@ def test_least_irreducible_known():
     assert mp.least_irreducible(2, 3) == [1, 1, 0, 1]  # x^3+x+1
     assert mp.least_irreducible(3, 1) == [0, 1]
     assert mp.least_irreducible(5, 2) == [2, 0, 1]  # x^2+2 irreducible mod 5
+    # splitcon.build_local_poly reads the root of a degree-1 auxiliary's factor off it
+    assert all(mp.least_irreducible(p, 1) == [0, 1] for p in (5, 4099, 1000003, (1 << 61) - 1))
 
 
 def test_ddf_pattern_products():

@@ -288,6 +288,19 @@ def test_certified_padic_roots_separation_failure():
     assert certified_padic_roots(zmul([0, -1, 1], [-4, 1]), 3, [0, 4])[0]
 
 
+def test_newton_check_on_a_huge_valuation_is_fast():
+    # Q(t) = 2^14000 at every target: 1.2 s with one division per unit of
+    # valuation, under a millisecond by doubling powers
+    Q = [1]
+    for t in range(20):
+        Q = zmul(Q, [-t, 1])
+    Q[0] += 2**14000
+    start = time.perf_counter()
+    ok, ev, _ = certified_padic_roots(Q, 2, range(20))
+    assert time.perf_counter() - start < 0.1
+    assert ok and [e["root"] for e in ev] == list(range(20))
+
+
 def test_certify_ur_pattern():
     Q = [1, 1, 0, 1]  # irreducible cubic mod 2
     c = certify_local_behavior(Q, LocalSpec(2, "ur", degree=3))

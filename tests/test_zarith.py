@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from skewgalois.zarith import (
     centered_rep,
     crt,
@@ -91,6 +93,27 @@ def test_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1
     assert valuation(7, 2) == 0
+    assert valuation(-48, 2) == 4 and valuation(-2 * 3**300, 3) == 300
+    with pytest.raises(ValueError):
+        valuation(0, 3)
+
+
+def _reference_valuation(n, p):
+    """One division per unit of valuation."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_valuation_matches_the_division_loop():
+    rng = random.Random(30)
+    for _ in range(20000):
+        p = rng.choice((2, 3, 5, 7, 11, 101, 65537))
+        unit = rng.randrange(1, 10**6)
+        n = rng.choice((-1, 1)) * unit * p ** rng.randrange(301)
+        assert valuation(n, p) == _reference_valuation(n, p), (n, p)
 
 
 def test_crt_pairwise():
