@@ -796,7 +796,7 @@ def test_place_precision_examples():
     assert splitcon._place_precision(LocalSpec(5, "ur", degree=8), 8) == 1
 
 
-def test_a_failing_certificate_is_an_internal_fault(monkeypatch):
+def test_a_failing_certificate_raises_with_the_one_report(monkeypatch):
     # precision 1 everywhere breaks the place precisions' argument; Q is built
     # once, its certificates are judged by the verifier's failure list, and a
     # failure is a fault of the constructor: AssertionError, CLI exit 4
