@@ -168,16 +168,13 @@ def find_section(ep: EmbeddingProblem) -> GroupHom | None:
     """A group-theoretic section of alpha, if one exists.
 
     A section is determined by an element g over the distinguished
-    generator with order exactly [L:K]; the scan over the fiber is
-    exhaustive, so None means the problem does not split.
+    generator with order exactly [L:K]: the first weak solution of that
+    order, in the fiber's index order.  The weak solutions exhaust the
+    fiber, so None means the problem does not split.
     """
-    e = ep.degree
-    gen = ep.generator_index()
-    for g in range(ep.G.order):
-        if ep.alpha(g) != gen:
-            continue
-        if ep.G.element_order(g) == e:
-            images = [ep.G.power(g, j) for j in range(e)]
+    for ws in find_weak_solutions(ep):
+        if ws.order == ep.degree:
+            images = [ep.G.power(ws.g, j) for j in range(ws.order)]
             return GroupHom(ep.alpha.codomain, ep.G, images)
     return None
 

@@ -666,16 +666,12 @@ def restrict_aut(a: FieldAut, K: FqField) -> FieldAut:
 
 
 def roots_in_field(f_mod_p: list[int], L: FqField) -> list["FqElem"]:
-    """All roots in L of a polynomial with prime-field coefficients.
-
-    Used to construct subfield embeddings; small fields scan, large ones
-    run deterministic equal-degree splitting in L[y], the twisted ring with
-    the identity twist.
-    """
+    """All roots in L of a polynomial with prime-field coefficients, sorted
+    by their reversed coefficient vectors; the zero polynomial is a
+    ValueError.  Every field, however small, runs the library's one root
+    finder, with no element scan: orepoly.untwisted_roots in L[y]."""
     from .orepoly import OreRing, untwisted_roots  # orepoly builds on this module
 
     if not any(c % L.p for c in f_mod_p):
         raise ValueError("zero polynomial")
-    if L.order <= 4096:
-        return [x for x in L.elements() if _eval_in_big(f_mod_p, x).is_zero()]
     return untwisted_roots(OreRing(L, FieldAut(L, 0)).poly(f_mod_p))

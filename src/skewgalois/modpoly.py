@@ -35,13 +35,6 @@ def degree(f: list[int]) -> int:
     return len(f) - 1
 
 
-def eval_poly(f: list[int], x: int, p: int) -> int:
-    y = 0
-    for c in reversed(f):
-        y = (y * x + c) % p
-    return y
-
-
 def derivative(f: list[int], p: int) -> list[int]:
     return normalize([(i * c) % p for i, c in enumerate(f)][1:], p)
 
@@ -290,34 +283,9 @@ def ddf_pattern(f: list[int], p: int) -> list[int]:
 
 
 def roots_mod_p(f: list[int], p: int) -> list[int]:
-    """Distinct roots of f mod p, sorted ascending."""
-    f = normalize(f, p)
-    if not f:
-        raise ValueError("zero polynomial has every residue as a root")
-    if p <= 4096:
-        return [x for x in range(p) if eval_poly(f, x, p) == 0]
-    if len(f) <= 2:
-        return [(-f[0]) * pow(f[1], -1, p) % p] if len(f) == 2 else []
-    # Large p: split off the linear part with gcd(x^p - x, f), then find
-    # its roots by equal-degree splitting.
-    R, m = _ring(f, p)
-    x = 1 << R._w
-    return sorted(_split_linear(R, R._gcd(m, R._canon(R._pow(x, p) + (p - 1) * x))))
+    """Distinct roots of f mod p, sorted ascending: ffield.roots_in_field
+    over F_p, the library's one equal-degree splitter for every p, with no
+    residue scan.  The zero polynomial is a ValueError."""
+    from .ffield import make_field, roots_in_field  # ffield builds on this module
 
-
-def _split_linear(R: QuotientRing, f: int) -> list[int]:
-    # f is monic, squarefree, a product of distinct linear factors, and
-    # divides the modulus of R
-    n, p = R._deg(f), R.p
-    if n <= 1:
-        return [-(f & R._mask) % p] if n == 1 else []
-    if n < R.n:  # split mod f itself, in the layout of its degree
-        R, f = _ring(normalize(list(R._read(f)), p), p)
-    c = 0
-    while True:
-        # gcd with (x + c)^((p-1)/2) - 1 splits the root set; scan c deterministically
-        h = R._pow(c + (1 << R._w), (p - 1) // 2)
-        g = R._gcd(f, R._canon(h + p - 1))
-        if 0 < R._deg(g) < n:
-            return _split_linear(R, g) + _split_linear(R, R._divmod(f, g)[0])
-        c += 1
+    return [r.index() for r in roots_in_field(f, make_field(p, 1))]

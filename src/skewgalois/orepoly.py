@@ -390,8 +390,9 @@ def ore_witness(x: OrePoly, y: OrePoly) -> tuple[OrePoly, OrePoly]:
 
 def untwisted_roots(f: OrePoly) -> list[FqElem]:
     """The roots in L of f in L[y] = L[T, id], sorted by their reversed
-    coefficient vectors: deterministic equal-degree splitting of the
-    product gcd(f, y^|L| - y) of the distinct linear factors of f."""
+    coefficient vectors: the library's one root finder.  The product
+    gcd(f, y^|L| - y) of the distinct linear factors of f is split by
+    Cantor and Zassenhaus's equal-degree splitting (Math. Comp. 36, 1981)."""
     if not f.ring.is_commutative():
         raise ValueError("roots are taken in the untwisted ring")
     y, f = f.ring.T(), f.monic()

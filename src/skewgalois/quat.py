@@ -134,7 +134,8 @@ def level_local(place: int | str) -> LevelResult:
     Odd p: level 1 when -1 is a quadratic residue (p = 1 mod 4), else 2;
     witnesses are simple roots mod p, hence Hensel-liftable.  p = 2: level
     4, proved by the exhaustive three-square scan mod 16 plus an explicit
-    liftable four-square witness.  The real place has infinite level.
+    liftable four-square witness.  The real place has infinite level.  An
+    integer at or past zarith.PRIME_BOUND is refused: is_prime's ValueError.
     """
     if place == REAL_PLACE:
         return LevelResult(

@@ -101,6 +101,14 @@ class SpecError(ValueError):
     pass
 
 
+def _is_prime(n: int) -> bool:
+    """zarith.is_prime, with its refusal of n >= PRIME_BOUND a SpecError."""
+    try:
+        return is_prime(n)
+    except ValueError as exc:
+        raise SpecError(f"{n} is not provably prime: {exc}") from None
+
+
 @dataclass(frozen=True)
 class LocalSpec:
     """Prescribed behavior at one place: a finite prime or the real place.
@@ -119,7 +127,7 @@ class LocalSpec:
             if self.kind != KIND_TOTALLY_SPLIT:
                 raise SpecError("the real place only supports totally split")
         else:
-            if not isinstance(self.prime, int) or not is_prime(self.prime):
+            if not isinstance(self.prime, int) or not _is_prime(self.prime):
                 raise SpecError(f"{self.prime!r} is not a prime or '{REAL}'")
         if self.kind == KIND_UNRAMIFIED:
             if self.degree is None or self.degree < 1:
@@ -694,7 +702,7 @@ def real_root_scale(n: int) -> int:
 def validate_request(
     specs: list[LocalSpec], p_kernel: int, extra_L_ram: set[int] | frozenset[int] = frozenset()
 ) -> None:
-    if not is_prime(p_kernel) or p_kernel == 2:
+    if not _is_prime(p_kernel) or p_kernel == 2:
         raise SpecError(
             "the kernel prime must be an odd prime (the even case needs the "
             "odd-degree ramified local extension, which is out of scope)"
@@ -716,7 +724,7 @@ def validate_request(
             )
     unramified = {s.prime for s in specs if s.prime != REAL and not s.ram_in_L}
     for q in sorted(extra_L_ram):
-        if not is_prime(q):
+        if not _is_prime(q):
             raise SpecError(f"extra ramified prime {q} is not a prime")
         if q in unramified:
             raise SpecError(f"extra ramified prime {q} is a spec place not marked :ramL")

@@ -2,7 +2,10 @@
 
 Everything works on plain Python ints so there is no precision ceiling;
 these routines back the finite-field kernel and the integer-polynomial
-constructions.
+constructions.  Primality alone is bounded: is_prime proves its answer for
+every n below PRIME_BOUND = psi_13 = 3317044064679887385961981 (about
+3.3 * 10^24) and raises ValueError from there on, so no caller can act on
+an unproved answer.
 """
 
 from __future__ import annotations
@@ -10,8 +13,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The primes up to 41: trial divisors, then Miller-Rabin bases
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13, the least strong pseudoprime to every base in _SMALL_PRIMES
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86, 2017): 1287836182261 * 2575672364521.  Below it Miller-Rabin at
+# those bases proves primality; is_prime refuses it and every larger n.
+# Base 41 is needed: psi_12 = 318665857834031151167461 passes bases 2-37.
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_int(x) -> bool:
@@ -20,18 +30,20 @@ def is_int(x) -> bool:
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, proved for every n below PRIME_BOUND; a
+    ValueError for n >= PRIME_BOUND, whose answer would be unproved."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is proved only below {PRIME_BOUND}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -77,7 +89,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Trial division finds every prime factor below 2^16, so it alone
     factors every n < 2^32.  A larger cofactor is tested by is_prime and
-    split by Pollard-Brent rho.
+    split by Pollard-Brent rho; one at or past PRIME_BOUND is is_prime's
+    ValueError.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")

@@ -748,6 +748,50 @@ def test_malformed_fields_are_spec_errors(argv):
     assert json.loads(err)["error"] == "SpecError", err
 
 
+# psi_13 = 1287836182261 * 2575672364521, a strong pseudoprime to every
+# Miller-Rabin base up to 41 and the least integer is_prime refuses
+PSI_13 = 3317044064679887385961981
+_PSI_13_REFUSED = f"{PSI_13} is not provably prime: primality is proved only below {PSI_13}"
+
+
+def _psi_13_spec(report):
+    report["specs"][0]["prime"] = PSI_13
+
+
+def _psi_13_kernel(report):
+    report["p_kernel"] = PSI_13
+
+
+@pytest.mark.parametrize("argv", [
+    lambda: ["construct-lprime", "--spec", f"{PSI_13}:rq", "--spec", "inf:ts", "--p-kernel", "5",
+             "--n-min", "3"],
+    lambda: ["construct-lprime", "--spec", f"{PSI_13}:ts:ramL", "--spec", "3:rq", "--p-kernel", "5",
+             "--n-min", "3"],
+    lambda: TWO_SPECS + ["--extra-l-ram", str(PSI_13)],
+    lambda: TWO_SPECS[:6] + [str(PSI_13)] + TWO_SPECS[7:],
+    _report_argv(_psi_13_spec),
+], ids=["spec", "spec-ramL", "extra-l-ram", "p-kernel", "report-spec"])
+def test_psi_13_is_refused_as_a_prime(argv):
+    code, out, err = run_cli(argv())
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err) == {"error": "SpecError", "message": _PSI_13_REFUSED}
+
+
+@pytest.mark.parametrize("tamper", [_psi_13_kernel, _extra_l_ram([PSI_13])], ids=["p-kernel", "extra-l-ram"])
+def test_report_naming_psi_13_fails_verification(tamper):
+    # a stored kernel or extra ramified prime is judged like a composite one:
+    # a failed request check, exit 3
+    code, out, err = run_cli(_report_argv(tamper)())
+    assert code == cli.EXIT_CERT, err
+    assert _PSI_13_REFUSED in json.loads(out)["failures"]
+
+
+def test_level_refuses_psi_13():
+    code, out, err = run_cli(["level", "--place", str(PSI_13)])
+    assert code == cli.EXIT_DOMAIN and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": f"primality is proved only below {PSI_13}"}
+
+
 def _aux_at_the_real_place(report, cap):
     report["aux"][0] = {"prime": "inf", "kind": "ts"}
 

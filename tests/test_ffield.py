@@ -452,7 +452,7 @@ def test_embedding_image_sizes():
 
 
 def test_large_field_embedding():
-    # beyond the table caps: construction goes through equal-degree splitting
+    # past the log-table limit: the root is found by equal-degree splitting
     K = make_field(3, 2)
     L = make_field(3, 16)
     emb = embed_subfield(K, L)
@@ -465,8 +465,8 @@ def test_large_field_embedding():
 
 @pytest.mark.parametrize("m,n", [(4, 16), (5, 20)])
 def test_characteristic_two_roots_split_by_traces(monkeypatch, m, n):
-    # past the scan limit, roots in F_2^n come from equal-degree splitting,
-    # whose p = 2 branch separates roots by trace maps
+    # roots in F_2^n come from equal-degree splitting, whose p = 2 branch
+    # separates roots by trace maps
     from skewgalois import orepoly
 
     traces = []
@@ -499,3 +499,38 @@ def test_roots_in_field_counts():
     assert len(roots) == 2
     for r in roots:
         assert (r * r + r + L.one()).is_zero()
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 12)])
+def test_roots_in_field_against_evaluation_at_every_element(monkeypatch, p, n):
+    # small fields run the one splitter too: no element scan below some order
+    from skewgalois import orepoly
+
+    splits = []
+    split = orepoly._split_linear
+
+    def counting_split(f):
+        splits.append(f.degree)
+        return split(f)
+
+    monkeypatch.setattr(orepoly, "_split_linear", counting_split)
+    L = make_field(p, n)
+    rng = random.Random(p**n)
+    # each subfield's modulus splits in L, and its square has every root
+    # twice; the random ones have unreduced coefficients, leading ones not 1
+    cases = [list(make_field(p, d).modulus) for d in range(2, n + 1) if n % d == 0]
+    cases += [[rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)]
+              for _ in range(3)]
+    cases.append(tuple_field.mul(cases[0], cases[0], p))  # every root twice
+    elements = list(L.elements())
+    for f in cases:
+        want = []
+        for x in elements:
+            acc = L.zero()
+            for c in reversed(f):
+                acc = acc * x + L.element(c)
+            if acc.is_zero():
+                want.append(x)
+        got = roots_in_field(f, L)
+        assert got == want == sorted(want, key=lambda r: r.coeffs[::-1]), f
+    assert max(splits) >= 2  # a modulus with roots was split, not scanned

@@ -238,6 +238,55 @@ def test_roots_mod_p_large_p_many_roots(p):
     assert mp.roots_mod_p(quad, p) == []
 
 
+def _eval_mod(f, x, p):
+    y = 0
+    for c in reversed(f):
+        y = (y * x + c) % p
+    return y
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 4093, 4099])
+def test_roots_mod_p_against_evaluation_at_every_residue(monkeypatch, p):
+    # one splitter for every p: no residue scan below some size
+    from skewgalois import orepoly
+
+    calls = []
+    roots = orepoly.untwisted_roots
+    monkeypatch.setattr(orepoly, "untwisted_roots", lambda f: calls.append(f) or roots(f))
+    rng = random.Random(p)
+    cases = [[rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(1, 9))] for _ in range(6)]
+    for _ in range(4):  # repeated roots, a non-monic unit factor, unreduced coefficients
+        f = [rng.randrange(1, p) + p * rng.randrange(-2, 3)]
+        for r in [rng.randrange(p) for _ in range(rng.randrange(1, 5))] * rng.randrange(1, 3):
+            f = ref.mul(f, [(-r) % p, 1], p)
+        cases.append([c + p * rng.randrange(-2, 3) for c in f])
+    cases.append([0, -1] + [0] * (p - 2) + [1] if p < 10 else [rng.randrange(1, p)])  # x^p - x
+    cases = [f for f in cases if any(c % p for c in f)]
+    for f in cases:
+        assert mp.roots_mod_p(f, p) == [x for x in range(p) if _eval_mod(f, x, p) == 0], f
+    assert len(calls) == len(cases)
+    for zero in ([], [0], [p, -2 * p, 0]):
+        with pytest.raises(ValueError):
+            mp.roots_mod_p(zero, p)
+
+
+def test_roots_mod_p_runs_the_orepoly_splitter(monkeypatch):
+    from skewgalois import orepoly
+
+    degrees = []
+    split = orepoly._split_linear
+
+    def counting_split(f):
+        degrees.append(f.degree)
+        return split(f)
+
+    monkeypatch.setattr(orepoly, "_split_linear", counting_split)
+    p = (1 << 61) - 1
+    f = ref.mul([(-3) % p, 1], [(-77) % p, 1], p)
+    assert mp.roots_mod_p(f, p) == [3, 77]
+    assert degrees[0] == 2 and sorted(degrees[1:]) == [1, 1]
+
+
 def test_least_irreducible_against_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from skewgalois.zarith import (
+    PRIME_BOUND,
     centered_rep,
     crt,
     factorize,
@@ -24,9 +26,47 @@ def test_is_prime_small():
 
 
 def test_is_prime_agrees_with_sieve():
-    sieve = set(primes_up_to(5000))
-    for n in range(2, 5000):
-        assert is_prime(n) == (n in sieve)
+    assert [n for n in range(10**6) if is_prime(n)] == primes_up_to(10**6 - 1)
+
+
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_psi_12_is_refuted_by_base_41():
+    # psi_12 = psi_13 does not hold: psi_12 fools every base below 41
+    assert all(_strong_probable_prime(PSI_12, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not _strong_probable_prime(PSI_12, 41)
+    assert is_prime(PSI_12) is False
+
+
+def test_is_prime_refuses_from_the_bound():
+    # psi_13 fools all 13 bases, so no answer from it on would be proved
+    assert PRIME_BOUND == PSI_13 == 1287836182261 * 2575672364521
+    assert all(_strong_probable_prime(PSI_13, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1, 4 * PSI_13):  # 2^89 - 1 is prime
+        with pytest.raises(ValueError, match=f"proved only below {PSI_13}"):
+            is_prime(n)
+    assert is_prime(2**61 - 1) and not is_prime(PSI_13 - 1)  # answered below it
+
+
+def test_huge_integer_is_refused_at_once():
+    n = 10**4000 + 1
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            is_prime(n)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1e-3
 
 
 def test_next_prime():
