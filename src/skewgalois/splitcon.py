@@ -6,9 +6,9 @@ Given a finite set of places with the required behavior (totally split,
 or ramified quadratic at the finite primes where the given L is
 unramified), the pipeline is:
 
-  1. plan four auxiliary primes: one ramified-quadratic prime avoiding the
-     ramification of L, and three unramified primes of local degrees
-     n, n-1, and 2;
+  1. plan four auxiliary primes: one ramified-quadratic prime, the least
+     odd p >= n - 1 avoiding the ramification of L, and three unramified
+     primes of local degrees n, n-1, and 2;
   2. build one local polynomial per finite place (a product of the wanted
      local factor and distinct linear factors) to the place's own
      precision p^k, a k at which every polynomial congruent to it passes
@@ -26,10 +26,9 @@ unramified), the pipeline is:
      v_p(Q(0)) on the Newton polygon, p-adic root certificates via
      Newton's condition at the place's target roots, real root counts via
      sign alternation at points between the target roots, and an odd
-     discriminant valuation at the ramified-quadratic
-     auxiliary prime, read from the discriminant of Q mod a power of that
-     prime (so the quadratic resolvent field already ramifies where L does
-     not).
+     discriminant valuation at the ramified-quadratic auxiliary prime,
+     read from the discriminant of Q mod the square of that prime (so the
+     quadratic resolvent field already ramifies where L does not).
 
 Q is built once, and no certificate can fail on it (the constructor judges it
 by verify_report's failure list, and a failure raises AssertionError):
@@ -42,12 +41,9 @@ by verify_report's failure list, and a failure raises AssertionError):
     modulus, and at the points (j + 1/2) s, s = real_root_scale(n) M, the
     target's value beats that for every n <= DEGREE_MAX (3.0 times at n = 1,
     4.1 at n = 2, more after that), so the signs alternate: n real roots;
-  - at the first auxiliary prime p, Hensel splits Q = A B over Z_p with
-    A = X^2 - p and B = prod (X - t) mod p^k (the resultant is a unit);
-    v(disc A) = v(4p) is 1, or 3 at p = 2.  Since k > 2 sum_c v(t - c),
-    each root of B lies nearer its own target t than to any other, so
-    v(disc Q) = v(4p) + 2 sum over pairs of v(t - c) = N - 1, odd and
-    below the modulus p^N of the one resultant that reads it (_disc_start).
+  - at the first auxiliary prime p, odd and at least n - 1, Hensel splits
+    Q = A B over Z_p with A = X^2 - p and B = prod (X - t) mod p^2 (the
+    resultant is a unit); B is separable mod p, so v(disc Q) = v(4p) = 1.
 
 Every claim in the emitted report is re-derivable from Q alone; verify_report
 re-derives the claimed places' certificates by the constructor's derivation
@@ -89,11 +85,11 @@ KIND_RAMIFIED_QUADRATIC = "rq"
 KIND_UNRAMIFIED = "ur"
 
 # Largest degree the constructor builds, and the largest degree of an
-# unramified spec: a time bound, not a limit of the method.  On the spec
-# sets "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" (one CLI run each,
-# Python 3.11, 2 shared CPUs) construct-lprime and verify-report take
-# 0.2-0.4 s each at n = 20, but 2.5-6 s each at n = 32, most of it in one
-# discriminant residue at the first auxiliary prime (_disc_valuation).
+# unramified spec: not a limit of the method.  On the spec sets
+# "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" (one CLI run each, Python
+# 3.11, 2 shared CPUs) construct-lprime and verify-report take 0.1-0.2 s
+# each at n = 20 and, with the cap raised, at n = 32 (0.3-0.5 s at n = 64,
+# where Q's coefficients pass the int-to-string limit of 4300 digits).
 DEGREE_MAX = 20
 
 
@@ -246,8 +242,9 @@ def plan_aux_primes(
     """Choose the four auxiliary primes deterministically (smallest
     admissible first) and attach their kinds:
 
-      aux1: ramified quadratic, avoiding the given primes and every prime
-            ramified in L;
+      aux1: ramified quadratic, odd and at least n - 1 (so its n - 2
+            target roots are distinct units mod p), avoiding the given
+            primes and every prime ramified in L;
       aux2..aux4: unramified of degrees n, n-1, 2.
 
     Unramified auxiliaries additionally need enough residues mod p for
@@ -261,7 +258,7 @@ def plan_aux_primes(
     p = 1
     while True:
         p = next_prime(p)
-        if p in used or p in L_ram:
+        if p in used or p in L_ram or p < max(n - 1, 3):
             continue
         out.append(LocalSpec(p, KIND_RAMIFIED_QUADRATIC))
         used.add(p)
@@ -523,36 +520,16 @@ def certified_padic_roots(
     ], None
 
 
-def _disc_start(spec: LocalSpec, n: int) -> int:
-    """The exponent N at which _disc_valuation reads v_p(disc Q) at the
-    first auxiliary place: one above v_p of the discriminant of that place's
-    ramified-quadratic target (X^2 - p) prod (X - r).  disc(AB) =
-    disc(A) disc(B) res(A, B)^2 with disc(X^2 - p) = 4p and
-    res(X^2 - p, X - r) = r^2 - p a unit, which gives v_p(4p) plus twice
-    the sum over pairs of v_p(r - c); a constructed Q has exactly that
-    valuation, N - 1 (module docstring).  Any other kind (a tampered
-    report) gives 64."""
-    if spec.kind != KIND_RAMIFIED_QUADRATIC:
-        return 64
-    p = spec.prime
-    roots = _target_roots(spec, n)
-    pairs = sum(valuation(r - c, p) for i, r in enumerate(roots) for c in roots[:i])
-    return valuation(4 * p, p) + 2 * pairs + 1
-
-
-def _disc_valuation(Q: list[int], p: int, N: int) -> int | None:
-    """v_p(disc Q) for a monic Q when it is below N, else None (a zero
+def _disc_valuation(Q: list[int], p: int) -> int | None:
+    """v_p(disc Q) for a monic Q when it is 0 or 1, else None (a zero
     discriminant or a constant Q included).
 
-    The discriminant of a monic Q is an integer polynomial in its other
-    coefficients, so disc(Q mod p^N) = disc(Q) mod p^N: one resultant
-    modulo p^N, whose residue is non-zero exactly when v_p(disc Q) < N.
+    The discriminant of a monic Q is, up to sign, res(Q, Q'), an integer
+    polynomial in Q's other coefficients, so disc(Q mod p^2) = disc(Q) mod
+    p^2: one resultant modulo p^2, non-zero exactly when v_p(disc Q) < 2.
     """
-    n = len(Q) - 1
-    M = p**N
-    QM = reduce_mod(Q, M)
-    sign = -1 if n * (n - 1) // 2 % 2 else 1
-    disc = sign * resultant(QM, zderivative(QM)) % M
+    QM = reduce_mod(Q, p * p)
+    disc = resultant(QM, zderivative(QM)) % (p * p)
     return valuation(disc, p) if disc else None
 
 
@@ -784,11 +761,10 @@ def _certificates(Q: list[int], specs: Sequence[LocalSpec], aux: Sequence[LocalS
     checks = tuple(certify_local_behavior(Q, s) for s in [*specs, *aux])
     sn = _sn_from_checks(n, [c for c in checks[len(specs):] if c.spec.kind == KIND_UNRAMIFIED])
     aux1 = aux[0].prime
-    N = _disc_start(aux[0], n)
-    v = _disc_valuation(Q, aux1, N)
+    v = _disc_valuation(Q, aux1)
     if v is None:
         disjoint = {"prime": aux1, "odd_valuation": False, "prime_unramified_in_L": aux1 not in L_ram,
-                    "reason": f"discriminant valuation at {aux1} is at least {N}"}
+                    "reason": f"discriminant valuation at {aux1} is at least 2"}
     else:
         disjoint = {
             "prime": aux1,
@@ -811,7 +787,9 @@ class VerifyResult:
 def _structural_failures(report: ConstructionReport) -> list[str]:
     """The report's claims that need no certificate: Q monic of the stated
     even degree, specs and kernel prime forming a valid request, and four fresh
-    auxiliary primes, the first ramified quadratic, the others of degrees n, n-1, 2."""
+    auxiliary primes, the first ramified quadratic at an odd prime at least
+    n - 1 (the module docstring's Hensel argument), the others of degrees
+    n, n-1, 2."""
     failures: list[str] = []
     Q = report.Q
     if not Q or Q[-1] != 1:
@@ -830,6 +808,9 @@ def _structural_failures(report: ConstructionReport) -> list[str]:
         failures.append("auxiliary primes must be four fresh primes")
     if report.aux_specs[0].kind != KIND_RAMIFIED_QUADRATIC:
         failures.append("first auxiliary prime must be ramified quadratic")
+    aux1 = report.aux_specs[0].prime
+    if aux1 % 2 == 0 or aux1 < report.n - 1:
+        failures.append(f"first auxiliary prime {aux1} must be odd and at least n - 1")
     degs = [s.degree for s in report.aux_specs[1:]]
     if degs != [report.n, report.n - 1, 2]:
         failures.append(f"auxiliary degrees {degs} != {[report.n, report.n-1, 2]}")

@@ -517,8 +517,8 @@ def test_constructor_output_matches_golden():
     # exit code and stdout sha256 of construct-lprime, and of verify-report on
     # its output: specs "3:rq, inf:ts, 7:ts:ramL" and "3:rq, 7:ts:ramL" at
     # n_min 3-12, "3:rq, inf:ts, 7:ts:ramL" and "2:rq, inf:ts" at 16, 18, 20;
-    # recorded while the rq evidence still carried "v_a", with that key removed;
-    # and "3:rq" at n_min 2, the one degree with a degree-1 auxiliary
+    # and "3:rq" at n_min 2, the one degree with a degree-1 auxiliary; recorded
+    # with the first auxiliary prime odd and at least n - 1
     with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
         cases = json.load(fh)
     assert len(cases) == 27
@@ -834,7 +834,7 @@ PRIMORIAL_47 = 614889782588491410  # the product of the primes up to 47
 
 @pytest.fixture(scope="module")
 def report_at_the_cap():
-    # the first auxiliary prime of this request is 2
+    # the first auxiliary prime of this request is 19
     from skewgalois.splitcon import DEGREE_MAX
 
     code, out, err = run_cli(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
@@ -852,11 +852,12 @@ def _hostile_q(shape, report):
                 for _ in range(n)] + [1]
     if shape == "x-to-the-n-mod-primorial":
         return [PRIMORIAL_47 * rng.randrange(10**4180) for _ in range(n)] + [1]
-    # X^(n-2) (X - 1)^2 mod 2^14000, so v_2(disc Q) >= 14000, and the
-    # genuine Q modulo the other finite places
-    assert report["aux"][0]["prime"] == 2
-    m1 = 2**14000
-    m2 = math.prod(int(p) ** k for p, k in report["place_precision"].items() if p != "2")
+    # X^(n-2) (X - 1)^2 mod p^k, p^k the largest power of the first auxiliary
+    # prime p below 2^14000, so v_p(disc Q) >= k, and the genuine Q modulo the
+    # other finite places
+    p = report["aux"][0]["prime"]
+    m1 = p ** int(14000 / math.log2(p))
+    m2 = math.prod(int(q) ** k for q, k in report["place_precision"].items() if q != str(p))
     target = [0] * (n - 2) + [1, -2, 1]
     return [a + m1 * ((b - a) * pow(m1, -1, m2) % m2) for a, b in zip(target, report["Q"])]
 
@@ -877,19 +878,20 @@ def test_verify_report_rejects_a_hostile_q_in_bounded_time(report_at_the_cap, sh
     result = json.loads(out)
     assert result["ok"] is False
     if shape == "disc-valuation-14000":
-        assert any(f.startswith("discriminant valuation at 2 is at least ") for f in result["failures"])
+        aux1 = report["aux"][0]["prime"]
+        assert f"discriminant valuation at {aux1} is at least 2" in result["failures"]
 
 
 def test_extra_l_ram_prime_is_answered():
     code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", "13"])
     assert code == cli.EXIT_OK, err
     assert json.loads(out)["certificates"]["sn"]["conclusion"]
-    # the first auxiliary prime avoids the primes ramified in L, and the
-    # report records them for the verifier
-    code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", "2"])
+    # the first auxiliary prime, 5 without the flag, avoids the primes
+    # ramified in L, and the report records them for the verifier
+    code, out, err = run_cli(TWO_SPECS + ["--extra-l-ram", "5"])
     assert code == cli.EXIT_OK, err
     report = json.loads(out)
-    assert report["aux"][0]["prime"] == 5 and report["extra_L_ram"] == [2]
+    assert report["aux"][0]["prime"] == 7 and report["extra_L_ram"] == [5]
     code, out, err = run_cli(["verify-report", "--report", out])
     assert code == cli.EXIT_OK and json.loads(out) == {"ok": True, "failures": []}, err
     # a spec place marked :ramL may be named again
@@ -899,22 +901,23 @@ def test_extra_l_ram_prime_is_answered():
 
 
 @pytest.mark.parametrize("extra,stored_unramified,failures", [
-    ([2], True, ["stored disjointness certificate mismatch", "first auxiliary prime 2 is ramified in L"]),
-    ([2], False, ["first auxiliary prime 2 is ramified in L"]),
+    (["aux1"], True, ["stored disjointness certificate mismatch", "first auxiliary prime {aux1} is ramified in L"]),
+    (["aux1"], False, ["first auxiliary prime {aux1} is ramified in L"]),
     ([4], True, ["extra ramified prime 4 is not a prime"]),
 ])
 def test_verify_requires_the_first_auxiliary_prime_unramified_in_L(extra, stored_unramified, failures):
-    # the report without the flag has aux1 = 2; claiming L ramified there
-    # fails it even when the stored certificate agrees
+    # the report without the flag has aux1 = 5; claiming L ramified there
+    # ("aux1" below) fails it even when the stored certificate agrees
     code, out, err = run_cli(TWO_SPECS)
     assert code == cli.EXIT_OK, err
     report = json.loads(out)
-    assert "extra_L_ram" not in report and report["aux"][0]["prime"] == 2
-    report["extra_L_ram"] = extra
+    aux1 = report["aux"][0]["prime"]
+    assert "extra_L_ram" not in report and aux1 == 5
+    report["extra_L_ram"] = [aux1 if q == "aux1" else q for q in extra]
     report["certificates"]["disjoint"]["prime_unramified_in_L"] = stored_unramified
     code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
     assert code == cli.EXIT_CERT, err
-    assert json.loads(out) == {"ok": False, "failures": failures}
+    assert json.loads(out) == {"ok": False, "failures": [f.format(aux1=aux1) for f in failures]}
 
 
 def _construct_argv(specs, n):
@@ -945,12 +948,12 @@ def test_degree_12_report_digits():
 
 
 def test_output_past_the_int_string_limit_is_structured_error():
-    # at n = 16 with a real place, Q has coefficients of about 800 digits:
-    # the report is printed under the default limit of 4300 digits
-    argv = _construct_argv(("3:rq", "inf:ts", "7:ts:ramL"), 16)
+    # at n = 20 with a real place, Q has coefficients of 937 digits: the
+    # report is printed under the default limit of 4300 digits
+    argv = _construct_argv(("3:rq", "inf:ts", "7:ts:ramL"), 20)
     code, out, err = run_cli(argv)
     assert code == cli.EXIT_OK, err
-    assert json.loads(out)["n"] == 16
+    assert json.loads(out)["n"] == 20
     # json refuses ints past sys.get_int_max_str_digits(): under a lower
     # limit the same report ends in a structured ValueError
     limit = sys.get_int_max_str_digits()

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import tuple_field
+from test_zpoly import _sylvester_det
 from tuple_field import xgcd
 
 from skewgalois import cli, modpoly, splitcon, zpoly
@@ -101,17 +102,24 @@ def test_validate_request_kind_rule():
 
 
 def test_plan_aux_primes_examples():
+    # the ramified-quadratic auxiliary is the least odd prime >= n - 1 that
+    # is neither a spec place nor ramified in L
     aux = plan_aux_primes([3, REAL], {3}, 5)
-    assert [a.prime for a in aux] == [2, 5, 7, 11]
+    assert [a.prime for a in aux] == [5, 2, 7, 11]
     assert aux[0].kind == "rq"
     assert [a.degree for a in aux[1:]] == [5, 4, 2]
     aux = plan_aux_primes([], set(), 2)
-    assert [a.prime for a in aux] == [2, 3, 5, 7]
+    assert [a.prime for a in aux] == [3, 2, 5, 7]
     aux = plan_aux_primes([2, 3, 5, 7, 11], set(), 3)
-    assert aux[0].prime >= 13
-    # the ramified-quadratic auxiliary avoids the ramification of L
+    assert aux[0].prime == 13
     aux = plan_aux_primes([], {2, 3}, 3)
     assert aux[0].prime == 5
+    aux = plan_aux_primes([], set(), 20)
+    assert [a.prime for a in aux] == [19, 2, 3, 23]
+    # n - 1 = 7 a spec place, or ramified in L
+    assert plan_aux_primes([7], set(), 8)[0].prime == 11
+    assert plan_aux_primes([], {7, 11}, 8)[0].prime == 13
+    assert plan_aux_primes([19], {23}, 20)[0].prime == 29
 
 
 def test_build_local_poly_examples():
@@ -642,10 +650,10 @@ def test_constructor_still_checks_the_auxiliary_order(monkeypatch):
 
 
 def test_disc_valuation_matches_the_exact_discriminant(monkeypatch):
-    # v_p(disc Q) when it is below N, None otherwise (zero discriminants
+    # v_p(disc Q) when it is below 2, None otherwise (zero discriminants
     # included), with the exact discriminant as the oracle
     rng = random.Random(10)
-    zero = positive = 0
+    seen = {"zero": 0, 0: 0, 1: 0, "past": 0}
     for _ in range(300):
         p = rng.choice((2, 3, 5, 7))
         Q = _seeded_q(rng, p)
@@ -654,50 +662,87 @@ def test_disc_valuation_matches_the_exact_discriminant(monkeypatch):
             Q = zmul(Q, zmul([-r, 1], [-r, 1]))
         disc = discriminant(Q)
         if not disc:
-            zero += 1
-            assert splitcon._disc_valuation(Q, p, rng.randrange(1, 200)) is None, (Q, p)
+            seen["zero"] += 1
+            assert splitcon._disc_valuation(Q, p) is None, (Q, p)
             continue
         v = valuation(disc, p)
-        positive += v >= 1
-        assert splitcon._disc_valuation(Q, p, v + 1) == v, (Q, p)
-        assert v < 1 or splitcon._disc_valuation(Q, p, v) is None, (Q, p)
-        N = rng.randrange(1, 2 * v + 3)
-        assert splitcon._disc_valuation(Q, p, N) == (v if v < N else None), (Q, p, N)
-    assert zero >= 10 and positive >= 100
-    assert splitcon._disc_valuation([1], 3, 64) is None
-    # v_2 = 80: one resultant mod 2^N reads it for N > 80 only
-    Q = zmul([0, 1], [-(2**40), 1])
-    assert splitcon._disc_valuation(Q, 2, 80) is None
-    assert splitcon._disc_valuation(Q, 2, 81) == 80
-    # one resultant per call, however far the valuation lies past N
+        seen[v if v < 2 else "past"] += 1
+        assert splitcon._disc_valuation(Q, p) == (v if v < 2 else None), (Q, p)
+    # the first auxiliary place's shape: (X^2 - p) prod (X - r) at distinct
+    # unit residues r, moved by multiples of p^2, has v_p(disc Q) = 1
+    for _ in range(40):
+        p = rng.choice((3, 5, 7, 11))
+        Q = [-p, 0, 1]
+        for r in rng.sample(range(1, p), rng.randrange(p)):
+            Q = zmul(Q, [-r, 1])
+        Q = [c + p * p * rng.randrange(-9, 10) for c in Q[:-1]] + [1]
+        assert valuation(discriminant(Q), p) == 1 and splitcon._disc_valuation(Q, p) == 1, (Q, p)
+        seen[1] += 1
+    assert seen["zero"] >= 10 and seen["past"] >= 100 and seen[0] >= 10 and seen[1] >= 40, seen
+    assert splitcon._disc_valuation([1], 3) is None
+    # the Eisenstein quadratic: disc = 4p
+    assert [splitcon._disc_valuation([-p, 0, 1], p) for p in (3, 5, 7)] == [1, 1, 1]
+    # one resultant per call, however far the valuation lies past 2
     calls = _count_calls(monkeypatch, splitcon, "resultant")
-    Q = zmul([0, 1], [-(2**3000), 1])
-    assert splitcon._disc_valuation(Q, 2, 64) is None and len(calls) == 1
+    Q = zmul([0, 1], [-(3**3000), 1])
+    assert splitcon._disc_valuation(Q, 3) is None and len(calls) == 1
 
 
-def test_disc_start_is_one_above_the_rq_target_discriminant():
-    # the exact discriminant of (X^2 - p) prod (X - r) over the target roots
-    for p in (2, 3, 5, 7, 11):
-        for n in range(2, 21, 2):
-            spec = LocalSpec(p, "rq")
+def test_first_auxiliary_target_has_discriminant_valuation_one():
+    # at every degree the plan's first auxiliary prime p is odd and >= n - 1,
+    # so the exact discriminant of its target (X^2 - p) prod (X - r) has
+    # v_p = v_p(4p) = 1, and the place needs precision 2 only
+    for n in range(2, DEGREE_MAX + 1):
+        for L_ram in (set(), {n - 1, n, n + 1}):
+            spec = plan_aux_primes([], L_ram, n)[0]
+            p = spec.prime
+            assert p % 2 == 1 and p >= n - 1 and p not in L_ram, (n, p)
             target = [-p, 0, 1]
             for r in splitcon._target_roots(spec, n):
                 target = zmul(target, [-r, 1])
-            assert splitcon._disc_start(spec, n) == valuation(discriminant(target), p) + 1, (p, n)
-    assert splitcon._disc_start(LocalSpec(3, "ts"), 8) == 64
+            assert valuation(discriminant(target), p) == 1, (n, p)
+            assert splitcon._place_precision(spec, n) == 2, (n, p)
 
 
 @pytest.mark.parametrize("spec_strings", [HUGE_SPECS, ("2:rq", "inf:ts")])
 def test_disc_valuation_takes_one_resultant_at_degree_20(monkeypatch, spec_strings):
-    # before the modulus started at the target's valuation, N = 64, 128, ...
-    # cost 5 resultants here on the three-spec set (v_2 = 545) and 3 on the
-    # two-spec set (v_11 = 181)
+    # one resultant modulo p^2 at the first auxiliary prime, 19 on the
+    # three-spec set and 23 on the two-spec set, for the constructor and
+    # again for the verifier
     calls = _count_calls(monkeypatch, splitcon, "resultant")
     report = construct_lprime([parse_spec(t) for t in spec_strings], 5, 20)
     assert len(calls) == 1
     calls.clear()
     assert splitcon.verify_report(report).ok
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec_strings,n_min,aux1", [
+    (("3:rq", "inf:ts"), 4, 2), (("2:ts:ramL", "inf:ts"), 8, 5),
+], ids=["aux1-even", "aux1-below-n-minus-1"])
+def test_verify_refuses_a_first_auxiliary_prime_even_or_below_n_minus_1(monkeypatch, spec_strings,
+                                                                         n_min, aux1):
+    # a report built and certified like the constructor's, at the first
+    # auxiliary prime the rule "least prime avoiding the spec places and L's
+    # ramification" picks: its target roots collide mod aux1, so the
+    # discriminant certificate fails too, as the Hensel argument predicts
+    plan, built = plan_aux_primes, []
+    monkeypatch.setattr(splitcon, "plan_aux_primes", lambda s_primes, L_ram, n: [
+        LocalSpec(aux1, "rq"), *plan([*s_primes, aux1], L_ram, n)[1:]])
+    monkeypatch.setattr(splitcon, "_failures", lambda report, *certificates: built.append(report) or [])
+    construct_lprime([parse_spec(t) for t in spec_strings], 5, n_min)
+    monkeypatch.undo()
+    report = built[0]
+    assert report.aux_specs[0].prime == aux1 and report.n == n_min
+    failures = [f"first auxiliary prime {aux1} must be odd and at least n - 1",
+                f"discriminant valuation at {aux1} is at least 2"]
+    result = verify_report(report)
+    assert result.failures == tuple(failures)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["verify-report", "--report", json.dumps(report.to_json())])
+    assert code == cli.EXIT_CERT
+    assert json.loads(out.getvalue()) == result.to_json()
 
 
 def test_real_place_fails_without_sign_alternation():
@@ -808,10 +853,12 @@ def test_a_failing_certificate_raises_with_the_one_report(monkeypatch):
         judged.append(report)
         return failures(report, *certificates)
 
+    # (n = 4 passes at precision 1, since every target root is a distinct
+    # residue at the first auxiliary prime 5; n = 6 fails at 3:rq)
     monkeypatch.setattr(splitcon, "_place_precision", lambda spec, n: 1)
     monkeypatch.setattr(splitcon, "_failures", recording)
     with pytest.raises(AssertionError, match="fresh report failed its own verification") as exc:
-        construct_lprime([parse_spec("3:rq"), parse_spec("inf:ts")], 5, 4)
+        construct_lprime([parse_spec("3:rq"), parse_spec("inf:ts")], 5, 6)
     assert len(calls) == 1 and len(judged) == 1
     assert [lp.precision for lp in calls[0][0]] == [1] * 5
     monkeypatch.setattr(splitcon, "_failures", failures)
@@ -820,7 +867,7 @@ def test_a_failing_certificate_raises_with_the_one_report(monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts",
-                        "--p-kernel", "5", "--n-min", "4"])
+                        "--p-kernel", "5", "--n-min", "6"])
     assert code == cli.EXIT_INTERNAL and out.getvalue() == ""
     payload = json.loads(err.getvalue())
     assert (payload["error"], payload["type"]) == ("InternalError", "AssertionError")
@@ -839,6 +886,18 @@ def _random_valid_request(rng):
     return specs, frozenset(extra), rng.randint(1, DEGREE_MAX), rng.choice([3, 5, 7])
 
 
+def _sylvester_disc_mod_p2(Q, p):
+    """disc(Q mod p^2) mod p^2 for a monic Q of degree n, from test_zpoly's
+    Fraction Sylvester determinant (no resultant of skewgalois): the matrix
+    of Q mod p^2 and its derivative at their declared degrees n and n - 1."""
+    n, m = len(Q) - 1, p * p
+    QM = [c % m for c in Q]
+    dQ = [i * c for i, c in enumerate(QM)][1:]
+    assert QM[-1] == 1 and dQ[-1] == n
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    return sign * _sylvester_det(QM, dQ) % m
+
+
 def test_every_valid_request_constructs_at_the_derived_precisions():
     # the constructor has no retry: Q at the _place_precision precisions
     # must pass every certificate, at every degree up to DEGREE_MAX
@@ -855,9 +914,14 @@ def test_every_valid_request_constructs_at_the_derived_precisions():
     for specs, extra, n_min, p_kernel in cases:
         report = construct_lprime([parse_spec(t) for t in specs], p_kernel, n_min, extra)
         assert verify_report(report).ok, (specs, extra, n_min)
-        # one resultant modulo p^N reads v(disc Q) = N - 1 (splitcon docstring)
-        N = splitcon._disc_start(report.aux_specs[0], report.n)
-        assert report.disjoint["disc_valuation"] == N - 1, (specs, extra, n_min)
+        # an odd first auxiliary prime p >= n - 1, read at precision 2, and
+        # v_p(disc Q) = 1 (splitcon docstring), by the Sylvester determinant too
+        p = report.aux_specs[0].prime
+        assert p % 2 == 1 and p >= report.n - 1, (specs, extra, n_min)
+        assert report.place_precision[p] == 2, (specs, extra, n_min)
+        assert report.disjoint["disc_valuation"] == 1, (specs, extra, n_min)
+        disc = _sylvester_disc_mod_p2(list(report.Q), p)
+        assert disc % p == 0 and disc != 0, (specs, extra, n_min)
         # every ts or rq place certifies exactly its target roots
         for check in report.local_checks:
             if check.spec.kind == "ur" or check.spec.prime == REAL:
