@@ -159,12 +159,8 @@ def _verb_ore(args) -> tuple[dict, int]:
         return {"gcd": orepoly.ore_right_gcd(f, g).to_json()}, EXIT_OK
     if args.op == "lcm":
         return {"lcm": orepoly.ore_left_lcm(f, g).to_json()}, EXIT_OK
-    r, s = orepoly.ore_witness(f, g)
-    return {
-        "r": r.to_json(),
-        "s": s.to_json(),
-        "common_multiple": orepoly.ore_mul(f, r).to_json(),
-    }, EXIT_OK
+    r, s, common = orepoly._witness(f, g)
+    return {"r": r.to_json(), "s": s.to_json(), "common_multiple": common.to_json()}, EXIT_OK
 
 
 def _verb_tower(args) -> tuple[dict, int]:

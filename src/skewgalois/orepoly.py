@@ -37,6 +37,8 @@ right, exactly.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .ffield import FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
 from .modpoly import _ACC_TERMS
 from .zarith import is_int
@@ -269,7 +271,9 @@ def ore_left_divmod(f: OrePoly, g: OrePoly) -> OreDivResult:
 
 # -- kernels on the ints of the coefficients -----------------------------------
 #
-# With twist frob^k, tau^l is frob^(k l mod n).  The field's tier supplies
+# With twist frob^k, tau^l is frob^(k l mod n), which depends only on l
+# modulo the period n / gcd(n, k), the order of tau: each kernel twists one
+# row of its right operand per distinct power.  The field's tier supplies
 # the steps: _twist applies frob^j to a row, _addmul adds c times a row into
 # an accumulator (unreduced in the packed tier, where a slot has room for
 # _ACC_TERMS such rows), and _settle, or _settle_v for one int, makes the
@@ -280,8 +284,9 @@ def _mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
     """f*g, or minus - f*g when a settled minus is given.  Rows are added
     into the output unsettled, and the output is settled once at the end
     and once per _ACC_TERMS rows of f before that."""
-    zero, n, addmul, settle = F._zero_v, F.n, F._addmul, F._settle
-    twisted = [F._twist(k * l, g) for l in range(min(n, len(f)))]
+    zero, addmul, settle = F._zero_v, F._addmul, F._settle
+    period = F.n // gcd(F.n, k)
+    twisted = [F._twist(k * l, g) for l in range(min(period, len(f)))]
     size = len(f) + len(g) - 1
     out = [zero] * size if minus is None else [*minus, *[zero] * (size - len(minus))]
     negate, rows = minus is not None, 0
@@ -289,7 +294,7 @@ def _mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
         if a != zero:
             if rows == _ACC_TERMS:
                 out, rows = settle(out), 0
-            addmul(out, l, a, twisted[l % n], negate)
+            addmul(out, l, a, twisted[l % period], negate)
             rows += 1
     return settle(out)
 
@@ -298,12 +303,13 @@ def _right_divmod(F: FqField, k: int, f, g):
     """Quotient and remainder of f by g on the right.  Each step settles
     only the leading remainder coefficient; the remainder is settled at the
     end, and once per _ACC_TERMS steps before that."""
-    d, n, zero = len(g) - 1, F.n, F._zero_v
+    d, zero = len(g) - 1, F._zero_v
     addmul, settle, settle_v, mul = F._addmul, F._settle, F._settle_v, F._mul
     # tau^m of g_0 .. g_(d-1) and of g_d^{-1}, which is tau^m(g_d)^{-1}
     row = [*g]
     row[d] = F._inv(g[d])
-    twisted = [F._twist(k * m, row) for m in range(min(n, len(f) - d))]
+    period = F.n // gcd(F.n, k)
+    twisted = [F._twist(k * m, row) for m in range(min(period, len(f) - d))]
     r, q, added = list(f), [zero] * max(0, len(f) - d), 0
     while len(r) > d:
         top = settle_v(r[-1])
@@ -311,7 +317,7 @@ def _right_divmod(F: FqField, k: int, f, g):
             r.pop()
             continue
         m = len(r) - 1 - d
-        tg = twisted[m % n]
+        tg = twisted[m % period]
         q[m] = c = mul(top, tg[d])
         if added == _ACC_TERMS:
             r, added = settle(r), 0
@@ -375,6 +381,13 @@ def ore_witness(x: OrePoly, y: OrePoly) -> tuple[OrePoly, OrePoly]:
     phi(y).  The coefficientwise anti-isomorphism phi carries u and v back
     to r and s, and the postcondition is re-verified by multiplication.
     """
+    r, s, _ = _witness(x, y)
+    return r, s
+
+
+def _witness(x: OrePoly, y: OrePoly) -> tuple[OrePoly, OrePoly, OrePoly]:
+    """ore_witness's r and s, with the common multiple x*r that its
+    re-verification computed."""
     x._check(y)
     if x.is_zero() or y.is_zero():
         raise ValueError("Ore witnesses need nonzero inputs")
@@ -385,7 +398,7 @@ def ore_witness(x: OrePoly, y: OrePoly) -> tuple[OrePoly, OrePoly]:
     left = ore_mul(x, r)
     if left != ore_mul(y, s) or left.is_zero():
         raise AssertionError("Ore witness failed its re-verification")
-    return r, s
+    return r, s, left
 
 
 def untwisted_roots(f: OrePoly) -> list[FqElem]:

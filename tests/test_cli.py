@@ -154,7 +154,7 @@ TOWER_SHA256 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", 
 
 
 def test_tower_output_near_the_synthesis_cap_matches_recorded_sha256():
-    # stdout sha256 of `tower` on permutation groups of order 2400-3456,
+    # stdout sha256 of `tower` on permutation groups of order 2400-4608,
     # near the synthesis cap, where the golden file's groups do not reach
     with open(TOWER_SHA256, encoding="utf-8") as fh:
         cases = json.load(fh)
@@ -331,6 +331,17 @@ def test_malformed_group_json_is_structured_error(group):
     assert proc.returncode == cli.EXIT_DOMAIN
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_decide_table_entry_that_is_not_an_int_is_structured_error(entry):
+    # True and 1.0 equal the index 1, so the type check must run before the
+    # table's entries are compared with its indices
+    group = json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, entry]]})
+    code, out, err = run_cli(["decide", "--group", group, "--alpha", json.dumps({"map": [0, 1, 2]}),
+                              "--K", "2^2", "--L", "2^6", "--sigma", "1"])
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert json.loads(err) == {"error": "ValueError", "message": "'table' must be a list of integer rows"}
 
 
 @pytest.mark.parametrize("gens,message", [

@@ -23,6 +23,7 @@ from skewgalois.groups import (
     _bfs_closure,
     _commutator_series_end,
     _greedy_generators,
+    _irredundant,
     _perm_compose,
     alternating_group,
     cyclic_group,
@@ -118,14 +119,66 @@ def test_a_supplied_group_table_is_accepted_without_the_permutation_scan(monkeyp
         raise AssertionError("the permutation scan ran on a group table")
 
     monkeypatch.setattr(groups, "_check_latin_square", refuse)
-    rng = random.Random(25)
+    for name, rows in _relabeled_catalog(25):
+        H = FiniteGroup(rows)
+        greedy = _greedy_generators(rows, range(1, len(rows)))
+        assert H.generators() == tuple(_irredundant(rows, greedy)), name
+
+
+def _relabeled_catalog(seed):
+    """(name, table) for each catalog group under a random relabeling that
+    keeps the identity at 0."""
+    rng = random.Random(seed)
     for name, G in catalog():
         n = G.order
         perm = [0] + rng.sample(range(1, n), n - 1)
         back = {v: i for i, v in enumerate(perm)}
-        rows = [[perm[G.table[back[a]][back[b]]] for b in range(n)] for a in range(n)]
-        H = FiniteGroup(rows)
-        assert H.generators() == tuple(_greedy_generators(rows, range(1, n))), name
+        yield name, [[perm[G.table[back[a]][back[b]]] for b in range(n)] for a in range(n)]
+
+
+def test_irredundant_keeps_a_generating_set_with_no_member_to_drop():
+    dropped = 0
+    for name, rows in _relabeled_catalog(34):
+        n = len(rows)
+        greedy = _greedy_generators(rows, range(1, n))
+        kept = _irredundant(rows, greedy)
+        assert kept == [g for g in greedy if g in kept], name  # a subset, in order
+        assert len(_bfs_closure(rows, kept)) == n, name
+        for g in kept:
+            assert len(_bfs_closure(rows, [h for h in kept if h != g])) < n, (name, g)
+        dropped += len(greedy) - len(kept)
+    assert dropped > 0
+
+
+def _c2_times_loop():
+    """C2 x L for a non-associative loop L of order 5, the pair (h, l) at
+    index 5 h + l.  Index 5 = (1, 0) lies in the middle nucleus, the a with
+    (x a) y = x (a y) for all x, y, but does not generate the table."""
+    L = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 1, 0], [3, 4, 0, 2, 1], [4, 2, 1, 0, 3]]
+    return [[5 * ((a // 5 + b // 5) % 2) + L[a % 5][b % 5] for b in range(10)] for a in range(10)]
+
+
+def _passes_light_test(rows, gens):
+    return all(rows[rows[x][a]][y] == rows[x][rows[a][y]]
+               for a in gens for x in range(len(rows)) for y in range(len(rows)))
+
+
+def test_a_loop_whose_greedy_set_has_a_redundant_member_is_not_associative():
+    rows = _c2_times_loop()
+    greedy = _greedy_generators(rows, range(1, 10))
+    assert greedy == [1, 2, 5] and _irredundant(rows, greedy) == [2, 5]
+    # Light's test over a set that does not generate would accept the table
+    assert _passes_light_test(rows, [5]) and len(_bfs_closure(rows, [5])) == 2
+    with pytest.raises(ValueError) as exc:
+        FiniteGroup(rows)
+    assert str(exc.value) == "table is not associative"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(["decide", "--group", json.dumps({"table": rows}),
+                        "--alpha", json.dumps({"map": [0] * 10}),
+                        "--K", "2^2", "--L", "2^6", "--sigma", "1"])
+    assert (code, out.getvalue()) == (cli.EXIT_DOMAIN, "")
+    assert json.loads(err.getvalue()) == {"error": "ValueError", "message": "table is not associative"}
 
 
 @pytest.mark.parametrize("row", [
@@ -659,6 +712,33 @@ def test_s3_fourth_power_tower_through_the_cli():
     P = sylow_subgroup(G, 2)
     conjugates = {tuple(sorted(G.conj(n, x) for x in P.elements)) for n in steps[0]["N"]}
     assert tuple(steps[0]["Gp"]) == min(conjugates)
+
+
+S4_S4_GENS = [[[0, 1]], [[0, 1, 2, 3]], [[4, 5]], [[4, 5, 6, 7]]]
+
+
+@pytest.mark.parametrize("gens,closures", [
+    pytest.param(S4_S4_GENS + [[[8, 9]], [[8, 9, 10]]], 7944, id="S4xS4xS3"),
+    pytest.param(S4_S4_GENS + [[[8, 9]], [[10, 11]], [[12, 13]]], 12537, id="S4xS4xC2^3"),
+])
+def test_tower_closure_count_stays_at_its_guard(monkeypatch, gens, closures):
+    # the supplement search lifts an irredundant generating set of G/N,
+    # taken by descending element order; lifting a greedy generating set
+    # of G modulo N, in index order, took these towers 51,744 and 413,971
+    from skewgalois import groups
+
+    calls = 0
+    closure = groups._bfs_closure
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return closure(*args, **kwargs)
+
+    G = from_permutations(gens)
+    monkeypatch.setattr(groups, "_bfs_closure", counted)
+    assert solvable_tower(G)[-1].Gp.order == 1
+    assert calls <= closures
 
 
 def test_shafarevich_step_never_scans_all_subgroups(monkeypatch):
