@@ -82,7 +82,7 @@ class EmbeddingProblem:
     """An epimorphism alpha : G -> Gal(L/K), codomain encoded as C_[L:K]
     with index 1 the relative Frobenius."""
 
-    __slots__ = ("G", "ext", "alpha", "_kernel_nilpotent")
+    __slots__ = ("G", "ext", "alpha")
 
     def __init__(self, G: FiniteGroup, ext: FFGaloisExt, alpha: GroupHom):
         if alpha.domain != G:
@@ -98,7 +98,6 @@ class EmbeddingProblem:
         self.G = G
         self.ext = ext
         self.alpha = alpha
-        self._kernel_nilpotent: bool | None = None
 
     @property
     def degree(self) -> int:
@@ -112,9 +111,7 @@ class EmbeddingProblem:
         return self.alpha.kernel()
 
     def kernel_is_nilpotent(self) -> bool:
-        if self._kernel_nilpotent is None:
-            self._kernel_nilpotent = is_nilpotent(self.kernel().as_group("ker"))
-        return self._kernel_nilpotent
+        return is_nilpotent(self.G, self.kernel().elements)
 
     def __repr__(self) -> str:
         return f"EmbeddingProblem({self.G.name} -> Gal({self.ext!r}))"

@@ -23,8 +23,9 @@ generators wherever a property is closed under products:
 - A semidirect product checks that action[h] is an automorphism and that
   action[h h'] = action[h] action[h'] only for h in a generating set of H.
 - Normal closures and normality conjugate only by generators of the
-  group, and the derived and lower central series form [A, B] as the
-  normal closure of the commutators of generators of A and B.
+  group, and the derived series forms [A, A] as the normal closure of the
+  commutators of generators of A.  Nilpotency needs no closure: it is
+  read from element orders, by counting the elements of p-power order.
 - The reduction step finds its supplement G' by a depth-first search over
   lifts g_i n_i (n_i in N) of a generating set g_1..g_k of G/N, pruned by
   the order of the best proper supplement found so far (the lifting
@@ -616,16 +617,14 @@ def conjugation_action(G: FiniteGroup, N: Subgroup, H: Subgroup) -> list[tuple]:
 # -- structural predicates ------------------------------------------------------
 
 
-def _commutator_series_end(G: FiniteGroup, lower_central: bool) -> tuple[int, ...]:
-    """The last term of the derived series (A_{i+1} = [A_i, A_i]) or of the
-    lower central series (A_{i+1} = [G, A_i]).  For normal A and B, [A, B]
-    is the normal closure of the commutators of generators of A and B:
-    modulo that closure the generators commute, and so do A and B."""
+def _derived_series_end(G: FiniteGroup) -> tuple[int, ...]:
+    """The last term of the derived series A_{i+1} = [A_i, A_i].  For normal
+    A, [A, A] is the normal closure of the commutators of generators of A:
+    modulo that closure the generators commute, and so does A."""
     current = tuple(range(G.order))
     gens = G.generators()
     while True:
-        left = G.generators() if lower_central else gens
-        nxt = G.normal_closure({G.commutator(a, b) for a in left for b in gens})
+        nxt = G.normal_closure({G.commutator(a, b) for a in gens for b in gens})
         if nxt == current:
             return current
         current = nxt
@@ -634,12 +633,17 @@ def _commutator_series_end(G: FiniteGroup, lower_central: bool) -> tuple[int, ..
 
 def is_solvable(G: FiniteGroup) -> bool:
     """Derived series reaches the trivial subgroup."""
-    return _commutator_series_end(G, False) == (0,)
+    return _derived_series_end(G) == (0,)
 
 
-def is_nilpotent(G: FiniteGroup) -> bool:
-    """Lower central series reaches the trivial subgroup."""
-    return _commutator_series_end(G, True) == (0,)
+def is_nilpotent(G: FiniteGroup, elements: tuple[int, ...] | None = None) -> bool:
+    """Whether G, or its subgroup H with the given elements, is nilpotent:
+    for each p, whether H has |H|_p elements of p-power order.  Those form
+    the union of the Sylow p-subgroups, so this holds exactly when each
+    Sylow subgroup is unique, that is normal.  Reads element orders only."""
+    orders = list(map(G.element_order, range(G.order) if elements is None else elements))
+    return all(sum(q % o == 0 for o in orders) == q
+               for q in (p ** k for p, k in factorize(len(orders))))
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -655,10 +659,8 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         for g in range(1, G.order):
             if g in elems:
                 continue
-            o = G.element_order(g)
-            fac = factorize(o)
-            if len(fac) != 1 or fac[0][0] != p:
-                continue
+            if target % G.element_order(g):
+                continue  # not a p-element
             # g must normalize the current p-subgroup for <P, g> to stay a p-group
             if all(G.conj(g, x) in elems for x in elems):
                 new = set(G.closure(elems | {g}))

@@ -3,8 +3,10 @@
 Each criterion function returns {"name", "passed", "details"}; the CLI
 selftest verb aggregates them and the acceptance test module asserts each
 one individually.  Oracles here are deliberately independent of the code
-paths they check (commutator closures for group predicates, resolvent
-formulas for quartic Galois groups, residue scans for levels).
+paths they check (the largest normal subgroup passing the Sylow-count
+nilpotency test for the Fitting subgroup, N x| G' built as a table for the
+reduction step, resolvent formulas for quartic Galois groups, residue
+scans for levels).
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def criterion_5() -> dict:
     instances = 0
     for name, G in catalog_upto(16):
         for e, images, N in _cyclic_quotient_epis(G):
-            if not is_nilpotent(N.as_group()):
+            if not is_nilpotent(G, N.elements):
                 continue
             for K in base_fields:
                 key = (K.p, K.n, e)
@@ -302,11 +304,8 @@ def criterion_5() -> dict:
 
 
 def _brute_fitting(G: FiniteGroup) -> tuple[int, ...]:
-    best: tuple[int, ...] = (0,)
-    for N in G.all_normal_subgroups():
-        if is_nilpotent(N.as_group()) and N.order > len(best):
-            best = N.elements
-    return best
+    """The largest normal subgroup that passes the nilpotency test."""
+    return max((N.elements for N in G.all_normal_subgroups() if is_nilpotent(G, N.elements)), key=len)
 
 
 def reduction_step_failure(step: ReductionStep) -> str | None:
@@ -338,7 +337,7 @@ def criterion_6() -> dict:
             reason = reduction_step_failure(step)
             if reason:
                 return _fail("criterion_6", f"{reason} on {name}")
-            if not is_nilpotent(step.N.as_group()):
+            if not is_nilpotent(step.group, step.N.elements):
                 return _fail("criterion_6", f"N not nilpotent on {name}")
             if step.Gp.order >= step.group.order > 1 and not is_nilpotent(step.group):
                 return _fail("criterion_6", f"G' not proper on {name}")

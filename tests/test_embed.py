@@ -147,7 +147,7 @@ def test_split_flag_matches_find_section_on_criterion_5_problems():
     seen = set()
     for _, G in catalog_upto(16):
         for e, images, N in _cyclic_quotient_epis(G):
-            if not is_nilpotent(N.as_group()):
+            if not is_nilpotent(G, N.elements):
                 continue
             for p, nk in ((2, 1), (2, 2), (3, 2)):
                 ep = problem_from_quotient(ext(p, nk, nk * e), G, images)
@@ -156,6 +156,37 @@ def test_split_flag_matches_find_section_on_criterion_5_problems():
                     assert v.split == (find_section(ep) is not None)
                     seen.add(v.split)
     assert seen == {True, False}
+
+
+def test_decide_builds_no_second_table(monkeypatch):
+    # the kernel check reads G's element orders, so ker alpha never gets a
+    # table of its own: the criterion-5 verdicts hold with as_group refused
+    from skewgalois.catalog import catalog_upto
+    from skewgalois.groups import Subgroup
+    from skewgalois.selftest import _cyclic_quotient_epis
+
+    split = [(ext(p, nk, nk * e), G, images)
+             for _, G in catalog_upto(16)
+             for e, images, N in _cyclic_quotient_epis(G) if is_nilpotent(G, N.elements)
+             for p, nk in ((2, 1), (2, 2), (3, 2))
+             if find_section(problem_from_quotient(ext(p, nk, nk * e), G, images)) is not None]
+
+    def verdicts():  # on new problems, so that nothing is carried over
+        return [decide_sigma_solvability(problem_from_quotient(E, G, images), FieldAut(E.K, s))
+                for E, G, images in split for s in range(E.K.n)]
+
+    before = [v.to_json() for v in verdicts()]
+
+    def refuse(self, name="H"):
+        raise AssertionError("decide built a table for a subgroup")
+
+    monkeypatch.setattr(Subgroup, "as_group", refuse)
+    after = verdicts()
+    assert [v.to_json() for v in after] == before
+    assert [v.status for v in after] == [
+        "SOLVABLE" if math.gcd(FieldAut(E.K, s).order, E.degree) == 1 else "UNSOLVABLE"
+        for E, _, _ in split for s in range(E.K.n)]
+    assert len(after) > 100
 
 
 def test_decide_nonsplit_solvable_case():
@@ -173,20 +204,14 @@ def test_decide_q8_problem():
     # Q8 -> C2 with kernel C4: non-split, still decided by the witnesses
     e3 = ext(3, 1, 2)  # [L:K] = 2 over F_3, Aut(K) trivial: sigma = id
     Q8 = dicyclic_group(2)
-    # kernel = <a> of order 4: map a^i b^e -> e; Q8 indices: (i, e) -> order?
-    # dicyclic normal form: elements (i, e), i < 4, e < 2, index via from_elements order
-    images = []
-    for idx in range(8):
-        # reconstruct the normal form from the constructor's element order
-        images.append(None)
-    # simpler: use the projection with kernel = the unique cyclic subgroup of order 4
+    # the projection whose kernel is a cyclic subgroup of order 4
     cyc4 = next(s for s in Q8.all_subgroups() if s.order == 4
                 and all(Q8.element_order(g) in (1, 2, 4) for g in s.elements)
                 and len([g for g in s.elements if Q8.element_order(g) == 4]) == 2)
     ker = set(cyc4.elements)
     images = [0 if g in ker else 1 for g in range(8)]
     ep = problem_from_quotient(e3, Q8, images)
-    assert not ep.kernel_is_nilpotent() or ep.kernel_is_nilpotent()
+    assert ep.kernel_is_nilpotent()
     v = decide_sigma_solvability(ep, frobenius(e3.K, 0))
     assert v.status == "SOLVABLE"  # identity sigma: d = 1
 
@@ -251,7 +276,7 @@ def test_non_split_problems_are_solvable_exactly_when_coprime():
     # sigma = Frobenius of F_2^d has order d; d e <= 64 keeps L under the cap
     decided = 0
     for name, G, e, images, N in _catalog_cyclic_problems():
-        if not is_nilpotent(N.as_group()):
+        if not is_nilpotent(G, N.elements):
             continue
         if find_section(problem_from_quotient(ext(2, 1, e), G, images)) is not None:
             continue

@@ -21,7 +21,7 @@ from skewgalois.groups import (
     GroupHom,
     Subgroup,
     _bfs_closure,
-    _commutator_series_end,
+    _derived_series_end,
     _greedy_generators,
     _irredundant,
     _perm_compose,
@@ -278,12 +278,18 @@ def _oracle_groups():
 
 @pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _oracle_groups()])
 def test_commutator_series_match_all_pairs_oracles(G):
-    lower_central_end = _brute_lower_central_end(G)
     derived_end = _brute_derived_closure(G)
-    assert _commutator_series_end(G, True) == lower_central_end
-    assert _commutator_series_end(G, False) == derived_end
-    assert is_nilpotent(G) == (lower_central_end == (0,))
+    assert _derived_series_end(G) == derived_end
+    assert is_nilpotent(G) == (_brute_lower_central_end(G) == (0,))
     assert is_solvable(G) == (derived_end == (0,))
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _oracle_groups()])
+def test_is_nilpotent_on_subgroups_matches_lower_central_oracle(G):
+    # every subgroup, normal or not, read in G's own table against the
+    # lower central series of its standalone table
+    for H in G.all_subgroups(G.order.bit_length()):
+        assert is_nilpotent(G, H.elements) == (_brute_lower_central_end(H.as_group()) == (0,)), H
 
 
 @pytest.mark.parametrize("G", [pytest.param(G, id=name) for name, G in _oracle_groups()])
