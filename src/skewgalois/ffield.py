@@ -19,7 +19,10 @@ field becomes; no operation tests the tier.  Up to the log-table limit (a
 _LogField) the int is the discrete log to a generator g (-1 for zero):
 products, inverses and powers are integer operations on logs, a sum is one
 lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k multiplies
-a log by p^k mod (q - 1).  Past the limit (a _PackedField) the int is the
+a log by p^k mod (q - 1).  For p = 2 such a field also converts lists of
+logs to and from bit rows, one int with a coefficient's index in each
+16-bit slot, on which orepoly runs its kernels: a sum there is XOR and
+c * b is F_2-linear in b.  Past the limit (a _PackedField) the int is the
 packed coefficient vector in modpoly's F_p[x]/(modulus) of byte-wide
 slots, so a product is one int product and its _reduce (the high slots
 folded back through the modulus's _fold table, every slot taken mod p with
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import add, mul
+from struct import pack, unpack
 
 from . import modpoly
 from .zarith import factorize, is_prime
@@ -52,11 +56,14 @@ class FqField(modpoly.QuotientRing):
     least irreducible monic modulus of degree n.  Its order fixes its tier,
     the subclass holding the arithmetic on element ints (_add, _neg, _mul,
     _inv, _power, _frob), their conversions and the Ore kernels' vector
-    steps (_twist, _addmul, _settle); a new field is _Unfinished."""
+    steps (_twist, _addmul, _settle), or for a log-tier field of
+    characteristic 2 (_bit_rows) the bit-row conversions (_row, _unrow) and
+    the logs _xlogs[j][i] of frob^j(x^i); a new field is _Unfinished."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
-                 "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols")
+                 "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols",
+                 "_bit_rows", "_xlogs")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
@@ -179,6 +186,12 @@ class _LogField(FqField):
         self._zech = [log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
         self._antilog = antilog
         self._log = log
+        # over F_2 the Ore kernels run on bit rows (see _row), which read
+        # the logs of frob^j(x^i) = x^(i 2^j), an n by n table
+        self._bit_rows = p == 2
+        if p == 2:
+            xlogs = [log[1 << i] for i in range(self.n)]
+            self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
 
     def _powers_of(self, g: int) -> list[int]:
         """The indices of g^k for 0 <= k < q - 1, for n >= 2.
@@ -302,6 +315,18 @@ class _LogField(FqField):
 
     _settle_v = _settle
 
+    # -- bit rows, for p = 2 ---------------------------------------------------
+
+    def _row(self, v) -> int:
+        """The bit row of the logs v: one int holding the index of v[j], its
+        coefficient bits, in the 16-bit slot j (n <= 15 in this tier)."""
+        return int.from_bytes(pack(f"<{len(v)}H", *map(self._antilog.__getitem__, v)), "little")
+
+    def _unrow(self, row: int, size: int) -> list[int]:
+        """The logs of the first size slots of a bit row."""
+        slots = unpack(f"<{size}H", row.to_bytes(2 * size, "little"))
+        return list(map(self._log.__getitem__, slots))
+
 
 class _PackedField(FqField):
     """A field past the log-table limit, whose element ints are packed
@@ -312,6 +337,7 @@ class _PackedField(FqField):
     def _finish(self) -> None:
         self._zero_v, self._one_v = 0, 1
         self._frob_cols: dict[int, tuple] = {}
+        self._bit_rows = False
 
     _vec_v = modpoly.QuotientRing._pack
 

@@ -33,11 +33,24 @@ the division kernel and, for the cofactor s_(i+1) = s_(i-1) - q_i s_i, the
 accumulating multiplication kernel once per step.  Only s is kept: the lcm
 is s*f, and the witness divides that multiple by the second input on the
 right, exactly.
+
+Log-tier fields of characteristic 2, F_2 to F_2^15, run the product, the
+division and the chain on bit rows instead, chosen once per field
+(FqField._bit_rows): a polynomial packed into one int, 16 bits per
+coefficient, on which a sum is one XOR and c * tau^l(row) is n bit slices
+of the row, each times the index of one c * tau^l(x^i), so a term costs
+2n operations on the whole row instead of one Zech lookup per coefficient
+(the word-packed GF(2) vectors of M4RI: Albrecht, Bard and Hart, ACM TOMS
+36(1), 2010).  The chain keeps its remainders and its cofactor as rows
+from entry to exit.  Odd characteristic has no such XOR, so the odd-p log
+fields and the packed tier keep the one list-kernel pair.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
+from operator import mul, xor
 
 from .ffield import FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
 from .modpoly import _ACC_TERMS
@@ -284,6 +297,8 @@ def _mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
     """f*g, or minus - f*g when a settled minus is given.  Rows are added
     into the output unsettled, and the output is settled once at the end
     and once per _ACC_TERMS rows of f before that."""
+    if F._bit_rows:
+        return _row_mul(F, k, f, g, minus)
     zero, addmul, settle = F._zero_v, F._addmul, F._settle
     period = F.n // gcd(F.n, k)
     twisted = [F._twist(k * l, g) for l in range(min(period, len(f)))]
@@ -303,6 +318,8 @@ def _right_divmod(F: FqField, k: int, f, g):
     """Quotient and remainder of f by g on the right.  Each step settles
     only the leading remainder coefficient; the remainder is settled at the
     end, and once per _ACC_TERMS steps before that."""
+    if F._bit_rows:
+        return _row_right_divmod(F, k, f, g)
     d, zero = len(g) - 1, F._zero_v
     addmul, settle, settle_v, mul = F._addmul, F._settle, F._settle_v, F._mul
     # tau^m of g_0 .. g_(d-1) and of g_d^{-1}, which is tau^m(g_d)^{-1}
@@ -337,6 +354,8 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
     step updates s_(i+1) = s_(i-1) - q_i s_i in one kernel call; t is never
     formed."""
     F, k = f.ring.base, f.ring.twist.k
+    if F._bit_rows:
+        return _row_euclid(F, k, f.v, g.v, cofactor)
     a, b, zero = f.v, g.v, F._zero_v
     s0, s1 = [F._one_v], []
     while b:
@@ -347,6 +366,100 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
             s0, s1 = s1, _mul(F, k, q, s1, s0) if q and s1 else s0
         a, b = b, _trim(r, zero)
     return a, s1
+
+
+# -- the kernels on bit rows, for p = 2 ------------------------------------------
+#
+# Over F_2 a sum is XOR, and c*b is F_2-linear in b.  A bit row (F._row)
+# packs a polynomial into one int, coefficient j as its index in the 16-bit
+# slot j, so a sum of polynomials is one XOR, exact with nothing to settle.
+# With ones the int that has bit 0 of every slot set, slice i of a row,
+# (row >> i) & ones, holds bit i of every coefficient, and
+#
+#     c * tau^l(row) = XOR over i of slice_i * index(c * frob^j(x^i))
+#
+# for frob^j = tau^l.  The n slices of a row are cut once and serve every
+# multiplier and every twist, so each term of a product or a division is
+# n small-int lookups and 2n operations on the whole row, however long.
+
+
+def _ones(size: int) -> int:
+    return int.from_bytes(b"\1\0" * size, "little")
+
+
+def _slots(row: int) -> int:
+    return row.bit_length() + 15 >> 4
+
+
+def _slices(F: FqField, row: int, ones: int) -> list[int]:
+    return [row >> i & ones for i in range(F.n)]
+
+
+def _cols(F: FqField, c: int, j: int) -> list[int]:
+    """The indices of c * frob^j(x^i), i < n, for the nonzero log c."""
+    q1, antilog = F._q1, F._antilog
+    return [antilog[(c + t) % q1] for t in F._xlogs[j]]
+
+
+def _row_addmul(terms, slices) -> int:
+    """The sum of c T^m * row over the terms (m, c, cols), cols those of c
+    and the twist of T^m, for the slices of row."""
+    out = 0
+    for m, _, cols in terms:
+        out ^= reduce(xor, map(mul, slices, cols)) << 16 * m
+    return out
+
+
+def _row_divide(F: FqField, k: int, r: int, b: int, ones: int) -> tuple[list, int]:
+    """Right division of the row r by the nonzero row b: the terms (m, c,
+    cols) of the quotient, c a nonzero log, and the remainder row.  Each
+    step cancels the top coefficient of r exactly."""
+    n, q1, log, powers = F.n, F._q1, F._log, F._powers
+    d = _slots(b) - 1
+    lead, slices, terms = log[b >> 16 * d], _slices(F, b, ones), []
+    while (top := r.bit_length() - 1 >> 4) >= d:
+        m = top - d
+        j = k * m % n
+        # c = r_top / frob^j(b_d)
+        c = (log[r >> 16 * top] - lead * powers[j]) % q1
+        cols = _cols(F, c, j)
+        r ^= reduce(xor, map(mul, slices, cols)) << 16 * m
+        terms.append((m, c, cols))
+    return terms, r
+
+
+def _row_mul(F: FqField, k: int, f, g, minus) -> list[int]:
+    """_mul on bit rows; minus - f*g is minus + f*g."""
+    terms = [(l, a, _cols(F, a, k * l % F.n)) for l, a in enumerate(f) if a >= 0]
+    out = _row_addmul(terms, _slices(F, F._row(g), _ones(len(g))))
+    size = len(f) + len(g) - 1
+    if minus is not None:
+        out ^= F._row(minus)
+        size = max(size, len(minus))
+    return F._unrow(out, size)
+
+
+def _row_right_divmod(F: FqField, k: int, f, g):
+    """_right_divmod on bit rows."""
+    terms, r = _row_divide(F, k, F._row(f), F._row(g), _ones(len(g)))
+    q = [F._zero_v] * max(0, len(f) - len(g) + 1)
+    for m, c, _ in terms:
+        q[m] = c
+    return q, F._unrow(r, min(len(f), len(g) - 1))
+
+
+def _row_euclid(F: FqField, k: int, f, g, cofactor: bool) -> tuple[list, list]:
+    """_euclid on bit rows: the remainders and the cofactor stay rows from
+    entry to exit."""
+    ones = _ones(len(f) + len(g))
+    a, b = F._row(f), F._row(g)
+    s0, s1 = 1, 0  # the rows of 1 and 0
+    while b:
+        terms, r = _row_divide(F, k, a, b, ones)
+        if cofactor:
+            s0, s1 = s1, s0 ^ _row_addmul(terms, _slices(F, s1, ones))
+        a, b = b, r
+    return F._unrow(a, _slots(a)), F._unrow(s1, _slots(s1))
 
 
 def ore_right_gcd(f: OrePoly, g: OrePoly) -> OrePoly:

@@ -1,7 +1,7 @@
 import random
 
-import ore_reference
 import pytest
+from ore_reference import RawRing
 from tuple_field import TupleField
 
 from skewgalois.ffield import _LogField, _PackedField, embed_subfield, frobenius, make_field
@@ -366,76 +366,7 @@ def _tier(F):
 
 
 # the log-tier fields, up to the boundary F_2^15 of order exactly _LOG_TABLE_MAX
-LOG_TIER_FIELDS = [(2, 4), (3, 3), (2, 8), (5, 4), (7, 2), (2, 14), (2, 15)]
-
-
-class RawRing:
-    """Schoolbook L[T, frob^k] on coefficient tuples (lists, ascending, no
-    trailing zeros), on the test-local TupleField, so it shares no code with
-    the kernels on element ints."""
-
-    def __init__(self, F, k):
-        self.F, self.k = TupleField(F), k
-        self.zero = self.F.zero
-        self._frob: dict = {}
-
-    def add(self, a, b):
-        return self.F.add(a, b)
-
-    def sub(self, a, b):
-        return self.F.sub(a, b)
-
-    def mul(self, a, b):
-        return self.F.mul(a, b)
-
-    def inv(self, a):
-        return self.F.inv(a)
-
-    def tau(self, l, a):
-        """tau^l(a) = a^(p^(k l mod n)), memoized."""
-        e = self.F.p ** (self.k * l % self.F.n)
-        if (e, a) not in self._frob:
-            self._frob[e, a] = self.F.pow(a, e)
-        return self._frob[e, a]
-
-    def trim(self, f):
-        f = list(f)
-        while f and f[-1] == self.zero:
-            f.pop()
-        return f
-
-    def ore_mul(self, f, g):
-        if not f or not g:
-            return []
-        out = [self.zero] * (len(f) + len(g) - 1)
-        for l, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[l + j] = self.add(out[l + j], self.mul(a, self.tau(l, b)))
-        return self.trim(out)
-
-    def right_divmod(self, f, g):
-        d = len(g) - 1
-        r, q = list(f), [self.zero] * max(0, len(f) - d)
-        while len(r) > d:
-            m = len(r) - 1 - d
-            c = self.mul(r[-1], self.inv(self.tau(m, g[-1])))
-            q[m] = c
-            for i, b in enumerate(g):
-                r[m + i] = self.sub(r[m + i], self.mul(c, self.tau(m, b)))
-            r = self.trim(r)
-        return self.trim(q), r
-
-    def left_divmod(self, f, g):
-        d = len(g) - 1
-        r, q = list(f), [self.zero] * max(0, len(f) - d)
-        while len(r) > d:
-            m = len(r) - 1 - d
-            c = self.tau(-d, self.mul(self.inv(g[-1]), r[-1]))
-            q[m] = c
-            for i, b in enumerate(g):
-                r[m + i] = self.sub(r[m + i], self.mul(b, self.tau(i, c)))
-            r = self.trim(r)
-        return self.trim(q), r
+LOG_TIER_FIELDS = [(2, 1), (2, 2), (2, 4), (3, 3), (2, 8), (5, 4), (7, 2), (2, 14), (2, 15)]
 
 
 def _nonzero(F, rng):
@@ -602,10 +533,11 @@ def _check_minus_product(ring, ref, f, g, prod, acc):
     assert _tuples(_from_ints(ring, _mul(F, k, *V))) == want, len(acc)
 
 
-@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 5), (3, 3, 1), (7, 1, 0)])
+@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 5), (3, 3, 1), (7, 1, 0),
+                                   (2, 8, 1), (2, 1, 0)])
 def test_accumulating_mul_kernel(p, n, k):
     # acc - f*g in one kernel call, against the tuple reference, for acc
-    # shorter than f*g, as long and longer, in both tiers
+    # shorter than f*g, as long and longer, in both tiers and on bit rows
     F = make_field(p, n)
     ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
     rng = random.Random(p * 5000 + n + k)
@@ -634,22 +566,25 @@ def test_accumulating_mul_kernel_at_the_slot_bound(p, n, k):
     _check_minus_product(ring, ref, dense, dense, prod, _sparse(F, rng, len(prod) + 3))
 
 
-# -- the Euclidean chains on ints against the OrePoly-level reference ---------
+# -- the Euclidean chains on ints against the chains of the tuple reference ----
 
 CHAIN_FIELDS = [(2, 1), (7, 1), (2, 4), (3, 3), (5, 4), (2, 14), (2, 16), (3, 12)]
 
 
 def _check_chains(f, g):
-    assert ore_right_gcd(f, g) == ore_reference.right_gcd(f, g)
-    assert ore_left_lcm(f, g) == ore_reference.left_lcm(f, g)
+    ref = RawRing(f.ring.base, f.ring.twist.k)
+    a, b = _tuples(f), _tuples(g)
+    assert _tuples(ore_right_gcd(f, g)) == ref.right_gcd(a, b)
+    assert _tuples(ore_left_lcm(f, g)) == ref.left_lcm(a, b)
     r, s = ore_witness(f, g)
-    assert (r, s) == ore_reference.witness(f, g)
+    assert (_tuples(r), _tuples(s)) == ref.witness(a, b)
+    assert _tuples(anti_involution(f)) == ref.anti_involution(a)
 
 
 @pytest.mark.parametrize("p,n", CHAIN_FIELDS)
 def test_euclid_chains_match_the_orepoly_reference(p, n):
-    # gcd, lcm and both witness polynomials equal to those of the chain on
-    # whole polynomials with both cofactors, for every twist
+    # gcd, lcm and both witness polynomials equal to those of the schoolbook
+    # chain on coefficient tuples with both cofactors, for every twist
     F = make_field(p, n)
     rng = random.Random(p * 6000 + n)
     for k in range(n):
@@ -671,17 +606,20 @@ def test_euclid_chains_match_the_orepoly_reference(p, n):
         for a, b in cases:
             _check_chains(a, b)
         assert ore_right_gcd(cases[5][0], cases[5][1]).degree >= 2
-        assert ore_right_gcd(f, ring.zero()) == ore_reference.right_gcd(f, ring.zero())
-        assert ore_right_gcd(ring.zero(), g) == ore_reference.right_gcd(ring.zero(), g)
+        ref = RawRing(F, k)
+        assert _tuples(ore_right_gcd(f, ring.zero())) == ref.right_gcd(_tuples(f), [])
+        assert _tuples(ore_right_gcd(ring.zero(), g)) == ref.right_gcd([], _tuples(g))
 
 
-@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 1)])
+@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 1), (2, 14, 0), (2, 15, 1)])
 def test_euclid_chains_with_long_quotients(p, n, k):
     # r_0 = q_1 r_1 + r_2, r_1 = q_2 r_2 + r_3, r_2 = q_3 r_3 with q_i of
     # 2 _ACC_TERMS + 7 nonzero terms, every slot of q_1 and q_3 at p - 1 and
     # of q_2 at 1: in the cofactor update s_4 = 1 - q_3 s_3 with s_3 = -q_2,
     # every slot product is at its largest, and the sums carry into the next
-    # slot unless the accumulating kernel reduces them on the way
+    # slot unless the accumulating kernel reduces them on the way.  On the
+    # bit rows of F_2^14 and F_2^15 the cofactor rows pass 100 coefficients,
+    # where a wrong slot shift or row length would show.
     F = make_field(p, n)
     ring = OreRing(F, frobenius(F, k))
     deg = 2 * _ACC_TERMS + 6

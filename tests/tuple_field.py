@@ -132,6 +132,9 @@ class TupleField:
         self.modulus = list(F.modulus)
         self.zero = (0,) * self.n
         self.one = (1,) + (0,) * (self.n - 1)
+        # x^i mod the modulus for n <= i <= 2n - 2, the high terms of a product
+        self._high = [self._pad(divmod_poly([0] * i + [1], self.modulus, self.p)[1])
+                      for i in range(self.n, 2 * self.n - 1)]
 
     def _pad(self, f):
         return tuple(f + [0] * (self.n - len(f)))
@@ -146,8 +149,20 @@ class TupleField:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        prod = mul(list(a), list(b), self.p)
-        return self._pad(divmod_poly(prod, self.modulus, self.p)[1])
+        """The schoolbook product, its terms of degree n and up folded back
+        through _high, taken mod p once at the end."""
+        n = self.n
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        low = prod[:n]
+        for c, row in zip(prod[n:], self._high):
+            if c:
+                for i, r in enumerate(row):
+                    low[i] += c * r
+        return tuple(c % self.p for c in low)
 
     def inv(self, a):
         d, _, t = xgcd(self.modulus, list(a), self.p)
