@@ -31,12 +31,20 @@ applied as cached packed columns; sums and negation work slotwise.  An
 inverse is Itoh and Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes
 about 2 log2(n) Frobenius maps and products, and the norm a^r is a
 constant, inverted in F_p.
+
+A polynomial's JSON coefficients convert once per polynomial, by the tier,
+both ways (_vs_of, _coeff_lists).  For p < 256 a list of coefficient
+lists, each of at most n digits in 0..p-1, is checked all at once; bare
+ints, FqElems, digits out of range, longer lists and p >= 256 take _v_of,
+one coefficient at a time.  A log-tier field reads digits off two tables,
+for the low and the high half of an index's digits: O(sqrt q) entries.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from operator import add, mul
 from struct import pack, unpack
 
@@ -56,14 +64,15 @@ class FqField(modpoly.QuotientRing):
     least irreducible monic modulus of degree n.  Its order fixes its tier,
     the subclass holding the arithmetic on element ints (_add, _neg, _mul,
     _inv, _power, _frob), their conversions and the Ore kernels' vector
-    steps (_twist, _addmul, _settle), or for a log-tier field of
+    steps (_twist, _addmul, _settle) and the conversions of whole
+    coefficient lists (_vec_vs, _coeff_lists), or for a log-tier field of
     characteristic 2 (_bit_rows) the bit-row conversions (_row, _unrow) and
     the logs _xlogs[j][i] of frob^j(x^i); a new field is _Unfinished."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
                  "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols",
-                 "_bit_rows", "_xlogs")
+                 "_bit_rows", "_xlogs", "_halves")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
@@ -132,7 +141,23 @@ class FqField(modpoly.QuotientRing):
             vec = [c % p for c in coeffs]
             if len(vec) > self.n:
                 vec = self._read(self._divmod(self._pack(vec), self._pack(self.modulus))[1])
-        return self._vec_v(vec)
+        return self._vec_vs((vec,))[0]
+
+    def _vs_of(self, coeffs) -> list[int]:
+        """The ints of a list of elements in the forms element() takes: by the
+        tier's _vec_vs when one check passes for the whole list (see the
+        module docstring), else by _v_of one element at a time."""
+        if not isinstance(coeffs, (list, tuple)):
+            coeffs = list(coeffs)  # read twice below
+        try:
+            whole = (self.p < 256 and max(map(len, coeffs), default=0) <= self.n
+                     and not bytes(chain.from_iterable(coeffs)).translate(None, bytes(range(self.p))))
+        except (TypeError, ValueError):  # an entry with no len, a digit not an int or past 255
+            whole = False
+        return self._vec_vs(coeffs) if whole else [self._v_of(c) for c in coeffs]
+
+    def _coeffs(self, v: int) -> tuple:
+        return tuple(self._coeff_lists((v,))[0])
 
 
 class _Unfinished(FqField):
@@ -186,6 +211,11 @@ class _LogField(FqField):
         self._zech = [log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
         self._antilog = antilog
         self._log = log
+        # the base-p digits of an index i < q are the h = n // 2 digits of
+        # i mod p^h, then those of i div p^h: two tables of O(sqrt q) lists
+        if self.n > 1:
+            h = self.n // 2
+            self._halves = tuple([self._digits(i)[:k] for i in range(p**k)] for k in (h, self.n - h))
         # over F_2 the Ore kernels run on bit rows (see _row), which read
         # the logs of frob^j(x^i) = x^(i 2^j), an n by n table
         self._bit_rows = p == 2
@@ -248,14 +278,23 @@ class _LogField(FqField):
                 return cand
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
-    def _vec_v(self, vec) -> int:
-        return self._log[sum(map(mul, vec, self._powers))]
+    def _vec_vs(self, vecs) -> list[int]:
+        """The logs of coefficient lists of at most n digits below p."""
+        log, powers = self._log, self._powers
+        return [log[sum(map(mul, c, powers))] for c in vecs]
 
     def _index_v(self, idx: int) -> int:
         return self._log[idx % self.order]
 
-    def _coeffs(self, v: int) -> tuple:
-        return tuple(self._digits(self._antilog[v]))
+    def _coeff_lists(self, vs) -> list[list[int]]:
+        """The length-n coefficient lists of the logs vs, each read off its
+        index as two halves of digits (see _finish)."""
+        idx = map(self._antilog.__getitem__, vs)
+        if self.n == 1:
+            return [[i] for i in idx]
+        lo, hi = self._halves
+        ph = len(lo)
+        return [lo[i % ph] + hi[i // ph] for i in idx]
 
     def _index(self, v: int) -> int:
         return self._antilog[v]
@@ -339,15 +378,16 @@ class _PackedField(FqField):
         self._frob_cols: dict[int, tuple] = {}
         self._bit_rows = False
 
-    _vec_v = modpoly.QuotientRing._pack
+    def _vec_vs(self, vecs) -> list[int]:
+        return list(map(self._pack, vecs))
 
     def _index_v(self, idx: int) -> int:
         idx %= self.order
         # a constant is its own packed form
         return idx if idx < self.p else self._pack(self._digits(idx))
 
-    def _coeffs(self, v: int) -> tuple:
-        return tuple(self._read(v))
+    def _coeff_lists(self, vs) -> list[list[int]]:
+        return list(map(list, map(self._read, vs)))
 
     def _index(self, v: int) -> int:
         return self._combine(v, self._powers)

@@ -163,10 +163,17 @@ class FiniteGroup:
             self._gens = tuple(gens)
         self.order = n
         self.table = rows
-        try:  # a monoid in which every element has a right inverse is a group
-            self.inv = tuple(row.index(0) for row in rows)
+        # a monoid in which every element has a right inverse is a group; in
+        # a finite one a b = 0 gives b a = 0, so a's scan also inverts b
+        inv = [None] * n
+        try:
+            for a, row in enumerate(rows):
+                if inv[a] is None:
+                    b = inv[a] = row.index(0)
+                    inv[b] = a
         except ValueError:
             _reject(rows)
+        self.inv = tuple(inv)
         self.name = name
         self._orders: tuple | None = None
         self._subgroup_cache: dict = {}

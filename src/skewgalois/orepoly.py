@@ -15,6 +15,8 @@ A polynomial is stored as the tuple of its coefficients' ints (FqElem.v,
 see ffield: logs up to the log-table limit, packed slots past it),
 ascending; the zero polynomial has an empty tuple, so equality is
 bit-exact.  FqElem objects are built only when a caller asks for `coeffs`.
+The constructor and to_json convert the whole coefficient list in one call
+of the base field's tier each way (FqField._vs_of and _coeff_lists).
 
 Every operation works on the ints.  Sums and negation apply the base
 field's _add and _neg coefficientwise.  Multiplication and right division
@@ -129,7 +131,7 @@ class OrePoly:
     def __init__(self, ring: OreRing, coeffs):
         base = ring.base
         self.ring = ring
-        self.v = _trim([base._v_of(c) for c in coeffs], base._zero_v)
+        self.v = _trim(base._vs_of(coeffs), base._zero_v)
 
     @property
     def coeffs(self) -> tuple:
@@ -209,7 +211,7 @@ class OrePoly:
         return {
             "base": F.descriptor(),
             "frob": self.ring.twist.k,
-            "coeffs": [list(F._coeffs(x)) for x in self.v],
+            "coeffs": F._coeff_lists(self.v),
         }
 
 

@@ -108,6 +108,8 @@ def test_trusted_tables_pass_the_table_checks(monkeypatch):
     for table in built:
         H = FiniteGroup(table)
         assert H.table == tuple(map(tuple, table))
+        # inverses found in pairs: the same as a scan of every row for 0
+        assert H.inv == tuple(row.index(0) for row in H.table)
 
 
 def test_a_supplied_group_table_is_accepted_without_the_permutation_scan(monkeypatch):

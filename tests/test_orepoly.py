@@ -2,7 +2,7 @@ import random
 
 import pytest
 from ore_reference import RawRing
-from tuple_field import TupleField
+from tuple_field import TupleField, divmod_poly
 
 from skewgalois.ffield import _LogField, _PackedField, embed_subfield, frobenius, make_field
 from skewgalois.modpoly import _ACC_TERMS
@@ -347,6 +347,45 @@ def test_json_roundtrip():
     assert data["base"] == "2^2" and data["frob"] == 1
     g = ore_poly_from_json(data)
     assert g == f
+
+
+def _ref_element(ref, c):
+    """The reduced coefficient tuple of an element given as an int or a list."""
+    return ref._pad(divmod_poly([c] if isinstance(c, int) else c, ref.modulus, ref.p)[1])
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (2, 14), (2, 15), (257, 1), (32749, 1),
+                                 (2, 16), (3, 12), (65537, 2)])
+def test_json_coefficient_lists_in_every_form(p, n):
+    # a polynomial's coefficients convert in one call per tier each way;
+    # every input form must give the ints of the per-coefficient _v_of and
+    # of a reference field on tuples, and to_json the reference digits
+    F = make_field(p, n)
+    ref, ring = TupleField(F), OreRing(F, frobenius(F, 1))
+    rng = random.Random(p * 1000 + n)
+    canonical = [[rng.randrange(p) for _ in range(rng.randrange(n + 1))] for _ in range(12)]
+    mixed = [5, -1, 255, 256, 10**24, [], [1], [p - 1, -1], [256] * n, [300], [-1], [256], [10**24],
+             [rng.randrange(-p, 2 * p) for _ in range(2 * n + 1)], [1] * (n + 1), [0, 1] * n]
+    # each list among canonical ones (all of them lists), and all mixed up
+    cases = [canonical + [[0] * n, []], rng.sample(mixed, len(mixed)) + [0, [], [0]],
+             [[300], [-1], [256]], [[0], []], []]
+    cases += [canonical[:4] + [c] + canonical[4:] for c in mixed + [[min(p, 255)], [1, p]]]
+    for coeffs in cases:
+        tuples = [_ref_element(ref, c) for c in coeffs]
+        while tuples and tuples[-1] == ref.zero:
+            tuples.pop()
+        want = tuple(F.from_index(ref.index(t)).v for t in tuples)
+        assert want == tuple(F._v_of(c) for c in coeffs)[:len(want)]
+        P = ore_poly_from_json({"base": f"{p}^{n}", "frob": 1, "coeffs": coeffs})
+        assert P.v == want and OrePoly(ring, coeffs).v == want
+        assert OrePoly(ring, iter(coeffs)).v == want  # an iterator, read once
+        assert P.to_json()["coeffs"] == [list(t) for t in tuples]
+        assert ore_poly_from_json(P.to_json()) == P
+    # FqElems and lists in one polynomial
+    assert ring.poly([F.gen(), [1], -1]).v == (F.gen().v, F._v_of(1), F._v_of(-1))
+    for bad in ([True], [[1, True]], [1.0], [[0, 1.0]], [[[1]]], [[0, [1]]]):
+        with pytest.raises(ValueError, match="with integer coefficients"):
+            ore_poly_from_json({"base": f"{p}^{n}", "frob": 1, "coeffs": bad})
 
 
 def test_mismatched_rings_rejected():
