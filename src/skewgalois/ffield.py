@@ -22,15 +22,19 @@ lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k multiplies
 a log by p^k mod (q - 1).  For p = 2 such a field also converts lists of
 logs to and from bit rows, one int with a coefficient's index in each
 16-bit slot, on which orepoly runs its kernels: a sum there is XOR and
-c * b is F_2-linear in b.  Past the limit (a _PackedField) the int is the
-packed coefficient vector in modpoly's F_p[x]/(modulus) of byte-wide
-slots, so a product is one int product and its _reduce (the high slots
-folded back through the modulus's _fold table, every slot taken mod p with
-no Python loop over the slots).  Frobenius powers are F_p-linear maps
-applied as cached packed columns; sums and negation work slotwise.  An
-inverse is Itoh and Tsujii's: for r = (q - 1) / (p - 1), a^(r-1) takes
-about 2 log2(n) Frobenius maps and products, and the norm a^r is a
-constant, inverted in F_p.
+c * b is F_2-linear in b.  For odd p below 256 it converts them to and
+from digit rows, one int with each base-p digit of each coefficient in a
+sub-slot of its own, where a sum is an int sum and c * b is F_p-linear in
+b; their tables are built on the first row call, and none is larger than
+the log tables (see _digit_tables).  Past the limit (a _PackedField) the
+int is the packed coefficient vector in modpoly's F_p[x]/(modulus) of
+byte-wide slots, so a product is one int product and its _reduce (the
+high slots folded back through the modulus's _fold table, every slot
+taken mod p with no Python loop over the slots).  Frobenius powers are
+F_p-linear maps applied as cached packed columns; sums and negation work
+slotwise.  An inverse is Itoh and Tsujii's: for r = (q - 1) / (p - 1),
+a^(r-1) takes about 2 log2(n) Frobenius maps and products, and the norm
+a^r is a constant, inverted in F_p.
 
 A polynomial's JSON coefficients convert once per polynomial, by the tier,
 both ways (_vs_of, _coeff_lists).  For p < 256 a list of coefficient
@@ -52,6 +56,7 @@ from . import modpoly
 from .zarith import factorize, is_prime
 
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
+_HIGH_BYTE = range(0, _LOG_TABLE_MAX, 256)  # 256 b for a high byte b of an index
 
 # Largest field order a descriptor may name.  The search for the least
 # irreducible modulus grows without bound in n, if slowly: 4-6 ms at 2^64,
@@ -65,14 +70,17 @@ class FqField(modpoly.QuotientRing):
     the subclass holding the arithmetic on element ints (_add, _neg, _mul,
     _inv, _power, _frob), their conversions and the Ore kernels' vector
     steps (_twist, _addmul, _settle) and the conversions of whole
-    coefficient lists (_vec_vs, _coeff_lists), or for a log-tier field of
-    characteristic 2 (_bit_rows) the bit-row conversions (_row, _unrow) and
-    the logs _xlogs[j][i] of frob^j(x^i); a new field is _Unfinished."""
+    coefficient lists (_vec_vs, _coeff_lists).  A log-tier field also has
+    the logs _xlogs[j][i] of frob^j(x^i) and the row conversions: for p = 2
+    (_bit_rows) to bit rows (_row, _unrow), for odd p below 256 to digit
+    rows (_drow, _dunrow), whose tables _digit_tables builds on the first
+    row call, and which the Ore kernels take from _drow_min coefficients
+    on.  A new field is _Unfinished."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
                  "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols",
-                 "_bit_rows", "_xlogs", "_halves")
+                 "_bit_rows", "_xlogs", "_halves", "_drow_min", "_dtab")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
@@ -216,12 +224,17 @@ class _LogField(FqField):
         if self.n > 1:
             h = self.n // 2
             self._halves = tuple([self._digits(i)[:k] for i in range(p**k)] for k in (h, self.n - h))
-        # over F_2 the Ore kernels run on bit rows (see _row), which read
-        # the logs of frob^j(x^i) = x^(i 2^j), an n by n table
+        # the Ore kernels run on rows: bit rows over F_2 (see _row); digit
+        # rows (see _digit_tables) for odd p below 256 and n <= 5, once the
+        # operand a kernel scales has _drow_min coefficients, 32, or 40 at
+        # n = 5 (the rule in orepoly's docstring).  Both read the logs of
+        # frob^j(x^i) = x^(i p^j), an n by n table
         self._bit_rows = p == 2
-        if p == 2:
-            xlogs = [log[1 << i] for i in range(self.n)]
-            self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
+        self._drow_min = (8 * max(self.n, 4) if p != 2 and p < 256 and self.n <= 5
+                          else math.inf)
+        self._dtab = None
+        xlogs = [log[e] for e in self._powers]  # x^i has index p^i
+        self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
 
     def _powers_of(self, g: int) -> list[int]:
         """The indices of g^k for 0 <= k < q - 1, for n >= 2.
@@ -366,6 +379,67 @@ class _LogField(FqField):
         slots = unpack(f"<{size}H", row.to_bytes(2 * size, "little"))
         return list(map(self._log.__getitem__, slots))
 
+    # -- digit rows, for odd p below 256 -----------------------------------------
+
+    def _digit_tables(self) -> tuple:
+        """The digit-row layout and tables, built on the first row call.
+
+        A digit row packs a polynomial into one int: coefficient j takes the
+        n sub-slots n j to n j + n - 1 of w bits, sub-slot n j + i holding
+        its base-p digit i.  A sum of rows is one int sum, and c times a row
+        adds at most n (p - 1)^2 to a sub-slot (see orepoly), so w is whole
+        bytes with room for a canonical digit plus _ACC_TERMS such sums, as
+        modpoly._layout sizes its slots: 16 bits for F_3^3 to F_7^5, 24 for
+        F_31^3.  The tuple holds w, the slot width s = n w, the digits of
+        the low and the high halves of an index as bytes (from _halves,
+        O(sqrt q) entries each), the packed digits of g^c for every log c
+        (q - 1 entries), the constant sum of p^i 2^(w (n - 1 - i)), which a
+        settled slot times puts the slot's index in its sub-slot n - 1, and
+        the fixed-point pair (m, k) of modpoly._layout, t // p = t m >> k for
+        every sub-slot t, which settles every third sub-slot by one multiply."""
+        if self._dtab is None:
+            p, n = self.p, self.n
+            bound = p - 1 + modpoly._ACC_TERMS * n * (p - 1) ** 2
+            w = -(-bound.bit_length() // 8) * 8
+            lo, hi = self._halves if n > 1 else ([[]], [[d] for d in range(p)])
+            h, ph = len(lo[0]), len(lo)
+            low = [sum(d << w * i for i, d in enumerate(ds)) for ds in lo]
+            high = [sum(d << w * i for i, d in enumerate(ds, h)) for ds in hi]
+            k = w + p.bit_length()
+            self._dtab = (
+                w, n * w,
+                [bytes(d) for d in lo], [bytes(d) for d in hi],
+                [low[a % ph] + high[a // ph] for a in self._antilog[:self._q1]],
+                sum(p**i << w * (n - 1 - i) for i in range(n)),
+                -(-(1 << k) // p), k,
+            )
+        return self._dtab
+
+    def _drow(self, v) -> int:
+        """The digit row of the logs v, canonical: the digits of every
+        index as one bytes object, read off the two halves, set every
+        (w/8)-th byte of a buffer."""
+        w, _, lo, hi = self._digit_tables()[:4]
+        idx = list(map(self._antilog.__getitem__, v))
+        ph = len(lo)
+        digits = b"".join(chain.from_iterable(zip(map(lo.__getitem__, map(ph.__rmod__, idx)),
+                                                  map(hi.__getitem__, map(ph.__rfloordiv__, idx)))))
+        step = w // 8
+        buf = bytearray(len(digits) * step)
+        buf[::step] = digits
+        return int.from_bytes(buf, "little")
+
+    def _dunrow(self, row: int, size: int) -> list[int]:
+        """The logs of the first size slots of a canonical digit row: the
+        row times the index constant puts each slot's index in its sub-slot
+        n - 1, below 2^15, whose two low bytes are read."""
+        w, s, *_, index, _, _ = self._digit_tables()
+        step = s // 8
+        out = (row * index >> w * (self.n - 1)).to_bytes((size + 1) * step, "little")
+        end = size * step
+        return list(map(self._log.__getitem__,
+                        map(add, out[0:end:step], map(_HIGH_BYTE.__getitem__, out[1:end:step]))))
+
 
 class _PackedField(FqField):
     """A field past the log-table limit, whose element ints are packed
@@ -376,7 +450,7 @@ class _PackedField(FqField):
     def _finish(self) -> None:
         self._zero_v, self._one_v = 0, 1
         self._frob_cols: dict[int, tuple] = {}
-        self._bit_rows = False
+        self._bit_rows, self._drow_min = False, math.inf
 
     def _vec_vs(self, vecs) -> list[int]:
         return list(map(self._pack, vecs))

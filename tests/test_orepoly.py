@@ -1,10 +1,20 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 from ore_reference import RawRing
 from tuple_field import TupleField, divmod_poly
 
-from skewgalois.ffield import _LogField, _PackedField, embed_subfield, frobenius, make_field
+from skewgalois import orepoly
+from skewgalois.ffield import (
+    FqField,
+    _LogField,
+    _PackedField,
+    embed_subfield,
+    frobenius,
+    make_field,
+)
 from skewgalois.modpoly import _ACC_TERMS
 from skewgalois.orepoly import (
     OrePoly,
@@ -650,15 +660,20 @@ def test_euclid_chains_match_the_orepoly_reference(p, n):
         assert _tuples(ore_right_gcd(ring.zero(), g)) == ref.right_gcd([], _tuples(g))
 
 
-@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 1), (2, 14, 0), (2, 15, 1)])
-def test_euclid_chains_with_long_quotients(p, n, k):
+@pytest.mark.parametrize("p,n,k", [(2, 16, 0), (3, 12, 0), (3, 12, 1), (2, 14, 0), (2, 15, 1),
+                                   (3, 3, 1), (5, 4, 0), (7, 2, 1), (23, 2, 0)])
+def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     # r_0 = q_1 r_1 + r_2, r_1 = q_2 r_2 + r_3, r_2 = q_3 r_3 with q_i of
     # 2 _ACC_TERMS + 7 nonzero terms, every slot of q_1 and q_3 at p - 1 and
     # of q_2 at 1: in the cofactor update s_4 = 1 - q_3 s_3 with s_3 = -q_2,
     # every slot product is at its largest, and the sums carry into the next
     # slot unless the accumulating kernel reduces them on the way.  On the
     # bit rows of F_2^14 and F_2^15 the cofactor rows pass 100 coefficients,
-    # where a wrong slot shift or row length would show.
+    # where a wrong slot shift or row length would show.  On the digit rows
+    # of F_3^3, F_5^4, F_7^2 and F_23^2 the quotients' terms overrun
+    # _ACC_TERMS, so the remainders and the cofactors settle in the middle
+    # of a row; F_23^2 leaves its 16-bit sub-slots the least room, 67 terms
+    # of n (p - 1)^2 = 968, and carries into the next one without them.
     F = make_field(p, n)
     ring = OreRing(F, frobenius(F, k))
     deg = 2 * _ACC_TERMS + 6
@@ -672,6 +687,126 @@ def test_euclid_chains_with_long_quotients(p, n, k):
     _check_chains(r0, r1)
     assert ore_right_gcd(r0, r1) == r3.monic()
     assert ore_left_lcm(r0, r1).degree == r0.degree + r1.degree - 1
+    assert bool(row_calls["_drow_euclid"]) == (p != 2 and n <= 5)
+
+
+# -- digit rows, for odd p below 256 -------------------------------------------
+
+ROW_ENTRY_POINTS = ("_drow_mul", "_drow_right_divmod", "_drow_euclid")
+
+
+@pytest.fixture
+def row_calls(monkeypatch):
+    """The calls of each digit-row entry point, counted by a spy."""
+    calls = Counter()
+    for name in ROW_ENTRY_POINTS:
+        def spy(*args, _real=getattr(orepoly, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(orepoly, name, spy)
+    return calls
+
+
+# F_31^3 has 24-bit sub-slots, the others 16
+DIGIT_ROW_FIELDS = [(3, 3), (5, 4), (7, 2), (31, 3)]
+
+
+def _nonmonic(F, rng, deg):
+    """_sparse, with a leading coefficient other than 1."""
+    f = _sparse(F, rng, deg)
+    while f[-1] == (1,) + (0,) * (F.n - 1):
+        f[-1] = _nonzero(F, rng)
+    return f
+
+
+@pytest.mark.parametrize("p,n", DIGIT_ROW_FIELDS)
+def test_digit_row_kernels_match_raw_reference(p, n, row_calls):
+    # the product, acc - f*g, both divisions and the chains on digit rows,
+    # for every twist, with every scaled operand at or past the rule's
+    # least length, against the tuple reference
+    F = make_field(p, n)
+    size = F._drow_min
+    rng = random.Random(p * 7000 + n)
+    for k in range(n):
+        ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
+        f, g = _nonmonic(F, rng, size + 6), _nonmonic(F, rng, size - 1)
+        prod = ref.ore_mul(f, g)
+        assert _tuples(ore_mul(ring.poly(f), ring.poly(g))) == prod
+        for width in (3, len(prod), len(prod) + 4):
+            _check_minus_product(ring, ref, f, g, prod, _sparse(F, rng, width - 1))
+        # f*g + r by g, and g by a longer divisor: q = 0, r = g
+        r = _sparse(F, rng, size - 3)
+        f_r = ref.trim(map(ref.add, prod, r + [ref.zero] * len(prod)))
+        _check_against_reference(ring, ref, f_r, g)
+        _check_against_reference(ring, ref, g, f)
+        # exact multiples, on the right and on the left
+        q, r = ore_right_divmod(ring.poly(prod), ring.poly(g))
+        assert (_tuples(q), r.is_zero()) == (f, True)
+        q, r = ore_left_divmod(ring.poly(ref.ore_mul(g, f)), ring.poly(g))
+        assert (_tuples(q), r.is_zero()) == (f, True)
+        # gcd, lcm and witness: random, deg f < deg g, a common right factor
+        f, g, h = ring.poly(f), ring.poly(g), ring.poly(_nonmonic(F, rng, 3))
+        for a, b in [(f, g), (g, f), (ore_mul(f, h), ore_mul(g, h))]:
+            _check_chains(a, b)
+        assert _tuples(ore_right_gcd(ring.zero(), g)) == ref.right_gcd([], _tuples(g))
+    assert all(row_calls[name] for name in ROW_ENTRY_POINTS), row_calls
+    assert F._dtab[0] == (24 if p == 31 else 16)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 4), (7, 5), (3, 1), (251, 1)])
+def test_the_kernel_choice_follows_the_stated_rule(p, n, row_calls):
+    # digit rows for odd p < 256 and n <= 5 when the operand a kernel
+    # scales, g in f*g, the divisor or the chain's second input, has at
+    # least 8 max(n, 4) coefficients; one coefficient fewer stays on lists
+    F = make_field(p, n)
+    assert F._drow_min == 8 * max(n, 4)
+    ring = OreRing(F, frobenius(F, 1 % n))
+    rng = random.Random(p * 8000 + n)
+
+    def P(size):
+        return ring.poly(_sparse(F, rng, size - 1))
+
+    f, below = P(3 * F._drow_min), P(F._drow_min - 1)
+    ore_mul(f, below), ore_right_divmod(f, below), ore_right_gcd(f, below)
+    ore_left_lcm(below, below)
+    assert not row_calls
+    at = P(F._drow_min)
+    ore_mul(below, at)
+    ore_right_divmod(f, at)
+    ore_right_gcd(f, at)
+    assert row_calls == Counter(ROW_ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 6), (257, 1), (32749, 1), (2, 8),
+                                 (3, 12)])
+def test_the_list_kernels_keep_the_fields_past_the_rule(p, n, row_calls):
+    # n past 5, p >= 256, the bit rows of F_2^8 and the packed tier F_3^12
+    # never reach a digit row, however long the operands
+    F = make_field(p, n)
+    ring = OreRing(F, frobenius(F, 1 % n))
+    rng = random.Random(p * 9000 + n)
+    f, g = (ring.poly(_sparse(F, rng, deg)) for deg in (120, 60))
+    ore_mul(f, g), ore_right_divmod(f, g), ore_right_gcd(f, g)
+    assert not row_calls and F._drow_min == math.inf
+    assert getattr(F, "_dtab", None) is None  # no row table was built
+
+
+def test_digit_row_tables_are_built_on_the_first_row_call_within_the_log_table_size():
+    # a field object of its own, so that no other test has built its tables
+    F = FqField(31, 3)
+    ring = OreRing(F, frobenius(F, 1))
+    f = ring.poly([F.from_index(i) for i in range(1, 60)])
+    assert F._dtab is None
+    ore_mul(f, ring.poly([1, 2]))  # below the rule's length: lists
+    assert F._dtab is None
+    ore_mul(ring.poly([1, 2]), f)
+    w, s, low, high, packed, *_ = tables = F._digit_tables()
+    assert F._dtab is tables and (w, s) == (24, 72)
+    # no table larger than the log tables: the packed digits of every log,
+    # and the digits of the p^h low and p^(n - h) high halves, h = n // 2
+    assert len(packed) <= len(F._antilog) and len(packed) <= len(F._log)
+    assert (len(low), len(high)) == (31, 31**2)
+    assert all(len(t) <= len(F._log) for t in tables if isinstance(t, list))
 
 
 # -- the coefficient ints of OrePoly against a reference on tuples -------------
