@@ -19,14 +19,12 @@ field becomes; no operation tests the tier.  Up to the log-table limit (a
 _LogField) the int is the discrete log to a generator g (-1 for zero):
 products, inverses and powers are integer operations on logs, a sum is one
 lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k multiplies
-a log by p^k mod (q - 1).  For p = 2 such a field also converts lists of
-logs to and from bit rows, one int with a coefficient's index in each
-16-bit slot, on which orepoly runs its kernels: a sum there is XOR and
-c * b is F_2-linear in b.  For odd p below 256 it converts them to and
-from digit rows, one int with each base-p digit of each coefficient in a
-sub-slot of its own, where a sum is an int sum and c * b is F_p-linear in
-b; their tables are built on the first row call, and none is larger than
-the log tables (see _digit_tables).  Past the limit (a _PackedField) the
+a log by p^k mod (q - 1).  For p below 256 such a field also supplies
+the steps of orepoly's row kernels: conversions of lists of logs to and
+from rows, one int with each base-p digit of each coefficient in a
+sub-slot of its own, the row sum (XOR for p = 2, an int sum for odd p)
+and the tables that scale a row, built on the first row call, none larger
+than the log tables (see _row_steps).  Past the limit (a _PackedField) the
 int is the packed coefficient vector in modpoly's F_p[x]/(modulus) of
 byte-wide slots, so a product is one int product and its _reduce (the
 high slots folded back through the modulus's _fold table, every slot
@@ -47,9 +45,9 @@ for the low and the high half of an index's digits: O(sqrt q) entries.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import chain
-from operator import add, mul
+from operator import add, mul, pos, xor
 from struct import pack, unpack
 
 from . import modpoly
@@ -71,16 +69,16 @@ class FqField(modpoly.QuotientRing):
     _inv, _power, _frob), their conversions and the Ore kernels' vector
     steps (_twist, _addmul, _settle) and the conversions of whole
     coefficient lists (_vec_vs, _coeff_lists).  A log-tier field also has
-    the logs _xlogs[j][i] of frob^j(x^i) and the row conversions: for p = 2
-    (_bit_rows) to bit rows (_row, _unrow), for odd p below 256 to digit
-    rows (_drow, _dunrow), whose tables _digit_tables builds on the first
-    row call, and which the Ore kernels take from _drow_min coefficients
-    on.  A new field is _Unfinished."""
+    the logs _xlogs[j][i] of frob^j(x^i) and, for p below 256, the steps of
+    the row kernels (_row_steps, built on the first row call), which the
+    Ore kernels take from _row_min coefficients on (1 for p = 2, 8 max(n, 4)
+    for odd p below 256 and n <= 5, else infinite).  A new field is
+    _Unfinished."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
                  "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols",
-                 "_bit_rows", "_xlogs", "_halves", "_drow_min", "_dtab")
+                 "_xlogs", "_halves", "_row_min", "_rsteps")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
@@ -224,15 +222,14 @@ class _LogField(FqField):
         if self.n > 1:
             h = self.n // 2
             self._halves = tuple([self._digits(i)[:k] for i in range(p**k)] for k in (h, self.n - h))
-        # the Ore kernels run on rows: bit rows over F_2 (see _row); digit
-        # rows (see _digit_tables) for odd p below 256 and n <= 5, once the
-        # operand a kernel scales has _drow_min coefficients, 32, or 40 at
-        # n = 5 (the rule in orepoly's docstring).  Both read the logs of
+        # the Ore kernels run on rows (see _row_steps) once the operand a
+        # kernel scales has _row_min coefficients (the rule in orepoly's
+        # docstring): at every length for p = 2, from 8 max(n, 4) for odd p
+        # below 256 and n <= 5, never otherwise.  Rows read the logs of
         # frob^j(x^i) = x^(i p^j), an n by n table
-        self._bit_rows = p == 2
-        self._drow_min = (8 * max(self.n, 4) if p != 2 and p < 256 and self.n <= 5
-                          else math.inf)
-        self._dtab = None
+        self._row_min = (1 if p == 2 else 8 * max(self.n, 4) if p < 256 and self.n <= 5
+                         else math.inf)
+        self._rsteps = None
         xlogs = [log[e] for e in self._powers]  # x^i has index p^i
         self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
 
@@ -367,11 +364,12 @@ class _LogField(FqField):
 
     _settle_v = _settle
 
-    # -- bit rows, for p = 2 ---------------------------------------------------
+    # -- rows, for p below 256 (see orepoly) -------------------------------------
 
     def _row(self, v) -> int:
-        """The bit row of the logs v: one int holding the index of v[j], its
-        coefficient bits, in the 16-bit slot j (n <= 15 in this tier)."""
+        """The bit row of the logs v, for p = 2: one int holding the index of
+        v[j], its coefficient bits, in the 16-bit slot j (n <= 15 in this
+        tier)."""
         return int.from_bytes(pack(f"<{len(v)}H", *map(self._antilog.__getitem__, v)), "little")
 
     def _unrow(self, row: int, size: int) -> list[int]:
@@ -379,66 +377,97 @@ class _LogField(FqField):
         slots = unpack(f"<{size}H", row.to_bytes(2 * size, "little"))
         return list(map(self._log.__getitem__, slots))
 
-    # -- digit rows, for odd p below 256 -----------------------------------------
+    def _row_steps(self) -> tuple:
+        """The layout and steps of orepoly's row kernels, built on the first
+        row call.
 
-    def _digit_tables(self) -> tuple:
-        """The digit-row layout and tables, built on the first row call.
+        A row packs a polynomial into one int: coefficient j takes the s-bit
+        slot j, whose w-bit sub-slot i holds base-p digit i of its index.
+        The tuple holds s; the shifts w i of the n slices; the column table,
+        the row digits of g^c for every log c; the top-slot reader, a
+        constant and a shift that put a settled slot's index in the low 16
+        bits; the row sum and the fold of n products; the settle of one
+        slot; layout(size), which gives low (the w low bits of every slot
+        set) and the settle of a row, for rows of up to size slots; and the
+        conversions of a list of logs to a row and of a row's first size
+        slots back.
 
-        A digit row packs a polynomial into one int: coefficient j takes the
-        n sub-slots n j to n j + n - 1 of w bits, sub-slot n j + i holding
-        its base-p digit i.  A sum of rows is one int sum, and c times a row
-        adds at most n (p - 1)^2 to a sub-slot (see orepoly), so w is whole
-        bytes with room for a canonical digit plus _ACC_TERMS such sums, as
-        modpoly._layout sizes its slots: 16 bits for F_3^3 to F_7^5, 24 for
-        F_31^3.  The tuple holds w, the slot width s = n w, the digits of
-        the low and the high halves of an index as bytes (from _halves,
-        O(sqrt q) entries each), the packed digits of g^c for every log c
-        (q - 1 entries), the constant sum of p^i 2^(w (n - 1 - i)), which a
-        settled slot times puts the slot's index in its sub-slot n - 1, and
-        the fixed-point pair (m, k) of modpoly._layout, t // p = t m >> k for
-        every sub-slot t, which settles every third sub-slot by one multiply."""
-        if self._dtab is None:
-            p, n = self.p, self.n
-            bound = p - 1 + modpoly._ACC_TERMS * n * (p - 1) ** 2
-            w = -(-bound.bit_length() // 8) * 8
-            lo, hi = self._halves if n > 1 else ([[]], [[d] for d in range(p)])
-            h, ph = len(lo[0]), len(lo)
-            low = [sum(d << w * i for i, d in enumerate(ds)) for ds in lo]
-            high = [sum(d << w * i for i, d in enumerate(ds, h)) for ds in hi]
-            k = w + p.bit_length()
-            self._dtab = (
-                w, n * w,
-                [bytes(d) for d in lo], [bytes(d) for d in hi],
-                [low[a % ph] + high[a // ph] for a in self._antilog[:self._q1]],
-                sum(p**i << w * (n - 1 - i) for i in range(n)),
-                -(-(1 << k) // p), k,
-            )
-        return self._dtab
+        For p = 2, w = 1 and s = 16: a slot holds the index itself, the
+        column table is _antilog, the reader is 1 and 0, the conversions are
+        _row and _unrow (struct, one 16-bit slot per coefficient, since the
+        byte stride of odd p needs whole-byte sub-slots), and a sum is XOR,
+        final as it is made, so both settles are the identity.  For odd p a sum is an int sum, and c
+        times a row adds at most n (p - 1)^2 to a sub-slot (see orepoly), so
+        w is whole bytes with room for a canonical digit plus _ACC_TERMS
+        such sums, as modpoly._layout sizes its slots: 16 bits for F_3^3 to
+        F_7^5, 24 for F_31^3.  Then s = n w, a settle takes every sub-slot
+        mod p by modpoly._layout's fixed point t // p = t m >> k, one
+        multiply for every third sub-slot, and the reader's constant is the
+        sum of p^i 2^(w (n - 1 - i)), which puts the index in sub-slot
+        n - 1.  The tables are the q - 1 columns and, for the conversions,
+        the digits of the low and the high halves of an index as bytes
+        (from _halves, O(sqrt q) entries each): none larger than _log."""
+        if self._rsteps is not None:
+            return self._rsteps
+        p, n = self.p, self.n
+        if p == 2:
+            # an XOR sum is final as it is made, so both settles are pos, the
+            # identity on ints
+            def layout(size):
+                return int.from_bytes(b"\1\0" * size, "little"), pos
+            self._rsteps = (16, range(n), self._antilog, 1, 0, xor, partial(reduce, xor), pos,
+                            layout, self._row, self._unrow)
+            return self._rsteps
+        bound = p - 1 + modpoly._ACC_TERMS * n * (p - 1) ** 2
+        w = -(-bound.bit_length() // 8) * 8
+        s, sub, slot, at = n * w, w // 8, n * w // 8, w * (n - 1)
+        lo, hi = self._halves if n > 1 else ([[]], [[d] for d in range(p)])
+        h, ph = len(lo[0]), len(lo)
+        low = [sum(d << w * i for i, d in enumerate(ds)) for ds in lo]
+        high = [sum(d << w * i for i, d in enumerate(ds, h)) for ds in hi]
+        cols = [low[a % ph] + high[a // ph] for a in self._antilog[:self._q1]]
+        lo, hi = [bytes(d) for d in lo], [bytes(d) for d in hi]
+        index = sum(p**i << w * (n - 1 - i) for i in range(n))
+        k = w + p.bit_length()
+        m = -(-(1 << k) // p)
+        antilog, log = self._antilog, self._log
 
-    def _drow(self, v) -> int:
-        """The digit row of the logs v, canonical: the digits of every
-        index as one bytes object, read off the two halves, set every
-        (w/8)-th byte of a buffer."""
-        w, _, lo, hi = self._digit_tables()[:4]
-        idx = list(map(self._antilog.__getitem__, v))
-        ph = len(lo)
-        digits = b"".join(chain.from_iterable(zip(map(lo.__getitem__, map(ph.__rmod__, idx)),
-                                                  map(hi.__getitem__, map(ph.__rfloordiv__, idx)))))
-        step = w // 8
-        buf = bytearray(len(digits) * step)
-        buf[::step] = digits
-        return int.from_bytes(buf, "little")
+        def settler(g0):
+            g1, g2 = g0 << w, g0 << 2 * w
 
-    def _dunrow(self, row: int, size: int) -> list[int]:
-        """The logs of the first size slots of a canonical digit row: the
-        row times the index constant puts each slot's index in its sub-slot
-        n - 1, below 2^15, whose two low bytes are read."""
-        w, s, *_, index, _, _ = self._digit_tables()
-        step = s // 8
-        out = (row * index >> w * (self.n - 1)).to_bytes((size + 1) * step, "little")
-        end = size * step
-        return list(map(self._log.__getitem__,
-                        map(add, out[0:end:step], map(_HIGH_BYTE.__getitem__, out[1:end:step]))))
+            def settle(row):
+                return row - p * ((row & g0) * m >> k & g0 | (row & g1) * m >> k & g1
+                                  | (row & g2) * m >> k & g2)
+            return settle
+
+        def thirds(size):  # every bit of every third sub-slot of size slots
+            return int.from_bytes((b"\xff" * sub + bytes(2 * sub)) * -(-n * size // 3), "little")
+
+        def layout(size):
+            return (int.from_bytes((b"\xff" * sub + bytes(slot - sub)) * size, "little"),
+                    settler(thirds(size)))
+
+        def row(v):
+            # the digits of every index as one bytes object, read off the
+            # two halves, set every sub-th byte of a buffer
+            idx = list(map(antilog.__getitem__, v))
+            digits = b"".join(chain.from_iterable(zip(map(lo.__getitem__, map(ph.__rmod__, idx)),
+                                                      map(hi.__getitem__, map(ph.__rfloordiv__, idx)))))
+            buf = bytearray(len(digits) * sub)
+            buf[::sub] = digits
+            return int.from_bytes(buf, "little")
+
+        def unrow(row, size):
+            # for a canonical row: times the reader's constant, each slot's
+            # index lands in its sub-slot n - 1, below 2^15, whose two low
+            # bytes are read
+            out = (row * index >> at).to_bytes((size + 1) * slot, "little")
+            end = size * slot
+            return list(map(log.__getitem__,
+                            map(add, out[0:end:slot], map(_HIGH_BYTE.__getitem__, out[1:end:slot]))))
+        self._rsteps = (s, range(0, s, w), cols, index, at, add, sum, settler(thirds(1) & (1 << s) - 1),
+                        layout, row, unrow)
+        return self._rsteps
 
 
 class _PackedField(FqField):
@@ -450,7 +479,7 @@ class _PackedField(FqField):
     def _finish(self) -> None:
         self._zero_v, self._one_v = 0, 1
         self._frob_cols: dict[int, tuple] = {}
-        self._bit_rows, self._drow_min = False, math.inf
+        self._row_min = math.inf
 
     def _vec_vs(self, vecs) -> list[int]:
         return list(map(self._pack, vecs))

@@ -36,46 +36,43 @@ accumulating multiplication kernel once per step.  Only s is kept: the lcm
 is s*f, and the witness divides that multiple by the second input on the
 right, exactly.
 
-Log-tier fields of characteristic 2, F_2 to F_2^15, run the product, the
-division and the chain on bit rows instead, chosen once per field
-(FqField._bit_rows): a polynomial packed into one int, 16 bits per
-coefficient, on which a sum is one XOR and c * tau^l(row) is n bit slices
-of the row, each times the index of one c * tau^l(x^i), so a term costs
-2n operations on the whole row instead of one Zech lookup per coefficient
-(the word-packed GF(2) vectors of M4RI: Albrecht, Bard and Hart, ACM TOMS
-36(1), 2010).  The chain keeps its remainders and its cofactor as rows
-from entry to exit.
-
-Odd characteristic has no XOR, but c * tau^l(b) is still F_p-linear in b.
-So log-tier fields of odd p below 256 run the same three kernels on digit
-rows (sliced as in Boothby and Bradshaw, "Bitslicing and the Method of
-Four Russians over larger finite fields", arXiv:0901.1413): one int per
-polynomial with each base-p digit of each coefficient in a sub-slot of its
-own, on which a sum is one int sum, settled mod p once per _ACC_TERMS
-terms, and a term costs n whole-row multiply-adds, however long the row.
-A term also pays for its n columns, and a division step for reading the
-top coefficient and a settle, so rows win only past some length, and
-later the larger n is, since a term's row work grows as n^2.  The rule,
-fixed per field as FqField._drow_min: a kernel runs on digit rows when p
-is odd and below 256, n <= 5, and the operand it scales (g in f*g, the
-divisor, the chain's second input) has at least 8 max(n, 4)
-coefficients, 32, or 40 at n = 5.  Measured in process (rows against
-lists on random inputs, the best of repeated runs, Python 3.11 on a
-shared 2-vCPU host), rows won from 16-32 coefficients in the product and
-from 24-48 in the division, the gcd and the witness for n <= 4; for n = 5
-from 24-32 and 32-64; for n = 6 from 32 and 40-84; for F_3^7 only from
-64-128, and for F_3^9 only in the product at 128.  At ore-small's
-lengths the F_3^3 and F_5^4 kernels ran 1.4-2.6x faster, and at degree
-1000 the F_5^4 witness fell from 1.59 s to 0.37 s.  Past p = 256 a digit
-no longer fits the one-byte conversions, so those fields, F_257 to
-F_32749, keep the list kernels, as does the packed tier.
+Log-tier fields of p below 256 run the product, the division and the
+chain on rows instead, with the row sum and the row tables the field
+supplies (FqField._row_steps), as the lists run on the tier's vector
+steps.  A row packs a polynomial into one int, each base-p digit of each
+coefficient's index in a sub-slot of its own; since c * tau^l(b) is
+F_p-linear in b, it is n slices of the row, each times the digits of one
+c * tau^l(x^i), so a term costs n whole-row products however long the row,
+instead of one Zech lookup per coefficient (the word-packed vectors of
+M4RI, Albrecht, Bard and Hart, ACM TOMS 36(1), 2010, sliced over larger
+fields as in Boothby and Bradshaw, "Bitslicing and the Method of Four
+Russians over larger finite fields", arXiv:0901.1413).  The row sum is
+the one step that depends on the characteristic: XOR for p = 2, on
+one-bit digits in 16-bit slots, exact with nothing to settle; an int sum
+for odd p, settled mod p once per _ACC_TERMS terms.  The chain keeps its
+remainders and its cofactor as rows from entry to exit.  A term also pays
+for its n columns, and a division step for reading the top coefficient,
+so odd-p rows win only past some length, and later the larger n is,
+since a term's row work grows as n^2.  The one rule, fixed per field as
+FqField._row_min: a kernel runs on rows when the operand it scales (g in
+f*g, the divisor, the chain's second input) has at least _row_min
+coefficients, 1 for p = 2 (rows at every length), 8 max(n, 4) for odd p
+below 256 and n <= 5 (32, or 40 at n = 5), and infinite otherwise.
+Measured in process for odd p (rows against lists on random inputs, the
+best of repeated runs, Python 3.11 on a shared 2-vCPU host), rows won
+from 16-32 coefficients in the product and from 24-48 in the division,
+the gcd and the witness for n <= 4; for n = 5 from 24-32 and 32-64; for
+n = 6 from 32 and 40-84; for F_3^7 only from 64-128, and for F_3^9 only
+in the product at 128.  At degree 1000 the F_2^14 witness fell from
+1.1-1.4 s to 0.14-0.20 s, and the F_5^4 witness from 1.59 s to 0.37 s.
+Past p = 256 a digit no longer fits the one-byte conversions, so those
+fields, F_257 to F_32749, keep the list kernels, as does the packed tier.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
-from operator import mul, xor
+from operator import mul
 
 from .ffield import FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
 from .modpoly import _ACC_TERMS
@@ -322,10 +319,8 @@ def _mul(F: FqField, k: int, f, g, minus=None) -> list[int]:
     """f*g, or minus - f*g when a settled minus is given.  Rows are added
     into the output unsettled, and the output is settled once at the end
     and once per _ACC_TERMS rows of f before that."""
-    if F._bit_rows:
+    if len(g) >= F._row_min:
         return _row_mul(F, k, f, g, minus)
-    if len(g) >= F._drow_min:
-        return _drow_mul(F, k, f, g, minus)
     zero, addmul, settle = F._zero_v, F._addmul, F._settle
     period = F.n // gcd(F.n, k)
     twisted = [F._twist(k * l, g) for l in range(min(period, len(f)))]
@@ -345,10 +340,8 @@ def _right_divmod(F: FqField, k: int, f, g):
     """Quotient and remainder of f by g on the right.  Each step settles
     only the leading remainder coefficient; the remainder is settled at the
     end, and once per _ACC_TERMS steps before that."""
-    if F._bit_rows:
+    if len(g) >= F._row_min:
         return _row_right_divmod(F, k, f, g)
-    if len(g) >= F._drow_min:
-        return _drow_right_divmod(F, k, f, g)
     d, zero = len(g) - 1, F._zero_v
     addmul, settle, settle_v, mul = F._addmul, F._settle, F._settle_v, F._mul
     # tau^m of g_0 .. g_(d-1) and of g_d^{-1}, which is tau^m(g_d)^{-1}
@@ -383,10 +376,8 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
     step updates s_(i+1) = s_(i-1) - q_i s_i in one kernel call; t is never
     formed."""
     F, k = f.ring.base, f.ring.twist.k
-    if F._bit_rows:
+    if len(g.v) >= F._row_min:
         return _row_euclid(F, k, f.v, g.v, cofactor)
-    if len(g.v) >= F._drow_min:
-        return _drow_euclid(F, k, f.v, g.v, cofactor)
     a, b, zero = f.v, g.v, F._zero_v
     s0, s1 = [F._one_v], []
     while b:
@@ -399,182 +390,72 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
     return a, s1
 
 
-# -- the kernels on bit rows, for p = 2 ------------------------------------------
+# -- the kernels on rows, for log-tier fields of p below 256 ---------------------
 #
-# Over F_2 a sum is XOR, and c*b is F_2-linear in b.  A bit row (F._row)
-# packs a polynomial into one int, coefficient j as its index in the 16-bit
-# slot j, so a sum of polynomials is one XOR, exact with nothing to settle.
-# With ones the int that has bit 0 of every slot set, slice i of a row,
-# (row >> i) & ones, holds bit i of every coefficient, and
+# A row (F._row_steps) packs a polynomial into one int: coefficient j takes
+# the s-bit slot j, whose w-bit sub-slot i holds base-p digit i of its
+# index (w = 1 and s = 16 for p = 2).  With low the int that has the w low
+# bits of every slot set, slice i of a settled row, (row >> w i) & low,
+# holds digit i of every coefficient, and since frob^j is F_p-linear,
 #
-#     c * tau^l(row) = XOR over i of slice_i * index(c * frob^j(x^i))
+#     c * tau^l(row) = sum over i of slice_i * (the row digits of c * frob^j(x^i))
 #
-# for frob^j = tau^l.  The n slices of a row are cut once and serve every
-# multiplier and every twist, so each term of a product or a division is
-# n small-int lookups and 2n operations on the whole row, however long.
-
-
-def _ones(size: int) -> int:
-    return int.from_bytes(b"\1\0" * size, "little")
-
-
-def _slots(row: int) -> int:
-    return row.bit_length() + 15 >> 4
-
-
-def _slices(F: FqField, row: int, ones: int) -> list[int]:
-    return [row >> i & ones for i in range(F.n)]
-
-
-def _cols(F: FqField, c: int, j: int) -> list[int]:
-    """The indices of c * frob^j(x^i), i < n, for the nonzero log c."""
-    q1, antilog = F._q1, F._antilog
-    return [antilog[(c + t) % q1] for t in F._xlogs[j]]
-
-
-def _row_addmul(terms, slices) -> int:
-    """The sum of c T^m * row over the terms (m, c, cols), cols those of c
-    and the twist of T^m, for the slices of row."""
-    out = 0
-    for m, _, cols in terms:
-        out ^= reduce(xor, map(mul, slices, cols)) << 16 * m
-    return out
-
-
-def _row_divide(F: FqField, k: int, r: int, b: int, ones: int) -> tuple[list, int]:
-    """Right division of the row r by the nonzero row b: the terms (m, c,
-    cols) of the quotient, c a nonzero log, and the remainder row.  Each
-    step cancels the top coefficient of r exactly."""
-    n, q1, log, powers = F.n, F._q1, F._log, F._powers
-    d = _slots(b) - 1
-    lead, slices, terms = log[b >> 16 * d], _slices(F, b, ones), []
-    while (top := r.bit_length() - 1 >> 4) >= d:
-        m = top - d
-        j = k * m % n
-        # c = r_top / frob^j(b_d)
-        c = (log[r >> 16 * top] - lead * powers[j]) % q1
-        cols = _cols(F, c, j)
-        r ^= reduce(xor, map(mul, slices, cols)) << 16 * m
-        terms.append((m, c, cols))
-    return terms, r
+# for frob^j = tau^l: each product puts at most (p - 1)^2 in a sub-slot of
+# the slot it lands in and carries nowhere.  The field supplies the row sum
+# and the fold of the n products: XOR for p = 2, exact with nothing to
+# settle (an int sum would carry out of the 1-bit digits); for odd p an
+# int sum, settled (every sub-slot taken mod p) once per _ACC_TERMS terms.
+# A difference adds the negated multiplier, c + _minus_one on logs, so
+# rows never borrow.  A settled slot times the reader's constant, shifted,
+# has the slot's index, below 2^15, in its low 16 bits.
 
 
 def _row_mul(F: FqField, k: int, f, g, minus) -> list[int]:
-    """_mul on bit rows; minus - f*g is minus + f*g."""
-    terms = [(l, a, _cols(F, a, k * l % F.n)) for l, a in enumerate(f) if a >= 0]
-    out = _row_addmul(terms, _slices(F, F._row(g), _ones(len(g))))
-    size = len(f) + len(g) - 1
-    if minus is not None:
-        out ^= F._row(minus)
-        size = max(size, len(minus))
-    return F._unrow(out, size)
-
-
-def _row_right_divmod(F: FqField, k: int, f, g):
-    """_right_divmod on bit rows."""
-    terms, r = _row_divide(F, k, F._row(f), F._row(g), _ones(len(g)))
-    q = [F._zero_v] * max(0, len(f) - len(g) + 1)
-    for m, c, _ in terms:
-        q[m] = c
-    return q, F._unrow(r, min(len(f), len(g) - 1))
-
-
-def _row_euclid(F: FqField, k: int, f, g, cofactor: bool) -> tuple[list, list]:
-    """_euclid on bit rows: the remainders and the cofactor stay rows from
-    entry to exit."""
-    ones = _ones(len(f) + len(g))
-    a, b = F._row(f), F._row(g)
-    s0, s1 = 1, 0  # the rows of 1 and 0
-    while b:
-        terms, r = _row_divide(F, k, a, b, ones)
-        if cofactor:
-            s0, s1 = s1, s0 ^ _row_addmul(terms, _slices(F, s1, ones))
-        a, b = b, r
-    return F._unrow(a, _slots(a)), F._unrow(s1, _slots(s1))
-
-
-# -- the kernels on digit rows, for odd p below 256 -------------------------------
-#
-# A digit row (F._drow) packs a polynomial into one int, coefficient j in the
-# n sub-slots n j + i of w bits, sub-slot n j + i holding its base-p digit
-# i.  A sum of rows is one int sum, settled (every sub-slot taken mod p)
-# once per _ACC_TERMS terms.  With low the int that has every bit of sub-
-# slot 0 of every slot set, slice i of a settled row, (row >> w i) & low,
-# holds digit i of every coefficient, and since frob^j is F_p-linear,
-#
-#     c * tau^l(row) = sum over i of slice_i * (the packed digits of c * frob^j(x^i))
-#
-# for frob^j = tau^l: each product puts at most (p - 1)^2 in a sub-slot of
-# the slot it lands in and carries nowhere.  A difference adds the negated
-# multiplier, c + (q - 1) / 2 on logs, so rows only grow and never borrow.
-
-
-def _dlayout(F: FqField, size: int) -> tuple:
-    """For rows of up to size slots: the shifts w i of the slices, low, and
-    the settles of a row and of one slot, which take every sub-slot mod p
-    by modpoly._canon's fixed point on every third sub-slot."""
-    w, s, *_, m, k = F._digit_tables()
-    p, step = F.p, w // 8
-
-    def settler(g0):
-        g1, g2 = g0 << w, g0 << 2 * w
-
-        def settle(row):
-            return row - p * ((row & g0) * m >> k & g0 | (row & g1) * m >> k & g1
-                              | (row & g2) * m >> k & g2)
-        return settle
-
-    low = int.from_bytes((b"\xff" * step + bytes(s // 8 - step)) * size, "little")
-    g0 = int.from_bytes((b"\xff" * step + bytes(2 * step)) * -(-F.n * size // 3), "little")
-    return range(0, w * F.n, w), low, settler(g0), settler(g0 & (1 << s) - 1)
-
-
-def _drow_mul(F: FqField, k: int, f, g, minus) -> list[int]:
-    """_mul on digit rows; minus - f*g is minus plus the products of -f_l."""
+    """_mul on rows; minus - f*g is minus plus the products of -f_l."""
     n, q1, xlogs = F.n, F._q1, F._xlogs
-    _, s, _, _, packed = F._digit_tables()[:5]
+    s, shifts, cols, _, _, rsum, fold, _, layout, row, unrow = F._row_steps()
     size, out, neg = len(f) + len(g) - 1, 0, 0
     if minus is not None:
-        size, out, neg = max(size, len(minus)), F._drow(minus), F._minus_one
-    shifts, low, settle, _ = _dlayout(F, size)
-    row, terms = F._drow(g), 0
-    slices = [row >> x & low for x in shifts]
+        size, out, neg = max(size, len(minus)), row(minus), F._minus_one
+    low, settle = layout(size)
+    b, terms = row(g), 0
+    slices = [b >> x & low for x in shifts]
     for l, a in enumerate(f):
         if a >= 0:
             if terms == _ACC_TERMS:
                 out, terms = settle(out), 0
             a += neg
-            out += sum(map(mul, slices, [packed[(a + x) % q1] for x in xlogs[k * l % n]])) << s * l
+            out = rsum(out, fold(map(mul, slices, [cols[(a + x) % q1] for x in xlogs[k * l % n]]))
+                       << s * l)
             terms += 1
-    return F._dunrow(settle(out), size)
+    return unrow(settle(out), size)
 
 
-def _drow_divisions(F: FqField, k: int, f, g, cofactor: bool):
-    """The right Euclidean chain from f and g, g != 0, on digit rows, one
-    division r_(i-1) = q_i r_i + r_(i+1) at a time: for each, the terms
-    (m, c) of q_i, c a nonzero log, and the settled rows r_i, r_(i+1) and
-    with cofactor s_(i+1) = s_(i-1) - q_i s_i (see _euclid), else 0.  The
+def _row_divisions(F: FqField, k: int, f, g, cofactor: bool):
+    """The right Euclidean chain from f and g, g != 0, on rows, one division
+    r_(i-1) = q_i r_i + r_(i+1) at a time: for each, the terms (m, c) of
+    q_i, c a nonzero log, and the settled rows r_i, r_(i+1) and with
+    cofactor s_(i+1) = s_(i-1) - q_i s_i (see _euclid), else 0.  The
     remainders and the cofactor stay rows throughout, and each quotient
     term updates both with the same columns, those of -c.  A step reads
-    only the top slot of the remainder, each of its sub-slots taken mod p,
-    and leaves that slot a multiple of p in every sub-slot; the dropped
-    slots are masked off once per division."""
+    only the top slot of the remainder, settled, and leaves that slot zero
+    or, for odd p, a multiple of p in every sub-slot; the dropped slots are
+    masked off once per division."""
     n, q1, log, powers, xlogs, minus_one = F.n, F._q1, F._log, F._powers, F._xlogs, F._minus_one
-    w, s, _, _, packed, index = F._digit_tables()[:6]
-    shifts, low, settle, settle_slot = _dlayout(F, len(f) + len(g))
-    one, at, digit = (1 << s) - 1, w * (n - 1), (1 << w) - 1
-    a, b, top = F._drow(f), F._drow(g), len(f) - 1
+    s, shifts, cols, index, at, rsum, fold, settle_slot, layout, row, _ = F._row_steps()
+    low, settle = layout(len(f) + len(g))
+    one, a, b, top = (1 << s) - 1, row(f), row(g), len(f) - 1
     s0, s1 = 1, 0  # the rows of 1 and 0
     while b:
         d = (b.bit_length() - 1) // s
-        lead = log[(b >> s * d) * index >> at & digit]
+        lead = log[(b >> s * d) * index >> at & 0xFFFF]
         slices = [b >> x & low for x in shifts]
         s1_slices = [s1 >> x & low for x in shifts] if cofactor else ()
         r, terms = a, []
         for top in range(top, d - 1, -1):
             # r is settled until its first term, so its top slot needs no settle
             t = r >> s * top & one
-            c = log[(settle_slot(t) if terms else t) * index >> at & digit]
+            c = log[(settle_slot(t) if terms else t) * index >> at & 0xFFFF]
             if c < 0:
                 continue
             m = top - d
@@ -582,12 +463,12 @@ def _drow_divisions(F: FqField, k: int, f, g, cofactor: bool):
             # c = r_top / frob^j(b_d), and the columns are those of -c
             c = (c - lead * powers[j]) % q1
             neg = c + minus_one
-            cols = [packed[(neg + x) % q1] for x in xlogs[j]]
+            col = [cols[(neg + x) % q1] for x in xlogs[j]]
             if terms and len(terms) % _ACC_TERMS == 0:
                 r, s0 = settle(r), settle(s0)  # s0 = 1 without cofactor
-            r += sum(map(mul, slices, cols)) << s * m
+            r = rsum(r, fold(map(mul, slices, col)) << s * m)
             if cofactor:
-                s0 += sum(map(mul, s1_slices, cols)) << s * m
+                s0 = rsum(s0, fold(map(mul, s1_slices, col)) << s * m)
             terms.append((m, c))
         r = settle(r & (1 << s * d) - 1)
         if cofactor:
@@ -596,22 +477,22 @@ def _drow_divisions(F: FqField, k: int, f, g, cofactor: bool):
         a, b, top = b, r, d
 
 
-def _drow_right_divmod(F: FqField, k: int, f, g):
-    """_right_divmod on digit rows: the first division of the chain."""
-    terms, _, r, _ = next(_drow_divisions(F, k, f, g, False))
+def _row_right_divmod(F: FqField, k: int, f, g):
+    """_right_divmod on rows: the first division of the chain."""
+    terms, _, r, _ = next(_row_divisions(F, k, f, g, False))
     q = [F._zero_v] * max(0, len(f) - len(g) + 1)
     for m, c in terms:
         q[m] = c
-    return q, F._dunrow(r, min(len(f), len(g) - 1))
+    return q, F._row_steps()[-1](r, min(len(f), len(g) - 1))
 
 
-def _drow_euclid(F: FqField, k: int, f, g, cofactor: bool) -> tuple[list, list]:
-    """_euclid on digit rows: the divisor of the last division, whose
-    remainder is zero, and the cofactor of that remainder."""
-    for _, b, _, s1 in _drow_divisions(F, k, f, g, cofactor):
+def _row_euclid(F: FqField, k: int, f, g, cofactor: bool) -> tuple[list, list]:
+    """_euclid on rows: the divisor of the last division, whose remainder
+    is zero, and the cofactor of that remainder."""
+    for _, b, _, s1 in _row_divisions(F, k, f, g, cofactor):
         pass
-    s = F._dtab[1]
-    return F._dunrow(b, -(-b.bit_length() // s)), F._dunrow(s1, -(-s1.bit_length() // s))
+    s, *_, unrow = F._row_steps()
+    return unrow(b, -(-b.bit_length() // s)), unrow(s1, -(-s1.bit_length() // s))
 
 
 def ore_right_gcd(f: OrePoly, g: OrePoly) -> OrePoly:

@@ -7,7 +7,7 @@ left lcm with both cofactors, the Ore witness and the anti-involution are
 schoolbook on those lists.  Like tuple_field, this file imports nothing from
 skewgalois: it reads only p, n and the modulus of the field it is given, so
 it shares no code with the library's kernels on element ints (logs, Zech
-tables, bit rows or packed slots) or with its Euclidean chain.
+tables, rows or packed slots) or with its Euclidean chain.
 """
 
 from tuple_field import TupleField

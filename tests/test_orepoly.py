@@ -667,13 +667,14 @@ def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     # 2 _ACC_TERMS + 7 nonzero terms, every slot of q_1 and q_3 at p - 1 and
     # of q_2 at 1: in the cofactor update s_4 = 1 - q_3 s_3 with s_3 = -q_2,
     # every slot product is at its largest, and the sums carry into the next
-    # slot unless the accumulating kernel reduces them on the way.  On the
-    # bit rows of F_2^14 and F_2^15 the cofactor rows pass 100 coefficients,
-    # where a wrong slot shift or row length would show.  On the digit rows
-    # of F_3^3, F_5^4, F_7^2 and F_23^2 the quotients' terms overrun
-    # _ACC_TERMS, so the remainders and the cofactors settle in the middle
-    # of a row; F_23^2 leaves its 16-bit sub-slots the least room, 67 terms
-    # of n (p - 1)^2 = 968, and carries into the next one without them.
+    # slot unless the accumulating kernel reduces them on the way.  Every
+    # log-tier field here runs the chain on rows.  On F_2^14 and F_2^15 the
+    # cofactor rows pass 100 coefficients, where a wrong slot shift or row
+    # length would show.  On F_3^3, F_5^4, F_7^2 and F_23^2 the quotients'
+    # terms overrun _ACC_TERMS, so the remainders and the cofactors settle
+    # in the middle of a row; F_23^2 leaves its 16-bit sub-slots the least
+    # room, 67 terms of n (p - 1)^2 = 968, and carries into the next one
+    # without them.
     F = make_field(p, n)
     ring = OreRing(F, frobenius(F, k))
     deg = 2 * _ACC_TERMS + 6
@@ -687,17 +688,17 @@ def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     _check_chains(r0, r1)
     assert ore_right_gcd(r0, r1) == r3.monic()
     assert ore_left_lcm(r0, r1).degree == r0.degree + r1.degree - 1
-    assert bool(row_calls["_drow_euclid"]) == (p != 2 and n <= 5)
+    assert bool(row_calls["_row_euclid"]) == (p**n <= 1 << 15)
 
 
-# -- digit rows, for odd p below 256 -------------------------------------------
+# -- rows, for log-tier fields of p below 256 ------------------------------------
 
-ROW_ENTRY_POINTS = ("_drow_mul", "_drow_right_divmod", "_drow_euclid")
+ROW_ENTRY_POINTS = ("_row_mul", "_row_right_divmod", "_row_euclid")
 
 
 @pytest.fixture
 def row_calls(monkeypatch):
-    """The calls of each digit-row entry point, counted by a spy."""
+    """The calls of each row entry point, counted by a spy."""
     calls = Counter()
     for name in ROW_ENTRY_POINTS:
         def spy(*args, _real=getattr(orepoly, name), _name=name):
@@ -707,8 +708,9 @@ def row_calls(monkeypatch):
     return calls
 
 
-# F_31^3 has 24-bit sub-slots, the others 16
-DIGIT_ROW_FIELDS = [(3, 3), (5, 4), (7, 2), (31, 3)]
+# bit rows (1-bit sub-slots in 16-bit slots) for p = 2; F_31^3 has 24-bit
+# sub-slots, the other odd-p fields 16
+ROW_FIELDS = [(2, 4), (2, 8), (2, 15), (3, 3), (5, 4), (7, 2), (31, 3)]
 
 
 def _nonmonic(F, rng, deg):
@@ -719,13 +721,14 @@ def _nonmonic(F, rng, deg):
     return f
 
 
-@pytest.mark.parametrize("p,n", DIGIT_ROW_FIELDS)
-def test_digit_row_kernels_match_raw_reference(p, n, row_calls):
-    # the product, acc - f*g, both divisions and the chains on digit rows,
-    # for every twist, with every scaled operand at or past the rule's
-    # least length, against the tuple reference
+@pytest.mark.parametrize("p,n", ROW_FIELDS)
+def test_row_kernels_match_raw_reference(p, n, row_calls):
+    # the product, acc - f*g, both divisions and the chains on rows, for
+    # every twist, with every scaled operand at or past the rule's least
+    # length, against the tuple reference; p = 2 runs rows at every length,
+    # and there the reference's chains over F_2^15 set the size
     F = make_field(p, n)
-    size = F._drow_min
+    size = F._row_min if p != 2 else 8
     rng = random.Random(p * 7000 + n)
     for k in range(n):
         ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
@@ -750,63 +753,78 @@ def test_digit_row_kernels_match_raw_reference(p, n, row_calls):
             _check_chains(a, b)
         assert _tuples(ore_right_gcd(ring.zero(), g)) == ref.right_gcd([], _tuples(g))
     assert all(row_calls[name] for name in ROW_ENTRY_POINTS), row_calls
-    assert F._dtab[0] == (24 if p == 31 else 16)
+    assert F._rsteps[1].step == (1 if p == 2 else 24 if p == 31 else 16)
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (5, 4), (7, 5), (3, 1), (251, 1)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (3, 3), (5, 4), (7, 5), (3, 1), (251, 1)])
 def test_the_kernel_choice_follows_the_stated_rule(p, n, row_calls):
-    # digit rows for odd p < 256 and n <= 5 when the operand a kernel
-    # scales, g in f*g, the divisor or the chain's second input, has at
-    # least 8 max(n, 4) coefficients; one coefficient fewer stays on lists
+    # rows when the operand a kernel scales, g in f*g, the divisor or the
+    # chain's second input, has at least _row_min coefficients: 1 for p = 2,
+    # so at every length, and 8 max(n, 4) for odd p < 256 and n <= 5, where
+    # one coefficient fewer stays on lists
     F = make_field(p, n)
-    assert F._drow_min == 8 * max(n, 4)
+    assert F._row_min == (1 if p == 2 else 8 * max(n, 4))
     ring = OreRing(F, frobenius(F, 1 % n))
     rng = random.Random(p * 8000 + n)
 
     def P(size):
         return ring.poly(_sparse(F, rng, size - 1))
 
-    f, below = P(3 * F._drow_min), P(F._drow_min - 1)
-    ore_mul(f, below), ore_right_divmod(f, below), ore_right_gcd(f, below)
-    ore_left_lcm(below, below)
-    assert not row_calls
-    at = P(F._drow_min)
-    ore_mul(below, at)
+    f, at = P(3 * F._row_min + 8), P(F._row_min)
+    if F._row_min > 1:
+        below = P(F._row_min - 1)
+        ore_mul(f, below), ore_right_divmod(f, below), ore_right_gcd(f, below)
+        ore_left_lcm(below, below)
+        assert not row_calls
+    ore_mul(f, at)
     ore_right_divmod(f, at)
     ore_right_gcd(f, at)
     assert row_calls == Counter(ROW_ENTRY_POINTS)
 
 
-@pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 6), (257, 1), (32749, 1), (2, 8),
-                                 (3, 12)])
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 6), (257, 1), (32749, 1), (3, 12)])
 def test_the_list_kernels_keep_the_fields_past_the_rule(p, n, row_calls):
-    # n past 5, p >= 256, the bit rows of F_2^8 and the packed tier F_3^12
-    # never reach a digit row, however long the operands
+    # n past 5, p >= 256 and the packed tier F_3^12 never reach a row,
+    # however long the operands
     F = make_field(p, n)
     ring = OreRing(F, frobenius(F, 1 % n))
     rng = random.Random(p * 9000 + n)
     f, g = (ring.poly(_sparse(F, rng, deg)) for deg in (120, 60))
     ore_mul(f, g), ore_right_divmod(f, g), ore_right_gcd(f, g)
-    assert not row_calls and F._drow_min == math.inf
-    assert getattr(F, "_dtab", None) is None  # no row table was built
+    assert not row_calls and F._row_min == math.inf
+    assert getattr(F, "_rsteps", None) is None  # no row table was built
+
+
+def _row_tables(steps):
+    """The lists that the row steps hold, themselves or in the closures of
+    their functions."""
+    cells = [c.cell_contents for f in steps for c in getattr(f, "__closure__", None) or ()]
+    return [t for t in [*steps, *cells] if isinstance(t, list)]
 
 
 def test_digit_row_tables_are_built_on_the_first_row_call_within_the_log_table_size():
-    # a field object of its own, so that no other test has built its tables
-    F = FqField(31, 3)
-    ring = OreRing(F, frobenius(F, 1))
-    f = ring.poly([F.from_index(i) for i in range(1, 60)])
-    assert F._dtab is None
-    ore_mul(f, ring.poly([1, 2]))  # below the rule's length: lists
-    assert F._dtab is None
-    ore_mul(ring.poly([1, 2]), f)
-    w, s, low, high, packed, *_ = tables = F._digit_tables()
-    assert F._dtab is tables and (w, s) == (24, 72)
-    # no table larger than the log tables: the packed digits of every log,
-    # and the digits of the p^h low and p^(n - h) high halves, h = n // 2
-    assert len(packed) <= len(F._antilog) and len(packed) <= len(F._log)
-    assert (len(low), len(high)) == (31, 31**2)
-    assert all(len(t) <= len(F._log) for t in tables if isinstance(t, list))
+    # field objects of their own, so that no other test has built their tables
+    for p, n in [(31, 3), (2, 8)]:
+        F = FqField(p, n)
+        ring = OreRing(F, frobenius(F, 1))
+        f = ring.poly([F.from_index(i) for i in range(1, 60)])
+        assert F._rsteps is None
+        if p != 2:
+            ore_mul(f, ring.poly([1, 2]))  # below the rule's length: lists
+            assert F._rsteps is None
+        ore_mul(ring.poly([1, 2]), f)
+        steps = F._row_steps()
+        assert F._rsteps is steps
+        tables = [t for t in _row_tables(steps) if t is not F._antilog and t is not F._log]
+        if p == 2:
+            # 16-bit slots of 1-bit digits, whose columns are _antilog itself
+            assert (steps[0], steps[1].step, tables) == (16, 1, [])
+        else:
+            # no table larger than the log tables: the row digits of every
+            # log, and the digits of the p^h low and p^(n - h) high halves,
+            # h = n // 2
+            assert (steps[0], steps[1].step) == (72, 24)
+            assert sorted(map(len, tables)) == [31, 31**2, 31**3 - 1]
 
 
 # -- the coefficient ints of OrePoly against a reference on tuples -------------
