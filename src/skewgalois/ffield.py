@@ -19,20 +19,20 @@ field becomes; no operation tests the tier.  Up to the log-table limit (a
 _LogField) the int is the discrete log to a generator g (-1 for zero):
 products, inverses and powers are integer operations on logs, a sum is one
 lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k multiplies
-a log by p^k mod (q - 1).  For p below 256 such a field also supplies
-the steps of orepoly's row kernels: conversions of lists of logs to and
-from rows, one int with each base-p digit of each coefficient in a
-sub-slot of its own, the row sum (XOR for p = 2, an int sum for odd p)
-and the tables that scale a row, built on the first row call, none larger
-than the log tables (see _row_steps).  Past the limit (a _PackedField) the
-int is the packed coefficient vector in modpoly's F_p[x]/(modulus) of
-byte-wide slots, so a product is one int product and its _reduce (the
-high slots folded back through the modulus's _fold table, every slot
-taken mod p with no Python loop over the slots).  Frobenius powers are
-F_p-linear maps applied as cached packed columns; sums and negation work
-slotwise.  An inverse is Itoh and Tsujii's: for r = (q - 1) / (p - 1),
-a^(r-1) takes about 2 log2(n) Frobenius maps and products, and the norm
-a^r is a constant, inverted in F_p.
+a log by p^k mod (q - 1).  Such a field also supplies the steps of
+orepoly's row kernels (see _row_steps): a row is one int with each base-p
+digit of each coefficient in a sub-slot of its own, the row sum is XOR for
+p = 2 and an int sum for odd p, and one conversion each way serves every
+p, a join of per-log slots in and one struct read out, off tables built on
+the first row call, none longer than the log tables.  Past the limit (a
+_PackedField) the int is the packed coefficient vector in modpoly's
+F_p[x]/(modulus) of byte-wide slots, so a product is one int product and
+its _reduce (the high slots folded back through the modulus's _fold table,
+every slot taken mod p with no Python loop over the slots).  Frobenius
+powers are F_p-linear maps applied as cached packed columns; sums and
+negation work slotwise.  An inverse is Itoh and Tsujii's: for
+r = (q - 1) / (p - 1), a^(r-1) takes about 2 log2(n) Frobenius maps and
+products, and the norm a^r is a constant, inverted in F_p.
 
 A polynomial's JSON coefficients convert once per polynomial, by the tier,
 both ways (_vs_of, _coeff_lists).  For p < 256 a list of coefficient
@@ -48,13 +48,12 @@ import math
 from functools import lru_cache, partial, reduce
 from itertools import chain
 from operator import add, mul, pos, xor
-from struct import pack, unpack
+from struct import unpack_from
 
 from . import modpoly
 from .zarith import factorize, is_prime
 
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
-_HIGH_BYTE = range(0, _LOG_TABLE_MAX, 256)  # 256 b for a high byte b of an index
 
 # Largest field order a descriptor may name.  The search for the least
 # irreducible modulus grows without bound in n, if slowly: 4-6 ms at 2^64,
@@ -69,11 +68,11 @@ class FqField(modpoly.QuotientRing):
     _inv, _power, _frob), their conversions and the Ore kernels' vector
     steps (_twist, _addmul, _settle) and the conversions of whole
     coefficient lists (_vec_vs, _coeff_lists).  A log-tier field also has
-    the logs _xlogs[j][i] of frob^j(x^i) and, for p below 256, the steps of
-    the row kernels (_row_steps, built on the first row call), which the
-    Ore kernels take from _row_min coefficients on (1 for p = 2, 8 max(n, 4)
-    for odd p below 256 and n <= 5, else infinite).  A new field is
-    _Unfinished."""
+    the logs _xlogs[j][i] of frob^j(x^i) and the steps of the row kernels
+    (_row_steps, built on the first row call, with one conversion each way
+    for every p), which the Ore kernels take from _row_min coefficients on
+    (1 for p = 2, 8 max(n, 4) for odd p and n <= 5, else infinite).  A new
+    field is _Unfinished."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
@@ -225,10 +224,9 @@ class _LogField(FqField):
         # the Ore kernels run on rows (see _row_steps) once the operand a
         # kernel scales has _row_min coefficients (the rule in orepoly's
         # docstring): at every length for p = 2, from 8 max(n, 4) for odd p
-        # below 256 and n <= 5, never otherwise.  Rows read the logs of
+        # and n <= 5, never otherwise.  Rows read the logs of
         # frob^j(x^i) = x^(i p^j), an n by n table
-        self._row_min = (1 if p == 2 else 8 * max(self.n, 4) if p < 256 and self.n <= 5
-                         else math.inf)
+        self._row_min = 1 if p == 2 else 8 * max(self.n, 4) if self.n <= 5 else math.inf
         self._rsteps = None
         xlogs = [log[e] for e in self._powers]  # x^i has index p^i
         self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
@@ -364,18 +362,7 @@ class _LogField(FqField):
 
     _settle_v = _settle
 
-    # -- rows, for p below 256 (see orepoly) -------------------------------------
-
-    def _row(self, v) -> int:
-        """The bit row of the logs v, for p = 2: one int holding the index of
-        v[j], its coefficient bits, in the 16-bit slot j (n <= 15 in this
-        tier)."""
-        return int.from_bytes(pack(f"<{len(v)}H", *map(self._antilog.__getitem__, v)), "little")
-
-    def _unrow(self, row: int, size: int) -> list[int]:
-        """The logs of the first size slots of a bit row."""
-        slots = unpack(f"<{size}H", row.to_bytes(2 * size, "little"))
-        return list(map(self._log.__getitem__, slots))
+    # -- rows (see orepoly) --------------------------------------------------------
 
     def _row_steps(self) -> tuple:
         """The layout and steps of orepoly's row kernels, built on the first
@@ -384,88 +371,78 @@ class _LogField(FqField):
         A row packs a polynomial into one int: coefficient j takes the s-bit
         slot j, whose w-bit sub-slot i holds base-p digit i of its index.
         The tuple holds s; the shifts w i of the n slices; the column table,
-        the row digits of g^c for every log c; the top-slot reader, a
-        constant and a shift that put a settled slot's index in the low 16
-        bits; the row sum and the fold of n products; the settle of one
-        slot; layout(size), which gives low (the w low bits of every slot
-        set) and the settle of a row, for rows of up to size slots; and the
-        conversions of a list of logs to a row and of a row's first size
-        slots back.
+        the row digits of g^c for every log c and then of zero; the top-slot
+        reader, a constant and a shift that put a settled slot's index in
+        the low 16 bits; the row sum and the fold of n products; the settle
+        of one slot; layout(size), which gives low (the w low bits of every
+        slot set) and the settle of a row of up to size slots; and the two
+        conversions, the same for every field: a list of logs to a row is
+        one join of their columns as s/8-byte slots (log -1, zero, takes the
+        last), and a row's first size slots back are one struct read of the
+        low 16 bits of each slot of the row times the reader's constant.
 
-        For p = 2, w = 1 and s = 16: a slot holds the index itself, the
-        column table is _antilog, the reader is 1 and 0, the conversions are
-        _row and _unrow (struct, one 16-bit slot per coefficient, since the
-        byte stride of odd p needs whole-byte sub-slots), and a sum is XOR,
-        final as it is made, so both settles are the identity.  For odd p a sum is an int sum, and c
-        times a row adds at most n (p - 1)^2 to a sub-slot (see orepoly), so
-        w is whole bytes with room for a canonical digit plus _ACC_TERMS
-        such sums, as modpoly._layout sizes its slots: 16 bits for F_3^3 to
-        F_7^5, 24 for F_31^3.  Then s = n w, a settle takes every sub-slot
-        mod p by modpoly._layout's fixed point t // p = t m >> k, one
-        multiply for every third sub-slot, and the reader's constant is the
-        sum of p^i 2^(w (n - 1 - i)), which puts the index in sub-slot
-        n - 1.  The tables are the q - 1 columns and, for the conversions,
-        the digits of the low and the high halves of an index as bytes
-        (from _halves, O(sqrt q) entries each): none larger than _log."""
+        For p = 2, w = 1 and s = 16: a slot holds the index itself, so the
+        columns are _antilog, the reader is 1 and 0, and a sum is XOR, final
+        as it is made, so both settles are the identity.  For odd p a sum is
+        an int sum, and c times a row adds at most n (p - 1)^2 to a sub-slot
+        (see orepoly), so w is whole bytes with room for a canonical digit
+        plus _ACC_TERMS such sums, as modpoly._layout sizes its slots: 16
+        bits for F_3 to F_7^5, 24 for F_31^3, F_251 and F_257, 40 for
+        F_32749.  Then s = n w, a settle takes every sub-slot mod p by
+        modpoly._layout's fixed point t // p = t m >> k, one multiply for
+        every third sub-slot, and the reader's constant, the sum of
+        p^i 2^(w (n - 1 - i)), puts the index in sub-slot n - 1; for n = 1
+        the one digit is the index, and the columns are _antilog.  The tables
+        are the columns and their slots, each as long as _log."""
         if self._rsteps is not None:
             return self._rsteps
-        p, n = self.p, self.n
+        p, n, antilog, log = self.p, self.n, self._antilog, self._log
         if p == 2:
-            # an XOR sum is final as it is made, so both settles are pos, the
-            # identity on ints
-            def layout(size):
-                return int.from_bytes(b"\1\0" * size, "little"), pos
-            self._rsteps = (16, range(n), self._antilog, 1, 0, xor, partial(reduce, xor), pos,
-                            layout, self._row, self._unrow)
-            return self._rsteps
-        bound = p - 1 + modpoly._ACC_TERMS * n * (p - 1) ** 2
-        w = -(-bound.bit_length() // 8) * 8
-        s, sub, slot, at = n * w, w // 8, n * w // 8, w * (n - 1)
-        lo, hi = self._halves if n > 1 else ([[]], [[d] for d in range(p)])
-        h, ph = len(lo[0]), len(lo)
-        low = [sum(d << w * i for i, d in enumerate(ds)) for ds in lo]
-        high = [sum(d << w * i for i, d in enumerate(ds, h)) for ds in hi]
-        cols = [low[a % ph] + high[a // ph] for a in self._antilog[:self._q1]]
-        lo, hi = [bytes(d) for d in lo], [bytes(d) for d in hi]
-        index = sum(p**i << w * (n - 1 - i) for i in range(n))
-        k = w + p.bit_length()
-        m = -(-(1 << k) // p)
-        antilog, log = self._antilog, self._log
+            w, s, cols, index, at, rsum, fold = 1, 16, antilog, 1, 0, xor, partial(reduce, xor)
 
-        def settler(g0):
-            g1, g2 = g0 << w, g0 << 2 * w
+            def settler(size):
+                return pos
+        else:
+            bound = p - 1 + modpoly._ACC_TERMS * n * (p - 1) ** 2
+            w = -(-bound.bit_length() // 8) * 8
+            s, at, rsum, fold = n * w, w * (n - 1), add, sum
+            cols = antilog
+            if n > 1:
+                lo, hi = self._halves
+                h, ph = len(lo[0]), len(lo)
+                low = [sum(d << w * i for i, d in enumerate(ds)) for ds in lo]
+                high = [sum(d << w * i for i, d in enumerate(ds, h)) for ds in hi]
+                cols = [low[a % ph] + high[a // ph] for a in antilog]
+            index = sum(p**i << w * (n - 1 - i) for i in range(n))
+            k = w + p.bit_length()
+            m = -(-(1 << k) // p)
+            third = ((1 << w) - 1).to_bytes(3 * w // 8, "little")
 
-            def settle(row):
-                return row - p * ((row & g0) * m >> k & g0 | (row & g1) * m >> k & g1
-                                  | (row & g2) * m >> k & g2)
-            return settle
+            def settler(size):
+                # every bit of every third sub-slot of size slots
+                g0 = int.from_bytes(third * -(-n * size // 3), "little")
+                g1, g2 = g0 << w, g0 << 2 * w
 
-        def thirds(size):  # every bit of every third sub-slot of size slots
-            return int.from_bytes((b"\xff" * sub + bytes(2 * sub)) * -(-n * size // 3), "little")
+                def settle(row):
+                    return row - p * ((row & g0) * m >> k & g0 | (row & g1) * m >> k & g1
+                                      | (row & g2) * m >> k & g2)
+                return settle
+        slot = s // 8
+        slots = [c.to_bytes(slot, "little") for c in cols]
+        unit, reader = ((1 << w) - 1).to_bytes(slot, "little"), f"H{slot - 2}x"
 
         def layout(size):
-            return (int.from_bytes((b"\xff" * sub + bytes(slot - sub)) * size, "little"),
-                    settler(thirds(size)))
+            return int.from_bytes(unit * size, "little"), settler(size)
 
         def row(v):
-            # the digits of every index as one bytes object, read off the
-            # two halves, set every sub-th byte of a buffer
-            idx = list(map(antilog.__getitem__, v))
-            digits = b"".join(chain.from_iterable(zip(map(lo.__getitem__, map(ph.__rmod__, idx)),
-                                                      map(hi.__getitem__, map(ph.__rfloordiv__, idx)))))
-            buf = bytearray(len(digits) * sub)
-            buf[::sub] = digits
-            return int.from_bytes(buf, "little")
+            return int.from_bytes(b"".join(map(slots.__getitem__, v)), "little")
 
         def unrow(row, size):
-            # for a canonical row: times the reader's constant, each slot's
-            # index lands in its sub-slot n - 1, below 2^15, whose two low
-            # bytes are read
+            # for a settled row: times the reader's constant, each slot's
+            # index, below 2^15, lands in the low 16 bits of its slot
             out = (row * index >> at).to_bytes((size + 1) * slot, "little")
-            end = size * slot
-            return list(map(log.__getitem__,
-                            map(add, out[0:end:slot], map(_HIGH_BYTE.__getitem__, out[1:end:slot]))))
-        self._rsteps = (s, range(0, s, w), cols, index, at, add, sum, settler(thirds(1) & (1 << s) - 1),
+            return list(map(log.__getitem__, unpack_from("<" + reader * size, out)))
+        self._rsteps = (s, range(0, n * w, w), cols, index, at, rsum, fold, settler(1),
                         layout, row, unrow)
         return self._rsteps
 

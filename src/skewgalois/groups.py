@@ -720,6 +720,22 @@ class ReductionStep:
         return self.phi.count(0)  # |N meet G'|
 
 
+def quotient_table(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int], FiniteGroup]:
+    """G/N for normal N: coset[g] numbers g N among the cosets in the order
+    of their least elements reps, their representatives (N, holding 0, is
+    coset 0), and the table of G/N on those numbers."""
+    table = G.table
+    coset, reps = [-1] * G.order, []
+    for g in range(G.order):
+        if coset[g] < 0:
+            for x in N.elements:
+                coset[table[g][x]] = len(reps)
+            reps.append(g)
+    Q = FiniteGroup([tuple([coset[table[a][b]] for b in reps]) for a in reps],
+                    name="G/N", _trusted=True)
+    return coset, reps, Q
+
+
 def _min_supplement(G: FiniteGroup, N: Subgroup) -> tuple[int, ...] | None:
     """The minimum-order proper H with N*H = G for normal N, ties broken by
     the lexicographically least element tuple; None if there is none.
@@ -741,17 +757,7 @@ def _min_supplement(G: FiniteGroup, N: Subgroup) -> tuple[int, ...] | None:
     greedy set of the quotient table, |G| + |G/N|^2 reads to build.
     """
     table = G.table
-    # the quotient table of G/N on the cosets g N, numbered by their least
-    # elements, which are their representatives; N itself is coset 0
-    coset = [-1] * G.order
-    reps = []
-    for g in range(G.order):
-        if coset[g] < 0:
-            for x in N.elements:
-                coset[table[g][x]] = len(reps)
-            reps.append(g)
-    Q = FiniteGroup([tuple([coset[table[a][b]] for b in reps]) for a in reps],
-                    name="G/N", _trusted=True)
+    _, reps, Q = quotient_table(G, N)
     index = Q.order
     # few lifts, of cosets of large order: by descending order, then index
     by_order = sorted(range(1, index), key=lambda a: (-Q.element_order(a), a))

@@ -36,8 +36,8 @@ accumulating multiplication kernel once per step.  Only s is kept: the lcm
 is s*f, and the witness divides that multiple by the second input on the
 right, exactly.
 
-Log-tier fields of p below 256 run the product, the division and the
-chain on rows instead, with the row sum and the row tables the field
+Log-tier fields run the product, the division and the chain on rows
+instead, with the row sum, the row tables and the conversions the field
 supplies (FqField._row_steps), as the lists run on the tier's vector
 steps.  A row packs a polynomial into one int, each base-p digit of each
 coefficient's index in a sub-slot of its own; since c * tau^l(b) is
@@ -57,20 +57,21 @@ since a term's row work grows as n^2.  The one rule, fixed per field as
 FqField._row_min: a kernel runs on rows when the operand it scales (g in
 f*g, the divisor, the chain's second input) has at least _row_min
 coefficients, 1 for p = 2 (rows at every length), 8 max(n, 4) for odd p
-below 256 and n <= 5 (32, or 40 at n = 5), and infinite otherwise.
+and n <= 5 (32, or 40 at n = 5), and infinite otherwise.
 Measured in process for odd p (rows against lists on random inputs, the
 best of repeated runs, Python 3.11 on a shared 2-vCPU host), rows won
 from 16-32 coefficients in the product and from 24-48 in the division,
 the gcd and the witness for n <= 4; for n = 5 from 24-32 and 32-64; for
 n = 6 from 32 and 40-84; for F_3^7 only from 64-128, and for F_3^9 only
-in the product at 128.  At degree 1000 the F_2^14 witness fell from
-1.1-1.4 s to 0.14-0.20 s, and the F_5^4 witness from 1.59 s to 0.37 s.
-Past p = 256 a digit no longer fits the one-byte conversions, so those
-fields, F_257 to F_32749, keep the list kernels, as does the packed tier.
+in the product at 128; on F_251, F_257 and F_32749 rows ran 1.8-4.2 times
+as fast as lists at 32 coefficients.  At degree 1000 the F_2^14 witness
+fell from 1.1-1.4 s to 0.14-0.20 s, and the F_5^4 witness from 1.59 s to
+0.37 s.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -390,7 +391,7 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
     return a, s1
 
 
-# -- the kernels on rows, for log-tier fields of p below 256 ---------------------
+# -- the kernels on rows, for log-tier fields --------------------------------------
 #
 # A row (F._row_steps) packs a polynomial into one int: coefficient j takes
 # the s-bit slot j, whose w-bit sub-slot i holds base-p digit i of its
@@ -669,13 +670,21 @@ def ore_poly_from_json(data: dict) -> OrePoly:
     whose modulus is the least irreducible one; a malformed shape raises
     ValueError."""
     if not (isinstance(data, dict) and isinstance(data.get("base"), str)
-            and is_int(data.get("frob")) and isinstance(data.get("coeffs"), list)
-            # every coefficient an int or a list of ints, bools excluded; one
-            # set of types is several times cheaper than is_int per entry
-            and {type(x) for c in data["coeffs"]
-                 for x in (c if type(c) is list else (c,))} <= {int}):
+            and is_int(data.get("frob")) and _int_coefficients(data.get("coeffs"))):
         raise ValueError('a twisted polynomial must be {"base": "p^n", "frob": k, '
                          '"coeffs": [...]} with integer coefficients')
     base = field_from_descriptor(data["base"])
     ring = OreRing(base, FieldAut(base, data["frob"]))
     return ring.poly(data["coeffs"])
+
+
+def _int_coefficients(coeffs) -> bool:
+    """Whether coeffs is a list of ints and lists of ints, bools excluded:
+    the set of the entries' types, then a count of int among the digits'
+    types in the lists, each gathered in C."""
+    types = set(map(type, coeffs)) if isinstance(coeffs, list) else {None}
+    if not types <= {int, list}:
+        return False
+    lists = coeffs if int not in types else filter(list.__instancecheck__, coeffs)
+    digits = list(map(type, chain.from_iterable(lists)))
+    return digits.count(int) == len(digits)

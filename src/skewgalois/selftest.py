@@ -36,6 +36,7 @@ from .groups import (
     conjugation_action,
     fitting_subgroup,
     is_nilpotent,
+    quotient_table,
     semidirect_product,
     solvable_tower,
 )
@@ -238,27 +239,13 @@ def _cyclic_quotient_epis(G: FiniteGroup):
     subgroup with cyclic quotient, one epi per generator of the quotient."""
     for N in G.all_normal_subgroups():
         e = G.order // N.order
-        # coset[g] indexes gN in the order of the cosets' least elements,
-        # which is the order of first appearance: N itself, holding 0, is 0
-        coset, reps = [-1] * G.order, []
-        for g in range(G.order):
-            if coset[g] < 0:
-                for x in N.elements:
-                    coset[G.table[g][x]] = len(reps)
-                reps.append(g)
-        table = [[coset[G.table[a][b]] for b in reps] for a in reps]
-        Q = FiniteGroup(table, name="Q", _trusted=True)
+        coset, _, Q = quotient_table(G, N)
         gens = [c for c in range(e) if Q.element_order(c) == e]
         if not gens:
             continue  # quotient is not cyclic
         for c in gens:
             # epi: g -> discrete log of its coset w.r.t. generator c
-            dlog = {0: 0}
-            cur, k = c, 1
-            while cur != 0:
-                dlog[cur] = k
-                cur = Q.table[cur][c]
-                k += 1
+            dlog = {Q.power(c, k): k for k in range(e)}
             yield e, [dlog[i] for i in coset], N
 
 

@@ -691,7 +691,7 @@ def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     assert bool(row_calls["_row_euclid"]) == (p**n <= 1 << 15)
 
 
-# -- rows, for log-tier fields of p below 256 ------------------------------------
+# -- rows, for log-tier fields ------------------------------------------------------
 
 ROW_ENTRY_POINTS = ("_row_mul", "_row_right_divmod", "_row_euclid")
 
@@ -708,9 +708,10 @@ def row_calls(monkeypatch):
     return calls
 
 
-# bit rows (1-bit sub-slots in 16-bit slots) for p = 2; F_31^3 has 24-bit
-# sub-slots, the other odd-p fields 16
-ROW_FIELDS = [(2, 4), (2, 8), (2, 15), (3, 3), (5, 4), (7, 2), (31, 3)]
+# bit rows (1-bit sub-slots in 16-bit slots) for p = 2; F_31^3 and F_257
+# have 24-bit sub-slots, F_32749 40, the other odd-p fields 16
+ROW_FIELDS = [(2, 4), (2, 8), (2, 15), (3, 3), (5, 4), (7, 2), (31, 3), (257, 1), (32749, 1)]
+SUB_SLOT = {2: 1, 31: 24, 257: 24, 32749: 40}
 
 
 def _nonmonic(F, rng, deg):
@@ -753,15 +754,16 @@ def test_row_kernels_match_raw_reference(p, n, row_calls):
             _check_chains(a, b)
         assert _tuples(ore_right_gcd(ring.zero(), g)) == ref.right_gcd([], _tuples(g))
     assert all(row_calls[name] for name in ROW_ENTRY_POINTS), row_calls
-    assert F._rsteps[1].step == (1 if p == 2 else 24 if p == 31 else 16)
+    assert F._rsteps[1].step == SUB_SLOT.get(p, 16)
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (3, 3), (5, 4), (7, 5), (3, 1), (251, 1)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (3, 3), (5, 4), (7, 5), (3, 1), (251, 1),
+                                 (257, 1), (32749, 1)])
 def test_the_kernel_choice_follows_the_stated_rule(p, n, row_calls):
     # rows when the operand a kernel scales, g in f*g, the divisor or the
     # chain's second input, has at least _row_min coefficients: 1 for p = 2,
-    # so at every length, and 8 max(n, 4) for odd p < 256 and n <= 5, where
-    # one coefficient fewer stays on lists
+    # so at every length, and 8 max(n, 4) for odd p and n <= 5, where one
+    # coefficient fewer stays on lists
     F = make_field(p, n)
     assert F._row_min == (1 if p == 2 else 8 * max(n, 4))
     ring = OreRing(F, frobenius(F, 1 % n))
@@ -782,10 +784,10 @@ def test_the_kernel_choice_follows_the_stated_rule(p, n, row_calls):
     assert row_calls == Counter(ROW_ENTRY_POINTS)
 
 
-@pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 6), (257, 1), (32749, 1), (3, 12)])
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 6), (3, 12)])
 def test_the_list_kernels_keep_the_fields_past_the_rule(p, n, row_calls):
-    # n past 5, p >= 256 and the packed tier F_3^12 never reach a row,
-    # however long the operands
+    # n past 5 and the packed tier F_3^12 never reach a row, however long
+    # the operands
     F = make_field(p, n)
     ring = OreRing(F, frobenius(F, 1 % n))
     rng = random.Random(p * 9000 + n)
@@ -815,16 +817,30 @@ def test_digit_row_tables_are_built_on_the_first_row_call_within_the_log_table_s
         ore_mul(ring.poly([1, 2]), f)
         steps = F._row_steps()
         assert F._rsteps is steps
-        tables = [t for t in _row_tables(steps) if t is not F._antilog and t is not F._log]
-        if p == 2:
-            # 16-bit slots of 1-bit digits, whose columns are _antilog itself
-            assert (steps[0], steps[1].step, tables) == (16, 1, [])
-        else:
-            # no table larger than the log tables: the row digits of every
-            # log, and the digits of the p^h low and p^(n - h) high halves,
-            # h = n // 2
-            assert (steps[0], steps[1].step) == (72, 24)
-            assert sorted(map(len, tables)) == [31, 31**2, 31**3 - 1]
+        # the columns (_antilog itself for p = 2) and their slots, one per
+        # log and the zero slot last: each as long as _log, and no other
+        tables = [t for t in _row_tables(steps) if t is not F._log]
+        assert sorted(map(len, tables)) == [len(F._log)] * 2
+        assert (steps[2] is F._antilog) == (p == 2)
+        assert steps[2][-1] == 0
+        assert (steps[0], steps[1].step) == ((16, 1) if p == 2 else (72, 24))
+
+
+@pytest.mark.parametrize("p,n,slot", [(2, 8, 2), (3, 1, 2), (251, 1, 3), (257, 1, 3),
+                                      (32749, 1, 5), (3, 3, 6), (31, 3, 9), (7, 5, 10)])
+def test_row_conversions_round_trip_at_every_slot_width(p, n, slot):
+    # unrow(row(v), len(v)) == v at every slot width, in bytes: zeros (log
+    # -1) alone, inside and trailing, length 1, every log once, and length 1001
+    F = make_field(p, n)
+    s, *_, row, unrow = F._row_steps()
+    assert s == 8 * slot
+    rng = random.Random(p * 6000 + n)
+    logs = list(range(-1, F._q1))
+    long = [rng.choice(logs) for _ in range(1001)]
+    cases = [[-1], [0], [F._q1 - 1], [-1] * 7, [0, -1, -1], [-1, F._q1 - 1, -1, 0], logs,
+             logs[::-1], long, long[:990] + [-1] * 11, [-1] * 1000 + [F._q1 // 2]]
+    for v in cases:
+        assert unrow(row(v), len(v)) == v
 
 
 # -- the coefficient ints of OrePoly against a reference on tuples -------------
