@@ -30,9 +30,12 @@ F_p[x]/(modulus) of byte-wide slots, so a product is one int product and
 its _reduce (the high slots folded back through the modulus's _fold table,
 every slot taken mod p with no Python loop over the slots).  Frobenius
 powers are F_p-linear maps applied as cached packed columns; sums and
-negation work slotwise.  An inverse is Itoh and Tsujii's: for
+negation work slotwise.  For odd p an inverse is Itoh and Tsujii's: for
 r = (q - 1) / (p - 1), a^(r-1) takes about 2 log2(n) Frobenius maps and
-products, and the norm a^r is a constant, inverted in F_p.
+products, and the norm a^r is a constant, inverted in F_p.  A binary
+packed field (F_2^16 to F_2^64) supplies the row kernels' steps too, on
+rows of n-bit slots, one compact int of n F_2 digits per coefficient, and
+inverts by the extended Euclidean algorithm on that compact int.
 
 A polynomial's JSON coefficients convert once per polynomial, by the tier,
 both ways (_vs_of, _coeff_lists).  For p < 256 a list of coefficient
@@ -45,8 +48,9 @@ for the low and the high half of an index's digits: O(sqrt q) entries.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache, partial, reduce
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import add, mul, pos, xor
 from struct import unpack_from
 
@@ -60,6 +64,53 @@ _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
 # 1.4-2 ms at 3^40 and 50 ms at 2^128 (Python 3.11, 2 shared CPUs).
 FIELD_ORDER_MAX = 1 << 64
 
+# The layout and steps of orepoly's row kernels, which a field builds on its
+# first row call (_LogField._row_steps, _PackedField._row_steps).  A row
+# packs a polynomial into one int, coefficient j in the s-bit slot j, and
+# slice i of a row is its bits at x = shifts[i] of every slot; cols is the
+# table the columns, or the twist, read.  rsum adds two rows and fold the
+# products of n slices and n columns.  layout(size) gives low, the w low
+# bits of each of size slots set, and the settle of such a row.
+# twist(slices, k, count, low) gives, for each m < count, the slices of
+# frob^(k m) of the row.  columns(v, k, negate) gives, for each element v_l
+# of a list, or -v_l with negate, the n columns that the slices of
+# frob^(k l) of a row are multiplied by for v_l times that, None for zero.
+# divide(t, k, count, low, slices, s1_slices) readies a division by a row
+# whose settled top slot is t: for each m < count, the d of quotient(t', d,
+# j) for j = k m mod n, and the two slice lists, twisted by frob^j.
+# quotient gives the key c of the top slot t' over frob^j(t) and the
+# columns of -c at power j, or None for t' = 0; unkeys takes a list of keys
+# to element ints.  row and unrow take a list of element ints to a row and
+# the first size slots of a settled row back.
+RowSteps = namedtuple("RowSteps", "s shifts cols rsum fold layout twist columns unkeys divide "
+                      "quotient row unrow")
+
+
+def _same_slices(slices, k, count, low):
+    """A log tier's twist: its columns carry the power of the twist."""
+    return [slices] * count
+
+
+def _log_columns(cols, xlogs, q1, neg, v, k, negate):
+    """A log tier's columns: those of g^a times frob^j(x^i) are read off the
+    column table at a + _xlogs[j][i]; -g^a is g^(a + neg)."""
+    if negate:
+        v = [a + neg if a >= 0 else -1 for a in v]
+    n = len(xlogs)
+    return [[cols[(a + x) % q1] for x in xlogs[k * l % n]] if a >= 0 else None
+            for l, a in enumerate(v)]
+
+
+def _log_quotient(read, cols, xlogs, powers, q1, neg, t, d, j):
+    """A log tier's quotient, for d the log of the divisor's lead: read
+    takes the top slot t to its log."""
+    c = read(t)
+    if c < 0:
+        return None
+    c = (c - d * powers[j]) % q1
+    x = c + neg
+    return c, [cols[(x + y) % q1] for y in xlogs[j]]
+
 
 class FqField(modpoly.QuotientRing):
     """The field F_{p^n}: the modpoly.QuotientRing F_p[x]/(modulus) for the
@@ -68,11 +119,11 @@ class FqField(modpoly.QuotientRing):
     _inv, _power, _frob), their conversions and the Ore kernels' vector
     steps (_twist, _addmul, _settle) and the conversions of whole
     coefficient lists (_vec_vs, _coeff_lists).  A log-tier field also has
-    the logs _xlogs[j][i] of frob^j(x^i) and the steps of the row kernels
-    (_row_steps, built on the first row call, with one conversion each way
-    for every p), which the Ore kernels take from _row_min coefficients on
-    (1 for p = 2, 8 max(n, 4) for odd p and n <= 5, else infinite).  A new
-    field is _Unfinished."""
+    the logs _xlogs[j][i] of frob^j(x^i); it and a binary packed field
+    have the steps of the row kernels (_row_steps, built on the first row
+    call), which the Ore kernels take from _row_min coefficients on (1 for
+    p = 2, 8 max(n, 3) for odd p and n <= 5, else infinite).  A new field
+    is _Unfinished."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
@@ -223,10 +274,10 @@ class _LogField(FqField):
             self._halves = tuple([self._digits(i)[:k] for i in range(p**k)] for k in (h, self.n - h))
         # the Ore kernels run on rows (see _row_steps) once the operand a
         # kernel scales has _row_min coefficients (the rule in orepoly's
-        # docstring): at every length for p = 2, from 8 max(n, 4) for odd p
+        # docstring): at every length for p = 2, from 8 max(n, 3) for odd p
         # and n <= 5, never otherwise.  Rows read the logs of
         # frob^j(x^i) = x^(i p^j), an n by n table
-        self._row_min = 1 if p == 2 else 8 * max(self.n, 4) if self.n <= 5 else math.inf
+        self._row_min = 1 if p == 2 else 8 * max(self.n, 3) if self.n <= 5 else math.inf
         self._rsteps = None
         xlogs = [log[e] for e in self._powers]  # x^i has index p^i
         self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
@@ -364,44 +415,47 @@ class _LogField(FqField):
 
     # -- rows (see orepoly) --------------------------------------------------------
 
-    def _row_steps(self) -> tuple:
-        """The layout and steps of orepoly's row kernels, built on the first
-        row call.
+    def _row_steps(self) -> RowSteps:
+        """The layout and steps of orepoly's row kernels (see RowSteps),
+        built on the first row call.
 
-        A row packs a polynomial into one int: coefficient j takes the s-bit
-        slot j, whose w-bit sub-slot i holds base-p digit i of its index.
-        The tuple holds s; the shifts w i of the n slices; the column table,
-        the row digits of g^c for every log c and then of zero; the top-slot
-        reader, a constant and a shift that put a settled slot's index in
-        the low 16 bits; the row sum and the fold of n products; the settle
-        of one slot; layout(size), which gives low (the w low bits of every
-        slot set) and the settle of a row of up to size slots; and the two
-        conversions, the same for every field: a list of logs to a row is
-        one join of their columns as s/8-byte slots (log -1, zero, takes the
-        last), and a row's first size slots back are one struct read of the
-        low 16 bits of each slot of the row times the reader's constant.
+        Coefficient j of a row takes the s-bit slot j, whose w-bit sub-slot
+        i holds base-p digit i of its index.  A key is a log, and the
+        columns of g^c times frob^j of a row are the row digits of
+        g^c frob^j(x^i), read off the column table (the row digits of g^c for
+        every log c, then of zero) at c + _xlogs[j][i], so twist leaves the
+        slices as they are.  The quotient of a top slot is its log less the
+        divisor's lead log times p^j.  The two conversions are the same for
+        every field: a list of logs to a row is one join of their columns
+        as s/8-byte slots (log -1, zero, takes the last), and a row's first
+        size slots back are one struct read of the low 16 bits of each slot
+        of the row times the reader's constant.
 
         For p = 2, w = 1 and s = 16: a slot holds the index itself, so the
-        columns are _antilog, the reader is 1 and 0, and a sum is XOR, final
-        as it is made, so both settles are the identity.  For odd p a sum is
-        an int sum, and c times a row adds at most n (p - 1)^2 to a sub-slot
-        (see orepoly), so w is whole bytes with room for a canonical digit
-        plus _ACC_TERMS such sums, as modpoly._layout sizes its slots: 16
-        bits for F_3 to F_7^5, 24 for F_31^3, F_251 and F_257, 40 for
-        F_32749.  Then s = n w, a settle takes every sub-slot mod p by
+        columns are _antilog, the reader is 1 and 0, the quotient reads a
+        top slot's log with nothing more, and a sum is XOR, final as it is
+        made, so the settle is the identity.  For odd p a sum is an int
+        sum, and c times a row adds at most n (p - 1)^2 to a sub-slot (see
+        orepoly), so w is whole bytes with room for a canonical digit plus
+        _ACC_TERMS such sums, as modpoly._layout sizes its slots: 16 bits
+        for F_3 to F_7^5, 24 for F_31^3, F_251 and F_257, 40 for F_32749.
+        Then s = n w, a settle takes every sub-slot mod p by
         modpoly._layout's fixed point t // p = t m >> k, one multiply for
         every third sub-slot, and the reader's constant, the sum of
-        p^i 2^(w (n - 1 - i)), puts the index in sub-slot n - 1; for n = 1
-        the one digit is the index, and the columns are _antilog.  The tables
-        are the columns and their slots, each as long as _log."""
+        p^i 2^(w (n - 1 - i)), puts the index of a settled slot in sub-slot
+        n - 1; the quotient settles a top slot before it reads it.  For
+        n = 1 the one digit is the index, and the columns are _antilog.
+        The tables are the columns and their slots, each as long as _log."""
         if self._rsteps is not None:
             return self._rsteps
-        p, n, antilog, log = self.p, self.n, self._antilog, self._log
+        p, n, q1, antilog, log = self.p, self.n, self._q1, self._antilog, self._log
         if p == 2:
             w, s, cols, index, at, rsum, fold = 1, 16, antilog, 1, 0, xor, partial(reduce, xor)
 
             def settler(size):
                 return pos
+
+            read = log.__getitem__
         else:
             bound = p - 1 + modpoly._ACC_TERMS * n * (p - 1) ** 2
             w = -(-bound.bit_length() // 8) * 8
@@ -427,12 +481,20 @@ class _LogField(FqField):
                     return row - p * ((row & g0) * m >> k & g0 | (row & g1) * m >> k & g1
                                       | (row & g2) * m >> k & g2)
                 return settle
-        slot = s // 8
+
+            settle_slot = settler(1)
+
+            def read(t):
+                return log[settle_slot(t) * index >> at & 0xFFFF]
+        slot, xlogs, neg = s // 8, self._xlogs, self._minus_one
         slots = [c.to_bytes(slot, "little") for c in cols]
         unit, reader = ((1 << w) - 1).to_bytes(slot, "little"), f"H{slot - 2}x"
 
         def layout(size):
             return int.from_bytes(unit * size, "little"), settler(size)
+
+        def divide(t, k, count, low, slices, s1_slices):
+            return [(log[t * index >> at & 0xFFFF], slices, s1_slices)] * count
 
         def row(v):
             return int.from_bytes(b"".join(map(slots.__getitem__, v)), "little")
@@ -442,8 +504,10 @@ class _LogField(FqField):
             # index, below 2^15, lands in the low 16 bits of its slot
             out = (row * index >> at).to_bytes((size + 1) * slot, "little")
             return list(map(log.__getitem__, unpack_from("<" + reader * size, out)))
-        self._rsteps = (s, range(0, n * w, w), cols, index, at, rsum, fold, settler(1),
-                        layout, row, unrow)
+        self._rsteps = RowSteps(s, range(0, n * w, w), cols, rsum, fold, layout, _same_slices,
+                                partial(_log_columns, cols, xlogs, q1, neg), list, divide,
+                                partial(_log_quotient, read, cols, xlogs, self._powers, q1, neg),
+                                row, unrow)
         return self._rsteps
 
 
@@ -456,7 +520,11 @@ class _PackedField(FqField):
     def _finish(self) -> None:
         self._zero_v, self._one_v = 0, 1
         self._frob_cols: dict[int, tuple] = {}
-        self._row_min = math.inf
+        # binary fields run the Ore kernels on rows at every length (see
+        # _row_steps); odd p keeps the lists, a term there costing n^2 digit
+        # products per coefficient
+        self._row_min = 1 if self.p == 2 else math.inf
+        self._rsteps = None
 
     def _vec_vs(self, vecs) -> list[int]:
         return list(map(self._pack, vecs))
@@ -488,13 +556,17 @@ class _PackedField(FqField):
         return self._reduce(a * b)
 
     def _inv(self, a: int) -> int:
-        """The inverse of a nonzero packed value, by Itoh and Tsujii: with
-        r = (q - 1) / (p - 1), a^(r-1) is a Frobenius image and the norm
-        N(a) = a^r lies in F_p*, so a^-1 = N(a)^-1 a^(r-1).  That costs
-        about 2 log2(n) Frobenius maps and products."""
+        """The inverse of a nonzero packed value: for p = 2 the rows' (see
+        _row_steps); for odd p by Itoh and Tsujii: with r = (q - 1) / (p - 1),
+        a^(r-1) is a Frobenius image and the norm N(a) = a^r lies in F_p*,
+        so a^-1 = N(a)^-1 a^(r-1).  That costs about 2 log2(n) Frobenius maps
+        and products."""
         if a == 1:  # as for the leading coefficient of a monic divisor
             return 1
         p = self.p
+        if p == 2:  # the rows' inverse, on the compact int of a one-slot row
+            *_, row, unrow = self._row_steps()
+            return unrow(_binary_inverse(row([a]), self._compact_modulus()), 1)[0]
         if self.n == 1:
             return pow(a, p - 2, p)
         # b = a^(1 + p + ... + p^(k-1)) along the binary digits of n - 1,
@@ -515,14 +587,17 @@ class _PackedField(FqField):
     def _frob(self, k: int, a: int) -> int:
         """x -> x^(p^k) as a matrix-vector product over F_p, with the
         matrix's packed columns cached per k."""
-        cols = self._frob_cols.get(k)
-        if cols is None:
-            # column i is the image of x^i, that is y^i for y = x^(p^k)
-            y, cols = self._pow(1 << self._w, self.p**k), [1]
-            for _ in range(self.n - 1):
-                cols.append(self._reduce(cols[-1] * y))
-            cols = self._frob_cols[k] = tuple(cols)
+        cols = self._frob_cols.get(k) or self._frob_columns(k)
         return self._canon(self._combine(a, cols))
+
+    def _frob_columns(self, k: int) -> tuple:
+        """The packed columns of frob^k, cached: column i is the image of
+        x^i, that is y^i for y = x^(p^k)."""
+        y, cols = self._pow(1 << self._w, self.p**k), [1]
+        for _ in range(self.n - 1):
+            cols.append(self._reduce(cols[-1] * y))
+        cols = self._frob_cols[k] = tuple(cols)
+        return cols
 
     # -- the Ore kernels' vector steps -----------------------------------------
 
@@ -548,6 +623,117 @@ class _PackedField(FqField):
         return list(map(self._reduce, acc))
 
     _settle_v = modpoly.QuotientRing._reduce
+
+    # -- rows, for p = 2 (see orepoly) ----------------------------------------------
+
+    def _row_steps(self) -> RowSteps:
+        """The steps of orepoly's row kernels for p = 2 (see RowSteps), built
+        on the first row call.  Slot j of a row holds the n F_2 digits of
+        coefficient j in n bits, bit i the coefficient of x^i, and a key is
+        that compact int; a sum is XOR, with nothing to settle.  A row is
+        one join of the coefficients' big-endian bytes, every _step-th byte
+        of it (the digits), translated to b"01" and read by int(., 2); back,
+        its digits are formatted, translated and assigned into byte-wide
+        slots.  twist applies frob^j to a row once per power: n slice
+        products with the compact columns of frob^j(x^i), from _frob_cols.
+        The columns of c are c x^i, whatever the power, each the one before
+        shifted, plus the modulus where that reaches degree n.  divide
+        inverts the lead once (_binary_inverse) and gives for each power the
+        columns of frob^j of that inverse, most significant first, so that a
+        quotient digit is their XOR over the digits of the slot."""
+        if self._rsteps is not None:
+            return self._rsteps
+        n, nb, step, frobs = self.n, self._nbytes, self._step, {}
+        modulus, top, fmt = self._compact_modulus(), 1 << n - 1, f"0{n}b"
+        fold = partial(reduce, xor)
+
+        def digits(c):  # of a key, most significant first, as bytes 0 and 1
+            return format(c, fmt).encode().translate(_FROM_01)
+
+        def bits(v):  # of elements v, most significant first, as b"01"
+            b = b"".join(map(int.to_bytes, reversed(v), repeat(nb), repeat("big")))
+            return b[step - 1::step].translate(_TO_01)
+
+        def keys(v):
+            b = bits(v)
+            return [int(b[i - n:i], 2) for i in range(len(b), 0, -n)]
+
+        def frob(j):
+            if j not in frobs:
+                frobs[j] = keys(self._frob_cols.get(j) or self._frob_columns(j))
+            return frobs[j]
+
+        def twist(slices, k, count, low):
+            out = [slices]
+            for m in range(1, count):  # k m is not 0 mod n below the period
+                t = fold(map(mul, slices, frob(k * m % n)))
+                out.append([t >> i & low for i in range(n)])
+            return out[:count]
+
+        def times_x(c):  # the columns c x^i
+            out = [c]
+            for _ in range(n - 1):
+                c = c << 1 ^ modulus if c & top else c << 1
+                out.append(c)
+            return out
+
+        def columns(v, k, negate):
+            return [times_x(c) if c else None for c in keys(v)]
+
+        def divide(t, k, count, low, slices, s1_slices):
+            if count <= 0:
+                return []
+            inv = _binary_inverse(t, modulus)
+            d = digits(inv)[::-1]
+            inverses = [times_x(fold(compress(frob(k * m % n), d)) if m else inv)[::-1]
+                        for m in range(count)]
+            return list(zip(inverses, twist(slices, k, count, low),
+                            twist(s1_slices, k, count, low) if s1_slices else repeat(())))
+
+        def quotient(t, d, j):
+            c = fold(compress(d, digits(t)), 0)
+            return (c, times_x(c)) if c else None
+
+        def layout(size):
+            return ((1 << n * size) - 1) // ((1 << n) - 1), pos
+
+        def row(v):
+            return int(bits(v) or b"0", 2)
+
+        def elements(b):  # of b"01" digits, most significant first
+            buf = bytearray(len(b) // n * nb)
+            buf[step - 1::step] = b.translate(_FROM_01)
+            return [int.from_bytes(buf[i - nb:i], "big") for i in range(len(buf), 0, -nb)]
+
+        def unkeys(cs):
+            return elements("".join(map(format, reversed(cs), repeat(fmt))).encode())
+
+        def unrow(row, size):
+            return elements(format(row, f"0{n * size}b").encode()) if size else []
+        self._rsteps = RowSteps(n, range(n), frobs, xor, fold, layout, twist, columns, unkeys,
+                                divide, quotient, row, unrow)
+        return self._rsteps
+
+    def _compact_modulus(self) -> int:
+        """The modulus with bit i its coefficient of x^i."""
+        return int(bytes(self.modulus[::-1]).translate(_TO_01), 2)
+
+
+_TO_01, _FROM_01 = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+
+def _binary_inverse(a: int, m: int) -> int:
+    """The inverse of a nonzero a modulo an irreducible m, both compact
+    polynomials over F_2 (bit i the coefficient of x^i), deg a < deg m:
+    u = a g1 and v = a g2 mod m throughout, and u reaches 1."""
+    u, v, g1, g2 = a, m, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 class FqElem:

@@ -36,37 +36,50 @@ accumulating multiplication kernel once per step.  Only s is kept: the lcm
 is s*f, and the witness divides that multiple by the second input on the
 right, exactly.
 
-Log-tier fields run the product, the division and the chain on rows
-instead, with the row sum, the row tables and the conversions the field
-supplies (FqField._row_steps), as the lists run on the tier's vector
-steps.  A row packs a polynomial into one int, each base-p digit of each
-coefficient's index in a sub-slot of its own; since c * tau^l(b) is
+Log-tier fields and the binary packed fields (F_2^16 to F_2^64) run the
+product, the division and the chain on rows instead, with the layout and
+steps the field supplies (ffield.RowSteps), as the lists run on the tier's
+vector steps.  A row packs a polynomial into one int, each base-p digit
+of each coefficient in a sub-slot of its own; since c * tau^l(b) is
 F_p-linear in b, it is n slices of the row, each times the digits of one
 c * tau^l(x^i), so a term costs n whole-row products however long the row,
-instead of one Zech lookup per coefficient (the word-packed vectors of
-M4RI, Albrecht, Bard and Hart, ACM TOMS 36(1), 2010, sliced over larger
-fields as in Boothby and Bradshaw, "Bitslicing and the Method of Four
-Russians over larger finite fields", arXiv:0901.1413).  The row sum is
-the one step that depends on the characteristic: XOR for p = 2, on
-one-bit digits in 16-bit slots, exact with nothing to settle; an int sum
-for odd p, settled mod p once per _ACC_TERMS terms.  The chain keeps its
-remainders and its cofactor as rows from entry to exit.  A term also pays
-for its n columns, and a division step for reading the top coefficient,
-so odd-p rows win only past some length, and later the larger n is,
-since a term's row work grows as n^2.  The one rule, fixed per field as
-FqField._row_min: a kernel runs on rows when the operand it scales (g in
-f*g, the divisor, the chain's second input) has at least _row_min
-coefficients, 1 for p = 2 (rows at every length), 8 max(n, 4) for odd p
-and n <= 5 (32, or 40 at n = 5), and infinite otherwise.
-Measured in process for odd p (rows against lists on random inputs, the
-best of repeated runs, Python 3.11 on a shared 2-vCPU host), rows won
-from 16-32 coefficients in the product and from 24-48 in the division,
-the gcd and the witness for n <= 4; for n = 5 from 24-32 and 32-64; for
-n = 6 from 32 and 40-84; for F_3^7 only from 64-128, and for F_3^9 only
-in the product at 128; on F_251, F_257 and F_32749 rows ran 1.8-4.2 times
-as fast as lists at 32 coefficients.  At degree 1000 the F_2^14 witness
-fell from 1.1-1.4 s to 0.14-0.20 s, and the F_5^4 witness from 1.59 s to
-0.37 s.
+instead of one Zech lookup or packed product per coefficient (the
+word-packed vectors of M4RI, Albrecht, Bard and Hart, ACM TOMS 36(1),
+2010, sliced over larger fields as in Boothby and Bradshaw, "Bitslicing
+and the Method of Four Russians over larger finite fields",
+arXiv:0901.1413).  A log tier reads the digits of c * frob^j(x^i) off its
+tables.  A binary packed field holds coefficient j's n digits in the
+n-bit slot j and applies frob^j to the scaled operand's row once per
+power in a call, n slice products with the compact columns of
+frob^j(x^i); a term's columns are then those of c * x^i, n steps of a
+shift and a conditional XOR of the modulus.  A quotient digit there is
+the XOR, over the bits of the top slot, of the columns of frob^j of the
+inverse of the divisor's lead, inverted once per division.  The row sum is
+the one step that depends on the characteristic: XOR for p = 2, exact
+with nothing to settle; an int sum for odd p, settled mod p once per
+_ACC_TERMS terms.  The chain keeps its remainders and its cofactor as rows
+from entry to exit.  A term also pays for its n columns, and a division
+step for reading the top coefficient, so rows win only past some length,
+and later the larger n is, since a term's row work grows as n^2.  The one
+rule, fixed per field as FqField._row_min: a kernel runs on rows when the
+operand it scales (g in f*g, the divisor, the chain's second input) has
+at least _row_min coefficients, 1 for p = 2 (rows at every length, log
+tier or packed), 8 max(n, 3) for odd p and n <= 5 (24, or 32 at n = 4
+and 40 at n = 5), and infinite otherwise: the odd-p packed fields (F_3^12,
+F_5^7) keep the lists, where a term costs n^2 digit products per
+coefficient.  Measured in process (rows against lists on random inputs,
+the median of three best-of-five timings, Python 3.11 on a shared 2-vCPU
+host), rows won every op from 24 coefficients on F_7^2, from 20 on F_251
+and F_32749, from 32 on F_3, F_3^3 and F_5^4 (at 24 the gcd took 1.02-1.06
+times the lists' time, every other op at most 0.96) and from 40 on F_7^5
+(the gcd at 1.00); the product from 8-16 everywhere.  On F_2^16, F_2^20
+and F_2^64 rows ran 2.1-3.0 times as fast as lists in the product of 19
+coefficients by 19 and 1.2-1.8 times in ore-large's chains (9 to 18
+coefficients in the second input), and lost (0.7-0.9) only on operands
+of at most 4 coefficients, or 9 in the F_2^64 gcd.  At degree
+1000 the F_2^14 witness fell from 1.1-1.4 s to 0.14-0.20 s, the F_5^4
+witness from 1.59 s to 0.37 s, and the F_2^16 and F_2^20 witnesses from
+4.2 and 5.7 s to 0.26 and 0.22 s.
 """
 
 from __future__ import annotations
@@ -391,100 +404,98 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
     return a, s1
 
 
-# -- the kernels on rows, for log-tier fields --------------------------------------
+# -- the kernels on rows ---------------------------------------------------------
 #
-# A row (F._row_steps) packs a polynomial into one int: coefficient j takes
-# the s-bit slot j, whose w-bit sub-slot i holds base-p digit i of its
-# index (w = 1 and s = 16 for p = 2).  With low the int that has the w low
-# bits of every slot set, slice i of a settled row, (row >> w i) & low,
-# holds digit i of every coefficient, and since frob^j is F_p-linear,
+# A row (F._row_steps, see ffield.RowSteps) packs a polynomial into one int:
+# coefficient j takes the s-bit slot j, whose w-bit sub-slot i holds base-p
+# digit i of its index in a log tier (w = 1 and s = 16 for p = 2), and
+# whose bit i is its coefficient of x^i in a binary packed field (w = 1,
+# s = n).  With low the int that has the w low bits of every slot set,
+# slice i of a settled row, (row >> w i) & low, holds digit i of every
+# coefficient, and since frob^j is F_p-linear,
 #
 #     c * tau^l(row) = sum over i of slice_i * (the row digits of c * frob^j(x^i))
 #
 # for frob^j = tau^l: each product puts at most (p - 1)^2 in a sub-slot of
-# the slot it lands in and carries nowhere.  The field supplies the row sum
-# and the fold of the n products: XOR for p = 2, exact with nothing to
-# settle (an int sum would carry out of the 1-bit digits); for odd p an
-# int sum, settled (every sub-slot taken mod p) once per _ACC_TERMS terms.
-# A difference adds the negated multiplier, c + _minus_one on logs, so
-# rows never borrow.  A settled slot times the reader's constant, shifted,
-# has the slot's index, below 2^15, in its low 16 bits.
+# the slot it lands in and carries nowhere.  A log tier reads those
+# columns off its tables; a binary packed field twists the slices instead,
+# once per power (twist), and its columns are those of c * x^i.  The field
+# supplies the row sum and the fold of the n products: XOR for p = 2,
+# exact with nothing to settle (an int sum would carry out of the 1-bit
+# digits); for odd p an int sum, settled (every sub-slot taken mod p) once
+# per _ACC_TERMS terms.  A difference adds the columns of the negated
+# multiplier, so rows never borrow.
 
 
 def _row_mul(F: FqField, k: int, f, g, minus) -> list[int]:
     """_mul on rows; minus - f*g is minus plus the products of -f_l."""
-    n, q1, xlogs = F.n, F._q1, F._xlogs
-    s, shifts, cols, _, _, rsum, fold, _, layout, row, unrow = F._row_steps()
-    size, out, neg = len(f) + len(g) - 1, 0, 0
+    R, n = F._row_steps(), F.n
+    s, rsum, fold = R.s, R.rsum, R.fold
+    size, out = len(f) + len(g) - 1, 0
     if minus is not None:
-        size, out, neg = max(size, len(minus)), row(minus), F._minus_one
-    low, settle = layout(size)
-    b, terms = row(g), 0
-    slices = [b >> x & low for x in shifts]
-    for l, a in enumerate(f):
-        if a >= 0:
+        size, out = max(size, len(minus)), R.row(minus)
+    low, settle = R.layout(size)
+    b, period, terms = R.row(g), n // gcd(n, k), 0
+    twisted = R.twist([b >> x & low for x in R.shifts], k, min(period, len(f)), low)
+    for l, col in enumerate(R.columns(f, k, minus is not None)):
+        if col is not None:
             if terms == _ACC_TERMS:
                 out, terms = settle(out), 0
-            a += neg
-            out = rsum(out, fold(map(mul, slices, [cols[(a + x) % q1] for x in xlogs[k * l % n]]))
-                       << s * l)
+            out = rsum(out, fold(map(mul, twisted[l % period], col)) << s * l)
             terms += 1
-    return unrow(settle(out), size)
+    return R.unrow(settle(out), size)
 
 
 def _row_divisions(F: FqField, k: int, f, g, cofactor: bool):
     """The right Euclidean chain from f and g, g != 0, on rows, one division
-    r_(i-1) = q_i r_i + r_(i+1) at a time: for each, the terms (m, c) of
-    q_i, c a nonzero log, and the settled rows r_i, r_(i+1) and with
+    r_(i-1) = q_i r_i + r_(i+1) at a time: for each, the keys of the
+    coefficients of q_i, and the settled rows r_i, r_(i+1) and with
     cofactor s_(i+1) = s_(i-1) - q_i s_i (see _euclid), else 0.  The
     remainders and the cofactor stay rows throughout, and each quotient
     term updates both with the same columns, those of -c.  A step reads
-    only the top slot of the remainder, settled, and leaves that slot zero
-    or, for odd p, a multiple of p in every sub-slot; the dropped slots are
-    masked off once per division."""
-    n, q1, log, powers, xlogs, minus_one = F.n, F._q1, F._log, F._powers, F._xlogs, F._minus_one
-    s, shifts, cols, index, at, rsum, fold, settle_slot, layout, row, _ = F._row_steps()
-    low, settle = layout(len(f) + len(g))
-    one, a, b, top = (1 << s) - 1, row(f), row(g), len(f) - 1
+    only the top slot of the remainder, and leaves that slot zero or, for
+    odd p, a multiple of p in every sub-slot; the dropped slots are masked
+    off once per division."""
+    R, n = F._row_steps(), F.n
+    s, shifts, rsum, fold, divide, quotient = R.s, R.shifts, R.rsum, R.fold, R.divide, R.quotient
+    low, settle = R.layout(len(f) + len(g))
+    one, a, b, top, zero = (1 << s) - 1, R.row(f), R.row(g), len(f) - 1, F._zero_v
+    period = n // gcd(n, k)
     s0, s1 = 1, 0  # the rows of 1 and 0
     while b:
         d = (b.bit_length() - 1) // s
-        lead = log[(b >> s * d) * index >> at & 0xFFFF]
-        slices = [b >> x & low for x in shifts]
-        s1_slices = [s1 >> x & low for x in shifts] if cofactor else ()
-        r, terms = a, []
+        # each power of tau that this division's terms take, met once
+        per_power = divide(b >> s * d, k, top - d + 1 if top - d < period else period, low,
+                        [b >> x & low for x in shifts],
+                        [s1 >> x & low for x in shifts] if cofactor else ())
+        r, q, budget = a, [zero] * (top - d + 1), _ACC_TERMS
         for top in range(top, d - 1, -1):
-            # r is settled until its first term, so its top slot needs no settle
-            t = r >> s * top & one
-            c = log[(settle_slot(t) if terms else t) * index >> at & 0xFFFF]
-            if c < 0:
-                continue
             m = top - d
-            j = k * m % n
-            # c = r_top / frob^j(b_d), and the columns are those of -c
-            c = (c - lead * powers[j]) % q1
-            neg = c + minus_one
-            col = [cols[(neg + x) % q1] for x in xlogs[j]]
-            if terms and len(terms) % _ACC_TERMS == 0:
-                r, s0 = settle(r), settle(s0)  # s0 = 1 without cofactor
+            lead, slices, s1_slices = per_power[m % period]
+            # c = r_top / tau^m(b_d), and the columns are those of -c
+            term = quotient(r >> s * top & one, lead, k * m % n)
+            if term is None:
+                continue
+            c, col = term
+            if not budget:
+                r, s0, budget = settle(r), settle(s0), _ACC_TERMS  # s0 = 1 without cofactor
+            budget -= 1
             r = rsum(r, fold(map(mul, slices, col)) << s * m)
             if cofactor:
                 s0 = rsum(s0, fold(map(mul, s1_slices, col)) << s * m)
-            terms.append((m, c))
+            q[m] = c
         r = settle(r & (1 << s * d) - 1)
         if cofactor:
             s0, s1 = s1, settle(s0)
-        yield terms, b, r, s1
+        yield q, b, r, s1
         a, b, top = b, r, d
 
 
 def _row_right_divmod(F: FqField, k: int, f, g):
     """_right_divmod on rows: the first division of the chain."""
-    terms, _, r, _ = next(_row_divisions(F, k, f, g, False))
-    q = [F._zero_v] * max(0, len(f) - len(g) + 1)
-    for m, c in terms:
-        q[m] = c
-    return q, F._row_steps()[-1](r, min(len(f), len(g) - 1))
+    q, _, r, _ = next(_row_divisions(F, k, f, g, False))
+    R = F._row_steps()
+    return R.unkeys(q), R.unrow(r, min(len(f), len(g) - 1))
 
 
 def _row_euclid(F: FqField, k: int, f, g, cofactor: bool) -> tuple[list, list]:
@@ -492,8 +503,8 @@ def _row_euclid(F: FqField, k: int, f, g, cofactor: bool) -> tuple[list, list]:
     is zero, and the cofactor of that remainder."""
     for _, b, _, s1 in _row_divisions(F, k, f, g, cofactor):
         pass
-    s, *_, unrow = F._row_steps()
-    return unrow(b, -(-b.bit_length() // s)), unrow(s1, -(-s1.bit_length() // s))
+    R = F._row_steps()
+    return R.unrow(b, -(-b.bit_length() // R.s)), R.unrow(s1, -(-s1.bit_length() // R.s))
 
 
 def ore_right_gcd(f: OrePoly, g: OrePoly) -> OrePoly:

@@ -668,7 +668,7 @@ def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     # of q_2 at 1: in the cofactor update s_4 = 1 - q_3 s_3 with s_3 = -q_2,
     # every slot product is at its largest, and the sums carry into the next
     # slot unless the accumulating kernel reduces them on the way.  Every
-    # log-tier field here runs the chain on rows.  On F_2^14 and F_2^15 the
+    # field here but F_3^12 runs the chain on rows.  On F_2^14 and F_2^15 the
     # cofactor rows pass 100 coefficients, where a wrong slot shift or row
     # length would show.  On F_3^3, F_5^4, F_7^2 and F_23^2 the quotients'
     # terms overrun _ACC_TERMS, so the remainders and the cofactors settle
@@ -688,7 +688,7 @@ def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     _check_chains(r0, r1)
     assert ore_right_gcd(r0, r1) == r3.monic()
     assert ore_left_lcm(r0, r1).degree == r0.degree + r1.degree - 1
-    assert bool(row_calls["_row_euclid"]) == (p**n <= 1 << 15)
+    assert bool(row_calls["_row_euclid"]) == (p == 2 or p**n <= 1 << 15)
 
 
 # -- rows, for log-tier fields ------------------------------------------------------
@@ -708,9 +708,11 @@ def row_calls(monkeypatch):
     return calls
 
 
-# bit rows (1-bit sub-slots in 16-bit slots) for p = 2; F_31^3 and F_257
-# have 24-bit sub-slots, F_32749 40, the other odd-p fields 16
-ROW_FIELDS = [(2, 4), (2, 8), (2, 15), (3, 3), (5, 4), (7, 2), (31, 3), (257, 1), (32749, 1)]
+# bit rows (1-bit sub-slots in 16-bit slots) for p = 2 in the log tier, and
+# n-bit slots past it; F_31^3 and F_257 have 24-bit sub-slots, F_32749 40,
+# the other odd-p fields 16
+ROW_FIELDS = [(2, 4), (2, 8), (2, 15), (2, 16), (2, 20), (2, 64), (3, 3), (5, 4), (7, 2), (31, 3),
+              (257, 1), (32749, 1)]
 SUB_SLOT = {2: 1, 31: 24, 257: 24, 32749: 40}
 
 
@@ -725,13 +727,15 @@ def _nonmonic(F, rng, deg):
 @pytest.mark.parametrize("p,n", ROW_FIELDS)
 def test_row_kernels_match_raw_reference(p, n, row_calls):
     # the product, acc - f*g, both divisions and the chains on rows, for
-    # every twist, with every scaled operand at or past the rule's least
-    # length, against the tuple reference; p = 2 runs rows at every length,
-    # and there the reference's chains over F_2^15 set the size
+    # every twist (only 0, 1, n/2 and n - 1 past n = 16, which bounds the
+    # reference's Frobenius powers), with every scaled operand at or past
+    # the rule's least length, against the tuple reference; p = 2 runs rows
+    # at every length, and there the reference's chains over F_2^15 set the
+    # size
     F = make_field(p, n)
     size = F._row_min if p != 2 else 8
     rng = random.Random(p * 7000 + n)
-    for k in range(n):
+    for k in range(n) if n <= 16 else sorted({0, 1, n // 2, n - 1}):
         ring, ref = OreRing(F, frobenius(F, k)), RawRing(F, k)
         f, g = _nonmonic(F, rng, size + 6), _nonmonic(F, rng, size - 1)
         prod = ref.ore_mul(f, g)
@@ -757,15 +761,15 @@ def test_row_kernels_match_raw_reference(p, n, row_calls):
     assert F._rsteps[1].step == SUB_SLOT.get(p, 16)
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (3, 3), (5, 4), (7, 5), (3, 1), (251, 1),
-                                 (257, 1), (32749, 1)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (2, 16), (2, 64), (3, 3), (5, 4), (7, 5), (3, 1),
+                                 (251, 1), (257, 1), (32749, 1)])
 def test_the_kernel_choice_follows_the_stated_rule(p, n, row_calls):
     # rows when the operand a kernel scales, g in f*g, the divisor or the
     # chain's second input, has at least _row_min coefficients: 1 for p = 2,
-    # so at every length, and 8 max(n, 4) for odd p and n <= 5, where one
+    # so at every length, and 8 max(n, 3) for odd p and n <= 5, where one
     # coefficient fewer stays on lists
     F = make_field(p, n)
-    assert F._row_min == (1 if p == 2 else 8 * max(n, 4))
+    assert F._row_min == (1 if p == 2 else 8 * max(n, 3))
     ring = OreRing(F, frobenius(F, 1 % n))
     rng = random.Random(p * 8000 + n)
 
