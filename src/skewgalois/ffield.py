@@ -30,12 +30,18 @@ F_p[x]/(modulus) of byte-wide slots, so a product is one int product and
 its _reduce (the high slots folded back through the modulus's _fold table,
 every slot taken mod p with no Python loop over the slots).  Frobenius
 powers are F_p-linear maps applied as cached packed columns; sums and
-negation work slotwise.  For odd p an inverse is Itoh and Tsujii's: for
-r = (q - 1) / (p - 1), a^(r-1) takes about 2 log2(n) Frobenius maps and
-products, and the norm a^r is a constant, inverted in F_p.  A binary
-packed field (F_2^16 to F_2^64) supplies the row kernels' steps too, on
-rows of n-bit slots, one compact int of n F_2 digits per coefficient, and
-inverts by the extended Euclidean algorithm on that compact int.
+negation work slotwise.  For odd p an inverse is Itoh and Tsujii's over a
+subfield F_(p^d), d the largest proper divisor of n with p^d <= 256: for
+r = (q - 1) / (p^d - 1), a^(r-1) takes about 2 log2(n / d) Frobenius maps
+and products, and the norm a^r, in F_(p^d), is inverted in F_p for d = 1
+and by one power in F_(p^d), kept per norm, otherwise.  A packed
+field supplies the row kernels' steps too.  A binary one (F_2^16 to
+F_2^64) works on rows of n-bit slots, one compact int of n F_2 digits per
+coefficient, and inverts by the extended Euclidean algorithm on that
+compact int.  An odd-p one keeps its packed int, each in a slot of 2n
+packed slots, with steps of their own in skewgalois.superslot; its rows
+win from 8 or 24 coefficients up to 36-byte elements (F_3^18, F_7^12),
+and larger elements keep the lists.
 
 A polynomial's JSON coefficients convert once per polynomial, by the tier,
 both ways (_vs_of, _coeff_lists).  For p < 256 a list of coefficient
@@ -54,7 +60,7 @@ from itertools import chain, compress, repeat
 from operator import add, mul, pos, xor
 from struct import unpack_from
 
-from . import modpoly
+from . import modpoly, superslot
 from .zarith import factorize, is_prime
 
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
@@ -69,12 +75,14 @@ FIELD_ORDER_MAX = 1 << 64
 # packs a polynomial into one int, coefficient j in the s-bit slot j, and
 # slice i of a row is its bits at x = shifts[i] of every slot; cols is the
 # table the columns, or the twist, read.  rsum adds two rows and fold the
-# products of n slices and n columns.  layout(size) gives low, the w low
-# bits of each of size slots set, and the settle of such a row.
+# products of the slices and the columns.  layout(size) gives low, the w
+# low bits of each of size slots set (the low half, for an odd-p packed
+# field), and the settle of such a row.
 # twist(slices, k, count, low) gives, for each m < count, the slices of
 # frob^(k m) of the row.  columns(v, k, negate) gives, for each element v_l
-# of a list, or -v_l with negate, the n columns that the slices of
-# frob^(k l) of a row are multiplied by for v_l times that, None for zero.
+# of a list, or -v_l with negate, the columns, one per slice, that the
+# slices of frob^(k l) of a row are multiplied by for v_l times that, None
+# for zero.
 # divide(t, k, count, low, slices, s1_slices) readies a division by a row
 # whose settled top slot is t: for each m < count, the d of quotient(t', d,
 # j) for j = k m mod n, and the two slice lists, twisted by frob^j.
@@ -86,30 +94,19 @@ RowSteps = namedtuple("RowSteps", "s shifts cols rsum fold layout twist columns 
                       "quotient row unrow")
 
 
-def _same_slices(slices, k, count, low):
-    """A log tier's twist: its columns carry the power of the twist."""
-    return [slices] * count
+def _canon_slots(p: int, w: int, slots: int):
+    """The canon of row ints of up to slots w-bit slots, for odd p: every
+    slot taken mod p by modpoly._layout's fixed point t // p = t m >> k, one
+    multiply for every third slot."""
+    k = w + p.bit_length()
+    m = -(-(1 << k) // p)
+    g0 = int.from_bytes(((1 << w) - 1).to_bytes(3 * w // 8, "little") * -(-slots // 3), "little")
+    g1, g2 = g0 << w, g0 << 2 * w
 
-
-def _log_columns(cols, xlogs, q1, neg, v, k, negate):
-    """A log tier's columns: those of g^a times frob^j(x^i) are read off the
-    column table at a + _xlogs[j][i]; -g^a is g^(a + neg)."""
-    if negate:
-        v = [a + neg if a >= 0 else -1 for a in v]
-    n = len(xlogs)
-    return [[cols[(a + x) % q1] for x in xlogs[k * l % n]] if a >= 0 else None
-            for l, a in enumerate(v)]
-
-
-def _log_quotient(read, cols, xlogs, powers, q1, neg, t, d, j):
-    """A log tier's quotient, for d the log of the divisor's lead: read
-    takes the top slot t to its log."""
-    c = read(t)
-    if c < 0:
-        return None
-    c = (c - d * powers[j]) % q1
-    x = c + neg
-    return c, [cols[(x + y) % q1] for y in xlogs[j]]
+    def canon(row):
+        return row - p * ((row & g0) * m >> k & g0 | (row & g1) * m >> k & g1
+                          | (row & g2) * m >> k & g2)
+    return canon
 
 
 class FqField(modpoly.QuotientRing):
@@ -119,16 +116,17 @@ class FqField(modpoly.QuotientRing):
     _inv, _power, _frob), their conversions and the Ore kernels' vector
     steps (_twist, _addmul, _settle) and the conversions of whole
     coefficient lists (_vec_vs, _coeff_lists).  A log-tier field also has
-    the logs _xlogs[j][i] of frob^j(x^i); it and a binary packed field
-    have the steps of the row kernels (_row_steps, built on the first row
-    call), which the Ore kernels take from _row_min coefficients on (1 for
-    p = 2, 8 max(n, 3) for odd p and n <= 5, else infinite).  A new field
-    is _Unfinished."""
+    the logs _xlogs[j][i] of frob^j(x^i).  Every field has the steps of the
+    row kernels (_row_steps, built on the first row call), which the Ore
+    kernels take from _row_min coefficients on: 1 for p = 2; for odd p,
+    8 max(n, 3) in the log tier for n <= 5, and 8 for packed elements of up
+    to 30 bytes, 24 up to 36; infinite otherwise.  A new field is
+    _Unfinished."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
                  "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols",
-                 "_xlogs", "_halves", "_row_min", "_rsteps")
+                 "_xlogs", "_halves", "_row_min", "_rsteps", "_norm_inv")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
@@ -468,25 +466,15 @@ class _LogField(FqField):
                 high = [sum(d << w * i for i, d in enumerate(ds, h)) for ds in hi]
                 cols = [low[a % ph] + high[a // ph] for a in antilog]
             index = sum(p**i << w * (n - 1 - i) for i in range(n))
-            k = w + p.bit_length()
-            m = -(-(1 << k) // p)
-            third = ((1 << w) - 1).to_bytes(3 * w // 8, "little")
 
             def settler(size):
-                # every bit of every third sub-slot of size slots
-                g0 = int.from_bytes(third * -(-n * size // 3), "little")
-                g1, g2 = g0 << w, g0 << 2 * w
-
-                def settle(row):
-                    return row - p * ((row & g0) * m >> k & g0 | (row & g1) * m >> k & g1
-                                      | (row & g2) * m >> k & g2)
-                return settle
+                return _canon_slots(p, w, n * size)
 
             settle_slot = settler(1)
 
             def read(t):
                 return log[settle_slot(t) * index >> at & 0xFFFF]
-        slot, xlogs, neg = s // 8, self._xlogs, self._minus_one
+        slot, xlogs, neg, powers = s // 8, self._xlogs, self._minus_one, self._powers
         slots = [c.to_bytes(slot, "little") for c in cols]
         unit, reader = ((1 << w) - 1).to_bytes(slot, "little"), f"H{slot - 2}x"
 
@@ -496,6 +484,25 @@ class _LogField(FqField):
         def divide(t, k, count, low, slices, s1_slices):
             return [(log[t * index >> at & 0xFFFF], slices, s1_slices)] * count
 
+        def twist(slices, k, count, low):  # the columns carry the power of the twist
+            return [slices] * count
+
+        def columns(v, k, negate):
+            # those of g^a times frob^j(x^i) sit in the column table at
+            # a + _xlogs[j][i]; -g^a is g^(a + neg)
+            if negate:
+                v = [a + neg if a >= 0 else -1 for a in v]
+            return [[cols[(a + x) % q1] for x in xlogs[k * l % n]] if a >= 0 else None
+                    for l, a in enumerate(v)]
+
+        def quotient(t, d, j):  # d is the log of the divisor's lead
+            c = read(t)
+            if c < 0:
+                return None
+            c = (c - d * powers[j]) % q1
+            x = c + neg
+            return c, [cols[(x + y) % q1] for y in xlogs[j]]
+
         def row(v):
             return int.from_bytes(b"".join(map(slots.__getitem__, v)), "little")
 
@@ -504,10 +511,8 @@ class _LogField(FqField):
             # index, below 2^15, lands in the low 16 bits of its slot
             out = (row * index >> at).to_bytes((size + 1) * slot, "little")
             return list(map(log.__getitem__, unpack_from("<" + reader * size, out)))
-        self._rsteps = RowSteps(s, range(0, n * w, w), cols, rsum, fold, layout, _same_slices,
-                                partial(_log_columns, cols, xlogs, q1, neg), list, divide,
-                                partial(_log_quotient, read, cols, xlogs, self._powers, q1, neg),
-                                row, unrow)
+        self._rsteps = RowSteps(s, range(0, n * w, w), cols, rsum, fold, layout, twist, columns,
+                                list, divide, quotient, row, unrow)
         return self._rsteps
 
 
@@ -520,11 +525,15 @@ class _PackedField(FqField):
     def _finish(self) -> None:
         self._zero_v, self._one_v = 0, 1
         self._frob_cols: dict[int, tuple] = {}
-        # binary fields run the Ore kernels on rows at every length (see
-        # _row_steps); odd p keeps the lists, a term there costing n^2 digit
-        # products per coefficient
-        self._row_min = 1 if self.p == 2 else math.inf
-        self._rsteps = None
+        # the Ore kernels run on rows (see _row_steps) once the operand a
+        # kernel scales has _row_min coefficients (the rule in orepoly's
+        # docstring): at every length for p = 2; for odd p from 8 when an
+        # element packs into at most 30 bytes, from 24 up to 36 bytes, and
+        # never past that, where the twist's n whole-row products cost more
+        # than the lists' products per coefficient
+        nb = self._nbytes
+        self._row_min = 1 if self.p == 2 else 8 if nb <= 30 else 24 if nb <= 36 else math.inf
+        self._rsteps = self._norm_inv = None
 
     def _vec_vs(self, vecs) -> list[int]:
         return list(map(self._pack, vecs))
@@ -557,28 +566,38 @@ class _PackedField(FqField):
 
     def _inv(self, a: int) -> int:
         """The inverse of a nonzero packed value: for p = 2 the rows' (see
-        _row_steps); for odd p by Itoh and Tsujii: with r = (q - 1) / (p - 1),
-        a^(r-1) is a Frobenius image and the norm N(a) = a^r lies in F_p*,
-        so a^-1 = N(a)^-1 a^(r-1).  That costs about 2 log2(n) Frobenius maps
-        and products."""
+        _row_steps); for odd p by Itoh and Tsujii over the subfield
+        F_(p^d), d the largest proper divisor of n with p^d <= 256: with
+        r = (q - 1) / (p^d - 1), a^(r-1) is a product of Frobenius images
+        and the norm N(a) = a^r lies in F_(p^d)*, so a^-1 = N(a)^-1 a^(r-1).
+        That costs about 2 log2(n / d) Frobenius maps and products; N(a)^-1
+        is taken in F_p for d = 1, and otherwise as N(a)^(p^d - 2) once per
+        norm, kept beside d in _norm_inv."""
         if a == 1:  # as for the leading coefficient of a monic divisor
             return 1
-        p = self.p
+        p, n = self.p, self.n
         if p == 2:  # the rows' inverse, on the compact int of a one-slot row
             *_, row, unrow = self._row_steps()
             return unrow(_binary_inverse(row([a]), self._compact_modulus()), 1)[0]
-        if self.n == 1:
+        if n == 1:
             return pow(a, p - 2, p)
-        # b = a^(1 + p + ... + p^(k-1)) along the binary digits of n - 1,
-        # by b_2k = b_k frob^k(b_k) and b_(k+1) = a frob(b_k)
+        if self._norm_inv is None:
+            self._norm_inv = max(e for e in range(1, n) if n % e == 0 and p**e <= 256), {}
+        d, inverses = self._norm_inv
+        # b = a^(1 + p^d + ... + p^(d(k-1))) along the binary digits of
+        # n/d - 1, by b_2k = b_k frob^(dk)(b_k) and b_(k+1) = a frob^d(b_k)
         b, k = a, 1
-        for bit in bin(self.n - 1)[3:]:
-            b, k = self._reduce(b * self._frob(k, b)), 2 * k
+        for bit in bin(n // d - 1)[3:]:
+            b, k = self._reduce(b * self._frob(d * k, b)), 2 * k
             if bit == "1":
-                b, k = self._reduce(a * self._frob(1, b)), k + 1
-        c = self._frob(1, b)  # a^(p + ... + p^(n-1)) = a^(r-1)
-        norm = self._reduce(a * c)  # a constant, its own packed form
-        return self._canon(c * pow(norm, p - 2, p))
+                b, k = self._reduce(a * self._frob(d, b)), k + 1
+        c = self._frob(d, b)  # a^(p^d + ... + p^(n-d)) = a^(r-1)
+        norm = self._reduce(a * c)
+        if d == 1:  # a constant, its own packed form
+            return self._canon(c * pow(norm, p - 2, p))
+        if norm not in inverses:
+            inverses[norm] = self._pow(norm, p**d - 2)
+        return self._reduce(c * inverses[norm])
 
     def _power(self, a: int, e: int) -> int:
         """a^e for nonzero a and any integer e."""
@@ -624,11 +643,17 @@ class _PackedField(FqField):
 
     _settle_v = modpoly.QuotientRing._reduce
 
-    # -- rows, for p = 2 (see orepoly) ----------------------------------------------
+    # -- rows (see orepoly) ----------------------------------------------------------
 
     def _row_steps(self) -> RowSteps:
-        """The steps of orepoly's row kernels for p = 2 (see RowSteps), built
-        on the first row call.  Slot j of a row holds the n F_2 digits of
+        """The steps of orepoly's row kernels (see RowSteps), built on the
+        first row call: bit rows for p = 2, super-slot rows for odd p."""
+        if self._rsteps is None:
+            self._rsteps = self._bit_rows() if self.p == 2 else superslot.row_steps(self)
+        return self._rsteps
+
+    def _bit_rows(self) -> RowSteps:
+        """The row steps for p = 2.  Slot j of a row holds the n F_2 digits of
         coefficient j in n bits, bit i the coefficient of x^i, and a key is
         that compact int; a sum is XOR, with nothing to settle.  A row is
         one join of the coefficients' big-endian bytes, every _step-th byte
@@ -641,8 +666,6 @@ class _PackedField(FqField):
         inverts the lead once (_binary_inverse) and gives for each power the
         columns of frob^j of that inverse, most significant first, so that a
         quotient digit is their XOR over the digits of the slot."""
-        if self._rsteps is not None:
-            return self._rsteps
         n, nb, step, frobs = self.n, self._nbytes, self._step, {}
         modulus, top, fmt = self._compact_modulus(), 1 << n - 1, f"0{n}b"
         fold = partial(reduce, xor)
@@ -710,9 +733,8 @@ class _PackedField(FqField):
 
         def unrow(row, size):
             return elements(format(row, f"0{n * size}b").encode()) if size else []
-        self._rsteps = RowSteps(n, range(n), frobs, xor, fold, layout, twist, columns, unkeys,
-                                divide, quotient, row, unrow)
-        return self._rsteps
+        return RowSteps(n, range(n), frobs, xor, fold, layout, twist, columns, unkeys, divide,
+                        quotient, row, unrow)
 
     def _compact_modulus(self) -> int:
         """The modulus with bit i its coefficient of x^i."""

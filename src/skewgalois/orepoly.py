@@ -36,11 +36,11 @@ accumulating multiplication kernel once per step.  Only s is kept: the lcm
 is s*f, and the witness divides that multiple by the second input on the
 right, exactly.
 
-Log-tier fields and the binary packed fields (F_2^16 to F_2^64) run the
-product, the division and the chain on rows instead, with the layout and
-steps the field supplies (ffield.RowSteps), as the lists run on the tier's
-vector steps.  A row packs a polynomial into one int, each base-p digit
-of each coefficient in a sub-slot of its own; since c * tau^l(b) is
+Log-tier fields and the packed fields run the product, the division and
+the chain on rows instead, with the layout and steps the field supplies
+(ffield.RowSteps), as the lists run on the tier's vector steps.  A row
+packs a polynomial into one int, in a log tier each base-p digit of each
+coefficient in a sub-slot of its own; since c * tau^l(b) is
 F_p-linear in b, it is n slices of the row, each times the digits of one
 c * tau^l(x^i), so a term costs n whole-row products however long the row,
 instead of one Zech lookup or packed product per coefficient (the
@@ -54,32 +54,50 @@ power in a call, n slice products with the compact columns of
 frob^j(x^i); a term's columns are then those of c * x^i, n steps of a
 shift and a conditional XOR of the modulus.  A quotient digit there is
 the XOR, over the bits of the top slot, of the columns of frob^j of the
-inverse of the divisor's lead, inverted once per division.  The row sum is
-the one step that depends on the characteristic: XOR for p = 2, exact
-with nothing to settle; an int sum for odd p, settled mod p once per
-_ACC_TERMS terms.  The chain keeps its remainders and its cofactor as rows
-from entry to exit.  A term also pays for its n columns, and a division
-step for reading the top coefficient, so rows win only past some length,
-and later the larger n is, since a term's row work grows as n^2.  The one
-rule, fixed per field as FqField._row_min: a kernel runs on rows when the
-operand it scales (g in f*g, the divisor, the chain's second input) has
-at least _row_min coefficients, 1 for p = 2 (rows at every length, log
-tier or packed), 8 max(n, 3) for odd p and n <= 5 (24, or 32 at n = 4
-and 40 at n = 5), and infinite otherwise: the odd-p packed fields (F_3^12,
-F_5^7) keep the lists, where a term costs n^2 digit products per
-coefficient.  Measured in process (rows against lists on random inputs,
-the median of three best-of-five timings, Python 3.11 on a shared 2-vCPU
-host), rows won every op from 24 coefficients on F_7^2, from 20 on F_251
-and F_32749, from 32 on F_3, F_3^3 and F_5^4 (at 24 the gcd took 1.02-1.06
-times the lists' time, every other op at most 0.96) and from 40 on F_7^5
-(the gcd at 1.00); the product from 8-16 everywhere.  On F_2^16, F_2^20
-and F_2^64 rows ran 2.1-3.0 times as fast as lists in the product of 19
-coefficients by 19 and 1.2-1.8 times in ore-large's chains (9 to 18
-coefficients in the second input), and lost (0.7-0.9) only on operands
-of at most 4 coefficients, or 9 in the F_2^64 gcd.  At degree
-1000 the F_2^14 witness fell from 1.1-1.4 s to 0.14-0.20 s, the F_5^4
-witness from 1.59 s to 0.37 s, and the F_2^16 and F_2^20 witnesses from
-4.2 and 5.7 s to 0.26 and 0.22 s.
+inverse of the divisor's lead, inverted once per division.  An odd-p
+packed field (see skewgalois.superslot) keeps its packed element: slot j
+of a row, 2n packed slots wide, holds coefficient j's packed int, so c
+times a row is one int product, every unreduced c g_j in a slot of its
+own; the twist is applied once per power (n slice products with the
+packed columns of frob^j), a settle folds every slot's high half back at
+once (one whole-row product by x^n mod m per round, at most two rounds),
+and a quotient reduces the top slot and multiplies it by frob^j of the
+lead's inverse.  The row sum is the one step that depends on the
+characteristic: XOR for p = 2, exact with nothing to settle; an int sum
+for odd p, settled mod p once per _ACC_TERMS terms.  The chain keeps its
+remainders and its cofactor as rows from entry to exit.  A term also pays
+for its n columns, and a division step for reading the top coefficient,
+so rows win only past some length, and later the larger n is, since a
+term's row work grows as n^2.  The one rule, fixed per field as
+FqField._row_min: a kernel runs on rows when the operand it scales (g in
+f*g, the divisor, the chain's second input) has at least _row_min
+coefficients: 1 for p = 2 (rows at every length, log tier or packed); in
+the odd-p log tier 8 max(n, 3) for n <= 5 (24, or 32 at n = 4 and 40 at
+n = 5), and infinite past that, where a term costs n^2 digit products per
+coefficient; for odd-p packed fields 8 when an element packs into at most
+30 bytes (F_3^12 to F_3^15, F_5^7 to F_5^15, F_7^9, every prime field),
+24 up to 36 bytes (F_3^16 to F_3^18, F_7^12), and infinite past that
+(F_3^19 to F_3^40, F_7^14), where the twist's n whole-row products cost
+more than the lists' products per coefficient.  Measured in process (rows
+against lists on random inputs, the median of three best-of-five timings,
+Python 3.11 on a shared 2-vCPU host), rows won every op from 24
+coefficients on F_7^2, from 20 on F_251 and F_32749, from 32 on F_3,
+F_3^3 and F_5^4 (at 24 the gcd took 1.02-1.06 times the lists' time,
+every other op at most 0.96) and from 40 on F_7^5 (the gcd at 1.00); the
+product from 8-16 everywhere.  On F_2^16, F_2^20 and F_2^64 rows ran
+2.1-3.0 times as fast as lists in the product of 19 coefficients by 19
+and 1.2-1.8 times in ore-large's chains (9 to 18 coefficients in the
+second input), and lost (0.7-0.9) only on operands of at most 4
+coefficients, or 9 in the F_2^64 gcd.  On the odd-p packed fields rows
+won the product from 3 coefficients, every op from 5-6 on F_3^12, F_5^7,
+F_7^9 and F_65537, from 8 on F_3^14, F_3^15, F_5^15 and near 2^64 (the
+division at 0.99 there), from 8-16 on F_3^16, F_3^17 and F_7^12 and from
+24 on F_3^18, and lost some op at every length up to 40 on F_3^19,
+F_3^20 and F_7^14; on F_251^8 they won from 24, which the rule, by
+element size, leaves to the lists.  At degree 1000 the F_2^14 witness fell from 1.1-1.4 s to
+0.14-0.20 s, the F_5^4 witness from 1.59 s to 0.37 s, the F_2^16 and
+F_2^20 witnesses from 4.2 and 5.7 s to 0.26 and 0.22 s, and the F_3^12
+witness from 6.7-7.8 s to 1.9-3.0 s.
 """
 
 from __future__ import annotations
@@ -424,7 +442,10 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
 # exact with nothing to settle (an int sum would carry out of the 1-bit
 # digits); for odd p an int sum, settled (every sub-slot taken mod p) once
 # per _ACC_TERMS terms.  A difference adds the columns of the negated
-# multiplier, so rows never borrow.
+# multiplier, so rows never borrow.  An odd-p packed field puts
+# coefficient j's packed int in slot j instead, 2n w-bit slots wide: its
+# one slice is the row itself and its one column c, and low has the low
+# n w bits of every slot set (see skewgalois.superslot).
 
 
 def _row_mul(F: FqField, k: int, f, g, minus) -> list[int]:

@@ -10,7 +10,26 @@ it shares no code with the library's kernels on element ints (logs, Zech
 tables, rows or packed slots) or with its Euclidean chain.
 """
 
+from functools import lru_cache
+from operator import mul as _mul
+from types import SimpleNamespace
+
 from tuple_field import TupleField
+
+
+@lru_cache(maxsize=None)
+def _frob_matrix(p, n, modulus, j):
+    """The matrix of frob^j on F_p[x]/(modulus), by rows: entry i of row r
+    is the coefficient of x^r in the image of x^i.  Its columns are the
+    powers y^i of y = x^(p^j), which takes j successive p-th powers of x."""
+    F = TupleField(SimpleNamespace(p=p, n=n, order=p**n, modulus=modulus))
+    y = F.from_index(p) if n > 1 else F.one  # x; unused for n = 1
+    for _ in range(j):
+        y = F.pow(y, p)
+    powers = [F.one]
+    for _ in range(n - 1):
+        powers.append(F.mul(powers[-1], y))
+    return tuple(zip(*powers))
 
 
 class RawRing:
@@ -44,11 +63,14 @@ class RawRing:
         return self.frob(self.k * l % self.F.n, a)
 
     def frob(self, j, a):
-        """a^(p^j), as j successive p-th powers, each memoized."""
+        """a^(p^j), memoized: frob^j is F_p-linear, so a^(p^j) is the sum of
+        a_i times the image of x^i, off the matrix of frob^j."""
         if j == 0:
             return a
         if (j, a) not in self._frob:
-            self._frob[j, a] = self.F.pow(self.frob(j - 1, a), self.F.p)
+            F = self.F
+            rows = _frob_matrix(F.p, F.n, tuple(F.modulus), j)
+            self._frob[j, a] = tuple(sum(map(_mul, a, row)) % F.p for row in rows)
         return self._frob[j, a]
 
     def trim(self, f):

@@ -667,8 +667,11 @@ def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     # 2 _ACC_TERMS + 7 nonzero terms, every slot of q_1 and q_3 at p - 1 and
     # of q_2 at 1: in the cofactor update s_4 = 1 - q_3 s_3 with s_3 = -q_2,
     # every slot product is at its largest, and the sums carry into the next
-    # slot unless the accumulating kernel reduces them on the way.  Every
-    # field here but F_3^12 runs the chain on rows.  On F_2^14 and F_2^15 the
+    # slot unless the accumulating kernel reduces them on the way.  r_1 is
+    # past every field's _row_min, so every field here runs the chain on
+    # rows; on F_3^12 the cofactor's super-slots take sums at their
+    # largest, and carry into the next one unless the settles reduce them
+    # on the way.  On F_2^14 and F_2^15 the
     # cofactor rows pass 100 coefficients, where a wrong slot shift or row
     # length would show.  On F_3^3, F_5^4, F_7^2 and F_23^2 the quotients'
     # terms overrun _ACC_TERMS, so the remainders and the cofactors settle
@@ -688,7 +691,7 @@ def test_euclid_chains_with_long_quotients(p, n, k, row_calls):
     _check_chains(r0, r1)
     assert ore_right_gcd(r0, r1) == r3.monic()
     assert ore_left_lcm(r0, r1).degree == r0.degree + r1.degree - 1
-    assert bool(row_calls["_row_euclid"]) == (p == 2 or p**n <= 1 << 15)
+    assert len(r1.v) >= F._row_min and row_calls["_row_euclid"]
 
 
 # -- rows, for log-tier fields ------------------------------------------------------
@@ -710,10 +713,12 @@ def row_calls(monkeypatch):
 
 # bit rows (1-bit sub-slots in 16-bit slots) for p = 2 in the log tier, and
 # n-bit slots past it; F_31^3 and F_257 have 24-bit sub-slots, F_32749 40,
-# the other odd-p fields 16
+# the other odd-p log-tier fields 16; the odd-p packed fields F_3^12, F_5^7
+# and F_65537 have super-slots of 2n packed slots, 384, 224 and 112 bits wide
 ROW_FIELDS = [(2, 4), (2, 8), (2, 15), (2, 16), (2, 20), (2, 64), (3, 3), (5, 4), (7, 2), (31, 3),
-              (257, 1), (32749, 1)]
+              (257, 1), (32749, 1), (3, 12), (5, 7), (65537, 1)]
 SUB_SLOT = {2: 1, 31: 24, 257: 24, 32749: 40}
+SUPER_SLOT = {(3, 12): 384, (5, 7): 224, (65537, 1): 112}
 
 
 def _nonmonic(F, rng, deg):
@@ -758,18 +763,33 @@ def test_row_kernels_match_raw_reference(p, n, row_calls):
             _check_chains(a, b)
         assert _tuples(ore_right_gcd(ring.zero(), g)) == ref.right_gcd([], _tuples(g))
     assert all(row_calls[name] for name in ROW_ENTRY_POINTS), row_calls
-    assert F._rsteps[1].step == SUB_SLOT.get(p, 16)
+    if (p, n) in SUPER_SLOT:
+        assert (F._rsteps.s, F._rsteps.shifts) == (SUPER_SLOT[p, n], (0,))
+    else:
+        assert F._rsteps[1].step == SUB_SLOT.get(p, 16)
+
+
+def _stated_rule(F):
+    """_row_min as orepoly's docstring states it."""
+    if F.p == 2:
+        return 1
+    if F.order <= 1 << 15:
+        return 8 * max(F.n, 3) if F.n <= 5 else math.inf
+    return 8 if F._nbytes <= 30 else 24 if F._nbytes <= 36 else math.inf
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (2, 16), (2, 64), (3, 3), (5, 4), (7, 5), (3, 1),
-                                 (251, 1), (257, 1), (32749, 1)])
+                                 (251, 1), (257, 1), (32749, 1), (3, 12), (5, 7), (3, 16),
+                                 (65537, 1)])
 def test_the_kernel_choice_follows_the_stated_rule(p, n, row_calls):
     # rows when the operand a kernel scales, g in f*g, the divisor or the
     # chain's second input, has at least _row_min coefficients: 1 for p = 2,
-    # so at every length, and 8 max(n, 3) for odd p and n <= 5, where one
-    # coefficient fewer stays on lists
+    # so at every length, 8 max(n, 3) for odd p and n <= 5 in the log tier,
+    # and for odd-p packed fields 8 up to 30-byte elements (F_3^12, F_5^7,
+    # F_65537) and 24 up to 36 bytes (F_3^16), where one coefficient fewer
+    # stays on lists
     F = make_field(p, n)
-    assert F._row_min == (1 if p == 2 else 8 * max(n, 3))
+    assert F._row_min == _stated_rule(F) < math.inf
     ring = OreRing(F, frobenius(F, 1 % n))
     rng = random.Random(p * 8000 + n)
 
@@ -788,9 +808,10 @@ def test_the_kernel_choice_follows_the_stated_rule(p, n, row_calls):
     assert row_calls == Counter(ROW_ENTRY_POINTS)
 
 
-@pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 6), (3, 12)])
+@pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 6), (3, 20)])
 def test_the_list_kernels_keep_the_fields_past_the_rule(p, n, row_calls):
-    # n past 5 and the packed tier F_3^12 never reach a row, however long
+    # log-tier fields of odd p and n past 5, and the odd-p packed field
+    # F_3^20, whose elements take 40 bytes, never reach a row, however long
     # the operands
     F = make_field(p, n)
     ring = OreRing(F, frobenius(F, 1 % n))
@@ -802,10 +823,10 @@ def test_the_list_kernels_keep_the_fields_past_the_rule(p, n, row_calls):
 
 
 def _row_tables(steps):
-    """The lists that the row steps hold, themselves or in the closures of
-    their functions."""
+    """The distinct lists that the row steps hold, themselves or in the
+    closures of their functions."""
     cells = [c.cell_contents for f in steps for c in getattr(f, "__closure__", None) or ()]
-    return [t for t in [*steps, *cells] if isinstance(t, list)]
+    return list({id(t): t for t in [*steps, *cells] if isinstance(t, list)}.values())
 
 
 def test_digit_row_tables_are_built_on_the_first_row_call_within_the_log_table_size():
@@ -843,6 +864,23 @@ def test_row_conversions_round_trip_at_every_slot_width(p, n, slot):
     long = [rng.choice(logs) for _ in range(1001)]
     cases = [[-1], [0], [F._q1 - 1], [-1] * 7, [0, -1, -1], [-1, F._q1 - 1, -1, 0], logs,
              logs[::-1], long, long[:990] + [-1] * 11, [-1] * 1000 + [F._q1 // 2]]
+    for v in cases:
+        assert unrow(row(v), len(v)) == v
+
+
+@pytest.mark.parametrize("p,n", [(3, 12), (65537, 1)])
+def test_super_slot_conversions_round_trip(p, n):
+    # unrow(row(v), len(v)) == v for the packed ints of odd-p packed fields:
+    # zeros alone, inside and trailing, length 1, and length 1001; F_3^12's
+    # elements take 24 bytes of a 48-byte super-slot, F_65537's 7 of 14
+    F = make_field(p, n)
+    s, *_, row, unrow = F._row_steps()
+    assert s == SUPER_SLOT[p, n]
+    rng = random.Random(p * 6100 + n)
+    zero, one, top = F._vs_of([[0], [1], [p - 1] * n])
+    long = F._vs_of([[rng.randrange(p) for _ in range(n)] for _ in range(1001)])
+    cases = [[zero], [one], [top], [zero] * 7, [one, zero, zero], [zero, top, zero, one], long,
+             long[:990] + [zero] * 11, [zero] * 1000 + [top]]
     for v in cases:
         assert unrow(row(v), len(v)) == v
 
