@@ -20,7 +20,6 @@ _PUBLIC = {
               "frobenius galois_group make_field restrict_aut",
     "orepoly": "InducedRingAut OreDivResult OrePoly OreRing anti_involution induced_ring_aut "
                "ore_left_lcm ore_mul ore_right_divmod ore_right_gcd ore_witness",
-    "superslot": "",
     "groups": "FiniteGroup GroupHom ReductionStep Subgroup cyclic_group fitting_subgroup "
               "is_nilpotent is_solvable semidirect_product shafarevich_step solvable_tower",
     "embed": "CoprimalityFailure EmbeddingProblem FFGaloisExt Verdict decide_sigma_solvability "

@@ -31,15 +31,15 @@ its _reduce (the high slots folded back through the modulus's _fold table,
 every slot taken mod p with no Python loop over the slots).  Frobenius
 powers are F_p-linear maps applied as cached packed columns; sums and
 negation work slotwise.  For odd p an inverse is Itoh and Tsujii's over a
-subfield F_(p^d), d the largest proper divisor of n with p^d <= 256: for
-r = (q - 1) / (p^d - 1), a^(r-1) takes about 2 log2(n / d) Frobenius maps
-and products, and the norm a^r, in F_(p^d), is inverted in F_p for d = 1
-and by one power in F_(p^d), kept per norm, otherwise.  A packed
-field supplies the row kernels' steps too.  A binary one (F_2^16 to
+subfield F_(p^d), d the largest proper divisor of n with p^d <= 256 (1
+if there is none, as for p > 256): for r = (q - 1) / (p^d - 1), a^(r-1)
+takes about 2 log2(n / d) Frobenius maps and products, and the norm a^r,
+in F_(p^d), is inverted in F_p for d = 1 and by one power in F_(p^d),
+kept per norm, otherwise.  A packed field supplies the row kernels' steps too.  A binary one (F_2^16 to
 F_2^64) works on rows of n-bit slots, one compact int of n F_2 digits per
 coefficient, and inverts by the extended Euclidean algorithm on that
 compact int.  An odd-p one keeps its packed int, each in a slot of 2n
-packed slots, with steps of their own in skewgalois.superslot; its rows
+packed slots (see _PackedField._super_rows); its rows
 win from 8 or 24 coefficients up to 36-byte elements (F_3^18, F_7^12),
 and larger elements keep the lists.
 
@@ -60,7 +60,7 @@ from itertools import chain, compress, repeat
 from operator import add, mul, pos, xor
 from struct import unpack_from
 
-from . import modpoly, superslot
+from . import modpoly
 from .zarith import factorize, is_prime
 
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
@@ -567,12 +567,14 @@ class _PackedField(FqField):
     def _inv(self, a: int) -> int:
         """The inverse of a nonzero packed value: for p = 2 the rows' (see
         _row_steps); for odd p by Itoh and Tsujii over the subfield
-        F_(p^d), d the largest proper divisor of n with p^d <= 256: with
-        r = (q - 1) / (p^d - 1), a^(r-1) is a product of Frobenius images
-        and the norm N(a) = a^r lies in F_(p^d)*, so a^-1 = N(a)^-1 a^(r-1).
-        That costs about 2 log2(n / d) Frobenius maps and products; N(a)^-1
-        is taken in F_p for d = 1, and otherwise as N(a)^(p^d - 2) once per
-        norm, kept beside d in _norm_inv."""
+        F_(p^d), d the largest proper divisor of n with p^d <= 256 (1 if
+        there is none, as for p > 256): with r = (q - 1) / (p^d - 1),
+        a^(r-1) is a product of Frobenius images and the norm N(a) = a^r
+        lies in F_(p^d)*, so a^-1 = N(a)^-1 a^(r-1).  That costs about
+        2 log2(n / d) Frobenius maps and products; N(a)^-1 is taken in F_p
+        for d = 1, and otherwise as N(a)^(p^d - 2) once per norm, kept
+        beside d in _norm_inv (at most p^d - 1 of them): the power alone
+        costs more than the Frobenius maps it saves."""
         if a == 1:  # as for the leading coefficient of a monic divisor
             return 1
         p, n = self.p, self.n
@@ -582,7 +584,8 @@ class _PackedField(FqField):
         if n == 1:
             return pow(a, p - 2, p)
         if self._norm_inv is None:
-            self._norm_inv = max(e for e in range(1, n) if n % e == 0 and p**e <= 256), {}
+            self._norm_inv = max((e for e in range(1, n) if n % e == 0 and p**e <= 256),
+                                 default=1), {}
         d, inverses = self._norm_inv
         # b = a^(1 + p^d + ... + p^(d(k-1))) along the binary digits of
         # n/d - 1, by b_2k = b_k frob^(dk)(b_k) and b_(k+1) = a frob^d(b_k)
@@ -649,7 +652,7 @@ class _PackedField(FqField):
         """The steps of orepoly's row kernels (see RowSteps), built on the
         first row call: bit rows for p = 2, super-slot rows for odd p."""
         if self._rsteps is None:
-            self._rsteps = self._bit_rows() if self.p == 2 else superslot.row_steps(self)
+            self._rsteps = self._bit_rows() if self.p == 2 else self._super_rows()
         return self._rsteps
 
     def _bit_rows(self) -> RowSteps:
@@ -734,6 +737,103 @@ class _PackedField(FqField):
         def unrow(row, size):
             return elements(format(row, f"0{n * size}b").encode()) if size else []
         return RowSteps(n, range(n), frobs, xor, fold, layout, twist, columns, unkeys, divide,
+                        quotient, row, unrow)
+
+    def _super_rows(self) -> RowSteps:
+        """The row steps for odd p: super-slot rows, which keep modpoly's
+        packed element.  Slot j of a row, s = 2 n w bits wide (a
+        super-slot), holds coefficient j's packed int (n slots of w bits)
+        in its low half, and a key is that packed int.  c times a row is
+        one int product, which leaves each unreduced c g_j, at most 2n - 1
+        slots, in its own super-slot; the slot bound of modpoly._layout has
+        room for _ACC_TERMS such products, also of the (p - 1) c of a
+        difference, so a row never borrows.  So the one slice is the row
+        itself, the one column c or (p - 1) c, the row sum an int sum and
+        the fold of the one product next (sum would copy it).  This packs
+        only the scalar-times-row step, not the whole skew product (compare
+        the fast skew multiplication of Caruso and Le Borgne, ISSAC 2017).
+
+        A settle reduces every super-slot at once, as _reduce reduces one
+        int but with x^n mod m (_fold[0]) in place of the n - 1 folds: the
+        high halves H, taken mod p, fold back as H (x^n mod m), one int
+        product, and one canon takes every slot mod p; the product's own
+        high slots, if any, fold back again.  That takes
+        ceil((n - 1) / (n - t)) rounds for x^n mod m of degree t, at most
+        two for every field on rows (t <= 3 for their least irreducible
+        moduli).  twist applies frob^j once per power: n products of the
+        row's digit slices with the packed columns of frob^j (_frob_cols),
+        then one canon.  divide inverts the lead once (_inv) and maps the
+        inverse by frob^j once per power; a quotient reduces the top
+        super-slot and multiplies it by that.  A row is one join of the
+        coefficients' bytes, each padded to s/8 bytes; back, the first
+        n w/8 bytes of every s/8."""
+        p, n, w, nb, frobs = self.p, self.n, self._w, self._nbytes, self._frob_cols
+        reduce_ = self._reduce
+        s, sb, xn = 2 * n * w, 2 * nb, self._fold[0] if n > 1 else 0
+        half = b"\xff" * nb + bytes(nb)  # the low n slots of a super-slot
+        lowest = half[:w // 8] + bytes(sb - w // 8)  # its slot 0
+        shapes = {}  # shape's value for the last size it was asked for
+
+        def layout(size):
+            low, canon = int.from_bytes(half * size, "little"), shape(size)[1]
+
+            def settle(row):
+                # each round adds at most n - 1 products of two canonical
+                # slots to a slot, as _reduce does, which the slot bound
+                # has room for
+                high, row = canon(row >> n * w & low), row & low
+                while True:
+                    row = canon(row + high * xn)
+                    high = row >> n * w & low
+                    if not high:
+                        return row
+                    row &= low
+            return low, settle
+
+        def shape(size):  # slot 0 of each super-slot, and the canon of size super-slots
+            if size not in shapes:
+                shapes.clear()
+                shapes[size] = (int.from_bytes(lowest * size, "little"),
+                                _canon_slots(p, w, 2 * n * size))
+            return shapes[size]
+
+        def twist(slices, k, count, low):
+            out = [slices]
+            if count > 1:
+                slot0, canon = shape(-(-low.bit_length() // s))
+                slices = [slices[0] >> x & slot0 for x in range(0, n * w, w)]
+                for j in (k * m % n for m in range(1, count)):
+                    cols = frobs.get(j) or self._frob_columns(j)
+                    out.append([canon(sum(map(mul, slices, cols)))])
+            return out
+
+        def columns(v, k, negate):
+            c = p - 1 if negate else 1
+            return [[a * c] if a else None for a in v]
+
+        def divide(t, k, count, low, slices, s1_slices):
+            if count <= 0:
+                return []
+            inv = self._inv(t)
+            leads = [inv, *(self._frob(k * m % n, inv) for m in range(1, count))]
+            return list(zip(leads, twist(slices, k, count, low),
+                            twist(s1_slices, k, count, low) if s1_slices else repeat(())))
+
+        def quotient(t, d, j):
+            t = reduce_(t)
+            if not t:
+                return None
+            c = reduce_(t * d)
+            return c, [c * (p - 1)]
+
+        def row(v):
+            return int.from_bytes(b"".join(map(int.to_bytes, v, repeat(sb), repeat("little"))),
+                                  "little")
+
+        def unrow(row, size):
+            b = row.to_bytes(size * sb, "little")
+            return [int.from_bytes(b[i:i + nb], "little") for i in range(0, size * sb, sb)]
+        return RowSteps(s, (0,), frobs, add, next, layout, twist, columns, list, divide,
                         quotient, row, unrow)
 
     def _compact_modulus(self) -> int:

@@ -55,7 +55,7 @@ frob^j(x^i); a term's columns are then those of c * x^i, n steps of a
 shift and a conditional XOR of the modulus.  A quotient digit there is
 the XOR, over the bits of the top slot, of the columns of frob^j of the
 inverse of the divisor's lead, inverted once per division.  An odd-p
-packed field (see skewgalois.superslot) keeps its packed element: slot j
+packed field (see ffield._PackedField._super_rows) keeps its packed element: slot j
 of a row, 2n packed slots wide, holds coefficient j's packed int, so c
 times a row is one int product, every unreduced c g_j in a slot of its
 own; the twist is applied once per power (n slice products with the
@@ -445,7 +445,7 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
 # multiplier, so rows never borrow.  An odd-p packed field puts
 # coefficient j's packed int in slot j instead, 2n w-bit slots wide: its
 # one slice is the row itself and its one column c, and low has the low
-# n w bits of every slot set (see skewgalois.superslot).
+# n w bits of every slot set (see ffield._PackedField._super_rows).
 
 
 def _row_mul(F: FqField, k: int, f, g, minus) -> list[int]:

@@ -273,8 +273,11 @@ def test_log_tables_of_large_log_tier_fields(p, n):
 
 # fields past the log-table limit, each against the tuple reference: among
 # them a prime field and an n = 2 field, where inversion is the shortest,
-# and F_3^12 and F_5^8, which invert through norms in F_3^4 and F_5^2
-PACKED_FIELDS = [(2, 16), (2, 20), (3, 12), (5, 7), (2, 32), (65537, 1), (191, 2), (5, 8)]
+# F_3^12 and F_5^8, which invert through norms in F_3^4 and F_5^2, and
+# F_257^2, whose prime has no subfield of at most 256 elements to take the
+# norm to but F_257 itself
+PACKED_FIELDS = [(2, 16), (2, 20), (3, 12), (5, 7), (2, 32), (65537, 1), (191, 2), (5, 8),
+                 (257, 2)]
 
 
 @pytest.mark.parametrize("p,n", PACKED_FIELDS)

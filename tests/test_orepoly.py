@@ -713,12 +713,13 @@ def row_calls(monkeypatch):
 
 # bit rows (1-bit sub-slots in 16-bit slots) for p = 2 in the log tier, and
 # n-bit slots past it; F_31^3 and F_257 have 24-bit sub-slots, F_32749 40,
-# the other odd-p log-tier fields 16; the odd-p packed fields F_3^12, F_5^7
-# and F_65537 have super-slots of 2n packed slots, 384, 224 and 112 bits wide
+# the other odd-p log-tier fields 16; the odd-p packed fields F_3^12, F_5^7,
+# F_65537 and F_65537^2 have super-slots of 2n packed slots, 384, 224, 112
+# and 224 bits wide (F_65537^2 also divides by the F_p-norm inverse)
 ROW_FIELDS = [(2, 4), (2, 8), (2, 15), (2, 16), (2, 20), (2, 64), (3, 3), (5, 4), (7, 2), (31, 3),
-              (257, 1), (32749, 1), (3, 12), (5, 7), (65537, 1)]
+              (257, 1), (32749, 1), (3, 12), (5, 7), (65537, 1), (65537, 2)]
 SUB_SLOT = {2: 1, 31: 24, 257: 24, 32749: 40}
-SUPER_SLOT = {(3, 12): 384, (5, 7): 224, (65537, 1): 112}
+SUPER_SLOT = {(3, 12): 384, (5, 7): 224, (65537, 1): 112, (65537, 2): 224}
 
 
 def _nonmonic(F, rng, deg):
