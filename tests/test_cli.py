@@ -234,6 +234,41 @@ def test_ore_verb_matches_golden():
             assert [out, err, code] == case[op], (case["case"], op, case["f"], case["g"])
 
 
+with open(os.path.join(os.path.dirname(ORE_GOLDEN), "cli_pins.json"), encoding="utf-8") as fh:
+    CLI_PINS = json.load(fh)
+
+
+def _seeded_pair(pin):
+    """f and g as the seeded generator of a pin makes them: degree random
+    coefficients of the base's n digits below p each, then the lead."""
+    p, n = map(int, pin["base"].split("^"))
+    rng = random.Random(pin["seed"])
+
+    def poly():
+        coeffs = [[rng.randrange(p) for _ in range(n)] for _ in range(pin["degree"])]
+        return {"base": pin["base"], "frob": pin["frob"], "coeffs": coeffs + [pin["lead"]]}
+    return poly(), poly()
+
+
+@pytest.mark.parametrize("pin", CLI_PINS, ids=[pin["name"] for pin in CLI_PINS])
+def test_ore_pins_replay(pin):
+    # ore runs whose stdout was recorded by earlier kernels: the README's two
+    # examples and two products by 1 whose coefficients take the
+    # per-coefficient route, byte for byte, and seeded products at degree 64
+    # and witnesses at degree 1000 (within their time bound) by the sha256 of
+    # their stdout
+    f, g = (pin["f"], pin["g"]) if "f" in pin else _seeded_pair(pin)
+    start = time.perf_counter()
+    code, out, err = run_cli(["ore", "--op", pin["op"], "--f", json.dumps(f), "--g", json.dumps(g)])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    if "stdout" in pin:
+        assert out == pin["stdout"]
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["stdout_sha256"]
+    assert elapsed < pin.get("timeout_s", math.inf)
+
+
 def test_decision_verbs_build_no_embedding(monkeypatch):
     # the verdicts depend on p and the degrees alone: no embedding is built
     # and no field modulus is searched for
