@@ -1,47 +1,23 @@
 """Finite fields F_{p^n}, their subfield lattice, and their automorphism
 groups as explicit cyclic groups of Frobenius powers.
 
-A field is determined by (p, n).  Its modulus is the least irreducible
-monic polynomial of degree n over F_p (modpoly.least_irreducible).  The
-first element made finishes the field: the modulus search and its tier's
-tables run then, once, so code that reads only the degrees runs neither.
-
-An element is one int; its coefficient vector over Z/p, relative to the
-field's modulus, is only the input and output form.  There is no implicit
-coercion between fields.  Automorphisms are Frobenius powers, so Gal(L/K)
-and the restriction of an automorphism of L to a subfield K depend only on
-the degrees, and check_subfield is the one test that K is a subfield of L.
-An explicit SubfieldEmbedding (the image of K's generator, found as a root
-of K's modulus in L) is built only on request, by embed_subfield.
+A field is determined by (p, n); its modulus, the least irreducible monic
+polynomial of degree n over F_p, is searched for, with its tier's tables,
+once, when the first element is made.  An element is one int; its vector
+over Z/p is only the input and output form, and no field coerces another's
+elements.  Automorphisms are Frobenius powers, so Gal(L/K) and restriction
+depend only on the degrees, and check_subfield is the one subfield test;
+an explicit SubfieldEmbedding is built only on request.
 
 The field's order fixes once what the int is, as the subclass (tier) the
-field becomes; no operation tests the tier.  Up to the log-table limit (a
-_LogField) the int is the discrete log to a generator g (-1 for zero):
-products, inverses and powers are integer operations on logs, a sum is one
-lookup in Zech's logarithms zech[d] = log(1 + g^d), and frob^k multiplies
-a log by p^k mod (q - 1).  Such a field also supplies the steps of
-orepoly's row kernels (see _row_steps): a row is one int with each base-p
-digit of each coefficient in a sub-slot of its own, the row sum is XOR for
-p = 2 and an int sum for odd p, and one conversion each way serves every
-p, a join of per-log slots in and one struct read out, off tables built on
-the first row call, none longer than the log tables.  Past the limit (a
-_PackedField) the int is the packed coefficient vector in modpoly's
-F_p[x]/(modulus) of byte-wide slots, so a product is one int product and
-its _reduce (the high slots folded back through the modulus's _fold table,
-every slot taken mod p with no Python loop over the slots).  Frobenius
-powers are F_p-linear maps applied as cached packed columns; sums and
-negation work slotwise.  For odd p an inverse is Itoh and Tsujii's over a
-subfield F_(p^d), d the largest proper divisor of n with p^d <= 256 (1
-if there is none, as for p > 256): for r = (q - 1) / (p^d - 1), a^(r-1)
-takes about 2 log2(n / d) Frobenius maps and products, and the norm a^r,
-in F_(p^d), is inverted in F_p for d = 1 and by one power in F_(p^d),
-kept per norm, otherwise.  A packed field supplies the row kernels' steps too.  A binary one (F_2^16 to
-F_2^64) works on rows of n-bit slots, one compact int of n F_2 digits per
-coefficient, and inverts by the extended Euclidean algorithm on that
-compact int.  An odd-p one keeps its packed int, each in a slot of 2n
-packed slots (see _PackedField._super_rows); its rows
-win from 8 or 24 coefficients up to 36-byte elements (F_3^18, F_7^12),
-and larger elements keep the lists.
+field becomes.  Up to the log-table limit (a _LogField) it is the discrete
+log to a generator g (-1 for zero): products and powers are integer
+operations on logs, a sum is one lookup in Zech's logarithms
+zech[d] = log(1 + g^d), and frob^k multiplies a log by p^k mod (q - 1).
+Past it (a _PackedField) it is the packed vector of modpoly's QuotientRing:
+a product is one int product and its _reduce, frob^k a cached F_p-linear
+map, and sums work slotwise.  Each tier also supplies the steps of
+orepoly's row kernels (RowSteps), which run by FqField's rule.
 
 A polynomial's JSON coefficients convert once per polynomial, by the tier,
 both ways (_vs_of, _coeff_lists).  For p < 256 a list of coefficient
@@ -55,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import add, mul, pos, xor
 from struct import unpack_from
@@ -65,39 +41,32 @@ from .zarith import factorize, is_prime
 
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
 
-# Largest field order a descriptor may name.  The search for the least
-# irreducible modulus grows without bound in n, if slowly: 4-6 ms at 2^64,
-# 1.4-2 ms at 3^40 and 50 ms at 2^128 (Python 3.11, 2 shared CPUs).
+# Largest field order a descriptor may name.  The modulus search grows with
+# n: 4-6 ms at 2^64, 1.4-2 ms at 3^40, 50 ms at 2^128 (Python 3.11, 2 CPUs).
 FIELD_ORDER_MAX = 1 << 64
 
-# The layout and steps of orepoly's row kernels, which a field builds on its
-# first row call (_LogField._row_steps, _PackedField._row_steps).  A row
-# packs a polynomial into one int, coefficient j in the s-bit slot j, and
-# slice i of a row is its bits at x = shifts[i] of every slot; cols is the
-# table the columns, or the twist, read.  rsum adds two rows and fold the
-# products of the slices and the columns.  layout(size) gives low, the w
-# low bits of each of size slots set (the low half, for an odd-p packed
-# field), and the settle of such a row.
-# twist(slices, k, count, low) gives, for each m < count, the slices of
-# frob^(k m) of the row.  columns(v, k, negate) gives, for each element v_l
-# of a list, or -v_l with negate, the columns, one per slice, that the
-# slices of frob^(k l) of a row are multiplied by for v_l times that, None
-# for zero.
-# divide(t, k, count, low, slices, s1_slices) readies a division by a row
-# whose settled top slot is t: for each m < count, the d of quotient(t', d,
-# j) for j = k m mod n, and the two slice lists, twisted by frob^j.
-# quotient gives the key c of the top slot t' over frob^j(t) and the
-# columns of -c at power j, or None for t' = 0; unkeys takes a list of keys
-# to element ints.  row and unrow take a list of element ints to a row and
-# the first size slots of a settled row back.
-RowSteps = namedtuple("RowSteps", "s shifts cols rsum fold layout twist columns unkeys divide "
-                      "quotient row unrow")
+# The layout and steps of orepoly's row kernels, built on a field's first
+# row call (_row_steps).  A row packs a polynomial into one int, coefficient
+# j in the s-bit slot j.  layout(size) gives low, with the low w bits of
+# each of size slots set (the low half for odd-p packed fields, which have
+# one slice), and the settle of such a row; slice i of a row is
+# (row >> w i) & low, digit i of every coefficient.  row and unrow take
+# element ints to a row and the first size slots of a settled row back, and
+# unkeys takes quotient keys to element ints.  twist(row, k, count, low)
+# gives, for each m < count, the slices of frob^(k m) of the row.
+# columns(v, k, negate) gives, for each v_l (-v_l with negate), the columns
+# that the slices of frob^(k l) of a row are multiplied by for v_l times
+# that, None for zero.  divide(t, k, count, low, b, s1) gives, for a row b of
+# settled top slot t and each m < count, the d of quotient(t', d, j) for
+# j = k m mod n and the slices of b and of the cofactor row s1 twisted by
+# frob^j (() for s1 None); quotient gives the key c of a top slot t' over
+# frob^j(t) and the columns of -c at power j, or None for t' = 0.
+RowSteps = namedtuple("RowSteps", "s layout row unrow twist columns divide quotient unkeys")
 
 
 def _canon_slots(p: int, w: int, slots: int):
     """The canon of row ints of up to slots w-bit slots, for odd p: every
-    slot taken mod p by modpoly._layout's fixed point t // p = t m >> k, one
-    multiply for every third slot."""
+    slot mod p, by modpoly._layout's one multiply for every third slot."""
     k = w + p.bit_length()
     m = -(-(1 << k) // p)
     g0 = int.from_bytes(((1 << w) - 1).to_bytes(3 * w // 8, "little") * -(-slots // 3), "little")
@@ -113,15 +82,16 @@ class FqField(modpoly.QuotientRing):
     """The field F_{p^n}: the modpoly.QuotientRing F_p[x]/(modulus) for the
     least irreducible monic modulus of degree n.  Its order fixes its tier,
     the subclass holding the arithmetic on element ints (_add, _neg, _mul,
-    _inv, _power, _frob), their conversions and the Ore kernels' vector
-    steps (_twist, _addmul, _settle) and the conversions of whole
-    coefficient lists (_vec_vs, _coeff_lists).  A log-tier field also has
-    the logs _xlogs[j][i] of frob^j(x^i).  Every field has the steps of the
-    row kernels (_row_steps, built on the first row call), which the Ore
-    kernels take from _row_min coefficients on: 1 for p = 2; for odd p,
-    8 max(n, 3) in the log tier for n <= 5, and 8 for packed elements of up
-    to 30 bytes, 24 up to 36; infinite otherwise.  A new field is
-    _Unfinished."""
+    _inv, _power, _frob), the Ore kernels' vector steps (_twist, _addmul,
+    _settle), the conversions of coefficient lists (_vec_vs, _coeff_lists)
+    and the row steps (_row_steps).  A new field is _Unfinished.
+
+    The Ore kernels run on rows when the operand they scale (g in f*g, the
+    divisor, the chain's second input) has at least _row_min coefficients:
+    1 for p = 2; for odd p, 8 max(n, 3) in the log tier for n <= 5, 8 for
+    packed elements of up to 30 bytes and 24 up to 36 bytes; infinite
+    otherwise, where a term's row work, growing as n^2, costs more than the
+    lists' (orepoly's docstring records the crossovers)."""
 
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
@@ -242,10 +212,9 @@ class _LogField(FqField):
     __slots__ = ()
 
     def _finish(self) -> None:
-        """Build the tables.  For the generator g: _antilog[k] is the index
-        of g^k for 0 <= k < q - 1, followed by 0 (the index of zero), so
-        that _antilog[-1] is zero; _log[_antilog[k]] = k, with -1 as the log
-        of zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0."""
+        """Build the tables for the generator g: _antilog[k] is the index of
+        g^k for k < q - 1, then 0, zero's index; _log inverts it, with -1 for
+        zero; and _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0."""
         p, q1 = self.p, self.order - 1
         self._zero_v, self._one_v, self._q1 = -1, 0, q1
         self._minus_one = q1 // 2 if p != 2 else 0  # -1 = g^((q - 1) / 2)
@@ -265,15 +234,10 @@ class _LogField(FqField):
         self._zech = [log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
         self._antilog = antilog
         self._log = log
-        # the base-p digits of an index i < q are the h = n // 2 digits of
-        # i mod p^h, then those of i div p^h: two tables of O(sqrt q) lists
-        if self.n > 1:
+        if self.n > 1:  # the digits of i mod p^h, then of i div p^h
             h = self.n // 2
             self._halves = tuple([self._digits(i)[:k] for i in range(p**k)] for k in (h, self.n - h))
-        # the Ore kernels run on rows (see _row_steps) once the operand a
-        # kernel scales has _row_min coefficients (the rule in orepoly's
-        # docstring): at every length for p = 2, from 8 max(n, 3) for odd p
-        # and n <= 5, never otherwise.  Rows read the logs of
+        # _row_min as FqField's docstring states it; rows read the logs of
         # frob^j(x^i) = x^(i p^j), an n by n table
         self._row_min = 1 if p == 2 else 8 * max(self.n, 3) if self.n <= 5 else math.inf
         self._rsteps = None
@@ -281,13 +245,11 @@ class _LogField(FqField):
         self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
 
     def _powers_of(self, g: int) -> list[int]:
-        """The indices of g^k for 0 <= k < q - 1, for n >= 2.
-
-        x -> x*g is F_p-linear, so its value at the index l + p^h u (h = n/2,
-        l < p^h) is the sum of two tabled values, at the low digits l and at
-        the high digits u.  The tables hold narrow packed slots, s bits wide
-        with room for a sum of two canonical values, and the next l and u are
-        read off the low and the high slots of that sum through one table."""
+        """The indices of g^k for 0 <= k < q - 1, for n >= 2.  x -> x*g is
+        F_p-linear, so its value at the index l + p^h u (h = n/2, l < p^h) is
+        the sum of two tabled values, at the low digits l and the high
+        digits u, in narrow s-bit slots with room for that sum; the next l
+        and u are read off its low and high slots through one table."""
         p, n, w = self.p, self.n, self._w
         h = n // 2
         s = (2 * p - 1).bit_length()  # 2^(s-1) >= p, as slotwise addition needs
@@ -327,8 +289,7 @@ class _LogField(FqField):
         """The packed form of the least-index element of order q - 1."""
         p, q1 = self.p, self._q1
         prime_parts = [q1 // f for f, _ in factorize(q1)] if q1 > 1 else []
-        # a constant has order dividing p - 1, so for n > 1 the search
-        # starts at x, index p
+        # a constant's order divides p - 1, so for n > 1 start at x, index p
         for idx in range(p if self.n > 1 else 1, self.order):
             cand = self._pack(self._digits(idx))
             if all(self._pow(cand, e) != 1 for e in prime_parts):
@@ -379,7 +340,7 @@ class _LogField(FqField):
         """x -> x^(p^k) for 0 <= k < n: the log times p^k."""
         return a * self._powers[k] % self._q1 if a >= 0 else -1
 
-    # -- the Ore kernels' vector steps -----------------------------------------
+    # -- the Ore kernels' steps: on lists, then on rows (see RowSteps) --------
 
     def _twist(self, j: int, g) -> list[int]:
         """frob^j of every int in g (g itself when j = 0 mod n)."""
@@ -411,54 +372,26 @@ class _LogField(FqField):
 
     _settle_v = _settle
 
-    # -- rows (see orepoly) --------------------------------------------------------
-
     def _row_steps(self) -> RowSteps:
-        """The layout and steps of orepoly's row kernels (see RowSteps),
-        built on the first row call.
-
-        Coefficient j of a row takes the s-bit slot j, whose w-bit sub-slot
-        i holds base-p digit i of its index.  A key is a log, and the
-        columns of g^c times frob^j of a row are the row digits of
-        g^c frob^j(x^i), read off the column table (the row digits of g^c for
-        every log c, then of zero) at c + _xlogs[j][i], so twist leaves the
-        slices as they are.  The quotient of a top slot is its log less the
-        divisor's lead log times p^j.  The two conversions are the same for
-        every field: a list of logs to a row is one join of their columns
-        as s/8-byte slots (log -1, zero, takes the last), and a row's first
-        size slots back are one struct read of the low 16 bits of each slot
-        of the row times the reader's constant.
-
-        For p = 2, w = 1 and s = 16: a slot holds the index itself, so the
-        columns are _antilog, the reader is 1 and 0, the quotient reads a
-        top slot's log with nothing more, and a sum is XOR, final as it is
-        made, so the settle is the identity.  For odd p a sum is an int
-        sum, and c times a row adds at most n (p - 1)^2 to a sub-slot (see
-        orepoly), so w is whole bytes with room for a canonical digit plus
-        _ACC_TERMS such sums, as modpoly._layout sizes its slots: 16 bits
-        for F_3 to F_7^5, 24 for F_31^3, F_251 and F_257, 40 for F_32749.
-        Then s = n w, a settle takes every sub-slot mod p by
-        modpoly._layout's fixed point t // p = t m >> k, one multiply for
-        every third sub-slot, and the reader's constant, the sum of
-        p^i 2^(w (n - 1 - i)), puts the index of a settled slot in sub-slot
-        n - 1; the quotient settles a top slot before it reads it.  For
-        n = 1 the one digit is the index, and the columns are _antilog.
-        The tables are the columns and their slots, each as long as _log."""
+        """The row steps (see RowSteps), built on the first row call: w-bit
+        sub-slot i of slot j holds base-p digit i of coefficient j's index,
+        and a key is a log.  The columns of g^c frob^j, the row digits of
+        g^c frob^j(x^i), sit in a column table at c + _xlogs[j][i], so twist
+        leaves the slices as they are.  row joins the logs' columns; a slot
+        times the reader's constant has its index in the low 16 bits.  For
+        p = 2, w = 1, s = 16 and a slot is its index; for odd p, w has room
+        for a digit plus _ACC_TERMS products of n (p - 1)^2, in whole bytes
+        (16 bits for F_3 to F_7^5, 24 for F_31^3 to F_257, 40 for F_32749),
+        and s = n w.  Each table is as long as _log."""
         if self._rsteps is not None:
             return self._rsteps
         p, n, q1, antilog, log = self.p, self.n, self._q1, self._antilog, self._log
         if p == 2:
-            w, s, cols, index, at, rsum, fold = 1, 16, antilog, 1, 0, xor, partial(reduce, xor)
-
-            def settler(size):
-                return pos
-
-            read = log.__getitem__
+            w, s, cols, index, at, canon = 1, 16, antilog, 1, 0, None
         else:
             bound = p - 1 + modpoly._ACC_TERMS * n * (p - 1) ** 2
             w = -(-bound.bit_length() // 8) * 8
-            s, at, rsum, fold = n * w, w * (n - 1), add, sum
-            cols = antilog
+            s, at, cols, canon = n * w, w * (n - 1), antilog, _canon_slots(p, w, n)
             if n > 1:
                 lo, hi = self._halves
                 h, ph = len(lo[0]), len(lo)
@@ -466,37 +399,29 @@ class _LogField(FqField):
                 high = [sum(d << w * i for i, d in enumerate(ds, h)) for ds in hi]
                 cols = [low[a % ph] + high[a // ph] for a in antilog]
             index = sum(p**i << w * (n - 1 - i) for i in range(n))
-
-            def settler(size):
-                return _canon_slots(p, w, n * size)
-
-            settle_slot = settler(1)
-
-            def read(t):
-                return log[settle_slot(t) * index >> at & 0xFFFF]
         slot, xlogs, neg, powers = s // 8, self._xlogs, self._minus_one, self._powers
-        slots = [c.to_bytes(slot, "little") for c in cols]
+        slots, shifts = [c.to_bytes(slot, "little") for c in cols], range(0, n * w, w)
         unit, reader = ((1 << w) - 1).to_bytes(slot, "little"), f"H{slot - 2}x"
 
         def layout(size):
-            return int.from_bytes(unit * size, "little"), settler(size)
+            return int.from_bytes(unit * size, "little"), (
+                pos if p == 2 else _canon_slots(p, w, n * size))
 
-        def divide(t, k, count, low, slices, s1_slices):
-            return [(log[t * index >> at & 0xFFFF], slices, s1_slices)] * count
+        def twist(row, k, count, low):  # the columns carry the power of the twist
+            return [[row >> x & low for x in shifts]] * count
 
-        def twist(slices, k, count, low):  # the columns carry the power of the twist
-            return [slices] * count
+        def divide(t, k, count, low, b, s1):
+            return [(log[t * index >> at & 0xFFFF], [b >> x & low for x in shifts],
+                     () if s1 is None else [s1 >> x & low for x in shifts])] * count
 
-        def columns(v, k, negate):
-            # those of g^a times frob^j(x^i) sit in the column table at
-            # a + _xlogs[j][i]; -g^a is g^(a + neg)
+        def columns(v, k, negate):  # -g^a is g^(a + neg)
             if negate:
                 v = [a + neg if a >= 0 else -1 for a in v]
             return [[cols[(a + x) % q1] for x in xlogs[k * l % n]] if a >= 0 else None
                     for l, a in enumerate(v)]
 
         def quotient(t, d, j):  # d is the log of the divisor's lead
-            c = read(t)
+            c = log[t] if p == 2 else log[canon(t) * index >> at & 0xFFFF]
             if c < 0:
                 return None
             c = (c - d * powers[j]) % q1
@@ -506,13 +431,10 @@ class _LogField(FqField):
         def row(v):
             return int.from_bytes(b"".join(map(slots.__getitem__, v)), "little")
 
-        def unrow(row, size):
-            # for a settled row: times the reader's constant, each slot's
-            # index, below 2^15, lands in the low 16 bits of its slot
+        def unrow(row, size):  # each index is below 2^15
             out = (row * index >> at).to_bytes((size + 1) * slot, "little")
             return list(map(log.__getitem__, unpack_from("<" + reader * size, out)))
-        self._rsteps = RowSteps(s, range(0, n * w, w), cols, rsum, fold, layout, twist, columns,
-                                list, divide, quotient, row, unrow)
+        self._rsteps = RowSteps(s, layout, row, unrow, twist, columns, divide, quotient, list)
         return self._rsteps
 
 
@@ -525,13 +447,7 @@ class _PackedField(FqField):
     def _finish(self) -> None:
         self._zero_v, self._one_v = 0, 1
         self._frob_cols: dict[int, tuple] = {}
-        # the Ore kernels run on rows (see _row_steps) once the operand a
-        # kernel scales has _row_min coefficients (the rule in orepoly's
-        # docstring): at every length for p = 2; for odd p from 8 when an
-        # element packs into at most 30 bytes, from 24 up to 36 bytes, and
-        # never past that, where the twist's n whole-row products cost more
-        # than the lists' products per coefficient
-        nb = self._nbytes
+        nb = self._nbytes  # _row_min as FqField's docstring states it
         self._row_min = 1 if self.p == 2 else 8 if nb <= 30 else 24 if nb <= 36 else math.inf
         self._rsteps = self._norm_inv = None
 
@@ -565,22 +481,18 @@ class _PackedField(FqField):
         return self._reduce(a * b)
 
     def _inv(self, a: int) -> int:
-        """The inverse of a nonzero packed value: for p = 2 the rows' (see
-        _row_steps); for odd p by Itoh and Tsujii over the subfield
-        F_(p^d), d the largest proper divisor of n with p^d <= 256 (1 if
-        there is none, as for p > 256): with r = (q - 1) / (p^d - 1),
-        a^(r-1) is a product of Frobenius images and the norm N(a) = a^r
-        lies in F_(p^d)*, so a^-1 = N(a)^-1 a^(r-1).  That costs about
-        2 log2(n / d) Frobenius maps and products; N(a)^-1 is taken in F_p
-        for d = 1, and otherwise as N(a)^(p^d - 2) once per norm, kept
-        beside d in _norm_inv (at most p^d - 1 of them): the power alone
-        costs more than the Frobenius maps it saves."""
+        """The inverse of a nonzero packed value: for p = 2 by the extended
+        Euclidean algorithm; for odd p by Itoh and Tsujii over F_(p^d), d the
+        largest proper divisor of n with p^d <= 256 (or 1): a^-1 is
+        N^-1 a^(r-1) for r = (q - 1) / (p^d - 1) and the norm N = a^r, with
+        N^-1 kept per norm in _norm_inv beside d for d > 1, since that power
+        costs more than the 2 log2(n / d) Frobenius maps it saves."""
         if a == 1:  # as for the leading coefficient of a monic divisor
             return 1
         p, n = self.p, self.n
         if p == 2:  # the rows' inverse, on the compact int of a one-slot row
-            *_, row, unrow = self._row_steps()
-            return unrow(_binary_inverse(row([a]), self._compact_modulus()), 1)[0]
+            R = self._row_steps()
+            return R.unrow(_binary_inverse(R.row([a]), self._compact_modulus()), 1)[0]
         if n == 1:
             return pow(a, p - 2, p)
         if self._norm_inv is None:
@@ -621,7 +533,7 @@ class _PackedField(FqField):
         cols = self._frob_cols[k] = tuple(cols)
         return cols
 
-    # -- the Ore kernels' vector steps -----------------------------------------
+    # -- the Ore kernels' steps: on lists, then on rows (see RowSteps) --------
 
     def _twist(self, j: int, g) -> list[int]:
         """frob^j of every int in g (g itself when j = 0 mod n)."""
@@ -646,53 +558,37 @@ class _PackedField(FqField):
 
     _settle_v = modpoly.QuotientRing._reduce
 
-    # -- rows (see orepoly) ----------------------------------------------------------
-
     def _row_steps(self) -> RowSteps:
-        """The steps of orepoly's row kernels (see RowSteps), built on the
-        first row call: bit rows for p = 2, super-slot rows for odd p."""
+        """The row steps (see RowSteps), built on the first row call."""
         if self._rsteps is None:
             self._rsteps = self._bit_rows() if self.p == 2 else self._super_rows()
         return self._rsteps
 
     def _bit_rows(self) -> RowSteps:
-        """The row steps for p = 2.  Slot j of a row holds the n F_2 digits of
-        coefficient j in n bits, bit i the coefficient of x^i, and a key is
-        that compact int; a sum is XOR, with nothing to settle.  A row is
-        one join of the coefficients' big-endian bytes, every _step-th byte
-        of it (the digits), translated to b"01" and read by int(., 2); back,
-        its digits are formatted, translated and assigned into byte-wide
-        slots.  twist applies frob^j to a row once per power: n slice
-        products with the compact columns of frob^j(x^i), from _frob_cols.
-        The columns of c are c x^i, whatever the power, each the one before
-        shifted, plus the modulus where that reaches degree n.  divide
-        inverts the lead once (_binary_inverse) and gives for each power the
-        columns of frob^j of that inverse, most significant first, so that a
-        quotient digit is their XOR over the digits of the slot."""
-        n, nb, step, frobs = self.n, self._nbytes, self._step, {}
+        """The row steps for p = 2: slot j holds coefficient j's n F_2 digits,
+        bit i that of x^i, and a key is that compact int.  twist takes n slice
+        products with the compact columns of frob^j(x^i) per power, and the
+        columns of c are c x^i.  divide gives per power the columns of frob^j
+        of the lead's inverse, whose XOR over a slot's digits is a quotient.
+        row reads the digit bytes of the coefficients by int(., 2)."""
+        n, nb, step = self.n, self._nbytes, self._step
         modulus, top, fmt = self._compact_modulus(), 1 << n - 1, f"0{n}b"
-        fold = partial(reduce, xor)
-
-        def digits(c):  # of a key, most significant first, as bytes 0 and 1
-            return format(c, fmt).encode().translate(_FROM_01)
 
         def bits(v):  # of elements v, most significant first, as b"01"
-            b = b"".join(map(int.to_bytes, reversed(v), repeat(nb), repeat("big")))
-            return b[step - 1::step].translate(_TO_01)
+            return _join(reversed(v), nb, "big")[step - 1::step].translate(_TO_01)
 
         def keys(v):
             b = bits(v)
             return [int(b[i - n:i], 2) for i in range(len(b), 0, -n)]
 
+        @lru_cache(maxsize=None)
         def frob(j):
-            if j not in frobs:
-                frobs[j] = keys(self._frob_cols.get(j) or self._frob_columns(j))
-            return frobs[j]
+            return keys(self._frob_cols.get(j) or self._frob_columns(j))
 
-        def twist(slices, k, count, low):
-            out = [slices]
+        def twist(row, k, count, low):
+            out = [[row >> i & low for i in range(n)]]
             for m in range(1, count):  # k m is not 0 mod n below the period
-                t = fold(map(mul, slices, frob(k * m % n)))
+                t = reduce(xor, map(mul, out[0], frob(k * m % n)))
                 out.append([t >> i & low for i in range(n)])
             return out[:count]
 
@@ -706,18 +602,16 @@ class _PackedField(FqField):
         def columns(v, k, negate):
             return [times_x(c) if c else None for c in keys(v)]
 
-        def divide(t, k, count, low, slices, s1_slices):
-            if count <= 0:
-                return []
+        def divide(t, k, count, low, b, s1):
             inv = _binary_inverse(t, modulus)
-            d = digits(inv)[::-1]
-            inverses = [times_x(fold(compress(frob(k * m % n), d)) if m else inv)[::-1]
+            d = format(inv, fmt).encode().translate(_FROM_01)[::-1]  # its bits, lowest first
+            inverses = [times_x(reduce(xor, compress(frob(k * m % n), d)) if m else inv)[::-1]
                         for m in range(count)]
-            return list(zip(inverses, twist(slices, k, count, low),
-                            twist(s1_slices, k, count, low) if s1_slices else repeat(())))
+            return list(zip(inverses, twist(b, k, count, low),
+                            repeat(()) if s1 is None else twist(s1, k, count, low)))
 
         def quotient(t, d, j):
-            c = fold(compress(d, digits(t)), 0)
+            c = reduce(xor, compress(d, format(t, fmt).encode().translate(_FROM_01)), 0)
             return (c, times_x(c)) if c else None
 
         def layout(size):
@@ -729,58 +623,33 @@ class _PackedField(FqField):
         def elements(b):  # of b"01" digits, most significant first
             buf = bytearray(len(b) // n * nb)
             buf[step - 1::step] = b.translate(_FROM_01)
-            return [int.from_bytes(buf[i - nb:i], "big") for i in range(len(buf), 0, -nb)]
+            return _split(buf, nb, nb, "big")[::-1]
 
         def unkeys(cs):
             return elements("".join(map(format, reversed(cs), repeat(fmt))).encode())
 
         def unrow(row, size):
             return elements(format(row, f"0{n * size}b").encode()) if size else []
-        return RowSteps(n, range(n), frobs, xor, fold, layout, twist, columns, unkeys, divide,
-                        quotient, row, unrow)
+        return RowSteps(n, layout, row, unrow, twist, columns, divide, quotient, unkeys)
 
     def _super_rows(self) -> RowSteps:
-        """The row steps for odd p: super-slot rows, which keep modpoly's
-        packed element.  Slot j of a row, s = 2 n w bits wide (a
-        super-slot), holds coefficient j's packed int (n slots of w bits)
-        in its low half, and a key is that packed int.  c times a row is
-        one int product, which leaves each unreduced c g_j, at most 2n - 1
-        slots, in its own super-slot; the slot bound of modpoly._layout has
-        room for _ACC_TERMS such products, also of the (p - 1) c of a
-        difference, so a row never borrows.  So the one slice is the row
-        itself, the one column c or (p - 1) c, the row sum an int sum and
-        the fold of the one product next (sum would copy it).  This packs
-        only the scalar-times-row step, not the whole skew product (compare
-        the fast skew multiplication of Caruso and Le Borgne, ISSAC 2017).
-
-        A settle reduces every super-slot at once, as _reduce reduces one
-        int but with x^n mod m (_fold[0]) in place of the n - 1 folds: the
-        high halves H, taken mod p, fold back as H (x^n mod m), one int
-        product, and one canon takes every slot mod p; the product's own
-        high slots, if any, fold back again.  That takes
-        ceil((n - 1) / (n - t)) rounds for x^n mod m of degree t, at most
-        two for every field on rows (t <= 3 for their least irreducible
-        moduli).  twist applies frob^j once per power: n products of the
-        row's digit slices with the packed columns of frob^j (_frob_cols),
-        then one canon.  divide inverts the lead once (_inv) and maps the
-        inverse by frob^j once per power; a quotient reduces the top
-        super-slot and multiplies it by that.  A row is one join of the
-        coefficients' bytes, each padded to s/8 bytes; back, the first
-        n w/8 bytes of every s/8."""
-        p, n, w, nb, frobs = self.p, self.n, self._w, self._nbytes, self._frob_cols
-        reduce_ = self._reduce
+        """The row steps for odd p: slot j, s = 2 n w bits wide (a
+        super-slot), holds coefficient j's packed int in its low half, and a
+        key is that int.  c times a row is one int product, each c g_j in its
+        own super-slot, which has room for _ACC_TERMS of them, so the one
+        column is c, or (p - 1) c (compare the skew product of Caruso and Le
+        Borgne, ISSAC 2017).  A settle folds every high half H, mod p, back
+        as H (x^n mod m) in one product, in at most two rounds on rows.
+        twist and divide map by frob^j once per power."""
+        p, n, w, nb, reduce_ = self.p, self.n, self._w, self._nbytes, self._reduce
         s, sb, xn = 2 * n * w, 2 * nb, self._fold[0] if n > 1 else 0
         half = b"\xff" * nb + bytes(nb)  # the low n slots of a super-slot
         lowest = half[:w // 8] + bytes(sb - w // 8)  # its slot 0
-        shapes = {}  # shape's value for the last size it was asked for
 
         def layout(size):
             low, canon = int.from_bytes(half * size, "little"), shape(size)[1]
 
-            def settle(row):
-                # each round adds at most n - 1 products of two canonical
-                # slots to a slot, as _reduce does, which the slot bound
-                # has room for
+            def settle(row):  # a round adds n - 1 products to a slot, as _reduce
                 high, row = canon(row >> n * w & low), row & low
                 while True:
                     row = canon(row + high * xn)
@@ -790,20 +659,17 @@ class _PackedField(FqField):
                     row &= low
             return low, settle
 
+        @lru_cache(maxsize=1)
         def shape(size):  # slot 0 of each super-slot, and the canon of size super-slots
-            if size not in shapes:
-                shapes.clear()
-                shapes[size] = (int.from_bytes(lowest * size, "little"),
-                                _canon_slots(p, w, 2 * n * size))
-            return shapes[size]
+            return int.from_bytes(lowest * size, "little"), _canon_slots(p, w, 2 * n * size)
 
-        def twist(slices, k, count, low):
-            out = [slices]
+        def twist(row, k, count, low):
+            out = [[row & low]]
             if count > 1:
                 slot0, canon = shape(-(-low.bit_length() // s))
-                slices = [slices[0] >> x & slot0 for x in range(0, n * w, w)]
+                slices = [row >> x & slot0 for x in range(0, n * w, w)]
                 for j in (k * m % n for m in range(1, count)):
-                    cols = frobs.get(j) or self._frob_columns(j)
+                    cols = self._frob_cols.get(j) or self._frob_columns(j)
                     out.append([canon(sum(map(mul, slices, cols)))])
             return out
 
@@ -811,30 +677,22 @@ class _PackedField(FqField):
             c = p - 1 if negate else 1
             return [[a * c] if a else None for a in v]
 
-        def divide(t, k, count, low, slices, s1_slices):
-            if count <= 0:
-                return []
+        def divide(t, k, count, low, b, s1):
             inv = self._inv(t)
             leads = [inv, *(self._frob(k * m % n, inv) for m in range(1, count))]
-            return list(zip(leads, twist(slices, k, count, low),
-                            twist(s1_slices, k, count, low) if s1_slices else repeat(())))
+            return list(zip(leads, twist(b, k, count, low),
+                            repeat(()) if s1 is None else twist(s1, k, count, low)))
 
         def quotient(t, d, j):
             t = reduce_(t)
-            if not t:
-                return None
-            c = reduce_(t * d)
-            return c, [c * (p - 1)]
+            return (c := reduce_(t * d), [c * (p - 1)]) if t else None
 
         def row(v):
-            return int.from_bytes(b"".join(map(int.to_bytes, v, repeat(sb), repeat("little"))),
-                                  "little")
+            return int.from_bytes(_join(v, sb, "little"), "little")
 
         def unrow(row, size):
-            b = row.to_bytes(size * sb, "little")
-            return [int.from_bytes(b[i:i + nb], "little") for i in range(0, size * sb, sb)]
-        return RowSteps(s, (0,), frobs, add, next, layout, twist, columns, list, divide,
-                        quotient, row, unrow)
+            return _split(row.to_bytes(size * sb, "little"), nb, sb, "little")
+        return RowSteps(s, layout, row, unrow, twist, columns, divide, quotient, list)
 
     def _compact_modulus(self) -> int:
         """The modulus with bit i its coefficient of x^i."""
@@ -844,10 +702,19 @@ class _PackedField(FqField):
 _TO_01, _FROM_01 = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
 
 
+def _join(vs, width: int, order: str) -> bytes:
+    """The ints vs, each as width bytes in the byte order given, joined."""
+    return b"".join(map(int.to_bytes, vs, repeat(width), repeat(order)))
+
+
+def _split(b, width: int, stride: int, order: str) -> list[int]:
+    """The ints of the first width bytes of every stride bytes of b."""
+    return [int.from_bytes(b[i:i + width], order) for i in range(0, len(b), stride)]
+
+
 def _binary_inverse(a: int, m: int) -> int:
-    """The inverse of a nonzero a modulo an irreducible m, both compact
-    polynomials over F_2 (bit i the coefficient of x^i), deg a < deg m:
-    u = a g1 and v = a g2 mod m throughout, and u reaches 1."""
+    """The inverse of a nonzero a mod an irreducible m, compact polynomials
+    over F_2 with deg a < deg m: u = a g1 and v = a g2 mod m until u = 1."""
     u, v, g1, g2 = a, m, 1, 0
     while u != 1:
         j = u.bit_length() - v.bit_length()
@@ -859,12 +726,10 @@ def _binary_inverse(a: int, m: int) -> int:
 
 
 class FqElem:
-    """An element of an FqField, held as one int: its discrete log (-1 for
-    zero) up to the log-table limit, its packed coefficient vector past it.
-    The coefficient tuple `coeffs` is derived from the int on request.
-    Every operation is one call of the field's tier (_add, _neg, _mul,
-    _inv, _power), the same functions OrePoly applies to its coefficient
-    ints; the tier was chosen once, when the field was."""
+    """An element of an FqField, held as one int (see the module docstring);
+    the coefficient tuple `coeffs` is derived from it on request.  Every
+    operation is one call of the field's tier (_add, _neg, _mul, _inv,
+    _power), the same functions OrePoly applies to its coefficient ints."""
 
     __slots__ = ("field", "v")
 
@@ -938,9 +803,7 @@ class FqElem:
 
 class FieldAut:
     """A field automorphism x -> x^(p^k), i.e. the k-th Frobenius power,
-    applied as the field's _frob on the int of an element: a log times p^k
-    modulo q - 1 in the log tier, the cached F_p-linear matrix of frob^k
-    on the packed int past it."""
+    applied as the field's _frob on the int of an element."""
 
     __slots__ = ("field", "k")
 

@@ -36,51 +36,23 @@ accumulating multiplication kernel once per step.  Only s is kept: the lcm
 is s*f, and the witness divides that multiple by the second input on the
 right, exactly.
 
-Log-tier fields and the packed fields run the product, the division and
-the chain on rows instead, with the layout and steps the field supplies
-(ffield.RowSteps), as the lists run on the tier's vector steps.  A row
-packs a polynomial into one int, in a log tier each base-p digit of each
-coefficient in a sub-slot of its own; since c * tau^l(b) is
+Fields run the product, the division and the chain on rows instead, with
+the layout and steps the field supplies (ffield.RowSteps), when the
+operand a kernel scales has at least _row_min coefficients (the rule is
+FqField's).  A row packs a polynomial into one int; since c * tau^l(b) is
 F_p-linear in b, it is n slices of the row, each times the digits of one
 c * tau^l(x^i), so a term costs n whole-row products however long the row,
 instead of one Zech lookup or packed product per coefficient (the
 word-packed vectors of M4RI, Albrecht, Bard and Hart, ACM TOMS 36(1),
 2010, sliced over larger fields as in Boothby and Bradshaw, "Bitslicing
 and the Method of Four Russians over larger finite fields",
-arXiv:0901.1413).  A log tier reads the digits of c * frob^j(x^i) off its
-tables.  A binary packed field holds coefficient j's n digits in the
-n-bit slot j and applies frob^j to the scaled operand's row once per
-power in a call, n slice products with the compact columns of
-frob^j(x^i); a term's columns are then those of c * x^i, n steps of a
-shift and a conditional XOR of the modulus.  A quotient digit there is
-the XOR, over the bits of the top slot, of the columns of frob^j of the
-inverse of the divisor's lead, inverted once per division.  An odd-p
-packed field (see ffield._PackedField._super_rows) keeps its packed element: slot j
-of a row, 2n packed slots wide, holds coefficient j's packed int, so c
-times a row is one int product, every unreduced c g_j in a slot of its
-own; the twist is applied once per power (n slice products with the
-packed columns of frob^j), a settle folds every slot's high half back at
-once (one whole-row product by x^n mod m per round, at most two rounds),
-and a quotient reduces the top slot and multiplies it by frob^j of the
-lead's inverse.  The row sum is the one step that depends on the
-characteristic: XOR for p = 2, exact with nothing to settle; an int sum
-for odd p, settled mod p once per _ACC_TERMS terms.  The chain keeps its
-remainders and its cofactor as rows from entry to exit.  A term also pays
-for its n columns, and a division step for reading the top coefficient,
-so rows win only past some length, and later the larger n is, since a
-term's row work grows as n^2.  The one rule, fixed per field as
-FqField._row_min: a kernel runs on rows when the operand it scales (g in
-f*g, the divisor, the chain's second input) has at least _row_min
-coefficients: 1 for p = 2 (rows at every length, log tier or packed); in
-the odd-p log tier 8 max(n, 3) for n <= 5 (24, or 32 at n = 4 and 40 at
-n = 5), and infinite past that, where a term costs n^2 digit products per
-coefficient; for odd-p packed fields 8 when an element packs into at most
-30 bytes (F_3^12 to F_3^15, F_5^7 to F_5^15, F_7^9, every prime field),
-24 up to 36 bytes (F_3^16 to F_3^18, F_7^12), and infinite past that
-(F_3^19 to F_3^40, F_7^14), where the twist's n whole-row products cost
-more than the lists' products per coefficient.  Measured in process (rows
-against lists on random inputs, the median of three best-of-five timings,
-Python 3.11 on a shared 2-vCPU host), rows won every op from 24
+arXiv:0901.1413); an odd-p packed field keeps its packed element whole, in
+one slice.  The chain keeps its remainders and its cofactor as rows from
+entry to exit.  A term also pays for its columns, and a division step for
+reading the top coefficient, so rows win only past some length, and later
+the larger n is.  The rule's crossovers, measured in process (rows against
+lists on random inputs, the median of three best-of-five timings, Python
+3.11 on a shared 2-vCPU host): rows won every op from 24
 coefficients on F_7^2, from 20 on F_251 and F_32749, from 32 on F_3,
 F_3^3 and F_5^4 (at 24 the gcd took 1.02-1.06 times the lists' time,
 every other op at most 0.96) and from 40 on F_7^5 (the gcd at 1.00); the
@@ -94,17 +66,18 @@ F_7^9 and F_65537, from 8 on F_3^14, F_3^15, F_5^15 and near 2^64 (the
 division at 0.99 there), from 8-16 on F_3^16, F_3^17 and F_7^12 and from
 24 on F_3^18, and lost some op at every length up to 40 on F_3^19,
 F_3^20 and F_7^14; on F_251^8 they won from 24, which the rule, by
-element size, leaves to the lists.  At degree 1000 the F_2^14 witness fell from 1.1-1.4 s to
-0.14-0.20 s, the F_5^4 witness from 1.59 s to 0.37 s, the F_2^16 and
-F_2^20 witnesses from 4.2 and 5.7 s to 0.26 and 0.22 s, and the F_3^12
-witness from 6.7-7.8 s to 1.9-3.0 s.
+element size, leaves to the lists.  At degree 1000 the F_2^14 witness fell
+from 1.1-1.4 s to 0.14-0.20 s, the F_5^4 witness from 1.59 s to 0.37 s,
+the F_2^16 and F_2^20 witnesses from 4.2 and 5.7 s to 0.26 and 0.22 s, and
+the F_3^12 witness from 6.7-7.8 s to 1.9-3.0 s.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from itertools import chain
 from math import gcd
-from operator import mul
+from operator import add, mul, xor
 
 from .ffield import FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
 from .modpoly import _ACC_TERMS
@@ -424,40 +397,40 @@ def _euclid(f: OrePoly, g: OrePoly, cofactor: bool) -> tuple[tuple, list]:
 
 # -- the kernels on rows ---------------------------------------------------------
 #
-# A row (F._row_steps, see ffield.RowSteps) packs a polynomial into one int:
-# coefficient j takes the s-bit slot j, whose w-bit sub-slot i holds base-p
-# digit i of its index in a log tier (w = 1 and s = 16 for p = 2), and
-# whose bit i is its coefficient of x^i in a binary packed field (w = 1,
-# s = n).  With low the int that has the w low bits of every slot set,
-# slice i of a settled row, (row >> w i) & low, holds digit i of every
-# coefficient, and since frob^j is F_p-linear,
+# The field's RowSteps (see ffield) give the layout, the conversions, the
+# twist, the columns and the division steps.  Since frob^j is F_p-linear,
 #
 #     c * tau^l(row) = sum over i of slice_i * (the row digits of c * frob^j(x^i))
 #
-# for frob^j = tau^l: each product puts at most (p - 1)^2 in a sub-slot of
-# the slot it lands in and carries nowhere.  A log tier reads those
-# columns off its tables; a binary packed field twists the slices instead,
-# once per power (twist), and its columns are those of c * x^i.  The field
-# supplies the row sum and the fold of the n products: XOR for p = 2,
-# exact with nothing to settle (an int sum would carry out of the 1-bit
-# digits); for odd p an int sum, settled (every sub-slot taken mod p) once
-# per _ACC_TERMS terms.  A difference adds the columns of the negated
-# multiplier, so rows never borrow.  An odd-p packed field puts
-# coefficient j's packed int in slot j instead, 2n w-bit slots wide: its
-# one slice is the row itself and its one column c, and low has the low
-# n w bits of every slot set (see ffield._PackedField._super_rows).
+# for frob^j = tau^l, or of c * x^i where twist has mapped the slices by
+# frob^j: each product puts at most (p - 1)^2 in a sub-slot of the slot it
+# lands in and carries nowhere.  A difference adds the columns of the
+# negated multiplier, so rows never borrow.
+
+
+def _row_sums(p: int, slices) -> tuple:
+    """The row sum and the fold of a term's products with slices, picked once
+    per kernel call: XOR for p = 2, exact, where an int sum would carry out
+    of the 1-bit digits; else the int sum, settled once per _ACC_TERMS
+    terms.  One slice's product is its own fold; more fold from the first
+    product on (sum would start from 0 and copy a whole row)."""
+    rsum = xor if p == 2 else add
+    return rsum, next if len(slices) == 1 else _FOLDS[rsum]
+
+
+_FOLDS = {xor: partial(reduce, xor), add: partial(reduce, add)}
 
 
 def _row_mul(F: FqField, k: int, f, g, minus) -> list[int]:
     """_mul on rows; minus - f*g is minus plus the products of -f_l."""
     R, n = F._row_steps(), F.n
-    s, rsum, fold = R.s, R.rsum, R.fold
-    size, out = len(f) + len(g) - 1, 0
+    s, size, out = R.s, len(f) + len(g) - 1, 0
     if minus is not None:
         size, out = max(size, len(minus)), R.row(minus)
     low, settle = R.layout(size)
     b, period, terms = R.row(g), n // gcd(n, k), 0
-    twisted = R.twist([b >> x & low for x in R.shifts], k, min(period, len(f)), low)
+    twisted = R.twist(b, k, min(period, len(f)), low)
+    rsum, fold = _row_sums(F.p, twisted[0])
     for l, col in enumerate(R.columns(f, k, minus is not None)):
         if col is not None:
             if terms == _ACC_TERMS:
@@ -478,17 +451,16 @@ def _row_divisions(F: FqField, k: int, f, g, cofactor: bool):
     odd p, a multiple of p in every sub-slot; the dropped slots are masked
     off once per division."""
     R, n = F._row_steps(), F.n
-    s, shifts, rsum, fold, divide, quotient = R.s, R.shifts, R.rsum, R.fold, R.divide, R.quotient
+    s, divide, quotient = R.s, R.divide, R.quotient
     low, settle = R.layout(len(f) + len(g))
+    rsum, fold = _row_sums(F.p, R.twist(1, 0, 1, low)[0])  # by the slices of a row
     one, a, b, top, zero = (1 << s) - 1, R.row(f), R.row(g), len(f) - 1, F._zero_v
-    period = n // gcd(n, k)
-    s0, s1 = 1, 0  # the rows of 1 and 0
+    period, s0, s1 = n // gcd(n, k), 1, 0  # s0 and s1 the rows of 1 and 0
     while b:
         d = (b.bit_length() - 1) // s
         # each power of tau that this division's terms take, met once
         per_power = divide(b >> s * d, k, top - d + 1 if top - d < period else period, low,
-                        [b >> x & low for x in shifts],
-                        [s1 >> x & low for x in shifts] if cofactor else ())
+                           b, s1 if cofactor else None)
         r, q, budget = a, [zero] * (top - d + 1), _ACC_TERMS
         for top in range(top, d - 1, -1):
             m = top - d
@@ -514,8 +486,7 @@ def _row_divisions(F: FqField, k: int, f, g, cofactor: bool):
 
 def _row_right_divmod(F: FqField, k: int, f, g):
     """_right_divmod on rows: the first division of the chain."""
-    q, _, r, _ = next(_row_divisions(F, k, f, g, False))
-    R = F._row_steps()
+    R, (q, _, r, _) = F._row_steps(), next(_row_divisions(F, k, f, g, False))
     return R.unkeys(q), R.unrow(r, min(len(f), len(g) - 1))
 
 

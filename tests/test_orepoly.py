@@ -9,6 +9,7 @@ from tuple_field import TupleField, divmod_poly
 from skewgalois import orepoly
 from skewgalois.ffield import (
     FqField,
+    RowSteps,
     _LogField,
     _PackedField,
     embed_subfield,
@@ -764,14 +765,18 @@ def test_row_kernels_match_raw_reference(p, n, row_calls):
             _check_chains(a, b)
         assert _tuples(ore_right_gcd(ring.zero(), g)) == ref.right_gcd([], _tuples(g))
     assert all(row_calls[name] for name in ROW_ENTRY_POINTS), row_calls
+    # the slot and sub-slot widths: layout(1)'s low has the low w bits of
+    # one slot set, or the low half of one super-slot, the one slice
+    R = F._rsteps
+    low = R.layout(1)[0]
     if (p, n) in SUPER_SLOT:
-        assert (F._rsteps.s, F._rsteps.shifts) == (SUPER_SLOT[p, n], (0,))
+        assert (R.s, low) == (SUPER_SLOT[p, n], (1 << SUPER_SLOT[p, n] // 2) - 1)
     else:
-        assert F._rsteps[1].step == SUB_SLOT.get(p, 16)
+        assert low == (1 << SUB_SLOT.get(p, 16)) - 1
 
 
 def _stated_rule(F):
-    """_row_min as orepoly's docstring states it."""
+    """_row_min as FqField's docstring states it."""
     if F.p == 2:
         return 1
     if F.order <= 1 << 15:
@@ -823,11 +828,17 @@ def test_the_list_kernels_keep_the_fields_past_the_rule(p, n, row_calls):
     assert getattr(F, "_rsteps", None) is None  # no row table was built
 
 
+def _closure(f, name):
+    """The value of the free variable name of the function f."""
+    return f.__closure__[f.__code__.co_freevars.index(name)].cell_contents
+
+
 def _row_tables(steps):
-    """The distinct lists that the row steps hold, themselves or in the
-    closures of their functions."""
-    cells = [c.cell_contents for f in steps for c in getattr(f, "__closure__", None) or ()]
-    return list({id(t): t for t in [*steps, *cells] if isinstance(t, list)}.values())
+    """The distinct lists that the row steps hold in the closures of their
+    functions."""
+    cells = [c.cell_contents for name in RowSteps._fields
+             for c in getattr(getattr(steps, name), "__closure__", None) or ()]
+    return list({id(t): t for t in cells if isinstance(t, list)}.values())
 
 
 def test_digit_row_tables_are_built_on_the_first_row_call_within_the_log_table_size():
@@ -847,9 +858,11 @@ def test_digit_row_tables_are_built_on_the_first_row_call_within_the_log_table_s
         # log and the zero slot last: each as long as _log, and no other
         tables = [t for t in _row_tables(steps) if t is not F._log]
         assert sorted(map(len, tables)) == [len(F._log)] * 2
-        assert (steps[2] is F._antilog) == (p == 2)
-        assert steps[2][-1] == 0
-        assert (steps[0], steps[1].step) == ((16, 1) if p == 2 else (72, 24))
+        cols = _closure(steps.columns, "cols")
+        assert (cols is F._antilog) == (p == 2)
+        assert cols[-1] == 0
+        # 16-bit slots of one 1-bit sub-slot, or 72-bit slots of three of 24
+        assert (steps.s, steps.layout(1)[0]) == ((16, 1) if p == 2 else (72, (1 << 24) - 1))
 
 
 @pytest.mark.parametrize("p,n,slot", [(2, 8, 2), (3, 1, 2), (251, 1, 3), (257, 1, 3),
@@ -858,15 +871,15 @@ def test_row_conversions_round_trip_at_every_slot_width(p, n, slot):
     # unrow(row(v), len(v)) == v at every slot width, in bytes: zeros (log
     # -1) alone, inside and trailing, length 1, every log once, and length 1001
     F = make_field(p, n)
-    s, *_, row, unrow = F._row_steps()
-    assert s == 8 * slot
+    R = F._row_steps()
+    assert R.s == 8 * slot
     rng = random.Random(p * 6000 + n)
     logs = list(range(-1, F._q1))
     long = [rng.choice(logs) for _ in range(1001)]
     cases = [[-1], [0], [F._q1 - 1], [-1] * 7, [0, -1, -1], [-1, F._q1 - 1, -1, 0], logs,
              logs[::-1], long, long[:990] + [-1] * 11, [-1] * 1000 + [F._q1 // 2]]
     for v in cases:
-        assert unrow(row(v), len(v)) == v
+        assert R.unrow(R.row(v), len(v)) == v
 
 
 @pytest.mark.parametrize("p,n", [(3, 12), (65537, 1)])
@@ -875,15 +888,15 @@ def test_super_slot_conversions_round_trip(p, n):
     # zeros alone, inside and trailing, length 1, and length 1001; F_3^12's
     # elements take 24 bytes of a 48-byte super-slot, F_65537's 7 of 14
     F = make_field(p, n)
-    s, *_, row, unrow = F._row_steps()
-    assert s == SUPER_SLOT[p, n]
+    R = F._row_steps()
+    assert R.s == SUPER_SLOT[p, n]
     rng = random.Random(p * 6100 + n)
     zero, one, top = F._vs_of([[0], [1], [p - 1] * n])
     long = F._vs_of([[rng.randrange(p) for _ in range(n)] for _ in range(1001)])
     cases = [[zero], [one], [top], [zero] * 7, [one, zero, zero], [zero, top, zero, one], long,
              long[:990] + [zero] * 11, [zero] * 1000 + [top]]
     for v in cases:
-        assert unrow(row(v), len(v)) == v
+        assert R.unrow(R.row(v), len(v)) == v
 
 
 # -- the coefficient ints of OrePoly against a reference on tuples -------------
