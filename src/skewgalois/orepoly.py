@@ -412,13 +412,12 @@ def _row_sums(p: int, slices) -> tuple:
     """The row sum and the fold of a term's products with slices, picked once
     per kernel call: XOR for p = 2, exact, where an int sum would carry out
     of the 1-bit digits; else the int sum, settled once per _ACC_TERMS
-    terms.  One slice's product is its own fold; more fold from the first
-    product on (sum would start from 0 and copy a whole row)."""
+    terms.  One slice's product is its own fold (sum would copy it)."""
     rsum = xor if p == 2 else add
     return rsum, next if len(slices) == 1 else _FOLDS[rsum]
 
 
-_FOLDS = {xor: partial(reduce, xor), add: partial(reduce, add)}
+_FOLDS = {xor: partial(reduce, xor), add: sum}
 
 
 def _row_mul(F: FqField, k: int, f, g, minus) -> list[int]:
