@@ -10,14 +10,14 @@ depend only on the degrees, and check_subfield is the one subfield test;
 an explicit SubfieldEmbedding is built only on request.
 
 The field's order fixes once what the int is, as the subclass (tier) the
-field becomes.  Up to the log-table limit (a _LogField) it is the discrete
-log to a generator g (-1 for zero): products and powers are integer
-operations on logs, a sum is one lookup in Zech's logarithms
-zech[d] = log(1 + g^d), and frob^k multiplies a log by p^k mod (q - 1).
-Past it (a _PackedField) it is the packed vector of modpoly's QuotientRing:
-a product is one int product and its _reduce, frob^k a cached F_p-linear
-map, and sums work slotwise.  Each tier also supplies the steps of
-orepoly's row kernels (RowSteps), which run by FqField's rule.
+field becomes; no operation tests the tier.  Up to the log-table limit (a
+_LogField) it is the discrete log to a generator g (-1 for zero): products
+and powers are integer operations on logs, a sum is one lookup in Zech's
+logarithms zech[d] = log(1 + g^d), and frob^k multiplies a log by p^k mod
+(q - 1).  Past it (a _PackedField) it is the packed vector of modpoly's
+QuotientRing: a product is one int product and its _reduce, frob^k a
+cached F_p-linear map, and sums work slotwise.  Each tier also supplies
+the steps of orepoly's row kernels (RowSteps), which run by FqField's rule.
 
 A polynomial's JSON coefficients convert once per polynomial, by the tier,
 both ways (_vs_of, _coeff_lists).  For p < 256 a list of coefficient
@@ -41,8 +41,9 @@ from .zarith import factorize, is_prime
 
 _LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
 
-# Largest field order a descriptor may name.  The modulus search grows with
-# n: 4-6 ms at 2^64, 1.4-2 ms at 3^40, 50 ms at 2^128 (Python 3.11, 2 CPUs).
+# Largest field order a descriptor may name.  The search for the least
+# irreducible modulus grows without bound in n, if slowly: 4-6 ms at 2^64,
+# 1.4-2 ms at 3^40 and 50 ms at 2^128 (Python 3.11, 2 shared CPUs).
 FIELD_ORDER_MAX = 1 << 64
 
 # The layout and steps of orepoly's row kernels, built on a field's first
@@ -212,9 +213,10 @@ class _LogField(FqField):
     __slots__ = ()
 
     def _finish(self) -> None:
-        """Build the tables for the generator g: _antilog[k] is the index of
-        g^k for k < q - 1, then 0, zero's index; _log inverts it, with -1 for
-        zero; and _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0."""
+        """Build the tables.  For the generator g: _antilog[k] is the index
+        of g^k for 0 <= k < q - 1, followed by 0 (the index of zero), so
+        that _antilog[-1] is zero; _log[_antilog[k]] = k, with -1 as the log
+        of zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0."""
         p, q1 = self.p, self.order - 1
         self._zero_v, self._one_v, self._q1 = -1, 0, q1
         self._minus_one = q1 // 2 if p != 2 else 0  # -1 = g^((q - 1) / 2)
@@ -245,11 +247,13 @@ class _LogField(FqField):
         self._xlogs = tuple(tuple(x * e % q1 for x in xlogs) for e in self._powers)
 
     def _powers_of(self, g: int) -> list[int]:
-        """The indices of g^k for 0 <= k < q - 1, for n >= 2.  x -> x*g is
-        F_p-linear, so its value at the index l + p^h u (h = n/2, l < p^h) is
-        the sum of two tabled values, at the low digits l and the high
-        digits u, in narrow s-bit slots with room for that sum; the next l
-        and u are read off its low and high slots through one table."""
+        """The indices of g^k for 0 <= k < q - 1, for n >= 2.
+
+        x -> x*g is F_p-linear, so its value at the index l + p^h u (h = n/2,
+        l < p^h) is the sum of two tabled values, at the low digits l and at
+        the high digits u.  The tables hold narrow packed slots, s bits wide
+        with room for a sum of two canonical values, and the next l and u are
+        read off the low and the high slots of that sum through one table."""
         p, n, w = self.p, self.n, self._w
         h = n // 2
         s = (2 * p - 1).bit_length()  # 2^(s-1) >= p, as slotwise addition needs
@@ -289,7 +293,8 @@ class _LogField(FqField):
         """The packed form of the least-index element of order q - 1."""
         p, q1 = self.p, self._q1
         prime_parts = [q1 // f for f, _ in factorize(q1)] if q1 > 1 else []
-        # a constant's order divides p - 1, so for n > 1 start at x, index p
+        # a constant has order dividing p - 1, so for n > 1 the search
+        # starts at x, index p
         for idx in range(p if self.n > 1 else 1, self.order):
             cand = self._pack(self._digits(idx))
             if all(self._pow(cand, e) != 1 for e in prime_parts):

@@ -452,7 +452,7 @@ def _row_divisions(F: FqField, k: int, f, g, cofactor: bool):
     R, n = F._row_steps(), F.n
     s, divide, quotient = R.s, R.divide, R.quotient
     low, settle = R.layout(len(f) + len(g))
-    rsum, fold = _row_sums(F.p, R.twist(1, 0, 1, low)[0])  # by the slices of a row
+    fold = None  # picked at the first division, by its slices
     one, a, b, top, zero = (1 << s) - 1, R.row(f), R.row(g), len(f) - 1, F._zero_v
     period, s0, s1 = n // gcd(n, k), 1, 0  # s0 and s1 the rows of 1 and 0
     while b:
@@ -460,6 +460,8 @@ def _row_divisions(F: FqField, k: int, f, g, cofactor: bool):
         # each power of tau that this division's terms take, met once
         per_power = divide(b >> s * d, k, top - d + 1 if top - d < period else period, low,
                            b, s1 if cofactor else None)
+        if fold is None and per_power:
+            rsum, fold = _row_sums(F.p, per_power[0][1])
         r, q, budget = a, [zero] * (top - d + 1), _ACC_TERMS
         for top in range(top, d - 1, -1):
             m = top - d
