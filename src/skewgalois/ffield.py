@@ -644,8 +644,8 @@ class _PackedField(FqField):
         own super-slot, which has room for _ACC_TERMS of them, so the one
         column is c, or (p - 1) c (compare the skew product of Caruso and Le
         Borgne, ISSAC 2017).  A settle folds every high half H, mod p, back
-        as H (x^n mod m) in one product, in at most two rounds on rows.
-        twist and divide map by frob^j once per power."""
+        as H (x^n mod m), one product a round, two at most (x^n mod m has
+        degree <= 3 on rows); twist and divide map by frob^j once per power."""
         p, n, w, nb, reduce_ = self.p, self.n, self._w, self._nbytes, self._reduce
         s, sb, xn = 2 * n * w, 2 * nb, self._fold[0] if n > 1 else 0
         half = b"\xff" * nb + bytes(nb)  # the low n slots of a super-slot
