@@ -97,7 +97,7 @@ class FqField(modpoly.QuotientRing):
     # the slots of both tiers, so that a field can change its class
     __slots__ = ("modulus", "order", "_powers", "_hash", "_zero_v", "_one_v",
                  "_q1", "_minus_one", "_log", "_antilog", "_zech", "_frob_cols",
-                 "_xlogs", "_halves", "_row_min", "_rsteps", "_norm_inv")
+                 "_xlogs", "_halves", "_row_min", "_rsteps", "_norm_inv", "_cmodulus")
 
     def __init__(self, p: int, n: int):
         if not is_prime(p):
@@ -455,6 +455,8 @@ class _PackedField(FqField):
         nb = self._nbytes  # _row_min as FqField's docstring states it
         self._row_min = 1 if self.p == 2 else 8 if nb <= 30 else 24 if nb <= 36 else math.inf
         self._rsteps = self._norm_inv = None
+        if self.p == 2:  # the modulus with bit i its coefficient of x^i
+            self._cmodulus = int(bytes(self.modulus[::-1]).translate(_TO_01), 2)
 
     def _vec_vs(self, vecs) -> list[int]:
         return list(map(self._pack, vecs))
@@ -497,7 +499,7 @@ class _PackedField(FqField):
         p, n = self.p, self.n
         if p == 2:  # the rows' inverse, on the compact int of a one-slot row
             R = self._row_steps()
-            return R.unrow(_binary_inverse(R.row([a]), self._compact_modulus()), 1)[0]
+            return R.unrow(_binary_inverse(R.row([a]), self._cmodulus), 1)[0]
         if n == 1:
             return pow(a, p - 2, p)
         if self._norm_inv is None:
@@ -577,7 +579,7 @@ class _PackedField(FqField):
         of the lead's inverse, whose XOR over a slot's digits is a quotient.
         row reads the digit bytes of the coefficients by int(., 2)."""
         n, nb, step = self.n, self._nbytes, self._step
-        modulus, top, fmt = self._compact_modulus(), 1 << n - 1, f"0{n}b"
+        modulus, top, fmt = self._cmodulus, 1 << n - 1, f"0{n}b"
 
         def bits(v):  # of elements v, most significant first, as b"01"
             return _join(reversed(v), nb, "big")[step - 1::step].translate(_TO_01)
@@ -698,10 +700,6 @@ class _PackedField(FqField):
         def unrow(row, size):
             return _split(row.to_bytes(size * sb, "little"), nb, sb, "little")
         return RowSteps(s, layout, row, unrow, twist, columns, divide, quotient, list)
-
-    def _compact_modulus(self) -> int:
-        """The modulus with bit i its coefficient of x^i."""
-        return int(bytes(self.modulus[::-1]).translate(_TO_01), 2)
 
 
 _TO_01, _FROM_01 = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")

@@ -14,7 +14,10 @@ generators wherever a property is closed under products:
   closure only O(order * gens).  That costs O(order^2 * gens) with gens <=
   log2(order), and the group keeps that generating set.  A group table is
   a Latin square, so the row and column permutation scans run only for a
-  rejected table, to name its fault.  Tables the library builds itself
+  rejected table, to name its fault.  Up to order 256 these checks run on
+  the rows as bytes, each pass in C (see _square_rows and
+  _associative_at); past it a byte cannot hold an index, and they run on
+  the tuple rows.  Tables the library builds itself
   (products, subgroups, groups synthesized from permutation generators or
   element/multiplication pairs) skip every check, since they hold by
   construction, and find a generating set when first asked.
@@ -41,11 +44,12 @@ generators wherever a property is closed under products:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from operator import itemgetter
 from typing import NoReturn
 
-from .zarith import factorize, is_int
+from .zarith import all_ints, factorize, is_int
 
 TABLE_SYNTHESIS_CAP = 5040  # largest order synthesized from generators
 
@@ -130,6 +134,48 @@ def _reject(rows) -> NoReturn:
     raise ValueError("table is not associative")
 
 
+def _square_rows(rows) -> list[bytes] | None:
+    """Check that rows is square over its element indices, as a ValueError
+    if not.  Up to order 256 it does so on the rows as bytes, in C, and
+    returns those; past it, where a byte cannot hold an index, on the rows
+    themselves, and returns None."""
+    n = len(rows)
+    if n > 256:
+        indices = frozenset(range(n))
+        if not all(len(row) == n and indices.issuperset(row) for row in rows):
+            raise ValueError("table is not square over element indices")
+        return None
+    try:
+        brows = list(map(bytes, rows))
+    except (TypeError, ValueError):  # an entry that is not an int in 0..255
+        brows = None
+    if (brows is None or any(len(b) != n for b in brows)
+            or b"".join(brows).translate(None, bytes(range(n)))):
+        raise ValueError("table is not square over element indices")
+    return brows
+
+
+def _associative_at(rows, gens, brows) -> bool:
+    """Whether (x a) y = x (a y) for every a in gens and all x, y: row by
+    row, the row of x a against the row y -> x (a y).  On byte rows that
+    row is brows[a].translate over x's row padded to 256 bytes, one lookup
+    in C per entry; without them (order > 256) it is itemgetter over the
+    row of a, one n-tuple per row."""
+    if brows is None:
+        for a in gens:
+            row_times_a = itemgetter(*rows[a])  # rx -> (x a) b over all b
+            if any(rows[rx[a]] != row_times_a(rx) for rx in rows):
+                return False
+        return True
+    pad = bytes(256 - len(rows))
+    tables = [b + pad for b in brows]  # y -> x y, as a translation table
+    for a in gens:
+        x_a = map(brows.__getitem__, map(itemgetter(a), rows))  # the row of x a, per x
+        if list(map(brows[a].translate, tables)) != list(x_a):
+            return False
+    return True
+
+
 class FiniteGroup:
     __slots__ = ("order", "table", "inv", "name", "_gens", "_orders", "_subgroup_cache")
 
@@ -140,11 +186,9 @@ class FiniteGroup:
             raise ValueError("a group has at least the identity")
         rows = tuple(tuple(row) for row in table)
         self._gens: tuple[int, ...] | None = None
+        brows = None  # the rows as bytes, for a supplied table of order <= 256
         if not _trusted:
-            indices = frozenset(range(n))
-            for row in rows:
-                if len(row) != n or not indices.issuperset(row):
-                    raise ValueError("table is not square over element indices")
+            brows = _square_rows(rows)
             if rows[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(rows)):
                 raise ValueError("index 0 must be a two-sided identity")
             # Light's test: the a with (x a) y = x (a y) for all x, y are
@@ -155,11 +199,8 @@ class FiniteGroup:
             if gens is None:
                 _reject(rows)
             gens = _irredundant(rows, gens)
-            for a in gens:
-                row_times_a = itemgetter(*rows[a])  # rx -> (x a) b over all b
-                for rx in rows:
-                    if rows[rx[a]] != row_times_a(rx):
-                        _reject(rows)
+            if not _associative_at(rows, gens, brows):
+                _reject(rows)
             self._gens = tuple(gens)
         self.order = n
         self.table = rows
@@ -167,7 +208,7 @@ class FiniteGroup:
         # a finite one a b = 0 gives b a = 0, so a's scan also inverts b
         inv = [None] * n
         try:
-            for a, row in enumerate(rows):
+            for a, row in enumerate(brows or rows):
                 if inv[a] is None:
                     b = inv[a] = row.index(0)
                     inv[b] = a
@@ -838,9 +879,8 @@ def group_from_json(data: dict) -> FiniteGroup:
         raise ValueError("group JSON must be an object")
     if "table" in data:
         table = data["table"]
-        # set(map(type, r)) <= {int} is is_int on every entry, but cheaper
-        if not isinstance(table, list) or not all(
-                isinstance(r, list) and set(map(type, r)) <= {int} for r in table):
+        if not (isinstance(table, list) and all(map(list.__instancecheck__, table))
+                and all_ints(chain.from_iterable(table))):
             raise ValueError("'table' must be a list of integer rows")
         G = FiniteGroup(table, name=data.get("name", "G"))
     elif "perm_gens" in data:

@@ -81,7 +81,7 @@ from operator import add, mul, xor
 
 from .ffield import FieldAut, FqElem, FqField, check_subfield, field_from_descriptor
 from .modpoly import _ACC_TERMS
-from .zarith import is_int
+from .zarith import all_ints, is_int
 
 
 class OreRing:
@@ -684,11 +684,10 @@ def ore_poly_from_json(data: dict) -> OrePoly:
 
 def _int_coefficients(coeffs) -> bool:
     """Whether coeffs is a list of ints and lists of ints, bools excluded:
-    the set of the entries' types, then a count of int among the digits'
-    types in the lists, each gathered in C."""
+    the set of the entries' types, gathered in C, then all_ints on the
+    digits in the lists."""
     types = set(map(type, coeffs)) if isinstance(coeffs, list) else {None}
     if not types <= {int, list}:
         return False
     lists = coeffs if int not in types else filter(list.__instancecheck__, coeffs)
-    digits = list(map(type, chain.from_iterable(lists)))
-    return digits.count(int) == len(digits)
+    return all_ints(chain.from_iterable(lists))

@@ -29,6 +29,14 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def all_ints(values) -> bool:
+    """Whether every item of values is of type int, so none is a bool, as
+    JSON input must give them: their types gathered in C, then a count of
+    int."""
+    types = list(map(type, values))
+    return types.count(int) == len(types)
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime, proved for every n below PRIME_BOUND; a
     ValueError for n >= PRIME_BOUND, whose answer would be unproved."""

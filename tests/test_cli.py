@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -377,6 +378,33 @@ def test_decide_table_entry_that_is_not_an_int_is_structured_error(entry):
                               "--K", "2^2", "--L", "2^6", "--sigma", "1"])
     assert (code, out) == (cli.EXIT_DOMAIN, "")
     assert json.loads(err) == {"error": "ValueError", "message": "'table' must be a list of integer rows"}
+
+
+def test_decide_refuses_a_kernel_that_is_not_nilpotent():
+    # S4 x C2 onto C2 by the second projection: its kernel S4 is not nilpotent
+    perms = sorted(s + c for s in itertools.permutations(range(4)) for c in ((4, 5), (5, 4)))
+    group = {"perm_gens": [[[0, 1]], [[0, 1, 2, 3]], [[4, 5]]]}
+    alpha = {"map": [int(perm[4] == 5) for perm in perms]}
+    code, out, err = run_cli(["decide", "--group", json.dumps(group), "--alpha", json.dumps(alpha),
+                              "--K", "2^2", "--L", "2^4", "--sigma", "1"])
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert "requires a nilpotent kernel" in json.loads(err)["message"]
+
+
+def test_decide_on_a_group_of_order_4374_within_30_seconds():
+    # C3^7 x| C2 onto C2 by the sign map, C2 inverting each C3: its kernel
+    # C3^7 is read in the group's own table, with no second table
+    perms = sorted((tuple(3 * i + (a[i] + (-x if t else x)) % 3 for i in range(7) for x in range(3)), t)
+                   for a in itertools.product(range(3), repeat=7) for t in (0, 1))
+    gens = [[[3 * i, 3 * i + 1, 3 * i + 2]] for i in range(7)] + [[[3 * i + 1, 3 * i + 2] for i in range(7)]]
+    start = time.perf_counter()
+    code, out, err = run_cli(["decide", "--group", json.dumps({"perm_gens": gens}),
+                              "--alpha", json.dumps({"map": [t for _, t in perms]}),
+                              "--K", "2^3", "--L", "2^6", "--sigma", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert json.loads(out)["status"] == "SOLVABLE"
+    assert elapsed < 30
 
 
 @pytest.mark.parametrize("gens,message", [

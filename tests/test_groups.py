@@ -7,7 +7,8 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -48,11 +49,23 @@ from skewgalois.selftest import _cyclic_quotient_epis
 from skewgalois.zarith import factorize
 
 
+def _swapped_intercalate(m, i, j):
+    """The table of C2 x C_m (the pair (h, l) at index m h + l) with the 2 x 2
+    Latin subsquare at rows (0, i), (1, i) and columns (0, j), (1, j)
+    swapped: still a Latin square with identity 0, but not associative."""
+    rows = [list(row) for row in direct_product(cyclic_group(2), cyclic_group(m)).table]
+    for r, c in ((i, j), (i, m + j), (m + i, j), (m + i, m + j)):
+        rows[r][c] = (rows[r][c] + m) % (2 * m)
+    return rows
+
+
 MALFORMED_TABLES = [
     ([], "a group has at least the identity"),
     ([[0, 1], [1]], "table is not square over element indices"),
     ([[0, 1], [1, 2]], "table is not square over element indices"),
     ([[0, -1], [1, 0]], "table is not square over element indices"),
+    ([[0, 1], [1, 300]], "table is not square over element indices"),  # not a byte
+    ([[0, 1], [1, 255]], "table is not square over element indices"),  # a byte, not an index
     ([[1, 0], [0, 1]], "index 0 must be a two-sided identity"),
     ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "index 0 must be a two-sided identity"),
     ([[0, 1], [1, 1]], "table rows must be permutations (Latin square)"),
@@ -61,7 +74,15 @@ MALFORMED_TABLES = [
     # a non-associative Latin square with two-sided identity
     ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
      "table is not associative"),
+    # Light's test on both sides of order 256, the largest whose indices fit
+    # in a byte
+    (_swapped_intercalate(128, 5, 9), "table is not associative"),
+    (_swapped_intercalate(129, 5, 9), "table is not associative"),
 ]
+
+# group tables on both sides of order 256, C2^8 and C257
+BYTE_BOUND_TABLES = [("C2^8", [list(row) for row in reduce(direct_product, [cyclic_group(2)] * 8).table]),
+                     ("C257", [list(row) for row in cyclic_group(257).table])]
 
 
 def test_table_validation():
@@ -121,8 +142,9 @@ def test_a_supplied_group_table_is_accepted_without_the_permutation_scan(monkeyp
         raise AssertionError("the permutation scan ran on a group table")
 
     monkeypatch.setattr(groups, "_check_latin_square", refuse)
-    for name, rows in _relabeled_catalog(25):
+    for name, rows in chain(_relabeled_catalog(25), BYTE_BOUND_TABLES):
         H = FiniteGroup(rows)
+        assert H.inv == tuple(row.index(0) for row in rows), name
         greedy = _greedy_generators(rows, range(1, len(rows)))
         assert H.generators() == tuple(_irredundant(rows, greedy)), name
 
