@@ -21,6 +21,13 @@ generators wherever a property is closed under products:
   (products, subgroups, groups synthesized from permutation generators or
   element/multiplication pairs) skip every check, since they hold by
   construction, and find a generating set when first asked.
+- A permutation group's table is built along a breadth-first search by
+  right multiplication, one product per element and generator and one per
+  row: the row of a g is the row of a read at the row of g.  Up to 256
+  points an element is the bytes of its images, and up to order 256 a row
+  is bytes too, so each product is one bytes.translate in C; past either
+  bound a byte cannot hold the value, and elements stay tuples and rows
+  lists (see from_permutations).
 - A GroupHom checks phi(a b) = phi(a) phi(b) only for a in a generating
   set of the domain, in O(order * gens).
 - A semidirect product checks that action[h] is an automorphism and that
@@ -29,6 +36,7 @@ generators wherever a property is closed under products:
   group, and the derived series forms [A, A] as the normal closure of the
   commutators of generators of A.  Nilpotency needs no closure: it is
   read from element orders, by counting the elements of p-power order.
+  A group's solvability is derived once and kept with the group.
 - The reduction step finds its supplement G' by a depth-first search over
   lifts g_i n_i (n_i in N) of a generating set g_1..g_k of G/N, pruned by
   the order of the best proper supplement found so far (the lifting
@@ -44,7 +52,7 @@ generators wherever a property is closed under products:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 from operator import itemgetter
 from typing import NoReturn
@@ -177,7 +185,8 @@ def _associative_at(rows, gens, brows) -> bool:
 
 
 class FiniteGroup:
-    __slots__ = ("order", "table", "inv", "name", "_gens", "_orders", "_subgroup_cache")
+    __slots__ = ("order", "table", "inv", "name", "_gens", "_orders", "_solvable",
+                 "_subgroup_cache")
 
     def __init__(self, table: list[tuple[int, ...]] | list[list[int]], *, name: str = "G",
                  _trusted: bool = False):
@@ -217,6 +226,7 @@ class FiniteGroup:
         self.inv = tuple(inv)
         self.name = name
         self._orders: tuple | None = None
+        self._solvable: bool | None = None
         self._subgroup_cache: dict = {}
 
     # -- basic structure ----------------------------------------------------
@@ -475,11 +485,6 @@ def from_elements(elements: list, mult, *, name: str = "G") -> FiniteGroup:
     return FiniteGroup(table, name=name, _trusted=True)
 
 
-def _perm_compose(a: tuple, b: tuple) -> tuple:
-    """(a then b applied second): (a*b)(x) = a(b(x))."""
-    return tuple(map(a.__getitem__, b))
-
-
 def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple:
     """The permutation of range(degree) with the given disjoint cycles."""
     seen: set[int] = set()
@@ -496,6 +501,18 @@ def perm_from_cycles(cycles: list[list[int]], degree: int) -> tuple:
     return tuple(img)
 
 
+def _permutation_form(n: int, wide: type) -> tuple:
+    """How from_permutations holds permutations of range(n): as form(images),
+    with their product a g, (a g)(x) = a(g(x)), as compose(g, widen(a)).
+    Up to n = 256 form is bytes and compose is bytes.translate, in C, over a
+    padded to 256 bytes; past it a byte cannot hold an image, and form is
+    the wide type, read by map."""
+    if n <= 256:
+        pad = bytes(256 - n)
+        return bytes, lambda a: a + pad, bytes.translate
+    return wide, lambda a: a, lambda g, a: wide(map(a.__getitem__, g))
+
+
 def from_permutations(gen_cycles: list[list[list[int]]], *, name: str = "G") -> FiniteGroup:
     """Group generated by permutations, given as 0-based cycle lists.
 
@@ -505,22 +522,28 @@ def from_permutations(gen_cycles: list[list[list[int]]], *, name: str = "G") -> 
     their indices in the table.  The table costs one composition per
     element and generator, not one per pair: the elements are found by
     right multiplication, and each new element's row is composed from the
-    rows of the element and generator it was found from.  Rows stay lists
-    while they are composed, as map reads a list about twice as fast as a
-    tuple, and each becomes a tuple as it is popped: the table is held once.
+    rows of the element and generator it was found from.  Elements (m <=
+    256) and rows (order <= 256) are composed as bytes, one bytes.translate
+    each (_permutation_form), and sorting bytes of one length sorts them as
+    tuples.  Past either bound a byte cannot hold an image: elements are
+    tuples, and rows are lists, as map reads a list about twice as fast as
+    a tuple.  Each row becomes a tuple as it is popped: the table is held
+    once.
     """
     points = sorted({v for g in gen_cycles for cyc in g for v in cyc})
     label = {v: i for i, v in enumerate(points)}
-    gens = [perm_from_cycles([[label[v] for v in cyc] for cyc in g], len(points))
+    form, widen, compose = _permutation_form(len(points), tuple)
+    gens = [form(perm_from_cycles([[label[v] for v in cyc] for cyc in g], len(points)))
             for g in gen_cycles]
     # right multiplication reaches every element of a finite group; each
     # new b = a g remembers its a and g
-    identity = tuple(range(len(points)))
+    identity = form(range(len(points)))
     found = [identity]  # grows while the loop runs
     parent = {identity: None}
     for a in found:
+        wide_a = widen(a)
         for j, g in enumerate(gens):
-            b = _perm_compose(a, g)
+            b = compose(g, wide_a)
             if b not in parent:
                 if len(found) >= TABLE_SYNTHESIS_CAP:
                     raise ValueError("generated group exceeds the synthesis cap")
@@ -529,12 +552,15 @@ def from_permutations(gen_cycles: list[list[list[int]]], *, name: str = "G") -> 
     ordered = sorted(found)  # the identity is the least
     pos = {e: i for i, e in enumerate(ordered)}
     # row b of the table, for b = a g, is row a read at the indices of
-    # row g: (a g) x = a (g x)
-    gen_rows = [[pos[_perm_compose(g, x)] for x in ordered] for g in gens]
-    rows = {identity: list(range(len(ordered)))}
+    # row g: (a g) x = a (g x), the product of rows a and g as permutations;
+    # row g itself holds the index of g x for each x
+    row_form, row_widen, row_compose = _permutation_form(len(ordered), list)
+    gen_rows = [row_form(map(pos.__getitem__, map(compose, ordered, repeat(widen(g)))))
+                for g in gens]
+    rows = {identity: row_form(range(len(ordered)))}
     for b in found[1:]:
         a, j = parent[b]
-        rows[b] = list(map(rows[a].__getitem__, gen_rows[j]))
+        rows[b] = row_compose(gen_rows[j], row_widen(rows[a]))
     return FiniteGroup([tuple(rows.pop(e)) for e in ordered], name=name, _trusted=True)
 
 
@@ -680,8 +706,12 @@ def _derived_series_end(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def is_solvable(G: FiniteGroup) -> bool:
-    """Derived series reaches the trivial subgroup."""
-    return _derived_series_end(G) == (0,)
+    """Derived series reaches the trivial subgroup.  The verdict is derived
+    once per group and kept, so solvable_tower's check and its first step's
+    share one derived series."""
+    if G._solvable is None:
+        G._solvable = _derived_series_end(G) == (0,)
+    return G._solvable
 
 
 def is_nilpotent(G: FiniteGroup, elements: tuple[int, ...] | None = None) -> bool:

@@ -305,7 +305,12 @@ def _place_precision(spec: LocalSpec, n: int) -> int:
         return 1
     p = spec.prime
     roots = _target_roots(spec, n)
-    s = max((sum(valuation(r - c, p) for c in roots if c != r) for r in roots), default=0)
+    # v_p(r - c) = 0 unless c = r mod p: sum over r's residue class only
+    classes: dict[int, list[int]] = {}
+    for r in roots:
+        classes.setdefault(r % p, []).append(r)
+    s = max((sum(valuation(r - c, p) for c in classes[r % p] if c != r) for r in roots),
+            default=0)
     return max(2 * s + 1, 2 if spec.kind == KIND_RAMIFIED_QUADRATIC else 1)
 
 
@@ -507,10 +512,15 @@ def certified_padic_roots(
         if vd is None or q % p ** (2 * vd + 1):
             return False, [], f"Newton's condition fails at target {t}"
         radii.append(valuation(q, p) - vd if q else math.inf)
-    for i, (t, rad) in enumerate(zip(targets, radii)):
-        for u, other in zip(targets[:i], radii[:i]):
+    # every radius is at least 1, so targets of distinct residues mod p
+    # (v_p(t - u) = 0) cannot fail: each meets the earlier ones of its class
+    earlier: dict[int, list[tuple[int, float]]] = {}
+    for t, rad in zip(targets, radii):
+        cls = earlier.setdefault(t % p, [])
+        for u, other in cls:
             if valuation(t - u, p) >= min(rad, other):
                 return False, [], f"targets {u} and {t} may lift to one root"
+        cls.append((t, rad))
     k = 1
     while p**k <= max(targets, default=0):
         k += 1

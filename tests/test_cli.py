@@ -156,14 +156,18 @@ TOWER_SHA256 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", 
 
 def test_tower_output_near_the_synthesis_cap_matches_recorded_sha256():
     # stdout sha256 of `tower` on permutation groups of order 2400-4608,
-    # near the synthesis cap, where the golden file's groups do not reach
+    # near the synthesis cap, where the golden file's groups do not reach,
+    # each within its time bound where it has one
     with open(TOWER_SHA256, encoding="utf-8") as fh:
         cases = json.load(fh)
     for case in cases:
+        start = time.perf_counter()
         code, out, err = run_cli(["tower", "--group", json.dumps(case["group"])])
+        elapsed = time.perf_counter() - start
         assert code == 0, err
         assert json.loads(out)["steps"][0]["group_order"] == case["order"], case["name"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"], case["name"]
+        assert elapsed < case.get("timeout_s", math.inf), case["name"]
 
 
 @pytest.mark.parametrize("argv,desc", [

@@ -25,7 +25,6 @@ from skewgalois.groups import (
     _derived_series_end,
     _greedy_generators,
     _irredundant,
-    _perm_compose,
     alternating_group,
     cyclic_group,
     dicyclic_group,
@@ -493,6 +492,11 @@ def _benchmark_tower_groups():
     return {**jobs["TOWER_GROUPS"], "S3xC3xC3": jobs["COLD_TOWER"]}
 
 
+def _perm_compose(a, b):
+    """The product a b of permutations held as tuples: (a b)(x) = a(b(x))."""
+    return tuple(map(a.__getitem__, b))
+
+
 def _perm_table_through_from_elements(gen_cycles):
     """The group of from_permutations built the plain way: close the
     relabeled generators under products on both sides, then table every
@@ -513,11 +517,17 @@ def _perm_table_through_from_elements(gen_cycles):
     "gens",
     [pytest.param(g, id=name) for name, g in _benchmark_tower_groups().items()]
     + [pytest.param([[[0, 1]], [[0, 1, 2]], [[3, 4, 5]], [[6, 7, 9]]], id="S3xC3xC3-sparse"),
-       pytest.param(_s3_power_gens(4), id="S3^4")],
+       pytest.param(_s3_power_gens(4), id="S3^4"),
+       # at and past both byte bounds: 256 or 257 points, order 256 or 258
+       pytest.param([[list(range(256))]], id="C256-on-256-points"),
+       pytest.param([[list(range(257))]], id="C257-on-257-points"),
+       pytest.param([[[0, 1]], [list(range(2, 130))]], id="C2xC128"),
+       pytest.param([[[0, 1]], [list(range(2, 131))]], id="C2xC129")],
 )
 def test_from_permutations_matches_from_elements(gens):
     # rows built as compositions of generator rows along a breadth-first
-    # search give the table of every pair, in the same element order
+    # search give the table of every pair, in the same element order; the
+    # elements are bytes up to 256 points and the rows up to order 256
     G = from_permutations(gens)
     assert G.table == _perm_table_through_from_elements(gens).table
 
