@@ -384,6 +384,45 @@ def test_decide_table_entry_that_is_not_an_int_is_structured_error(entry):
     assert json.loads(err) == {"error": "ValueError", "message": "'table' must be a list of integer rows"}
 
 
+@pytest.mark.parametrize("entry", [True, False, 0.0, 1.0, "1", None, [], {}], ids=json.dumps)
+def test_decide_alpha_entry_that_is_not_an_int_is_structured_error(entry):
+    # at the 0, the 1 and the 2 of the map C3 -> C3; each non-int is out of
+    # range, even where it equals the image it replaces
+    group = json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
+    for i in range(3):
+        images = [0, 1, 2]
+        images[i] = entry
+        code, out, err = run_cli(["decide", "--group", group, "--alpha", json.dumps({"map": images}),
+                                  "--K", "2^2", "--L", "2^6", "--sigma", "1"])
+        assert (code, out) == (cli.EXIT_DOMAIN, ""), i
+        assert json.loads(err) == {"error": "ValueError", "message": "images out of range"}, i
+
+
+C2_8_TABLE = [[a ^ b for b in range(256)] for a in range(256)]  # C2^8 on bit vectors
+
+
+@pytest.mark.parametrize("table,alpha,fields,stdout", [
+    # the projection onto the lowest bit: no weak solution has odd order,
+    # and sigma has order 2
+    (C2_8_TABLE, [a & 1 for a in range(256)], ["2^2", "2^4", "1"],
+     '{"cond_a":false,"cond_c":false,"split":true,"status":"UNSOLVABLE"}\n'),
+    # C257 onto C1, every table entry's type read
+    ([[(a + b) % 257 for b in range(257)] for a in range(257)], [0] * 257, ["2^3", "2^3", "1"],
+     '{"cond_a":true,"cond_c":true,"split":true,"status":"SOLVABLE","tau":{"frob":1},'
+     '"witness":{"g":0,"ord":1}}\n'),
+], ids=["C2^8-onto-C2", "C257-onto-C1"])
+def test_decide_at_the_byte_bound_within_2_seconds(table, alpha, fields, stdout):
+    # order 256 is the largest table checked on byte rows, 257 the least on
+    # tuple rows
+    K, L, sigma = fields
+    start = time.perf_counter()
+    code, out, err = run_cli(["decide", "--group", json.dumps({"table": table}),
+                              "--alpha", json.dumps({"map": alpha}), "--K", K, "--L", L, "--sigma", sigma])
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (cli.EXIT_OK, stdout), err
+    assert elapsed < 2
+
+
 def test_decide_refuses_a_kernel_that_is_not_nilpotent():
     # S4 x C2 onto C2 by the second projection: its kernel S4 is not nilpotent
     perms = sorted(s + c for s in itertools.permutations(range(4)) for c in ((4, 5), (5, 4)))
@@ -996,6 +1035,29 @@ def test_verify_requires_the_first_auxiliary_prime_unramified_in_L(extra, stored
     code, out, err = run_cli(["verify-report", "--report", json.dumps(report)])
     assert code == cli.EXIT_CERT, err
     assert json.loads(out) == {"ok": False, "failures": [f.format(aux1=aux1) for f in failures]}
+
+
+def _aux1_is_two(report):
+    report["aux"][0]["prime"] = 2
+
+
+def _q_constant_plus_one(report):
+    report["Q"][0] += 1
+
+
+@pytest.mark.parametrize("tamper,failure", [
+    (_aux1_is_two, "first auxiliary prime 2 must be odd and at least n - 1"),
+    (_q_constant_plus_one, "symmetric-group certificate fails"),
+], ids=["aux1-two", "Q-constant"])
+def test_tampered_readme_report_fails_verification_within_60_seconds(tamper, failure):
+    # the README report (TWO_SPECS) with its first auxiliary prime set to 2,
+    # or with Q's constant term changed: a failed certificate, exit 3
+    start = time.perf_counter()
+    code, out, err = run_cli(_report_argv(tamper)())
+    assert time.perf_counter() - start < 60
+    assert code == cli.EXIT_CERT, err
+    result = json.loads(out)
+    assert result["ok"] is False and failure in result["failures"]
 
 
 def _construct_argv(specs, n):

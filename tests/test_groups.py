@@ -542,6 +542,70 @@ def test_from_permutations_and_json():
     assert find_isomorphism(S3, S3c) is not None
 
 
+# every JSON value that is not an int, as json.loads gives it
+JSON_NON_INTS = [True, False, 0.0, 1.0, "1", None, [], {}]
+# group tables of order 3 (byte path), 256 (the largest on the byte path)
+# and 257 (every entry's type read)
+JSON_TABLES = [("C3", [list(row) for row in cyclic_group(3).table]), *BYTE_BOUND_TABLES]
+
+
+def _json_table_faults(table):
+    """(place, rows, (r, c)): a copy of table and the entry (r, c) to
+    replace: in row 2 at its 0, its 1 and an entry of another value; in the
+    identity row at 0, 1 and 2; and in row 2 turned into a row with two 1s
+    (its 0 made 1), at its former 1 and at another entry."""
+    row = table[2]
+    zero, one, other = row.index(0), row.index(1), next(c for c, v in enumerate(row) if v > 1)
+    places = {"zero": (2, zero), "one": (2, one), "other": (2, other),
+              "identity-row-0": (0, 0), "identity-row-1": (0, 1), "identity-row-2": (0, 2),
+              "two-ones-at-one": (2, one), "two-ones-at-other": (2, other)}
+    for name, (r, c) in places.items():
+        rows = [list(x) for x in table]
+        if name.startswith("two-ones"):
+            rows[2][zero] = 1
+        yield name, rows, (r, c)
+
+
+@pytest.mark.parametrize("value", JSON_NON_INTS, ids=json.dumps)
+@pytest.mark.parametrize("name,table", JSON_TABLES, ids=[name for name, _ in JSON_TABLES])
+def test_group_json_refuses_every_non_int_entry(name, table, value):
+    # the byte conversion of tables up to order 256 reads the types of the
+    # 0 and 1 entries only; True and False equal 1 and 0, and 1.0 equals 1,
+    # so each must still be refused with the message of the full type read
+    for place, rows, (r, c) in _json_table_faults(table):
+        rows[r][c] = value
+        with pytest.raises(ValueError) as exc:
+            group_from_json({"table": rows})
+        assert str(exc.value) == "'table' must be a list of integer rows", (place, exc.value)
+
+
+@pytest.mark.parametrize("name,table", JSON_TABLES, ids=[name for name, _ in JSON_TABLES])
+def test_group_json_reads_the_types_of_the_0_and_1_entries_up_to_order_256(monkeypatch, name, table):
+    # a group table of order <= 256 is converted to bytes once, and only its
+    # 2 |G| entries of value 0 or 1 have their types read; past 256 all |G|^2
+    from skewgalois import groups
+
+    read, converted = [], []
+    all_ints, square_rows = groups.all_ints, groups._square_rows
+
+    def read_types(values):
+        values = list(values)
+        read.extend(values)
+        return all_ints(values)
+
+    def check_square(rows, brows=None):
+        converted.append(brows)
+        return square_rows(rows, brows)
+
+    monkeypatch.setattr(groups, "all_ints", read_types)
+    monkeypatch.setattr(groups, "_square_rows", check_square)
+    G = group_from_json({"table": table})
+    assert G.table == tuple(map(tuple, table)) and {type(v) for row in G.table for v in row} == {int}
+    n = len(table)
+    assert len(read) == (2 * n if n <= 256 else n * n)
+    assert converted == [list(map(bytes, table)) if n <= 256 else None]
+
+
 def test_from_permutations_cost_does_not_grow_with_point_labels():
     t0 = time.perf_counter()
     G = group_from_json({"perm_gens": [[[0, 10**9]]]})
