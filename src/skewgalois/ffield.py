@@ -12,8 +12,9 @@ an explicit SubfieldEmbedding is built only on request.
 The field's order fixes once what the int is, as the subclass (tier) the
 field becomes; no operation tests the tier.  Up to the log-table limit (a
 _LogField) it is the discrete log to a generator g (-1 for zero): products
-and powers are integer operations on logs, a sum is one lookup in Zech's
-logarithms zech[d] = log(1 + g^d), and frob^k multiplies a log by p^k mod
+and powers are integer operations on logs, a sum is the log of the XOR of
+two indices for p = 2 and one lookup in Zech's logarithms
+zech[d] = log(1 + g^d) for odd p, and frob^k multiplies a log by p^k mod
 (q - 1).  Past it (a _PackedField) it is the packed vector of modpoly's
 QuotientRing: a product is one int product and its _reduce, frob^k a
 cached F_p-linear map, and sums work slotwise.  Each tier also supplies
@@ -34,12 +35,12 @@ from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import add, mul, pos, xor
-from struct import unpack_from
+from struct import pack, unpack_from
 
 from . import modpoly
 from .zarith import factorize, is_prime
 
-_LOG_TABLE_MAX = 1 << 15  # |F| up to which log/Zech tables are built
+_LOG_TABLE_MAX = 1 << 15  # |F| up to which log tables (and Zech's, for odd p) are built
 
 # Largest field order a descriptor may name.  The search for the least
 # irreducible modulus grows without bound in n, if slowly: 4-6 ms at 2^64,
@@ -176,7 +177,8 @@ class FqField(modpoly.QuotientRing):
             coeffs = list(coeffs)  # read twice below
         try:
             whole = (self.p < 256 and max(map(len, coeffs), default=0) <= self.n
-                     and not bytes(chain.from_iterable(coeffs)).translate(None, bytes(range(self.p))))
+                     and not bytearray(chain.from_iterable(coeffs)).translate(
+                         None, bytes(range(self.p))))
         except (TypeError, ValueError):  # an entry with no len, a digit not an int or past 255
             whole = False
         return self._vec_vs(coeffs) if whole else [self._v_of(c) for c in coeffs]
@@ -216,7 +218,9 @@ class _LogField(FqField):
         """Build the tables.  For the generator g: _antilog[k] is the index
         of g^k for 0 <= k < q - 1, followed by 0 (the index of zero), so
         that _antilog[-1] is zero; _log[_antilog[k]] = k, with -1 as the log
-        of zero; _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0."""
+        of zero; for odd p, _zech[d] = log(1 + g^d), -1 where 1 + g^d = 0.
+        For p = 2, a sum is the XOR of indices and _zech is None.  _log and
+        _zech hold the int objects of _antilog, one per value."""
         p, q1 = self.p, self.order - 1
         self._zero_v, self._one_v, self._q1 = -1, 0, q1
         self._minus_one = q1 // 2 if p != 2 else 0  # -1 = g^((q - 1) / 2)
@@ -229,11 +233,15 @@ class _LogField(FqField):
         else:
             antilog = self._powers_of(g)
         antilog.append(0)
+        ints = [0] * self.order  # ints[t] is _antilog's int object for t
+        for t in antilog:
+            ints[t] = t
         log = [-1] * self.order
-        for k, t in zip(range(q1), antilog):
+        for k, t in zip(ints, antilog[:q1]):
             log[t] = k
         # adding 1 raises the constant coefficient, the lowest base-p digit
-        self._zech = [log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
+        self._zech = None if p == 2 else [
+            log[t - t % p + (t + 1) % p] for t in antilog[:q1]]
         self._antilog = antilog
         self._log = log
         if self.n > 1:  # the digits of i mod p^h, then of i div p^h
@@ -323,6 +331,8 @@ class _LogField(FqField):
         return self._antilog[v]
 
     def _add(self, a: int, b: int) -> int:
+        if self.p == 2:  # the zero index, at _antilog[-1], needs no case
+            return self._log[self._antilog[a] ^ self._antilog[b]]
         if a < 0 or b < 0:
             return b if a < 0 else a
         z = self._zech[(b - a) % self._q1]
@@ -358,7 +368,8 @@ class _LogField(FqField):
     def _addmul(self, acc: list, start: int, c: int, terms, negate: bool = False) -> None:
         """acc[start + j] += g^c terms[j], or -= with negate, for nonzero
         g^c: adding g^t to g^x gives g^(x + zech[t - x]), or zero where
-        that entry is -1."""
+        that entry is -1.  Odd p only: a p = 2 field, with _row_min 1 and
+        no _zech, runs every Ore kernel on rows."""
         q1, zech = self._q1, self._zech
         if negate:
             c += self._minus_one
@@ -382,12 +393,14 @@ class _LogField(FqField):
         sub-slot i of slot j holds base-p digit i of coefficient j's index,
         and a key is a log.  The columns of g^c frob^j, the row digits of
         g^c frob^j(x^i), sit in a column table at c + _xlogs[j][i], so twist
-        leaves the slices as they are.  row joins the logs' columns; a slot
-        times the reader's constant has its index in the low 16 bits.  For
-        p = 2, w = 1, s = 16 and a slot is its index; for odd p, w has room
-        for a digit plus _ACC_TERMS products of n (p - 1)^2, in whole bytes
-        (16 bits for F_3 to F_7^5, 24 for F_31^3 to F_257, 40 for F_32749),
-        and s = n w.  Each table is as long as _log."""
+        leaves the slices as they are; a slot times the reader's constant
+        has its index in the low 16 bits.  For p = 2, w = 1, s = 16, a slot
+        is its index, the column table is _antilog, and row packs the
+        indices as 16-bit ints.  For odd p, w has room for a digit plus
+        _ACC_TERMS products of n (p - 1)^2, in whole bytes (16 bits for F_3
+        to F_7^5, 24 for F_31^3 to F_257, 40 for F_32749), s = n w, and row
+        joins the logs' slots from a slot table; both tables are as long as
+        _log."""
         if self._rsteps is not None:
             return self._rsteps
         p, n, q1, antilog, log = self.p, self.n, self._q1, self._antilog, self._log
@@ -405,7 +418,7 @@ class _LogField(FqField):
                 cols = [low[a % ph] + high[a // ph] for a in antilog]
             index = sum(p**i << w * (n - 1 - i) for i in range(n))
         slot, xlogs, neg, powers = s // 8, self._xlogs, self._minus_one, self._powers
-        slots, shifts = [c.to_bytes(slot, "little") for c in cols], range(0, n * w, w)
+        shifts = range(0, n * w, w)
         unit, reader = ((1 << w) - 1).to_bytes(slot, "little"), f"H{slot - 2}x"
 
         def layout(size):
@@ -433,8 +446,15 @@ class _LogField(FqField):
             x = c + neg
             return c, [cols[(x + y) % q1] for y in xlogs[j]]
 
-        def row(v):
-            return int.from_bytes(b"".join(map(slots.__getitem__, v)), "little")
+        if p == 2:
+            def row(v):
+                idx = map(antilog.__getitem__, v)
+                return int.from_bytes(pack("<%dH" % len(v), *idx), "little")
+        else:
+            slots = [c.to_bytes(slot, "little") for c in cols]
+
+            def row(v):
+                return int.from_bytes(b"".join(map(slots.__getitem__, v)), "little")
 
         def unrow(row, size):  # each index is below 2^15
             out = (row * index >> at).to_bytes((size + 1) * slot, "little")

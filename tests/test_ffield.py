@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 import tuple_field
@@ -227,14 +229,15 @@ def test_log_and_zech_tables_at_the_boundary_field():
         x = ref.pow(g, d)
         assert F._antilog[d] == ref.index(x) and F._log[ref.index(x)] == d
         one_plus = ref.add(ref.one, x)
-        assert F._antilog[F._zech[d]] == ref.index(one_plus)  # -1 indexes zero
-    assert F._zech[0] == -1  # 1 + 1 = 0 in characteristic 2
+        assert F._antilog[F._add(0, d)] == ref.index(one_plus)  # -1 indexes zero
+    assert F._zech is None  # a sum in characteristic 2 is the XOR of indices
+    assert F._add(0, 0) == -1  # 1 + 1 = 0
     assert F._log[0] == -1 and F._antilog[-1] == 0 and F.zero().v == -1
 
 
 def _reference_log_tables(F):
     """_antilog, _log and _zech built from TupleField powers of the least
-    generator."""
+    generator; a field of characteristic 2 has no _zech (None)."""
     ref = TupleField(F)
     g = ref.least_generator()
 
@@ -249,7 +252,7 @@ def _reference_log_tables(F):
     log = [-1] * F.order
     for k, idx in enumerate(antilog):
         log[idx] = k
-    zech = [log[ref.index(ref.add(ref.one, x))] for x in powers]
+    zech = None if F.p == 2 else [log[ref.index(ref.add(ref.one, x))] for x in powers]
     return antilog + [0], log, zech
 
 
@@ -259,7 +262,7 @@ def test_log_tables_of_every_field_up_to_4096():
     for p, n in fields:
         F = FqField(p, n)  # a fresh field builds its own tables
         F.one()
-        assert type(F) is _LogField
+        assert type(F) is _LogField and (F._zech is None) == (p == 2)
         assert (F._antilog, F._log, F._zech) == _reference_log_tables(F), (p, n)
 
 
@@ -267,8 +270,54 @@ def test_log_tables_of_every_field_up_to_4096():
 def test_log_tables_of_large_log_tier_fields(p, n):
     F = FqField(p, n)
     F.one()
-    assert type(F) is _LogField
+    assert type(F) is _LogField and (F._zech is None) == (p == 2)
     assert (F._antilog, F._log, F._zech) == _reference_log_tables(F)
+
+
+@pytest.mark.parametrize("p,n,mb", [(2, 15, 2.0), (7, 5, 2.9)])
+def test_log_tier_tables_keep_one_int_per_value(p, n, mb):
+    # what a fresh field retains after its first element and its row steps,
+    # by tracemalloc: _log (and _zech for odd p) hold _antilog's int objects,
+    # and a p = 2 field builds neither a Zech nor a slot table
+    make_field(p, n).one()  # the modulus search, cached per (p, n), is not traced
+    F = FqField(p, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        F.one()
+        F._row_steps()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= mb * 1e6, retained
+    ids = {*map(id, F._antilog), *map(id, F._log)}
+    assert len(ids) == F.order + 1  # the values -1 to q - 1, one object each
+    assert F._zech is None if p == 2 else ids.issuperset(map(id, F._zech))
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_binary_log_tier_sums_match_tuple_reference(n):
+    # _add of characteristic 2, the log of the XOR of two indices, on every
+    # pair up to F_2^6 and on 2000 seeded pairs past it, zero included;
+    # a + a = 0 for every a
+    F = make_field(2, n)
+    F.one()
+    assert type(F) is _LogField and F._zech is None
+    ref = TupleField(F)
+    if n <= 6:
+        pairs = [(i, j) for i in range(F.order) for j in range(F.order)]
+    else:
+        rng = random.Random(n)
+
+        def draw():  # the zero index about one time in ten
+            return 0 if rng.random() < 0.1 else rng.randrange(F.order)
+        pairs = [(draw(), draw()) for _ in range(2000)]
+    for i, j in pairs:
+        a, b = F._index_v(i), F._index_v(j)
+        assert F._index(F._add(a, b)) == ref.index(ref.add(ref.from_index(i), ref.from_index(j)))
+        assert F._add(a, a) == -1
 
 
 # fields past the log-table limit, each against the tuple reference: among

@@ -15,6 +15,7 @@ from skewgalois.ffield import (
     embed_subfield,
     frobenius,
     make_field,
+    roots_in_field,
 )
 from skewgalois.modpoly import _ACC_TERMS
 from skewgalois.orepoly import (
@@ -828,6 +829,34 @@ def test_the_list_kernels_keep_the_fields_past_the_rule(p, n, row_calls):
     assert getattr(F, "_rsteps", None) is None  # no row table was built
 
 
+def test_binary_log_fields_never_reach_the_list_kernels(monkeypatch):
+    # every Ore op on F_2^k runs on rows (_row_min is 1), so the list
+    # kernels' _addmul, the one reader of the Zech table that p = 2 lacks,
+    # is never called, with one-coefficient and zero operands too; F_3^3's
+    # operands, below its _row_min, show that the spy sees the list kernels
+    calls = Counter()
+    real = _LogField._addmul
+    monkeypatch.setattr(_LogField, "_addmul",
+                        lambda F, *args: calls.update([F.p]) or real(F, *args))
+    for p, n in [(2, 1), (2, 2), (2, 4), (2, 8), (2, 14), (2, 15), (3, 3)]:
+        F = make_field(p, n)
+        rng = random.Random(p * 9500 + n)
+        for k in sorted({0, 1 % n, n - 1}):
+            ring = OreRing(F, frobenius(F, k))
+            zero, one = ring.zero(), ring.poly([_nonzero(F, rng)])
+            f, g = ring.poly(_sparse(F, rng, 6)), ring.poly(_sparse(F, rng, 3))
+            for a in (zero, one, f, g):
+                anti_involution(a), a.monic(), -a
+                for b in (zero, one, f, g):
+                    ore_mul(a, b), a + b, a - b
+                    if not b.is_zero():
+                        ore_right_divmod(a, b), ore_left_divmod(a, b), ore_right_gcd(a, b)
+                        if not a.is_zero():
+                            ore_left_lcm(a, b), ore_witness(a, b)
+        assert roots_in_field([0, 1, 1], F) == [F.zero(), -F.one()]  # y^2 + y
+    assert set(calls) == {3}, calls
+
+
 def _closure(f, name):
     """The value of the free variable name of the function f."""
     return f.__closure__[f.__code__.co_freevars.index(name)].cell_contents
@@ -854,12 +883,16 @@ def test_digit_row_tables_are_built_on_the_first_row_call_within_the_log_table_s
         ore_mul(ring.poly([1, 2]), f)
         steps = F._row_steps()
         assert F._rsteps is steps
-        # the columns (_antilog itself for p = 2) and their slots, one per
-        # log and the zero slot last: each as long as _log, and no other
+        # for odd p, the columns and their slots, one per log and the zero
+        # slot last: each as long as _log, and no other; for p = 2 the
+        # columns are _antilog itself, and row packs its indices, with no
+        # slot table
         tables = [t for t in _row_tables(steps) if t is not F._log]
-        assert sorted(map(len, tables)) == [len(F._log)] * 2
         cols = _closure(steps.columns, "cols")
-        assert (cols is F._antilog) == (p == 2)
+        if p == 2:
+            assert [id(t) for t in tables] == [id(F._antilog)] and cols is F._antilog
+        else:
+            assert sorted(map(len, tables)) == [len(F._log)] * 2 and cols is not F._antilog
         assert cols[-1] == 0
         # 16-bit slots of one 1-bit sub-slot, or 72-bit slots of three of 24
         assert (steps.s, steps.layout(1)[0]) == ((16, 1) if p == 2 else (72, (1 << 24) - 1))
