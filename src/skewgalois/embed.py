@@ -30,10 +30,10 @@ into L is ever built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .ffield import FieldAut, FqField, check_subfield, galois_group, restrict_aut
 from .groups import FiniteGroup, GroupHom, Subgroup, cyclic_group, is_nilpotent
+from .zarith import Record, set_field
 
 SOLVABLE = "SOLVABLE"
 UNSOLVABLE = "UNSOLVABLE"
@@ -117,32 +117,35 @@ class EmbeddingProblem:
         return f"EmbeddingProblem({self.G.name} -> Gal({self.ext!r}))"
 
 
-@dataclass(frozen=True)
-class WeakSolution:
+class WeakSolution(Record):
     """A monomorphism from the Galois group of the degree-ord extension,
     pinned down by the image g of the Frobenius of that extension."""
 
-    g: int
-    order: int
+    __slots__ = ("g", "order")
+
+    def __init__(self, g: int, order: int):
+        set_field(self, "g", g)
+        set_field(self, "order", order)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    cond_a: bool
-    cond_c: bool
-    split: bool
-    witness: WeakSolution | None = None
-    tau: FieldAut | None = None
+class Verdict(Record):
+    __slots__ = ("status", "cond_a", "cond_c", "split", "witness", "tau")
 
-    def __post_init__(self):
+    def __init__(self, status: str, cond_a: bool, cond_c: bool, split: bool,
+                 witness: WeakSolution | None = None, tau: FieldAut | None = None):
         # structural consistency demanded of every verdict
-        if self.status == SOLVABLE and not self.cond_a:
+        if status == SOLVABLE and not cond_a:
             raise AssertionError("SOLVABLE verdict requires condition (a)")
-        if self.status == UNSOLVABLE and self.cond_c:
+        if status == UNSOLVABLE and cond_c:
             raise AssertionError("UNSOLVABLE verdict requires condition (c) to fail")
-        if self.cond_a and not self.cond_c:
+        if cond_a and not cond_c:
             raise AssertionError("conclusion (a) => (c) violated")
+        set_field(self, "status", status)
+        set_field(self, "cond_a", cond_a)
+        set_field(self, "cond_c", cond_c)
+        set_field(self, "split", split)
+        set_field(self, "witness", witness)
+        set_field(self, "tau", tau)
 
     def to_json(self) -> dict:
         out = {

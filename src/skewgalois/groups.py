@@ -56,13 +56,15 @@ generators wherever a property is closed under products:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import lcm
 from operator import itemgetter
-from typing import NoReturn
 
-from .zarith import all_ints, factorize, is_int
+from .zarith import Record, all_ints, factorize, is_int, set_field
+
+TYPE_CHECKING = False  # read as true by type checkers: NoReturn only annotates
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 TABLE_SYNTHESIS_CAP = 5040  # largest order synthesized from generators
 
@@ -395,14 +397,16 @@ class FiniteGroup:
         return {"order": self.order, "table": [list(r) for r in self.table]}
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup handle, the parent group plus a sorted element tuple, that
     checks nothing: the library makes one only from a closure, an intersection
     of conjugates or a hom, and tests/group_oracles.py checks each of those."""
 
-    parent: FiniteGroup
-    elements: tuple[int, ...]
+    __slots__ = ("parent", "elements")
+
+    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]):
+        set_field(self, "parent", parent)
+        set_field(self, "elements", elements)
 
     @property
     def order(self) -> int:
@@ -795,18 +799,21 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, G.closure(elems))
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Record):
     """One step of the solvable-group reduction: a surjection
     phi : N x| G' -> G with N the Fitting subgroup and G' a proper subgroup
     (or N = G, G' = 1 when G is nilpotent), G' acting by conjugation; phi
     is the image list, the pair (N.elements[i], Gp.elements[j]) at index i*|G'| + j."""
 
-    group: FiniteGroup
-    N: Subgroup
-    Gp: Subgroup
-    phi: tuple[int, ...]
-    note: str
+    __slots__ = ("group", "N", "Gp", "phi", "note")
+
+    def __init__(self, group: FiniteGroup, N: Subgroup, Gp: Subgroup, phi: tuple[int, ...],
+                 note: str):
+        set_field(self, "group", group)
+        set_field(self, "N", N)
+        set_field(self, "Gp", Gp)
+        set_field(self, "phi", phi)
+        set_field(self, "note", note)
 
     def kernel_order(self) -> int:
         return self.phi.count(0)  # |N meet G'|

@@ -14,10 +14,9 @@ that proves them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .zarith import factorize, is_prime, sqrt_mod_prime
+from .zarith import Record, factorize, is_prime, set_field, sqrt_mod_prime
 
 REAL_PLACE = "REAL"
 INFINITY = "INFINITY"
@@ -35,16 +34,18 @@ TWO_ADIC_SCAN_MODULUS = 16
 QUADRATIC_M_MAX = 10**12
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Record):
     """a + b*i + c*j + d*k with the Hamilton relations
     i^2 = j^2 = k^2 = i*j*k = -1; coefficients are exact rationals."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    base: str = "Q"
+    __slots__ = ("a", "b", "c", "d", "base")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction, base: str = "Q"):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        set_field(self, "base", base)
 
     @staticmethod
     def of(a, b=0, c=0, d=0, base: str = "Q") -> "Quaternion":
@@ -92,13 +93,6 @@ class Quaternion:
         co = self.conj()
         return Quaternion(co.a / n, co.b / n, co.c / n, co.d / n, self.base)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Quaternion)
-            and self.base == other.base
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        )
-
     def __repr__(self) -> str:
         return f"Quaternion({self.a} + {self.b}i + {self.c}j + {self.d}k)"
 
@@ -115,14 +109,17 @@ QUAT_J = Quaternion.of(0, 0, 1)
 QUAT_K = Quaternion.of(0, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(Record):
     """Level of a completion, with an arithmetic witness for finite levels
     and an impossibility certificate otherwise."""
 
-    place: int | str
-    level: int | str
-    witness: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("place", "level", "witness")
+    _uncompared = ("witness",)
+
+    def __init__(self, place: int | str, level: int | str, witness: dict | None = None):
+        set_field(self, "place", place)
+        set_field(self, "level", level)
+        set_field(self, "witness", {} if witness is None else witness)
 
     def to_json(self) -> dict:
         return {"place": self.place, "level": self.level, "witness": dict(self.witness)}
@@ -240,20 +237,19 @@ def _two_adic_four_square_witness() -> dict:
 # -- base fields Q and Q(sqrt m) --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(Record):
     """Q(sqrt m) for squarefree m != 0, 1."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m in (0, 1):
+    def __init__(self, m: int):
+        if m in (0, 1):
             raise ValueError("m must be a squarefree integer other than 0 and 1")
-        mm = abs(self.m)
-        if mm > QUADRATIC_M_MAX:
+        if abs(m) > QUADRATIC_M_MAX:
             raise ValueError(f"|m| must be at most {QUADRATIC_M_MAX}")
-        if any(e > 1 for _, e in factorize(mm)):
-            raise ValueError(f"{self.m} is not squarefree")
+        if any(e > 1 for _, e in factorize(abs(m))):
+            raise ValueError(f"{m} is not squarefree")
+        set_field(self, "m", m)
 
     def real_places(self) -> int:
         return 2 if self.m > 0 else 0
@@ -314,11 +310,13 @@ def two_square_witness_quadratic(K: QuadraticField) -> dict | None:
     return None
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness_place: str | int | None
-    detail: dict
+class FeasibilityResult(Record):
+    __slots__ = ("feasible", "witness_place", "detail")
+
+    def __init__(self, feasible: bool, witness_place: str | int | None, detail: dict):
+        set_field(self, "feasible", feasible)
+        set_field(self, "witness_place", witness_place)
+        set_field(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {

@@ -54,11 +54,10 @@ can fail a certificate that a slower, general test would pass.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import modpoly
 from .zarith import (
+    Record,
     centered_rep,
     crt,
     factorize,
@@ -67,6 +66,7 @@ from .zarith import (
     nearest_rep,
     next_prime,
     prime_power_base,
+    set_field,
     valuation,
 )
 from .zpoly import (
@@ -77,6 +77,10 @@ from .zpoly import (
     zmul,
     znormalize,
 )
+
+TYPE_CHECKING = False  # read as true by type checkers: Sequence only annotates
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 REAL = "inf"
 
@@ -105,35 +109,38 @@ def _is_prime(n: int) -> bool:
         raise SpecError(f"{n} is not provably prime: {exc}") from None
 
 
-@dataclass(frozen=True)
-class LocalSpec:
+class LocalSpec(Record):
     """Prescribed behavior at one place: a finite prime or the real place.
 
     kind is one of "ts" (totally split), "rq" (ramified quadratic) or
     "ur" (unramified of the stated degree).
     """
 
-    prime: int | str
-    kind: str
-    degree: int | None = None
-    ram_in_L: bool = False
+    __slots__ = ("prime", "kind", "degree", "ram_in_L")
 
-    def __post_init__(self):
-        if self.prime == REAL:
-            if self.kind != KIND_TOTALLY_SPLIT:
+    def __init__(self, prime: int | str, kind: str, degree: int | None = None,
+                 ram_in_L: bool = False):
+        if prime == REAL:
+            if kind != KIND_TOTALLY_SPLIT:
                 raise SpecError("the real place only supports totally split")
-        else:
-            if not isinstance(self.prime, int) or not _is_prime(self.prime):
-                raise SpecError(f"{self.prime!r} is not a prime or '{REAL}'")
-        if self.kind == KIND_UNRAMIFIED:
-            if self.degree is None or self.degree < 1:
+        elif not isinstance(prime, int) or not _is_prime(prime):
+            raise SpecError(f"{prime!r} is not a prime or '{REAL}'")
+        if kind == KIND_UNRAMIFIED:
+            if degree is None or degree < 1:
                 raise SpecError("unramified kind needs a degree >= 1")
-            if self.degree > DEGREE_MAX:
-                raise SpecError(f"unramified degree {self.degree} exceeds the cap {DEGREE_MAX}")
-        elif self.kind not in (KIND_TOTALLY_SPLIT, KIND_RAMIFIED_QUADRATIC):
-            raise SpecError(f"unknown kind {self.kind!r}")
-        if not isinstance(self.ram_in_L, bool):
+            if degree > DEGREE_MAX:
+                raise SpecError(f"unramified degree {degree} exceeds the cap {DEGREE_MAX}")
+        elif kind not in (KIND_TOTALLY_SPLIT, KIND_RAMIFIED_QUADRATIC):
+            raise SpecError(f"unknown kind {kind!r}")
+        if not isinstance(ram_in_L, bool):
             raise SpecError("spec field 'ram_in_L' must be a boolean")
+        set_field(self, "prime", prime)
+        set_field(self, "kind", kind)
+        set_field(self, "degree", degree)
+        set_field(self, "ram_in_L", ram_in_L)
+
+    def __hash__(self):  # a set and dict key in every verification: faster than the base's
+        return hash((self.prime, self.kind, self.degree, self.ram_in_L))
 
     def min_degree(self) -> int:
         if self.kind == KIND_RAMIFIED_QUADRATIC:
@@ -201,14 +208,16 @@ def spec_from_json(data: dict) -> LocalSpec:
     )
 
 
-@dataclass(frozen=True)
-class LocalPoly:
+class LocalPoly(Record):
     """A degree-n monic polynomial modulo prime^precision (the real place
     carries exact target coefficients)."""
 
-    prime: int | str
-    precision: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("prime", "precision", "coeffs")
+
+    def __init__(self, prime: int | str, precision: int, coeffs: tuple[int, ...]):
+        set_field(self, "prime", prime)
+        set_field(self, "precision", precision)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -409,16 +418,18 @@ def weak_approximation(
     return out
 
 
-@dataclass(frozen=True)
-class SnCertificate:
+class SnCertificate(Record):
     """Cycle-type evidence: factorization degree patterns of Q modulo the
     unramified auxiliary primes.  The conclusion demands an n-cycle, an
     (n-1)-cycle, and a transposition pattern."""
 
-    n: int
-    patterns: dict
-    conclusion: bool
-    reasons: tuple[str, ...] = ()
+    __slots__ = ("n", "patterns", "conclusion", "reasons")
+
+    def __init__(self, n: int, patterns: dict, conclusion: bool, reasons: tuple[str, ...] = ()):
+        set_field(self, "n", n)
+        set_field(self, "patterns", patterns)
+        set_field(self, "conclusion", conclusion)
+        set_field(self, "reasons", reasons)
 
     def to_json(self) -> dict:
         return {
@@ -468,12 +479,16 @@ def _sn_from_checks(n: int, ur_checks: list[LocalCheck]) -> SnCertificate:
     return SnCertificate(n=n, patterns=patterns, conclusion=conclusion, reasons=tuple(reasons))
 
 
-@dataclass(frozen=True)
-class LocalCheck:
-    spec: LocalSpec
-    passed: bool
-    evidence: dict = field(default_factory=dict, compare=False)
-    reason: str | None = None
+class LocalCheck(Record):
+    __slots__ = ("spec", "passed", "evidence", "reason")
+    _uncompared = ("evidence",)
+
+    def __init__(self, spec: LocalSpec, passed: bool, evidence: dict | None = None,
+                 reason: str | None = None):
+        set_field(self, "spec", spec)
+        set_field(self, "passed", passed)
+        set_field(self, "evidence", {} if evidence is None else evidence)
+        set_field(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {
@@ -639,24 +654,34 @@ def certify_local_behavior(Q: list[int], spec: LocalSpec) -> LocalCheck:
     raise SpecError(f"unsupported kind {spec.kind!r}")
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(Record):
     """Self-contained output of the constructor: the polynomial plus every
-    certificate needed to re-check it without re-running the search."""
+    certificate needed to re-check it without re-running the search.
+    precision is the largest of place_precision, which maps each finite
+    place prime to the k of its congruence mod p^k; extra_L_ram lists, in
+    increasing order, the primes ramified in L beyond the :ramL specs."""
 
-    Q: tuple[int, ...]
-    n: int
-    n_min: int
-    p_kernel: int
-    specs: tuple[LocalSpec, ...]
-    aux_specs: tuple[LocalSpec, ...]
-    precision: int  # the largest of place_precision
-    place_precision: dict  # finite place prime -> the k of its congruence mod p^k
-    root_scale: int | None
-    sn: SnCertificate
-    local_checks: tuple[LocalCheck, ...]
-    disjoint: dict
-    extra_L_ram: tuple[int, ...] = ()  # sorted primes ramified in L beyond the :ramL specs
+    __slots__ = ("Q", "n", "n_min", "p_kernel", "specs", "aux_specs", "precision",
+                 "place_precision", "root_scale", "sn", "local_checks", "disjoint", "extra_L_ram")
+
+    def __init__(self, Q: tuple[int, ...], n: int, n_min: int, p_kernel: int,
+                 specs: tuple[LocalSpec, ...], aux_specs: tuple[LocalSpec, ...], precision: int,
+                 place_precision: dict, root_scale: int | None, sn: SnCertificate,
+                 local_checks: tuple[LocalCheck, ...], disjoint: dict,
+                 extra_L_ram: tuple[int, ...] = ()):
+        set_field(self, "Q", Q)
+        set_field(self, "n", n)
+        set_field(self, "n_min", n_min)
+        set_field(self, "p_kernel", p_kernel)
+        set_field(self, "specs", specs)
+        set_field(self, "aux_specs", aux_specs)
+        set_field(self, "precision", precision)
+        set_field(self, "place_precision", place_precision)
+        set_field(self, "root_scale", root_scale)
+        set_field(self, "sn", sn)
+        set_field(self, "local_checks", local_checks)
+        set_field(self, "disjoint", disjoint)
+        set_field(self, "extra_L_ram", extra_L_ram)
 
     def to_json(self) -> dict:
         out = {
@@ -785,10 +810,12 @@ def _certificates(Q: list[int], specs: Sequence[LocalSpec], aux: Sequence[LocalS
     return checks, sn, disjoint
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    failures: tuple[str, ...]
+class VerifyResult(Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[str, ...]):
+        set_field(self, "ok", ok)
+        set_field(self, "failures", failures)
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures)}

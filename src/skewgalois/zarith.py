@@ -2,7 +2,9 @@
 
 Everything works on plain Python ints so there is no precision ceiling;
 these routines back the finite-field kernel and the integer-polynomial
-constructions.  Primality alone is bounded: is_prime proves its answer for
+constructions.  Record, the frozen value-record base of the library's
+result and handle classes, lives here too, in the module every other one
+imports.  Primality alone is bounded: is_prime proves its answer for
 every n below PRIME_BOUND = psi_13 = 3317044064679887385961981 (about
 3.3 * 10^24) and raises ValueError from there on, so no caller can act on
 an unproved answer.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import attrgetter
 
 # The primes up to 41: trial divisors, then Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -268,3 +271,49 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         b = pow(c, 1 << (m - i - 1), p)
         r, c, t, m = r * b % p, b * b % p, t * b * b % p, i
     return r
+
+
+# Sets a field of a Record from its own __init__, past the frozen __setattr__.
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the library's immutable value records, built by plain code:
+    nothing is imported for it and no method is generated at import.
+
+    A subclass lists its fields in __slots__, in constructor order, and sets
+    each one in its own __init__ by set_field(self, name, value); from then
+    on, assigning or deleting any attribute raises AttributeError.  Equality
+    holds between records of the same class whose fields are equal, except
+    the fields named in _uncompared, which hashing leaves out too; the hash
+    is that of the tuple of the compared fields.  The repr shows every field,
+    as Name(field=value, ...).
+    """
+
+    __slots__ = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # _key(record): the compared fields as a tuple, also for one field
+        names = [n for n in cls.__slots__ if n not in cls._uncompared]
+        get = attrgetter(*names)
+        cls._key = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

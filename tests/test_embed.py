@@ -239,12 +239,18 @@ def test_verdict_json():
 
 
 def test_verdict_invariants_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"^SOLVABLE verdict requires condition \(a\)$"):
         Verdict(status="SOLVABLE", cond_a=False, cond_c=True, split=True)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError,
+                       match=r"^UNSOLVABLE verdict requires condition \(c\) to fail$"):
         Verdict(status="UNSOLVABLE", cond_a=False, cond_c=True, split=True)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"^conclusion \(a\) => \(c\) violated$"):
         Verdict(status="UNKNOWN", cond_a=True, cond_c=False, split=False)
+    # positionally too, and a consistent verdict keeps its defaults
+    with pytest.raises(AssertionError, match="SOLVABLE verdict"):
+        Verdict("SOLVABLE", False, True, True)
+    v = Verdict("UNKNOWN", False, False, True)
+    assert v.witness is None and v.tau is None
 
 
 def _catalog_cyclic_problems():

@@ -106,6 +106,37 @@ def test_constructor_runs_no_group_or_ring_module(tmp_path):
     assert "splitcon" in got["loaded"]
 
 
+# standard modules no verb uses; a module loaded before the package (site
+# may load typing) does not count
+UNUSED = ("dataclasses", "inspect", "typing")
+RUN_UNUSED = """
+import contextlib, io, json
+before = {m for m in %r if m in sys.modules}
+from skewgalois import cli
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "stdout": out.getvalue(),
+                  "loaded": [m for m in %r if m in sys.modules and m not in before]}))
+""" % (UNUSED, UNUSED)
+C3 = json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
+
+
+def test_no_verb_imports_a_standard_module_it_does_not_use(tmp_path):
+    report = tmp_path / "report.json"
+    for argv in (["tower", "--group", S3],
+                 ["decide", "--group", C3, "--alpha", '{"map": [0, 1, 2]}', "--K", "2^2",
+                  "--L", "2^6", "--sigma", "1"],
+                 ["construct-lprime", "--spec", "3:rq", "--spec", "inf:ts", "--p-kernel", "5",
+                  "--n-min", "3"],
+                 ["verify-report", "--report", str(report)],
+                 ["level", "--place", "2"],
+                 ["feasible-13", "--field", "Q(sqrt:-7)"]):
+        got = fresh(RUN_UNUSED, *argv)
+        assert got["code"] == 0 and got["loaded"] == [], (argv[0], got)
+        if argv[0] == "construct-lprime":
+            report.write_text(got["stdout"], encoding="utf-8")
+
+
 def test_ore_domain_error_runs_neither_embed_nor_splitcon():
     got = fresh(RUN_VERB, "ore", "--op", "mul", "--f", F4, "--g", F16)
     assert got["code"] == 1 and got["stdout"] == ""

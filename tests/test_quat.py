@@ -181,17 +181,21 @@ def test_field_descriptor_validation():
         parse_field_descriptor("Q(sqrt:12)")
     with pytest.raises(ValueError):
         parse_field_descriptor("Z")
-    with pytest.raises(ValueError):
-        QuadraticField(1)
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="^m must be a squarefree integer other than 0 and 1$"):
+            QuadraticField(m)
+    for m in (10**12 + 1, -(10**12) - 1):
+        with pytest.raises(ValueError, match=r"^\|m\| must be at most 1000000000000$"):
+            QuadraticField(m=m)
 
 
 def test_squarefree_check_near_the_cap():
     start = time.perf_counter()
     assert QuadraticField(999999999937).m == 999999999937  # prime
     assert QuadraticField(-999999999937).m == -999999999937
-    with pytest.raises(ValueError, match="not squarefree"):
+    with pytest.raises(ValueError, match="^999966000289 is not squarefree$"):
         QuadraticField(999966000289)  # 999983^2
-    with pytest.raises(ValueError, match="not squarefree"):
+    with pytest.raises(ValueError, match="^-999999999932 is not squarefree$"):
         QuadraticField(-4 * 249999999983)  # 4 times a prime
     assert time.perf_counter() - start < 1.0
 

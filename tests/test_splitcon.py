@@ -89,6 +89,21 @@ def test_spec_grammar():
     for value in ([], "no", 1, None):
         with pytest.raises(SpecError, match="ram_in_L"):
             spec_from_json({"prime": 3, "kind": "rq", "ram_in_L": value})
+    # the constructor's checks, in order, each with its message
+    for args, message in (
+        (("inf", "rq"), "the real place only supports totally split"),
+        ((4, "rq"), "4 is not a prime or 'inf'"),
+        (("7", "ts"), "'7' is not a prime or 'inf'"),
+        ((7, "ur"), "unramified kind needs a degree >= 1"),
+        ((7, "ur", 0), "unramified kind needs a degree >= 1"),
+        ((7, "ur", DEGREE_MAX + 1), f"unramified degree {DEGREE_MAX + 1} exceeds the cap {DEGREE_MAX}"),
+        ((7, "xx", 2), "unknown kind 'xx'"),
+        ((7, "ts", None, 1), "spec field 'ram_in_L' must be a boolean"),
+        ((4, "xx", None, 1), "4 is not a prime or 'inf'"),
+    ):
+        with pytest.raises(SpecError) as info:
+            LocalSpec(*args)
+        assert str(info.value) == message, args
 
 
 def test_validate_request_kind_rule():
